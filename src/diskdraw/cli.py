@@ -10,7 +10,7 @@ import argparse
 import math
 import sys
 
-from .canvas import Shade
+from .canvas import BoundaryPoint, Shade
 from .constructions import (
     build_snake,
     chessboard_coloring,
@@ -23,6 +23,7 @@ from .curvature import path_max_curvature, rolling_disk_check
 from .geometry import DEFAULT_TAU, Point, circumcircle3, trapezoid_circumradius, unit
 from .obstruction import (
     DissectionSpec,
+    MisclassifiedPoint,
     StageParams,
     Verdict,
     chessboard_stages,
@@ -348,6 +349,9 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return USAGE
+    except (BoundaryPoint, MisclassifiedPoint) as exc:  # a stage point failed its color check
+        print(f"FAIL: {exc}")
+        return REFUTED
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return USAGE
@@ -355,3 +359,7 @@ def main(argv=None) -> int:
 
 def console_entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_entry()

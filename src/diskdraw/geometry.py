@@ -1,18 +1,20 @@
-"""Planar primitives and the exact/search kernels shared by the whole package.
+"""Planar primitives and the exact kernels shared by the whole package.
 
 Distances to every primitive kind are closed-form (no sampling).  The
-constrained largest-empty-circle solver enumerates an exhaustive candidate
-set (circumcenters, bisector/boundary intersections, antipodal escapes) and
-polishes the winner with bounded golden-section steps, never returning a
-value below the best exact candidate.
+constrained largest-empty-circle solver scores an exhaustive, exact set of
+Voronoi candidates taken from a Delaunay triangulation whose orientation and
+in-circle decisions are exact (see delaunay.py): Voronoi vertices inside the
+constraint disk, Voronoi-edge crossings of its circle, antipodal escapes and
+the anchor.  There is no numerical search or polishing step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
+
+from .delaunay import Delaunay, circumcenter
 
 DEFAULT_TAU = 1e-9
 
@@ -317,28 +319,88 @@ def trapezoid_circumradius(a: float, b: float, h: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _golden_max(fn, lo: float, hi: float, iters: int):
-    """Golden-section maximization on [lo, hi]; returns the best sample seen."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    best_x, best_v = (c, fc) if fc >= fd else (d, fd)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-            if fc > best_v:
-                best_x, best_v = c, fc
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-            if fd > best_v:
-                best_x, best_v = d, fd
-    return best_x, best_v
+class LargestEmptyCircle:
+    """Constrained largest empty circles among one fixed set of point obstacles.
+
+    The Delaunay triangulation of the obstacles is built once; each query
+    maximizes f(x) = min-distance to the obstacles over a closed disk
+    |x - anchor| <= rho (Toussaint, IJCIS 12(5), 1983).  The maximum sits at
+    a Voronoi vertex inside the disk, where a Voronoi edge crosses the circle,
+    or at the circle point farthest from the obstacle whose cell holds it, so
+    the candidates are exhaustive:
+
+    (i) the Delaunay circumcenters inside the disk, (ii) the intersections of
+    the Delaunay-edge bisectors with the circle, (iii) the antipodal escape
+    point from each obstacle (a fixed circle point when the anchor is the
+    obstacle), and (iv) the anchor itself.
+
+    Candidates are scored only against the obstacles within d0 + 2*rho of the
+    anchor, d0 being the anchor's nearest-obstacle distance.  The pruning is
+    exact: every x in the disk has f(x) <= d0 + rho, and a farther obstacle
+    is more than d0 + rho from every such x.
+    """
+
+    def __init__(self, obstacles: Sequence[Point]):
+        if not obstacles:
+            raise EmptyObstacleSet("largest empty circle needs at least one obstacle")
+        dt = Delaunay((p.x, p.y) for p in obstacles)
+        pts = self._points = dt.points
+        self._centers = [circumcenter(pts[a], pts[b], pts[c]) for a, b, c in dt.triangles()]
+        self._bisectors = []  # (i, j, midpoint, unit direction) per Delaunay edge ij
+        for i, j in dt.edges():
+            (ax, ay), (bx, by) = pts[i], pts[j]
+            dx, dy = bx - ax, by - ay
+            ln = math.hypot(dx, dy)
+            self._bisectors.append((i, j, (ax + bx) / 2.0, (ay + by) / 2.0, -dy / ln, dx / ln))
+
+    def query(self, anchor: Point, rho: float) -> tuple[Point, float]:
+        """(center, clearance) of the largest empty circle centered within rho of anchor."""
+        if not (math.isfinite(rho) and rho > 0.0):
+            raise ValueError(f"constraint radius must be finite and positive, got {rho!r}")
+        tx, ty = anchor.x, anchor.y
+        pts = self._points
+        dist = [math.hypot(sx - tx, sy - ty) for sx, sy in pts]
+        d0 = min(dist)
+        reach = (d0 + 2.0 * rho) * (1.0 + 1e-12)
+        near = [d <= reach for d in dist]
+        # nearest first, so that scoring a poor candidate stops early
+        obstacles = [pts[i] for i in sorted(range(len(pts)), key=dist.__getitem__) if near[i]]
+
+        rho2 = rho * rho
+        cands: list[tuple[float, float]] = []
+        for (sx, sy), d in zip(pts, dist):
+            if d == 0.0:
+                cands.append((tx + rho, ty))
+            elif d <= reach:
+                cands.append((tx + rho * (tx - sx) / d, ty + rho * (ty - sy) / d))
+        for i, j, mx, my, ux, uy in self._bisectors:
+            if near[i] and near[j]:
+                px, py = mx - tx, my - ty
+                bh = px * ux + py * uy
+                off = px * uy - py * ux  # signed distance from the anchor to the bisector
+                disc = rho2 - off * off
+                if disc >= 0.0:
+                    root = math.sqrt(disc)
+                    cands.append((mx + (-bh - root) * ux, my + (-bh - root) * uy))
+                    cands.append((mx + (-bh + root) * ux, my + (-bh + root) * uy))
+        bound2 = rho2 * (1.0 + 1e-12)
+        for cx, cy in self._centers:
+            dx, dy = cx - tx, cy - ty
+            if dx * dx + dy * dy <= bound2:
+                cands.append((cx, cy))
+
+        best_x, best_y, best_v = tx, ty, d0
+        for x, y in cands:
+            v = math.inf
+            for sx, sy in obstacles:
+                d = math.hypot(x - sx, y - sy)
+                if d < v:
+                    v = d
+                    if v <= best_v:
+                        break
+            if v > best_v:
+                best_x, best_y, best_v = x, y, v
+        return Point(best_x, best_y), best_v
 
 
 def constrained_largest_empty_circle(
@@ -346,139 +408,11 @@ def constrained_largest_empty_circle(
     anchor: Point,
     rho: float,
     tau: float = DEFAULT_TAU,
-    refine_iters: int = 60,
 ) -> tuple[Point, float]:
     """Maximize min-distance to the obstacles over the closed disk |x - anchor| <= rho.
 
-    Returns (center, clearance).  The candidate set is exhaustive for point
-    obstacles: (i) circumcenters of obstacle triples inside the constraint
-    disk, (ii) pairwise perpendicular-bisector intersections with the
-    constraint circle, (iii) per-obstacle antipodal escape points on the
-    circle, (iv) the anchor itself.  Golden-section refinement along each
-    coordinate (refine_iters single-sample steps in total) can only improve
-    the reported clearance.
+    Returns (center, clearance) from the exact Voronoi candidates of
+    LargestEmptyCircle.  tau is validated for interface symmetry only.
     """
     check_tolerance(tau)
-    if not obstacles:
-        raise EmptyObstacleSet("largest empty circle needs at least one obstacle")
-    if not (math.isfinite(rho) and rho > 0.0):
-        raise ValueError(f"constraint radius must be finite and positive, got {rho!r}")
-
-    pts = [(p.x, p.y) for p in obstacles]
-    tx, ty = anchor.x, anchor.y
-
-    def f(x: float, y: float) -> float:
-        best = math.inf
-        for sx, sy in pts:
-            d = math.hypot(x - sx, y - sy)
-            if d < best:
-                best = d
-        return best
-
-    rho2 = rho * rho
-    cands: list[tuple[float, float]] = [(tx, ty)]
-
-    for sx, sy in pts:  # antipodal escape from each obstacle
-        dx, dy = tx - sx, ty - sy
-        d = math.hypot(dx, dy)
-        if d > 0.0:
-            cands.append((tx + rho * dx / d, ty + rho * dy / d))
-
-    for (ax, ay), (bx, by) in combinations(pts, 2):
-        dx, dy = bx - ax, by - ay
-        ln = math.hypot(dx, dy)
-        if ln == 0.0:
-            continue
-        ux, uy = -dy / ln, dx / ln  # bisector direction
-        mx, my = (ax + bx) / 2.0, (ay + by) / 2.0
-        px, py = mx - tx, my - ty
-        bh = px * ux + py * uy
-        disc = bh * bh - (px * px + py * py - rho2)
-        if disc >= 0.0:
-            root = math.sqrt(disc)
-            cands.append((mx + (-bh - root) * ux, my + (-bh - root) * uy))
-            cands.append((mx + (-bh + root) * ux, my + (-bh + root) * uy))
-
-    if len(pts) >= 3:
-        bound2 = rho2 * (1.0 + 1e-12)
-        for a, b, c in combinations(pts, 3):
-            cc = _circumcenter_xy(a, b, c)
-            if cc is None:
-                continue
-            dx, dy = cc[0] - tx, cc[1] - ty
-            if dx * dx + dy * dy <= bound2:
-                cands.append(cc)
-
-    best_x, best_y, best_v = tx, ty, f(tx, ty)
-    for x, y in cands[1:]:
-        v = f(x, y)
-        if v > best_v:
-            best_x, best_y, best_v = x, y, v
-
-    # Coordinate-wise polish; golden-section brackets are clipped to the
-    # constraint disk chord through the current center.
-    iters_per_axis = max(1, refine_iters // 4)
-    for _ in range(2):
-        dy2 = rho2 - (best_y - ty) ** 2
-        if dy2 > 0.0:
-            half = math.sqrt(dy2)
-            x, v = _golden_max(lambda s: f(s, best_y), tx - half, tx + half, iters_per_axis)
-            if v > best_v:
-                best_x, best_v = x, v
-        dx2 = rho2 - (best_x - tx) ** 2
-        if dx2 > 0.0:
-            half = math.sqrt(dx2)
-            y, v = _golden_max(lambda s: f(best_x, s), ty - half, ty + half, iters_per_axis)
-            if v > best_v:
-                best_y, best_v = y, v
-
-    return Point(best_x, best_y), best_v
-
-
-# ---------------------------------------------------------------------------
-# Convex hull helpers (used by the obstruction module's escape radius)
-# ---------------------------------------------------------------------------
-
-
-def convex_hull(points: Iterable[Point]) -> list[Point]:
-    """Andrew's monotone chain; returns hull vertices in ccw order."""
-    pts = sorted(set((p.x, p.y) for p in points))
-    if len(pts) <= 2:
-        return [Point(x, y) for x, y in pts]
-
-    def half(seq):
-        out: list[tuple[float, float]] = []
-        for p in seq:
-            while len(out) >= 2:
-                ox, oy = out[-2]
-                ax, ay = out[-1]
-                if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) <= 0.0:
-                    out.pop()
-                else:
-                    break
-            out.append(p)
-        return out
-
-    lower = half(pts)
-    upper = half(reversed(pts))
-    ring = lower[:-1] + upper[:-1]
-    return [Point(x, y) for x, y in ring]
-
-
-def strictly_inside_hull(hull: Sequence[Point], p: Point, rel_margin: float = 1e-12) -> bool:
-    """True when p is strictly interior to the ccw hull polygon.
-
-    The margin is relative to the edge length, i.e. it thresholds the
-    perpendicular distance from the edge line.
-    """
-    if len(hull) < 3:
-        return False
-    n = len(hull)
-    scale = max(max(abs(q.x), abs(q.y)) for q in hull) + 1.0
-    for i in range(n):
-        a = hull[i]
-        b = hull[(i + 1) % n]
-        edge = b - a
-        if edge.cross(p - a) <= rel_margin * edge.norm() * scale:
-            return False
-    return True
+    return LargestEmptyCircle(obstacles).query(anchor, rho)

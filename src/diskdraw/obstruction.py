@@ -14,20 +14,18 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 from typing import Callable, Sequence
 
 from .canvas import DrawingScript, Shade, eval_script
+from .delaunay import Delaunay, circumcenter
 from .geometry import (
     DEFAULT_TAU,
+    LargestEmptyCircle,
     Point,
     check_tolerance,
     circumcircle3,
-    constrained_largest_empty_circle,
-    convex_hull,
-    strictly_inside_hull,
+    constrained_largest_empty_circle,  # noqa: F401  (perfbench traces it under this module)
     unit,
-    _circumcenter_xy,
 )
 
 
@@ -124,20 +122,22 @@ def encircles(S: Sequence[Point], T: Sequence[Point], tau: float = DEFAULT_TAU) 
     constrained to |x - t| <= 1 has clearance < 1 - tau.  NO when a witness
     center sits definitely inside the touching region (distance to T below
     1 - tau) with distance to S above 1 + tau.  BOUNDARY otherwise.  Empty T
-    is vacuously YES; empty S with nonempty T is NO.
+    is vacuously YES; empty S with nonempty T is NO.  The Delaunay
+    triangulation of S is built once and serves every anchor.
     """
     check_tolerance(tau)
     if not T:
         return Verdict.YES
     if not S:
         return Verdict.NO
+    lec = LargestEmptyCircle(S)
     boundary = False
     for t in T:
-        _, clearance = constrained_largest_empty_circle(S, t, 1.0, tau)
+        _, clearance = lec.query(t, 1.0)
         if clearance < 1.0 - tau:
             continue
         # Look for a definite counterexample strictly inside the touch region.
-        witness, inner = constrained_largest_empty_circle(S, t, 1.0 - 2.0 * tau, tau)
+        _, inner = lec.query(t, 1.0 - 2.0 * tau)
         if inner > 1.0 + tau:
             return Verdict.NO
         boundary = True
@@ -148,34 +148,30 @@ def escape_radius(S: Sequence[Point], T: Sequence[Point]) -> float:
     """Radius of the largest disk that can reach a point of T while avoiding S.
 
     Formally max over t in T of sup{|x - t| : |x - t| <= dist(x, S)}: the
-    disk has t on its boundary and no point of S inside.  Infinite when some
-    t is not strictly interior to the convex hull of S (a halfplane escapes).
-    A finite value below 1 certifies encirclement and scales linearly under
-    similarity, which makes it the natural per-stage clearance of a
-    self-similar descent chain.
+    disk has t on its boundary and no point of S inside.  That is the
+    farthest vertex of t's Voronoi cell in Vor(S + {t}), i.e. the farthest
+    circumcenter of t's insertion-cavity fan in Del(S) (of t's own link when
+    t is a point of S).  Infinite when the cell is unbounded, which happens
+    exactly when some t is not strictly inside the convex hull of S.
+
+    An escape radius >= 1 proves that S does not encircle T (a unit disk fits
+    inside the escaping disk, still touching t).  The converse fails: a
+    finite value below 1 does not certify encirclement.  The value scales
+    linearly under similarity, which makes it the natural per-stage
+    clearance of a self-similar descent chain.
     """
     if not T:
         return 0.0
-    if len(S) < 3:
-        return math.inf
-    hull = convex_hull(S)
-    if len(hull) < 3:
-        return math.inf
-    pts = [(p.x, p.y) for p in S]
+    dt = Delaunay((p.x, p.y) for p in S)
     best = 0.0
     for t in T:
-        if not strictly_inside_hull(hull, t):
-            return math.inf
         txy = (t.x, t.y)
-        for a, b in combinations(pts, 2):
-            cc = _circumcenter_xy(txy, a, b)
-            if cc is None:
-                continue
-            rho = math.hypot(cc[0] - t.x, cc[1] - t.y)
-            dmin = min(math.hypot(cc[0] - sx, cc[1] - sy) for sx, sy in pts)
-            if dmin >= rho * (1.0 - 1e-9):
-                if rho > best:
-                    best = rho
+        fan = dt.cell_fan(txy)
+        if fan is None:
+            return math.inf
+        for u, v in fan:
+            cx, cy = circumcenter(txy, dt.points[u], dt.points[v])
+            best = max(best, math.hypot(cx - t.x, cy - t.y))
     return best
 
 

@@ -1,0 +1,191 @@
+"""Slow reference implementations the Delaunay kernel is tested against.
+
+These are the enumeration algorithms the package used before its
+Voronoi/Delaunay kernel: the largest empty circle over every obstacle
+triple and pair, the escape radius over every obstacle pair, and the
+monotone-chain hull test.  They are kept for differential tests only.
+Three known defects were fixed so that they serve as references:
+
+- The LEC enumeration dropped every circle candidate when the anchor
+  coincides with an obstacle; it now adds one circle point in that case.
+  Its golden-section polish is gone: the candidate set is exhaustive, so
+  polishing could only add samples that are not better than the optimum.
+- Its bisector/circle intersections took the squared distance to the
+  bisector as |p|^2 - (p.u)^2, which cancels when the pair's midpoint is far
+  from the anchor and put candidates outside the disk; they now use the
+  perpendicular offset p x u directly.
+- The escape-radius emptiness test used a float slack relative to the
+  circle's own radius, which let huge circles through nearly collinear
+  triples pass; it is now exact rational arithmetic.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from itertools import combinations
+from typing import Iterable, Sequence
+
+from diskdraw import DEFAULT_TAU, Point, Verdict
+from diskdraw.geometry import _circumcenter_xy
+
+
+def lec_enumerated(obstacles: Sequence[Point], anchor: Point, rho: float) -> tuple[Point, float]:
+    """Constrained largest empty circle by scoring, against every obstacle,
+    the anchor, the antipodal escapes, all pair-bisector/circle
+    intersections and all triple circumcenters inside the disk."""
+    pts = [(p.x, p.y) for p in obstacles]
+    tx, ty = anchor.x, anchor.y
+
+    def f(x: float, y: float) -> float:
+        return min(math.hypot(x - sx, y - sy) for sx, sy in pts)
+
+    rho2 = rho * rho
+    cands: list[tuple[float, float]] = [(tx, ty)]
+    for sx, sy in pts:
+        dx, dy = tx - sx, ty - sy
+        d = math.hypot(dx, dy)
+        if d > 0.0:
+            cands.append((tx + rho * dx / d, ty + rho * dy / d))
+        else:
+            cands.append((tx + rho, ty))
+    for (ax, ay), (bx, by) in combinations(pts, 2):
+        dx, dy = bx - ax, by - ay
+        ln = math.hypot(dx, dy)
+        if ln == 0.0:
+            continue
+        ux, uy = -dy / ln, dx / ln
+        mx, my = (ax + bx) / 2.0, (ay + by) / 2.0
+        px, py = mx - tx, my - ty
+        bh = px * ux + py * uy
+        off = px * uy - py * ux  # distance from the anchor to the bisector
+        disc = rho2 - off * off
+        if disc >= 0.0:
+            root = math.sqrt(disc)
+            cands.append((mx + (-bh - root) * ux, my + (-bh - root) * uy))
+            cands.append((mx + (-bh + root) * ux, my + (-bh + root) * uy))
+    bound2 = rho2 * (1.0 + 1e-12)
+    for a, b, c in combinations(pts, 3):
+        cc = _circumcenter_xy(a, b, c)
+        if cc is not None and (cc[0] - tx) ** 2 + (cc[1] - ty) ** 2 <= bound2:
+            cands.append(cc)
+    best_x, best_y, best_v = tx, ty, f(tx, ty)
+    for x, y in cands[1:]:
+        v = f(x, y)
+        if v > best_v:
+            best_x, best_y, best_v = x, y, v
+    return Point(best_x, best_y), best_v
+
+
+def encircles_enumerated(S: Sequence[Point], T: Sequence[Point], tau: float = DEFAULT_TAU) -> Verdict:
+    """encircles with each LEC query answered by lec_enumerated."""
+    if not T:
+        return Verdict.YES
+    if not S:
+        return Verdict.NO
+    boundary = False
+    for t in T:
+        if lec_enumerated(S, t, 1.0)[1] < 1.0 - tau:
+            continue
+        if lec_enumerated(S, t, 1.0 - 2.0 * tau)[1] > 1.0 + tau:
+            return Verdict.NO
+        boundary = True
+    return Verdict.BOUNDARY if boundary else Verdict.YES
+
+
+def convex_hull(points: Iterable[Point]) -> list[Point]:
+    """Andrew's monotone chain; returns hull vertices in ccw order."""
+    pts = sorted(set((p.x, p.y) for p in points))
+    if len(pts) <= 2:
+        return [Point(x, y) for x, y in pts]
+
+    def half(seq):
+        out: list[tuple[float, float]] = []
+        for p in seq:
+            while len(out) >= 2:
+                ox, oy = out[-2]
+                ax, ay = out[-1]
+                if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) <= 0.0:
+                    out.pop()
+                else:
+                    break
+            out.append(p)
+        return out
+
+    lower = half(pts)
+    upper = half(reversed(pts))
+    ring = lower[:-1] + upper[:-1]
+    return [Point(x, y) for x, y in ring]
+
+
+def strictly_inside_hull(hull: Sequence[Point], p: Point, rel_margin: float = 1e-12) -> bool:
+    """True when p is strictly interior to the ccw hull polygon.
+
+    The margin is relative to the edge length, i.e. it thresholds the
+    perpendicular distance from the edge line.
+    """
+    if len(hull) < 3:
+        return False
+    n = len(hull)
+    scale = max(max(abs(q.x), abs(q.y)) for q in hull) + 1.0
+    for i in range(n):
+        a = hull[i]
+        b = hull[(i + 1) % n]
+        edge = b - a
+        if edge.cross(p - a) <= rel_margin * edge.norm() * scale:
+            return False
+    return True
+
+
+def _empty_circle_radius(t, a, b, pts) -> float | None:
+    """Radius of the circle through t, a, b when no point of pts is strictly
+    inside it (exact arithmetic), else None; None too for collinear triples."""
+    (tx, ty), (ax, ay), (bx, by) = [(Fraction(x), Fraction(y)) for x, y in (t, a, b)]
+    d = 2 * (tx * (ay - by) + ax * (by - ty) + bx * (ty - ay))
+    if d == 0:
+        return None
+    tt, aa, bb = tx * tx + ty * ty, ax * ax + ay * ay, bx * bx + by * by
+    ux = (tt * (ay - by) + aa * (by - ty) + bb * (ty - ay)) / d
+    uy = (tt * (bx - ax) + aa * (tx - bx) + bb * (ax - tx)) / d
+    r2 = (ux - tx) ** 2 + (uy - ty) ** 2
+    for sx, sy in pts:
+        if (ux - Fraction(sx)) ** 2 + (uy - Fraction(sy)) ** 2 < r2:
+            return None
+    return math.sqrt(r2)
+
+
+def escape_radius_enumerated(S: Sequence[Point], T: Sequence[Point]) -> float:
+    """Escape radius as the largest empty circle through t and an obstacle
+    pair; infinite when some t is not strictly inside the hull of S."""
+    if not T:
+        return 0.0
+    if len(S) < 3:
+        return math.inf
+    hull = convex_hull(S)
+    if len(hull) < 3:
+        return math.inf
+    pts = [(p.x, p.y) for p in S]
+    best = 0.0
+    for t in T:
+        if not strictly_inside_hull(hull, t):
+            return math.inf
+        for a, b in combinations(pts, 2):
+            r = _empty_circle_radius((t.x, t.y), a, b, pts)
+            if r is not None and r > best:
+                best = r
+    return best
+
+
+def hull_distance(S: Sequence[Point], p: Point) -> float:
+    """Distance from p to the boundary of the convex hull of S (0 for
+    degenerate hulls)."""
+    hull = convex_hull(S)
+    if len(hull) < 3:
+        return 0.0
+    best = math.inf
+    for a, b in zip(hull, hull[1:] + hull[:1]):
+        vx, vy = b.x - a.x, b.y - a.y
+        wx, wy = p.x - a.x, p.y - a.y
+        f = min(1.0, max(0.0, (wx * vx + wy * vy) / (vx * vx + vy * vy)))
+        best = min(best, math.hypot(wx - f * vx, wy - f * vy))
+    return best

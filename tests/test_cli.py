@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from diskdraw.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -105,3 +112,24 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "snake", "--depth", "1")
         assert code == 0
         assert "|AE|" in out and "rolling-disk check: ok" in out
+
+    def test_boundary_stage_point_is_a_fail_line(self, capsys):
+        # at depth 21 the chessboard stage points shrink into the tau collar
+        code, out, _ = run(capsys, "verify", "chessboard", "--depth", "21")
+        assert code == 1
+        fail = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert len(fail) == 1
+        assert "stage 21" in fail[0] and "Point(" in fail[0]
+
+
+class TestEntryPoint:
+    @pytest.mark.parametrize("module", ["diskdraw", "diskdraw.cli"])
+    def test_python_m(self, module):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "verify", "trapezoid", "--fuzz", "10"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[-1] == "ok"

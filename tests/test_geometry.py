@@ -18,9 +18,10 @@ from diskdraw import (
     dist_to_primitive,
     trapezoid_circumradius,
 )
-from diskdraw.geometry import OffsetHalfPlane, convex_hull, strictly_inside_hull
+from diskdraw.geometry import OffsetHalfPlane
 
 from helpers import grid_max_min_dist, random_point, random_primitive, rigid_motion
+from oracles import convex_hull, strictly_inside_hull
 
 
 class TestDistToPrimitive:
@@ -153,6 +154,18 @@ class TestConstrainedLEC:
         center, clearance = constrained_largest_empty_circle([Point(2, 0)], Point(0, 0), 1.0)
         assert clearance == pytest.approx(3.0, abs=1e-12)
         assert center.distance_to(Point(-1, 0)) < 1e-9
+
+    def test_anchor_on_the_obstacle_is_exact(self):
+        # every circle point is at distance rho from the coincident obstacle
+        center, clearance = constrained_largest_empty_circle([Point(0, 0)], Point(0, 0), 1.0)
+        assert clearance == 1.0
+        assert center.distance_to(Point(0, 0)) == 1.0
+
+    def test_anchor_on_one_of_several_obstacles(self):
+        pts = [Point(0, 0), Point(3, 0), Point(0, 3), Point(-3, -3)]
+        _, clearance = constrained_largest_empty_circle(pts, Point(0, 0), 0.5)
+        assert clearance == 0.5
+        assert clearance >= grid_max_min_dist(pts, Point(0, 0), 0.5, 1e-3) - 1e-12
 
     def test_empty_raises(self):
         with pytest.raises(EmptyObstacleSet):

@@ -46,6 +46,10 @@ def stage1_points(r=0.1, theta=math.radians(0.5)):
     return fam[0], fam[1]
 
 
+def regular_polygon(k, radius):
+    return [Point(radius * math.cos(2 * math.pi * i / k), radius * math.sin(2 * math.pi * i / k)) for i in range(k)]
+
+
 class TestEncircles:
     def test_empty_target_vacuous(self):
         assert encircles([Point(0, 0)], []) is Verdict.YES
@@ -73,6 +77,10 @@ class TestEncircles:
             np.minimum(d_s, np.hypot(gx - p.x, gy - p.y), out=d_s)
         violating = (d_t < 1.0 - 1e-6) & (d_s >= 1.0)
         assert not violating.any()
+
+    def test_coincident_target_is_boundary(self):
+        # clearance is exactly 1, and clearance >= 1 - tau rules out YES
+        assert encircles([Point(0, 0)], [Point(0, 0)]) is Verdict.BOUNDARY
 
     def test_far_target_not_encircled(self):
         s1, _ = stage1_points()
@@ -131,6 +139,20 @@ class TestEscapeRadius:
         square = [Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)]
         assert escape_radius(square, [Point(2, 0.5)]) == math.inf
         assert escape_radius(square[:2], [Point(0.5, 0.1)]) == math.inf
+
+    def test_regular_12gon_center(self):
+        # the center's cell is cut out by its bisectors with the vertices, at
+        # distance 1/2, so its corners sit at 1 / (2 cos(pi/12))
+        esc = escape_radius(regular_polygon(12, 1.0), [Point(0, 0)])
+        assert abs(esc - 1.0 / (2.0 * math.cos(math.pi / 12))) < 1e-12
+
+    def test_finite_escape_below_one_does_not_certify(self):
+        # escape radius >= 1 rules out encirclement; the converse fails
+        ring = regular_polygon(12, 1.2)
+        esc = escape_radius(ring, [Point(0, 0)])
+        assert abs(esc - 1.2 / (2.0 * math.cos(math.pi / 12))) < 1e-12
+        assert esc == pytest.approx(0.6212, abs=1e-4)
+        assert encircles(ring, [Point(0, 0)]) is Verdict.NO
 
     def test_scales_exactly_with_similarity(self):
         s1, s2 = stage1_points()
