@@ -77,6 +77,7 @@ from .constructions import (
     build_snake,
     chessboard_coloring,
     classify_against_path,
+    region_coloring,
     rounded_chessboard_coloring,
     sharp_ndissected_script,
     snake_coloring,

@@ -14,13 +14,14 @@ from .canvas import BoundaryPoint, Shade
 from .constructions import (
     build_snake,
     chessboard_coloring,
+    region_coloring,
     rounded_chessboard_coloring,
     sharp_ndissected_script,
     snake_coloring,
     snake_dissection_spec,
 )
 from .curvature import path_max_curvature, rolling_disk_check
-from .geometry import DEFAULT_TAU, Point, circumcircle3, trapezoid_circumradius, unit
+from .geometry import DEFAULT_TAU, Point, check_tolerance, circumcircle3, trapezoid_circumradius, unit
 from .obstruction import (
     DissectionSpec,
     MisclassifiedPoint,
@@ -43,8 +44,9 @@ from .scene import ParseError, parse_boundary, parse_script
 OK, REFUTED, USAGE = 0, 1, 2
 
 
-def _load_scene(path: str):
-    """A scene file holds DSL strokes, a named construction, or a boundary."""
+def _load_scene(path: str, tau: float):
+    """A scene file holds DSL strokes, a named construction, or a boundary;
+    every kind loads as a coloring with margin tau."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     first = next(
@@ -52,68 +54,56 @@ def _load_scene(path: str):
         None,
     )
     if first and first[0] == "construction":
-        return _construction_coloring(first[1:], lineno=1)
+        return _construction_coloring(first[1:], tau, lineno=1)
     if first and first[0] == "boundary":
-        from .constructions import classify_against_path
-        from .obstruction import Coloring
-
-        boundary = parse_boundary(text)
-        return Coloring(lambda p: classify_against_path(boundary, p), "boundary scene")
-    return parse_script(text)
+        return region_coloring((parse_boundary(text),), tau, "boundary scene")
+    return script_coloring(parse_script(text), tau)
 
 
-def _construction_coloring(args_list, lineno=1):
+def _construction_coloring(args_list, tau: float, lineno=1):
     if not args_list:
         raise ParseError(lineno, 1, "construction needs a name")
     name = args_list[0]
     if name == "chessboard":
         c = float(args_list[1]) if len(args_list) > 1 else 1.0
-        return chessboard_coloring(c)
+        return chessboard_coloring(c, tau)
     if name == "rounded":
         rho = float(args_list[1]) if len(args_list) > 1 else 0.35
-        return rounded_chessboard_coloring(rho)
+        return rounded_chessboard_coloring(rho, tau)
     if name == "snake":
         r = float(args_list[1]) if len(args_list) > 1 else 1.001
-        return snake_coloring(build_snake(r))
+        return snake_coloring(build_snake(r), tau)
     if name == "sharp-n":
         n = int(args_list[1]) if len(args_list) > 1 else 12
-        return script_coloring(sharp_ndissected_script(n))
+        return script_coloring(sharp_ndissected_script(n), tau)
     raise ParseError(lineno, 1, f"unknown construction {name!r}")
 
 
 def _cmd_simulate(args) -> int:
-    source = _load_scene(args.scene)
-    p = Point(args.query[0], args.query[1])
-    if hasattr(source, "classify"):
-        shade = source.classify(p)
-    else:
-        from .canvas import eval_script
-
-        shade = eval_script(p, source, args.tau)
-    print(shade.value)
+    coloring = _load_scene(args.scene, args.tau)
+    print(coloring.classify(Point(args.query[0], args.query[1])).value)
     return OK
 
 
 def _cmd_render(args) -> int:
     if args.construction:
-        if args.construction == "sharp-n":
-            source = script_coloring(sharp_ndissected_script(args.n))
-        else:
-            source = _construction_coloring([args.construction])
+        extra = [str(args.n)] if args.construction == "sharp-n" else []
+        coloring = _construction_coloring([args.construction, *extra], args.tau)
     elif args.scene:
-        source = _load_scene(args.scene)
+        coloring = _load_scene(args.scene, args.tau)
     else:
         print("render needs a scene file or --construction", file=sys.stderr)
         return USAGE
     spec = RasterSpec(*args.bbox, resolution=args.res)
-    write_pgm(args.output, source, spec, args.tau)
+    write_pgm(args.output, coloring, spec)
     print(f"wrote {spec.width}x{spec.height} PGM to {args.output}")
     if args.svg:
-        if args.construction == "snake":
-            write_svg(args.svg, build_snake().boundary.pieces, spec)
+        if isinstance(coloring.source, tuple):
+            write_svg(args.svg, [piece for loop in coloring.source for piece in loop.pieces], spec)
             print(f"wrote boundary SVG to {args.svg}")
         else:
-            print("svg outlines are only available for --construction snake", file=sys.stderr)
+            print("svg outlines are only available for regions "
+                  "(chessboard, rounded, snake, boundary scenes)", file=sys.stderr)
     return OK
 
 
@@ -125,7 +115,7 @@ def _print_cert(cert) -> None:
 def _cmd_verify_chessboard(args) -> int:
     theta = math.radians(args.theta_deg)
     stages = chessboard_stages(args.r, theta, args.depth)
-    cert = descent_verify(chessboard_coloring(1.0), stages, args.tau, strict=False)
+    cert = descent_verify(chessboard_coloring(1.0, args.tau), stages, args.tau, strict=False)
     _print_cert(cert)
     clearances = cert.enc_clearances()
     limit = math.sqrt(10.0) * args.r / 4.0
@@ -160,8 +150,8 @@ def _cmd_verify_snake(args) -> int:
     ok = ok and rolling.rolling_disk_ok
     print(f"rolling-disk check: {'ok' if rolling.rolling_disk_ok else 'FAIL'}")
 
-    spec = snake_dissection_spec(geom)
-    coloring = snake_coloring(geom)
+    spec = snake_dissection_spec(geom, args.tau)
+    coloring = snake_coloring(geom, args.tau)
     result = dissection_sample_check(coloring, spec, 200, args.tau)
     ok = ok and result.ok
     print(f"12-dissection at ({spec.a}, {spec.b}) thickness {spec.d}: "
@@ -211,7 +201,7 @@ def _cmd_verify_dissection(args) -> int:
         phase=0.0,
         first_orientation="ccw",
     )
-    cert = descent_verify(dissection_pattern_coloring(spec), stages, args.tau, strict=False)
+    cert = descent_verify(dissection_pattern_coloring(spec, args.tau), stages, args.tau, strict=False)
     for line in cert.report_lines():
         if "kind=enc" in line:
             print(line)
@@ -267,7 +257,7 @@ def _cmd_verify_sharp(args) -> int:
         phase=0.0,
         first_orientation="ccw",
     )
-    result = dissection_sample_check(script_coloring(script), spec, args.samples)
+    result = dissection_sample_check(script_coloring(script, args.tau), spec, args.samples, args.tau)
     print(
         f"{args.n}-dissection of the slid-disk script at ({spec.a:.4f}, {spec.b}) "
         f"thickness {spec.d}: {'ok' if result.ok else 'FAIL'}"
@@ -278,9 +268,16 @@ def _cmd_verify_sharp(args) -> int:
     return OK if result.ok else REFUTED
 
 
+def _tau(text: str) -> float:
+    try:
+        return check_tolerance(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="diskdraw", description=__doc__)
-    top.add_argument("--tau", type=float, default=DEFAULT_TAU, help="comparison margin")
+    top.add_argument("--tau", type=_tau, default=DEFAULT_TAU, help="comparison margin, in (0, 1e-3)")
     sub = top.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="classify a query point against a scene")

@@ -340,18 +340,45 @@ def crossing_parity(path: PiecewisePath, p: Point, angle: float) -> int:
 
 
 def classify_against_path(
-    path: PiecewisePath, p: Point, tau: float = DEFAULT_TAU, base_angle: float = _BASE_CAST_ANGLE
+    path: PiecewisePath | Sequence[PiecewisePath],
+    p: Point,
+    tau: float = DEFAULT_TAU,
+    base_angle: float = _BASE_CAST_ANGLE,
 ) -> Shade:
-    """Three-valued membership for the closed region bounded by the path."""
-    if path.distance_to(p) <= tau:
+    """Three-valued membership in the closed region bounded by one path, or
+    by several loops whose interiors are disjoint (they may touch).
+
+    BOUNDARY within tau of any piece; otherwise the crossing parity of one
+    ray, summed over the loops, decides between BLACK and WHITE.
+    """
+    loops = (path,) if isinstance(path, PiecewisePath) else path
+    if min(loop.distance_to(p) for loop in loops) <= tau:
         return Shade.BOUNDARY
     for k in range(32):
+        angle = base_angle + 0.3999966 * k
         try:
-            inside = crossing_parity(path, p, base_angle + 0.3999966 * k) % 2 == 1
+            inside = sum(crossing_parity(loop, p, angle) for loop in loops) % 2 == 1
         except _DegenerateRay:
             continue
         return Shade.BLACK if inside else Shade.WHITE
     raise RuntimeError(f"no non-degenerate ray direction found from {p}")
+
+
+def region_coloring(
+    loops: Sequence[PiecewisePath], tau: float = DEFAULT_TAU, description: str = ""
+) -> Coloring:
+    """Membership in the union of the regions enclosed by closed loops with
+    disjoint interiors; the coloring records the loops for the renderer."""
+    check_tolerance(tau)
+    loops = tuple(loops)
+    if not loops:
+        raise ValueError("a region needs at least one loop")
+    return Coloring(
+        classify=lambda p: classify_against_path(loops, p, tau),
+        description=description or f"region of {len(loops)} loop(s)",
+        source=loops,
+        tau=tau,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -359,26 +386,22 @@ def classify_against_path(
 # ---------------------------------------------------------------------------
 
 
+def _polygon(*corners: Point) -> PiecewisePath:
+    n = len(corners)
+    return PiecewisePath(tuple(Segment(corners[i], corners[(i + 1) % n]) for i in range(n)))
+
+
 def chessboard_coloring(c: float, tau: float = DEFAULT_TAU) -> Coloring:
     """Black on the two diagonal squares [0,c]^2 and [-c,0]^2, white elsewhere,
-    boundary within tau of the square edges."""
+    boundary within tau of the square edges.  The squares are two loops that
+    touch at the origin."""
     if not c > 0.0:
         raise ValueError(f"square side must be positive, got {c}")
-    check_tolerance(tau)
-    corners1 = [Point(0, 0), Point(c, 0), Point(c, c), Point(0, c)]
-    corners2 = [Point(0, 0), Point(-c, 0), Point(-c, -c), Point(0, -c)]
-    edges = [
-        Segment(corners1[i], corners1[(i + 1) % 4]) for i in range(4)
-    ] + [Segment(corners2[i], corners2[(i + 1) % 4]) for i in range(4)]
-
-    def classify(p: Point) -> Shade:
-        if min(dist_to_primitive(p, e) for e in edges) <= tau:
-            return Shade.BOUNDARY
-        if (0.0 <= p.x <= c and 0.0 <= p.y <= c) or (-c <= p.x <= 0.0 and -c <= p.y <= 0.0):
-            return Shade.BLACK
-        return Shade.WHITE
-
-    return Coloring(classify, f"2x2 chessboard, side {c}")
+    loops = (
+        _polygon(Point(0, 0), Point(c, 0), Point(c, c), Point(0, c)),
+        _polygon(Point(0, 0), Point(-c, 0), Point(-c, -c), Point(0, -c)),
+    )
+    return region_coloring(loops, tau, f"2x2 chessboard, side {c}")
 
 
 def rounded_chessboard_coloring(rho: float, tau: float = DEFAULT_TAU) -> Coloring:
@@ -387,39 +410,27 @@ def rounded_chessboard_coloring(rho: float, tau: float = DEFAULT_TAU) -> Colorin
     The central rho-square of each black square is cut away and replaced by
     the rho-disk sitting at (rho, rho) (respectively (-rho, -rho)), producing
     a boundary fillet of curvature 1/rho > 1 that separates the two black
-    regions.
+    regions.  Each black square is one loop of four segments and the fillet.
     """
     if not (0.0 < rho < 1.0):
         raise ValueError(f"fillet radius must be in (0, 1), got {rho}")
-    check_tolerance(tau)
-    pieces: list[PathPiece] = [
-        Segment(Point(rho, 0), Point(1, 0)),
-        Segment(Point(1, 0), Point(1, 1)),
-        Segment(Point(1, 1), Point(0, 1)),
-        Segment(Point(0, 1), Point(0, rho)),
-        Arc(Point(rho, rho), rho, math.pi, 1.5 * math.pi, ccw=True),
-        Segment(Point(-rho, 0), Point(-1, 0)),
-        Segment(Point(-1, 0), Point(-1, -1)),
-        Segment(Point(-1, -1), Point(0, -1)),
-        Segment(Point(0, -1), Point(0, -rho)),
-        Arc(Point(-rho, -rho), rho, 0.0, 0.5 * math.pi, ccw=True),
-    ]
-
-    def in_square_with_fillet(x: float, y: float) -> bool:
-        if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
-            return False
-        if x < rho and y < rho:
-            return (x - rho) ** 2 + (y - rho) ** 2 <= rho * rho
-        return True
-
-    def classify(p: Point) -> Shade:
-        if min(dist_to_primitive(p, piece) for piece in pieces) <= tau:
-            return Shade.BOUNDARY
-        if in_square_with_fillet(p.x, p.y) or in_square_with_fillet(-p.x, -p.y):
-            return Shade.BLACK
-        return Shade.WHITE
-
-    return Coloring(classify, f"rounded chessboard, fillet {rho}")
+    loops = (
+        PiecewisePath((
+            Segment(Point(rho, 0), Point(1, 0)),
+            Segment(Point(1, 0), Point(1, 1)),
+            Segment(Point(1, 1), Point(0, 1)),
+            Segment(Point(0, 1), Point(0, rho)),
+            Arc(Point(rho, rho), rho, math.pi, 1.5 * math.pi, ccw=True),
+        )),
+        PiecewisePath((
+            Segment(Point(-rho, 0), Point(-1, 0)),
+            Segment(Point(-1, 0), Point(-1, -1)),
+            Segment(Point(-1, -1), Point(0, -1)),
+            Segment(Point(0, -1), Point(0, -rho)),
+            Arc(Point(-rho, -rho), rho, 0.0, 0.5 * math.pi, ccw=True),
+        )),
+    )
+    return region_coloring(loops, tau, f"rounded chessboard, fillet {rho}")
 
 
 # ---------------------------------------------------------------------------
@@ -594,11 +605,7 @@ def build_snake(r: float = 1.001) -> SnakeGeometry:
 
 def snake_coloring(geom: SnakeGeometry, tau: float = DEFAULT_TAU) -> Coloring:
     """Membership in the region enclosed by the snake boundary."""
-    path = geom.boundary
-    return Coloring(
-        classify=lambda p: classify_against_path(path, p, tau),
-        description=f"snake region, osculating radius {geom.r}",
-    )
+    return region_coloring((geom.boundary,), tau, f"snake region, osculating radius {geom.r}")
 
 
 SNAKE_DISSECTION_A = 2.964

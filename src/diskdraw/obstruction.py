@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .canvas import DrawingScript, Shade, eval_script
 from .delaunay import Delaunay, circumcenter
@@ -27,6 +27,9 @@ from .geometry import (
     constrained_largest_empty_circle,  # noqa: F401  (perfbench traces it under this module)
     unit,
 )
+
+if TYPE_CHECKING:
+    from .constructions import PiecewisePath
 
 
 class Verdict(Enum):
@@ -59,16 +62,28 @@ class InvalidN(ValueError):
 
 @dataclass(frozen=True)
 class Coloring:
-    """A deterministic black/white membership oracle over the plane."""
+    """A deterministic black/white membership oracle over the plane.
+
+    source records what classify evaluates, when it is known: the
+    DrawingScript of a script coloring, or the tuple of closed PiecewisePath
+    loops of a region (see constructions.region_coloring), together with the
+    margin tau that classify uses.  The renderer reads it to classify whole
+    raster rows at once; None leaves classify opaque.
+    """
 
     classify: Callable[[Point], Shade]
     description: str = ""
+    source: DrawingScript | tuple[PiecewisePath, ...] | None = None
+    tau: float = DEFAULT_TAU
 
 
 def script_coloring(script: DrawingScript, tau: float = DEFAULT_TAU, description: str = "") -> Coloring:
+    check_tolerance(tau)
     return Coloring(
         classify=lambda p: eval_script(p, script, tau),
         description=description or f"script with {len(script)} strokes",
+        source=script,
+        tau=tau,
     )
 
 

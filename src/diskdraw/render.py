@@ -4,17 +4,30 @@ Pixels are sampled at their centers with no antialiasing; the three-valued
 semantics map to 0 (black), 255 (white) and a mid-gray for boundary, so a
 render is a faithful picture of the verdicts.  Identical inputs produce
 byte-identical output.
+
+Scripts and regions are filled a row at a time, as in scanline polygon fill
+(Foley et al., Computer Graphics: Principles and Practice, ch. 3): the line
+through a row's pixel centers meets each stroke primitive or boundary piece
+in closed-form intervals, whole runs between them are filled at once, and
+only the pixels in a conservative collar window go to the exact per-pixel
+classifier.  The bytes are those of classifying every pixel, which stays the
+path for opaque classifiers.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .canvas import DrawingScript, Shade, eval_script
-from .geometry import DEFAULT_TAU, Arc, Point, Segment
-from .obstruction import Coloring
+from .canvas import (
+    DrawingScript,
+    Shade,
+    eval_script,  # noqa: F401  (perfbench traces it under this module)
+)
+from .geometry import Arc, OffsetHalfPlane, Point, Segment, SinglePoint, WholePlane
+from .obstruction import Coloring, script_coloring
 
 
 @dataclass(frozen=True)
@@ -46,33 +59,311 @@ class RasterSpec:
 RenderSource = Union[DrawingScript, Coloring, Callable[[Point], Shade]]
 
 _SHADE_BYTE = {Shade.BLACK: 0, Shade.WHITE: 255}
+_BLACK, _WHITE = 0, 255
+
+logger = logging.getLogger("diskdraw")
 
 
-def _as_classifier(source: RenderSource, tau: float) -> Callable[[Point], Shade]:
+def render(source: RenderSource, spec: RasterSpec) -> bytes:
+    """Classify every pixel center; returns raw row-major bytes.
+
+    A bare DrawingScript is classified at DEFAULT_TAU; wrap it with
+    script_coloring for another margin.  A script, or a Coloring that
+    records its script or region, is filled a row at a time from closed
+    forms (see _script_rows and _region_rows) with the coloring's own tau;
+    the pixels those cannot settle, and every pixel of an opaque classifier,
+    are classified one by one.  Either way each byte is the verdict the
+    classifier gives at that pixel center.  The number of rows classified
+    pixel by pixel and of pixels classified exactly are logged at DEBUG on
+    the "diskdraw" logger.
+    """
     if isinstance(source, DrawingScript):
-        return lambda p: eval_script(p, source, tau)
+        source = script_coloring(source)
     if isinstance(source, Coloring):
-        return source.classify
-    if callable(source):
-        return source
-    raise TypeError(f"cannot render {source!r}")
-
-
-def render(source: RenderSource, spec: RasterSpec, tau: float = DEFAULT_TAU) -> bytes:
-    """Evaluate the source at every pixel center; returns raw row-major bytes."""
-    classify = _as_classifier(source, tau)
-    w, h = spec.width, spec.height
-    sx = (spec.xmax - spec.xmin) / w
-    sy = (spec.ymax - spec.ymin) / h
-    rows = bytearray(w * h)
-    idx = 0
+        classify, shape = source.classify, source.source
+    elif callable(source):
+        classify, shape = source, None
+    else:
+        raise TypeError(f"cannot render {source!r}")
+    grid = _Grid(spec)
+    w, h = grid.w, grid.h
+    if shape is None:
+        rows = None
+    elif isinstance(shape, DrawingScript):
+        rows = _script_rows(shape, source.tau, grid)
+    else:
+        rows = _region_rows(shape, source.tau, grid)
+    pixels = bytearray(b"\xff") * (w * h)
+    fallback_rows = exact = 0
     for i in range(h):
-        y = spec.ymax - (i + 0.5) * sy
-        for j in range(w):
-            shade = classify(Point(spec.xmin + (j + 0.5) * sx, y))
-            rows[idx] = _SHADE_BYTE.get(shade, spec.boundary_value)
-            idx += 1
-    return bytes(rows)
+        y = grid.y(i)
+        base = i * w
+        cols = rows(y, pixels, base) if rows else None
+        if cols is None:
+            fallback_rows += 1
+            cols = range(w)
+        exact += len(cols)
+        for j in cols:
+            shade = classify(Point(grid.x(j), y))
+            pixels[base + j] = _SHADE_BYTE.get(shade, spec.boundary_value)
+    logger.debug(
+        "render %dx%d: %d fallback rows, %d pixels classified exactly", w, h, fallback_rows, exact
+    )
+    return bytes(pixels)
+
+
+# ---------------------------------------------------------------------------
+# Row spans
+# ---------------------------------------------------------------------------
+
+
+class _Grid:
+    """Pixel-center coordinates, computed exactly as the per-pixel loop does."""
+
+    def __init__(self, spec: RasterSpec):
+        self.w, self.h = spec.width, spec.height
+        self.xmin, self.ymax = spec.xmin, spec.ymax
+        self.sx = (spec.xmax - spec.xmin) / self.w
+        self.sy = (spec.ymax - spec.ymin) / self.h
+        self.scale = max(1.0, abs(spec.xmin), abs(spec.xmax), abs(spec.ymin), abs(spec.ymax))
+        self.black = memoryview(bytes(self.w))
+        self.white = memoryview(b"\xff" * self.w)
+
+    def y(self, i: int) -> float:
+        return self.ymax - (i + 0.5) * self.sy
+
+    def x(self, j: int) -> float:
+        return self.xmin + (j + 0.5) * self.sx
+
+    def first(self, v: float) -> int:
+        """Smallest column j in [0, w] whose center x_j >= v.
+
+        The estimate is corrected against the computed centers, so the answer
+        is exact for the floating-point centers the pixels are classified at.
+        """
+        t = (v - self.xmin) / self.sx - 0.5
+        j = 0 if not t > 0.0 else self.w if t >= self.w else math.ceil(t)
+        while j > 0 and self.x(j - 1) >= v:
+            j -= 1
+        while j < self.w and self.x(j) < v:
+            j += 1
+        return j
+
+    def cols(self, lo: float, hi: float) -> range:
+        """Columns whose centers x_j satisfy lo <= x_j < hi.
+
+        Spans meet at shared ends, and a center exactly on one lies a margin
+        away from any verdict change, so half-open ranges lose nothing.
+        """
+        return range(self.first(lo), self.first(hi))
+
+    def fill(self, pixels: bytearray, base: int, lo: float, hi: float, value: int) -> None:
+        j0, j1 = self.first(lo), self.first(hi)
+        if j1 > j0:
+            pixels[base + j0 : base + j1] = (self.black if value == _BLACK else self.white)[: j1 - j0]
+
+
+def _margin(grid: _Grid, piece) -> float:
+    """Collar margin m for a stroke primitive or a boundary piece.
+
+    m = 1e-7 * M, M the largest coordinate magnitude of the raster and the
+    piece (at least 1).  A row's closed forms take a few roundings of
+    coordinates of size at most M, so their absolute error is of order
+    1e-15 * M; the classifier's own distances carry the same order.  Near
+    tangency a square root turns an error e in R^2 - d^2 into an x error of
+    at most sqrt(e), about 3e-8 * M, while the radial margin m widens the
+    window there by about sqrt(2 * R * m).  So m dominates rounding by
+    several orders of magnitude, and a collar window is still only about
+    2e-7 * M wide: few pixel centers ever fall inside one.
+    """
+    if isinstance(piece, SinglePoint):
+        size = max(abs(piece.p.x), abs(piece.p.y))
+    elif isinstance(piece, Segment):
+        size = max(abs(piece.a.x), abs(piece.a.y), abs(piece.b.x), abs(piece.b.y))
+    elif isinstance(piece, Arc):
+        size = max(abs(piece.center.x), abs(piece.center.y)) + piece.radius
+    elif isinstance(piece, OffsetHalfPlane):
+        size = abs(piece.offset) + piece.margin
+    else:
+        size = 0.0
+    return 1e-7 * max(grid.scale, size)
+
+
+def _chord(cx: float, dy: float, rho: float):
+    """x-interval of a row within rho of a center at abscissa cx, the row
+    passing at height offset dy from the center; None when it passes farther."""
+    d = abs(dy)
+    if d > rho:
+        return None
+    s = math.sqrt((rho - d) * (rho + d))
+    return cx - s, cx + s
+
+
+def _annulus(cx: float, dy: float, r_in: float, r_out: float) -> list:
+    """x-intervals of the row at height offset dy inside the closed annulus
+    r_in <= |x - center| <= r_out (r_in may be negative)."""
+    outer = _chord(cx, dy, r_out)
+    if outer is None:
+        return []
+    inner = _chord(cx, dy, r_in) if r_in > 0.0 else None
+    if inner is None:
+        return [outer]
+    return [(outer[0], inner[0]), (inner[1], outer[1])]
+
+
+def _between(a: float, b: float, lo: float, hi: float):
+    """The u-interval where lo <= a*u + b <= hi, or None."""
+    if a == 0.0:
+        return (-math.inf, math.inf) if lo <= b <= hi else None
+    u0, u1 = (lo - b) / a, (hi - b) / a
+    return (u0, u1) if a > 0.0 else (u1, u0)
+
+
+def _capsule(seg: Segment, y: float, rho: float):
+    """x-interval of the row at height y within rho of the segment, or None.
+
+    The capsule is the union of the endpoint disks and the rectangle of
+    points that project into the segment within rho of its line; it is
+    convex, so its trace on the row is one interval.
+    """
+    ax, ay, bx, by = seg.a.x, seg.a.y, seg.b.x, seg.b.y
+    if not min(ay, by) - rho <= y <= max(ay, by) + rho:
+        return None
+    lo, hi = math.inf, -math.inf
+    for px, py in ((ax, ay), (bx, by)):
+        span = _chord(px, y - py, rho)
+        if span is not None:
+            lo, hi = min(lo, span[0]), max(hi, span[1])
+    dx, dy, h = bx - ax, by - ay, y - ay
+    length = math.hypot(dx, dy)
+    across = _between(-dy, dx * h, -rho * length, rho * length)  # distance to the line
+    along = _between(dx, dy * h, 0.0, length * length)  # projection inside the segment
+    if across is not None and along is not None:
+        u0, u1 = max(across[0], along[0]), min(across[1], along[1])
+        if u0 <= u1:
+            lo, hi = min(lo, ax + u0), max(hi, ax + u1)
+    return (lo, hi) if lo <= hi else None
+
+
+def _convex_span(prim, y: float, rho: float):
+    """x-interval of the row at height y within rho of a point, segment,
+    half-plane or the whole plane (each neighbourhood is convex), or None."""
+    if isinstance(prim, SinglePoint):
+        return _chord(prim.p.x, y - prim.p.y, rho)
+    if isinstance(prim, Segment):
+        return _capsule(prim, y, rho)
+    if isinstance(prim, OffsetHalfPlane):
+        # distance below rho  <=>  x*nx + y*ny >= offset + margin - rho
+        nx = prim.normal.x
+        t = prim.offset + prim.margin - rho - y * prim.normal.y
+        if nx == 0.0:
+            return (-math.inf, math.inf) if t <= 0.0 else None
+        return (t / nx, math.inf) if nx > 0.0 else (-math.inf, t / nx)
+    if isinstance(prim, WholePlane):
+        return -math.inf, math.inf
+    raise TypeError(f"unknown primitive {prim!r}")
+
+
+def _split(outer, inner):
+    """(certain-IN, uncertain) intervals from a convex neighbourhood's trace
+    at the two radii: what lies between them is uncertain."""
+    if outer is None:
+        return [], []
+    if inner is None:
+        return [], [outer]
+    return [inner], [(outer[0], inner[0]), (inner[1], outer[1])]
+
+
+def _script_rows(script: DrawingScript, tau: float, grid: _Grid):
+    """Row filler for eval_script's verdicts.
+
+    Per stroke, the row meets each primitive's neighbourhood in closed form:
+    inside dist < 1 - tau - m the stroke is IN for certain, beyond
+    dist > 1 + tau + m it is OUT for certain (m from _margin).  Painting the
+    certain-IN intervals in stroke order leaves every pixel the color of its
+    last covering stroke, white where none covers it, which is eval_script's
+    verdict wherever no stroke is uncertain.  The pixels between the two
+    radii of any primitive are returned for exact classification.  An arc
+    has no certain-IN part here: its whole annulus R -+ (1 + tau + m) is
+    returned for exact classification.
+    """
+    strokes = []
+    for k, stroke in enumerate(script.strokes, start=1):
+        prims = [(p, _margin(grid, p)) for p in stroke.centers.primitives]
+        strokes.append((_BLACK if k % 2 == 1 else _WHITE, prims))
+
+    def row(y: float, pixels: bytearray, base: int):
+        uncertain = []
+        for value, prims in strokes:
+            for prim, m in prims:
+                r_in, r_out = 1.0 - tau - m, 1.0 + tau + m
+                if isinstance(prim, Arc):  # the annulus about the circle holds the arc's neighbourhood
+                    c, radius = prim.center, prim.radius
+                    inner, unsure = [], _annulus(c.x, y - c.y, radius - r_out, radius + r_out)
+                else:
+                    inner, unsure = _split(_convex_span(prim, y, r_out), _convex_span(prim, y, r_in))
+                for lo, hi in inner:
+                    grid.fill(pixels, base, lo, hi, value)
+                uncertain += unsure
+        return {j for lo, hi in uncertain for j in grid.cols(lo, hi)}
+
+    return row
+
+
+def _region_rows(loops, tau: float, grid: _Grid):
+    """Row filler for classify_against_path over closed loops.
+
+    Each piece is widened to a collar window of pixels within tau + m of it
+    (m from _margin): the capsule about a segment, or the annulus
+    R -+ (tau + m) about an arc's circle.  Outside every window a
+    pixel is farther than tau from the boundary, so its verdict is the parity
+    of the row's crossings to its right.  The window pixels are returned for
+    exact classification.  A degenerate row, one within m of a piece
+    endpoint's height (which covers rows along a horizontal segment) or of a
+    tangent to an arc's circle, cannot be split into crossings reliably and
+    is classified pixel by pixel (the filler returns None).
+    """
+    segments, arcs, degenerate = [], [], []
+    for piece in (piece for loop in loops for piece in loop.pieces):
+        m = _margin(grid, piece)
+        if isinstance(piece, Segment):
+            segments.append((piece, tau + m))
+            ends = (piece.a.y, piece.b.y)
+        else:
+            arcs.append((piece, tau + m))
+            c, radius = piece.center, piece.radius
+            ends = (piece.start_point.y, piece.end_point.y, c.y - radius, c.y + radius)
+        degenerate += ((e - m, e + m) for e in ends)
+
+    def row(y: float, pixels: bytearray, base: int):
+        if any(lo <= y <= hi for lo, hi in degenerate):
+            return None
+        crossings, windows = [], []
+        for seg, r in segments:
+            a, b = seg.a, seg.b
+            if min(a.y, b.y) < y < max(a.y, b.y):
+                crossings.append(a.x + (y - a.y) * (b.x - a.x) / (b.y - a.y))
+            window = _capsule(seg, y, r)
+            if window is not None:
+                windows.append(window)
+        for arc, r in arcs:
+            c, radius = arc.center, arc.radius
+            dy = y - c.y
+            d = abs(dy)
+            if d < radius:
+                s = math.sqrt((radius - d) * (radius + d))
+                crossings += (
+                    c.x + sign * s for sign in (-1.0, 1.0) if arc.contains_angle(math.atan2(dy, sign * s))
+                )
+            windows += _annulus(c.x, dy, radius - r, radius + r)
+        if len(crossings) % 2:  # a line meets closed loops an even number of times
+            return None
+        crossings.sort()
+        for k in range(0, len(crossings), 2):  # an odd number of crossings lies to the right
+            grid.fill(pixels, base, crossings[k], crossings[k + 1], _BLACK)
+        return {j for lo, hi in windows for j in grid.cols(lo, hi)}
+
+    return row
 
 
 def to_pgm(pixels: bytes, spec: RasterSpec) -> bytes:
@@ -80,9 +371,9 @@ def to_pgm(pixels: bytes, spec: RasterSpec) -> bytes:
     return header + pixels
 
 
-def write_pgm(path: str, source: RenderSource, spec: RasterSpec, tau: float = DEFAULT_TAU) -> None:
+def write_pgm(path: str, source: RenderSource, spec: RasterSpec) -> None:
     with open(path, "wb") as fh:
-        fh.write(to_pgm(render(source, spec, tau), spec))
+        fh.write(to_pgm(render(source, spec), spec))
 
 
 def black_fraction(pixels: bytes) -> float:

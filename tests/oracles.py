@@ -17,6 +17,10 @@ Three known defects were fixed so that they serve as references:
 - The escape-radius emptiness test used a float slack relative to the
   circle's own radius, which let huge circles through nearly collinear
   triples pass; it is now exact rational arithmetic.
+
+The chessboard and rounded-chessboard classifiers are the hand-written
+closed forms the two constructions used before they became two-loop regions;
+the region classifier is tested against them.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from diskdraw import DEFAULT_TAU, Point, Verdict
+from diskdraw import DEFAULT_TAU, Arc, Point, Segment, Shade, Verdict, dist_to_primitive
 from diskdraw.geometry import _circumcenter_xy
 
 
@@ -189,3 +193,55 @@ def hull_distance(S: Sequence[Point], p: Point) -> float:
         f = min(1.0, max(0.0, (wx * vx + wy * vy) / (vx * vx + vy * vy)))
         best = min(best, math.hypot(wx - f * vx, wy - f * vy))
     return best
+
+
+def chessboard_classify(c: float, tau: float = DEFAULT_TAU):
+    """Black on the closed squares [0,c]^2 and [-c,0]^2, boundary within tau
+    of their edges, white elsewhere."""
+    corners1 = [Point(0, 0), Point(c, 0), Point(c, c), Point(0, c)]
+    corners2 = [Point(0, 0), Point(-c, 0), Point(-c, -c), Point(0, -c)]
+    edges = [
+        Segment(corners1[i], corners1[(i + 1) % 4]) for i in range(4)
+    ] + [Segment(corners2[i], corners2[(i + 1) % 4]) for i in range(4)]
+
+    def classify(p: Point) -> Shade:
+        if min(dist_to_primitive(p, e) for e in edges) <= tau:
+            return Shade.BOUNDARY
+        if (0.0 <= p.x <= c and 0.0 <= p.y <= c) or (-c <= p.x <= 0.0 and -c <= p.y <= 0.0):
+            return Shade.BLACK
+        return Shade.WHITE
+
+    return classify
+
+
+def rounded_chessboard_classify(rho: float, tau: float = DEFAULT_TAU):
+    """The unit chessboard with the central rho-corner of each black square
+    replaced by the rho-disk at (rho, rho), respectively (-rho, -rho)."""
+    pieces = [
+        Segment(Point(rho, 0), Point(1, 0)),
+        Segment(Point(1, 0), Point(1, 1)),
+        Segment(Point(1, 1), Point(0, 1)),
+        Segment(Point(0, 1), Point(0, rho)),
+        Arc(Point(rho, rho), rho, math.pi, 1.5 * math.pi, ccw=True),
+        Segment(Point(-rho, 0), Point(-1, 0)),
+        Segment(Point(-1, 0), Point(-1, -1)),
+        Segment(Point(-1, -1), Point(0, -1)),
+        Segment(Point(0, -1), Point(0, -rho)),
+        Arc(Point(-rho, -rho), rho, 0.0, 0.5 * math.pi, ccw=True),
+    ]
+
+    def in_square_with_fillet(x: float, y: float) -> bool:
+        if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
+            return False
+        if x < rho and y < rho:
+            return (x - rho) ** 2 + (y - rho) ** 2 <= rho * rho
+        return True
+
+    def classify(p: Point) -> Shade:
+        if min(dist_to_primitive(p, piece) for piece in pieces) <= tau:
+            return Shade.BOUNDARY
+        if in_square_with_fillet(p.x, p.y) or in_square_with_fillet(-p.x, -p.y):
+            return Shade.BLACK
+        return Shade.WHITE
+
+    return classify

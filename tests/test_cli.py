@@ -72,9 +72,78 @@ class TestRender:
         assert code == 0
         assert out.exists() and svg.exists()
 
+    def test_chessboard_svg_outlines_every_piece(self, tmp_path, capsys):
+        out, svg = tmp_path / "c.pgm", tmp_path / "c.svg"
+        code, stdout, _ = run(
+            capsys, "render", "--construction", "chessboard",
+            "--bbox", "-2", "-2", "2", "2", "--res", "5", "-o", str(out), "--svg", str(svg),
+        )
+        assert code == 0 and "wrote boundary SVG" in stdout
+        assert svg.read_text().count("<path") == 8  # two squares of four edges
+
+    def test_boundary_scene_svg(self, tmp_path, capsys):
+        scene = tmp_path / "b.txt"
+        scene.write_text("boundary\nsegment 0 0 1 0\nsegment 1 0 0 1\nsegment 0 1 0 0\n")
+        svg = tmp_path / "b.svg"
+        code, _, _ = run(capsys, "render", str(scene), "--bbox", "-1", "-1", "2", "2", "--res", "4",
+                         "-o", str(tmp_path / "b.pgm"), "--svg", str(svg))
+        assert code == 0
+        assert svg.read_text().count("<path") == 3
+
+    def test_script_svg_is_refused_on_stderr(self, tmp_path, capsys):
+        svg = tmp_path / "s.svg"
+        code, _, err = run(capsys, "render", "--construction", "sharp-n", "--n", "4",
+                           "--bbox", "-2", "-2", "2", "2", "--res", "2",
+                           "-o", str(tmp_path / "s.pgm"), "--svg", str(svg))
+        assert code == 0
+        assert "only available for regions" in err and not svg.exists()
+
     def test_render_needs_source(self, capsys):
         code, _, err = run(capsys, "render", "--bbox", "0", "0", "1", "1", "--res", "5", "-o", "x.pgm")
         assert code == 2
+
+
+class TestTau:
+    """--tau reaches every coloring the CLI builds, constructions included."""
+
+    def test_simulate_construction(self, tmp_path, capsys):
+        scene = tmp_path / "c.txt"
+        scene.write_text("construction chessboard\n")
+        _, out, _ = run(capsys, "simulate", str(scene), "--query", "0.5", "0.00005")
+        assert out.strip() == "black"
+        _, out, _ = run(capsys, "--tau", "1e-4", "simulate", str(scene), "--query", "0.5", "0.00005")
+        assert out.strip() == "boundary"
+
+    def test_simulate_boundary_scene(self, tmp_path, capsys):
+        scene = tmp_path / "b.txt"
+        scene.write_text("boundary\nsegment 0 0 1 0\nsegment 1 0 0 1\nsegment 0 1 0 0\n")
+        _, out, _ = run(capsys, "simulate", str(scene), "--query", "0.3", "0.00005")
+        assert out.strip() == "black"
+        _, out, _ = run(capsys, "--tau", "1e-4", "simulate", str(scene), "--query", "0.3", "0.00005")
+        assert out.strip() == "boundary"
+
+    def test_render_construction(self, tmp_path, capsys):
+        pgms = []
+        for tau in (None, "1e-4"):
+            out = tmp_path / f"c{tau}.pgm"
+            argv = ["render", "--construction", "chessboard", "--bbox", "-1.00995", "-1", "0.99005", "1",
+                    "--res", "50", "-o", str(out)]
+            assert run(capsys, *(["--tau", tau] if tau else []), *argv)[0] == 0
+            pgms.append(out.read_bytes())
+        # column 50 sits at x = 5e-5, off the edge x = 0 at the default
+        # margin and on it at 1e-4
+        assert pgms[0].count(128) < pgms[1].count(128)
+
+    @pytest.mark.parametrize("tau", ["-0.1", "0", "0.5", "nan", "x"])
+    def test_out_of_range_tau_is_a_usage_error(self, tmp_path, capsys, tau):
+        scene = tmp_path / "s.txt"
+        scene.write_text("stroke pencil point 0 0\n")
+        for source in ([str(scene)], ["--construction", "chessboard"]):
+            out = tmp_path / "x.pgm"
+            code, _, err = run(capsys, "--tau", tau, "render", *source,
+                               "--bbox", "-2", "-2", "2", "2", "--res", "4", "-o", str(out))
+            assert code == 2 and "--tau" in err
+            assert not out.exists()
 
 
 class TestVerify:

@@ -12,6 +12,7 @@ from diskdraw import (
     Tool,
     build_snake,
     chessboard_coloring,
+    chessboard_stages,
     classify_against_path,
     dissection_sample_check,
     rounded_chessboard_coloring,
@@ -25,6 +26,7 @@ from diskdraw.constructions import PiecewisePath, crossing_parity, rotate_piece
 from diskdraw.geometry import rotate_about, unit
 
 from helpers import random_point
+from oracles import chessboard_classify, rounded_chessboard_classify
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +73,40 @@ class TestRoundedChessboard:
         ang = math.radians(225.0)
         p = Point(rho + rho * math.cos(ang), rho + rho * math.sin(ang))
         assert col.classify(p) is Shade.BOUNDARY
+
+
+class TestChessboardRegions:
+    """The two-loop chessboards give the verdicts of the hand-written
+    classifiers they replaced."""
+
+    @pytest.mark.parametrize("make, oracle", [
+        (lambda: chessboard_coloring(1.0), chessboard_classify(1.0)),
+        (lambda: rounded_chessboard_coloring(0.35), rounded_chessboard_classify(0.35)),
+    ], ids=["chessboard", "rounded"])
+    def test_random_points(self, make, oracle):
+        col = make()
+        rng = random.Random(20)
+        for scale in (1e-9, 1e-7, 1e-4, 0.1, 1.0, 3.0):
+            for _ in range(300):
+                p = random_point(rng, scale)
+                assert col.classify(p) is oracle(p), p
+
+    def test_stage_points_to_depth_20(self):
+        col, oracle = chessboard_coloring(1.0), chessboard_classify(1.0)
+        stages = chessboard_stages(0.1, math.radians(0.5), 20)
+        points = [p for fam in stages for p in fam.blacks + fam.whites]
+        assert len(points) == 160
+        for p in points:
+            assert col.classify(p) is oracle(p) is not Shade.BOUNDARY, p
+        # across the benchmark's r and theta ranges, where the deepest stages
+        # reach into the tau collar
+        for r in (0.08, 0.12):
+            for theta in (0.3, 0.7):
+                c, s = r * math.cos(math.radians(theta)), r * math.sin(math.radians(theta))
+                for i in range(20):
+                    for p in (Point(c, s), Point(s, c), Point(c, -s), Point(-s, -c)):
+                        for q in (p.scaled(0.5**i), p.scaled(-(0.5**i))):
+                            assert col.classify(q) is oracle(q), q
 
 
 class TestBuildSnake:

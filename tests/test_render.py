@@ -1,25 +1,42 @@
 import hashlib
+import logging
 import math
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from diskdraw import (
+    Arc,
     CenterSet,
     DiskModel,
     DrawingScript,
+    OffsetHalfPlane,
+    PiecewisePath,
     Point,
     RasterSpec,
+    Segment,
+    SinglePoint,
     Stroke,
     Tool,
+    WholePlane,
     black_fraction,
     build_snake,
     chessboard_coloring,
+    eval_script,
+    region_coloring,
     render,
+    rounded_chessboard_coloring,
+    script_coloring,
+    sharp_ndissected_script,
     snake_coloring,
     to_pgm,
     write_pgm,
     write_svg,
 )
+from diskdraw.canvas import FAR_DUMMY
 
 # frozen after the first verified generation (same code path, same platform)
 SNAKE_PGM_SHA256 = "9f19fb2a89d27cdddae939032db05831e5bee9cb0a6274162ff07b05e51d2934"
@@ -109,3 +126,276 @@ class TestFiles:
         text = svg.read_text()
         assert text.startswith("<svg")
         assert text.count("<path") == len(geom.boundary.pieces)
+
+
+# ---------------------------------------------------------------------------
+# Row spans against the per-pixel loop
+# ---------------------------------------------------------------------------
+
+# derandomized: the suite tests the same examples on every run
+DIFF = settings(max_examples=60, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+SCALES = [1e-3, 2.0**-5, 0.25, 1.0, 4.0, 2.0**5, 1e3]
+
+
+def per_pixel(source, spec):
+    """The oracle: a bare callable is opaque, so render classifies each pixel."""
+    if isinstance(source, DrawingScript):
+        return render(lambda p: eval_script(p, source), spec)
+    return render(source.classify, spec)
+
+
+def render_counts(caplog, source, spec):
+    """Pixels, fallback rows and exactly classified pixels of one render."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="diskdraw"):
+        pixels = render(source, spec)
+    (record,) = [r for r in caplog.records if "fallback rows" in r.getMessage()]
+    w, h, fallback_rows, exact = record.args
+    assert (w, h) == (spec.width, spec.height)
+    return pixels, fallback_rows, exact
+
+
+def bbox_near(center: Point, half: float, dx: float, dy: float):
+    return (center.x - half + dx, center.y - half + dy, center.x + half + dx, center.y + half + dy)
+
+
+# pixel-center offsets: on the quarter grid (rows and columns through vertices,
+# tangent rows, exact unit distances) or anywhere
+GRID = st.integers(-12, 12).map(lambda k: k / 4.0)
+COORD = st.one_of(GRID, st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False))
+# a raster shift in pixels; -1/2 puts pixel centers on the raster's own grid
+SHIFT = st.one_of(st.just(-0.5), st.floats(-0.5, 0.5, allow_nan=False))
+
+
+@st.composite
+def primitives(draw, scale):
+    def pt():
+        return Point(scale * draw(COORD), scale * draw(COORD))
+
+    kind = draw(st.sampled_from(["point", "segment", "arc", "halfplane", "plane"]))
+    if kind == "point":
+        return SinglePoint(pt())
+    if kind == "segment":
+        a = pt()
+        b = draw(st.one_of(st.just(Point(a.x + scale, a.y)), st.just(Point(a.x, a.y - scale)),
+                           st.builds(lambda: pt())))
+        return Segment(a, b) if a != b else SinglePoint(a)
+    if kind == "arc":
+        a0 = draw(st.one_of(st.integers(0, 7).map(lambda k: k * math.pi / 4.0), st.floats(0.0, 6.3)))
+        sweep = draw(st.one_of(st.just(0.0), st.floats(0.2, 6.0)))
+        return Arc(pt(), scale * draw(st.sampled_from([0.25, 0.5, 1.0, 1.75])), a0, a0 + sweep, draw(st.booleans()))
+    if kind == "halfplane":
+        n = draw(st.one_of(st.sampled_from([Point(1, 0), Point(0, 1), Point(-1, 0), Point(0, -1)]),
+                           st.floats(0.0, 6.3).map(lambda a: Point(math.cos(a), math.sin(a)))))
+        return OffsetHalfPlane(n, scale * draw(COORD))
+    return WholePlane()
+
+
+def anchor(prim) -> Point:
+    """A point of the primitive, or of its neighbourhood's edge, to center a raster on."""
+    if isinstance(prim, SinglePoint):
+        return prim.p
+    if isinstance(prim, Segment):
+        return prim.b
+    if isinstance(prim, Arc):
+        return prim.start_point
+    if isinstance(prim, OffsetHalfPlane):
+        return prim.normal.scaled(prim.offset)
+    return Point(0.0, 0.0)
+
+
+@st.composite
+def scripts_and_specs(draw):
+    scale = draw(st.sampled_from(SCALES))
+    tools = [Tool.PENCIL] + draw(st.lists(st.sampled_from(Tool), max_size=4))
+    strokes = [
+        Stroke(tool, CenterSet(tuple(draw(st.lists(primitives(scale), min_size=1, max_size=3)))))
+        for tool in tools
+    ]
+    script = DrawingScript.relaxed(draw(st.sampled_from(DiskModel)), strokes)
+    center = anchor(draw(st.sampled_from([p for s in strokes for p in s.centers.primitives])))
+    center = Point(round(center.x * 4.0) / 4.0, round(center.y * 4.0) / 4.0)
+    dx, dy = (draw(SHIFT) + draw(st.integers(-8, 8)) for _ in "xy")
+    bbox = bbox_near(center, 2.0, dx / 8.0, dy / 8.0)
+    return script, RasterSpec(*bbox, resolution=8.0)
+
+
+class TestScriptSpans:
+    @DIFF
+    @given(scripts_and_specs())
+    def test_random_scripts_match_per_pixel(self, case):
+        script, spec = case
+        assert render(script, spec) == per_pixel(script, spec)
+
+    @DIFF
+    @given(scripts_and_specs(), st.sampled_from([1e-12, 1e-6, 5e-4]))
+    def test_script_colorings_keep_their_tau(self, case, tau):
+        script, spec = case
+        coloring = script_coloring(script, tau)
+        assert render(coloring, spec) == per_pixel(coloring, spec)
+
+    @DIFF
+    @given(st.lists(st.tuples(st.sampled_from(Tool), primitives(1.0).filter(lambda p: isinstance(p, Arc))),
+                    min_size=1, max_size=3), SHIFT)
+    def test_arcs_match_per_pixel(self, arcs, shift):
+        # rasters centered on the first arc's center: rows through the
+        # center and tangent to the circles about it at distance R -+ 1
+        script = DrawingScript.relaxed(DiskModel.OPEN, [Stroke(t, CenterSet((a,))) for t, a in arcs])
+        center = arcs[0][1].center
+        spec = RasterSpec(*bbox_near(center, 3.0, shift / 8.0, shift / 8.0), resolution=8.0)
+        assert render(script, spec) == per_pixel(script, spec)
+
+    def test_exact_unit_distances(self, caplog):
+        # pixel centers on the quarter grid: rows tangent to the unit circle
+        # and centers at distance exactly 1 from the stroke centers
+        script = DrawingScript.relaxed(DiskModel.OPEN, [
+            Stroke(Tool.PENCIL, CenterSet((SinglePoint(Point(0, 0)), Segment(Point(1, 1), Point(3, 1))))),
+            Stroke(Tool.PENCIL, CenterSet((OffsetHalfPlane(Point(0, -1), 1.0),))),
+            Stroke(Tool.PENCIL, CenterSet.of_points(Point(0.5, 0.5))),
+        ])
+        spec = RasterSpec(-2.125, -2.125, 4.125, 2.125, resolution=4.0)
+        pixels, fallback_rows, exact = render_counts(caplog, script, spec)
+        assert pixels == per_pixel(script, spec)
+        assert pixels.count(128) > 0 and exact >= pixels.count(128)
+        assert fallback_rows == 0
+
+    def test_script_coloring_checks_tau(self):
+        script = DrawingScript.relaxed(DiskModel.OPEN, [Stroke(Tool.PENCIL, CenterSet.of_points(Point(0, 0)))])
+        for tau in (-0.1, 0.0, 0.5):
+            with pytest.raises(ValueError):
+                script_coloring(script, tau)
+
+    def test_far_dummy_padding(self):
+        # relaxed padding puts a real pencil stroke at FAR_DUMMY
+        script = DrawingScript.relaxed(DiskModel.OPEN, [Stroke(Tool.ERASER, CenterSet.of_points(Point(0, 0)))])
+        spec = RasterSpec(*bbox_near(FAR_DUMMY, 1.5, 0.03, -0.02), resolution=8.0)
+        pixels = render(script, spec)
+        assert pixels == per_pixel(script, spec)
+        assert pixels.count(0) > 0
+
+    def test_whole_plane_then_eraser(self):
+        script = DrawingScript(DiskModel.CLOSED, (
+            Stroke(Tool.PENCIL, CenterSet((WholePlane(),))),
+            Stroke(Tool.ERASER, CenterSet((Segment(Point(-1, 0), Point(1, 0)), SinglePoint(Point(2, 2))))),
+        ))
+        spec = RasterSpec(-3.0, -3.0, 3.5, 3.5, resolution=6.0)
+        assert render(script, spec) == per_pixel(script, spec)
+
+
+def scaled_loop(loop: PiecewisePath, k: float, shift: Point) -> PiecewisePath:
+    def move(p: Point) -> Point:
+        return Point(k * p.x + shift.x, k * p.y + shift.y)
+
+    return PiecewisePath(tuple(
+        Segment(move(p.a), move(p.b)) if isinstance(p, Segment)
+        else Arc(move(p.center), k * p.radius, p.start_angle, p.end_angle, p.ccw)
+        for p in loop.pieces
+    ))
+
+
+@st.composite
+def convex_polygons(draw):
+    k = draw(st.integers(3, 8))
+    angles = sorted(draw(st.lists(st.floats(0.0, 2.0 * math.pi, exclude_max=True), min_size=k, max_size=k,
+                                  unique_by=lambda a: round(a, 2))))
+    radii = draw(st.lists(st.floats(0.5, 2.0), min_size=k, max_size=k))
+    corners = [Point(r * math.cos(a), r * math.sin(a)) for a, r in zip(angles, radii)]
+    hull = [c for i, c in enumerate(corners)
+            if (c - corners[i - 1]).cross(corners[(i + 1) % k] - c) > 1e-3]
+    if len(hull) < 3:
+        hull = [Point(1, 0), Point(0, 1), Point(-1, -1)]
+    return PiecewisePath(tuple(Segment(hull[i], hull[(i + 1) % len(hull)]) for i in range(len(hull))))
+
+
+@st.composite
+def arc_loops(draw):
+    """A circle cut into arcs, or a rectangle with rounded corners."""
+    if draw(st.booleans()):
+        cut = st.one_of(st.sampled_from([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi]),
+                        st.floats(0.0, 2.0 * math.pi, exclude_max=True))
+        cuts = sorted(draw(st.lists(cut, min_size=2, max_size=4, unique_by=lambda a: round(a, 2))))
+        radius = draw(st.sampled_from([0.5, 1.0, 1.5]))
+        return PiecewisePath(tuple(
+            Arc(Point(0, 0), radius, cuts[i], cuts[(i + 1) % len(cuts)]) for i in range(len(cuts))
+        ))
+    w, h, r = draw(st.sampled_from([1.0, 1.5])), draw(st.sampled_from([0.75, 1.25])), draw(st.sampled_from([0.25, 0.5]))
+    q = math.pi / 2.0
+    return PiecewisePath((
+        Segment(Point(-w + r, -h), Point(w - r, -h)), Arc(Point(w - r, -h + r), r, -q, 0.0),
+        Segment(Point(w, -h + r), Point(w, h - r)), Arc(Point(w - r, h - r), r, 0.0, q),
+        Segment(Point(w - r, h), Point(-w + r, h)), Arc(Point(-w + r, h - r), r, q, 2 * q),
+        Segment(Point(-w, h - r), Point(-w, -h + r)), Arc(Point(-w + r, -h + r), r, 2 * q, 3 * q),
+    ))
+
+
+class TestRegionSpans:
+    @DIFF
+    @given(st.one_of(convex_polygons(), arc_loops()), st.sampled_from(SCALES), SHIFT, SHIFT, GRID)
+    def test_random_loops_match_per_pixel(self, loop, scale, dx, dy, offset):
+        shift = Point(scale * offset, -scale * offset)
+        loop = scaled_loop(loop, scale, shift)
+        coloring = region_coloring((loop,))
+        # a 24-pixel raster over the loop, or over a stretch of its boundary
+        # from the first piece's start
+        half = min(3.0 * scale, 1.5)
+        focus = shift if half < 1.5 else loop.pieces[0].point_at(0.0)
+        spec = RasterSpec(*bbox_near(focus, half, dx * half / 12.0, dy * half / 12.0), resolution=12.0 / half)
+        assert render(coloring, spec) == per_pixel(coloring, spec)
+
+    @pytest.mark.parametrize("make", [
+        lambda: snake_coloring(build_snake(1.001)),
+        lambda: chessboard_coloring(1.0),
+        lambda: rounded_chessboard_coloring(0.35),
+        lambda: region_coloring((scaled_loop(build_snake(1.001).boundary, 1e3, Point(0, 0)),)),
+    ], ids=["snake", "chessboard", "rounded", "snake-1e3"])
+    @pytest.mark.parametrize("shift", [0.0, -1.0 / 16.0, 0.137])
+    def test_constructions_match_per_pixel(self, make, shift):
+        coloring = make()
+        pieces = [p for loop in coloring.source for p in loop.pieces]
+        focus = pieces[len(pieces) // 3].point_at(0.0)
+        focus = Point(round(focus.x * 4.0) / 4.0 + shift, round(focus.y * 4.0) / 4.0 + shift)
+        spec = RasterSpec(*bbox_near(focus, 1.5, 0.0, 0.0), resolution=8.0)
+        assert render(coloring, spec) == per_pixel(coloring, spec)
+
+    def test_rows_through_vertices_fall_back(self, caplog):
+        # rows exactly along y = 1, 0 and -1 (the horizontal edges and the
+        # shared vertex) and columns through x = -1, 0, 1
+        coloring = chessboard_coloring(1.0)
+        spec = RasterSpec(-2.125, -1.875, 2.125, 2.125, resolution=4.0)
+        pixels, fallback_rows, exact = render_counts(caplog, coloring, spec)
+        assert pixels == per_pixel(coloring, spec)
+        assert fallback_rows == 3
+        assert exact >= 3 * spec.width
+
+    def test_rows_tangent_to_arcs_fall_back(self, caplog):
+        circle = PiecewisePath((Arc(Point(0, 0), 1.0, 0.0, math.pi), Arc(Point(0, 0), 1.0, math.pi, 0.0)))
+        coloring = region_coloring((circle,))
+        spec = RasterSpec(-1.5, -1.625, 1.5, 1.375, resolution=4.0)  # rows at y = 1, 0.75, ..., -1.5
+        pixels, fallback_rows, _ = render_counts(caplog, coloring, spec)
+        assert pixels == per_pixel(coloring, spec)
+        assert fallback_rows == 3  # y = 1 and y = -1 are tangent, y = 0 holds the arc endpoints
+
+
+class TestBenchmarkRenders:
+    """The three renders of the benchmark's raster workload, seed 1."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        bench = str(Path(__file__).resolve().parents[1] / "perfbench")
+        sys.path.insert(0, bench)
+        try:
+            import workloads
+        finally:
+            sys.path.remove(bench)
+        return workloads.raster_inputs(1)
+
+    def test_no_fallback_rows(self, inputs, caplog):
+        colorings = {
+            "snake": snake_coloring(build_snake(1.001)),
+            "sharp-n": script_coloring(sharp_ndissected_script(12)),
+            "chessboard": chessboard_coloring(1.0),
+        }
+        for item in inputs:
+            spec = RasterSpec(*item.bbox, resolution=item.res)
+            _, fallback_rows, _ = render_counts(caplog, colorings[item.construction], spec)
+            assert fallback_rows == 0, item.construction
