@@ -10,7 +10,7 @@ are propagated, never silently rounded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import product
 from typing import Sequence
@@ -21,8 +21,6 @@ from .geometry import (
     Point,
     Primitive,
     SinglePoint,
-    Segment,
-    Arc,
     WholePlane,
     check_tolerance,
     dist_to_primitive,
@@ -67,22 +65,19 @@ class BoundaryPoint(Exception):
     """Raised when a query cannot be decided because a stroke verdict is Boundary."""
 
 
-# Dummy strokes inserted by relaxed normalization sit far from any sensible
-# query, so they never change a verdict near the working region.
-FAR_DUMMY = Point(1.0e7, 1.0e7)
-
-
 @dataclass(frozen=True, slots=True)
 class CenterSet:
-    """A finite union of primitives serving as the center set of one stroke."""
+    """A finite union of primitives serving as the center set of one stroke.
+
+    The empty set is allowed: it is infinitely far from every point, so its
+    stroke paints nothing (the padding of DrawingScript.relaxed).
+    """
 
     primitives: tuple[Primitive, ...]
 
-    def __post_init__(self):
-        if not self.primitives:
-            raise ValueError("center set must contain at least one primitive")
-
     def dist(self, x: Point) -> float:
+        if not self.primitives:
+            return math.inf
         return min(dist_to_primitive(x, prim) for prim in self.primitives)
 
     @staticmethod
@@ -100,9 +95,8 @@ class Stroke:
 class DrawingScript:
     """Ordered strokes in alternating normal form (pencil odd, eraser even).
 
-    Use DrawingScript.relaxed to build from an arbitrary tool order; padding
-    strokes with a far-away dummy center restore alternation without
-    affecting verdicts near the working region.
+    Use DrawingScript.relaxed to build from an arbitrary tool order; empty
+    padding strokes, which paint nothing, restore alternation.
     """
 
     model: DiskModel
@@ -123,7 +117,7 @@ class DrawingScript:
         for stroke in strokes:
             want = Tool.PENCIL if (len(out) + 1) % 2 == 1 else Tool.ERASER
             if stroke.tool is not want:
-                out.append(Stroke(want, CenterSet.of_points(FAR_DUMMY)))
+                out.append(Stroke(want, CenterSet(())))
             out.append(stroke)
         return cls(model, tuple(out))
 
@@ -131,15 +125,13 @@ class DrawingScript:
         return len(self.strokes)
 
 
-def nbhd_contains(
-    x: Point, centers: CenterSet, model: DiskModel, tau: float = DEFAULT_TAU
-) -> Containment:
+def nbhd_contains(x: Point, centers: CenterSet, tau: float = DEFAULT_TAU) -> Containment:
     """Three-valued test of x against the unit neighborhood of a center set.
 
     IN when the distance is < 1 - tau, OUT when > 1 + tau, BOUNDARY in the
-    collar.  The model does not change the verdict; it fixes how exact-1
-    points would resolve (open excludes them, closed includes them), which is
-    precisely the regime reported as BOUNDARY.
+    collar.  The disk model does not enter: it only fixes how points at
+    distance exactly 1 resolve (open excludes them, closed includes them),
+    which is precisely the regime reported as BOUNDARY.
     """
     check_tolerance(tau)
     d = centers.dist(x)
@@ -151,7 +143,7 @@ def nbhd_contains(
 
 
 def _stroke_verdicts(x: Point, script: DrawingScript, tau: float) -> list[Containment]:
-    return [nbhd_contains(x, s.centers, script.model, tau) for s in script.strokes]
+    return [nbhd_contains(x, s.centers, tau) for s in script.strokes]
 
 
 def eval_script(x: Point, script: DrawingScript, tau: float = DEFAULT_TAU) -> Shade:
@@ -278,9 +270,7 @@ def convex_polygon_script(
     for i in range(n):
         a, b = vertices[i], vertices[(i + 1) % n]
         outward = Point(b.y - a.y, a.x - b.x).normalized()  # edge direction rotated cw
-        halfplanes.append(
-            OffsetHalfPlane(outward, a.dot(outward), margin=1.0, strict=model is DiskModel.CLOSED)
-        )
+        halfplanes.append(OffsetHalfPlane(outward, a.dot(outward), margin=1.0))
     return DrawingScript(
         model,
         (

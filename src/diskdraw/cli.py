@@ -10,7 +10,7 @@ import argparse
 import math
 import sys
 
-from .canvas import BoundaryPoint, Shade
+from .canvas import BoundaryPoint
 from .constructions import (
     build_snake,
     chessboard_coloring,

@@ -45,36 +45,6 @@ class _DegenerateRay(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _piece_start(piece: PathPiece) -> Point:
-    return piece.a if isinstance(piece, Segment) else piece.start_point
-
-
-def _piece_end(piece: PathPiece) -> Point:
-    return piece.b if isinstance(piece, Segment) else piece.end_point
-
-
-def _piece_length(piece: PathPiece) -> float:
-    return piece.length
-
-
-def _reverse_piece(piece: PathPiece) -> PathPiece:
-    if isinstance(piece, Segment):
-        return Segment(piece.b, piece.a)
-    return Arc(piece.center, piece.radius, piece.end_angle, piece.start_angle, not piece.ccw)
-
-
-def rotate_piece(piece: PathPiece, center: Point, angle: float) -> PathPiece:
-    if isinstance(piece, Segment):
-        return Segment(rotate_about(piece.a, center, angle), rotate_about(piece.b, center, angle))
-    return Arc(
-        rotate_about(piece.center, center, angle),
-        piece.radius,
-        piece.start_angle + angle,
-        piece.end_angle + angle,
-        piece.ccw,
-    )
-
-
 @dataclass(frozen=True)
 class PiecewisePath:
     """A closed, simple, ccw-oriented chain of segments and arcs.
@@ -92,11 +62,11 @@ class PiecewisePath:
             raise ValueError("path needs at least two pieces")
         n = len(self.pieces)
         for i in range(n):
-            gap = _piece_end(self.pieces[i]).distance_to(_piece_start(self.pieces[(i + 1) % n]))
+            gap = self.pieces[i].end_point.distance_to(self.pieces[(i + 1) % n].start_point)
             if gap > 1e-9:
                 raise ValueError(f"pieces {i} and {(i + 1) % n} do not meet (gap {gap:.3e})")
         if self.signed_area() < 0.0:
-            rev = tuple(_reverse_piece(p) for p in reversed(self.pieces))
+            rev = tuple(p.reversed() for p in reversed(self.pieces))
             object.__setattr__(self, "pieces", rev)
 
     def signed_area(self) -> float:
@@ -118,12 +88,12 @@ class PiecewisePath:
 
     @property
     def total_length(self) -> float:
-        return sum(_piece_length(p) for p in self.pieces)
+        return sum(p.length for p in self.pieces)
 
     def piece_offsets(self) -> list[float]:
         out = [0.0]
         for p in self.pieces:
-            out.append(out[-1] + _piece_length(p))
+            out.append(out[-1] + p.length)
         return out
 
     def locate(self, s: float) -> tuple[int, float]:
@@ -132,7 +102,7 @@ class PiecewisePath:
         s = s % total
         acc = 0.0
         for i, p in enumerate(self.pieces):
-            ln = _piece_length(p)
+            ln = p.length
             if s <= acc + ln or i == len(self.pieces) - 1:
                 return i, min(1.0, max(0.0, (s - acc) / ln))
             acc += ln
@@ -140,11 +110,7 @@ class PiecewisePath:
 
     def point_at(self, s: float) -> Point:
         i, f = self.locate(s)
-        return _piece_point(self.pieces[i], f)
-
-    def tangent_at(self, s: float) -> Point:
-        i, f = self.locate(s)
-        return _piece_tangent(self.pieces[i], f)
+        return self.pieces[i].point_at(f)
 
     def distance_to(self, x: Point) -> float:
         return min(dist_to_primitive(x, p) for p in self.pieces)
@@ -155,9 +121,9 @@ class PiecewisePath:
         n = len(self.pieces)
         for i, j in combinations(range(n), 2):
             if j == i + 1:
-                shared = _piece_start(self.pieces[j])
+                shared = self.pieces[j].start_point
             elif i == 0 and j == n - 1:
-                shared = _piece_start(self.pieces[0])
+                shared = self.pieces[0].start_point
             else:
                 shared = None
             hits = _piece_intersections(self.pieces[i], self.pieces[j], tol)
@@ -172,19 +138,6 @@ class PiecewisePath:
                     raise ConstructionInconsistent(
                         f"adjacent pieces {i} and {j} intersect away from their junction at {h}"
                     )
-
-
-def _piece_point(piece: PathPiece, f: float) -> Point:
-    return piece.point_at(f)
-
-
-def _piece_tangent(piece: PathPiece, f: float) -> Point:
-    if isinstance(piece, Segment):
-        return piece.direction()
-    ang = piece.angle_at(f)
-    radial = unit(ang)
-    t = radial.rot90()
-    return t if piece.ccw else Point(-t.x, -t.y)
 
 
 # --- closed-form pairwise intersections (for simplicity checks) -----------
@@ -587,7 +540,7 @@ def build_snake(r: float = 1.001) -> SnakeGeometry:
         Segment(F, f_prime),
         _arc_between(c8, r8, f_prime, T, "major"),
     ]
-    pieces = tuple(half) + tuple(rotate_piece(p, O, math.pi) for p in half)
+    pieces = tuple(half) + tuple(p.rotated(O, math.pi) for p in half)
     boundary = PiecewisePath(pieces)
     boundary.validate_simple()
 
@@ -644,11 +597,11 @@ def snake_dissection_spec(geom: SnakeGeometry, tau: float = DEFAULT_TAU) -> Diss
 
 
 def sharp_ndissected_script(n: int, truncation: float = 25.0) -> DrawingScript:
-    """Pencil-only script that is totally n-dissected at (cot(pi/n), inf).
+    """One pencil stroke that is totally n-dissected at (cot(pi/n), inf).
 
     In every other sector between consecutive rays, a unit disk tangent to
     both bounding rays (tangent points at distance cot(pi/n) from the apex)
-    is slid outward along each ray; the stroke center sets are the segments
+    is slid outward along each ray; the stroke's center set is the n segments
     swept by the disk center, truncated at the given length.
     """
     if n < 4 or n % 2 != 0:
@@ -656,12 +609,11 @@ def sharp_ndissected_script(n: int, truncation: float = 25.0) -> DrawingScript:
     if truncation <= 0.0:
         raise ValueError("truncation must be positive")
     beta = math.pi / n
-    strokes = []
+    segments = []
     for j in range(0, n, 2):  # black sector between rays j+1 and j+2 (1-based)
         ang_lo = TWO_PI * j / n
         ang_hi = TWO_PI * (j + 1) / n
         vertex = unit((ang_lo + ang_hi) / 2.0).scaled(1.0 / math.sin(beta))
         for ray_ang in (ang_lo, ang_hi):
-            end = vertex + unit(ray_ang).scaled(truncation)
-            strokes.append(Stroke(Tool.PENCIL, CenterSet((Segment(vertex, end),))))
-    return DrawingScript.relaxed(DiskModel.OPEN, strokes)
+            segments.append(Segment(vertex, vertex + unit(ray_ang).scaled(truncation)))
+    return DrawingScript(DiskModel.OPEN, (Stroke(Tool.PENCIL, CenterSet(tuple(segments))),))

@@ -10,9 +10,9 @@ certificate of local drawability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .constructions import PiecewisePath, _piece_point, _piece_tangent
+from .constructions import PiecewisePath
 from .geometry import Arc, Point, Segment, dist_to_primitive, dist_to_segment
 
 
@@ -79,8 +79,8 @@ def rolling_disk_check(
 
     for s0 in samples:
         i, f = path.locate(s0)
-        gamma = _piece_point(path.pieces[i], f)
-        normal = _piece_tangent(path.pieces[i], f).rot90()
+        gamma = path.pieces[i].point_at(f)
+        normal = path.pieces[i].tangent_at(f).rot90()
         for side in (1, -1):
             center = Point(gamma.x + side * normal.x, gamma.y + side * normal.y)
             worst = math.inf

@@ -117,6 +117,11 @@ class SinglePoint:
     p: Point
 
 
+# Segment and Arc are the pieces of boundary paths and share one interface:
+# start_point, end_point, length, point_at(f), tangent_at(f), reversed() and
+# rotated(center, angle), with f in [0, 1] running from start to end.
+
+
 @dataclass(frozen=True, slots=True)
 class Segment:
     """Directed straight segment from a to b; endpoints must be distinct."""
@@ -129,14 +134,28 @@ class Segment:
             raise ValueError("segment endpoints must be distinct")
 
     @property
+    def start_point(self) -> Point:
+        return self.a
+
+    @property
+    def end_point(self) -> Point:
+        return self.b
+
+    @property
     def length(self) -> float:
         return self.a.distance_to(self.b)
 
-    def direction(self) -> Point:
-        return (self.b - self.a).normalized()
-
     def point_at(self, f: float) -> Point:
         return Point(self.a.x + f * (self.b.x - self.a.x), self.a.y + f * (self.b.y - self.a.y))
+
+    def tangent_at(self, f: float) -> Point:
+        return (self.b - self.a).normalized()
+
+    def reversed(self) -> "Segment":
+        return Segment(self.b, self.a)
+
+    def rotated(self, center: Point, angle: float) -> "Segment":
+        return Segment(rotate_about(self.a, center, angle), rotate_about(self.b, center, angle))
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,6 +207,22 @@ class Arc:
     def end_point(self) -> Point:
         return self.point_at(1.0)
 
+    def tangent_at(self, f: float) -> Point:
+        t = unit(self.angle_at(f)).rot90()
+        return t if self.ccw else Point(-t.x, -t.y)
+
+    def reversed(self) -> "Arc":
+        return Arc(self.center, self.radius, self.end_angle, self.start_angle, not self.ccw)
+
+    def rotated(self, center: Point, angle: float) -> "Arc":
+        return Arc(
+            rotate_about(self.center, center, angle),
+            self.radius,
+            self.start_angle + angle,
+            self.end_angle + angle,
+            self.ccw,
+        )
+
     def contains_angle(self, theta: float, slack: float = 1e-12) -> bool:
         """Whether the polar angle theta (about the center) lies on the arc."""
         sweep = self.sweep
@@ -204,16 +239,14 @@ class Arc:
 class OffsetHalfPlane:
     """Center set {z + lam*normal : <z, normal> = offset, lam >= margin}.
 
-    Equivalently all points at inner-product height >= offset + margin.  The
-    strict flag records lam > margin semantics; the infimum distance is the
-    same either way, so it only matters on the measure-zero boundary that the
-    three-valued verdicts already report as such.
+    Equivalently all points at inner-product height >= offset + margin.
+    Whether lam = margin itself belongs to the set does not change the
+    distance to it, so the open and closed versions are the same primitive.
     """
 
     normal: Point
     offset: float
     margin: float = 1.0
-    strict: bool = False
 
     def __post_init__(self):
         if abs(self.normal.norm() - 1.0) > 1e-12:
@@ -267,22 +300,6 @@ def dist_to_primitive(x: Point, prim: Primitive) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _circumcenter_xy(a, b, c):
-    """Circumcenter of three (x, y) tuples, or None if degenerate."""
-    ax, ay = a
-    bx, by = b
-    cx, cy = c
-    d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-    if d == 0.0:
-        return None
-    aa = ax * ax + ay * ay
-    bb = bx * bx + by * by
-    cc = cx * cx + cy * cy
-    ux = (aa * (by - cy) + bb * (cy - ay) + cc * (ay - by)) / d
-    uy = (aa * (cx - bx) + bb * (ax - cx) + cc * (bx - ax)) / d
-    return (ux, uy)
-
-
 def circumcircle3(p: Point, q: Point, r: Point, tau: float = DEFAULT_TAU) -> Circle:
     """Unique circle through three points.
 
@@ -295,8 +312,7 @@ def circumcircle3(p: Point, q: Point, r: Point, tau: float = DEFAULT_TAU) -> Cir
     dmax = max(p.distance_to(q), q.distance_to(r), r.distance_to(p))
     if abs(area2) * 0.5 < tau * dmax * dmax or dmax == 0.0:
         raise CollinearPoints(f"points {p}, {q}, {r} are (nearly) collinear")
-    cx, cy = _circumcenter_xy((p.x, p.y), (q.x, q.y), (r.x, r.y))
-    center = Point(cx, cy)
+    center = Point(*circumcenter((p.x, p.y), (q.x, q.y), (r.x, r.y)))
     radius = (center.distance_to(p) + center.distance_to(q) + center.distance_to(r)) / 3.0
     return Circle(center, radius)
 
@@ -404,15 +420,11 @@ class LargestEmptyCircle:
 
 
 def constrained_largest_empty_circle(
-    obstacles: Sequence[Point],
-    anchor: Point,
-    rho: float,
-    tau: float = DEFAULT_TAU,
+    obstacles: Sequence[Point], anchor: Point, rho: float
 ) -> tuple[Point, float]:
     """Maximize min-distance to the obstacles over the closed disk |x - anchor| <= rho.
 
     Returns (center, clearance) from the exact Voronoi candidates of
-    LargestEmptyCircle.  tau is validated for interface symmetry only.
+    LargestEmptyCircle.
     """
-    check_tolerance(tau)
     return LargestEmptyCircle(obstacles).query(anchor, rho)

@@ -326,13 +326,12 @@ def _region_rows(loops, tau: float, grid: _Grid):
     segments, arcs, degenerate = [], [], []
     for piece in (piece for loop in loops for piece in loop.pieces):
         m = _margin(grid, piece)
+        ends = [piece.start_point.y, piece.end_point.y]
         if isinstance(piece, Segment):
             segments.append((piece, tau + m))
-            ends = (piece.a.y, piece.b.y)
         else:
             arcs.append((piece, tau + m))
-            c, radius = piece.center, piece.radius
-            ends = (piece.start_point.y, piece.end_point.y, c.y - radius, c.y + radius)
+            ends += (piece.center.y - piece.radius, piece.center.y + piece.radius)
         degenerate += ((e - m, e + m) for e in ends)
 
     def row(y: float, pixels: bytearray, base: int):

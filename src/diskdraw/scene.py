@@ -3,7 +3,7 @@
 Grammar (one directive per line, `#` starts a comment):
 
     model open|closed
-    stroke pencil|eraser PRIMITIVE [PRIMITIVE ...]
+    stroke pencil|eraser [PRIMITIVE ...]
 
     PRIMITIVE := point X Y
                | segment X1 Y1 X2 Y2
@@ -12,8 +12,11 @@ Grammar (one directive per line, `#` starts a comment):
                | plane
 
 Angles are radians; arcs run counterclockwise from A0 to A1 unless suffixed
-with `cw`, and equal angles mean the full circle.  Stroke order is free: the
-parsed script is normalized to the alternating pencil/eraser form.
+with `cw`, and equal angles mean the full circle.  A stroke with no
+primitive is empty and paints nothing.  Stroke order is free: the parsed
+script is normalized to the alternating pencil/eraser form by inserting empty
+strokes, which serialize as bare `stroke pencil` or `stroke eraser` lines, so
+a serialize/parse round trip keeps every stroke index.
 """
 
 from __future__ import annotations
@@ -146,7 +149,7 @@ def parse_script(text: str) -> DrawingScript:
                 tool = Tool.ERASER
             else:
                 raise ParseError(lineno, col, f"tool must be pencil or eraser, got {word!r}")
-            prims = [_parse_primitive(r)]
+            prims = []
             while r.peek() is not None:
                 prims.append(_parse_primitive(r))
             strokes.append(Stroke(tool, CenterSet(tuple(prims))))
@@ -178,8 +181,8 @@ def _format_primitive(prim) -> str:
 def serialize_script(script: DrawingScript) -> str:
     lines = [f"model {script.model.value}"]
     for stroke in script.strokes:
-        prims = " ".join(_format_primitive(p) for p in stroke.centers.primitives)
-        lines.append(f"stroke {stroke.tool.value} {prims}")
+        prims = "".join(" " + _format_primitive(p) for p in stroke.centers.primitives)
+        lines.append(f"stroke {stroke.tool.value}{prims}")
     return "\n".join(lines) + "\n"
 
 

@@ -21,6 +21,10 @@ Three known defects were fixed so that they serve as references:
 The chessboard and rounded-chessboard classifiers are the hand-written
 closed forms the two constructions used before they became two-loop regions;
 the region classifier is tested against them.
+
+sharp_ndissected_strokes is the sharpness script as it was built before it
+became one stroke: one pencil stroke per slid-disk segment, with an empty
+eraser between consecutive ones.
 """
 
 from __future__ import annotations
@@ -30,8 +34,38 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from diskdraw import DEFAULT_TAU, Arc, Point, Segment, Shade, Verdict, dist_to_primitive
-from diskdraw.geometry import _circumcenter_xy
+from diskdraw import (
+    DEFAULT_TAU,
+    Arc,
+    CenterSet,
+    DiskModel,
+    DrawingScript,
+    Point,
+    Segment,
+    Shade,
+    Stroke,
+    Tool,
+    Verdict,
+    dist_to_primitive,
+)
+from diskdraw.geometry import unit
+
+
+def _circumcenter_xy(a, b, c):
+    """Circumcenter of three (x, y) tuples in absolute coordinates, or None
+    when the float denominator vanishes."""
+    ax, ay = a
+    bx, by = b
+    cx, cy = c
+    d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
+    if d == 0.0:
+        return None
+    aa = ax * ax + ay * ay
+    bb = bx * bx + by * by
+    cc = cx * cx + cy * cy
+    ux = (aa * (by - cy) + bb * (cy - ay) + cc * (ay - by)) / d
+    uy = (aa * (cx - bx) + bb * (ax - cx) + cc * (bx - ax)) / d
+    return (ux, uy)
 
 
 def lec_enumerated(obstacles: Sequence[Point], anchor: Point, rho: float) -> tuple[Point, float]:
@@ -245,3 +279,18 @@ def rounded_chessboard_classify(rho: float, tau: float = DEFAULT_TAU):
         return Shade.WHITE
 
     return classify
+
+
+def sharp_ndissected_strokes(n: int, truncation: float = 25.0) -> DrawingScript:
+    """The sharpness script with one pencil stroke per slid-disk segment,
+    normalized to alternating form (2n - 1 strokes)."""
+    beta = math.pi / n
+    strokes = []
+    for j in range(0, n, 2):
+        ang_lo = 2.0 * math.pi * j / n
+        ang_hi = 2.0 * math.pi * (j + 1) / n
+        vertex = unit((ang_lo + ang_hi) / 2.0).scaled(1.0 / math.sin(beta))
+        for ray_ang in (ang_lo, ang_hi):
+            end = vertex + unit(ray_ang).scaled(truncation)
+            strokes.append(Stroke(Tool.PENCIL, CenterSet((Segment(vertex, end),))))
+    return DrawingScript.relaxed(DiskModel.OPEN, strokes)

@@ -43,16 +43,22 @@ def script(*strokes, model=DiskModel.OPEN):
 class TestNbhdContains:
     def test_inside(self):
         cs = CenterSet.of_points(Point(0, 0))
-        assert nbhd_contains(Point(0.5, 0), cs, DiskModel.OPEN) is Containment.IN
+        assert nbhd_contains(Point(0.5, 0), cs) is Containment.IN
 
     def test_outside(self):
         cs = CenterSet.of_points(Point(0, 0))
-        assert nbhd_contains(Point(2.5, 0), cs, DiskModel.OPEN) is Containment.OUT
+        assert nbhd_contains(Point(2.5, 0), cs) is Containment.OUT
 
     def test_exact_unit_distance_is_boundary_in_both_models(self):
         cs = CenterSet.of_points(Point(0, 0))
+        assert nbhd_contains(Point(1, 0), cs) is Containment.BOUNDARY
         for model in (DiskModel.OPEN, DiskModel.CLOSED):
-            assert nbhd_contains(Point(1, 0), cs, model) is Containment.BOUNDARY
+            assert eval_script(Point(1, 0), script(pencil(Point(0, 0)), model=model)) is Shade.BOUNDARY
+
+    def test_empty_center_set_covers_nothing(self):
+        cs = CenterSet(())
+        assert cs.dist(Point(0, 0)) == math.inf
+        assert nbhd_contains(Point(1e7, 1e7), cs) is Containment.OUT
 
 
 class TestEvalScript:
@@ -182,7 +188,7 @@ class TestStationaryNumber:
                     # no opposite-parity stroke after the stationary index covers x
                     for k in range(sn + 1, len(s.strokes) + 1):
                         if k % 2 != sn % 2:
-                            v = nbhd_contains(x, s.strokes[k - 1].centers, s.model)
+                            v = nbhd_contains(x, s.strokes[k - 1].centers)
                             assert v is not Containment.IN
                 checked += 1
         assert checked > 3000
@@ -208,9 +214,9 @@ class TestRelaxedNormalization:
 class TestHalfplane:
     def test_membership_examples(self):
         cs = halfplane_center_set(Point(0, 1), 0.0)
-        assert nbhd_contains(Point(0, 0.5), cs, DiskModel.OPEN) is Containment.IN
-        assert nbhd_contains(Point(0, -0.1), cs, DiskModel.OPEN) is Containment.OUT
-        assert nbhd_contains(Point(0, 0), cs, DiskModel.OPEN) is Containment.BOUNDARY
+        assert nbhd_contains(Point(0, 0.5), cs) is Containment.IN
+        assert nbhd_contains(Point(0, -0.1), cs) is Containment.OUT
+        assert nbhd_contains(Point(0, 0), cs) is Containment.BOUNDARY
 
     def test_non_unit_normal(self):
         with pytest.raises(NonUnitNormal):

@@ -32,6 +32,12 @@ class TestSimulate:
         code, out, _ = run(capsys, "simulate", str(scene), "--query", "1", "0")
         assert (code, out.strip()) == (0, "boundary")
 
+    def test_padding_stroke_paints_nothing(self, tmp_path, capsys):
+        scene = tmp_path / "s.txt"
+        scene.write_text("model open\nstroke eraser point 0 0\n")
+        code, out, _ = run(capsys, "simulate", str(scene), "--query", "1e7", "1e7")
+        assert (code, out.strip()) == (0, "white")
+
     def test_construction_scene(self, tmp_path, capsys):
         scene = tmp_path / "c.txt"
         scene.write_text("construction chessboard 1.0\n")

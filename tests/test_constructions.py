@@ -4,6 +4,7 @@ import random
 import pytest
 
 from diskdraw import (
+    DEFAULT_TAU,
     Arc,
     InvalidN,
     Point,
@@ -15,6 +16,7 @@ from diskdraw import (
     chessboard_stages,
     classify_against_path,
     dissection_sample_check,
+    eval_script,
     rounded_chessboard_coloring,
     script_coloring,
     sharp_ndissected_script,
@@ -22,11 +24,11 @@ from diskdraw import (
     snake_dissection_spec,
     undrawability_bound,
 )
-from diskdraw.constructions import PiecewisePath, crossing_parity, rotate_piece
+from diskdraw.constructions import PiecewisePath, crossing_parity
 from diskdraw.geometry import rotate_about, unit
 
 from helpers import random_point
-from oracles import chessboard_classify, rounded_chessboard_classify
+from oracles import chessboard_classify, rounded_chessboard_classify, sharp_ndissected_strokes
 
 
 @pytest.fixture(scope="module")
@@ -236,20 +238,39 @@ class TestSnakeDissection:
 class TestSharpScript:
     def test_all_real_strokes_are_pencil(self):
         script = sharp_ndissected_script(12)
-        for stroke in script.strokes:
-            if stroke.tool is Tool.ERASER:
-                # normalization dummies only
-                prim = stroke.centers.primitives[0]
-                assert prim.p.norm() > 1e6
-        assert sum(1 for s in script.strokes if s.tool is Tool.PENCIL) == 12
+        assert [s.tool for s in script.strokes] == [Tool.PENCIL]
+        segments = script.strokes[0].centers.primitives
+        assert len(segments) == 12 and all(isinstance(p, Segment) for p in segments)
+
+    def test_one_stroke_matches_the_stroke_per_segment_script(self):
+        # where the stroke-per-segment script decides, both agree; the one
+        # stroke is boundary only where that script is (it cannot be
+        # overridden by a later stroke, so it may decide more points)
+        for n in (4, 12):
+            new, old = sharp_ndissected_script(n), sharp_ndissected_strokes(n)
+            assert len(old.strokes) == 2 * n - 1
+            segments = new.strokes[0].centers.primitives
+            rng = random.Random(n)
+            points = [random_point(rng, 8.0) for _ in range(3000)]
+            for _ in range(3000):  # within 1e-7 of a collar edge at distance 1 -+ tau from a segment
+                seg = rng.choice(segments)
+                edge = rng.choice((1.0 - DEFAULT_TAU, 1.0 + DEFAULT_TAU))
+                offset = edge + rng.uniform(-1.0, 1.0) * rng.choice((1e-7, 1e-9, 1e-10))
+                normal = seg.tangent_at(0.0).rot90().scaled(rng.choice((1.0, -1.0)))
+                points.append(seg.point_at(rng.random()) + normal.scaled(offset))
+            boundary = 0
+            for p in points:
+                a, b = eval_script(p, new), eval_script(p, old)
+                if b is not Shade.BOUNDARY:
+                    assert a is b, p
+                if a is Shade.BOUNDARY:
+                    assert b is Shade.BOUNDARY, p
+                boundary += b is Shade.BOUNDARY
+            assert boundary > 100
 
     def test_tangent_distance_for_n4(self):
         script = sharp_ndissected_script(4)
-        segs = [
-            s.centers.primitives[0]
-            for s in script.strokes
-            if s.tool is Tool.PENCIL
-        ]
+        segs = script.strokes[0].centers.primitives
         # stroke centers start where the nested unit disk sits; its tangent
         # point on each ray is the foot of the start point, at cot(pi/4) = 1
         first = segs[0]
@@ -328,6 +349,6 @@ class TestPiecewisePath:
 
     def test_rotate_piece_roundtrip(self):
         arc = Arc(Point(1, 2), 0.7, 0.3, 2.1, ccw=False)
-        back = rotate_piece(rotate_piece(arc, Point(0, 0), 1.1), Point(0, 0), -1.1)
+        back = arc.rotated(Point(0, 0), 1.1).rotated(Point(0, 0), -1.1)
         assert back.center.distance_to(arc.center) < 1e-12
         assert back.radius == arc.radius

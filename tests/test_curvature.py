@@ -10,7 +10,7 @@ from diskdraw import (
     path_max_curvature,
     rolling_disk_check,
 )
-from diskdraw.constructions import PiecewisePath, rotate_piece
+from diskdraw.constructions import PiecewisePath
 
 
 def circle_path(radius, center=Point(0, 0)):
@@ -87,7 +87,7 @@ class TestRollingDisk:
 
     def test_rigid_motion_invariance(self, snake_path):
         rotated = PiecewisePath(
-            tuple(rotate_piece(p, Point(3.0, -2.0), 1.2345) for p in snake_path.pieces)
+            tuple(p.rotated(Point(3.0, -2.0), 1.2345) for p in snake_path.pieces)
         )
         report = rolling_disk_check(rotated, step=0.25, eps=0.5)
         assert report.rolling_disk_ok

@@ -36,7 +36,6 @@ from diskdraw import (
     write_pgm,
     write_svg,
 )
-from diskdraw.canvas import FAR_DUMMY
 
 # frozen after the first verified generation (same code path, same platform)
 SNAKE_PGM_SHA256 = "9f19fb2a89d27cdddae939032db05831e5bee9cb0a6274162ff07b05e51d2934"
@@ -266,12 +265,14 @@ class TestScriptSpans:
                 script_coloring(script, tau)
 
     def test_far_dummy_padding(self):
-        # relaxed padding puts a real pencil stroke at FAR_DUMMY
+        # relaxed padding is the empty stroke: white everywhere, also at the
+        # point (1e7, 1e7) where a far-away dummy disk once sat
         script = DrawingScript.relaxed(DiskModel.OPEN, [Stroke(Tool.ERASER, CenterSet.of_points(Point(0, 0)))])
-        spec = RasterSpec(*bbox_near(FAR_DUMMY, 1.5, 0.03, -0.02), resolution=8.0)
-        pixels = render(script, spec)
-        assert pixels == per_pixel(script, spec)
-        assert pixels.count(0) > 0
+        for center in (Point(1e7, 1e7), Point(0, 0)):
+            spec = RasterSpec(*bbox_near(center, 1.5, 0.03, -0.02), resolution=8.0)
+            pixels = render(script, spec)
+            assert pixels == per_pixel(script, spec)
+            assert pixels == b"\xff" * len(pixels)
 
     def test_whole_plane_then_eraser(self):
         script = DrawingScript(DiskModel.CLOSED, (

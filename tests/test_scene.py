@@ -5,21 +5,26 @@ import pytest
 
 from diskdraw import (
     Arc,
+    BoundaryPoint,
+    CenterSet,
     DiskModel,
+    DrawingScript,
     OffsetHalfPlane,
     ParseError,
     Point,
     Segment,
     Shade,
     SinglePoint,
+    Stroke,
     Tool,
     WholePlane,
     eval_script,
     parse_script,
     serialize_script,
+    stationary_number,
 )
 
-from helpers import random_script
+from helpers import random_point, random_script
 
 
 class TestParse:
@@ -63,6 +68,15 @@ class TestParse:
         kinds = [type(st.centers.primitives[0]) for st in s.strokes]
         assert kinds == [SinglePoint, Segment, Arc, Arc, OffsetHalfPlane, WholePlane]
         assert s.strokes[3].centers.primitives[0].ccw is False
+
+    def test_stroke_without_primitive_is_empty(self):
+        s = parse_script("model open\nstroke pencil\nstroke eraser   # padding\n")
+        assert s.strokes == (Stroke(Tool.PENCIL, CenterSet(())), Stroke(Tool.ERASER, CenterSet(())))
+
+    def test_padding_paints_nothing(self):
+        s = parse_script("model open\nstroke eraser point 0 0\n")
+        assert eval_script(Point(1e7, 1e7), s) is Shade.WHITE
+        assert eval_script(Point(0.5, 0), s) is Shade.WHITE
 
     def test_multiple_primitives_per_stroke(self):
         s = parse_script("model open\nstroke pencil point 0 0 segment 1 1 2 2\n")
@@ -153,7 +167,29 @@ class TestRoundTrip:
         text = "model open\nstroke eraser point 0 0\n"
         s = parse_script(text)
         out = serialize_script(s)
-        assert out.splitlines()[1].startswith("stroke pencil point 10000000.0")
+        lines = out.splitlines()
+        assert lines[1] == "stroke pencil"
+        assert [line.split()[1] for line in lines[1:]] == ["pencil", "eraser"]
+        assert parse_script(out) == s
+
+    def test_round_trip_keeps_stroke_indices(self):
+        # random tool orders make relaxed insert padding, which must survive
+        # the round trip so that every stationary number stays the same
+        rng = random.Random(556)
+        for _ in range(300):
+            base = random_script(rng, max_strokes=6)
+            tools = [rng.choice(list(Tool)) for _ in base.strokes]
+            padded = DrawingScript.relaxed(base.model, [Stroke(t, st.centers) for t, st in zip(tools, base.strokes)])
+            for script in (base, padded):
+                again = parse_script(serialize_script(script))
+                assert len(again.strokes) == len(script.strokes)
+                for _ in range(20):
+                    x = random_point(rng, 4.0)
+                    try:
+                        want = stationary_number(x, script)
+                    except BoundaryPoint:
+                        continue
+                    assert stationary_number(x, again) == want
 
 
 class TestBoundaryScenes:
