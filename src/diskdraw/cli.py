@@ -12,6 +12,7 @@ import sys
 
 from .canvas import BoundaryPoint
 from .constructions import (
+    ConstructionInconsistent,
     build_snake,
     chessboard_coloring,
     region_coloring,
@@ -44,25 +45,41 @@ from .scene import ParseError, parse_boundary, parse_script
 OK, REFUTED, USAGE = 0, 1, 2
 
 
+class UsageError(Exception):
+    """A command-line parameter outside its domain."""
+
+
+def _checked(build, *args, lineno=None, **kwargs):
+    """build(*args, **kwargs), a ValueError from it (a parameter outside its
+    domain) becoming a UsageError, or a ParseError at a scene file's lineno."""
+    try:
+        return build(*args, **kwargs)
+    except ConstructionInconsistent:  # a defect, not a bad parameter
+        raise
+    except ValueError as exc:
+        if lineno is None:
+            raise UsageError(str(exc)) from None
+        raise ParseError(lineno, 1, str(exc)) from None
+
+
 def _load_scene(path: str, tau: float):
     """A scene file holds DSL strokes, a named construction, or a boundary;
     every kind loads as a coloring with margin tau."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    first = next(
-        (line.split("#", 1)[0].split() for line in text.splitlines() if line.split("#", 1)[0].split()),
-        None,
-    )
+    lineno, first = next(((k, words) for k, line in enumerate(text.splitlines(), start=1)
+                          if (words := line.split("#", 1)[0].split())), (1, None))
     if first and first[0] == "construction":
-        return _construction_coloring(first[1:], tau, lineno=1)
+        return _checked(_construction_coloring, first[1:], tau, lineno=lineno)
     if first and first[0] == "boundary":
         return region_coloring((parse_boundary(text),), tau, "boundary scene")
     return script_coloring(parse_script(text), tau)
 
 
-def _construction_coloring(args_list, tau: float, lineno=1):
+def _construction_coloring(args_list, tau: float):
+    """The coloring named by a construction and its optional parameter."""
     if not args_list:
-        raise ParseError(lineno, 1, "construction needs a name")
+        raise ValueError("construction needs a name")
     name = args_list[0]
     if name == "chessboard":
         c = float(args_list[1]) if len(args_list) > 1 else 1.0
@@ -76,7 +93,7 @@ def _construction_coloring(args_list, tau: float, lineno=1):
     if name == "sharp-n":
         n = int(args_list[1]) if len(args_list) > 1 else 12
         return script_coloring(sharp_ndissected_script(n), tau)
-    raise ParseError(lineno, 1, f"unknown construction {name!r}")
+    raise ValueError(f"unknown construction {name!r}")
 
 
 def _cmd_simulate(args) -> int:
@@ -88,13 +105,13 @@ def _cmd_simulate(args) -> int:
 def _cmd_render(args) -> int:
     if args.construction:
         extra = [str(args.n)] if args.construction == "sharp-n" else []
-        coloring = _construction_coloring([args.construction, *extra], args.tau)
+        coloring = _checked(_construction_coloring, [args.construction, *extra], args.tau)
     elif args.scene:
         coloring = _load_scene(args.scene, args.tau)
     else:
         print("render needs a scene file or --construction", file=sys.stderr)
         return USAGE
-    spec = RasterSpec(*args.bbox, resolution=args.res)
+    spec = _checked(RasterSpec, *args.bbox, resolution=args.res)
     write_pgm(args.output, coloring, spec)
     print(f"wrote {spec.width}x{spec.height} PGM to {args.output}")
     if args.svg:
@@ -114,7 +131,7 @@ def _print_cert(cert) -> None:
 
 def _cmd_verify_chessboard(args) -> int:
     theta = math.radians(args.theta_deg)
-    stages = chessboard_stages(args.r, theta, args.depth)
+    stages = _checked(chessboard_stages, args.r, theta, args.depth)
     cert = descent_verify(chessboard_coloring(1.0, args.tau), stages, args.tau, strict=False)
     _print_cert(cert)
     clearances = cert.enc_clearances()
@@ -128,7 +145,7 @@ def _cmd_verify_chessboard(args) -> int:
 
 
 def _cmd_verify_snake(args) -> int:
-    geom = build_snake(args.r)
+    geom = _checked(build_snake, args.r)
     ok = True
 
     def check(label, value, expected, tol):
@@ -181,7 +198,7 @@ def _cmd_verify_snake(args) -> int:
 
 
 def _cmd_verify_dissection(args) -> int:
-    params = StageParams(n=args.n, L=args.L, s=args.s)
+    params = _checked(StageParams, n=args.n, L=args.L, s=args.s)
     radii = five_circle_radii(params)
     print(
         f"r_a={radii.r_a:.6f} r_c={radii.r_c:.6f} r_d={radii.r_d:.6f} r_e={radii.r_e:.6f}"
@@ -246,7 +263,7 @@ def _cmd_verify_rolling(args) -> int:
 
 
 def _cmd_verify_sharp(args) -> int:
-    script = sharp_ndissected_script(args.n)
+    script = _checked(sharp_ndissected_script, args.n)
     bound = undrawability_bound(args.n)
     spec = DissectionSpec(
         apex=Point(0.0, 0.0),
@@ -345,6 +362,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return USAGE
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
         return USAGE
     except (BoundaryPoint, MisclassifiedPoint) as exc:  # a stage point failed its color check
         print(f"FAIL: {exc}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
@@ -33,10 +34,6 @@ PathPiece = Segment | Arc
 
 
 class ConstructionInconsistent(ValueError):
-    pass
-
-
-class _DegenerateRay(Exception):
     pass
 
 
@@ -114,6 +111,23 @@ class PiecewisePath:
 
     def distance_to(self, x: Point) -> float:
         return min(dist_to_primitive(x, p) for p in self.pieces)
+
+    @cached_property
+    def _boxes(self) -> tuple:
+        """(piece, xmin, ymin, xmax, ymax) for each piece."""
+        return tuple((piece, *_bbox(piece)) for piece in self.pieces)
+
+    @cached_property
+    def _parts(self) -> tuple:
+        """The y-monotone parts of all pieces (see _monotone_parts).  Piece i
+        ends at piece i+1's start height, so the two share one float there."""
+        ends = [piece.start_point.y for piece in self.pieces[1:] + self.pieces[:1]]
+        return tuple(part for pc, y_end in zip(self.pieces, ends) for part in _monotone_parts(pc, y_end))
+
+    def crossings(self, y: float) -> list[float]:
+        """Abscissas where the row at height y crosses the path, by the
+        half-open rule: a monotone part counts when (y0 > y) != (y1 > y)."""
+        return [x_at(y) for y0, y1, x_at in self._parts if (y0 > y) != (y1 > y)]
 
     def validate_simple(self, tol: float = 1e-7) -> None:
         """Raise ConstructionInconsistent when non-adjacent pieces intersect
@@ -231,90 +245,87 @@ def _piece_intersections(p1: PathPiece, p2: PathPiece, tol: float) -> list[Point
 
 
 # ---------------------------------------------------------------------------
-# Crossing-number membership against a piecewise path
+# Half-open crossing membership against a piecewise path
 # ---------------------------------------------------------------------------
 
-_BASE_CAST_ANGLE = 0.6180339887498949  # irrational slope; re-randomized on grazing hits
 
+def _monotone_parts(piece: PathPiece, y_end: float) -> list:
+    """(y0, y1, x_at) for each y-monotone part of a piece: its end heights,
+    the last one y_end, and the abscissa x_at(y) of its point at height y.
 
-def crossing_parity(path: PiecewisePath, p: Point, angle: float) -> int:
-    """Number of proper crossings of the ray from p at the given angle, mod nothing.
-
-    Raises _DegenerateRay on tangencies, endpoint grazes, or collinear
-    overlaps; callers retry with a rotated direction.
+    A segment is one part.  An arc is cut at its circle's top and bottom, so
+    each part lies on one half of the circle, where x is cx -+ sqrt(R^2 - dy^2)
+    with a known sign.  x_at clamps to the part: a segment's parameter to
+    [0, 1], an arc part's height to the part's own range.
     """
-    u = unit(angle)
-    total = 0
-    for piece in path.pieces:
-        if isinstance(piece, Segment):
-            d = piece.b - piece.a
-            denom = u.cross(d)
-            rel = piece.a - p
-            if abs(denom) < 1e-13 * d.norm():
-                if abs(rel.cross(u)) < 1e-10 * max(1.0, rel.norm()):
-                    raise _DegenerateRay("ray collinear with a segment")
-                continue
-            t = rel.cross(d) / denom
-            s = rel.cross(u) / denom
-            if t <= 1e-12:
-                continue
-            if s < -1e-9 or s > 1.0 + 1e-9:
-                continue
-            if s < 1e-9 or s > 1.0 - 1e-9:
-                raise _DegenerateRay("ray grazes a segment endpoint")
-            total += 1
-        else:
-            ts = _line_circle_params(p, u, piece.center, piece.radius)
-            if not ts:
-                continue
-            if abs(ts[1] - ts[0]) < 1e-7:
-                if min(ts) > 1e-12 or max(ts) > 1e-12:
-                    raise _DegenerateRay("ray nearly tangent to an arc")
-                continue
-            sweep = piece.sweep
-            full = sweep >= TWO_PI - 1e-12
-            for t in ts:
-                if t <= 1e-12:
-                    continue
-                q = Point(p.x + t * u.x, p.y + t * u.y)
-                theta = math.atan2(q.y - piece.center.y, q.x - piece.center.x)
-                if piece.ccw:
-                    off = (theta - piece.start_angle) % TWO_PI
-                else:
-                    off = (piece.start_angle - theta) % TWO_PI
-                margin = 1e-9
-                if not full:
-                    if off < margin or off > TWO_PI - margin or abs(off - sweep) < margin:
-                        raise _DegenerateRay("ray grazes an arc endpoint")
-                    if off > sweep:
-                        continue
-                total += 1
-    return total
+    if isinstance(piece, Segment):
+        ax, ay, dx, dy = piece.a.x, piece.a.y, piece.b.x - piece.a.x, piece.b.y - piece.a.y
+
+        def x_at(y: float) -> float:
+            t = (y - ay) / dy if dy else 0.0
+            return ax + min(1.0, max(0.0, t)) * dx
+
+        return [(ay, y_end, x_at)]
+    cx, cy, r, a0 = piece.center.x, piece.center.y, piece.radius, piece.start_angle
+    turn = 1.0 if piece.ccw else -1.0
+    first = (turn * (0.5 * math.pi - a0)) % math.pi  # arc offset of the first top or bottom
+    cuts = [0.0] + [u for u in (first, first + math.pi) if 0.0 < u < piece.sweep] + [piece.sweep]
+    extremes = [cy + r if math.sin(a0 + turn * u) > 0.0 else cy - r for u in cuts[1:-1]]
+    heights = [piece.start_point.y, *extremes, piece.end_point.y]
+    parts = []
+    for k in range(len(cuts) - 1):
+        lo, hi = sorted(heights[k : k + 2])
+        side = 1.0 if math.cos(a0 + turn * 0.5 * (cuts[k] + cuts[k + 1])) > 0.0 else -1.0
+
+        def x_at(y: float, lo=lo, hi=hi, side=side) -> float:
+            d = abs(min(hi, max(lo, y)) - cy)
+            return cx + side * math.sqrt((r - d) * (r + d)) if d < r else cx
+
+        parts.append((heights[k], heights[k + 1] if k < len(cuts) - 2 else y_end, x_at))
+    return parts
+
+
+def _bbox(piece: PathPiece) -> tuple[float, float, float, float]:
+    """(xmin, ymin, xmax, ymax) of a segment, or of an arc's whole circle."""
+    if isinstance(piece, Arc):
+        c, r = piece.center, piece.radius
+        return c.x - r, c.y - r, c.x + r, c.y + r
+    a, b = piece.a, piece.b
+    return min(a.x, b.x), min(a.y, b.y), max(a.x, b.x), max(a.y, b.y)
 
 
 def classify_against_path(
-    path: PiecewisePath | Sequence[PiecewisePath],
-    p: Point,
-    tau: float = DEFAULT_TAU,
-    base_angle: float = _BASE_CAST_ANGLE,
+    path: PiecewisePath | Sequence[PiecewisePath], p: Point, tau: float = DEFAULT_TAU
 ) -> Shade:
     """Three-valued membership in the closed region bounded by one path, or
     by several loops whose interiors are disjoint (they may touch).
 
-    BOUNDARY within tau of any piece; otherwise the crossing parity of one
-    ray, summed over the loops, decides between BLACK and WHITE.
+    BOUNDARY within tau of any piece (a piece whose bounding box, widened by
+    tau, misses p is skipped); otherwise the parity of the row's crossings
+    to the right of p, summed over the loops, decides between BLACK and
+    WHITE.  This is the renderer's row evaluated at one x.
+
+    Why the parity is right (Hormann and Agathos, Comput. Geom. 20(3),
+    2001): a y-monotone part counts at height y when (y0 > y) != (y1 > y).
+    Adjacent parts share their vertex height as one float, so each loop's
+    count is the number of sign changes of a cyclic sequence, which is even;
+    a row through a vertex, along a horizontal segment or tangent to an arc
+    counts as the row just above it.  A computed crossing x errs along the
+    row, by about 1e-16 of the coordinates, or up to sqrt(1e-16) * R near an
+    arc's top or bottom; yet the point it names lies within about 1e-16 * R
+    of the piece, and so does every point of the row between it and the true
+    crossing, the distance to the centre being monotone there.  A point
+    outside the tau collar is thus on the same side of both crossings, and
+    the error cannot flip its parity.
     """
     loops = (path,) if isinstance(path, PiecewisePath) else path
-    if min(loop.distance_to(p) for loop in loops) <= tau:
+    x, y = p.x, p.y
+    near = (piece for loop in loops for piece, x0, y0, x1, y1 in loop._boxes
+            if x0 - tau <= x <= x1 + tau and y0 - tau <= y <= y1 + tau)
+    if any(dist_to_primitive(p, piece) <= tau for piece in near):
         return Shade.BOUNDARY
-    for k in range(32):
-        angle = base_angle + 0.3999966 * k
-        try:
-            inside = sum(crossing_parity(loop, p, angle) for loop in loops) % 2 == 1
-        except _DegenerateRay:
-            continue
-        return Shade.BLACK if inside else Shade.WHITE
-    raise RuntimeError(f"no non-degenerate ray direction found from {p}")
+    inside = sum(1 for loop in loops for c in loop.crossings(y) if c > x) % 2 == 1
+    return Shade.BLACK if inside else Shade.WHITE
 
 
 def region_coloring(

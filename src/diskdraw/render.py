@@ -74,8 +74,9 @@ def render(source: RenderSource, spec: RasterSpec) -> bytes:
     the pixels those cannot settle, and every pixel of an opaque classifier,
     are classified one by one.  Either way each byte is the verdict the
     classifier gives at that pixel center.  The number of rows classified
-    pixel by pixel and of pixels classified exactly are logged at DEBUG on
-    the "diskdraw" logger.
+    pixel by pixel (every row of an opaque classifier, none otherwise) and
+    of pixels classified exactly are logged at DEBUG on the "diskdraw"
+    logger.
     """
     if isinstance(source, DrawingScript):
         source = script_coloring(source)
@@ -94,21 +95,18 @@ def render(source: RenderSource, spec: RasterSpec) -> bytes:
     else:
         rows = _region_rows(shape, source.tau, grid)
     pixels = bytearray(b"\xff") * (w * h)
-    fallback_rows = exact = 0
+    exact = 0
     for i in range(h):
         y = grid.y(i)
         base = i * w
-        cols = rows(y, pixels, base) if rows else None
-        if cols is None:
-            fallback_rows += 1
-            cols = range(w)
+        cols = rows(y, pixels, base) if rows else range(w)
         exact += len(cols)
         for j in cols:
             shade = classify(Point(grid.x(j), y))
             pixels[base + j] = _SHADE_BYTE.get(shade, spec.boundary_value)
-    logger.debug(
-        "render %dx%d: %d fallback rows, %d pixels classified exactly", w, h, fallback_rows, exact
-    )
+    fallback_rows = 0 if rows else h
+    logger.debug("render %dx%d: %d fallback rows, %d pixels classified exactly",
+                 w, h, fallback_rows, exact)
     return bytes(pixels)
 
 
@@ -313,53 +311,23 @@ def _script_rows(script: DrawingScript, tau: float, grid: _Grid):
 def _region_rows(loops, tau: float, grid: _Grid):
     """Row filler for classify_against_path over closed loops.
 
-    Each piece is widened to a collar window of pixels within tau + m of it
-    (m from _margin): the capsule about a segment, or the annulus
-    R -+ (tau + m) about an arc's circle.  Outside every window a
-    pixel is farther than tau from the boundary, so its verdict is the parity
-    of the row's crossings to its right.  The window pixels are returned for
-    exact classification.  A degenerate row, one within m of a piece
-    endpoint's height (which covers rows along a horizontal segment) or of a
-    tangent to an arc's circle, cannot be split into crossings reliably and
-    is classified pixel by pixel (the filler returns None).
+    Filling between consecutive sorted crossings of the row (the same floats
+    the classifier counts) gives each pixel the classifier's parity.  That
+    is the verdict outside the collar windows: the pixels within tau + m of
+    a piece (m from _margin), in the capsule about a segment or the annulus
+    R -+ (tau + m) about an arc's circle, which are classified exactly.
     """
-    segments, arcs, degenerate = [], [], []
+    segments, arcs = [], []
     for piece in (piece for loop in loops for piece in loop.pieces):
-        m = _margin(grid, piece)
-        ends = [piece.start_point.y, piece.end_point.y]
-        if isinstance(piece, Segment):
-            segments.append((piece, tau + m))
-        else:
-            arcs.append((piece, tau + m))
-            ends += (piece.center.y - piece.radius, piece.center.y + piece.radius)
-        degenerate += ((e - m, e + m) for e in ends)
+        (segments if isinstance(piece, Segment) else arcs).append((piece, tau + _margin(grid, piece)))
 
     def row(y: float, pixels: bytearray, base: int):
-        if any(lo <= y <= hi for lo, hi in degenerate):
-            return None
-        crossings, windows = [], []
-        for seg, r in segments:
-            a, b = seg.a, seg.b
-            if min(a.y, b.y) < y < max(a.y, b.y):
-                crossings.append(a.x + (y - a.y) * (b.x - a.x) / (b.y - a.y))
-            window = _capsule(seg, y, r)
-            if window is not None:
-                windows.append(window)
-        for arc, r in arcs:
-            c, radius = arc.center, arc.radius
-            dy = y - c.y
-            d = abs(dy)
-            if d < radius:
-                s = math.sqrt((radius - d) * (radius + d))
-                crossings += (
-                    c.x + sign * s for sign in (-1.0, 1.0) if arc.contains_angle(math.atan2(dy, sign * s))
-                )
-            windows += _annulus(c.x, dy, radius - r, radius + r)
-        if len(crossings) % 2:  # a line meets closed loops an even number of times
-            return None
-        crossings.sort()
+        crossings = sorted(x for loop in loops for x in loop.crossings(y))
         for k in range(0, len(crossings), 2):  # an odd number of crossings lies to the right
             grid.fill(pixels, base, crossings[k], crossings[k + 1], _BLACK)
+        windows = [w for w in (_capsule(seg, y, r) for seg, r in segments) if w is not None]
+        for arc, r in arcs:
+            windows += _annulus(arc.center.x, y - arc.center.y, arc.radius - r, arc.radius + r)
         return {j for lo, hi in windows for j in grid.cols(lo, hi)}
 
     return row

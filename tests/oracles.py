@@ -25,6 +25,11 @@ the region classifier is tested against them.
 sharp_ndissected_strokes is the sharpness script as it was built before it
 became one stroke: one pencil stroke per slid-disk segment, with an empty
 eraser between consecutive ones.
+
+ray_cast_classify is the region classifier as it was before the half-open
+horizontal crossing rule: it casts one ray at an irrational angle, and casts
+again at a rotated angle whenever the ray grazes an endpoint, touches an arc
+tangentially or runs along a segment.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from diskdraw import (
     Verdict,
     dist_to_primitive,
 )
+from diskdraw.constructions import PiecewisePath, _line_circle_params
 from diskdraw.geometry import unit
 
 
@@ -294,3 +300,80 @@ def sharp_ndissected_strokes(n: int, truncation: float = 25.0) -> DrawingScript:
             end = vertex + unit(ray_ang).scaled(truncation)
             strokes.append(Stroke(Tool.PENCIL, CenterSet((Segment(vertex, end),))))
     return DrawingScript.relaxed(DiskModel.OPEN, strokes)
+
+
+class DegenerateRay(Exception):
+    """The ray grazes an endpoint, is tangent to an arc or runs along a segment."""
+
+
+def crossing_parity(path: PiecewisePath, p: Point, angle: float) -> int:
+    """Number of proper crossings of the ray from p at the given angle.
+
+    Raises DegenerateRay on tangencies, endpoint grazes, or collinear
+    overlaps; callers retry with a rotated direction.
+    """
+    u = unit(angle)
+    total = 0
+    for piece in path.pieces:
+        if isinstance(piece, Segment):
+            d = piece.b - piece.a
+            denom = u.cross(d)
+            rel = piece.a - p
+            if abs(denom) < 1e-13 * d.norm():
+                if abs(rel.cross(u)) < 1e-10 * max(1.0, rel.norm()):
+                    raise DegenerateRay("ray collinear with a segment")
+                continue
+            t = rel.cross(d) / denom
+            s = rel.cross(u) / denom
+            if t <= 1e-12:
+                continue
+            if s < -1e-9 or s > 1.0 + 1e-9:
+                continue
+            if s < 1e-9 or s > 1.0 - 1e-9:
+                raise DegenerateRay("ray grazes a segment endpoint")
+            total += 1
+        else:
+            ts = _line_circle_params(p, u, piece.center, piece.radius)
+            if not ts:
+                continue
+            if abs(ts[1] - ts[0]) < 1e-7:
+                if min(ts) > 1e-12 or max(ts) > 1e-12:
+                    raise DegenerateRay("ray nearly tangent to an arc")
+                continue
+            sweep = piece.sweep
+            full = sweep >= 2.0 * math.pi - 1e-12
+            for t in ts:
+                if t <= 1e-12:
+                    continue
+                q = Point(p.x + t * u.x, p.y + t * u.y)
+                theta = math.atan2(q.y - piece.center.y, q.x - piece.center.x)
+                if piece.ccw:
+                    off = (theta - piece.start_angle) % (2.0 * math.pi)
+                else:
+                    off = (piece.start_angle - theta) % (2.0 * math.pi)
+                margin = 1e-9
+                if not full:
+                    if off < margin or off > 2.0 * math.pi - margin or abs(off - sweep) < margin:
+                        raise DegenerateRay("ray grazes an arc endpoint")
+                    if off > sweep:
+                        continue
+                total += 1
+    return total
+
+
+def ray_cast_classify(path, p: Point, tau: float = DEFAULT_TAU, base_angle: float = 0.6180339887498949) -> Shade:
+    """BOUNDARY within tau of a piece of the path (or of any of several
+    loops), else the crossing parity of one ray from p, summed over the
+    loops.  A degenerate ray is recast up to 31 times at rotated angles;
+    RuntimeError when every cast is degenerate."""
+    loops = (path,) if isinstance(path, PiecewisePath) else path
+    if min(loop.distance_to(p) for loop in loops) <= tau:
+        return Shade.BOUNDARY
+    for k in range(32):
+        angle = base_angle + 0.3999966 * k
+        try:
+            inside = sum(crossing_parity(loop, p, angle) for loop in loops) % 2 == 1
+        except DegenerateRay:
+            continue
+        return Shade.BLACK if inside else Shade.WHITE
+    raise RuntimeError(f"no non-degenerate ray direction found from {p}")

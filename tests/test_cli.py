@@ -197,6 +197,38 @@ class TestVerify:
         assert "stage 21" in fail[0] and "Point(" in fail[0]
 
 
+class TestOutOfRangeParameters:
+    """A parameter outside its domain is a usage error (exit 2) with one
+    stderr line, never a traceback or the exit code of a refutation."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "sharp", "--n", "5"],
+        ["verify", "chessboard", "--r", "2"],
+        ["verify", "snake", "--r", "2"],
+        ["verify", "dissection", "--n", "12", "--L", "3", "--s", "2"],
+        ["render", "--construction", "chessboard", "--bbox", "-2", "-2", "2", "2", "--res", "0.5"],
+        ["render", "--construction", "chessboard", "--bbox", "2", "2", "-2", "-2", "--res", "4"],
+    ], ids=["sharp-n5", "chessboard-r2", "snake-r2", "dissection-s2", "render-res", "render-bbox"])
+    def test_command_line(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.pgm"
+        code, stdout, err = run(capsys, *argv, *(["-o", str(out)] if argv[0] == "render" else []))
+        assert code == 2
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("text, lineno", [
+        ("# a comment\n\nconstruction chessboard abc\n", 3),
+        ("construction sharp-n 5\n", 1),
+    ], ids=["chessboard-abc", "sharp-n5"])
+    def test_scene_file(self, tmp_path, capsys, text, lineno):
+        scene = tmp_path / "c.txt"
+        scene.write_text(text)
+        code, _, err = run(capsys, "simulate", str(scene), "--query", "0", "0")
+        assert code == 2
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert err.startswith(f"parse error: line {lineno},")
+
+
 class TestEntryPoint:
     @pytest.mark.parametrize("module", ["diskdraw", "diskdraw.cli"])
     def test_python_m(self, module):

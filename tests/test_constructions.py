@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from diskdraw import (
     DEFAULT_TAU,
@@ -24,11 +26,12 @@ from diskdraw import (
     snake_dissection_spec,
     undrawability_bound,
 )
-from diskdraw.constructions import PiecewisePath, crossing_parity
+from diskdraw.constructions import PiecewisePath
 from diskdraw.geometry import rotate_about, unit
 
 from helpers import random_point
-from oracles import chessboard_classify, rounded_chessboard_classify, sharp_ndissected_strokes
+from oracles import chessboard_classify, ray_cast_classify, rounded_chessboard_classify, sharp_ndissected_strokes
+from test_render import arc_loops, convex_polygons, scaled_loop
 
 
 @pytest.fixture(scope="module")
@@ -160,14 +163,11 @@ class TestBuildSnake:
 
 class TestSnakeColoring:
     def test_apex_regression(self, snake, snake_col):
-        # not claimed anywhere in print; frozen from the crossing-number
-        # oracle, which must agree at four independent ray angles
+        # not claimed anywhere in print; frozen from the ray-casting oracle,
+        # which must agree at four independent ray angles
         O = snake.apex
-        parities = []
         for ang in (0.7, 1.9, 3.1, 5.2):
-            parities.append(crossing_parity(snake.boundary, O, ang) % 2)
-        assert len(set(parities)) == 1
-        assert parities[0] == 1  # inside
+            assert ray_cast_classify(snake.boundary, O, base_angle=ang) is Shade.BLACK
         assert snake_col.classify(O) is Shade.BLACK
 
     def test_head_arc_inner_offset_is_black(self, snake, snake_col):
@@ -352,3 +352,101 @@ class TestPiecewisePath:
         back = arc.rotated(Point(0, 0), 1.1).rotated(Point(0, 0), -1.1)
         assert back.center.distance_to(arc.center) < 1e-12
         assert back.radius == arc.radius
+
+
+# ---------------------------------------------------------------------------
+# The half-open crossing rule against the ray-casting oracle
+# ---------------------------------------------------------------------------
+
+SNAKE_LOOPS = (build_snake(1.001).boundary,)
+CHESS_LOOPS = chessboard_coloring(1.0).source
+ROUNDED_LOOPS = rounded_chessboard_coloring(0.35).source
+
+
+@st.composite
+def roof_polygons(draw):
+    """A polygon over the x-axis whose roof runs through grid heights: it has
+    horizontal edges along the base and wherever two roof heights repeat."""
+    heights = draw(st.lists(st.integers(1, 4).map(lambda k: k / 4.0), min_size=2, max_size=6))
+    k = len(heights) - 1
+    corners = [Point(0.0, 0.0), Point(k / 2.0, 0.0)] + [Point(i / 2.0, heights[i]) for i in range(k, -1, -1)]
+    return PiecewisePath(tuple(Segment(corners[i], corners[(i + 1) % len(corners)]) for i in range(len(corners))))
+
+
+def critical_heights(loops):
+    """Heights of the rows through vertices and through the tops and bottoms of arcs."""
+    heights = []
+    for piece in (piece for loop in loops for piece in loop.pieces):
+        heights.append(piece.start_point.y)
+        if isinstance(piece, Arc):
+            heights += [piece.center.y + piece.radius, piece.center.y - piece.radius]
+    return heights
+
+
+@st.composite
+def regions_and_points(draw):
+    scale = draw(st.sampled_from([1e-3, 2.0**-5, 0.3, 1.0, 4.0, 2.0**5, 1e3]))
+    loops = draw(st.one_of(
+        st.tuples(st.one_of(roof_polygons(), convex_polygons(), arc_loops())),
+        st.sampled_from([SNAKE_LOOPS, CHESS_LOOPS, ROUNDED_LOOPS]),
+    ))
+    shift = Point(scale * draw(st.integers(-4, 4)) / 4.0, scale * draw(st.floats(-1.0, 1.0)))
+    loops = tuple(scaled_loop(loop, scale, shift) for loop in loops)
+    heights = critical_heights(loops)
+    xs = [piece.start_point.x for loop in loops for piece in loop.pieces]
+    x_lo, x_hi = min(xs) - scale, max(xs) + scale
+    points = []
+    for _ in range(draw(st.integers(4, 8))):
+        y = draw(st.sampled_from(heights))
+        y += draw(st.sampled_from([-1e-15, 0.0, 1e-15])) * max(1.0, abs(y))
+        for _ in range(6):
+            x = draw(st.one_of(
+                st.floats(x_lo, x_hi),
+                st.sampled_from(xs).flatmap(
+                    lambda v: st.sampled_from([-0.1, -1e-6, -3e-9, 3e-9, 1e-6, 0.1]).map(lambda d: v + d * scale)
+                ),
+            ))
+            points.append(Point(x, y))
+    return loops, points
+
+
+class TestHalfOpenRule:
+    @settings(max_examples=80, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+    @given(regions_and_points())
+    def test_matches_ray_casting(self, case):
+        loops, points = case
+        decided = 0
+        for p in points:
+            try:
+                expected = ray_cast_classify(loops, p)
+            except RuntimeError:  # every ray the oracle cast was degenerate
+                continue
+            assert classify_against_path(loops, p) is expected, p
+            decided += 1
+        assert decided > 0
+
+    def test_adjacent_pieces_share_their_vertex_height(self, snake):
+        # the snake's pieces meet up to ~1e-15 in y; a row in that band still
+        # crosses the boundary an even number of times
+        pieces = snake.boundary.pieces
+        gaps = [abs(a.end_point.y - b.start_point.y) for a, b in zip(pieces, pieces[1:] + pieces[:1])]
+        assert max(gaps) > 0.0
+        for a, b in zip(pieces, pieces[1:] + pieces[:1]):
+            for y in (a.end_point.y, b.start_point.y, 0.5 * (a.end_point.y + b.start_point.y)):
+                assert len(snake.boundary.crossings(y)) % 2 == 0
+
+    def test_crossings_clamp_to_the_piece(self):
+        # the nearly horizontal first edge ends 5e-10 below the next edge's
+        # start; on a row in that gap its line runs far to the right of the
+        # edge, but the crossing stays on the edge
+        gap = 5e-10
+        path = PiecewisePath((
+            Segment(Point(0, 0), Point(1, 1e-12)),
+            Segment(Point(1, 1e-12 + gap), Point(0, 1)),
+            Segment(Point(0, 1), Point(0, 0)),
+        ))
+        y = 1e-12 + gap / 2.0
+        assert sorted(path.crossings(y)) == [0.0, 1.0]
+        p = Point(5.0, y)
+        assert classify_against_path(path, p) is Shade.WHITE
+        assert ray_cast_classify(path, p) is Shade.WHITE

@@ -37,6 +37,8 @@ from diskdraw import (
     write_svg,
 )
 
+from oracles import ray_cast_classify
+
 # frozen after the first verified generation (same code path, same platform)
 SNAKE_PGM_SHA256 = "9f19fb2a89d27cdddae939032db05831e5bee9cb0a6274162ff07b05e51d2934"
 
@@ -132,7 +134,8 @@ class TestFiles:
 # ---------------------------------------------------------------------------
 
 # derandomized: the suite tests the same examples on every run
-DIFF = settings(max_examples=60, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+DIFF = settings(max_examples=60, deadline=None, derandomize=True,
+                suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
 SCALES = [1e-3, 2.0**-5, 0.25, 1.0, 4.0, 2.0**5, 1e3]
 
 
@@ -332,7 +335,7 @@ def arc_loops(draw):
 class TestRegionSpans:
     @DIFF
     @given(st.one_of(convex_polygons(), arc_loops()), st.sampled_from(SCALES), SHIFT, SHIFT, GRID)
-    def test_random_loops_match_per_pixel(self, loop, scale, dx, dy, offset):
+    def test_random_loops_match_per_pixel(self, caplog, loop, scale, dx, dy, offset):
         shift = Point(scale * offset, -scale * offset)
         loop = scaled_loop(loop, scale, shift)
         coloring = region_coloring((loop,))
@@ -341,7 +344,9 @@ class TestRegionSpans:
         half = min(3.0 * scale, 1.5)
         focus = shift if half < 1.5 else loop.pieces[0].point_at(0.0)
         spec = RasterSpec(*bbox_near(focus, half, dx * half / 12.0, dy * half / 12.0), resolution=12.0 / half)
-        assert render(coloring, spec) == per_pixel(coloring, spec)
+        pixels, fallback_rows, _ = render_counts(caplog, coloring, spec)
+        assert fallback_rows == 0
+        assert pixels == per_pixel(coloring, spec)
 
     @pytest.mark.parametrize("make", [
         lambda: snake_coloring(build_snake(1.001)),
@@ -350,31 +355,35 @@ class TestRegionSpans:
         lambda: region_coloring((scaled_loop(build_snake(1.001).boundary, 1e3, Point(0, 0)),)),
     ], ids=["snake", "chessboard", "rounded", "snake-1e3"])
     @pytest.mark.parametrize("shift", [0.0, -1.0 / 16.0, 0.137])
-    def test_constructions_match_per_pixel(self, make, shift):
+    def test_constructions_match_per_pixel(self, caplog, make, shift):
         coloring = make()
         pieces = [p for loop in coloring.source for p in loop.pieces]
         focus = pieces[len(pieces) // 3].point_at(0.0)
         focus = Point(round(focus.x * 4.0) / 4.0 + shift, round(focus.y * 4.0) / 4.0 + shift)
         spec = RasterSpec(*bbox_near(focus, 1.5, 0.0, 0.0), resolution=8.0)
-        assert render(coloring, spec) == per_pixel(coloring, spec)
+        pixels, fallback_rows, _ = render_counts(caplog, coloring, spec)
+        assert fallback_rows == 0
+        assert pixels == per_pixel(coloring, spec)
 
-    def test_rows_through_vertices_fall_back(self, caplog):
+    def test_rows_through_vertices_need_no_fallback(self, caplog):
         # rows exactly along y = 1, 0 and -1 (the horizontal edges and the
         # shared vertex) and columns through x = -1, 0, 1
         coloring = chessboard_coloring(1.0)
         spec = RasterSpec(-2.125, -1.875, 2.125, 2.125, resolution=4.0)
-        pixels, fallback_rows, exact = render_counts(caplog, coloring, spec)
+        pixels, fallback_rows, _ = render_counts(caplog, coloring, spec)
+        assert fallback_rows == 0
         assert pixels == per_pixel(coloring, spec)
-        assert fallback_rows == 3
-        assert exact >= 3 * spec.width
+        assert pixels == render(lambda p: ray_cast_classify(coloring.source, p), spec)
 
-    def test_rows_tangent_to_arcs_fall_back(self, caplog):
+    def test_rows_tangent_to_arcs_need_no_fallback(self, caplog):
+        # rows at y = 1, 0.75, ..., -1.5: y = 1 and y = -1 are tangent, y = 0 holds the arc endpoints
         circle = PiecewisePath((Arc(Point(0, 0), 1.0, 0.0, math.pi), Arc(Point(0, 0), 1.0, math.pi, 0.0)))
         coloring = region_coloring((circle,))
-        spec = RasterSpec(-1.5, -1.625, 1.5, 1.375, resolution=4.0)  # rows at y = 1, 0.75, ..., -1.5
+        spec = RasterSpec(-1.5, -1.625, 1.5, 1.375, resolution=4.0)
         pixels, fallback_rows, _ = render_counts(caplog, coloring, spec)
+        assert fallback_rows == 0
         assert pixels == per_pixel(coloring, spec)
-        assert fallback_rows == 3  # y = 1 and y = -1 are tangent, y = 0 holds the arc endpoints
+        assert pixels == render(lambda p: ray_cast_classify(circle, p), spec)
 
 
 class TestBenchmarkRenders:
