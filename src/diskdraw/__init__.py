@@ -48,7 +48,6 @@ from .obstruction import (
     Coloring,
     DescentCertificate,
     DissectionSpec,
-    EncirclementFailed,
     FiveCircleRadii,
     InvalidN,
     InvalidParameters,
@@ -79,6 +78,7 @@ from .constructions import (
     classify_against_path,
     region_coloring,
     rounded_chessboard_coloring,
+    sharp_dissection_spec,
     sharp_ndissected_script,
     snake_coloring,
     snake_dissection_spec,

@@ -7,8 +7,11 @@ usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
+import random
 import sys
+from dataclasses import dataclass
 
 from .canvas import BoundaryPoint
 from .constructions import (
@@ -17,12 +20,13 @@ from .constructions import (
     chessboard_coloring,
     region_coloring,
     rounded_chessboard_coloring,
+    sharp_dissection_spec,
     sharp_ndissected_script,
     snake_coloring,
     snake_dissection_spec,
 )
 from .curvature import path_max_curvature, rolling_disk_check
-from .geometry import DEFAULT_TAU, Point, check_tolerance, circumcircle3, trapezoid_circumradius, unit
+from .geometry import DEFAULT_TAU, Point, check_tolerance, circumcircle3, trapezoid_circumradius
 from .obstruction import (
     DissectionSpec,
     MisclassifiedPoint,
@@ -67,33 +71,40 @@ def _load_scene(path: str, tau: float):
     every kind loads as a coloring with margin tau."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    lineno, first = next(((k, words) for k, line in enumerate(text.splitlines(), start=1)
-                          if (words := line.split("#", 1)[0].split())), (1, None))
+    lines = ((k, words) for k, line in enumerate(text.splitlines(), start=1)
+             if (words := line.split("#", 1)[0].split()))
+    lineno, first = next(lines, (1, None))
     if first and first[0] == "construction":
-        return _checked(_construction_coloring, first[1:], tau, lineno=lineno)
+        coloring = _checked(_construction_coloring, first[1:], tau, lineno=lineno)
+        extra = next(lines, None)
+        if extra:
+            raise ParseError(extra[0], 1, f"unexpected {extra[1][0]!r} after the construction line")
+        return coloring
     if first and first[0] == "boundary":
         return region_coloring((parse_boundary(text),), tau, "boundary scene")
     return script_coloring(parse_script(text), tau)
+
+
+# name: (parameter type, default parameter, coloring of (parameter, tau))
+_CONSTRUCTIONS = {
+    "chessboard": (float, 1.0, chessboard_coloring),
+    "rounded": (float, 0.35, rounded_chessboard_coloring),
+    "snake": (float, 1.001, lambda r, tau: snake_coloring(build_snake(r), tau)),
+    "sharp-n": (int, 12, lambda n, tau: script_coloring(sharp_ndissected_script(n), tau)),
+}
 
 
 def _construction_coloring(args_list, tau: float):
     """The coloring named by a construction and its optional parameter."""
     if not args_list:
         raise ValueError("construction needs a name")
-    name = args_list[0]
-    if name == "chessboard":
-        c = float(args_list[1]) if len(args_list) > 1 else 1.0
-        return chessboard_coloring(c, tau)
-    if name == "rounded":
-        rho = float(args_list[1]) if len(args_list) > 1 else 0.35
-        return rounded_chessboard_coloring(rho, tau)
-    if name == "snake":
-        r = float(args_list[1]) if len(args_list) > 1 else 1.001
-        return snake_coloring(build_snake(r), tau)
-    if name == "sharp-n":
-        n = int(args_list[1]) if len(args_list) > 1 else 12
-        return script_coloring(sharp_ndissected_script(n), tau)
-    raise ValueError(f"unknown construction {name!r}")
+    name, *params = args_list
+    if name not in _CONSTRUCTIONS:
+        raise ValueError(f"unknown construction {name!r}")
+    if len(params) > 1:
+        raise ValueError(f"construction {name} takes at most one parameter, got {len(params)}")
+    kind, default, coloring = _CONSTRUCTIONS[name]
+    return coloring(kind(params[0]) if params else default, tau)
 
 
 def _cmd_simulate(args) -> int:
@@ -124,165 +135,185 @@ def _cmd_render(args) -> int:
     return OK
 
 
-def _print_cert(cert) -> None:
-    for line in cert.report_lines():
-        print(line)
+# ---------------------------------------------------------------------------
+# Verification pipelines: each returns one Check per verdict, in print order.
+# ---------------------------------------------------------------------------
 
 
-def _cmd_verify_chessboard(args) -> int:
-    theta = math.radians(args.theta_deg)
-    stages = _checked(chessboard_stages, args.r, theta, args.depth)
-    cert = descent_verify(chessboard_coloring(1.0, args.tau), stages, args.tau, strict=False)
-    _print_cert(cert)
+@dataclass(frozen=True)
+class Check:
+    """One verdict of a verify pipeline: what was checked, whether it held,
+    the line `verify` prints for it (None for a check it does not print)
+    and the measured value."""
+
+    name: str
+    ok: bool
+    line: str | None
+    value: object = None
+
+
+def _mark(ok: bool) -> str:
+    return "ok" if ok else "FAIL"
+
+
+def _records(pipeline):
+    """Collect a pipeline's checks into a tuple.  A stage point that fails
+    its own color check ends the pipeline with a failing FAIL record."""
+
+    @functools.wraps(pipeline)
+    def run(*args, **kwargs) -> tuple[Check, ...]:
+        checks: list[Check] = []
+        try:
+            checks.extend(pipeline(*args, **kwargs))
+        except (BoundaryPoint, MisclassifiedPoint) as exc:
+            checks.append(Check("stage colors", False, f"FAIL: {exc}"))
+        return tuple(checks)
+
+    return run
+
+
+def _certificate_checks(cert, kinds=("colors", "enc")):
+    """One check per record of a descent certificate of the given kinds."""
+    for rec in cert.checks:
+        if rec.kind in kinds:
+            yield Check(f"stage {rec.stage} {rec.kind}", rec.verdict is Verdict.YES, rec.line(), rec.clearance)
+
+
+def _radii_check(radii, tau: float, line: str) -> Check:
+    """The critical radii are below one: the predicate dissection_stages
+    requires of its parameters."""
+    ok = radii.below_one(tau)
+    return Check("critical radii", ok, f"{line} {_mark(ok)}", max(radii.all_values()))
+
+
+@_records
+def verify_chessboard(r: float, theta_deg: float, depth: int, tau: float):
+    """The two-square chessboard: a descent certificate whose stage
+    clearances halve exactly and stay below 1."""
+    stages = _checked(chessboard_stages, r, math.radians(theta_deg), depth)
+    cert = descent_verify(chessboard_coloring(1.0, tau), stages, tau)
+    yield from _certificate_checks(cert)
     clearances = cert.enc_clearances()
-    limit = math.sqrt(10.0) * args.r / 4.0
-    print(f"stage-1 clearance: {clearances[0]:.6f} (small-angle limit {limit:.6f})")
+    if clearances:
+        limit = math.sqrt(10.0) * r / 4.0
+        yield Check("stage-1 clearance", True,
+                    f"stage-1 clearance: {clearances[0]:.6f} (small-angle limit {limit:.6f})", clearances[0])
     ratios = [b / a for a, b in zip(clearances, clearances[1:])]
     if ratios:
-        print(f"clearance ratios: min {min(ratios):.9f} max {max(ratios):.9f}")
-    print(f"certificate valid: {cert.valid}")
-    return OK if cert.valid and all(c < 1.0 for c in clearances) else REFUTED
+        yield Check("clearance ratios", True,
+                    f"clearance ratios: min {min(ratios):.9f} max {max(ratios):.9f}", (min(ratios), max(ratios)))
+    yield Check("certificate valid", cert.valid, f"certificate valid: {cert.valid}", cert.valid)
+    yield Check("clearances < 1", all(c < 1.0 for c in clearances), None, max(clearances, default=0.0))
 
 
-def _cmd_verify_snake(args) -> int:
-    geom = _checked(build_snake, args.r)
-    ok = True
+@_records
+def verify_snake(r: float, depth: int, tau: float):
+    """The snake: its anchors, curvature, 12-dissection and descent."""
+    geom = _checked(build_snake, r)
+    for name, value, expected in (("|AE|", geom.ae_len, 0.793), ("|OE|", geom.oe_len, 2.963),
+                                  ("|OE'|", geom.oe_prime_len, 3.735)):
+        ok = abs(value - expected) <= 0.002
+        yield Check(name, ok, f"{name}: {value:.6f} (expected {expected} +/- 0.002) {_mark(ok)}", value)
 
-    def check(label, value, expected, tol):
-        nonlocal ok
-        good = abs(value - expected) <= tol
-        ok = ok and good
-        print(f"{label}: {value:.6f} (expected {expected} +/- {tol}) {'ok' if good else 'FAIL'}")
-
-    check("|AE|", geom.ae_len, 0.793, 0.002)
-    check("|OE|", geom.oe_len, 2.963, 0.002)
-    check("|OE'|", geom.oe_prime_len, 3.735, 0.002)
-
-    curv = path_max_curvature(geom.boundary)
-    good = curv.max_unsigned_curvature == 1.0 / args.r
-    ok = ok and good
-    print(f"max curvature: {curv.max_unsigned_curvature!r} == 1/r {'ok' if good else 'FAIL'}")
+    curv = path_max_curvature(geom.boundary).max_unsigned_curvature
+    ok = curv == 1.0 / r
+    yield Check("max curvature", ok, f"max curvature: {curv!r} == 1/r {_mark(ok)}", curv)
 
     rolling = rolling_disk_check(geom.boundary, step=0.05, eps=0.5)
-    ok = ok and rolling.rolling_disk_ok
-    print(f"rolling-disk check: {'ok' if rolling.rolling_disk_ok else 'FAIL'}")
+    yield Check("rolling-disk check", rolling.rolling_disk_ok,
+                f"rolling-disk check: {_mark(rolling.rolling_disk_ok)}", len(rolling.failures))
 
-    spec = snake_dissection_spec(geom, args.tau)
-    coloring = snake_coloring(geom, args.tau)
-    result = dissection_sample_check(coloring, spec, 200, args.tau)
-    ok = ok and result.ok
-    print(f"12-dissection at ({spec.a}, {spec.b}) thickness {spec.d}: "
-          f"{'ok' if result.ok else 'FAIL'}")
+    spec = snake_dissection_spec(geom, tau)
+    coloring = snake_coloring(geom, tau)
+    result = dissection_sample_check(coloring, spec, 200, tau)
+    line = f"12-dissection at ({spec.a}, {spec.b}) thickness {spec.d}: {_mark(result.ok)}"
+    yield Check("12-dissection", result.ok, line, len(result.failures))
 
     bound = undrawability_bound(12)
-    good = spec.a < bound
-    ok = ok and good
-    print(f"anchor bound: {spec.a} < cot(pi/12) = {bound:.6f} {'ok' if good else 'FAIL'}")
+    ok = spec.a < bound
+    yield Check("anchor bound", ok, f"anchor bound: {spec.a} < cot(pi/12) = {bound:.6f} {_mark(ok)}", bound)
 
     params = StageParams(n=12, L=default_dissection_L(12, spec.a, spec.b), s=1e-3)
     radii = five_circle_radii(params)
-    good = all(rr < 1.0 for rr in radii.all_values())
-    ok = ok and good
-    print(f"critical radii: {['%.4f' % rr for rr in radii.all_values()]} all < 1 "
-          f"{'ok' if good else 'FAIL'}")
-
-    first = 1 if spec.first_orientation == "ccw" else -1
-    stages = dissection_stages(params, spec.apex, spec.phase, args.depth, first_black_side=first)
-    cert = descent_verify(coloring, stages, args.tau, strict=False)
-    for line in cert.report_lines():
-        if "kind=enc" in line:
-            print(line)
-    ok = ok and cert.valid
-    print(f"descent stages 0..{args.depth}: {'ok' if cert.valid else 'FAIL'}")
-    return OK if ok else REFUTED
+    radii_check = _radii_check(radii, tau, f"critical radii: {['%.4f' % rr for rr in radii.all_values()]} all < 1")
+    yield radii_check
+    if not radii_check.ok:
+        return
+    cert = descent_verify(coloring, _checked(dissection_stages, params, spec, depth, tau), tau)
+    yield from _certificate_checks(cert, kinds=("enc",))
+    yield Check("descent", cert.valid, f"descent stages 0..{depth}: {_mark(cert.valid)}", cert.valid)
 
 
-def _cmd_verify_dissection(args) -> int:
-    params = _checked(StageParams, n=args.n, L=args.L, s=args.s)
+@_records
+def verify_dissection(n: int, L: float, s: float, depth: int, tau: float):
+    """The ideal n-dissection pattern: critical radii, the descent over its
+    stages and the per-wedge case split."""
+    params = _checked(StageParams, n=n, L=L, s=s)
     radii = five_circle_radii(params)
-    print(
-        f"r_a={radii.r_a:.6f} r_c={radii.r_c:.6f} r_d={radii.r_d:.6f} r_e={radii.r_e:.6f}"
-    )
-    ok = all(rr < 1.0 for rr in radii.all_values())
-    print(f"all radii < 1: {'ok' if ok else 'FAIL'}")
-    if not ok:
-        return REFUTED
-    apex = Point(0.0, 0.0)
-    stages = dissection_stages(params, apex, 0.0, args.depth)
-    spec = DissectionSpec(
-        apex=apex,
-        n=args.n,
-        a=args.L - 4.0 * args.s,
-        b=args.L + 4.0 * args.s,
-        d=4.0 * params.t,
-        phase=0.0,
-        first_orientation="ccw",
-    )
-    cert = descent_verify(dissection_pattern_coloring(spec, args.tau), stages, args.tau, strict=False)
-    for line in cert.report_lines():
-        if "kind=enc" in line:
-            print(line)
-    wedges = dissection_wedge_checks(stages, args.n, args.tau)
-    bad = [w for w in wedges if w[2] is not Verdict.YES]
-    print(f"wedge case split: {len(wedges) - len(bad)}/{len(wedges)} ok")
-    ok = cert.valid and not bad
-    print(f"stage encirclements: {'ok' if ok else 'FAIL'}")
-    return OK if ok else REFUTED
+    line = f"r_a={radii.r_a:.6f} r_c={radii.r_c:.6f} r_d={radii.r_d:.6f} r_e={radii.r_e:.6f}"
+    yield Check("radii", True, line, radii)
+    radii_check = _radii_check(radii, tau, "all radii < 1:")
+    yield radii_check
+    if not radii_check.ok:
+        return
+    spec = _checked(DissectionSpec, apex=Point(0.0, 0.0), n=n, a=L - 4.0 * s, b=L + 4.0 * s,
+                    d=4.0 * params.t, phase=0.0, first_orientation="ccw")
+    stages = _checked(dissection_stages, params, spec, depth, tau)
+    cert = descent_verify(dissection_pattern_coloring(spec, tau), stages, tau)
+    yield from _certificate_checks(cert, kinds=("enc",))
+    wedges = dissection_wedge_checks(stages, spec, tau)
+    good = sum(1 for w in wedges if w[2] is Verdict.YES)
+    yield Check("wedge case split", good == len(wedges), f"wedge case split: {good}/{len(wedges)} ok", good)
+    ok = cert.valid and good == len(wedges)
+    yield Check("stage encirclements", ok, f"stage encirclements: {_mark(ok)}", ok)
 
 
-def _cmd_verify_trapezoid(args) -> int:
-    import random
-
+@_records
+def verify_trapezoid(fuzz: int):
+    """The closed-form trapezoid circumradius against the circumcircle of
+    three of its vertices, on seeded random trapezoids."""
     rng = random.Random(12345)
     worst = 0.0
-    for _ in range(args.fuzz):
+    for _ in range(fuzz):
         a = rng.uniform(0.0, 5.0)
         b = a + rng.uniform(1e-3, 5.0)
         h = rng.uniform(1e-3, 5.0)
-        formula = trapezoid_circumradius(a, b, h)
-        oracle = circumcircle3(
-            Point(-b / 2.0, 0.0), Point(b / 2.0, 0.0), Point(a / 2.0, h)
-        ).radius
-        worst = max(worst, abs(formula - oracle))
-    print(f"max |formula - circumcircle| over {args.fuzz} trials: {worst:.3e}")
-    ok = worst < 1e-9
-    print("ok" if ok else "FAIL")
-    return OK if ok else REFUTED
+        oracle = circumcircle3(Point(-b / 2.0, 0.0), Point(b / 2.0, 0.0), Point(a / 2.0, h)).radius
+        worst = max(worst, abs(trapezoid_circumradius(a, b, h) - oracle))
+    yield Check("max deviation", True, f"max |formula - circumcircle| over {fuzz} trials: {worst:.3e}", worst)
+    yield Check("formula", worst < 1e-9, _mark(worst < 1e-9), worst)
 
 
-def _cmd_verify_rolling(args) -> int:
-    if args.construction != "snake":
-        print("only --construction snake is supported", file=sys.stderr)
-        return USAGE
-    geom = build_snake()
-    report = rolling_disk_check(geom.boundary, step=args.step, eps=args.eps)
-    print(f"max curvature: {report.max_unsigned_curvature:.6f}")
-    print(f"failures: {len(report.failures)}")
-    print("ok" if report.rolling_disk_ok else "FAIL")
-    return OK if report.rolling_disk_ok else REFUTED
+@_records
+def verify_rolling(step: float, eps: float):
+    """The two tangent unit disks roll along the snake boundary."""
+    report = _checked(rolling_disk_check, build_snake().boundary, step=step, eps=eps)
+    curv = report.max_unsigned_curvature
+    yield Check("max curvature", True, f"max curvature: {curv:.6f}", curv)
+    yield Check("failures", True, f"failures: {len(report.failures)}", len(report.failures))
+    yield Check("rolling disk", report.rolling_disk_ok, _mark(report.rolling_disk_ok), report.rolling_disk_ok)
 
 
-def _cmd_verify_sharp(args) -> int:
-    script = _checked(sharp_ndissected_script, args.n)
-    bound = undrawability_bound(args.n)
-    spec = DissectionSpec(
-        apex=Point(0.0, 0.0),
-        n=args.n,
-        a=bound + 0.01,
-        b=20.0,
-        d=2.0 - 0.02,
-        phase=0.0,
-        first_orientation="ccw",
-    )
-    result = dissection_sample_check(script_coloring(script, args.tau), spec, args.samples, args.tau)
-    print(
-        f"{args.n}-dissection of the slid-disk script at ({spec.a:.4f}, {spec.b}) "
-        f"thickness {spec.d}: {'ok' if result.ok else 'FAIL'}"
-    )
-    if not result.ok:
-        for ray, side, sample, got in result.failures[:5]:
-            print(f"  ray {ray} side {side}: {got} at ({sample.x:.4f}, {sample.y:.4f})")
-    return OK if result.ok else REFUTED
+@_records
+def verify_sharp(n: int, samples: int, tau: float):
+    """The slid-disk script is totally n-dissected just past cot(pi/n)."""
+    script = _checked(sharp_ndissected_script, n)
+    spec = sharp_dissection_spec(n)
+    result = _checked(dissection_sample_check, script_coloring(script, tau), spec, samples, tau)
+    yield Check(f"{n}-dissection", result.ok,
+                f"{n}-dissection of the slid-disk script at ({spec.a:.4f}, {spec.b}) "
+                f"thickness {spec.d}: {_mark(result.ok)}", len(result.failures))
+    for k, (ray, side, sample, got) in enumerate(result.failures[:5], start=1):
+        yield Check(f"failure {k}", False,
+                    f"  ray {ray} side {side}: {got} at ({sample.x:.4f}, {sample.y:.4f})", sample)
+
+
+def _cmd_verify(args) -> int:
+    checks = args.pipeline(args)
+    for check in checks:
+        if check.line is not None:
+            print(check.line)
+    return OK if all(check.ok for check in checks) else REFUTED
 
 
 def _tau(text: str) -> float:
@@ -314,40 +345,41 @@ def build_parser() -> argparse.ArgumentParser:
     ren.set_defaults(func=_cmd_render)
 
     ver = sub.add_parser("verify", help="verification suite")
+    ver.set_defaults(func=_cmd_verify)
     vsub = ver.add_subparsers(dest="verify_command", required=True)
 
     chess = vsub.add_parser("chessboard")
     chess.add_argument("--r", type=float, default=0.1)
     chess.add_argument("--theta-deg", type=float, default=0.5)
     chess.add_argument("--depth", type=int, default=10)
-    chess.set_defaults(func=_cmd_verify_chessboard)
+    chess.set_defaults(pipeline=lambda a: verify_chessboard(a.r, a.theta_deg, a.depth, a.tau))
 
     snake = vsub.add_parser("snake")
     snake.add_argument("--r", type=float, default=1.001)
     snake.add_argument("--depth", type=int, default=8)
-    snake.set_defaults(func=_cmd_verify_snake)
+    snake.set_defaults(pipeline=lambda a: verify_snake(a.r, a.depth, a.tau))
 
     dis = vsub.add_parser("dissection")
     dis.add_argument("--n", type=int, required=True)
     dis.add_argument("--L", type=float, required=True)
     dis.add_argument("--s", type=float, required=True)
     dis.add_argument("--depth", type=int, default=5)
-    dis.set_defaults(func=_cmd_verify_dissection)
+    dis.set_defaults(pipeline=lambda a: verify_dissection(a.n, a.L, a.s, a.depth, a.tau))
 
     trap = vsub.add_parser("trapezoid")
     trap.add_argument("--fuzz", type=int, default=1000)
-    trap.set_defaults(func=_cmd_verify_trapezoid)
+    trap.set_defaults(pipeline=lambda a: verify_trapezoid(a.fuzz))
 
     roll = vsub.add_parser("rolling")
-    roll.add_argument("--construction", default="snake")
+    roll.add_argument("--construction", choices=["snake"], default="snake")
     roll.add_argument("--step", type=float, default=0.05)
     roll.add_argument("--eps", type=float, default=0.5)
-    roll.set_defaults(func=_cmd_verify_rolling)
+    roll.set_defaults(pipeline=lambda a: verify_rolling(a.step, a.eps))
 
     sharp = vsub.add_parser("sharp")
     sharp.add_argument("--n", type=int, required=True)
     sharp.add_argument("--samples", type=int, default=200)
-    sharp.set_defaults(func=_cmd_verify_sharp)
+    sharp.set_defaults(pipeline=lambda a: verify_sharp(a.n, a.samples, a.tau))
 
     return top
 
@@ -366,9 +398,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE
-    except (BoundaryPoint, MisclassifiedPoint) as exc:  # a stage point failed its color check
-        print(f"FAIL: {exc}")
-        return REFUTED
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return USAGE

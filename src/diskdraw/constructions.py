@@ -26,7 +26,7 @@ from .geometry import (
     rotate_about,
     unit,
 )
-from .obstruction import Coloring, DissectionSpec, InvalidN
+from .obstruction import Coloring, DissectionSpec, InvalidN, undrawability_bound
 
 TWO_PI = 2.0 * math.pi
 
@@ -129,9 +129,11 @@ class PiecewisePath:
         half-open rule: a monotone part counts when (y0 > y) != (y1 > y)."""
         return [x_at(y) for y0, y1, x_at in self._parts if (y0 > y) != (y1 > y)]
 
-    def validate_simple(self, tol: float = 1e-7) -> None:
+    def validate_simple(self) -> None:
         """Raise ConstructionInconsistent when non-adjacent pieces intersect
-        or adjacent pieces meet anywhere besides their shared endpoint."""
+        or adjacent pieces meet anywhere besides their shared endpoint
+        (within 1e-7; a junction may be off by ten times that)."""
+        tol = 1e-7
         n = len(self.pieces)
         for i, j in combinations(range(n), 2):
             if j == i + 1:
@@ -602,23 +604,32 @@ def snake_dissection_spec(geom: SnakeGeometry, tau: float = DEFAULT_TAU) -> Diss
     )
 
 
+def sharp_dissection_spec(n: int) -> DissectionSpec:
+    """The total n-dissection carried by sharp_ndissected_script(n).
+
+    The interval starts 0.01 past the bound cot(pi/n) and ends at 20, short
+    of the stroke's segments of length 25; the thickness is 0.02 short of a
+    disk diameter.
+    """
+    return DissectionSpec(apex=Point(0.0, 0.0), n=n, a=undrawability_bound(n) + 0.01, b=20.0, d=2.0 - 0.02,
+                          phase=0.0, first_orientation="ccw")
+
+
 # ---------------------------------------------------------------------------
 # Sharpness of the dissection bound
 # ---------------------------------------------------------------------------
 
 
-def sharp_ndissected_script(n: int, truncation: float = 25.0) -> DrawingScript:
+def sharp_ndissected_script(n: int) -> DrawingScript:
     """One pencil stroke that is totally n-dissected at (cot(pi/n), inf).
 
     In every other sector between consecutive rays, a unit disk tangent to
     both bounding rays (tangent points at distance cot(pi/n) from the apex)
     is slid outward along each ray; the stroke's center set is the n segments
-    swept by the disk center, truncated at the given length.
+    swept by the disk center, truncated at length 25.
     """
     if n < 4 or n % 2 != 0:
         raise InvalidN(f"n must be even and >= 4, got {n}")
-    if truncation <= 0.0:
-        raise ValueError("truncation must be positive")
     beta = math.pi / n
     segments = []
     for j in range(0, n, 2):  # black sector between rays j+1 and j+2 (1-based)
@@ -626,5 +637,5 @@ def sharp_ndissected_script(n: int, truncation: float = 25.0) -> DrawingScript:
         ang_hi = TWO_PI * (j + 1) / n
         vertex = unit((ang_lo + ang_hi) / 2.0).scaled(1.0 / math.sin(beta))
         for ray_ang in (ang_lo, ang_hi):
-            segments.append(Segment(vertex, vertex + unit(ray_ang).scaled(truncation)))
+            segments.append(Segment(vertex, vertex + unit(ray_ang).scaled(25.0)))
     return DrawingScript(DiskModel.OPEN, (Stroke(Tool.PENCIL, CenterSet(tuple(segments))),))

@@ -52,14 +52,13 @@ def _dist_to_subpiece(piece, f0: float, f1: float, x: Point) -> float:
     return dist_to_primitive(x, Arc(piece.center, piece.radius, a0, a1, piece.ccw))
 
 
-def rolling_disk_check(
-    path: PiecewisePath, step: float = 0.05, eps: float = 0.5, slack: float = 1e-9
-) -> CurvatureReport:
+def rolling_disk_check(path: PiecewisePath, step: float = 0.05, eps: float = 0.5) -> CurvatureReport:
     """Verify the two tangent unit disks at samples spaced at most `step` apart.
 
     At each sample the disks centered one unit along both normals must not
     contain any path point within the open arclength window of radius `eps`
-    around the sample (the tangent point itself sits at distance exactly 1).
+    around the sample (the tangent point itself sits at distance exactly 1,
+    so a path point counts only when it is closer than 1 - 1e-9).
     Failures are reported, not raised, so a curvature-violating path simply
     comes back with rolling_disk_ok false.
     """
@@ -98,7 +97,7 @@ def rolling_disk_check(
                     d = _dist_to_subpiece(piece, max(0.0, f0), min(1.0, f1), center)
                     if d < worst:
                         worst = d
-            if worst < 1.0 - slack:
+            if worst < 1.0 - 1e-9:
                 failures.append((s0, side, center))
 
     return CurvatureReport(

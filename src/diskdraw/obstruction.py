@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .canvas import DrawingScript, Shade, eval_script
+from .canvas import BoundaryPoint, DrawingScript, Shade, eval_script
 from .delaunay import Delaunay, circumcenter
 from .geometry import (
     DEFAULT_TAU,
@@ -40,12 +40,6 @@ class Verdict(Enum):
 
 class MisclassifiedPoint(ValueError):
     pass
-
-
-class EncirclementFailed(ValueError):
-    def __init__(self, stage: int, message: str = ""):
-        self.stage = stage
-        super().__init__(message or f"encirclement failed at stage {stage}")
 
 
 class InvalidParameters(ValueError):
@@ -109,20 +103,13 @@ class StageFamily:
 
 
 def _verify_family_colors(coloring: Coloring, fam: StageFamily) -> None:
-    from .canvas import BoundaryPoint
-
-    for p in fam.blacks:
-        shade = coloring.classify(p)
-        if shade is Shade.BOUNDARY:
-            raise BoundaryPoint(f"stage {fam.stage_index}: black point {p} is on the boundary")
-        if shade is not Shade.BLACK:
-            raise MisclassifiedPoint(f"stage {fam.stage_index}: {p} should be black, got {shade.value}")
-    for p in fam.whites:
-        shade = coloring.classify(p)
-        if shade is Shade.BOUNDARY:
-            raise BoundaryPoint(f"stage {fam.stage_index}: white point {p} is on the boundary")
-        if shade is not Shade.WHITE:
-            raise MisclassifiedPoint(f"stage {fam.stage_index}: {p} should be white, got {shade.value}")
+    for points, want in ((fam.blacks, Shade.BLACK), (fam.whites, Shade.WHITE)):
+        for p in points:
+            shade = coloring.classify(p)
+            if shade is Shade.BOUNDARY:
+                raise BoundaryPoint(f"stage {fam.stage_index}: {want.value} point {p} is on the boundary")
+            if shade is not want:
+                raise MisclassifiedPoint(f"stage {fam.stage_index}: {p} should be {want.value}, got {shade.value}")
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +202,6 @@ class DescentCertificate:
     checks: tuple[CheckRecord, ...]
     valid: bool
 
-    def report_lines(self) -> list[str]:
-        return [c.line() for c in self.checks]
-
     def enc_clearances(self) -> list[float]:
         return [c.clearance for c in self.checks if c.kind == "enc"]
 
@@ -226,7 +210,6 @@ def descent_verify(
     coloring: Coloring,
     stages: Sequence[StageFamily],
     tau: float = DEFAULT_TAU,
-    strict: bool = True,
 ) -> DescentCertificate:
     """Verify a descent chain against a coloring.
 
@@ -235,9 +218,8 @@ def descent_verify(
     of stages the blacks of stage i must encircle the whites of stage i+1 and
     the whites of stage i must encircle the blacks of stage i+1; the recorded
     clearance is the escape radius of the pair (the largest disk that can
-    still reach the inner family while dodging the outer one).  With strict
-    set, a non-YES encirclement raises EncirclementFailed; otherwise it is
-    recorded and the certificate comes back invalid.
+    still reach the inner family while dodging the outer one).  A non-YES
+    encirclement is recorded and the certificate comes back invalid.
     """
     check_tolerance(tau)
     if not stages:
@@ -259,8 +241,6 @@ def descent_verify(
             escape_radius(fam.blacks, nxt.whites),
             escape_radius(fam.whites, nxt.blacks),
         )
-        if strict and verdict is not Verdict.YES:
-            raise EncirclementFailed(fam.stage_index)
         checks.append(CheckRecord(fam.stage_index, "enc", verdict, clearance))
     valid = all(c.verdict is Verdict.YES for c in checks)
     return DescentCertificate(tuple(stages), tuple(checks), valid)
@@ -309,7 +289,7 @@ def chessboard_stages(r: float, theta: float, depth: int) -> list[StageFamily]:
 
 
 # ---------------------------------------------------------------------------
-# Total n-dissection: parameters, five-circle radii, stage generation
+# Total n-dissection: parameters, five-circle radii, the spec, stages
 # ---------------------------------------------------------------------------
 
 
@@ -318,23 +298,25 @@ class StageParams:
     """Parameters of one descent-stage construction around dissection rays.
 
     The two offsets satisfy t < s < 1; the regime of interest has t between
-    s^2 and s, enforced by the default t = s^1.5.
+    s^2 and s, and t is derived as s^1.5, the offset dissection_stages uses
+    at every stage.
     """
 
     n: int
     L: float
     s: float
-    t: float = -1.0  # sentinel; replaced by s**1.5
 
     def __post_init__(self):
         if self.n < 2 or self.n % 2 != 0:
             raise InvalidParameters(f"n must be even and >= 2, got {self.n}")
         if not (self.L > 0.0 and math.isfinite(self.L)):
             raise InvalidParameters(f"L must be positive, got {self.L}")
-        if self.t == -1.0:
-            object.__setattr__(self, "t", self.s**1.5)
-        if not (0.0 < self.t < self.s < 1.0):
-            raise InvalidParameters(f"need 0 < t < s < 1, got s={self.s}, t={self.t}")
+        if not (0.0 < self.s < 1.0 and 0.0 < self.t < self.s):  # s first: t is complex for s < 0
+            raise InvalidParameters(f"need 0 < t < s < 1 with t = s^1.5, got s={self.s}")
+
+    @property
+    def t(self) -> float:
+        return self.s**1.5
 
 
 @dataclass(frozen=True)
@@ -346,6 +328,10 @@ class FiveCircleRadii:
 
     def all_values(self) -> tuple[float, float, float, float]:
         return (self.r_a, self.r_c, self.r_d, self.r_e)
+
+    def below_one(self, tau: float = DEFAULT_TAU) -> bool:
+        """Every critical circle is definitely smaller than a unit disk."""
+        return max(self.all_values()) < 1.0 - tau
 
 
 def five_circle_radii(params: StageParams) -> FiveCircleRadii:
@@ -394,117 +380,6 @@ def five_circle_radii(params: StageParams) -> FiveCircleRadii:
     return FiveCircleRadii(r_a=r_a, r_c=r_c, r_d=r_d, r_e=r_e)
 
 
-def default_dissection_L(n: int, a: float, b: float) -> float:
-    """Midpoint of (a, min(b, cot(pi/n))), the widest safe anchor distance."""
-    hi = min(b, undrawability_bound(n))
-    if not a < hi:
-        raise InvalidParameters(f"no valid anchor distance in ({a}, {hi})")
-    return 0.5 * (a + hi)
-
-
-def dissection_stages(
-    params: StageParams,
-    apex: Point,
-    phase: float,
-    depth: int,
-    first_black_side: int = 1,
-    tau: float = DEFAULT_TAU,
-) -> list[StageFamily]:
-    """Point families of the dissection descent around n evenly spaced rays.
-
-    Ray j (1-based) leaves the apex at angle phase + 2*pi*(j-1)/n.  Each ray
-    carries one black pair and one white pair per stage, at along-ray feet
-    L -/+ s_i and perpendicular offset t_i, black on the side given by
-    first_black_side * (-1)^(j-1) (+1 = counterclockwise).  Stage i shrinks
-    the offsets by 2^-i (s halves; t follows t = s^1.5), so each family nests
-    into the encircled neighborhoods of the previous one.  Rotating a ray's
-    configuration by 2*pi/n gives the next ray's configuration with the
-    colors swapped.
-    """
-    if depth < 0:
-        raise InvalidParameters(f"depth must be >= 0, got {depth}")
-    if first_black_side not in (1, -1):
-        raise InvalidParameters("first_black_side must be +1 (ccw) or -1 (cw)")
-    radii = five_circle_radii(params)
-    worst = max(radii.all_values())
-    if not worst < 1.0 - tau:
-        raise RadiiTooLarge(f"critical circle radius {worst} is not below 1")
-    n, L = params.n, params.L
-    stages = []
-    for i in range(depth + 1):
-        s_i = params.s * (0.5**i)
-        t_i = s_i**1.5
-        blacks: list[Point] = []
-        whites: list[Point] = []
-        for j in range(n):
-            u = unit(phase + 2.0 * math.pi * j / n)
-            p = u.rot90()
-            side = first_black_side * (1 if j % 2 == 0 else -1)
-            for foot in (L - s_i, L + s_i):
-                base = apex + u.scaled(foot)
-                blacks.append(base + p.scaled(side * t_i))
-                whites.append(base + p.scaled(-side * t_i))
-        stages.append(StageFamily(tuple(blacks), tuple(whites), stage_index=i))
-    return stages
-
-
-def dissection_wedge_checks(
-    stages: Sequence[StageFamily], n: int, tau: float = DEFAULT_TAU
-) -> list[tuple[int, int, Verdict]]:
-    """Per-wedge encirclement of the case split behind the descent chain.
-
-    For consecutive stages and each wedge between rays j and j+1, the four
-    stage-i points on the outer sides of the wedge must encircle the four
-    stage-(i+1) points inside it.  Families must come from dissection_stages
-    (the point layout per ray is two blacks then two whites, rays in order).
-    Returns (stage_index, wedge_index, verdict) triples.
-    """
-    out = []
-    for fam, nxt in zip(stages, stages[1:]):
-        for j in range(n):
-            jn = (j + 1) % n
-            outer: list[Point] = []
-            inner: list[Point] = []
-            # The wedge interior is the ccw side (+1) of ray j and the cw
-            # side (-1) of ray j+1.  The outer four points are the pairs on
-            # the far sides (one color); the inner four are the
-            # opposite-color pairs inside the wedge at the next stage.
-            for ray, into_wedge_sign in ((j, 1), (jn, -1)):
-                black_side = _family_black_side(fam, ray)
-                if black_side == into_wedge_sign:
-                    outer.extend(fam.whites[2 * ray : 2 * ray + 2])
-                    inner.extend(nxt.blacks[2 * ray : 2 * ray + 2])
-                else:
-                    outer.extend(fam.blacks[2 * ray : 2 * ray + 2])
-                    inner.extend(nxt.whites[2 * ray : 2 * ray + 2])
-            out.append((fam.stage_index, j + 1, encircles(outer, inner, tau)))
-    return out
-
-
-def _family_black_side(fam: StageFamily, ray: int) -> int:
-    """Recover, from the generated layout, which side of the ray is black.
-
-    dissection_stages emits pairs in ray order, blacks mirrored against
-    whites, so the sign of the cross product of the ray direction with the
-    black offset gives the side.
-    """
-    b = fam.blacks[2 * ray]
-    w = fam.whites[2 * ray]
-    mid = Point((b.x + w.x) / 2.0, (b.y + w.y) / 2.0)  # on the ray
-    # direction along the ray is unknown here; use offset vector sign against
-    # the ray direction reconstructed from the two feet of the pair
-    b2 = fam.blacks[2 * ray + 1]
-    w2 = fam.whites[2 * ray + 1]
-    mid2 = Point((b2.x + w2.x) / 2.0, (b2.y + w2.y) / 2.0)
-    u = (mid2 - mid).normalized()
-    return 1 if u.cross(b - mid) > 0 else -1
-
-
-# ---------------------------------------------------------------------------
-# Dissection specification and sampled verification
-# ---------------------------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class DissectionSpec:
     """Total n-dissection: rays from the apex, one full and one empty
@@ -539,6 +414,95 @@ class DissectionSpec:
         return first * (1 if (j - 1) % 2 == 0 else -1)
 
 
+def default_dissection_L(n: int, a: float, b: float) -> float:
+    """Midpoint of (a, min(b, cot(pi/n))), the widest safe anchor distance."""
+    hi = min(b, undrawability_bound(n))
+    if not a < hi:
+        raise InvalidParameters(f"no valid anchor distance in ({a}, {hi})")
+    return 0.5 * (a + hi)
+
+
+def dissection_stages(
+    params: StageParams,
+    spec: DissectionSpec,
+    depth: int,
+    tau: float = DEFAULT_TAU,
+) -> list[StageFamily]:
+    """Point families of the dissection descent around the rays of spec.
+
+    Ray j (1-based) leaves spec.apex at spec.ray_angle(j).  Each ray carries
+    one black pair and one white pair per stage, at along-ray feet L -/+ s_i
+    and perpendicular offset t_i, black on spec.black_side(j).  Stage i
+    shrinks the offsets by 2^-i (s halves; t follows t = s^1.5), so each
+    family nests into the encircled neighborhoods of the previous one.
+    Rotating a ray's configuration by 2*pi/n gives the next ray's
+    configuration with the colors swapped.  The critical radii must be
+    below one (FiveCircleRadii.below_one at tau), else RadiiTooLarge.
+    """
+    if depth < 0:
+        raise InvalidParameters(f"depth must be >= 0, got {depth}")
+    if spec.n != params.n:
+        raise InvalidParameters(f"spec has {spec.n} rays, params {params.n}")
+    radii = five_circle_radii(params)
+    if not radii.below_one(tau):
+        raise RadiiTooLarge(f"critical circle radius {max(radii.all_values())} is not below 1")
+    stages = []
+    for i in range(depth + 1):
+        s_i = params.s * (0.5**i)
+        t_i = s_i**1.5
+        blacks: list[Point] = []
+        whites: list[Point] = []
+        for j in range(1, spec.n + 1):
+            u = unit(spec.ray_angle(j))
+            p = u.rot90()
+            side = spec.black_side(j)
+            for foot in (params.L - s_i, params.L + s_i):
+                base = spec.apex + u.scaled(foot)
+                blacks.append(base + p.scaled(side * t_i))
+                whites.append(base + p.scaled(-side * t_i))
+        stages.append(StageFamily(tuple(blacks), tuple(whites), stage_index=i))
+    return stages
+
+
+def dissection_wedge_checks(
+    stages: Sequence[StageFamily], spec: DissectionSpec, tau: float = DEFAULT_TAU
+) -> list[tuple[int, int, Verdict]]:
+    """Per-wedge encirclement of the case split behind the descent chain.
+
+    For consecutive stages and each wedge between rays j and j+1, the four
+    stage-i points on the outer sides of the wedge must encircle the four
+    stage-(i+1) points inside it.  Families must come from dissection_stages
+    with the same spec (the point layout per ray is two blacks then two
+    whites, rays in order).  Returns (stage_index, wedge_index, verdict)
+    triples.
+    """
+    n = spec.n
+    out = []
+    for fam, nxt in zip(stages, stages[1:]):
+        for j in range(n):
+            jn = (j + 1) % n
+            outer: list[Point] = []
+            inner: list[Point] = []
+            # The wedge interior is the ccw side (+1) of ray j and the cw
+            # side (-1) of ray j+1.  The outer four points are the pairs on
+            # the far sides (one color); the inner four are the
+            # opposite-color pairs inside the wedge at the next stage.
+            for ray, into_wedge_sign in ((j, 1), (jn, -1)):
+                if spec.black_side(ray + 1) == into_wedge_sign:
+                    outer.extend(fam.whites[2 * ray : 2 * ray + 2])
+                    inner.extend(nxt.blacks[2 * ray : 2 * ray + 2])
+                else:
+                    outer.extend(fam.blacks[2 * ray : 2 * ray + 2])
+                    inner.extend(nxt.whites[2 * ray : 2 * ray + 2])
+            out.append((fam.stage_index, j + 1, encircles(outer, inner, tau)))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Sampled verification of a dissection
+# ---------------------------------------------------------------------------
+
+
 @dataclass(frozen=True)
 class DissectionCheckResult:
     ok: bool
@@ -553,7 +517,6 @@ def dissection_sample_check(
     spec: DissectionSpec,
     samples_per_rect: int,
     tau: float = DEFAULT_TAU,
-    seed: int = 0,
 ) -> DissectionCheckResult:
     """Stratified sampling check of the dissection pattern against a coloring.
 
@@ -573,7 +536,7 @@ def dissection_sample_check(
         black_side = spec.black_side(j)
         for side in (1, -1):
             expect = Shade.BLACK if side == black_side else Shade.WHITE
-            rng = random.Random(1_000_003 * seed + 1_009 * j + (side + 1))
+            rng = random.Random(1_009 * j + (side + 1))
             lo_s, hi_s = spec.a + tau, spec.b - tau
             lo_h, hi_h = tau, spec.d - tau
             for gi in range(k):

@@ -37,15 +37,12 @@ class RasterSpec:
     xmax: float
     ymax: float
     resolution: float  # pixels per unit
-    boundary_value: int = 128
 
     def __post_init__(self):
         if not (self.xmax > self.xmin and self.ymax > self.ymin):
             raise ValueError("raster bbox must have positive extent")
         if self.resolution < 1.0:
             raise ValueError(f"resolution must be >= 1 pixel per unit, got {self.resolution}")
-        if not (0 <= self.boundary_value <= 255):
-            raise ValueError("boundary_value must be a byte")
 
     @property
     def width(self) -> int:
@@ -58,7 +55,7 @@ class RasterSpec:
 
 RenderSource = Union[DrawingScript, Coloring, Callable[[Point], Shade]]
 
-_SHADE_BYTE = {Shade.BLACK: 0, Shade.WHITE: 255}
+_SHADE_BYTE = {Shade.BLACK: 0, Shade.WHITE: 255, Shade.BOUNDARY: 128}
 _BLACK, _WHITE = 0, 255
 
 logger = logging.getLogger("diskdraw")
@@ -103,7 +100,7 @@ def render(source: RenderSource, spec: RasterSpec) -> bytes:
         exact += len(cols)
         for j in cols:
             shade = classify(Point(grid.x(j), y))
-            pixels[base + j] = _SHADE_BYTE.get(shade, spec.boundary_value)
+            pixels[base + j] = _SHADE_BYTE[shade]
     fallback_rows = 0 if rows else h
     logger.debug("render %dx%d: %d fallback rows, %d pixels classified exactly",
                  w, h, fallback_rows, exact)
@@ -365,12 +362,12 @@ def _svg_piece(piece) -> str:
     raise TypeError(f"cannot render piece {piece!r}")
 
 
-def write_svg(path: str, pieces, spec: RasterSpec, stroke_width: float = 0.02) -> None:
+def write_svg(path: str, pieces, spec: RasterSpec) -> None:
     """Write the boundary pieces as an SVG outline over the raster bbox."""
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="{spec.xmin} {-spec.ymax} {spec.xmax - spec.xmin} {spec.ymax - spec.ymin}">',
-        f'<g transform="scale(1,-1)" fill="none" stroke="black" stroke-width="{stroke_width}">',
+        f'<g transform="scale(1,-1)" fill="none" stroke="black" stroke-width="0.02">',
     ]
     for piece in pieces:
         parts.append(f'<path d="{_svg_piece(piece)}"/>')

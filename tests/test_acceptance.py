@@ -26,26 +26,17 @@ from diskdraw import (
     black_fraction,
     build_snake,
     chessboard_coloring,
-    chessboard_stages,
     circumcircle3,
-    convex_polygon_script,
-    default_dissection_L,
-    descent_verify,
     dissection_sample_check,
-    dissection_stages,
     eval_script,
     five_circle_radii,
-    path_max_curvature,
     reference_eval,
     render,
-    rolling_disk_check,
-    script_coloring,
     sharp_ndissected_script,
     snake_coloring,
-    snake_dissection_spec,
     trapezoid_circumradius,
-    undrawability_bound,
 )
+from diskdraw.cli import verify_chessboard, verify_sharp, verify_snake
 from diskdraw.geometry import DEFAULT_TAU
 from diskdraw.obstruction import DissectionSpec
 
@@ -69,6 +60,21 @@ def snake_col(snake):
     return snake_coloring(snake)
 
 
+@pytest.fixture(scope="module")
+def snake_verify():
+    """The `verify snake` pipeline at r = 1.001 and depth 8: its checks by
+    name and its wall time."""
+    t0 = time.monotonic()
+    checks = by_name(verify_snake(1.001, 8, DEFAULT_TAU))
+    return checks, time.monotonic() - t0
+
+
+def by_name(checks):
+    named = {c.name: c for c in checks}
+    assert len(named) == len(checks), "check names must be unique"
+    return named
+
+
 def test_criterion_01_trapezoid_formula():
     rng = random.Random(1001)
     t0 = time.monotonic()
@@ -90,22 +96,22 @@ def test_criterion_01_trapezoid_formula():
 
 def test_criterion_02_chessboard_obstruction():
     t0 = time.monotonic()
-    stages = chessboard_stages(0.1, math.radians(0.5), 10)
-    cert = descent_verify(chessboard_coloring(1.0), stages)
+    checks = by_name(verify_chessboard(0.1, 0.5, 10, DEFAULT_TAU))
     elapsed = time.monotonic() - t0
-    clearances = cert.enc_clearances()
+    valid = checks["certificate valid"].ok
+    clearance = checks["stage-1 clearance"].value
     limit = math.sqrt(10.0) * 0.1 / 4.0
-    ratios = [b / a for a, b in zip(clearances, clearances[1:])]
+    ratios = checks["clearance ratios"].value  # (min, max) over consecutive stages
     ok = (
-        cert.valid
-        and abs(clearances[0] - limit) / limit < 0.10
+        valid
+        and abs(clearance - limit) / limit < 0.10
         and all(abs(r - 0.5) <= 1e-6 for r in ratios)
         and elapsed < 5.0
     )
     report("2", "chessboard descent certificate, r=0.1 theta=0.5deg depth=10",
-           ok, f"stage-1 clearance {clearances[0]:.4f}, {elapsed:.2f}s")
-    assert cert.valid
-    assert abs(clearances[0] - limit) / limit < 0.10
+           ok, f"stage-1 clearance {clearance:.4f}, {elapsed:.2f}s")
+    assert valid
+    assert abs(clearance - limit) / limit < 0.10
     assert all(abs(r - 0.5) <= 1e-6 for r in ratios)
     assert elapsed < 5.0
 
@@ -116,49 +122,44 @@ def test_criterion_02_chessboard_obstruction():
                  "--depth", "10"]) == 0
 
 
-def test_criterion_03_snake_anchors(snake):
-    curv = path_max_curvature(snake.boundary)
-    rolling = rolling_disk_check(snake.boundary, step=0.05, eps=0.5)
+def test_criterion_03_snake_anchors(snake_verify):
+    checks, _ = snake_verify
+    ae, oe, oe_prime = (checks[name].value for name in ("|AE|", "|OE|", "|OE'|"))
+    curvature = checks["max curvature"].value
+    rolling_ok = checks["rolling-disk check"].ok
     ok = (
-        abs(snake.ae_len - 0.793) <= 0.002
-        and abs(snake.oe_len - 2.963) <= 0.002
-        and abs(snake.oe_prime_len - 3.735) <= 0.002
-        and curv.max_unsigned_curvature == 1.0 / 1.001
-        and rolling.rolling_disk_ok
+        abs(ae - 0.793) <= 0.002
+        and abs(oe - 2.963) <= 0.002
+        and abs(oe_prime - 3.735) <= 0.002
+        and curvature == 1.0 / 1.001
+        and rolling_ok
     )
     report("3", "snake anchors, exact max curvature, rolling-disk check", ok,
-           f"|AE|={snake.ae_len:.4f} |OE|={snake.oe_len:.4f} |OE'|={snake.oe_prime_len:.4f}")
-    assert abs(snake.ae_len - 0.793) <= 0.002
-    assert abs(snake.oe_len - 2.963) <= 0.002
-    assert abs(snake.oe_prime_len - 3.735) <= 0.002
-    assert curv.max_unsigned_curvature == 1.0 / 1.001
-    assert rolling.rolling_disk_ok
+           f"|AE|={ae:.4f} |OE|={oe:.4f} |OE'|={oe_prime:.4f}")
+    assert abs(ae - 0.793) <= 0.002
+    assert abs(oe - 2.963) <= 0.002
+    assert abs(oe_prime - 3.735) <= 0.002
+    assert curvature == 1.0 / 1.001
+    assert rolling_ok
+    assert all(checks[name].ok for name in ("|AE|", "|OE|", "|OE'|", "max curvature"))
 
 
-def test_criterion_04_snake_undrawability_pipeline(snake, snake_col):
-    t0 = time.monotonic()
-    spec = snake_dissection_spec(snake)
-    check = dissection_sample_check(snake_col, spec, 200)
-
-    bound = undrawability_bound(12)
+def test_criterion_04_snake_undrawability_pipeline(snake_verify):
+    checks, elapsed = snake_verify
+    dissected = checks["12-dissection"].ok
+    bound = checks["anchor bound"].value
     bound_exact = abs(bound - (2.0 + math.sqrt(3.0))) <= 1e-12
-    below = spec.a < bound
-
-    params = StageParams(n=12, L=default_dissection_L(12, spec.a, spec.b), s=1e-3)
-    radii = five_circle_radii(params)
-    radii_ok = all(r < 1.0 for r in radii.all_values())
-
-    first = 1 if spec.first_orientation == "ccw" else -1
-    stages = dissection_stages(params, spec.apex, spec.phase, 8, first_black_side=first)
-    cert = descent_verify(snake_col, stages)
-    elapsed = time.monotonic() - t0
-    ok = bool(check) and bound_exact and below and radii_ok and cert.valid and elapsed < 30.0
+    below = checks["anchor bound"].ok
+    radii_ok = checks["critical radii"].ok
+    descent_ok = checks["descent"].ok
+    ok = dissected and bound_exact and below and radii_ok and descent_ok and elapsed < 30.0
     report("4", "snake 12-dissection, bound, radii, descent stages 0..8", ok,
            f"{elapsed:.1f}s")
-    assert check
+    assert dissected
     assert bound_exact and below
     assert radii_ok
-    assert cert.valid
+    assert descent_ok
+    assert [name for name in checks if name.endswith(" enc")] == [f"stage {i} enc" for i in range(8)]
     assert elapsed < 30.0
 
 
@@ -211,16 +212,11 @@ def test_criterion_05b_r_a_below_s():
     assert ok, "; ".join(failed)
 
 
-def test_criterion_06_sharpness(snake_col):
-    script = sharp_ndissected_script(12)
-    bound = undrawability_bound(12)
-    spec = DissectionSpec(
-        apex=Point(0, 0), n=12, a=bound + 0.01, b=20.0, d=2.0 - 0.02,
-        phase=0.0, first_orientation="ccw",
-    )
-    check = dissection_sample_check(script_coloring(script), spec, 200)
+def test_criterion_06_sharpness():
+    check = by_name(verify_sharp(12, 200, DEFAULT_TAU))["12-dissection"]
 
     # independent oracle: distance to the pencil stroke centers decides color
+    script = sharp_ndissected_script(12)
     pencil_sets = [s.centers for s in script.strokes if s.tool is Tool.PENCIL]
     rng = random.Random(606)
     agreements = 0
@@ -235,10 +231,10 @@ def test_criterion_06_sharpness(snake_col):
         tested += 1
         if got is want:
             agreements += 1
-    ok = bool(check) and agreements == tested and tested > 9000
+    ok = check.ok and agreements == tested and tested > 9000
     report("6", "slid-disk script: sharp 12-dissection and oracle agreement", ok,
            f"{agreements}/{tested} points")
-    assert check
+    assert check.ok
     assert agreements == tested
     assert tested > 9000
 

@@ -170,6 +170,17 @@ class TestVerify:
         assert code == 0
         assert "ok" in out
 
+    def test_rolling_needs_the_snake(self, capsys):
+        code, out, err = run(capsys, "verify", "rolling", "--construction", "chessboard")
+        assert (code, out) == (2, "")
+        assert "invalid choice: 'chessboard'" in err
+
+    def test_chessboard_single_stage(self, capsys):
+        # one stage has no stage pair, so no clearance is printed
+        code, out, _ = run(capsys, "verify", "chessboard", "--depth", "1")
+        assert code == 0
+        assert out.splitlines() == ["stage=1 kind=colors verdict=yes clearance=0.0", "certificate valid: True"]
+
     def test_sharp(self, capsys):
         code, out, _ = run(capsys, "verify", "sharp", "--n", "4", "--samples", "36")
         assert code == 0
@@ -197,6 +208,37 @@ class TestVerify:
         assert "stage 21" in fail[0] and "Point(" in fail[0]
 
 
+GOLDEN = Path(__file__).with_name("verify_golden.txt")
+
+
+def golden_runs():
+    """(argv, stdout, exit code) of each run in verify_golden.txt: a
+    `$ diskdraw ...` line, the exact stdout, then `[exit N]`."""
+    runs, argv, out = [], None, []
+    for line in GOLDEN.read_text().splitlines(keepends=True):
+        if line.startswith("$ diskdraw "):
+            argv, out = line.split()[2:], []
+        elif line.startswith("[exit "):
+            runs.append(pytest.param(argv, "".join(out), int(line[6:-2]), id=" ".join(argv[1:])))
+        else:
+            out.append(line)
+    return runs
+
+
+@pytest.mark.parametrize("argv, stdout, code", golden_runs())
+def test_verify_golden(capsys, argv, stdout, code):
+    """Every printed line and exit code of these `verify` runs is pinned."""
+    assert run(capsys, *argv) == (code, stdout, "")
+
+
+def test_radii_within_tau_of_one_is_a_fail_line(capsys):
+    # the largest critical radius is 1 - 5e-10: below 1 but not below 1 - tau
+    code, out, err = run(capsys, "verify", "dissection", "--n", "12", "--L", "3.698018215596676",
+                         "--s", "1e-3", "--depth", "1")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-1] == "all radii < 1: FAIL"
+
+
 class TestOutOfRangeParameters:
     """A parameter outside its domain is a usage error (exit 2) with one
     stderr line, never a traceback or the exit code of a refutation."""
@@ -206,9 +248,17 @@ class TestOutOfRangeParameters:
         ["verify", "chessboard", "--r", "2"],
         ["verify", "snake", "--r", "2"],
         ["verify", "dissection", "--n", "12", "--L", "3", "--s", "2"],
+        ["verify", "dissection", "--n", "12", "--L", "3", "--s", "-0.1"],
+        ["verify", "dissection", "--n", "12", "--L", "0.001", "--s", "1e-3"],
+        ["verify", "dissection", "--n", "12", "--L", "3", "--s", "1e-3", "--depth", "-1"],
+        ["verify", "snake", "--depth", "-1"],
+        ["verify", "rolling", "--step", "0"],
+        ["verify", "sharp", "--n", "12", "--samples", "0"],
         ["render", "--construction", "chessboard", "--bbox", "-2", "-2", "2", "2", "--res", "0.5"],
         ["render", "--construction", "chessboard", "--bbox", "2", "2", "-2", "-2", "--res", "4"],
-    ], ids=["sharp-n5", "chessboard-r2", "snake-r2", "dissection-s2", "render-res", "render-bbox"])
+    ], ids=["sharp-n5", "chessboard-r2", "snake-r2", "dissection-s2", "dissection-negative-s",
+         "dissection-small-L", "dissection-depth", "snake-depth", "rolling-step", "sharp-samples",
+         "render-res", "render-bbox"])
     def test_command_line(self, tmp_path, capsys, argv):
         out = tmp_path / "x.pgm"
         code, stdout, err = run(capsys, *argv, *(["-o", str(out)] if argv[0] == "render" else []))
@@ -219,7 +269,10 @@ class TestOutOfRangeParameters:
     @pytest.mark.parametrize("text, lineno", [
         ("# a comment\n\nconstruction chessboard abc\n", 3),
         ("construction sharp-n 5\n", 1),
-    ], ids=["chessboard-abc", "sharp-n5"])
+        ("construction chessboard 1.0 7 8\nstroke pencil point 5 5\ngarbage line here\n", 1),
+        ("construction chessboard 1.0\n# strokes do not mix with a construction\n\n"
+         "stroke pencil point 5 5\ngarbage line here\n", 4),
+    ], ids=["chessboard-abc", "sharp-n5", "extra-parameters", "trailing-line"])
     def test_scene_file(self, tmp_path, capsys, text, lineno):
         scene = tmp_path / "c.txt"
         scene.write_text(text)

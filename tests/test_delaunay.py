@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from diskdraw import (
+    DissectionSpec,
     Point,
     StageParams,
     chessboard_stages,
@@ -151,7 +152,8 @@ def mirror_family(draw):
         t = draw(st.lists(st.tuples(st.integers(-8, 8), st.integers(-8, 8)), min_size=1, max_size=3))
         return s, [(x / 8.0, y / 8.0) for x, y in t], 1.0
     n = draw(st.sampled_from([4, 6]))
-    stages = dissection_stages(StageParams(n=n, L=draw(st.floats(0.3, 0.6)), s=0.05), Point(0, 0), 0.0, 1)
+    spec = DissectionSpec(Point(0, 0), n, a=0.0, b=1.0, d=1.0, phase=0.0)
+    stages = dissection_stages(StageParams(n=n, L=draw(st.floats(0.3, 0.6)), s=0.05), spec, 1)
     s, t = (stages[0].blacks, stages[1].whites) if draw(st.booleans()) else (stages[0].whites, stages[1].blacks)
     return [(p.x, p.y) for p in s], [(p.x, p.y) for p in t], 1.0
 

@@ -36,7 +36,8 @@ from diskdraw import (
     stationary_number,
     undrawability_bound,
 )
-from diskdraw.obstruction import DissectionSpec, EncirclementFailed
+from diskdraw.geometry import DEFAULT_TAU
+from diskdraw.obstruction import DissectionSpec
 
 from helpers import random_point, random_script, rigid_motion
 
@@ -226,19 +227,18 @@ class TestDescentVerify:
         with pytest.raises(BoundaryPoint):
             descent_verify(chessboard_coloring(1.0), [fam])
 
-    def test_failed_encirclement_raises_or_reports(self):
+    def test_failed_encirclement_is_reported(self):
         coloring = chessboard_coloring(1.0)
         near = StageFamily((Point(0.5, 0.5),), (Point(0.5, -0.5),), 1)
         far = StageFamily((Point(0.6, 0.6),), (Point(0.6, -0.6),), 2)
-        with pytest.raises(EncirclementFailed):
-            descent_verify(coloring, [near, far])
-        cert = descent_verify(coloring, [near, far], strict=False)
+        cert = descent_verify(coloring, [near, far])
         assert not cert.valid
+        assert [c.verdict for c in cert.checks if c.kind == "enc"] == [Verdict.NO]
 
     def test_report_line_format(self):
         stages = chessboard_stages(0.1, math.radians(0.5), 2)
         cert = descent_verify(chessboard_coloring(1.0), stages)
-        lines = cert.report_lines()
+        lines = [c.line() for c in cert.checks]
         assert any(line.startswith("stage=1 kind=colors verdict=yes") for line in lines)
         enc = [line for line in lines if "kind=enc" in line]
         assert len(enc) == 1
@@ -330,16 +330,21 @@ class TestFiveCircleRadii:
         with pytest.raises(InvalidParameters):
             StageParams(n=11, L=3.0, s=1e-3)
         with pytest.raises(InvalidParameters):
-            StageParams(n=12, L=3.0, s=1e-3, t=0.1)  # t > s
+            StageParams(n=12, L=3.0, s=1.5)  # t = s^1.5 > s
+        with pytest.raises(InvalidParameters):
+            StageParams(n=12, L=3.0, s=-0.1)  # t = s^1.5 is not real
 
 
 class TestDissectionStages:
     def setup_method(self):
         self.params = StageParams(n=12, L=3.0, s=1e-3)
         self.apex = Point(0.0, 0.0)
+        self.spec = DissectionSpec(
+            apex=self.apex, n=12, a=2.99, b=3.01, d=0.01, phase=0.0, first_orientation="ccw"
+        )
 
     def test_stage0_points_near_anchors(self):
-        stages = dissection_stages(self.params, self.apex, 0.0, 2)
+        stages = dissection_stages(self.params, self.spec, 2)
         u = params_u = math.hypot(self.params.s, self.params.t)
         o1 = Point(3.0, 0.0)
         fam = stages[0]
@@ -347,7 +352,7 @@ class TestDissectionStages:
         assert len(near) == 4  # one black pair and one white pair on ray 1
 
     def test_rotation_swaps_colors(self):
-        stages = dissection_stages(self.params, self.apex, 0.0, 0)
+        stages = dissection_stages(self.params, self.spec, 0)
         fam = stages[0]
         rot = rigid_motion(2.0 * math.pi / 12.0, Point(0, 0))
         rotated_blacks = {(round(rot(p).x, 9), round(rot(p).y, 9)) for p in fam.blacks[0:2]}
@@ -355,27 +360,47 @@ class TestDissectionStages:
         assert rotated_blacks == whites_ray2
 
     def test_union_families_encircle(self):
-        stages = dissection_stages(self.params, self.apex, 0.0, 1)
+        stages = dissection_stages(self.params, self.spec, 1)
         s0 = stages[0].blacks + stages[0].whites
         s1 = stages[1].blacks + stages[1].whites
         assert encircles(s0, s1) is Verdict.YES
 
     def test_wedge_case_split(self):
-        stages = dissection_stages(self.params, self.apex, 0.0, 1)
-        checks = dissection_wedge_checks(stages, 12)
+        stages = dissection_stages(self.params, self.spec, 1)
+        checks = dissection_wedge_checks(stages, self.spec)
         assert len(checks) == 12
         assert all(v is Verdict.YES for _, _, v in checks)
 
+    def test_wedge_case_split_reads_the_spec_orientation(self):
+        cw = DissectionSpec(apex=self.apex, n=12, a=2.99, b=3.01, d=0.01, phase=0.0, first_orientation="cw")
+        stages = dissection_stages(self.params, cw, 1)
+        ccw_stages = dissection_stages(self.params, self.spec, 1)
+        assert stages[0].blacks == ccw_stages[0].whites  # mirrored about every ray
+        assert all(v is Verdict.YES for _, _, v in dissection_wedge_checks(stages, cw))
+        # the case split of the ccw layout does not hold for the cw families
+        assert all(v is not Verdict.YES for _, _, v in dissection_wedge_checks(stages, self.spec))
+
+    def test_ray_count_must_match(self):
+        with pytest.raises(InvalidParameters):
+            dissection_stages(StageParams(n=10, L=3.0, s=1e-3), self.spec, 1)
+
     def test_radii_too_large_rejected(self):
         with pytest.raises(RadiiTooLarge):
-            dissection_stages(StageParams(n=12, L=4.0, s=1e-3), self.apex, 0.0, 1)
+            dissection_stages(StageParams(n=12, L=4.0, s=1e-3), self.spec, 1)
+
+    def test_radii_within_tau_of_one_rejected(self):
+        # the largest critical radius is within tau below 1: not definitely
+        # smaller than a unit disk, so no stages are built
+        params = StageParams(n=12, L=3.698018215596676, s=1e-3)
+        radii = five_circle_radii(params)
+        assert 1.0 - DEFAULT_TAU <= max(radii.all_values()) < 1.0
+        assert not radii.below_one(DEFAULT_TAU)
+        with pytest.raises(RadiiTooLarge):
+            dissection_stages(params, self.spec, 1)
 
     def test_descent_against_pattern_coloring(self):
-        spec = DissectionSpec(
-            apex=self.apex, n=12, a=2.99, b=3.01, d=0.01, phase=0.0, first_orientation="ccw"
-        )
-        stages = dissection_stages(self.params, self.apex, 0.0, 3)
-        cert = descent_verify(dissection_pattern_coloring(spec), stages)
+        stages = dissection_stages(self.params, self.spec, 3)
+        cert = descent_verify(dissection_pattern_coloring(self.spec), stages)
         assert cert.valid
 
 
