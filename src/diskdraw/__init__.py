@@ -23,6 +23,7 @@ from .geometry import (
     circumcircle3,
     constrained_largest_empty_circle,
     dist_to_primitive,
+    piece_distance,
     trapezoid_circumradius,
 )
 from .canvas import (

@@ -219,9 +219,9 @@ def verify_snake(r: float, depth: int, tau: float):
     ok = curv == 1.0 / r
     yield Check("max curvature", ok, f"max curvature: {curv!r} == 1/r {_mark(ok)}", curv)
 
-    rolling = rolling_disk_check(geom.boundary, step=0.05, eps=0.5)
+    rolling = rolling_disk_check(geom.boundary, eps=0.5)
     yield Check("rolling-disk check", rolling.rolling_disk_ok,
-                f"rolling-disk check: {_mark(rolling.rolling_disk_ok)}", len(rolling.failures))
+                f"rolling-disk check: {_mark(rolling.rolling_disk_ok)}", rolling.counts())
 
     spec = snake_dissection_spec(geom, tau)
     coloring = snake_coloring(geom, tau)
@@ -272,6 +272,8 @@ def verify_dissection(n: int, L: float, s: float, depth: int, tau: float):
 def verify_trapezoid(fuzz: int):
     """The closed-form trapezoid circumradius against the circumcircle of
     three of its vertices, on seeded random trapezoids."""
+    if fuzz < 1:
+        raise UsageError(f"--fuzz must be at least 1, got {fuzz}")
     rng = random.Random(12345)
     worst = 0.0
     for _ in range(fuzz):
@@ -285,13 +287,13 @@ def verify_trapezoid(fuzz: int):
 
 
 @_records
-def verify_rolling(step: float, eps: float):
+def verify_rolling(eps: float):
     """The two tangent unit disks roll along the snake boundary."""
-    report = _checked(rolling_disk_check, build_snake().boundary, step=step, eps=eps)
+    report = _checked(rolling_disk_check, build_snake().boundary, eps=eps)
     curv = report.max_unsigned_curvature
     yield Check("max curvature", True, f"max curvature: {curv:.6f}", curv)
     yield Check("failures", True, f"failures: {len(report.failures)}", len(report.failures))
-    yield Check("rolling disk", report.rolling_disk_ok, _mark(report.rolling_disk_ok), report.rolling_disk_ok)
+    yield Check("rolling disk", report.rolling_disk_ok, _mark(report.rolling_disk_ok), report.counts())
 
 
 @_records
@@ -372,9 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     roll = vsub.add_parser("rolling")
     roll.add_argument("--construction", choices=["snake"], default="snake")
-    roll.add_argument("--step", type=float, default=0.05)
     roll.add_argument("--eps", type=float, default=0.5)
-    roll.set_defaults(pipeline=lambda a: verify_rolling(a.step, a.eps))
+    roll.set_defaults(pipeline=lambda a: verify_rolling(a.eps))
 
     sharp = vsub.add_parser("sharp")
     sharp.add_argument("--n", type=int, required=True)

@@ -23,6 +23,7 @@ from .geometry import (
     Segment,
     check_tolerance,
     dist_to_primitive,
+    piece_intersections,
     rotate_about,
     unit,
 )
@@ -93,22 +94,6 @@ class PiecewisePath:
             out.append(out[-1] + p.length)
         return out
 
-    def locate(self, s: float) -> tuple[int, float]:
-        """Piece index and local fraction for the arclength parameter s."""
-        total = self.total_length
-        s = s % total
-        acc = 0.0
-        for i, p in enumerate(self.pieces):
-            ln = p.length
-            if s <= acc + ln or i == len(self.pieces) - 1:
-                return i, min(1.0, max(0.0, (s - acc) / ln))
-            acc += ln
-        raise AssertionError("unreachable")
-
-    def point_at(self, s: float) -> Point:
-        i, f = self.locate(s)
-        return self.pieces[i].point_at(f)
-
     def distance_to(self, x: Point) -> float:
         return min(dist_to_primitive(x, p) for p in self.pieces)
 
@@ -142,7 +127,7 @@ class PiecewisePath:
                 shared = self.pieces[0].start_point
             else:
                 shared = None
-            hits = _piece_intersections(self.pieces[i], self.pieces[j], tol)
+            hits = piece_intersections(self.pieces[i], self.pieces[j], tol)
             if not hits:
                 continue
             if shared is None:
@@ -154,96 +139,6 @@ class PiecewisePath:
                     raise ConstructionInconsistent(
                         f"adjacent pieces {i} and {j} intersect away from their junction at {h}"
                     )
-
-
-# --- closed-form pairwise intersections (for simplicity checks) -----------
-
-
-def _seg_seg_intersections(s1: Segment, s2: Segment, tol: float) -> list[Point]:
-    d1 = s1.b - s1.a
-    d2 = s2.b - s2.a
-    denom = d1.cross(d2)
-    rel = s2.a - s1.a
-    scale = max(d1.norm(), d2.norm())
-    if abs(denom) < 1e-14 * scale * scale:
-        # parallel; report the overlap midpoint only if truly collinear
-        if abs(rel.cross(d1)) > tol * d1.norm():
-            return []
-        t0 = rel.dot(d1) / d1.dot(d1)
-        t1 = t0 + d2.dot(d1) / d1.dot(d1)
-        lo = max(min(t0, t1), 0.0)
-        hi = min(max(t0, t1), 1.0)
-        if hi < lo:
-            return []
-        return [s1.point_at(0.5 * (lo + hi))]
-    t = rel.cross(d2) / denom
-    u = rel.cross(d1) / denom
-    eps = tol / scale
-    if -eps <= t <= 1.0 + eps and -eps <= u <= 1.0 + eps:
-        return [s1.point_at(min(1.0, max(0.0, t)))]
-    return []
-
-
-def _line_circle_params(a: Point, d: Point, center: Point, radius: float) -> list[float]:
-    """Parameters t with |a + t d - center| = radius (d not normalized)."""
-    fx, fy = a.x - center.x, a.y - center.y
-    A = d.dot(d)
-    B = 2.0 * (fx * d.x + fy * d.y)
-    C = fx * fx + fy * fy - radius * radius
-    disc = B * B - 4.0 * A * C
-    if disc < 0.0:
-        return []
-    root = math.sqrt(disc)
-    return [(-B - root) / (2.0 * A), (-B + root) / (2.0 * A)]
-
-
-def _seg_arc_intersections(seg: Segment, arc: Arc, tol: float) -> list[Point]:
-    d = seg.b - seg.a
-    eps = tol / max(d.norm(), 1e-300)
-    out = []
-    for t in _line_circle_params(seg.a, d, arc.center, arc.radius):
-        if -eps <= t <= 1.0 + eps:
-            p = seg.point_at(min(1.0, max(0.0, t)))
-            theta = math.atan2(p.y - arc.center.y, p.x - arc.center.x)
-            if arc.contains_angle(theta, slack=tol / arc.radius):
-                out.append(p)
-    return out
-
-
-def _arc_arc_intersections(a1: Arc, a2: Arc, tol: float) -> list[Point]:
-    d = a2.center - a1.center
-    dist = d.norm()
-    r1, r2 = a1.radius, a2.radius
-    if dist < 1e-15:
-        return []  # concentric: either disjoint or overlapping circles; paths never do this
-    if dist > r1 + r2 + tol or dist < abs(r1 - r2) - tol:
-        return []
-    # clamp for tangency
-    x = (dist * dist - r2 * r2 + r1 * r1) / (2.0 * dist)
-    h2 = r1 * r1 - x * x
-    h = math.sqrt(h2) if h2 > 0.0 else 0.0
-    ux, uy = d.x / dist, d.y / dist
-    base = Point(a1.center.x + x * ux, a1.center.y + x * uy)
-    cands = [Point(base.x - h * uy, base.y + h * ux)]
-    if h > 0.0:
-        cands.append(Point(base.x + h * uy, base.y - h * ux))
-    out = []
-    for p in cands:
-        th1 = math.atan2(p.y - a1.center.y, p.x - a1.center.x)
-        th2 = math.atan2(p.y - a2.center.y, p.x - a2.center.x)
-        if a1.contains_angle(th1, slack=tol / r1) and a2.contains_angle(th2, slack=tol / r2):
-            out.append(p)
-    return out
-
-
-def _piece_intersections(p1: PathPiece, p2: PathPiece, tol: float) -> list[Point]:
-    if isinstance(p1, Segment) and isinstance(p2, Segment):
-        return _seg_seg_intersections(p1, p2, tol)
-    if isinstance(p1, Segment):
-        return _seg_arc_intersections(p1, p2, tol)
-    if isinstance(p2, Segment):
-        return _seg_arc_intersections(p2, p1, tol)
-    return _arc_arc_intersections(p1, p2, tol)
 
 
 # ---------------------------------------------------------------------------

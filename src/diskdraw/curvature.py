@@ -2,18 +2,46 @@
 
 A path whose pieces all have unsigned curvature below 1 admits, at every
 point, two unit disks tangent from either side that locally avoid the curve.
-The check here verifies exactly that at sampled parameters, using the
-closed-form piece distances; a pass together with max curvature < 1 is the
-certificate of local drawability.
+rolling_disk_check proves exactly that, for every boundary point and not at
+samples: the centres of the tangent disks over a parameter interval of a
+piece form one offset curve, and the closed-form piece distance from that
+curve to the path around the interval clears the whole interval at once
+(the local form of Blaschke's rolling theorem; Walther, Math. Methods Appl.
+Sci. 22, 1999).  A pass together with max curvature < 1 is the certificate
+of local drawability.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constructions import PiecewisePath
-from .geometry import Arc, Point, Segment, dist_to_primitive, dist_to_segment
+from .geometry import Arc, Point, Segment, SinglePoint, piece_distance
+
+logger = logging.getLogger("diskdraw")
+
+# A path point counts against a tangent disk only when it is closer to the
+# centre than this; the tangent point itself sits at distance exactly 1.
+CLEARANCE = 1.0 - 1e-9
+
+# Intervals that are not cleared are halved down to this depth: a leaf is
+# 1/256 of its piece.
+MAX_DEPTH = 8
+
+
+class Leaf(NamedTuple):
+    """A parameter interval the bound could not clear, decided at its midpoint."""
+
+    piece: int
+    side: int  # +1: the disk left of the path, -1: right of it
+    lo: float  # arclength range of the interval
+    hi: float
+    s: float  # arclength of the midpoint: the witness
+    center: Point  # the tangent disk's centre at s
+    distance: float  # from the centre to the path within eps of s
 
 
 @dataclass(frozen=True)
@@ -21,7 +49,18 @@ class CurvatureReport:
     max_unsigned_curvature: float
     per_piece: tuple[tuple[int, float], ...]
     rolling_disk_ok: bool = True
-    failures: tuple[tuple[float, int, Point], ...] = ()  # (arclength, side, probe center)
+    failures: tuple[Leaf, ...] = ()  # leaves whose midpoint disk meets the path
+    undecided: tuple[Leaf, ...] = ()  # leaves whose midpoint disk is clear
+    intervals: int = 0  # parameter intervals visited
+    kernel_calls: int = 0  # piece_distance calls
+    depth: int = 0  # deepest split
+    min_cleared: float = math.inf  # smallest distance that cleared an interval
+
+    def counts(self) -> dict:
+        """The branch and bound's work counters and outcome sizes."""
+        return {"intervals": self.intervals, "kernel_calls": self.kernel_calls, "depth": self.depth,
+                "min_cleared": self.min_cleared, "undecided": len(self.undecided),
+                "failures": len(self.failures)}
 
 
 def path_max_curvature(path: PiecewisePath) -> CurvatureReport:
@@ -37,72 +76,115 @@ def path_max_curvature(path: PiecewisePath) -> CurvatureReport:
     return CurvatureReport(max(k for _, k in per_piece), per_piece)
 
 
-def _dist_to_subpiece(piece, f0: float, f1: float, x: Point) -> float:
-    """Distance from x to the fraction range [f0, f1] of a piece."""
-    if f0 >= f1:
-        return math.inf
+def _subpiece(piece, f0: float, f1: float):
+    """The part of a piece between the fractions f0 <= f1, a SinglePoint
+    when it has no length."""
     if isinstance(piece, Segment):
-        p0, p1 = piece.point_at(f0), piece.point_at(f1)
-        if p0.distance_to(p1) == 0.0:
-            return x.distance_to(p0)
-        return dist_to_segment(x, p0, p1)
+        a, b = piece.point_at(f0), piece.point_at(f1)
+        return Segment(a, b) if a != b else SinglePoint(a)
     a0, a1 = piece.angle_at(f0), piece.angle_at(f1)
-    if a0 == a1:  # Arc treats equal angles as the full circle; collapse instead
-        return x.distance_to(piece.point_at(f0))
-    return dist_to_primitive(x, Arc(piece.center, piece.radius, a0, a1, piece.ccw))
+    if a0 == a1:  # Arc treats equal angles as the full circle
+        return SinglePoint(piece.point_at(f0))
+    return Arc(piece.center, piece.radius, a0, a1, piece.ccw)
 
 
-def rolling_disk_check(path: PiecewisePath, step: float = 0.05, eps: float = 0.5) -> CurvatureReport:
-    """Verify the two tangent unit disks at samples spaced at most `step` apart.
+def _offset(sub: Segment | Arc, side: int):
+    """The centres of the unit disks tangent to sub on one side: a parallel
+    segment, or a concentric arc of radius R -+ 1, turned by pi when that
+    radius is negative and a single point when it is 0."""
+    if isinstance(sub, Segment):
+        n = (sub.b - sub.a).rot90().normalized().scaled(side)
+        return Segment(sub.a + n, sub.b + n)
+    # the left normal points to the centre on a ccw arc and away on a cw one
+    rho = sub.radius - side if sub.ccw else sub.radius + side
+    if rho == 0.0:
+        return SinglePoint(sub.center)
+    turn = 0.0 if rho > 0.0 else math.pi
+    return Arc(sub.center, abs(rho), sub.start_angle + turn, sub.end_angle + turn, sub.ccw)
 
-    At each sample the disks centered one unit along both normals must not
-    contain any path point within the open arclength window of radius `eps`
-    around the sample (the tangent point itself sits at distance exactly 1,
-    so a path point counts only when it is closer than 1 - 1e-9).
-    Failures are reported, not raised, so a curvature-violating path simply
-    comes back with rolling_disk_ok false.
+
+def rolling_disk_check(path: PiecewisePath, eps: float = 0.5) -> CurvatureReport:
+    """Prove that the two tangent unit disks roll along the whole path.
+
+    The disk tangent at arclength s on either side must not contain a path
+    point within the arclength window of radius eps around s (a path point
+    counts only when it is closer to the centre than CLEARANCE).  For each
+    piece and side, a parameter interval I is cleared when piece_distance
+    from the offset curve of I to every piece, restricted to the window
+    [s(I_lo) - eps, s(I_hi) + eps] (wrapping around the closed path), is at
+    least CLEARANCE; the union window makes the test conservative.  An
+    interval that is not cleared is halved, down to MAX_DEPTH; a leaf that
+    is still not cleared is decided at its midpoint by the same test for
+    the one disk there.  It becomes a failure when that disk meets the path,
+    and is undecided otherwise.  rolling_disk_ok holds only when every
+    interval is cleared.  Failures are reported, not raised.
     """
-    if step <= 0.0 or eps <= 0.0:
-        raise ValueError("step and eps must be positive")
+    if not eps > 0.0:
+        raise ValueError(f"eps must be positive, got {eps!r}")
     curv = path_max_curvature(path)
     offsets = path.piece_offsets()
     total = offsets[-1]
-    failures: list[tuple[float, int, Point]] = []
+    calls = 0
 
-    samples: list[float] = []
+    def window_distance(curve, lo: float, hi: float, stop: float = -math.inf) -> float:
+        """Distance from curve to the path between arclengths lo and hi, or
+        the first distance below stop."""
+        nonlocal calls
+        worst = math.inf
+        if hi - lo >= total:  # the whole path, once
+            lo, hi = 0.0, total
+        for j, piece in enumerate(path.pieces):
+            ln = offsets[j + 1] - offsets[j]
+            for shift in (-total, 0.0, total):
+                a = max(lo, offsets[j] + shift)
+                b = min(hi, offsets[j + 1] + shift)
+                if a < b:
+                    f0 = max(0.0, (a - offsets[j] - shift) / ln)
+                    f1 = min(1.0, (b - offsets[j] - shift) / ln)
+                    calls += 1
+                    worst = min(worst, piece_distance(curve, _subpiece(piece, f0, f1)))
+                    if worst < stop:
+                        return worst
+        return worst
+
+    failures: list[Leaf] = []
+    undecided: list[Leaf] = []
+    visited = deepest = 0
+    min_cleared = math.inf
     for i, piece in enumerate(path.pieces):
         ln = offsets[i + 1] - offsets[i]
-        count = max(1, math.ceil(ln / step))
-        for k in range(count + 1):
-            samples.append(offsets[i] + ln * k / count)
-
-    for s0 in samples:
-        i, f = path.locate(s0)
-        gamma = path.pieces[i].point_at(f)
-        normal = path.pieces[i].tangent_at(f).rot90()
         for side in (1, -1):
-            center = Point(gamma.x + side * normal.x, gamma.y + side * normal.y)
-            worst = math.inf
-            lo, hi = s0 - eps, s0 + eps
-            for j, piece in enumerate(path.pieces):
-                ln = offsets[j + 1] - offsets[j]
-                # the window may wrap around the closed path
-                for shift in (-total, 0.0, total):
-                    a = max(lo, offsets[j] + shift)
-                    b = min(hi, offsets[j + 1] + shift)
-                    if a >= b:
-                        continue
-                    f0 = (a - offsets[j] - shift) / ln
-                    f1 = (b - offsets[j] - shift) / ln
-                    d = _dist_to_subpiece(piece, max(0.0, f0), min(1.0, f1), center)
-                    if d < worst:
-                        worst = d
-            if worst < 1.0 - 1e-9:
-                failures.append((s0, side, center))
+            stack = [(0.0, 1.0, 0)]
+            while stack:
+                f0, f1, depth = stack.pop()
+                visited += 1
+                deepest = max(deepest, depth)
+                lo, hi = offsets[i] + ln * f0, offsets[i] + ln * f1
+                d = window_distance(_offset(_subpiece(piece, f0, f1), side), lo - eps, hi + eps, CLEARANCE)
+                mid = 0.5 * (f0 + f1)
+                if d >= CLEARANCE:
+                    min_cleared = min(min_cleared, d)
+                elif depth < MAX_DEPTH:
+                    stack += [(mid, f1, depth + 1), (f0, mid, depth + 1)]
+                else:
+                    s = offsets[i] + ln * mid
+                    center = piece.point_at(mid) + piece.tangent_at(mid).rot90().scaled(side)
+                    dm = window_distance(SinglePoint(center), s - eps, s + eps)
+                    leaf = Leaf(i, side, lo, hi, s, center, dm)
+                    (failures if dm < CLEARANCE else undecided).append(leaf)
 
-    return CurvatureReport(
+    report = CurvatureReport(
         curv.max_unsigned_curvature,
         curv.per_piece,
-        rolling_disk_ok=not failures,
+        rolling_disk_ok=not failures and not undecided,
         failures=tuple(failures),
+        undecided=tuple(undecided),
+        intervals=visited,
+        kernel_calls=calls,
+        depth=deepest,
+        min_cleared=min_cleared,
     )
+    logger.debug("rolling disk: %d intervals, %d kernel calls, depth %d, min cleared %r, "
+                 "%d undecided, %d failures", visited, calls, deepest, min_cleared,
+                 len(undecided), len(failures))
+    return report

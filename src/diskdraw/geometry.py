@@ -1,8 +1,9 @@
 """Planar primitives and the exact kernels shared by the whole package.
 
-Distances to every primitive kind are closed-form (no sampling).  The
-constrained largest-empty-circle solver scores an exhaustive, exact set of
-Voronoi candidates taken from a Delaunay triangulation whose orientation and
+Distances to every primitive kind, and between two pieces (points, segments
+and arcs), are closed-form (no sampling).  The constrained
+largest-empty-circle solver scores an exhaustive, exact set of Voronoi
+candidates taken from a Delaunay triangulation whose orientation and
 in-circle decisions are exact (see delaunay.py): Voronoi vertices inside the
 constraint disk, Voronoi-edge crossings of its circle, antipodal escapes and
 the anchor.  There is no numerical search or polishing step.
@@ -293,6 +294,167 @@ def dist_to_primitive(x: Point, prim: Primitive) -> float:
     if isinstance(prim, WholePlane):
         return 0.0
     raise TypeError(f"unknown primitive {prim!r}")
+
+
+# ---------------------------------------------------------------------------
+# Piece intersections and the distance between two pieces
+# ---------------------------------------------------------------------------
+
+Piece = Union[SinglePoint, Segment, Arc]
+
+
+def _seg_seg_intersections(s1: Segment, s2: Segment, tol: float) -> list[Point]:
+    d1 = s1.b - s1.a
+    d2 = s2.b - s2.a
+    denom = d1.cross(d2)
+    rel = s2.a - s1.a
+    scale = max(d1.norm(), d2.norm())
+    if abs(denom) < 1e-14 * scale * scale:
+        # parallel; report the overlap midpoint only if truly collinear
+        if abs(rel.cross(d1)) > tol * d1.norm():
+            return []
+        t0 = rel.dot(d1) / d1.dot(d1)
+        t1 = t0 + d2.dot(d1) / d1.dot(d1)
+        lo = max(min(t0, t1), 0.0)
+        hi = min(max(t0, t1), 1.0)
+        if hi < lo:
+            return []
+        return [s1.point_at(0.5 * (lo + hi))]
+    t = rel.cross(d2) / denom
+    u = rel.cross(d1) / denom
+    eps = tol / scale
+    if -eps <= t <= 1.0 + eps and -eps <= u <= 1.0 + eps:
+        return [s1.point_at(min(1.0, max(0.0, t)))]
+    return []
+
+
+def _line_circle_params(a: Point, d: Point, center: Point, radius: float) -> list[float]:
+    """Parameters t with |a + t d - center| = radius (d not normalized)."""
+    fx, fy = a.x - center.x, a.y - center.y
+    A = d.dot(d)
+    B = 2.0 * (fx * d.x + fy * d.y)
+    C = fx * fx + fy * fy - radius * radius
+    disc = B * B - 4.0 * A * C
+    if disc < 0.0:
+        return []
+    root = math.sqrt(disc)
+    return [(-B - root) / (2.0 * A), (-B + root) / (2.0 * A)]
+
+
+def _seg_arc_intersections(seg: Segment, arc: Arc, tol: float) -> list[Point]:
+    d = seg.b - seg.a
+    eps = tol / max(d.norm(), 1e-300)
+    out = []
+    for t in _line_circle_params(seg.a, d, arc.center, arc.radius):
+        if -eps <= t <= 1.0 + eps:
+            p = seg.point_at(min(1.0, max(0.0, t)))
+            theta = math.atan2(p.y - arc.center.y, p.x - arc.center.x)
+            if arc.contains_angle(theta, slack=tol / arc.radius):
+                out.append(p)
+    return out
+
+
+def _arc_arc_intersections(a1: Arc, a2: Arc, tol: float) -> list[Point]:
+    d = a2.center - a1.center
+    dist = d.norm()
+    r1, r2 = a1.radius, a2.radius
+    if dist < 1e-15:  # concentric: one circle, met where the arcs overlap, or none
+        if abs(r1 - r2) > tol:
+            return []
+        ends = [(a1.start_point, a1.start_angle, a2), (a1.end_point, a1.end_angle, a2),
+                (a2.start_point, a2.start_angle, a1), (a2.end_point, a2.end_angle, a1)]
+        return [p for p, theta, other in ends if other.contains_angle(theta, slack=tol / other.radius)]
+    if dist > r1 + r2 + tol or dist < abs(r1 - r2) - tol:
+        return []
+    # clamp for tangency
+    x = (dist * dist - r2 * r2 + r1 * r1) / (2.0 * dist)
+    h2 = r1 * r1 - x * x
+    h = math.sqrt(h2) if h2 > 0.0 else 0.0
+    ux, uy = d.x / dist, d.y / dist
+    base = Point(a1.center.x + x * ux, a1.center.y + x * uy)
+    cands = [Point(base.x - h * uy, base.y + h * ux)]
+    if h > 0.0:
+        cands.append(Point(base.x + h * uy, base.y - h * ux))
+    out = []
+    for p in cands:
+        th1 = math.atan2(p.y - a1.center.y, p.x - a1.center.x)
+        th2 = math.atan2(p.y - a2.center.y, p.x - a2.center.x)
+        if a1.contains_angle(th1, slack=tol / r1) and a2.contains_angle(th2, slack=tol / r2):
+            out.append(p)
+    return out
+
+
+def piece_intersections(p1: Segment | Arc, p2: Segment | Arc, tol: float) -> list[Point]:
+    """Points where two segments or arcs meet within the absolute slack tol,
+    in closed form: crossings and tangencies, the middle of a collinear
+    overlap, and the overlapping ends of two arcs of one circle."""
+    if isinstance(p1, Segment) and isinstance(p2, Segment):
+        return _seg_seg_intersections(p1, p2, tol)
+    if isinstance(p1, Segment):
+        return _seg_arc_intersections(p1, p2, tol)
+    if isinstance(p2, Segment):
+        return _seg_arc_intersections(p2, p1, tol)
+    return _arc_arc_intersections(p1, p2, tol)
+
+
+def _extent(piece: Segment | Arc) -> float:
+    """Largest coordinate magnitude a piece reaches, a scale for slacks."""
+    if isinstance(piece, Segment):
+        return max(abs(piece.a.x), abs(piece.a.y), abs(piece.b.x), abs(piece.b.y))
+    return max(abs(piece.center.x), abs(piece.center.y)) + piece.radius
+
+
+def _candidates(p: Segment | Arc, q: Segment | Arc) -> list[Point]:
+    """Points of p where p can come closest to q when the two do not meet:
+    p's ends, and the interior points where a segment joining p to q can be
+    normal to both, namely the foot of q's centre on a segment p, and the
+    points of an arc p along the line of centres or along the normal of a
+    segment q."""
+    out = [p.start_point, p.end_point]
+    if isinstance(p, Segment):
+        if isinstance(q, Arc):
+            d = p.b - p.a
+            t = min(1.0, max(0.0, (q.center - p.a).dot(d) / d.dot(d)))
+            out.append(p.point_at(t))
+        return out
+    if isinstance(q, Segment):
+        u = (q.b - q.a).rot90().normalized()
+    else:
+        u = (q.center - p.center).normalized()
+    for k in (p.radius, -p.radius):
+        x = Point(p.center.x + k * u.x, p.center.y + k * u.y)
+        if p.contains_angle(math.atan2(x.y - p.center.y, x.x - p.center.x)):
+            out.append(x)
+    return out
+
+
+def piece_distance(p: Piece, q: Piece) -> float:
+    """Distance between two pieces, each a SinglePoint, Segment or Arc.
+
+    0 when piece_intersections finds a common point (within 1e-12 of the
+    pieces' coordinate scale).  Concentric arcs are |R1 - R2| apart where
+    their angular ranges overlap.  Otherwise a closest pair has an end of
+    one piece, or joins interior points and is normal to both pieces there
+    (Schneider and Eberly, Geometric Tools for Computer Graphics, 2003,
+    ch. 6); _candidates holds a point of every such pair.  Each candidate
+    is a point of its piece, so its exact distance to the other piece
+    (dist_to_primitive) bounds the answer from above, and the smallest one
+    is the distance up to rounding.
+    """
+    if isinstance(p, SinglePoint):
+        return dist_to_primitive(p.p, q)
+    if isinstance(q, SinglePoint):
+        return dist_to_primitive(q.p, p)
+    if piece_intersections(p, q, 1e-12 * max(_extent(p), _extent(q))):
+        return 0.0
+    if isinstance(p, Arc) and isinstance(q, Arc) and p.center == q.center:
+        if (p.contains_angle(q.start_angle) or p.contains_angle(q.end_angle)
+                or q.contains_angle(p.start_angle)):
+            return abs(p.radius - q.radius)
+        ends = [(p.start_point, q), (p.end_point, q), (q.start_point, p), (q.end_point, p)]
+    else:
+        ends = [(x, q) for x in _candidates(p, q)] + [(y, p) for y in _candidates(q, p)]
+    return min(dist_to_primitive(x, other) for x, other in ends)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import math
 import random
 
 import numpy as np
+from hypothesis import HealthCheck, settings
 
 from diskdraw import (
     Arc,
@@ -20,6 +21,12 @@ from diskdraw import (
     Tool,
     WholePlane,
 )
+from diskdraw.constructions import PiecewisePath
+
+# Settings of the differential (property-based) tests.  Derandomized: the
+# suite tests the same examples on every run.
+DIFF = settings(max_examples=60, deadline=None, derandomize=True,
+                suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
 
 
 def random_point(rng: random.Random, span: float = 3.0) -> Point:
@@ -82,3 +89,15 @@ def rigid_motion(angle: float, shift: Point):
         return Point(c * p.x - s * p.y + shift.x, s * p.x + c * p.y + shift.y)
 
     return move
+
+
+def scaled_loop(loop: PiecewisePath, k: float, shift: Point) -> PiecewisePath:
+    """The loop scaled by k about the origin, then shifted."""
+    def move(p: Point) -> Point:
+        return Point(k * p.x + shift.x, k * p.y + shift.y)
+
+    return PiecewisePath(tuple(
+        Segment(move(p.a), move(p.b)) if isinstance(p, Segment)
+        else Arc(move(p.center), k * p.radius, p.start_angle, p.end_angle, p.ccw)
+        for p in loop.pieces
+    ))

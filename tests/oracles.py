@@ -30,6 +30,12 @@ ray_cast_classify is the region classifier as it was before the half-open
 horizontal crossing rule: it casts one ray at an irrational angle, and casts
 again at a rotated angle whenever the ray grazes an endpoint, touches an arc
 tangentially or runs along a segment.
+
+rolling_disk_sampled is the rolling-disk check as it was before the branch
+and bound: it tests the two tangent disks at samples spaced at most `step`
+apart along each piece, against the path within the arclength window of
+radius eps around each sample.  It now samples piece by piece, so a
+junction is tested with the tangents of both pieces that meet there.
 """
 
 from __future__ import annotations
@@ -53,8 +59,8 @@ from diskdraw import (
     Verdict,
     dist_to_primitive,
 )
-from diskdraw.constructions import PiecewisePath, _line_circle_params
-from diskdraw.geometry import unit
+from diskdraw.constructions import PiecewisePath
+from diskdraw.geometry import _line_circle_params, dist_to_segment, unit
 
 
 def _circumcenter_xy(a, b, c):
@@ -377,3 +383,64 @@ def ray_cast_classify(path, p: Point, tau: float = DEFAULT_TAU, base_angle: floa
             continue
         return Shade.BLACK if inside else Shade.WHITE
     raise RuntimeError(f"no non-degenerate ray direction found from {p}")
+
+
+def _dist_to_subpiece(piece, f0: float, f1: float, x: Point) -> float:
+    """Distance from x to the fraction range [f0, f1] of a piece."""
+    if f0 >= f1:
+        return math.inf
+    if isinstance(piece, Segment):
+        p0, p1 = piece.point_at(f0), piece.point_at(f1)
+        if p0.distance_to(p1) == 0.0:
+            return x.distance_to(p0)
+        return dist_to_segment(x, p0, p1)
+    a0, a1 = piece.angle_at(f0), piece.angle_at(f1)
+    if a0 == a1:  # Arc treats equal angles as the full circle; collapse instead
+        return x.distance_to(piece.point_at(f0))
+    return dist_to_primitive(x, Arc(piece.center, piece.radius, a0, a1, piece.ccw))
+
+
+def tangent_disk_distance(path: PiecewisePath, i: int, f: float, side: int, eps: float = 0.5):
+    """(s, centre, distance) of the unit disk tangent to piece i at fraction
+    f on the given side (+1 left): its arclength, its centre, and the
+    distance from the centre to the path within the open arclength window
+    of radius eps around s."""
+    offsets = path.piece_offsets()
+    total = offsets[-1]
+    piece = path.pieces[i]
+    s0 = offsets[i] + (offsets[i + 1] - offsets[i]) * f
+    gamma = piece.point_at(f)
+    normal = piece.tangent_at(f).rot90()
+    center = Point(gamma.x + side * normal.x, gamma.y + side * normal.y)
+    worst = math.inf
+    lo, hi = s0 - eps, s0 + eps
+    for j, other in enumerate(path.pieces):
+        ln = offsets[j + 1] - offsets[j]
+        # the window may wrap around the closed path
+        for shift in (-total, 0.0, total):
+            a = max(lo, offsets[j] + shift)
+            b = min(hi, offsets[j + 1] + shift)
+            if a >= b:
+                continue
+            f0 = (a - offsets[j] - shift) / ln
+            f1 = (b - offsets[j] - shift) / ln
+            worst = min(worst, _dist_to_subpiece(other, max(0.0, f0), min(1.0, f1), center))
+    return s0, center, worst
+
+
+def rolling_disk_sampled(path: PiecewisePath, step: float = 0.05, eps: float = 0.5):
+    """(piece, s, side, centre) of every sample whose tangent disk has a
+    path point of its window closer than 1 - 1e-9; samples are spaced at
+    most `step` apart along each piece, both ends included."""
+    if step <= 0.0 or eps <= 0.0:
+        raise ValueError("step and eps must be positive")
+    offsets = path.piece_offsets()
+    failures = []
+    for i in range(len(path.pieces)):
+        count = max(1, math.ceil((offsets[i + 1] - offsets[i]) / step))
+        for k in range(count + 1):
+            for side in (1, -1):
+                s0, center, d = tangent_disk_distance(path, i, k / count, side, eps)
+                if d < 1.0 - 1e-9:
+                    failures.append((i, s0, side, center))
+    return failures

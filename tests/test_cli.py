@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from diskdraw.cli import main
+from diskdraw.cli import main, verify_rolling, verify_snake
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -165,10 +165,23 @@ class TestVerify:
         assert "ok" in out
 
     def test_rolling(self, capsys):
-        code, out, _ = run(capsys, "verify", "rolling", "--construction", "snake",
-                           "--step", "0.5", "--eps", "0.5")
+        code, out, _ = run(capsys, "verify", "rolling", "--construction", "snake", "--eps", "0.5")
         assert code == 0
         assert "ok" in out
+
+    def test_rolling_has_no_step(self, capsys):
+        # the check is a proof, not a sample: there is no sample spacing
+        code, out, err = run(capsys, "verify", "rolling", "--step", "inf")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --step" in err
+
+    def test_rolling_records_hold_the_counts(self):
+        for checks, name in ((verify_rolling(0.5), "rolling disk"),
+                             (verify_snake(1.001, 1, 1e-9), "rolling-disk check")):
+            (check,) = [c for c in checks if c.name == name]
+            assert check.ok
+            assert check.value["intervals"] == 56 and check.value["kernel_calls"] == 168
+            assert check.value["failures"] == check.value["undecided"] == 0
 
     def test_rolling_needs_the_snake(self, capsys):
         code, out, err = run(capsys, "verify", "rolling", "--construction", "chessboard")
@@ -252,12 +265,14 @@ class TestOutOfRangeParameters:
         ["verify", "dissection", "--n", "12", "--L", "0.001", "--s", "1e-3"],
         ["verify", "dissection", "--n", "12", "--L", "3", "--s", "1e-3", "--depth", "-1"],
         ["verify", "snake", "--depth", "-1"],
-        ["verify", "rolling", "--step", "0"],
+        ["verify", "rolling", "--eps", "nan"],
+        ["verify", "trapezoid", "--fuzz", "0"],
         ["verify", "sharp", "--n", "12", "--samples", "0"],
         ["render", "--construction", "chessboard", "--bbox", "-2", "-2", "2", "2", "--res", "0.5"],
         ["render", "--construction", "chessboard", "--bbox", "2", "2", "-2", "-2", "--res", "4"],
     ], ids=["sharp-n5", "chessboard-r2", "snake-r2", "dissection-s2", "dissection-negative-s",
-         "dissection-small-L", "dissection-depth", "snake-depth", "rolling-step", "sharp-samples",
+         "dissection-small-L", "dissection-depth", "snake-depth", "rolling-eps-nan", "trapezoid-fuzz-0",
+         "sharp-samples",
          "render-res", "render-bbox"])
     def test_command_line(self, tmp_path, capsys, argv):
         out = tmp_path / "x.pgm"

@@ -1,6 +1,9 @@
+import logging
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diskdraw import (
     Arc,
@@ -11,13 +14,17 @@ from diskdraw import (
     rolling_disk_check,
 )
 from diskdraw.constructions import PiecewisePath
+from diskdraw.curvature import CLEARANCE, MAX_DEPTH
+
+from helpers import DIFF, scaled_loop
+from oracles import rolling_disk_sampled, tangent_disk_distance
 
 
-def circle_path(radius, center=Point(0, 0)):
+def circle_path(radius, center=Point(0, 0), split=math.pi):
     return PiecewisePath(
         (
-            Arc(center, radius, 0.0, math.pi, ccw=True),
-            Arc(center, radius, math.pi, 0.0, ccw=True),
+            Arc(center, radius, 0.0, split, ccw=True),
+            Arc(center, radius, split, 0.0, ccw=True),
         )
     )
 
@@ -34,9 +41,30 @@ def square_path(side=10.0):
     )
 
 
+def rounded_rectangle(width, height, radius):
+    """The rectangle [0, width] x [0, height] with its corners rounded to radius."""
+    w, h, r = width, height, radius
+    return PiecewisePath(
+        (
+            Segment(Point(r, 0), Point(w - r, 0)),
+            Arc(Point(w - r, r), r, -0.5 * math.pi, 0.0),
+            Segment(Point(w, r), Point(w, h - r)),
+            Arc(Point(w - r, h - r), r, 0.0, 0.5 * math.pi),
+            Segment(Point(w - r, h), Point(r, h)),
+            Arc(Point(r, h - r), r, 0.5 * math.pi, math.pi),
+            Segment(Point(0, h - r), Point(0, r)),
+            Arc(Point(r, r), r, math.pi, 1.5 * math.pi),
+        )
+    )
+
+
 @pytest.fixture(scope="module")
 def snake_path():
     return build_snake(1.001).boundary
+
+
+def failing_length(report):
+    return sum(leaf.hi - leaf.lo for leaf in report.failures)
 
 
 class TestMaxCurvature:
@@ -56,42 +84,139 @@ class TestMaxCurvature:
 
 class TestRollingDisk:
     def test_snake_passes(self, snake_path):
-        report = rolling_disk_check(snake_path, step=0.05, eps=0.5)
+        report = rolling_disk_check(snake_path, eps=0.5)
         assert report.rolling_disk_ok
-        assert report.failures == ()
+        assert report.failures == () and report.undecided == ()
         assert report.max_unsigned_curvature < 1.0
+
+    def test_snake_is_cleared_without_a_split(self, snake_path):
+        # each piece and side is cleared whole: 28 pieces x 2 sides, each
+        # against its own piece and the two next to it
+        report = rolling_disk_check(snake_path, eps=0.5)
+        assert report.counts() == {"intervals": 56, "kernel_calls": 168, "depth": 0,
+                                   "min_cleared": report.min_cleared, "undecided": 0, "failures": 0}
+        assert CLEARANCE <= report.min_cleared <= 1.0 + 1e-12
 
     def test_small_circle_fails_everywhere(self):
         path = circle_path(0.5)
-        report = rolling_disk_check(path, step=0.05, eps=0.5)
+        report = rolling_disk_check(path, eps=0.5)
         assert not report.rolling_disk_ok
-        # one probe side fails at every sample
-        sampled = {round(s, 9) for s, _, _ in report.failures}
-        assert len(sampled) * 0.05 >= path.total_length * 0.9
+        # the failing leaves cover the path, on the inner side
+        assert failing_length(report) >= path.total_length * 0.9
+        assert {leaf.side for leaf in report.failures} == {1}
 
     def test_long_straight_edges_pass(self):
         # a huge square: corner failures are genuine (junctions are corners),
-        # but samples on the long flat runs must pass
-        report = rolling_disk_check(square_path(40.0), step=1.0, eps=0.5)
-        for s, _, _ in report.failures:
-            dist_to_corner = min(abs((s % 40.0) - 0.0), abs((s % 40.0) - 40.0))
+        # but the long flat runs must be cleared
+        report = rolling_disk_check(square_path(40.0), eps=0.5)
+        assert not report.rolling_disk_ok
+        for leaf in report.failures:
+            dist_to_corner = min(abs((leaf.s % 40.0) - 0.0), abs((leaf.s % 40.0) - 40.0))
             assert dist_to_corner <= 0.5 + 1e-9
 
     def test_radius_dichotomy(self):
         for radius in (0.5, 0.9):
-            report = rolling_disk_check(circle_path(radius), step=0.1, eps=0.4)
+            report = rolling_disk_check(circle_path(radius), eps=0.4)
             assert not report.rolling_disk_ok
         for radius in (1.1, 2.0):
-            report = rolling_disk_check(circle_path(radius), step=0.1, eps=0.4)
+            report = rolling_disk_check(circle_path(radius), eps=0.4)
             assert report.rolling_disk_ok
 
     def test_rigid_motion_invariance(self, snake_path):
         rotated = PiecewisePath(
             tuple(p.rotated(Point(3.0, -2.0), 1.2345) for p in snake_path.pieces)
         )
-        report = rolling_disk_check(rotated, step=0.25, eps=0.5)
+        report = rolling_disk_check(rotated, eps=0.5)
         assert report.rolling_disk_ok
 
     def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            rolling_disk_check(circle_path(2.0), step=0.0, eps=0.5)
+        for eps in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                rolling_disk_check(circle_path(2.0), eps=eps)
+
+    def test_circle_of_radius_09_fails_with_a_witness(self):
+        path = circle_path(0.9)
+        report = rolling_disk_check(path, eps=0.5)
+        assert not report.rolling_disk_ok and report.failures
+        offsets = path.piece_offsets()
+        for leaf in report.failures[:: len(report.failures) // 7]:
+            f = (leaf.s - offsets[leaf.piece]) / (offsets[leaf.piece + 1] - offsets[leaf.piece])
+            s, center, distance = tangent_disk_distance(path, leaf.piece, f, leaf.side, eps=0.5)
+            assert s == pytest.approx(leaf.s, abs=1e-12)
+            assert center.distance_to(leaf.center) < 1e-12
+            assert distance < CLEARANCE and distance == pytest.approx(leaf.distance, abs=1e-12)
+
+    @pytest.mark.parametrize("radius", [1.0, 1.5])
+    def test_circles_of_radius_at_least_one_pass(self, radius):
+        report = rolling_disk_check(circle_path(radius), eps=0.5)
+        assert report.rolling_disk_ok
+        assert report.depth == 0
+
+    def test_counts_are_logged(self, caplog, snake_path):
+        with caplog.at_level(logging.DEBUG, logger="diskdraw"):
+            report = rolling_disk_check(snake_path, eps=0.5)
+        (record,) = [r for r in caplog.records if r.getMessage().startswith("rolling disk:")]
+        assert record.args == (56, 168, 0, report.min_cleared, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# The branch and bound against the sampling oracle
+# ---------------------------------------------------------------------------
+
+
+def assert_sound(path, eps=0.5, step=0.05):
+    """No interval the branch and bound cleared holds a sample that the
+    oracle fails, and the oracle confirms the failure witnesses (40 of
+    them, evenly spaced, when there are more)."""
+    report = rolling_disk_check(path, eps=eps)
+    offsets = path.piece_offsets()
+    slack = 1e-9 * offsets[-1]
+    open_leaves = {}
+    for leaf in report.failures + report.undecided:
+        open_leaves.setdefault((leaf.piece, leaf.side), []).append((leaf.lo, leaf.hi))
+    for piece, s, side, _ in rolling_disk_sampled(path, step=step, eps=eps):
+        assert any(lo - slack <= s <= hi + slack for lo, hi in open_leaves.get((piece, side), ())), \
+            (piece, s, side)
+    for leaf in report.failures[:: max(1, len(report.failures) // 40)]:
+        f = (leaf.s - offsets[leaf.piece]) / (offsets[leaf.piece + 1] - offsets[leaf.piece])
+        assert tangent_disk_distance(path, leaf.piece, f, leaf.side, eps)[2] < CLEARANCE
+    assert report.depth <= MAX_DEPTH
+    return report
+
+
+class TestAgainstSampler:
+    def test_oracle_small_circle_fails_everywhere(self):
+        # the sampler form of the claim: one probe side fails at every sample
+        path = circle_path(0.5)
+        failures = rolling_disk_sampled(path, step=0.05, eps=0.5)
+        sampled = {round(s, 9) for _, s, _, _ in failures}
+        assert len(sampled) * 0.05 >= path.total_length * 0.9
+
+    @DIFF
+    @given(radius=st.floats(0.5, 3.0), split=st.floats(0.2, 2.0 * math.pi - 0.2),
+           center=st.tuples(st.floats(-5, 5), st.floats(-5, 5)))
+    def test_split_circles(self, radius, split, center):
+        report = assert_sound(circle_path(radius, Point(*center), split))
+        assert report.rolling_disk_ok == (radius >= 1.0)
+
+    @settings(DIFF, max_examples=25)
+    @given(radius=st.floats(0.5, 2.0), width=st.floats(0.1, 6.0), height=st.floats(0.1, 6.0))
+    def test_rounded_rectangles(self, radius, width, height):
+        path = rounded_rectangle(2.0 * radius + width, 2.0 * radius + height, radius)
+        report = assert_sound(path)
+        if radius >= 1.0:
+            assert report.rolling_disk_ok
+
+    @settings(DIFF, max_examples=25)
+    @given(side=st.floats(1.0, 40.0))
+    def test_square_corners(self, side):
+        report = assert_sound(square_path(side))
+        assert not report.rolling_disk_ok
+
+    @settings(DIFF, max_examples=6)
+    @given(scale=st.sampled_from([0.98, 1.0, 1.5]), angle=st.floats(0.0, 2.0 * math.pi))
+    def test_snake_scaled_and_rotated(self, snake_path, scale, angle):
+        pieces = scaled_loop(snake_path, scale, Point(0.0, 0.0)).pieces
+        path = PiecewisePath(tuple(p.rotated(Point(1.0, 2.0), angle) for p in pieces))
+        report = assert_sound(path, step=0.25)
+        assert report.rolling_disk_ok == (scale >= 1.0)

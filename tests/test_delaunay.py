@@ -5,7 +5,7 @@ oracles in oracles.py."""
 import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diskdraw import (
@@ -20,6 +20,7 @@ from diskdraw import (
 )
 from diskdraw.delaunay import Delaunay, circumcenter, incircle, orient
 
+from helpers import DIFF
 from oracles import (
     encircles_enumerated,
     escape_radius_enumerated,
@@ -28,8 +29,6 @@ from oracles import (
 )
 
 EPS = 2.0**-53
-# derandomized: the suite tests the same examples on every run
-DIFF = settings(max_examples=200, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
 
 
 class TestPredicates:
@@ -180,7 +179,7 @@ def _close(a: float, b: float, S, t) -> bool:
 
 
 class TestDifferential:
-    @DIFF
+    @settings(DIFF, max_examples=200)
     @given(point_sets(), st.sampled_from([0.5, 1.0, 2.0]))
     def test_lec_matches_enumeration(self, case, k):
         S, T, size = case
@@ -192,13 +191,13 @@ class TestDifferential:
                 assert center.distance_to(t) <= rho * (1 + 1e-12) + _ulps(S, t)
                 assert clearance == min(center.distance_to(p) for p in S)
 
-    @DIFF
+    @settings(DIFF, max_examples=200)
     @given(point_sets())
     def test_encircles_matches_enumeration(self, case):
         S, T, _ = case
         assert encircles(S, T) is encircles_enumerated(S, T)
 
-    @DIFF
+    @settings(DIFF, max_examples=200)
     @given(point_sets())
     def test_escape_radius_matches_enumeration(self, case):
         S, T, _ = case

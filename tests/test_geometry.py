@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from diskdraw import (
     Arc,
@@ -16,11 +18,12 @@ from diskdraw import (
     circumcircle3,
     constrained_largest_empty_circle,
     dist_to_primitive,
+    piece_distance,
     trapezoid_circumradius,
 )
-from diskdraw.geometry import OffsetHalfPlane
+from diskdraw.geometry import OffsetHalfPlane, _extent, piece_intersections, unit
 
-from helpers import grid_max_min_dist, random_point, random_primitive, rigid_motion
+from helpers import DIFF, grid_max_min_dist, random_point, random_primitive, rigid_motion
 from oracles import convex_hull, strictly_inside_hull
 
 
@@ -82,6 +85,154 @@ class TestDistToPrimitive:
             x, y = random_point(rng, 5.0), random_point(rng, 5.0)
             lhs = abs(dist_to_primitive(x, prim) - dist_to_primitive(y, prim))
             assert lhs <= x.distance_to(y) + 1e-12
+
+
+
+# ---------------------------------------------------------------------------
+# piece_distance against dense sampling
+# ---------------------------------------------------------------------------
+
+SCALES = [1e-3, 2.0**-5, 0.25, 1.0, 4.0, 2.0**5, 1e3]
+ANGLE = st.floats(0.0, 2.0 * math.pi)
+SWEEP = st.floats(0.1, 2.0 * math.pi - 0.1)
+UNIT = st.floats(0.2, 2.0)
+
+
+def arc(center, radius, a0, sweep, ccw):
+    return Arc(center, radius, a0, a0 + sweep if ccw else a0 - sweep, ccw)
+
+
+@st.composite
+def piece_pairs(draw):
+    """(p, q) in the unit scale: concentric arcs, tangent circles, collinear
+    overlapping segments, pieces that share an end, the offset of a piece
+    against the tangent next piece, or two random pieces."""
+    kind = draw(st.sampled_from(["concentric", "tangent", "collinear", "shared", "g1", "random"]))
+    c = Point(draw(st.floats(-2, 2)), draw(st.floats(-2, 2)))
+    if kind == "concentric":
+        return (arc(c, draw(UNIT), draw(ANGLE), draw(SWEEP), draw(st.booleans())),
+                arc(c, draw(UNIT), draw(ANGLE), draw(SWEEP), draw(st.booleans())))
+    if kind == "tangent":
+        r1, r2, alpha = draw(UNIT), draw(UNIT), draw(ANGLE)
+        gap = r1 + r2 if draw(st.booleans()) else abs(r1 - r2)
+        c2 = c + unit(alpha).scaled(gap)
+        # half the time both arcs hold the tangent point
+        a1 = alpha - 0.5 if draw(st.booleans()) else draw(ANGLE)
+        return (arc(c, r1, a1, draw(SWEEP), True),
+                arc(c2, r2, alpha + (math.pi if gap == r1 + r2 else 0.0) - 0.5, draw(SWEEP), True))
+    if kind == "collinear":
+        u = unit(draw(ANGLE))
+        ends = draw(st.lists(st.integers(-20, 20), min_size=4, max_size=4, unique=True))
+        order = [0.1 * t for t in ends]
+        return Segment(c + u.scaled(order[0]), c + u.scaled(order[1])), \
+            Segment(c + u.scaled(order[2]), c + u.scaled(order[3]))
+    first = draw(st.sampled_from(["segment", "arc"]))
+    if first == "segment":
+        p = Segment(c, c + unit(draw(ANGLE)).scaled(draw(UNIT)))
+    else:
+        p = arc(c, draw(UNIT), draw(ANGLE), draw(SWEEP), draw(st.booleans()))
+    if kind == "random":
+        c2 = Point(draw(st.floats(-2, 2)), draw(st.floats(-2, 2)))
+        if draw(st.booleans()):
+            return p, Segment(c2, c2 + unit(draw(ANGLE)).scaled(draw(UNIT)))
+        return p, arc(c2, draw(UNIT), draw(ANGLE), draw(SWEEP), draw(st.booleans()))
+    end, tangent = p.end_point, p.tangent_at(1.0)
+    if kind == "shared":
+        if draw(st.booleans()):
+            return p, Segment(end, end + unit(draw(ANGLE)).scaled(draw(UNIT)))
+        r, beta = draw(UNIT), draw(ANGLE)
+        return p, arc(end + unit(beta).scaled(r), r, beta + math.pi, draw(SWEEP), draw(st.booleans()))
+    # g1: the next piece leaves p's end along its tangent; p moves to its
+    # offset at distance 1 on one side, as the rolling-disk centres do
+    side = draw(st.sampled_from([1, -1]))
+    if isinstance(p, Segment):
+        normal = tangent.rot90().scaled(side)
+        offset = Segment(p.a + normal, p.b + normal)
+    else:
+        ends = [q + p.tangent_at(f).rot90().scaled(side) - p.center
+                for q, f in ((p.start_point, 0.0), (p.end_point, 1.0))]
+        rho = ends[0].norm()  # R -+ 1; a radius near 0 collapses to the centre
+        offset = (SinglePoint(p.center) if rho < 0.05
+                  else Arc(p.center, rho, *(math.atan2(e.y, e.x) for e in ends), p.ccw))
+    if draw(st.booleans()):
+        return offset, Segment(end, end + tangent.scaled(draw(UNIT)))
+    r = draw(UNIT)
+    turn = draw(st.sampled_from([1, -1]))
+    center = end + tangent.rot90().scaled(turn * r)
+    start = math.atan2(end.y - center.y, end.x - center.x)
+    return offset, arc(center, r, start, draw(st.floats(0.1, 3.0)), turn > 0)
+
+
+def scaled_piece(piece, k):
+    if isinstance(piece, SinglePoint):
+        return SinglePoint(piece.p.scaled(k))
+    if isinstance(piece, Segment):
+        return Segment(piece.a.scaled(k), piece.b.scaled(k))
+    return Arc(piece.center.scaled(k), k * piece.radius, piece.start_angle, piece.end_angle, piece.ccw)
+
+
+def sampled_distance(p, q, n=1000):
+    """(min over n + 1 points of p, and of q, of the exact distance to the
+    other piece; the spacing of those points).  Every sample is a point of
+    its piece, so the minimum bounds the distance from above, by at most
+    half the spacing."""
+    def points(piece):
+        if isinstance(piece, SinglePoint):
+            return [piece.p]
+        return [piece.point_at(k / n) for k in range(n + 1)]
+
+    def length(piece):
+        return 0.0 if isinstance(piece, SinglePoint) else piece.length
+
+    best = min(min(dist_to_primitive(x, q) for x in points(p)),
+               min(dist_to_primitive(y, p) for y in points(q)))
+    return best, max(length(p), length(q)) / n
+
+
+class TestPieceDistance:
+    @DIFF
+    @given(pair=piece_pairs(), k=st.sampled_from(SCALES))
+    def test_matches_dense_sampling(self, pair, k):
+        p, q = (scaled_piece(piece, k) for piece in pair)
+        d = piece_distance(p, q)
+        brute, spacing = sampled_distance(p, q)
+        slack = 1e-9 * k
+        assert brute - spacing - slack <= d <= brute + slack
+        assert piece_distance(q, p) == pytest.approx(d, rel=1e-12, abs=slack)
+
+    @DIFF
+    @given(pair=piece_pairs(), k=st.sampled_from(SCALES))
+    def test_zero_exactly_on_intersection(self, pair, k):
+        p, q = (scaled_piece(piece, k) for piece in pair)
+        if isinstance(p, SinglePoint) or isinstance(q, SinglePoint):
+            return
+        hits = piece_intersections(p, q, 1e-12 * max(_extent(p), _extent(q)))
+        assert (piece_distance(p, q) == 0.0) == bool(hits)
+
+    def test_concentric_arcs(self):
+        c = Point(1.0, -2.0)
+        # overlapping angular ranges: the radial gap
+        assert piece_distance(Arc(c, 1.0, 0.0, 2.0), Arc(c, 3.0, 1.0, 4.0)) == 2.0
+        # disjoint ranges: the nearest ends
+        d = piece_distance(Arc(c, 1.0, 0.0, 1.0), Arc(c, 1.0, 2.0, 3.0))
+        assert d == pytest.approx(Arc(c, 1.0, 0.0, 1.0).end_point.distance_to(Arc(c, 1.0, 2.0, 3.0).start_point))
+
+    def test_overlapping_concentric_arcs_intersect(self):
+        c = Point(0.5, 0.5)
+        assert piece_intersections(Arc(c, 1.0, 0.0, 2.0), Arc(c, 1.0, 1.0, 3.0), 1e-12)
+        assert not piece_intersections(Arc(c, 1.0, 0.0, 1.0), Arc(c, 1.0, 2.0, 3.0), 1e-12)
+        assert not piece_intersections(Arc(c, 1.0, 0.0, 2.0), Arc(c, 1.5, 1.0, 3.0), 1e-12)
+
+    def test_tangent_circles_touch(self):
+        outer = Arc(Point(0, 0), 2.0, 0.0, 0.0)
+        assert piece_distance(outer, Arc(Point(3, 0), 1.0, 0.0, 0.0)) == 0.0  # externally
+        assert piece_distance(outer, Arc(Point(1, 0), 1.0, 0.0, 0.0)) == 0.0  # internally
+        assert piece_distance(outer, Arc(Point(0.5, 0), 1.0, 0.0, 0.0)) == pytest.approx(0.5)
+
+    def test_segment_and_arc_interior_pair(self):
+        # the closest pair joins the top of the arc to the foot on the segment
+        d = piece_distance(Arc(Point(0, 0), 1.0, 0.2, math.pi - 0.2), Segment(Point(-5, 3), Point(5, 3)))
+        assert d == pytest.approx(2.0, rel=1e-15)
 
 
 class TestCircumcircle:

@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from diskdraw import (
@@ -37,6 +37,7 @@ from diskdraw import (
     write_svg,
 )
 
+from helpers import DIFF, scaled_loop
 from oracles import ray_cast_classify
 
 # frozen after the first verified generation (same code path, same platform)
@@ -133,9 +134,6 @@ class TestFiles:
 # Row spans against the per-pixel loop
 # ---------------------------------------------------------------------------
 
-# derandomized: the suite tests the same examples on every run
-DIFF = settings(max_examples=60, deadline=None, derandomize=True,
-                suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
 SCALES = [1e-3, 2.0**-5, 0.25, 1.0, 4.0, 2.0**5, 1e3]
 
 
@@ -284,17 +282,6 @@ class TestScriptSpans:
         ))
         spec = RasterSpec(-3.0, -3.0, 3.5, 3.5, resolution=6.0)
         assert render(script, spec) == per_pixel(script, spec)
-
-
-def scaled_loop(loop: PiecewisePath, k: float, shift: Point) -> PiecewisePath:
-    def move(p: Point) -> Point:
-        return Point(k * p.x + shift.x, k * p.y + shift.y)
-
-    return PiecewisePath(tuple(
-        Segment(move(p.a), move(p.b)) if isinstance(p, Segment)
-        else Arc(move(p.center), k * p.radius, p.start_angle, p.end_angle, p.ccw)
-        for p in loop.pieces
-    ))
 
 
 @st.composite
