@@ -48,6 +48,7 @@ from .obstruction import (
     CheckRecord,
     Coloring,
     DescentCertificate,
+    DissectionCheckResult,
     DissectionSpec,
     FiveCircleRadii,
     InvalidN,
@@ -60,8 +61,8 @@ from .obstruction import (
     chessboard_stages,
     default_dissection_L,
     descent_verify,
+    dissection_check,
     dissection_pattern_coloring,
-    dissection_sample_check,
     dissection_stages,
     dissection_wedge_checks,
     encircles,

@@ -23,6 +23,7 @@ from .geometry import (
     Segment,
     check_tolerance,
     dist_to_primitive,
+    piece_bbox,
     piece_intersections,
     rotate_about,
     unit,
@@ -100,7 +101,7 @@ class PiecewisePath:
     @cached_property
     def _boxes(self) -> tuple:
         """(piece, xmin, ymin, xmax, ymax) for each piece."""
-        return tuple((piece, *_bbox(piece)) for piece in self.pieces)
+        return tuple((piece, *piece_bbox(piece)) for piece in self.pieces)
 
     @cached_property
     def _parts(self) -> tuple:
@@ -180,15 +181,6 @@ def _monotone_parts(piece: PathPiece, y_end: float) -> list:
 
         parts.append((heights[k], heights[k + 1] if k < len(cuts) - 2 else y_end, x_at))
     return parts
-
-
-def _bbox(piece: PathPiece) -> tuple[float, float, float, float]:
-    """(xmin, ymin, xmax, ymax) of a segment, or of an arc's whole circle."""
-    if isinstance(piece, Arc):
-        c, r = piece.center, piece.radius
-        return c.x - r, c.y - r, c.x + r, c.y + r
-    a, b = piece.a, piece.b
-    return min(a.x, b.x), min(a.y, b.y), max(a.x, b.x), max(a.y, b.y)
 
 
 def classify_against_path(

@@ -125,14 +125,19 @@ class SinglePoint:
 
 @dataclass(frozen=True, slots=True)
 class Segment:
-    """Directed straight segment from a to b; endpoints must be distinct."""
+    """Directed straight segment from a to b.
+
+    Its squared length must be positive: distinct ends whose squared length
+    underflows to 0 would divide by zero in dist_to_segment.
+    """
 
     a: Point
     b: Point
 
     def __post_init__(self):
-        if self.a.x == self.b.x and self.a.y == self.b.y:
-            raise ValueError("segment endpoints must be distinct")
+        dx, dy = self.b.x - self.a.x, self.b.y - self.a.y
+        if dx * dx + dy * dy == 0.0:
+            raise ValueError("segment endpoints must be distinct, with a squared length above 0")
 
     @property
     def start_point(self) -> Point:
@@ -395,6 +400,23 @@ def piece_intersections(p1: Segment | Arc, p2: Segment | Arc, tol: float) -> lis
     if isinstance(p2, Segment):
         return _seg_arc_intersections(p2, p1, tol)
     return _arc_arc_intersections(p1, p2, tol)
+
+
+def piece_bbox(piece: Piece) -> tuple[float, float, float, float]:
+    """(xmin, ymin, xmax, ymax) of a point, segment or arc.  An arc's box
+    holds its ends and the points of its circle at angles 0, pi/2, pi and
+    3*pi/2 that lie on it."""
+    if isinstance(piece, SinglePoint):
+        return piece.p.x, piece.p.y, piece.p.x, piece.p.y
+    pts = [piece.start_point, piece.end_point]
+    if isinstance(piece, Arc):
+        c, r = piece.center, piece.radius
+        axes = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
+        pts += [Point(c.x + r * dx, c.y + r * dy) for k, (dx, dy) in enumerate(axes)
+                if piece.contains_angle(0.5 * math.pi * k)]
+    xs = [p.x for p in pts]
+    ys = [p.y for p in pts]
+    return min(xs), min(ys), max(xs), max(ys)
 
 
 def _extent(piece: Segment | Arc) -> float:

@@ -10,26 +10,35 @@ yes answers.
 
 from __future__ import annotations
 
+import logging
 import math
-import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .canvas import BoundaryPoint, DrawingScript, Shade, eval_script
 from .delaunay import Delaunay, circumcenter
 from .geometry import (
     DEFAULT_TAU,
+    Arc,
     LargestEmptyCircle,
     Point,
+    Segment,
+    SinglePoint,
     check_tolerance,
     circumcircle3,
     constrained_largest_empty_circle,  # noqa: F401  (perfbench traces it under this module)
+    dist_to_primitive,
+    piece_bbox,
+    piece_distance,
     unit,
 )
 
 if TYPE_CHECKING:
     from .constructions import PiecewisePath
+
+logger = logging.getLogger("diskdraw")
 
 
 class Verdict(Enum):
@@ -499,57 +508,225 @@ def dissection_wedge_checks(
 
 
 # ---------------------------------------------------------------------------
-# Sampled verification of a dissection
+# Proof of a dissection's rectangles
 # ---------------------------------------------------------------------------
+
+# A part of a rectangle that no rule decides is halved both ways, down to
+# this depth: at most 4**SPLIT_DEPTH = 256 leaves per rectangle.
+SPLIT_DEPTH = 4
+
+
+class RectLeaf(NamedTuple):
+    """A part of a dissection rectangle where the check stopped."""
+
+    ray: int
+    side: int  # +1: the ccw side of the ray
+    s: tuple[float, float]  # distance range along the ray
+    h: tuple[float, float]  # distance range from the ray
+    witness: Point  # the part's centre
+    got: Shade  # the centre's shade
+    proved: bool  # the whole part has that shade
 
 
 @dataclass(frozen=True)
 class DissectionCheckResult:
     ok: bool
-    failures: tuple[tuple[int, int, Point, str], ...]  # (ray, side, sample, got)
+    proved: tuple[RectLeaf, ...] = ()  # parts proved to have the expected shade
+    failures: tuple[RectLeaf, ...] = ()  # parts whose centre has another shade
+    undecided: tuple[RectLeaf, ...] = ()  # undecided parts whose centre has the expected shade
+    rectangles: int = 0
+    kernel_calls: int = 0  # piece_distance and dist_to_primitive calls
+    depth: int = 0  # deepest split
+    min_margin: float = math.inf  # smallest amount by which a proof cleared its bound
 
     def __bool__(self) -> bool:
         return self.ok
 
+    def counts(self) -> dict:
+        """The check's work counters and outcome sizes."""
+        return {"rectangles": self.rectangles,
+                "leaves": len(self.proved) + len(self.failures) + len(self.undecided),
+                "kernel_calls": self.kernel_calls, "depth": self.depth, "min_margin": self.min_margin,
+                "undecided": len(self.undecided), "failures": len(self.failures)}
 
-def dissection_sample_check(
-    coloring: Coloring,
-    spec: DissectionSpec,
-    samples_per_rect: int,
-    tau: float = DEFAULT_TAU,
-) -> DissectionCheckResult:
-    """Stratified sampling check of the dissection pattern against a coloring.
 
-    Both rectangles of every ray are shrunk by tau and sampled on a jittered
-    grid; the rectangle on the black side must classify black throughout and
-    the other white.  Returns ok=False with the failing (ray, side, sample)
-    records instead of raising.
+class _Part:
+    """The part [s0, s1] x [h0, h1] of a rectangle in the frame (apex, u, v):
+    u runs along the ray, v away from it into the rectangle's side."""
+
+    def __init__(self, frame: tuple[Point, Point, Point], s0: float, s1: float, h0: float, h1: float):
+        self.frame, self.s, self.h = frame, (s0, s1), (h0, h1)
+        apex, u, v = frame
+        self.corners = tuple(Point(apex.x + s * u.x + h * v.x, apex.y + s * u.y + h * v.y)
+                             for s, h in ((s0, h0), (s1, h0), (s1, h1), (s0, h1)))
+        self.center = Point(0.5 * (self.corners[0].x + self.corners[2].x),
+                            0.5 * (self.corners[0].y + self.corners[2].y))
+        xs = [c.x for c in self.corners]
+        ys = [c.y for c in self.corners]
+        self.box = (min(xs), min(ys), max(xs), max(ys))
+
+    @cached_property
+    def edges(self) -> tuple[Segment, ...]:
+        c = self.corners
+        return tuple(Segment(c[k], c[(k + 1) % 4]) for k in range(4))
+
+    def contains(self, q: Point) -> bool:
+        apex, u, v = self.frame
+        rel = q - apex
+        return self.s[0] <= rel.dot(u) <= self.s[1] and self.h[0] <= rel.dot(v) <= self.h[1]
+
+    def box_gap(self, box: tuple[float, float, float, float]) -> float:
+        """Distance from the part's bounding box to another box."""
+        dx = max(box[0] - self.box[2], self.box[0] - box[2], 0.0)
+        dy = max(box[1] - self.box[3], self.box[1] - box[3], 0.0)
+        return math.hypot(dx, dy)
+
+
+def dissection_check(coloring: Coloring, spec: DissectionSpec, tau: float = DEFAULT_TAU) -> DissectionCheckResult:
+    """Prove the dissection pattern of spec against a coloring.
+
+    Both rectangles of every ray, shrunk by 2*tau, must have one shade
+    throughout: black on the ray's black side, white on the other.  The
+    margin is 2*tau, not tau, because the tau-shrunk rectangles of the snake
+    and of the slid-disk script put one edge exactly on the classifier's
+    collar: the snake's boundary segment lies on the ray, at distance tau
+    from that edge, and the slid disks' centres run at height 1 from the
+    ray, at 1 -+ tau from it.  The samples of the former sampled check kept
+    at least 1/60 of a side away from the tau-shrunk edges, so they all lie
+    in the 2*tau-shrunk rectangle.
+
+    A part R of a rectangle is decided by what coloring.source records,
+    with the coloring's own margin t:
+
+    - A region (a tuple of loops): R is uniform when no piece is within t of
+      the filled R.  A piece whose start lies in R is at distance 0; any
+      other is as far from R as from the nearest of R's edges
+      (piece_distance), and a piece whose bounding box is farther than t
+      from R's box is skipped.  R's centre, classified, gives the shade.
+    - A DrawingScript: a stroke is IN on R when one convex primitive (point,
+      segment, half-plane or plane) has all four corners closer than 1 - t,
+      its neighbourhood being convex, and OUT when every primitive is
+      farther than 1 + t from R.  By eval_script's last-cover rule R has the
+      shade of the last IN stroke (white without one) when every later
+      stroke is OUT; earlier strokes do not matter.
+
+    A part that no rule decides is halved both ways, down to SPLIT_DEPTH
+    (Snyder, Interval analysis for computer graphics, SIGGRAPH 1992).  A
+    leaf there, and each rectangle of an opaque coloring (source None), is
+    decided at its centre: a failure when the centre has another shade,
+    undecided otherwise.  A part proved uniform in another shade is a
+    failure too.  ok needs every rectangle proved.
     """
     check_tolerance(tau)
-    if samples_per_rect < 1:
-        raise InvalidParameters("samples_per_rect must be >= 1")
-    k = max(1, math.isqrt(samples_per_rect - 1) + 1)
-    failures: list[tuple[int, int, Point, str]] = []
+    if not (spec.b - spec.a > 4.0 * tau and spec.d > 4.0 * tau):
+        raise InvalidParameters("the rectangles vanish when shrunk by 2*tau")
+    t, source = coloring.tau, coloring.source
+    calls = 0
+
+    def clearance(part: _Part, boxed, bound: float) -> float:
+        """A lower bound on the distance from the boxed pieces to the filled
+        part: exact for a piece whose box is within bound of the part's box,
+        the gap between the boxes for any other; a value at most bound as
+        soon as one piece is that close."""
+        nonlocal calls
+        best = math.inf
+        for piece, box in boxed:
+            gap = part.box_gap(box)
+            if gap > bound:
+                best = min(best, gap)
+                continue
+            if part.contains(piece.p if isinstance(piece, SinglePoint) else piece.start_point):
+                return 0.0
+            for edge in part.edges:
+                calls += 1
+                best = min(best, piece_distance(piece, edge))
+            if best <= bound:
+                return best
+        return best
+
+    def corner_distance(part: _Part, prim, reduce) -> float:
+        nonlocal calls
+        calls += 4
+        return reduce(dist_to_primitive(c, prim) for c in part.corners)
+
+    def region_rule(part: _Part) -> tuple[Shade | None, float]:
+        margin = clearance(part, pieces, t) - t
+        return (coloring.classify(part.center) if margin > 0.0 else None), margin
+
+    def script_rule(part: _Part) -> tuple[Shade | None, float]:
+        margin = math.inf
+        for k in range(len(strokes) - 1, -1, -1):
+            convex, boxed, planes = strokes[k]
+            for prim in convex:
+                far = corner_distance(part, prim, max)
+                if far < 1.0 - t:
+                    return (Shade.BLACK if k % 2 == 0 else Shade.WHITE), min(margin, 1.0 - t - far)
+            near = min([clearance(part, boxed, 1.0 + t)] + [corner_distance(part, p, min) for p in planes])
+            if not near > 1.0 + t:
+                return None, margin
+            margin = min(margin, near - (1.0 + t))
+        return Shade.WHITE, margin
+
+    if isinstance(source, DrawingScript):
+        rule = script_rule
+        strokes = []
+        for stroke in source.strokes:
+            prims = stroke.centers.primitives
+            strokes.append((
+                [p for p in prims if not isinstance(p, Arc)],
+                [(p, piece_bbox(p)) for p in prims if isinstance(p, (SinglePoint, Segment, Arc))],
+                [p for p in prims if not isinstance(p, (SinglePoint, Segment, Arc))],
+            ))
+    elif source is not None:
+        rule = region_rule
+        pieces = [(piece, piece_bbox(piece)) for loop in source for piece in loop.pieces]
+    else:
+        rule = None
+
+    proved: list[RectLeaf] = []
+    failures: list[RectLeaf] = []
+    undecided: list[RectLeaf] = []
+    deepest = 0
+    min_margin = math.inf
     for j in range(1, spec.n + 1):
         u = unit(spec.ray_angle(j))
-        p = u.rot90()
-        black_side = spec.black_side(j)
         for side in (1, -1):
-            expect = Shade.BLACK if side == black_side else Shade.WHITE
-            rng = random.Random(1_009 * j + (side + 1))
-            lo_s, hi_s = spec.a + tau, spec.b - tau
-            lo_h, hi_h = tau, spec.d - tau
-            for gi in range(k):
-                for gj in range(k):
-                    fs = (gi + 0.25 + 0.5 * rng.random()) / k
-                    fh = (gj + 0.25 + 0.5 * rng.random()) / k
-                    s_val = lo_s + fs * (hi_s - lo_s)
-                    h_val = lo_h + fh * (hi_h - lo_h)
-                    sample = spec.apex + u.scaled(s_val) + p.scaled(side * h_val)
-                    got = coloring.classify(sample)
-                    if got is not expect:
-                        failures.append((j, side, sample, got.value))
-    return DissectionCheckResult(not failures, tuple(failures))
+            frame = (spec.apex, u, u.rot90().scaled(side))
+            want = Shade.BLACK if side == spec.black_side(j) else Shade.WHITE
+            stack = [(spec.a + 2.0 * tau, spec.b - 2.0 * tau, 2.0 * tau, spec.d - 2.0 * tau, 0)]
+            while stack:
+                s0, s1, h0, h1, depth = stack.pop()
+                deepest = max(deepest, depth)
+                part = _Part(frame, s0, s1, h0, h1)
+                shade, margin = rule(part) if rule else (None, math.inf)
+                if shade is None and rule and depth < SPLIT_DEPTH:
+                    sm, hm = 0.5 * (s0 + s1), 0.5 * (h0 + h1)
+                    stack += [(a, b, c, d, depth + 1) for a, b in ((s0, sm), (sm, s1)) for c, d in ((h0, hm), (hm, h1))]
+                    continue
+                if shade is not None:
+                    min_margin = min(min_margin, margin)
+                got = shade or coloring.classify(part.center)
+                leaf = RectLeaf(j, side, part.s, part.h, part.center, got, shade is not None)
+                if got is not want:
+                    failures.append(leaf)
+                elif shade:
+                    proved.append(leaf)
+                else:
+                    undecided.append(leaf)
+
+    result = DissectionCheckResult(
+        ok=not failures and not undecided,
+        proved=tuple(proved),
+        failures=tuple(failures),
+        undecided=tuple(undecided),
+        rectangles=2 * spec.n,
+        kernel_calls=calls,
+        depth=deepest,
+        min_margin=min_margin,
+    )
+    logger.debug("dissection check: %d rectangles, %d leaves, %d kernel calls, depth %d, min margin %r, "
+                 "%d undecided, %d failures", *result.counts().values())
+    return result
 
 
 def dissection_pattern_coloring(spec: DissectionSpec, tau: float = DEFAULT_TAU) -> Coloring:

@@ -94,9 +94,10 @@ def _parse_primitive(r: _LineReader):
     if kind == "segment":
         a = Point(r.take_float("x1"), r.take_float("y1"))
         b = Point(r.take_float("x2"), r.take_float("y2"))
-        if a == b:
-            raise ParseError(r.lineno, kind_col, "segment endpoints must be distinct")
-        return Segment(a, b)
+        try:
+            return Segment(a, b)
+        except ValueError as exc:
+            raise ParseError(r.lineno, kind_col, str(exc)) from None
     if kind == "arc":
         c = Point(r.take_float("cx"), r.take_float("cy"))
         radius = r.take_float("radius")

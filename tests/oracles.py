@@ -36,11 +36,15 @@ and bound: it tests the two tangent disks at samples spaced at most `step`
 apart along each piece, against the path within the arclength window of
 radius eps around each sample.  It now samples piece by piece, so a
 junction is tested with the tangents of both pieces that meet there.
+
+dissection_sampled is the dissection check as it was before the rectangles
+were proved: it classifies jittered grid samples of each rectangle.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -61,6 +65,7 @@ from diskdraw import (
 )
 from diskdraw.constructions import PiecewisePath
 from diskdraw.geometry import _line_circle_params, dist_to_segment, unit
+from diskdraw.obstruction import Coloring, DissectionSpec
 
 
 def _circumcenter_xy(a, b, c):
@@ -443,4 +448,39 @@ def rolling_disk_sampled(path: PiecewisePath, step: float = 0.05, eps: float = 0
                 s0, center, d = tangent_disk_distance(path, i, k / count, side, eps)
                 if d < 1.0 - 1e-9:
                     failures.append((i, s0, side, center))
+    return failures
+
+
+def dissection_sampled(coloring: Coloring, spec: DissectionSpec, samples_per_rect: int,
+                       tau: float = DEFAULT_TAU) -> list[tuple[int, int, Point, str]]:
+    """(ray, side, sample, got) of every sample of the wrong shade.
+
+    Both rectangles of every ray are shrunk by tau and sampled on a jittered
+    k x k grid (k * k >= samples_per_rect, each sample at least a quarter
+    cell from its cell's edges); the rectangle on the black side must
+    classify black throughout and the other white.
+    """
+    if samples_per_rect < 1:
+        raise ValueError("samples_per_rect must be >= 1")
+    k = max(1, math.isqrt(samples_per_rect - 1) + 1)
+    failures = []
+    for j in range(1, spec.n + 1):
+        u = unit(spec.ray_angle(j))
+        p = u.rot90()
+        black_side = spec.black_side(j)
+        for side in (1, -1):
+            expect = Shade.BLACK if side == black_side else Shade.WHITE
+            rng = random.Random(1_009 * j + (side + 1))
+            lo_s, hi_s = spec.a + tau, spec.b - tau
+            lo_h, hi_h = tau, spec.d - tau
+            for gi in range(k):
+                for gj in range(k):
+                    fs = (gi + 0.25 + 0.5 * rng.random()) / k
+                    fh = (gj + 0.25 + 0.5 * rng.random()) / k
+                    s_val = lo_s + fs * (hi_s - lo_s)
+                    h_val = lo_h + fh * (hi_h - lo_h)
+                    sample = spec.apex + u.scaled(s_val) + p.scaled(side * h_val)
+                    got = coloring.classify(sample)
+                    if got is not expect:
+                        failures.append((j, side, sample, got.value))
     return failures

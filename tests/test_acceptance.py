@@ -27,7 +27,7 @@ from diskdraw import (
     build_snake,
     chessboard_coloring,
     circumcircle3,
-    dissection_sample_check,
+    dissection_check,
     eval_script,
     five_circle_radii,
     reference_eval,
@@ -213,7 +213,7 @@ def test_criterion_05b_r_a_below_s():
 
 
 def test_criterion_06_sharpness():
-    check = by_name(verify_sharp(12, 200, DEFAULT_TAU))["12-dissection"]
+    check = by_name(verify_sharp(12, DEFAULT_TAU))["12-dissection"]
 
     # independent oracle: distance to the pencil stroke centers decides color
     script = sharp_ndissected_script(12)
@@ -287,9 +287,11 @@ def test_criterion_09_chessboard_final_remark():
         apex=Point(0, 0), n=4, a=tau, b=1.0 - tau, d=1.0 - 2.0 * tau,
         phase=0.0, first_orientation="ccw",
     )
-    result = dissection_sample_check(chessboard_coloring(1.0), spec, 200)
-    report("9", "chessboard is totally 4-dissected at (0, c) thickness c", bool(result))
+    result = dissection_check(chessboard_coloring(1.0), spec)
+    report("9", "chessboard is totally 4-dissected at (0, c) thickness c", bool(result),
+           f"{len(result.proved)}/{result.rectangles} rectangles proved")
     assert result
+    assert len(result.proved) == result.rectangles == 8
 
 
 def test_criterion_10_rendering(snake_col):

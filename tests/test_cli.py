@@ -1,3 +1,5 @@
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -5,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from diskdraw.cli import main, verify_rolling, verify_snake
+from diskdraw.cli import main, verify_rolling, verify_sharp, verify_snake
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def run(capsys, *argv):
@@ -53,6 +56,14 @@ class TestSimulate:
 
     def test_usage_error(self, capsys):
         assert main(["simulate"]) == 2
+
+    def test_segment_too_short_to_measure_is_a_parse_error(self, tmp_path, capsys):
+        # the ends differ, but the squared length underflows to 0
+        scene = tmp_path / "s.txt"
+        scene.write_text("model open\nstroke pencil segment 0 0 1e-300 0\n")
+        code, out, err = run(capsys, "simulate", str(scene), "--query", "0", "0")
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: line 2,") and "Traceback" not in err
 
 
 class TestRender:
@@ -195,8 +206,24 @@ class TestVerify:
         assert out.splitlines() == ["stage=1 kind=colors verdict=yes clearance=0.0", "certificate valid: True"]
 
     def test_sharp(self, capsys):
-        code, out, _ = run(capsys, "verify", "sharp", "--n", "4", "--samples", "36")
+        code, out, _ = run(capsys, "verify", "sharp", "--n", "4")
         assert code == 0
+        assert out == "4-dissection of the slid-disk script at (1.0100, 20.0) thickness 1.98: ok\n"
+
+    def test_sharp_has_no_samples(self, capsys):
+        # the check is a proof, not a sample: there is no sample count
+        code, out, err = run(capsys, "verify", "sharp", "--n", "12", "--samples", "0")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --samples" in err
+
+    def test_dissection_records_hold_the_counts(self):
+        for checks, name in ((verify_sharp(12, 1e-9), "12-dissection"),
+                             (verify_snake(1.001, 1, 1e-9), "12-dissection")):
+            (check,) = [c for c in checks if c.name == name]
+            assert check.ok
+            assert (check.value["rectangles"], check.value["leaves"], check.value["depth"]) == (24, 24, 0)
+            assert check.value["failures"] == check.value["undecided"] == 0
+            assert 0.0 < check.value["min_margin"] < 2e-9
 
     def test_dissection(self, capsys):
         code, out, _ = run(
@@ -267,12 +294,10 @@ class TestOutOfRangeParameters:
         ["verify", "snake", "--depth", "-1"],
         ["verify", "rolling", "--eps", "nan"],
         ["verify", "trapezoid", "--fuzz", "0"],
-        ["verify", "sharp", "--n", "12", "--samples", "0"],
         ["render", "--construction", "chessboard", "--bbox", "-2", "-2", "2", "2", "--res", "0.5"],
         ["render", "--construction", "chessboard", "--bbox", "2", "2", "-2", "-2", "--res", "4"],
     ], ids=["sharp-n5", "chessboard-r2", "snake-r2", "dissection-s2", "dissection-negative-s",
          "dissection-small-L", "dissection-depth", "snake-depth", "rolling-eps-nan", "trapezoid-fuzz-0",
-         "sharp-samples",
          "render-res", "render-bbox"])
     def test_command_line(self, tmp_path, capsys, argv):
         out = tmp_path / "x.pgm"
@@ -308,3 +333,15 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[-1] == "ok"
+
+
+def test_traced_names_resolve():
+    """Every (module, attribute) the benchmark traces (TRACED in
+    perfbench/run.py, read without importing it) exists once the CLI is
+    imported, so a rename fails here and not only in a traced run."""
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text(encoding="utf-8"))
+    (traced,) = [ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "TRACED"]
+    assert traced
+    for module, attribute, _ in traced:
+        assert hasattr(importlib.import_module(module), attribute), f"{module}.{attribute}"

@@ -17,7 +17,7 @@ from diskdraw import (
     chessboard_coloring,
     chessboard_stages,
     classify_against_path,
-    dissection_sample_check,
+    dissection_check,
     eval_script,
     rounded_chessboard_coloring,
     script_coloring,
@@ -232,7 +232,7 @@ class TestSnakeDissection:
 
     def test_sample_check_passes(self, snake, snake_col):
         spec = snake_dissection_spec(snake)
-        assert dissection_sample_check(snake_col, spec, 200)
+        assert dissection_check(snake_col, spec)
 
 
 class TestSharpScript:
@@ -300,7 +300,7 @@ class TestSharpScript:
             phase=0.0,
             first_orientation="ccw",
         )
-        assert dissection_sample_check(script_coloring(script), spec, 64)
+        assert dissection_check(script_coloring(script), spec)
 
 
 class TestPiecewisePath:

@@ -21,7 +21,7 @@ from diskdraw import (
     piece_distance,
     trapezoid_circumradius,
 )
-from diskdraw.geometry import OffsetHalfPlane, _extent, piece_intersections, unit
+from diskdraw.geometry import OffsetHalfPlane, _extent, piece_bbox, piece_intersections, unit
 
 from helpers import DIFF, grid_max_min_dist, random_point, random_primitive, rigid_motion
 from oracles import convex_hull, strictly_inside_hull
@@ -71,6 +71,14 @@ class TestDistToPrimitive:
         assert abs(dist_to_primitive(Point(1, 1), seg) - 1.0) < 1e-15
         assert abs(dist_to_primitive(Point(3, 0), seg) - 1.0) < 1e-15
         assert abs(dist_to_primitive(Point(-3, 4), seg) - 5.0) < 1e-15
+
+    def test_segment_needs_a_positive_squared_length(self):
+        # 1e-300 squared underflows to 0: dist_to_segment would divide by it
+        with pytest.raises(ValueError):
+            Segment(Point(0, 0), Point(1e-300, 0))
+        with pytest.raises(ValueError):
+            Segment(Point(1, 1), Point(1, 1))
+        assert dist_to_primitive(Point(0, 1), Segment(Point(0, 0), Point(1e-150, 0))) == 1.0
 
     def test_halfplane_distance(self):
         hp = OffsetHalfPlane(Point(0, 1), 0.0, margin=1.0)
@@ -228,6 +236,23 @@ class TestPieceDistance:
         assert piece_distance(outer, Arc(Point(3, 0), 1.0, 0.0, 0.0)) == 0.0  # externally
         assert piece_distance(outer, Arc(Point(1, 0), 1.0, 0.0, 0.0)) == 0.0  # internally
         assert piece_distance(outer, Arc(Point(0.5, 0), 1.0, 0.0, 0.0)) == pytest.approx(0.5)
+
+    @DIFF
+    @given(pair=piece_pairs(), k=st.sampled_from(SCALES))
+    def test_bbox_is_tight(self, pair, k):
+        # the box holds 2001 points of the piece, and each of its sides
+        # comes within 1e-5 of the scale of one of them
+        for piece in (scaled_piece(p, k) for p in pair):
+            x0, y0, x1, y1 = piece_bbox(piece)
+            if isinstance(piece, SinglePoint):
+                assert (x0, y0) == (x1, y1) == (piece.p.x, piece.p.y)
+                continue
+            pts = [piece.point_at(i / 2000) for i in range(2001)]
+            slack = 1e-12 * _extent(piece)
+            assert all(x0 - slack <= q.x <= x1 + slack and y0 - slack <= q.y <= y1 + slack for q in pts)
+            near = 1e-5 * k
+            assert min(q.x for q in pts) <= x0 + near and max(q.x for q in pts) >= x1 - near
+            assert min(q.y for q in pts) <= y0 + near and max(q.y for q in pts) >= y1 - near
 
     def test_segment_and_arc_interior_pair(self):
         # the closest pair joins the top of the arc to the foot on the segment

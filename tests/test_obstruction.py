@@ -3,11 +3,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from diskdraw import (
     Arc,
     BoundaryPoint,
     CenterSet,
+    Coloring,
     DiskModel,
     DrawingScript,
     InvalidN,
@@ -26,7 +29,7 @@ from diskdraw import (
     default_dissection_L,
     descent_verify,
     dissection_pattern_coloring,
-    dissection_sample_check,
+    dissection_check,
     dissection_stages,
     dissection_wedge_checks,
     encircles,
@@ -36,10 +39,14 @@ from diskdraw import (
     stationary_number,
     undrawability_bound,
 )
-from diskdraw.geometry import DEFAULT_TAU
-from diskdraw.obstruction import DissectionSpec
+from diskdraw.constructions import (PiecewisePath, build_snake, region_coloring, sharp_dissection_spec,
+                                    sharp_ndissected_script, snake_coloring, snake_dissection_spec)
+from diskdraw.geometry import DEFAULT_TAU, SinglePoint, unit
+from diskdraw.obstruction import SPLIT_DEPTH, DissectionSpec
 
-from helpers import random_point, random_script, rigid_motion
+from helpers import DIFF, random_point, random_script, rigid_motion, scaled_loop
+from oracles import dissection_sampled
+from test_render import arc_loops, convex_polygons
 
 
 def stage1_points(r=0.1, theta=math.radians(0.5)):
@@ -404,31 +411,221 @@ class TestDissectionStages:
         assert cert.valid
 
 
+def local_coordinates(spec, leaf, q):
+    """(s, h) of q in the frame of the leaf's ray and side."""
+    u = unit(spec.ray_angle(leaf.ray))
+    rel = q - spec.apex
+    return rel.dot(u), leaf.side * u.cross(rel)
+
+
+def assert_witnesses_in_their_rectangles(spec, coloring, leaves, tau=DEFAULT_TAU):
+    for leaf in leaves:
+        s, h = local_coordinates(spec, leaf, leaf.witness)
+        assert spec.a + 2 * tau < s < spec.b - 2 * tau and 2 * tau < h < spec.d - 2 * tau
+        assert leaf.s[0] <= s <= leaf.s[1] and leaf.h[0] <= h <= leaf.h[1]
+        assert coloring.classify(leaf.witness) is leaf.got
+
+
 class TestDissectionSampleCheck:
+    """The dissection check on the chessboard and on colorings that fail it."""
+
+    spec = DissectionSpec(apex=Point(0, 0), n=4, a=0.05, b=0.95, d=0.9, phase=0.0, first_orientation="ccw")
+
     def test_chessboard_remark(self):
-        spec = DissectionSpec(
-            apex=Point(0, 0), n=4, a=0.05, b=0.95, d=0.9, phase=0.0, first_orientation="ccw"
-        )
-        assert dissection_sample_check(chessboard_coloring(1.0), spec, 100)
+        result = dissection_check(chessboard_coloring(1.0), self.spec)
+        assert result
+        assert len(result.proved) == 8 and result.depth == 0
 
     def test_all_white_fails(self):
-        from diskdraw import Coloring
-
-        spec = DissectionSpec(
-            apex=Point(0, 0), n=4, a=0.05, b=0.95, d=0.9, phase=0.0, first_orientation="ccw"
-        )
         blank = Coloring(lambda p: Shade.WHITE, "all white")
-        result = dissection_sample_check(blank, spec, 16)
+        result = dissection_check(blank, self.spec)
         assert not result
-        assert result.failures
-        ray, side, sample, got = result.failures[0]
-        assert got == "white"
+        # an opaque coloring is one leaf per rectangle, decided at its centre
+        assert result.counts()["leaves"] == 8 and not result.proved
+        assert [(leaf.ray, leaf.side) for leaf in result.failures] == [(1, 1), (2, -1), (3, 1), (4, -1)]
+        assert all(leaf.got is Shade.WHITE and not leaf.proved for leaf in result.failures)
+        assert len(result.undecided) == 4
+        assert_witnesses_in_their_rectangles(self.spec, blank, result.failures)
 
     def test_wrong_orientation_fails(self):
-        spec = DissectionSpec(
-            apex=Point(0, 0), n=4, a=0.05, b=0.95, d=0.9, phase=0.0, first_orientation="cw"
-        )
-        assert not dissection_sample_check(chessboard_coloring(1.0), spec, 25)
+        spec = DissectionSpec(apex=Point(0, 0), n=4, a=0.05, b=0.95, d=0.9, phase=0.0, first_orientation="cw")
+        coloring = chessboard_coloring(1.0)
+        result = dissection_check(coloring, spec)
+        assert not result
+        # every rectangle is proved uniform, in the other shade
+        assert len(result.failures) == 8 and all(leaf.proved for leaf in result.failures)
+        for leaf in result.failures:
+            want = Shade.BLACK if leaf.side == spec.black_side(leaf.ray) else Shade.WHITE
+            assert leaf.got is not want
+        assert_witnesses_in_their_rectangles(spec, coloring, result.failures)
+
+
+def leaf_samples(spec, leaf, rng, count=4):
+    """The leaf's centre and `count` random points of it."""
+    u = unit(spec.ray_angle(leaf.ray))
+    v = u.rot90().scaled(leaf.side)
+    out = [leaf.witness]
+    for _ in range(count):
+        s, h = rng.uniform(*leaf.s), rng.uniform(*leaf.h)
+        out.append(spec.apex + u.scaled(s) + v.scaled(h))
+    return out
+
+
+def assert_agrees_with_sampler(coloring, spec, seed, tau=DEFAULT_TAU):
+    """No part proved uniform holds a sample of another shade, every failure
+    witness has the shade reported, and a rectangle proved whole has no
+    failing sample of the former sampled check on the 2*tau-shrunk
+    rectangle (nor does a rectangle with a failing sample get proved)."""
+    result = dissection_check(coloring, spec, tau)
+    rng = random.Random(seed)
+    for leaf in result.proved + result.failures:
+        if leaf.proved:
+            assert all(coloring.classify(q) is leaf.got for q in leaf_samples(spec, leaf, rng)), leaf
+    assert_witnesses_in_their_rectangles(spec, coloring, result.failures + result.undecided, tau)
+    open_rects = {(leaf.ray, leaf.side) for leaf in result.failures + result.undecided}
+    sampled = {(ray, side) for ray, side, _, _ in dissection_sampled(coloring, spec, 25, 2 * tau)}
+    assert not sampled - open_rects
+    assert result.ok == (not open_rects)
+    return result
+
+
+@st.composite
+def grazing_specs(draw, loop, scale):
+    """A spec whose first ray starts on a piece of the loop and runs along
+    its tangent there, turned by 0, +-tau, or a small random angle, so that
+    one rectangle of that ray grazes the piece; lengths are in units of
+    scale."""
+    piece = draw(st.sampled_from(loop.pieces))
+    f = draw(st.floats(0.0, 1.0))
+    tangent = piece.tangent_at(f)
+    turn = draw(st.sampled_from([0.0, DEFAULT_TAU, -DEFAULT_TAU])) if draw(st.booleans()) else draw(st.floats(-0.1, 0.1))
+    a = scale * draw(st.floats(0.0, 0.3))
+    return DissectionSpec(apex=piece.point_at(f), n=draw(st.sampled_from([2, 4])), a=a,
+                          b=a + scale * draw(st.floats(0.01, 0.5)), d=scale * draw(st.floats(0.01, 0.5)),
+                          phase=math.atan2(tangent.y, tangent.x) + turn,
+                          first_orientation=draw(st.sampled_from(["ccw", "cw"])))
+
+
+class TestDissectionCheck:
+    def test_snake_proves_every_rectangle_at_depth_0(self):
+        geom = build_snake(1.001)
+        result = dissection_check(snake_coloring(geom), snake_dissection_spec(geom))
+        counts = result.counts()
+        assert result.ok and len(result.proved) == 24
+        assert (counts["rectangles"], counts["leaves"], counts["depth"]) == (24, 24, 0)
+        assert counts["undecided"] == counts["failures"] == 0
+        assert 0.0 < counts["min_margin"] < 2 * DEFAULT_TAU
+
+    def test_sharp_12_proves_every_rectangle_at_depth_0(self):
+        result = dissection_check(script_coloring(sharp_ndissected_script(12)), sharp_dissection_spec(12))
+        assert result.ok and len(result.proved) == 24
+        assert (result.depth, len(result.undecided), len(result.failures)) == (0, 0, 0)
+
+    @pytest.mark.parametrize("which", ["snake", "sharp"])
+    def test_the_tau_shrunk_edge_sits_on_the_collar(self, which):
+        # shrunk by tau only (the coloring's margin is 2x the check's), one
+        # edge of a rectangle per ray lies on the collar and is not proved
+        if which == "snake":
+            geom = build_snake(1.001)
+            coloring, spec = snake_coloring(geom, 2 * DEFAULT_TAU), snake_dissection_spec(geom)
+        else:
+            coloring, spec = script_coloring(sharp_ndissected_script(12), 2 * DEFAULT_TAU), sharp_dissection_spec(12)
+        result = dissection_check(coloring, spec, DEFAULT_TAU)
+        assert not result and not result.failures
+        assert {leaf.ray for leaf in result.undecided} == set(range(1, 13))
+        assert result.depth == SPLIT_DEPTH
+
+    def test_crossed_rectangle_is_never_proved(self):
+        # the four rectangles in the black quadrants run from 0.5 to 1.5
+        # along their ray and cross the square's far edge at 1; the four in
+        # the white quadrants stay white
+        coloring = chessboard_coloring(1.0)
+        spec = DissectionSpec(apex=Point(0, 0), n=4, a=0.5, b=1.5, d=0.9, phase=0.0, first_orientation="ccw")
+        result = dissection_check(coloring, spec)
+        assert not result
+        crossed = {(leaf.ray, leaf.side) for leaf in result.failures + result.undecided}
+        assert crossed == {(1, 1), (2, -1), (3, 1), (4, -1)}
+        assert result.depth == SPLIT_DEPTH
+        whole = [(leaf.ray, leaf.side) for leaf in result.proved if leaf.s[1] - leaf.s[0] > 0.9]
+        assert sorted(whole) == [(1, -1), (2, 1), (3, -1), (4, 1)]
+        for leaf in result.proved:
+            assert coloring.classify(leaf.witness) is leaf.got
+        assert_witnesses_in_their_rectangles(spec, coloring, result.failures + result.undecided)
+
+    def test_island_inside_a_rectangle_is_not_missed(self):
+        # a small disk region lies inside the white rectangle (1, +1) above
+        # the x-axis, farther than tau from its four edges; only its start
+        # point being inside shows it.  The other white rectangle, (2, -1),
+        # on the ccw side of the ray along -x, is white throughout.
+        island = PiecewisePath((Arc(Point(0.5, 0.5), 0.1, 0.0, math.pi), Arc(Point(0.5, 0.5), 0.1, math.pi, 0.0)))
+        coloring = region_coloring((island,))
+        spec = DissectionSpec(apex=Point(0, 0), n=2, a=0.0, b=1.0, d=1.0, phase=0.0, first_orientation="cw")
+        result = dissection_check(coloring, spec)
+        assert not result
+        black = {(leaf.ray, leaf.side) for leaf in result.failures if leaf.got is Shade.BLACK}
+        assert black == {(1, 1)}
+        assert (2, -1) in {(leaf.ray, leaf.side) for leaf in result.proved}
+        whole = {(leaf.ray, leaf.side) for leaf in result.proved + result.failures if leaf.s[1] - leaf.s[0] > 0.5}
+        assert (1, 1) not in whole  # the island's rectangle is split
+
+    def test_an_arc_neighbourhood_is_not_convex(self):
+        # a circle through the corners of the black rectangle (1, +1): every
+        # corner is inside the stroke, the centre, at the circle's centre,
+        # is not, so the corners do not prove the rectangle black
+        script = DrawingScript(DiskModel.OPEN, (Stroke(Tool.PENCIL, CenterSet((Arc(Point(1, 1), math.sqrt(2), 0.0, 0.0),))),))
+        spec = DissectionSpec(apex=Point(0, 0), n=2, a=0.0, b=2.0, d=2.0, phase=0.0, first_orientation="ccw")
+        result = dissection_check(script_coloring(script), spec)
+        assert not result
+        witnesses = [leaf.witness for leaf in result.failures if (leaf.ray, leaf.side) == (1, 1)]
+        assert witnesses and min(w.distance_to(Point(1, 1)) for w in witnesses) < 0.2
+
+    def test_vanishing_rectangles_rejected(self):
+        spec = DissectionSpec(apex=Point(0, 0), n=4, a=0.5, b=0.5 + 3e-9, d=0.9, phase=0.0)
+        with pytest.raises(InvalidParameters):
+            dissection_check(chessboard_coloring(1.0), spec)
+
+    def test_counts_are_logged(self, caplog):
+        spec = DissectionSpec(apex=Point(0, 0), n=4, a=0.05, b=0.95, d=0.9, phase=0.0)
+        with caplog.at_level("DEBUG", logger="diskdraw"):
+            dissection_check(chessboard_coloring(1.0), spec)
+        (record,) = [r for r in caplog.records if r.getMessage().startswith("dissection check:")]
+        assert "8 rectangles, 8 leaves" in record.getMessage()
+        assert record.getMessage().endswith("0 undecided, 0 failures")
+
+
+class TestDissectionCheckAgainstSampler:
+    """Differential tests against tests/oracles.py::dissection_sampled."""
+
+    @DIFF
+    @given(data=st.data(), loop=st.one_of(arc_loops(), convex_polygons()),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]), seed=st.integers(0, 2**16))
+    def test_regions(self, data, loop, scale, seed):
+        loop = scaled_loop(loop, scale, Point(0.0, 0.0))
+        spec = data.draw(grazing_specs(loop, scale))
+        assert_agrees_with_sampler(region_coloring((loop,)), spec, seed)
+
+    @DIFF
+    @given(data=st.data(), seed=st.integers(0, 2**16), shift=st.sampled_from(
+        [0.0, DEFAULT_TAU, -DEFAULT_TAU, 2 * DEFAULT_TAU, 3 * DEFAULT_TAU, 1e-6]))
+    def test_scripts(self, data, seed, shift):
+        # one ray runs along a unit circle of a point centre, shifted by
+        # `shift` away from it, so that its rectangles graze the circle
+        rng = random.Random(seed)
+        script = random_script(rng, max_strokes=4)
+        centre = next((p.p for st_ in script.strokes for p in st_.centers.primitives
+                       if isinstance(p, SinglePoint)), Point(0.0, 0.0))
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        apex = centre + unit(phi).scaled(1.0 + shift) + unit(phi + 0.5 * math.pi).scaled(-rng.uniform(0.0, 1.0))
+        a = rng.uniform(0.0, 0.5)
+        spec = DissectionSpec(apex=apex, n=data.draw(st.sampled_from([2, 4])), a=a, b=a + rng.uniform(0.05, 3.0),
+                              d=rng.uniform(0.05, 3.0), phase=phi + 0.5 * math.pi,
+                              first_orientation=rng.choice(["ccw", "cw"]))
+        assert_agrees_with_sampler(script_coloring(script), spec, seed)
+
+    @pytest.mark.parametrize("n", [4, 12])
+    def test_sharp_script_against_the_sampler(self, n):
+        result = assert_agrees_with_sampler(script_coloring(sharp_ndissected_script(n)), sharp_dissection_spec(n), n)
+        assert result.ok
 
 
 class TestUndrawabilityBound:
