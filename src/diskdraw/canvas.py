@@ -134,16 +134,23 @@ def nbhd_contains(x: Point, centers: CenterSet, tau: float = DEFAULT_TAU) -> Con
     which is precisely the regime reported as BOUNDARY.
     """
     check_tolerance(tau)
-    d = centers.dist(x)
-    if d < 1.0 - tau:
-        return Containment.IN
-    if d > 1.0 + tau:
-        return Containment.OUT
-    return Containment.BOUNDARY
+    return _containment(x, centers, 1.0 - tau, 1.0 + tau)
 
 
-def _stroke_verdicts(x: Point, script: DrawingScript, tau: float) -> list[Containment]:
-    return [nbhd_contains(x, s.centers, tau) for s in script.strokes]
+def _containment(x: Point, centers: CenterSet, inner: float, outer: float) -> Containment:
+    """nbhd_contains with the collar bounds 1 - tau and 1 + tau precomputed.
+
+    IN as soon as one primitive is closer than inner; otherwise the least
+    distance decides between OUT and BOUNDARY.
+    """
+    best = math.inf
+    for prim in centers.primitives:
+        d = dist_to_primitive(x, prim)
+        if d < inner:
+            return Containment.IN
+        if d < best:
+            best = d
+    return Containment.OUT if best > outer else Containment.BOUNDARY
 
 
 def eval_script(x: Point, script: DrawingScript, tau: float = DEFAULT_TAU) -> Shade:
@@ -153,26 +160,31 @@ def eval_script(x: Point, script: DrawingScript, tau: float = DEFAULT_TAU) -> Sh
     pencil, white when it is an eraser or no stroke ever covers x.  Boundary
     when some stroke at or above that index has a boundary verdict (an
     earlier boundary stroke is overridden and ignored).
+
+    The strokes are read from the last one back, and the first one that is
+    not OUT decides: IN gives its parity, BOUNDARY gives Shade.BOUNDARY.
+    Strokes below it are never evaluated.
     """
-    verdicts = _stroke_verdicts(x, script, tau)
-    m = 0
-    for k, v in enumerate(verdicts, start=1):
+    check_tolerance(tau)
+    inner, outer = 1.0 - tau, 1.0 + tau
+    strokes = script.strokes
+    for k in range(len(strokes), 0, -1):
+        v = _containment(x, strokes[k - 1].centers, inner, outer)
         if v is Containment.IN:
-            m = k
-    if any(v is Containment.BOUNDARY for v in verdicts[m:]):
-        return Shade.BOUNDARY
-    if m == 0:
-        return Shade.WHITE
-    return Shade.BLACK if m % 2 == 1 else Shade.WHITE
+            return Shade.BLACK if k % 2 == 1 else Shade.WHITE
+        if v is Containment.BOUNDARY:
+            return Shade.BOUNDARY
+    return Shade.WHITE
 
 
 def reference_eval(x: Point, script: DrawingScript, tau: float = DEFAULT_TAU) -> Shade:
     """Direct recursive evaluation of the alternating union/difference chain.
 
-    Independent of eval_script's last-cover shortcut; conservative about
-    boundaries (any boundary stroke verdict makes the result Boundary).
+    Independent of eval_script's last-cover shortcut: every stroke is
+    evaluated, front to back.  Conservative about boundaries (any boundary
+    stroke verdict makes the result Boundary).
     """
-    verdicts = _stroke_verdicts(x, script, tau)
+    verdicts = [nbhd_contains(x, s.centers, tau) for s in script.strokes]
     if any(v is Containment.BOUNDARY for v in verdicts):
         return Shade.BOUNDARY
     black = False
@@ -185,10 +197,11 @@ def reference_eval(x: Point, script: DrawingScript, tau: float = DEFAULT_TAU) ->
     return Shade.BLACK if black else Shade.WHITE
 
 
-def _sn_definite(covered: Sequence[bool]) -> int:
+def _sn_definite(covered: Sequence[bool], first: int) -> int:
+    """Stationary number when covered[i] says whether stroke first + i covers x."""
     last_odd = 0
     last_even = 0
-    for k, c in enumerate(covered, start=1):
+    for k, c in enumerate(covered, start=first):
         if c:
             if k % 2 == 1:
                 last_odd = k
@@ -197,11 +210,11 @@ def _sn_definite(covered: Sequence[bool]) -> int:
     if last_odd == 0 and last_even == 0:
         return 0  # never covered; all genuine stationary numbers are >= 1
     if last_odd > last_even:  # final color black
-        for k, c in enumerate(covered, start=1):
+        for k, c in enumerate(covered, start=first):
             if c and k % 2 == 1 and k > last_even:
                 return k
     else:  # final color white
-        for k, c in enumerate(covered, start=1):
+        for k, c in enumerate(covered, start=first):
             if c and k % 2 == 0 and k > last_odd:
                 return k
     raise AssertionError("unreachable")
@@ -214,12 +227,39 @@ def stationary_number(x: Point, script: DrawingScript, tau: float = DEFAULT_TAU)
     which no eraser covers x; dually for final-white.  Boundary stroke
     verdicts are tolerated only when they provably cannot change the answer
     (both resolutions are enumerated); otherwise BoundaryPoint is raised.
+
+    Only a suffix of the script is read.  The strokes are evaluated from the
+    last one back to the last definite IN stroke L, then on to the next
+    definite IN stroke j < L of the other parity, where the scan stops.
+    Under every resolution of the boundary verdicts, the last covering
+    stroke of L's parity is at least L and the last covering stroke of the
+    other parity is at least j.  The answer is a covering stroke of one
+    parity above the last covering stroke of the other, so it is above j,
+    and both "last" indices are found among the strokes j..n.  Strokes below
+    j therefore cannot change the answer under any resolution; their
+    verdicts are not computed, and their boundary verdicts are neither
+    enumerated nor counted against the cap of 10.  Without such a j the
+    whole script is the suffix.
     """
-    verdicts = _stroke_verdicts(x, script, tau)
-    boundary_idx = [i for i, v in enumerate(verdicts) if v is Containment.BOUNDARY]
-    base = [v is Containment.IN for v in verdicts]
+    check_tolerance(tau)
+    inner, outer = 1.0 - tau, 1.0 + tau
+    strokes = script.strokes
+    suffix: list[Containment] = []  # verdicts of strokes n, n - 1, ..., first
+    first, parity = 1, None  # parity: that of L
+    for k in range(len(strokes), 0, -1):
+        v = _containment(x, strokes[k - 1].centers, inner, outer)
+        suffix.append(v)
+        if v is Containment.IN:
+            if parity is None:
+                parity = k % 2
+            elif k % 2 != parity:
+                first = k  # j
+                break
+    suffix.reverse()
+    boundary_idx = [i for i, v in enumerate(suffix) if v is Containment.BOUNDARY]
+    base = [v is Containment.IN for v in suffix]
     if not boundary_idx:
-        return _sn_definite(base)
+        return _sn_definite(base, first)
     if len(boundary_idx) > 10:
         raise BoundaryPoint(f"{len(boundary_idx)} boundary strokes at {x}")
     values = set()
@@ -227,7 +267,7 @@ def stationary_number(x: Point, script: DrawingScript, tau: float = DEFAULT_TAU)
         trial = list(base)
         for i, bit in zip(boundary_idx, assignment):
             trial[i] = bit
-        values.add(_sn_definite(trial))
+        values.add(_sn_definite(trial, first))
         if len(values) > 1:
             raise BoundaryPoint(f"stationary number of {x} depends on a boundary verdict")
     return values.pop()

@@ -12,7 +12,7 @@ the anchor.  There is no numerical search or polishing step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 from .delaunay import Delaunay, circumcenter
@@ -177,19 +177,24 @@ class Arc:
     start_angle: float
     end_angle: float
     ccw: bool = True
+    # Derived in __post_init__ and read on every distance query; not part of
+    # ==, hash or repr.
+    sweep: float = field(init=False, repr=False, compare=False)  # unsigned extent in (0, 2*pi]
+    start_point: Point = field(init=False, repr=False, compare=False)
+    end_point: Point = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.radius) and self.radius > 0.0):
             raise ValueError(f"arc radius must be positive, got {self.radius!r}")
-
-    @property
-    def sweep(self) -> float:
-        """Unsigned angular extent in (0, 2*pi]."""
+        if not (math.isfinite(self.start_angle) and math.isfinite(self.end_angle)):
+            raise ValueError(f"arc angles must be finite, got {self.start_angle!r}, {self.end_angle!r}")
         if self.ccw:
             s = (self.end_angle - self.start_angle) % TWO_PI
         else:
             s = (self.start_angle - self.end_angle) % TWO_PI
-        return TWO_PI if s == 0.0 else s
+        object.__setattr__(self, "sweep", TWO_PI if s == 0.0 else s)
+        object.__setattr__(self, "start_point", self.point_at(0.0))
+        object.__setattr__(self, "end_point", self.point_at(1.0))
 
     @property
     def length(self) -> float:
@@ -204,14 +209,6 @@ class Arc:
             self.center.x + self.radius * math.cos(ang),
             self.center.y + self.radius * math.sin(ang),
         )
-
-    @property
-    def start_point(self) -> Point:
-        return self.point_at(0.0)
-
-    @property
-    def end_point(self) -> Point:
-        return self.point_at(1.0)
 
     def tangent_at(self, f: float) -> Point:
         t = unit(self.angle_at(f)).rot90()

@@ -39,6 +39,12 @@ junction is tested with the tangents of both pieces that meet there.
 
 dissection_sampled is the dissection check as it was before the rectangles
 were proved: it classifies jittered grid samples of each rectangle.
+
+eval_script_forward and stationary_number_enumerated are the two point
+queries as they were before the backward scan: each computes every stroke's
+verdict front to back, and the stationary number enumerates both
+resolutions of every boundary stroke in the script (more than 10 of them
+raise BoundaryPoint, wherever they are; max_boundary=None lifts that cap).
 """
 
 from __future__ import annotations
@@ -46,13 +52,15 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from diskdraw import (
     DEFAULT_TAU,
     Arc,
+    BoundaryPoint,
     CenterSet,
+    Containment,
     DiskModel,
     DrawingScript,
     Point,
@@ -62,6 +70,7 @@ from diskdraw import (
     Tool,
     Verdict,
     dist_to_primitive,
+    nbhd_contains,
 )
 from diskdraw.constructions import PiecewisePath
 from diskdraw.geometry import _line_circle_params, dist_to_segment, unit
@@ -484,3 +493,67 @@ def dissection_sampled(coloring: Coloring, spec: DissectionSpec, samples_per_rec
                     if got is not expect:
                         failures.append((j, side, sample, got.value))
     return failures
+
+
+def _stroke_verdicts(x: Point, script: DrawingScript, tau: float) -> list[Containment]:
+    return [nbhd_contains(x, s.centers, tau) for s in script.strokes]
+
+
+def eval_script_forward(x: Point, script: DrawingScript, tau: float = DEFAULT_TAU) -> Shade:
+    """The last-cover rule over all stroke verdicts: m is the last IN stroke,
+    and any BOUNDARY stroke after it makes the point BOUNDARY."""
+    verdicts = _stroke_verdicts(x, script, tau)
+    m = 0
+    for k, v in enumerate(verdicts, start=1):
+        if v is Containment.IN:
+            m = k
+    if any(v is Containment.BOUNDARY for v in verdicts[m:]):
+        return Shade.BOUNDARY
+    if m == 0:
+        return Shade.WHITE
+    return Shade.BLACK if m % 2 == 1 else Shade.WHITE
+
+
+def _sn_definite(covered: Sequence[bool]) -> int:
+    last_odd = 0
+    last_even = 0
+    for k, c in enumerate(covered, start=1):
+        if c:
+            if k % 2 == 1:
+                last_odd = k
+            else:
+                last_even = k
+    if last_odd == 0 and last_even == 0:
+        return 0
+    if last_odd > last_even:
+        for k, c in enumerate(covered, start=1):
+            if c and k % 2 == 1 and k > last_even:
+                return k
+    else:
+        for k, c in enumerate(covered, start=1):
+            if c and k % 2 == 0 and k > last_odd:
+                return k
+    raise AssertionError("unreachable")
+
+
+def stationary_number_enumerated(x: Point, script: DrawingScript, tau: float = DEFAULT_TAU,
+                                 max_boundary: int | None = 10) -> int:
+    """The stationary number over all stroke verdicts, both resolutions of
+    every boundary stroke enumerated; BoundaryPoint when they disagree or
+    when more than max_boundary strokes are boundary (None: no cap)."""
+    verdicts = _stroke_verdicts(x, script, tau)
+    boundary_idx = [i for i, v in enumerate(verdicts) if v is Containment.BOUNDARY]
+    base = [v is Containment.IN for v in verdicts]
+    if not boundary_idx:
+        return _sn_definite(base)
+    if max_boundary is not None and len(boundary_idx) > max_boundary:
+        raise BoundaryPoint(f"{len(boundary_idx)} boundary strokes at {x}")
+    values = set()
+    for assignment in product((False, True), repeat=len(boundary_idx)):
+        trial = list(base)
+        for i, bit in zip(boundary_idx, assignment):
+            trial[i] = bit
+        values.add(_sn_definite(trial))
+        if len(values) > 1:
+            raise BoundaryPoint(f"stationary number of {x} depends on a boundary verdict")
+    return values.pop()

@@ -2,8 +2,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diskdraw import (
+    DEFAULT_TAU,
     Arc,
     BoundaryPoint,
     CenterSet,
@@ -12,12 +15,16 @@ from diskdraw import (
     DrawingScript,
     NonConvexInput,
     NonUnitNormal,
+    OffsetHalfPlane,
     Point,
+    Segment,
     Shade,
     SinglePoint,
     Stroke,
     Tool,
+    WholePlane,
     convex_polygon_script,
+    dist_to_primitive,
     eval_script,
     halfplane_center_set,
     nbhd_contains,
@@ -25,7 +32,8 @@ from diskdraw import (
     stationary_number,
 )
 
-from helpers import random_point, random_script
+from helpers import DIFF, random_point, random_script
+from oracles import eval_script_forward, stationary_number_enumerated
 
 
 def pencil(*pts):
@@ -192,6 +200,146 @@ class TestStationaryNumber:
                             assert v is not Containment.IN
                 checked += 1
         assert checked > 3000
+
+
+    def test_boundary_cap_counts_only_the_suffix(self):
+        # strokes 1-11 sit at distance exactly 1 from x; the eraser 12 and the
+        # pencil 13 both cover x, so no resolution of 1-11 can matter
+        x = Point(0, 0)
+        ring = [pencil(Point(1, 0)) if k % 2 == 1 else eraser(Point(0, 1)) for k in range(1, 12)]
+        s = script(*ring, eraser(Point(0.5, 0)), pencil(Point(0, 0.5)))
+        assert [nbhd_contains(x, st.centers) for st in s.strokes[:11]] == [Containment.BOUNDARY] * 11
+        assert stationary_number(x, s) == 13
+        with pytest.raises(BoundaryPoint):
+            stationary_number_enumerated(x, s)  # the whole-script cap of 10 boundary strokes
+        assert stationary_number_enumerated(x, s, max_boundary=None) == 13
+
+    def test_bad_tolerance_rejected_even_without_strokes(self):
+        for query in (eval_script, stationary_number):
+            for s in (script(), script(pencil(Point(0, 0)))):
+                with pytest.raises(ValueError):
+                    query(Point(0, 0), s, tau=0.0)
+
+
+# Quarter-grid coordinates, shifted by exact offsets up to 1e6: a query placed
+# at distance 1 from a point, an axis-parallel segment or an axis-normal
+# half-plane is then exactly on its unit circle, and the verdict is BOUNDARY.
+QUARTERS = st.integers(-12, 12).map(lambda k: k / 4.0)
+OFFSETS = st.sampled_from([0.0, 2.5, -1e3, 1e6, -1e6])
+AXES = [Point(1, 0), Point(0, 1), Point(-1, 0), Point(0, -1)]
+
+
+@st.composite
+def point_queries(draw):
+    """A script of 1 to 16 strokes over a pool of all five primitive kinds,
+    with empty and repeated strokes, and a query point that is often on one
+    primitive's unit circle."""
+    ox, oy = draw(OFFSETS), draw(OFFSETS)
+
+    def pt():
+        return Point(ox + draw(QUARTERS), oy + draw(QUARTERS))
+
+    def primitive():
+        kind = draw(st.sampled_from(["point", "segment", "arc", "halfplane", "plane"]))
+        if kind == "point":
+            return SinglePoint(pt())
+        if kind == "segment":
+            a = pt()
+            length = draw(st.integers(1, 12)) / 4.0
+            b = draw(st.sampled_from([Point(a.x + length, a.y), Point(a.x, a.y - length), pt()]))
+            return Segment(a, b) if a != b else SinglePoint(a)
+        if kind == "arc":
+            a0 = draw(st.integers(0, 7)) * math.pi / 4.0
+            sweep = draw(st.one_of(st.just(0.0), st.floats(0.2, 6.0)))
+            radius = draw(st.sampled_from([0.25, 0.5, 1.0, 1.75]))
+            return Arc(pt(), radius, a0, a0 + sweep, draw(st.booleans()))
+        if kind == "halfplane":
+            n = draw(st.sampled_from(AXES))
+            return OffsetHalfPlane(n, n.x * ox + n.y * oy + draw(QUARTERS))
+        return WholePlane()
+
+    def on_unit_circle(prim):
+        if isinstance(prim, SinglePoint):
+            return prim.p + draw(st.sampled_from(AXES))
+        if isinstance(prim, Segment):
+            return prim.a - (prim.b - prim.a).normalized()
+        if isinstance(prim, Arc):
+            return prim.center + Point(math.cos(prim.start_angle), math.sin(prim.start_angle)).scaled(prim.radius + 1.0)
+        if isinstance(prim, OffsetHalfPlane):
+            n = prim.normal
+            base = prim.offset - (n.x * ox + n.y * oy)
+            return Point(ox, oy) + n.scaled(base) + n.rot90().scaled(draw(QUARTERS))
+        return pt()
+
+    pool = [primitive() for _ in range(draw(st.integers(1, 5)))]
+    strokes: list[Stroke] = []
+    for k in range(1, draw(st.integers(1, 16)) + 1):
+        roll = draw(st.sampled_from(["new", "new", "empty", "repeat"]))
+        if roll == "repeat" and strokes:
+            centers = draw(st.sampled_from(strokes)).centers
+        elif roll == "empty":
+            centers = CenterSet(())
+        else:
+            centers = CenterSet(tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))))
+        strokes.append(Stroke(Tool.PENCIL if k % 2 == 1 else Tool.ERASER, centers))
+    target = draw(st.sampled_from(pool))
+    where = draw(st.sampled_from(["circle", "circle", "circle", "free"]))
+    if where == "circle":
+        x = on_unit_circle(target)
+    else:
+        x = pt() + Point(draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5)))
+    return DrawingScript(draw(st.sampled_from(DiskModel)), tuple(strokes)), x
+
+
+def stationary_outcome(query, x, s, **kwargs):
+    try:
+        return query(x, s, **kwargs)
+    except BoundaryPoint:
+        return BoundaryPoint
+
+
+class TestBackwardScanDifferential:
+    """eval_script and stationary_number against the forward evaluations
+    they replaced (tests/oracles.py)."""
+
+    @DIFF
+    @given(point_queries())
+    def test_matches_forward_oracles(self, case):
+        s, x = case
+        assert eval_script(x, s) is eval_script_forward(x, s)
+        got = stationary_outcome(stationary_number, x, s)
+        want = stationary_outcome(stationary_number_enumerated, x, s)
+        if want is BoundaryPoint and got is not BoundaryPoint:
+            # only the whole-script cap on boundary strokes may separate them;
+            # without the cap the oracle must give the same number
+            assert stationary_number_enumerated(x, s, max_boundary=None) == got
+        else:
+            assert got == want
+
+    def test_boundary_queries_are_generated(self):
+        # the strategy reaches the collar: its first 200 cases put the query
+        # on the unit circle of every kind of primitive but the plane
+        seen = set()
+
+        @settings(max_examples=200, derandomize=True, deadline=None)
+        @given(point_queries())
+        def collect(case):
+            s, x = case
+            seen.update(type(p).__name__ for stroke in s.strokes for p in stroke.centers.primitives
+                        if abs(dist_to_primitive(x, p) - 1.0) <= DEFAULT_TAU)
+
+        collect()
+        assert {"SinglePoint", "Segment", "Arc", "OffsetHalfPlane"} <= seen
+
+    def test_matches_on_random_scripts(self):
+        rng = random.Random(2024)
+        for _ in range(300):
+            s = random_script(rng, max_strokes=12)
+            for _ in range(20):
+                x = random_point(rng, 4.0)
+                assert eval_script(x, s) is eval_script_forward(x, s)
+                assert stationary_outcome(stationary_number, x, s) == stationary_outcome(
+                    stationary_number_enumerated, x, s)
 
 
 class TestRelaxedNormalization:

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import random
 
 import numpy as np
@@ -21,7 +24,7 @@ from diskdraw import (
     piece_distance,
     trapezoid_circumradius,
 )
-from diskdraw.geometry import OffsetHalfPlane, _extent, piece_bbox, piece_intersections, unit
+from diskdraw.geometry import TWO_PI, OffsetHalfPlane, _extent, piece_bbox, piece_intersections, unit
 
 from helpers import DIFF, grid_max_min_dist, random_point, random_primitive, rigid_motion
 from oracles import convex_hull, strictly_inside_hull
@@ -94,6 +97,58 @@ class TestDistToPrimitive:
             lhs = abs(dist_to_primitive(x, prim) - dist_to_primitive(y, prim))
             assert lhs <= x.distance_to(y) + 1e-12
 
+
+
+class TestArcDerivedFields:
+    """sweep, start_point and end_point are computed once per Arc; they take
+    no part in ==, hash or repr, and every way of making an Arc sets them."""
+
+    ARC = Arc(Point(0.5, -0.2), 1.3, 2.0, 0.5, ccw=False)
+
+    def assert_derived(self, a):
+        turn = (a.end_angle - a.start_angle if a.ccw else a.start_angle - a.end_angle) % TWO_PI
+        assert a.sweep == (turn or TWO_PI)
+        assert a.start_point == a.point_at(0.0)
+        assert a.end_point == a.point_at(1.0)
+
+    def test_eq_hash_repr_read_only_the_five_fields(self):
+        a = self.ARC
+        assert repr(a) == "Arc(center=Point(x=0.5, y=-0.2), radius=1.3, start_angle=2.0, end_angle=0.5, ccw=False)"
+        assert a == Arc(Point(0.5, -0.2), 1.3, 2.0, 0.5, False)
+        assert hash(a) == hash((a.center, a.radius, a.start_angle, a.end_angle, a.ccw))
+        # equal sweeps and ends do not make arcs equal
+        assert Arc(Point(0, 0), 1.0, 0.0, 0.0) != Arc(Point(0, 0), 1.0, 0.0, TWO_PI)
+        assert Arc(Point(0, 0), 1.0, 0.0, 0.0).sweep == Arc(Point(0, 0), 1.0, 0.0, TWO_PI).sweep == TWO_PI
+
+    def test_sweep_values(self):
+        assert self.ARC.sweep == pytest.approx(1.5)
+        assert Arc(Point(0, 0), 1.0, 0.5, 2.0, ccw=False).sweep == pytest.approx(TWO_PI - 1.5)
+        self.assert_derived(self.ARC)
+
+    def test_replace_copy_and_pickle_recompute(self):
+        a = self.ARC
+        moved = dataclasses.replace(a, end_angle=-1.0)
+        assert moved.end_point == moved.point_at(1.0) != a.end_point
+        assert moved.sweep == pytest.approx(3.0)
+        with pytest.raises(ValueError):
+            dataclasses.replace(a, sweep=1.0)
+        for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert b == a
+            assert (b.sweep, b.start_point, b.end_point) == (a.sweep, a.start_point, a.end_point)
+            self.assert_derived(b)
+
+    def test_angles_must_be_finite(self):
+        # the ends are computed at construction, so a bad angle fails there
+        for a0, a1 in ((math.inf, 1.0), (0.0, math.nan)):
+            with pytest.raises(ValueError, match="angles must be finite"):
+                Arc(Point(0, 0), 1.0, a0, a1)
+
+    def test_reversed_and_rotated_ends(self):
+        a = self.ARC
+        for b in (a.reversed(), a.rotated(Point(1.0, 2.0), 0.7), a.reversed().rotated(Point(-3, 0), -2.0)):
+            self.assert_derived(b)
+        assert a.reversed().start_point.distance_to(a.end_point) < 1e-15
+        assert a.reversed().end_point.distance_to(a.start_point) < 1e-15
 
 
 # ---------------------------------------------------------------------------
