@@ -23,7 +23,6 @@ from .geometry import (
     SinglePoint,
     WholePlane,
     check_tolerance,
-    dist_to_primitive,
 )
 
 
@@ -74,11 +73,6 @@ class CenterSet:
     """
 
     primitives: tuple[Primitive, ...]
-
-    def dist(self, x: Point) -> float:
-        if not self.primitives:
-            return math.inf
-        return min(dist_to_primitive(x, prim) for prim in self.primitives)
 
     @staticmethod
     def of_points(*pts: Point) -> "CenterSet":
@@ -145,7 +139,7 @@ def _containment(x: Point, centers: CenterSet, inner: float, outer: float) -> Co
     """
     best = math.inf
     for prim in centers.primitives:
-        d = dist_to_primitive(x, prim)
+        d = prim.dist(x)
         if d < inner:
             return Containment.IN
         if d < best:
@@ -197,27 +191,21 @@ def reference_eval(x: Point, script: DrawingScript, tau: float = DEFAULT_TAU) ->
     return Shade.BLACK if black else Shade.WHITE
 
 
-def _sn_definite(covered: Sequence[bool], first: int) -> int:
-    """Stationary number when covered[i] says whether stroke first + i covers x."""
-    last_odd = 0
-    last_even = 0
-    for k, c in enumerate(covered, start=first):
+def _sn_backward(covered: Sequence[bool], n: int) -> int:
+    """Stationary number when covered[i] says whether stroke n - i covers x.
+
+    The first covered stroke L sets the final color.  The walk goes down
+    while the covered strokes have L's parity and stops at the first covered
+    stroke of the other parity; the answer is the last stroke of L's parity
+    reached, or 0 when no stroke covers x.
+    """
+    sn = 0
+    for k, c in zip(range(n, 0, -1), covered):
         if c:
-            if k % 2 == 1:
-                last_odd = k
-            else:
-                last_even = k
-    if last_odd == 0 and last_even == 0:
-        return 0  # never covered; all genuine stationary numbers are >= 1
-    if last_odd > last_even:  # final color black
-        for k, c in enumerate(covered, start=first):
-            if c and k % 2 == 1 and k > last_even:
-                return k
-    else:  # final color white
-        for k, c in enumerate(covered, start=first):
-            if c and k % 2 == 0 and k > last_odd:
-                return k
-    raise AssertionError("unreachable")
+            if sn and (sn - k) % 2:
+                break
+            sn = k
+    return sn
 
 
 def stationary_number(x: Point, script: DrawingScript, tau: float = DEFAULT_TAU) -> int:
@@ -244,22 +232,21 @@ def stationary_number(x: Point, script: DrawingScript, tau: float = DEFAULT_TAU)
     check_tolerance(tau)
     inner, outer = 1.0 - tau, 1.0 + tau
     strokes = script.strokes
-    suffix: list[Containment] = []  # verdicts of strokes n, n - 1, ..., first
-    first, parity = 1, None  # parity: that of L
-    for k in range(len(strokes), 0, -1):
+    n = len(strokes)
+    suffix: list[Containment] = []  # verdicts of strokes n, n - 1, ..., j (or 1)
+    parity = None  # that of L
+    for k in range(n, 0, -1):
         v = _containment(x, strokes[k - 1].centers, inner, outer)
         suffix.append(v)
         if v is Containment.IN:
             if parity is None:
                 parity = k % 2
             elif k % 2 != parity:
-                first = k  # j
-                break
-    suffix.reverse()
+                break  # k is j
     boundary_idx = [i for i, v in enumerate(suffix) if v is Containment.BOUNDARY]
     base = [v is Containment.IN for v in suffix]
     if not boundary_idx:
-        return _sn_definite(base, first)
+        return _sn_backward(base, n)
     if len(boundary_idx) > 10:
         raise BoundaryPoint(f"{len(boundary_idx)} boundary strokes at {x}")
     values = set()
@@ -267,7 +254,7 @@ def stationary_number(x: Point, script: DrawingScript, tau: float = DEFAULT_TAU)
         trial = list(base)
         for i, bit in zip(boundary_idx, assignment):
             trial[i] = bit
-        values.add(_sn_definite(trial, first))
+        values.add(_sn_backward(trial, n))
         if len(values) > 1:
             raise BoundaryPoint(f"stationary number of {x} depends on a boundary verdict")
     return values.pop()

@@ -22,8 +22,6 @@ from .geometry import (
     Point,
     Segment,
     check_tolerance,
-    dist_to_primitive,
-    piece_bbox,
     piece_intersections,
     rotate_about,
     unit,
@@ -96,12 +94,12 @@ class PiecewisePath:
         return out
 
     def distance_to(self, x: Point) -> float:
-        return min(dist_to_primitive(x, p) for p in self.pieces)
+        return min(p.dist(x) for p in self.pieces)
 
     @cached_property
     def _boxes(self) -> tuple:
         """(piece, xmin, ymin, xmax, ymax) for each piece."""
-        return tuple((piece, *piece_bbox(piece)) for piece in self.pieces)
+        return tuple((piece, *piece.bbox()) for piece in self.pieces)
 
     @cached_property
     def _parts(self) -> tuple:
@@ -211,7 +209,7 @@ def classify_against_path(
     x, y = p.x, p.y
     near = (piece for loop in loops for piece, x0, y0, x1, y1 in loop._boxes
             if x0 - tau <= x <= x1 + tau and y0 - tau <= y <= y1 + tau)
-    if any(dist_to_primitive(p, piece) <= tau for piece in near):
+    if any(piece.dist(p) <= tau for piece in near):
         return Shade.BOUNDARY
     inside = sum(1 for loop in loops for c in loop.crossings(y) if c > x) % 2 == 1
     return Shade.BLACK if inside else Shade.WHITE

@@ -113,9 +113,24 @@ class Circle:
 # ---------------------------------------------------------------------------
 
 
+# Every primitive answers dist(x), its exact distance to the point x, and
+# extent(), the largest coordinate magnitude it reaches, a scale for slacks.
+# The pieces SinglePoint, Segment and Arc also answer bbox(), their
+# (xmin, ymin, xmax, ymax).
+
+
 @dataclass(frozen=True, slots=True)
 class SinglePoint:
     p: Point
+
+    def dist(self, x: Point) -> float:
+        return x.distance_to(self.p)
+
+    def extent(self) -> float:
+        return max(abs(self.p.x), abs(self.p.y))
+
+    def bbox(self) -> tuple[float, float, float, float]:
+        return self.p.x, self.p.y, self.p.x, self.p.y
 
 
 # Segment and Arc are the pieces of boundary paths and share one interface:
@@ -162,6 +177,16 @@ class Segment:
 
     def rotated(self, center: Point, angle: float) -> "Segment":
         return Segment(rotate_about(self.a, center, angle), rotate_about(self.b, center, angle))
+
+    def dist(self, x: Point) -> float:
+        return dist_to_segment(x, self.a, self.b)
+
+    def extent(self) -> float:
+        return max(abs(self.a.x), abs(self.a.y), abs(self.b.x), abs(self.b.y))
+
+    def bbox(self) -> tuple[float, float, float, float]:
+        a, b = self.a, self.b
+        return min(a.x, b.x), min(a.y, b.y), max(a.x, b.x), max(a.y, b.y)
 
 
 @dataclass(frozen=True, slots=True)
@@ -237,6 +262,30 @@ class Arc:
             d = (self.start_angle - theta) % TWO_PI
         return d <= sweep + slack or d >= TWO_PI - slack
 
+    def dist(self, x: Point) -> float:
+        vx, vy = x.x - self.center.x, x.y - self.center.y
+        r = math.hypot(vx, vy)
+        if r == 0.0:
+            return self.radius
+        if self.contains_angle(math.atan2(vy, vx)):
+            return abs(r - self.radius)
+        return min(x.distance_to(self.start_point), x.distance_to(self.end_point))
+
+    def extent(self) -> float:
+        return max(abs(self.center.x), abs(self.center.y)) + self.radius
+
+    def bbox(self) -> tuple[float, float, float, float]:
+        """The box of the ends and of the points of the circle at angles 0,
+        pi/2, pi and 3*pi/2 that lie on the arc."""
+        c, r = self.center, self.radius
+        axes = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
+        pts = [self.start_point, self.end_point]
+        pts += [Point(c.x + r * dx, c.y + r * dy) for k, (dx, dy) in enumerate(axes)
+                if self.contains_angle(0.5 * math.pi * k)]
+        xs = [p.x for p in pts]
+        ys = [p.y for p in pts]
+        return min(xs), min(ys), max(xs), max(ys)
+
 
 @dataclass(frozen=True, slots=True)
 class OffsetHalfPlane:
@@ -255,10 +304,21 @@ class OffsetHalfPlane:
         if abs(self.normal.norm() - 1.0) > 1e-12:
             raise ValueError("half-plane normal must have unit length (tolerance 1e-12)")
 
+    def dist(self, x: Point) -> float:
+        height = x.dot(self.normal) - (self.offset + self.margin)
+        return max(0.0, -height)
+
+    def extent(self) -> float:
+        return abs(self.offset) + self.margin
+
 
 @dataclass(frozen=True, slots=True)
 class WholePlane:
-    pass
+    def dist(self, x: Point) -> float:
+        return 0.0
+
+    def extent(self) -> float:
+        return 0.0
 
 
 Primitive = Union[SinglePoint, Segment, Arc, OffsetHalfPlane, WholePlane]
@@ -278,24 +338,7 @@ def dist_to_segment(x: Point, a: Point, b: Point) -> float:
 
 def dist_to_primitive(x: Point, prim: Primitive) -> float:
     """Exact distance from x to the primitive's point set."""
-    if isinstance(prim, SinglePoint):
-        return x.distance_to(prim.p)
-    if isinstance(prim, Segment):
-        return dist_to_segment(x, prim.a, prim.b)
-    if isinstance(prim, Arc):
-        vx, vy = x.x - prim.center.x, x.y - prim.center.y
-        r = math.hypot(vx, vy)
-        if r == 0.0:
-            return prim.radius
-        if prim.contains_angle(math.atan2(vy, vx)):
-            return abs(r - prim.radius)
-        return min(x.distance_to(prim.start_point), x.distance_to(prim.end_point))
-    if isinstance(prim, OffsetHalfPlane):
-        height = x.dot(prim.normal) - (prim.offset + prim.margin)
-        return max(0.0, -height)
-    if isinstance(prim, WholePlane):
-        return 0.0
-    raise TypeError(f"unknown primitive {prim!r}")
+    return prim.dist(x)
 
 
 # ---------------------------------------------------------------------------
@@ -399,30 +442,6 @@ def piece_intersections(p1: Segment | Arc, p2: Segment | Arc, tol: float) -> lis
     return _arc_arc_intersections(p1, p2, tol)
 
 
-def piece_bbox(piece: Piece) -> tuple[float, float, float, float]:
-    """(xmin, ymin, xmax, ymax) of a point, segment or arc.  An arc's box
-    holds its ends and the points of its circle at angles 0, pi/2, pi and
-    3*pi/2 that lie on it."""
-    if isinstance(piece, SinglePoint):
-        return piece.p.x, piece.p.y, piece.p.x, piece.p.y
-    pts = [piece.start_point, piece.end_point]
-    if isinstance(piece, Arc):
-        c, r = piece.center, piece.radius
-        axes = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
-        pts += [Point(c.x + r * dx, c.y + r * dy) for k, (dx, dy) in enumerate(axes)
-                if piece.contains_angle(0.5 * math.pi * k)]
-    xs = [p.x for p in pts]
-    ys = [p.y for p in pts]
-    return min(xs), min(ys), max(xs), max(ys)
-
-
-def _extent(piece: Segment | Arc) -> float:
-    """Largest coordinate magnitude a piece reaches, a scale for slacks."""
-    if isinstance(piece, Segment):
-        return max(abs(piece.a.x), abs(piece.a.y), abs(piece.b.x), abs(piece.b.y))
-    return max(abs(piece.center.x), abs(piece.center.y)) + piece.radius
-
-
 def _candidates(p: Segment | Arc, q: Segment | Arc) -> list[Point]:
     """Points of p where p can come closest to q when the two do not meet:
     p's ends, and the interior points where a segment joining p to q can be
@@ -457,14 +476,14 @@ def piece_distance(p: Piece, q: Piece) -> float:
     (Schneider and Eberly, Geometric Tools for Computer Graphics, 2003,
     ch. 6); _candidates holds a point of every such pair.  Each candidate
     is a point of its piece, so its exact distance to the other piece
-    (dist_to_primitive) bounds the answer from above, and the smallest one
+    (the piece's dist) bounds the answer from above, and the smallest one
     is the distance up to rounding.
     """
     if isinstance(p, SinglePoint):
-        return dist_to_primitive(p.p, q)
+        return q.dist(p.p)
     if isinstance(q, SinglePoint):
-        return dist_to_primitive(q.p, p)
-    if piece_intersections(p, q, 1e-12 * max(_extent(p), _extent(q))):
+        return p.dist(q.p)
+    if piece_intersections(p, q, 1e-12 * max(p.extent(), q.extent())):
         return 0.0
     if isinstance(p, Arc) and isinstance(q, Arc) and p.center == q.center:
         if (p.contains_angle(q.start_angle) or p.contains_angle(q.end_angle)
@@ -473,7 +492,7 @@ def piece_distance(p: Piece, q: Piece) -> float:
         ends = [(p.start_point, q), (p.end_point, q), (q.start_point, p), (q.end_point, p)]
     else:
         ends = [(x, q) for x in _candidates(p, q)] + [(y, p) for y in _candidates(q, p)]
-    return min(dist_to_primitive(x, other) for x, other in ends)
+    return min(other.dist(x) for x, other in ends)
 
 
 # ---------------------------------------------------------------------------

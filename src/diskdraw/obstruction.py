@@ -29,8 +29,6 @@ from .geometry import (
     check_tolerance,
     circumcircle3,
     constrained_largest_empty_circle,  # noqa: F401  (perfbench traces it under this module)
-    dist_to_primitive,
-    piece_bbox,
     piece_distance,
     unit,
 )
@@ -97,18 +95,6 @@ class StageFamily:
     blacks: tuple[Point, ...]
     whites: tuple[Point, ...]
     stage_index: int
-
-    @classmethod
-    def checked(
-        cls,
-        coloring: Coloring,
-        blacks: Sequence[Point],
-        whites: Sequence[Point],
-        stage_index: int,
-    ) -> "StageFamily":
-        fam = cls(tuple(blacks), tuple(whites), stage_index)
-        _verify_family_colors(coloring, fam)
-        return fam
 
 
 def _verify_family_colors(coloring: Coloring, fam: StageFamily) -> None:
@@ -266,7 +252,8 @@ def chessboard_stages(r: float, theta: float, depth: int) -> list[StageFamily]:
     Stage 1 has four black points at radius r, spread by the angle theta into
     the black quadrants, and four white points mirrored into the white
     quadrants.  Each further stage is the previous one scaled by exactly 1/2,
-    so every derived clearance halves exactly as well.
+    so every derived clearance halves exactly as well.  The colors are not
+    checked here: descent_verify checks them at its own tau.
     """
     if not (0.0 < r < 1.0):
         raise InvalidParameters(f"need 0 < r < 1, got {r}")
@@ -274,9 +261,6 @@ def chessboard_stages(r: float, theta: float, depth: int) -> list[StageFamily]:
         raise InvalidParameters(f"need 0 < theta < pi/4, got {theta}")
     if depth < 1:
         raise InvalidParameters(f"need depth >= 1, got {depth}")
-    from .constructions import chessboard_coloring
-
-    coloring = chessboard_coloring(1.0)
     b1a = Point(r * math.cos(theta), r * math.sin(theta))
     b1b = Point(b1a.y, b1a.x)  # reflection about the diagonal
     w1a = Point(r * math.cos(theta), -r * math.sin(theta))
@@ -287,10 +271,9 @@ def chessboard_stages(r: float, theta: float, depth: int) -> list[StageFamily]:
     for i in range(depth):
         k = 0.5**i  # power of two: scaling is exact in floating point
         stages.append(
-            StageFamily.checked(
-                coloring,
-                [p.scaled(k) for p in blacks],
-                [p.scaled(k) for p in whites],
+            StageFamily(
+                tuple(p.scaled(k) for p in blacks),
+                tuple(p.scaled(k) for p in whites),
                 stage_index=i + 1,
             )
         )
@@ -535,7 +518,7 @@ class DissectionCheckResult:
     failures: tuple[RectLeaf, ...] = ()  # parts whose centre has another shade
     undecided: tuple[RectLeaf, ...] = ()  # undecided parts whose centre has the expected shade
     rectangles: int = 0
-    kernel_calls: int = 0  # piece_distance and dist_to_primitive calls
+    kernel_calls: int = 0  # piece_distance and primitive dist calls
     depth: int = 0  # deepest split
     min_margin: float = math.inf  # smallest amount by which a proof cleared its bound
 
@@ -647,7 +630,7 @@ def dissection_check(coloring: Coloring, spec: DissectionSpec, tau: float = DEFA
     def corner_distance(part: _Part, prim, reduce) -> float:
         nonlocal calls
         calls += 4
-        return reduce(dist_to_primitive(c, prim) for c in part.corners)
+        return reduce(prim.dist(c) for c in part.corners)
 
     def region_rule(part: _Part) -> tuple[Shade | None, float]:
         margin = clearance(part, pieces, t) - t
@@ -674,12 +657,12 @@ def dissection_check(coloring: Coloring, spec: DissectionSpec, tau: float = DEFA
             prims = stroke.centers.primitives
             strokes.append((
                 [p for p in prims if not isinstance(p, Arc)],
-                [(p, piece_bbox(p)) for p in prims if isinstance(p, (SinglePoint, Segment, Arc))],
+                [(p, p.bbox()) for p in prims if isinstance(p, (SinglePoint, Segment, Arc))],
                 [p for p in prims if not isinstance(p, (SinglePoint, Segment, Arc))],
             ))
     elif source is not None:
         rule = region_rule
-        pieces = [(piece, piece_bbox(piece)) for loop in source for piece in loop.pieces]
+        pieces = [(piece, piece.bbox()) for loop in source for piece in loop.pieces]
     else:
         rule = None
 

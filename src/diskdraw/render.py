@@ -19,7 +19,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 from .canvas import (
     DrawingScript,
@@ -53,7 +53,7 @@ class RasterSpec:
         return max(1, round((self.ymax - self.ymin) * self.resolution))
 
 
-RenderSource = Union[DrawingScript, Coloring, Callable[[Point], Shade]]
+RenderSource = Union[DrawingScript, Coloring]
 
 _SHADE_BYTE = {Shade.BLACK: 0, Shade.WHITE: 255, Shade.BOUNDARY: 128}
 _BLACK, _WHITE = 0, 255
@@ -79,8 +79,6 @@ def render(source: RenderSource, spec: RasterSpec) -> bytes:
         source = script_coloring(source)
     if isinstance(source, Coloring):
         classify, shape = source.classify, source.source
-    elif callable(source):
-        classify, shape = source, None
     else:
         raise TypeError(f"cannot render {source!r}")
     grid = _Grid(spec)
@@ -171,17 +169,7 @@ def _margin(grid: _Grid, piece) -> float:
     several orders of magnitude, and a collar window is still only about
     2e-7 * M wide: few pixel centers ever fall inside one.
     """
-    if isinstance(piece, SinglePoint):
-        size = max(abs(piece.p.x), abs(piece.p.y))
-    elif isinstance(piece, Segment):
-        size = max(abs(piece.a.x), abs(piece.a.y), abs(piece.b.x), abs(piece.b.y))
-    elif isinstance(piece, Arc):
-        size = max(abs(piece.center.x), abs(piece.center.y)) + piece.radius
-    elif isinstance(piece, OffsetHalfPlane):
-        size = abs(piece.offset) + piece.margin
-    else:
-        size = 0.0
-    return 1e-7 * max(grid.scale, size)
+    return 1e-7 * max(grid.scale, piece.extent())
 
 
 def _chord(cx: float, dy: float, rho: float):

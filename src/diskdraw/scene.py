@@ -87,37 +87,35 @@ class _LineReader:
 
 
 def _parse_primitive(r: _LineReader):
+    """One primitive; the constructor's ValueError becomes a ParseError at
+    the primitive's kind."""
     kind_col = r.tokens[r.pos][0]
     kind = r.take("a primitive kind")
-    if kind == "point":
-        return SinglePoint(Point(r.take_float("x"), r.take_float("y")))
-    if kind == "segment":
-        a = Point(r.take_float("x1"), r.take_float("y1"))
-        b = Point(r.take_float("x2"), r.take_float("y2"))
-        try:
+    try:
+        if kind == "point":
+            return SinglePoint(Point(r.take_float("x"), r.take_float("y")))
+        if kind == "segment":
+            a = Point(r.take_float("x1"), r.take_float("y1"))
+            b = Point(r.take_float("x2"), r.take_float("y2"))
             return Segment(a, b)
-        except ValueError as exc:
-            raise ParseError(r.lineno, kind_col, str(exc)) from None
-    if kind == "arc":
-        c = Point(r.take_float("cx"), r.take_float("cy"))
-        radius = r.take_float("radius")
-        if radius <= 0.0:
-            raise ParseError(r.lineno, kind_col, f"arc radius must be positive, got {radius}")
-        a0 = r.take_float("start angle")
-        a1 = r.take_float("end angle")
-        ccw = True
-        if r.peek() == "cw":
-            r.take("cw")
-            ccw = False
-        return Arc(c, radius, a0, a1, ccw=ccw)
-    if kind == "halfplane":
-        n = Point(r.take_float("nx"), r.take_float("ny"))
-        offset = r.take_float("offset")
-        if abs(n.norm() - 1.0) > 1e-12:
-            raise ParseError(r.lineno, kind_col, f"halfplane normal must be unit length, got {n}")
-        return OffsetHalfPlane(n, offset, margin=1.0)
-    if kind == "plane":
-        return WholePlane()
+        if kind == "arc":
+            c = Point(r.take_float("cx"), r.take_float("cy"))
+            radius = r.take_float("radius")
+            a0 = r.take_float("start angle")
+            a1 = r.take_float("end angle")
+            ccw = True
+            if r.peek() == "cw":
+                r.take("cw")
+                ccw = False
+            return Arc(c, radius, a0, a1, ccw=ccw)
+        if kind == "halfplane":
+            n = Point(r.take_float("nx"), r.take_float("ny"))
+            offset = r.take_float("offset")
+            return OffsetHalfPlane(n, offset, margin=1.0)
+        if kind == "plane":
+            return WholePlane()
+    except ValueError as exc:
+        raise ParseError(r.lineno, kind_col, str(exc)) from None
     raise ParseError(r.lineno, kind_col, f"unknown primitive kind {kind!r}")
 
 

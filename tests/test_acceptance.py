@@ -12,7 +12,6 @@ import math
 import random
 import time
 
-import numpy as np
 import pytest
 
 from diskdraw import (
@@ -223,7 +222,7 @@ def test_criterion_06_sharpness():
     tested = 0
     for _ in range(10_000):
         p = Point(rng.uniform(-22, 22), rng.uniform(-22, 22))
-        dists = [cs.dist(p) for cs in pencil_sets]
+        dists = [min(prim.dist(p) for prim in cs.primitives) for cs in pencil_sets]
         if any(abs(d - 1.0) <= 1e-7 for d in dists):
             continue
         want = Shade.BLACK if min(dists) < 1.0 else Shade.WHITE

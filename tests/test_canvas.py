@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -31,9 +32,10 @@ from diskdraw import (
     reference_eval,
     stationary_number,
 )
+from diskdraw.canvas import _sn_backward
 
 from helpers import DIFF, random_point, random_script
-from oracles import eval_script_forward, stationary_number_enumerated
+from oracles import _sn_definite, eval_script_forward, stationary_number_enumerated
 
 
 def pencil(*pts):
@@ -65,7 +67,7 @@ class TestNbhdContains:
 
     def test_empty_center_set_covers_nothing(self):
         cs = CenterSet(())
-        assert cs.dist(Point(0, 0)) == math.inf
+        assert nbhd_contains(Point(0, 0), cs) is Containment.OUT
         assert nbhd_contains(Point(1e7, 1e7), cs) is Containment.OUT
 
 
@@ -340,6 +342,18 @@ class TestBackwardScanDifferential:
                 assert eval_script(x, s) is eval_script_forward(x, s)
                 assert stationary_outcome(stationary_number, x, s) == stationary_outcome(
                     stationary_number_enumerated, x, s)
+
+
+class TestBackwardRule:
+    def test_matches_forward_rule_on_every_covered_vector(self):
+        # every covered-vector of length 1 to 10, read last stroke first as
+        # the backward scan collects it, against the forward rule
+        count = 0
+        for n in range(1, 11):
+            for covered in product((False, True), repeat=n):
+                assert _sn_backward(covered[::-1], n) == _sn_definite(list(covered)), covered
+                count += 1
+        assert count == 2046
 
 
 class TestRelaxedNormalization:

@@ -247,6 +247,13 @@ class TestVerify:
         assert len(fail) == 1
         assert "stage 21" in fail[0] and "Point(" in fail[0]
 
+    def test_stage_colors_are_checked_at_the_given_tau(self, capsys):
+        # the same stages are definite under a margin of 1e-12: the colors
+        # are checked once, at --tau, so the certificate holds
+        code, out, _ = run(capsys, "--tau", "1e-12", "verify", "chessboard", "--depth", "21")
+        assert code == 0, out
+        assert "certificate valid: True" in out and "FAIL" not in out
+
 
 GOLDEN = Path(__file__).with_name("verify_golden.txt")
 

@@ -27,7 +27,7 @@ from diskdraw import (
     undrawability_bound,
 )
 from diskdraw.constructions import PiecewisePath
-from diskdraw.geometry import rotate_about, unit
+from diskdraw.geometry import rotate_about
 
 from helpers import random_point
 from oracles import chessboard_classify, ray_cast_classify, rounded_chessboard_classify, sharp_ndissected_strokes

@@ -24,7 +24,7 @@ from diskdraw import (
     piece_distance,
     trapezoid_circumradius,
 )
-from diskdraw.geometry import TWO_PI, OffsetHalfPlane, _extent, piece_bbox, piece_intersections, unit
+from diskdraw.geometry import TWO_PI, OffsetHalfPlane, piece_intersections, unit
 
 from helpers import DIFF, grid_max_min_dist, random_point, random_primitive, rigid_motion
 from oracles import convex_hull, strictly_inside_hull
@@ -269,7 +269,7 @@ class TestPieceDistance:
         p, q = (scaled_piece(piece, k) for piece in pair)
         if isinstance(p, SinglePoint) or isinstance(q, SinglePoint):
             return
-        hits = piece_intersections(p, q, 1e-12 * max(_extent(p), _extent(q)))
+        hits = piece_intersections(p, q, 1e-12 * max(p.extent(), q.extent()))
         assert (piece_distance(p, q) == 0.0) == bool(hits)
 
     def test_concentric_arcs(self):
@@ -298,12 +298,12 @@ class TestPieceDistance:
         # the box holds 2001 points of the piece, and each of its sides
         # comes within 1e-5 of the scale of one of them
         for piece in (scaled_piece(p, k) for p in pair):
-            x0, y0, x1, y1 = piece_bbox(piece)
+            x0, y0, x1, y1 = piece.bbox()
             if isinstance(piece, SinglePoint):
                 assert (x0, y0) == (x1, y1) == (piece.p.x, piece.p.y)
                 continue
             pts = [piece.point_at(i / 2000) for i in range(2001)]
-            slack = 1e-12 * _extent(piece)
+            slack = 1e-12 * piece.extent()
             assert all(x0 - slack <= q.x <= x1 + slack and y0 - slack <= q.y <= y1 + slack for q in pts)
             near = 1e-5 * k
             assert min(q.x for q in pts) <= x0 + near and max(q.x for q in pts) >= x1 - near

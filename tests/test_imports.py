@@ -1,0 +1,77 @@
+"""Every import in the package and in the tests is read by its module.
+
+No linter ships with the project and the runtime is stdlib only, so this is
+the unused-import check: the names a module binds by import against the
+names it reads.  The package's __init__.py (its re-exports) and import lines
+marked noqa are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+FILES = [p for p in sorted((ROOT / "src" / "diskdraw").glob("*.py")) if p.name != "__init__.py"]
+FILES += sorted((ROOT / "tests").glob("*.py"))
+
+
+def _annotation_names(node: ast.AST) -> set[str]:
+    """Names read by an annotation, including those quoted in strings."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            try:
+                names |= _annotation_names(ast.parse(sub.value, mode="eval"))
+            except SyntaxError:
+                pass
+        elif isinstance(sub, ast.Name):
+            names.add(sub.id)
+    return names
+
+
+def unused_imports(source: str) -> list[str]:
+    """'line: name' for each name bound by an import that the module never reads."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported: dict[str, int] = {}
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                if "noqa" not in lines[alias.lineno - 1]:
+                    imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            read |= _annotation_names(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+            read |= _annotation_names(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            read |= _annotation_names(node.annotation)
+    return [f"{line}: {name}" for name, line in sorted(imported.items(), key=lambda kv: kv[1])
+            if name not in read]
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_checker_flags_unused_and_honours_noqa_and_annotations():
+    source = (
+        "from __future__ import annotations\n"
+        "import math\n"
+        "import os  # noqa: F401\n"
+        "import os.path as osp\n"
+        "from typing import Sequence\n"
+        "from x import (\n"
+        "    a,\n"
+        "    b,  # noqa: F401\n"
+        ")\n"
+        "def f(v: 'Sequence[int]'):\n"
+        "    return a\n"
+    )
+    assert unused_imports(source) == ["2: math", "4: osp"]

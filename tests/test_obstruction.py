@@ -26,7 +26,6 @@ from diskdraw import (
     Verdict,
     chessboard_coloring,
     chessboard_stages,
-    default_dissection_L,
     descent_verify,
     dissection_pattern_coloring,
     dissection_check,
@@ -185,8 +184,8 @@ class TestChessboardStages:
                 assert q.x == p.x * 0.5 and q.y == p.y * 0.5
 
     def test_all_depth10_points_classify(self):
-        # classification is enforced at construction; a sign-based check is
-        # the independent oracle here
+        # descent_verify checks the colors against the coloring; a sign-based
+        # check is the independent oracle here
         stages = chessboard_stages(0.1, math.radians(0.5), 10)
         for fam in stages:
             for p in fam.blacks:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from diskdraw import (
     Arc,
     CenterSet,
+    Coloring,
     DiskModel,
     DrawingScript,
     OffsetHalfPlane,
@@ -138,10 +139,11 @@ SCALES = [1e-3, 2.0**-5, 0.25, 1.0, 4.0, 2.0**5, 1e3]
 
 
 def per_pixel(source, spec):
-    """The oracle: a bare callable is opaque, so render classifies each pixel."""
+    """The oracle: a coloring without a source is opaque, so render
+    classifies each pixel."""
     if isinstance(source, DrawingScript):
-        return render(lambda p: eval_script(p, source), spec)
-    return render(source.classify, spec)
+        return render(Coloring(classify=lambda p: eval_script(p, source)), spec)
+    return render(Coloring(classify=source.classify), spec)
 
 
 def render_counts(caplog, source, spec):
@@ -360,7 +362,7 @@ class TestRegionSpans:
         pixels, fallback_rows, _ = render_counts(caplog, coloring, spec)
         assert fallback_rows == 0
         assert pixels == per_pixel(coloring, spec)
-        assert pixels == render(lambda p: ray_cast_classify(coloring.source, p), spec)
+        assert pixels == render(Coloring(classify=lambda p: ray_cast_classify(coloring.source, p)), spec)
 
     def test_rows_tangent_to_arcs_need_no_fallback(self, caplog):
         # rows at y = 1, 0.75, ..., -1.5: y = 1 and y = -1 are tangent, y = 0 holds the arc endpoints
@@ -370,7 +372,7 @@ class TestRegionSpans:
         pixels, fallback_rows, _ = render_counts(caplog, coloring, spec)
         assert fallback_rows == 0
         assert pixels == per_pixel(coloring, spec)
-        assert pixels == render(lambda p: ray_cast_classify(circle, p), spec)
+        assert pixels == render(Coloring(classify=lambda p: ray_cast_classify(circle, p)), spec)
 
 
 class TestBenchmarkRenders:

@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -106,12 +105,17 @@ class TestParse:
         assert (exc.value.line, exc.value.column) == (2, 1)
 
     def test_bad_values(self):
-        with pytest.raises(ParseError):
+        # the primitive's constructor rejects the value, reported at its kind
+        with pytest.raises(ParseError) as err:
             parse_script("model open\nstroke pencil arc 0 0 -1 0 1\n")
+        assert (err.value.line, err.value.column) == (2, 15)
+        assert err.value.message == "arc radius must be positive, got -1.0"
         with pytest.raises(ParseError):
             parse_script("model open\nstroke pencil segment 1 1 1 1\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as err:
             parse_script("model open\nstroke pencil halfplane 3 4 0\n")
+        assert (err.value.line, err.value.column) == (2, 15)
+        assert err.value.message == "half-plane normal must have unit length (tolerance 1e-12)"
         with pytest.raises(ParseError):
             parse_script("model open\nstroke pencil point 0 inf\n")
 
