@@ -22,7 +22,6 @@ from .geometry import (
     WholePlane,
     circumcircle3,
     constrained_largest_empty_circle,
-    dist_to_primitive,
     piece_distance,
     trapezoid_circumradius,
 )

@@ -336,11 +336,6 @@ def dist_to_segment(x: Point, a: Point, b: Point) -> float:
     return math.hypot(wx - t * vx, wy - t * vy)
 
 
-def dist_to_primitive(x: Point, prim: Primitive) -> float:
-    """Exact distance from x to the primitive's point set."""
-    return prim.dist(x)
-
-
 # ---------------------------------------------------------------------------
 # Piece intersections and the distance between two pieces
 # ---------------------------------------------------------------------------
@@ -553,13 +548,14 @@ class LargestEmptyCircle:
     Candidates are scored only against the obstacles within d0 + 2*rho of the
     anchor, d0 being the anchor's nearest-obstacle distance.  The pruning is
     exact: every x in the disk has f(x) <= d0 + rho, and a farther obstacle
-    is more than d0 + rho from every such x.
+    is more than d0 + rho from every such x.  escape(t) reads the same
+    triangulation for the escape radius of a point t.
     """
 
     def __init__(self, obstacles: Sequence[Point]):
         if not obstacles:
             raise EmptyObstacleSet("largest empty circle needs at least one obstacle")
-        dt = Delaunay((p.x, p.y) for p in obstacles)
+        dt = self._dt = Delaunay((p.x, p.y) for p in obstacles)
         pts = self._points = dt.points
         self._centers = [circumcenter(pts[a], pts[b], pts[c]) for a, b, c in dt.triangles()]
         self._bisectors = []  # (i, j, midpoint, unit direction) per Delaunay edge ij
@@ -618,13 +614,35 @@ class LargestEmptyCircle:
                 best_x, best_y, best_v = x, y, v
         return Point(best_x, best_y), best_v
 
+    def escape(self, t: Point) -> float:
+        """Radius of the largest disk that can reach t while avoiding the obstacles.
+
+        Formally sup{|x - t| : |x - t| <= dist(x, S)}, S being the obstacles:
+        the disk has t on its boundary and no point of S inside.  That is the
+        farthest vertex of t's Voronoi cell in Vor(S + {t}), i.e. the farthest
+        circumcenter of t's insertion-cavity fan in Del(S) (of t's own link
+        when t is a point of S).  Infinite when the cell is unbounded, which
+        happens exactly when t is not strictly inside the convex hull of S.
+
+        An escape radius >= 1 proves that S does not encircle t (a unit disk
+        fits inside the escaping disk, still touching t).  The converse fails:
+        a finite value below 1 does not certify encirclement.  The value
+        scales linearly under similarity, which makes it the natural
+        per-stage clearance of a self-similar descent chain.
+        """
+        txy = (t.x, t.y)
+        fan = self._dt.cell_fan(txy)
+        if fan is None:
+            return math.inf
+        best = 0.0
+        for u, v in fan:
+            cx, cy = circumcenter(txy, self._points[u], self._points[v])
+            best = max(best, math.hypot(cx - t.x, cy - t.y))
+        return best
+
 
 def constrained_largest_empty_circle(
     obstacles: Sequence[Point], anchor: Point, rho: float
 ) -> tuple[Point, float]:
-    """Maximize min-distance to the obstacles over the closed disk |x - anchor| <= rho.
-
-    Returns (center, clearance) from the exact Voronoi candidates of
-    LargestEmptyCircle.
-    """
+    """LargestEmptyCircle(obstacles).query(anchor, rho), for a single query."""
     return LargestEmptyCircle(obstacles).query(anchor, rho)

@@ -18,7 +18,6 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .canvas import BoundaryPoint, DrawingScript, Shade, eval_script
-from .delaunay import Delaunay, circumcenter
 from .geometry import (
     DEFAULT_TAU,
     Arc,
@@ -119,15 +118,17 @@ def encircles(S: Sequence[Point], T: Sequence[Point], tau: float = DEFAULT_TAU) 
     constrained to |x - t| <= 1 has clearance < 1 - tau.  NO when a witness
     center sits definitely inside the touching region (distance to T below
     1 - tau) with distance to S above 1 + tau.  BOUNDARY otherwise.  Empty T
-    is vacuously YES; empty S with nonempty T is NO.  The Delaunay
-    triangulation of S is built once and serves every anchor.
+    is vacuously YES; empty S with nonempty T is NO.  One triangulation of S
+    answers every anchor, and in descent_verify the escape radius as well.
     """
     check_tolerance(tau)
-    if not T:
-        return Verdict.YES
-    if not S:
-        return Verdict.NO
-    lec = LargestEmptyCircle(S)
+    if not (S and T):
+        return Verdict.NO if T else Verdict.YES
+    return _encircles(LargestEmptyCircle(S), T, tau)
+
+
+def _encircles(lec: LargestEmptyCircle, T: Sequence[Point], tau: float) -> Verdict:
+    """The verdict of encircles for nonempty T, against the obstacles of lec."""
     boundary = False
     for t in T:
         _, clearance = lec.query(t, 1.0)
@@ -141,35 +142,21 @@ def encircles(S: Sequence[Point], T: Sequence[Point], tau: float = DEFAULT_TAU) 
     return Verdict.BOUNDARY if boundary else Verdict.YES
 
 
+def _encirclement(S: Sequence[Point], T: Sequence[Point], tau: float) -> tuple[Verdict, float]:
+    """encircles(S, T, tau) and escape_radius(S, T), from one triangulation of S."""
+    if not (S and T):
+        return (Verdict.NO, math.inf) if T else (Verdict.YES, 0.0)
+    lec = LargestEmptyCircle(S)
+    return _encircles(lec, T, tau), max(map(lec.escape, T))
+
+
 def escape_radius(S: Sequence[Point], T: Sequence[Point]) -> float:
-    """Radius of the largest disk that can reach a point of T while avoiding S.
-
-    Formally max over t in T of sup{|x - t| : |x - t| <= dist(x, S)}: the
-    disk has t on its boundary and no point of S inside.  That is the
-    farthest vertex of t's Voronoi cell in Vor(S + {t}), i.e. the farthest
-    circumcenter of t's insertion-cavity fan in Del(S) (of t's own link when
-    t is a point of S).  Infinite when the cell is unbounded, which happens
-    exactly when some t is not strictly inside the convex hull of S.
-
-    An escape radius >= 1 proves that S does not encircle T (a unit disk fits
-    inside the escaping disk, still touching t).  The converse fails: a
-    finite value below 1 does not certify encirclement.  The value scales
-    linearly under similarity, which makes it the natural per-stage
-    clearance of a self-similar descent chain.
-    """
-    if not T:
-        return 0.0
-    dt = Delaunay((p.x, p.y) for p in S)
-    best = 0.0
-    for t in T:
-        txy = (t.x, t.y)
-        fan = dt.cell_fan(txy)
-        if fan is None:
-            return math.inf
-        for u, v in fan:
-            cx, cy = circumcenter(txy, dt.points[u], dt.points[v])
-            best = max(best, math.hypot(cx - t.x, cy - t.y))
-    return best
+    """Radius of the largest disk that can reach a point of T while avoiding S:
+    the largest LargestEmptyCircle(S).escape(t) over t in T (see there), 0.0
+    for empty T and infinite for empty S."""
+    if not (S and T):
+        return math.inf if T else 0.0
+    return max(map(LargestEmptyCircle(S).escape, T))
 
 
 # ---------------------------------------------------------------------------
@@ -224,19 +211,15 @@ def descent_verify(
         _verify_family_colors(coloring, fam)
         checks.append(CheckRecord(fam.stage_index, "colors", Verdict.YES, 0.0))
     for fam, nxt in zip(stages, stages[1:]):
-        v1 = encircles(fam.blacks, nxt.whites, tau)
-        v2 = encircles(fam.whites, nxt.blacks, tau)
+        v1, c1 = _encirclement(fam.blacks, nxt.whites, tau)
+        v2, c2 = _encirclement(fam.whites, nxt.blacks, tau)
         if v1 is Verdict.NO or v2 is Verdict.NO:
             verdict = Verdict.NO
         elif v1 is Verdict.YES and v2 is Verdict.YES:
             verdict = Verdict.YES
         else:
             verdict = Verdict.BOUNDARY
-        clearance = max(
-            escape_radius(fam.blacks, nxt.whites),
-            escape_radius(fam.whites, nxt.blacks),
-        )
-        checks.append(CheckRecord(fam.stage_index, "enc", verdict, clearance))
+        checks.append(CheckRecord(fam.stage_index, "enc", verdict, max(c1, c2)))
     valid = all(c.verdict is Verdict.YES for c in checks)
     return DescentCertificate(tuple(stages), tuple(checks), valid)
 

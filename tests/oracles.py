@@ -69,7 +69,6 @@ from diskdraw import (
     Stroke,
     Tool,
     Verdict,
-    dist_to_primitive,
     nbhd_contains,
 )
 from diskdraw.constructions import PiecewisePath
@@ -265,7 +264,7 @@ def chessboard_classify(c: float, tau: float = DEFAULT_TAU):
     ] + [Segment(corners2[i], corners2[(i + 1) % 4]) for i in range(4)]
 
     def classify(p: Point) -> Shade:
-        if min(dist_to_primitive(p, e) for e in edges) <= tau:
+        if min(e.dist(p) for e in edges) <= tau:
             return Shade.BOUNDARY
         if (0.0 <= p.x <= c and 0.0 <= p.y <= c) or (-c <= p.x <= 0.0 and -c <= p.y <= 0.0):
             return Shade.BLACK
@@ -298,7 +297,7 @@ def rounded_chessboard_classify(rho: float, tau: float = DEFAULT_TAU):
         return True
 
     def classify(p: Point) -> Shade:
-        if min(dist_to_primitive(p, piece) for piece in pieces) <= tau:
+        if min(piece.dist(p) for piece in pieces) <= tau:
             return Shade.BOUNDARY
         if in_square_with_fillet(p.x, p.y) or in_square_with_fillet(-p.x, -p.y):
             return Shade.BLACK
@@ -411,7 +410,7 @@ def _dist_to_subpiece(piece, f0: float, f1: float, x: Point) -> float:
     a0, a1 = piece.angle_at(f0), piece.angle_at(f1)
     if a0 == a1:  # Arc treats equal angles as the full circle; collapse instead
         return x.distance_to(piece.point_at(f0))
-    return dist_to_primitive(x, Arc(piece.center, piece.radius, a0, a1, piece.ccw))
+    return Arc(piece.center, piece.radius, a0, a1, piece.ccw).dist(x)
 
 
 def tangent_disk_distance(path: PiecewisePath, i: int, f: float, side: int, eps: float = 0.5):

@@ -25,7 +25,6 @@ from diskdraw import (
     Tool,
     WholePlane,
     convex_polygon_script,
-    dist_to_primitive,
     eval_script,
     halfplane_center_set,
     nbhd_contains,
@@ -328,7 +327,7 @@ class TestBackwardScanDifferential:
         def collect(case):
             s, x = case
             seen.update(type(p).__name__ for stroke in s.strokes for p in stroke.centers.primitives
-                        if abs(dist_to_primitive(x, p) - 1.0) <= DEFAULT_TAU)
+                        if abs(p.dist(x) - 1.0) <= DEFAULT_TAU)
 
         collect()
         assert {"SinglePoint", "Segment", "Arc", "OffsetHalfPlane"} <= seen

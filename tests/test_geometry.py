@@ -20,7 +20,6 @@ from diskdraw import (
     WholePlane,
     circumcircle3,
     constrained_largest_empty_circle,
-    dist_to_primitive,
     piece_distance,
     trapezoid_circumradius,
 )
@@ -32,29 +31,29 @@ from oracles import convex_hull, strictly_inside_hull
 
 class TestDistToPrimitive:
     def test_single_point_pythagorean(self):
-        assert dist_to_primitive(Point(0, 0), SinglePoint(Point(3, 4))) == 5.0
+        assert SinglePoint(Point(3, 4)).dist(Point(0, 0)) == 5.0
 
     def test_whole_plane(self):
-        assert dist_to_primitive(Point(0, 0), WholePlane()) == 0.0
+        assert WholePlane().dist(Point(0, 0)) == 0.0
 
     def test_arc_above_semicircle(self):
         # brute-force oracle: minimize over 1e6 samples of the upper unit semicircle
         arc = Arc(Point(0, 0), 1.0, 0.0, math.pi, ccw=True)
         ts = np.linspace(0.0, math.pi, 1_000_000)
         oracle = float(np.hypot(np.cos(ts) - 0.0, np.sin(ts) - 2.0).min())
-        exact = dist_to_primitive(Point(0, 2), arc)
+        exact = arc.dist(Point(0, 2))
         assert abs(exact - 1.0) < 1e-12
         assert abs(exact - oracle) < 1e-9
 
     def test_arc_outside_angular_range_uses_endpoints(self):
         arc = Arc(Point(0, 0), 1.0, 0.0, math.pi / 2, ccw=True)
         # query below the x axis: nearest arc point is the endpoint (1, 0)
-        d = dist_to_primitive(Point(1, -1), arc)
+        d = arc.dist(Point(1, -1))
         assert abs(d - 1.0) < 1e-12
 
     def test_arc_center_query(self):
         arc = Arc(Point(1, 1), 0.5, 0.3, 2.0)
-        assert dist_to_primitive(Point(1, 1), arc) == 0.5
+        assert arc.dist(Point(1, 1)) == 0.5
 
     def test_cw_arc_matches_sampled(self):
         arc = Arc(Point(0.5, -0.2), 1.3, 2.0, 0.5, ccw=False)  # sweep 1.5 rad clockwise
@@ -66,14 +65,14 @@ class TestDistToPrimitive:
         for _ in range(50):
             q = random_point(rng)
             oracle = float(np.hypot(px - q.x, py - q.y).min())
-            assert dist_to_primitive(q, arc) <= oracle + 1e-9
-            assert dist_to_primitive(q, arc) >= oracle - 1e-6
+            assert arc.dist(q) <= oracle + 1e-9
+            assert arc.dist(q) >= oracle - 1e-6
 
     def test_segment_distance(self):
         seg = Segment(Point(0, 0), Point(2, 0))
-        assert abs(dist_to_primitive(Point(1, 1), seg) - 1.0) < 1e-15
-        assert abs(dist_to_primitive(Point(3, 0), seg) - 1.0) < 1e-15
-        assert abs(dist_to_primitive(Point(-3, 4), seg) - 5.0) < 1e-15
+        assert abs(seg.dist(Point(1, 1)) - 1.0) < 1e-15
+        assert abs(seg.dist(Point(3, 0)) - 1.0) < 1e-15
+        assert abs(seg.dist(Point(-3, 4)) - 5.0) < 1e-15
 
     def test_segment_needs_a_positive_squared_length(self):
         # 1e-300 squared underflows to 0: dist_to_segment would divide by it
@@ -81,20 +80,20 @@ class TestDistToPrimitive:
             Segment(Point(0, 0), Point(1e-300, 0))
         with pytest.raises(ValueError):
             Segment(Point(1, 1), Point(1, 1))
-        assert dist_to_primitive(Point(0, 1), Segment(Point(0, 0), Point(1e-150, 0))) == 1.0
+        assert Segment(Point(0, 0), Point(1e-150, 0)).dist(Point(0, 1)) == 1.0
 
     def test_halfplane_distance(self):
         hp = OffsetHalfPlane(Point(0, 1), 0.0, margin=1.0)
-        assert dist_to_primitive(Point(0, 0.5), hp) == 0.5
-        assert dist_to_primitive(Point(5, 3.0), hp) == 0.0
-        assert dist_to_primitive(Point(0, -0.1), hp) == pytest.approx(1.1)
+        assert hp.dist(Point(0, 0.5)) == 0.5
+        assert hp.dist(Point(5, 3.0)) == 0.0
+        assert hp.dist(Point(0, -0.1)) == pytest.approx(1.1)
 
     def test_lipschitz(self):
         rng = random.Random(42)
         for _ in range(500):
             prim = random_primitive(rng)
             x, y = random_point(rng, 5.0), random_point(rng, 5.0)
-            lhs = abs(dist_to_primitive(x, prim) - dist_to_primitive(y, prim))
+            lhs = abs(prim.dist(x) - prim.dist(y))
             assert lhs <= x.distance_to(y) + 1e-12
 
 
@@ -247,8 +246,8 @@ def sampled_distance(p, q, n=1000):
     def length(piece):
         return 0.0 if isinstance(piece, SinglePoint) else piece.length
 
-    best = min(min(dist_to_primitive(x, q) for x in points(p)),
-               min(dist_to_primitive(y, p) for y in points(q)))
+    best = min(min(q.dist(x) for x in points(p)),
+               min(p.dist(y) for y in points(q)))
     return best, max(length(p), length(q)) / n
 
 

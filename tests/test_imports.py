@@ -1,4 +1,5 @@
-"""Every import in the package and in the tests is read by its module.
+"""Every import in the package and in the tests is read by its module, and
+only geometry.py imports the Delaunay kernel.
 
 No linter ships with the project and the runtime is stdlib only, so this is
 the unused-import check: the names a module binds by import against the
@@ -75,3 +76,24 @@ def test_checker_flags_unused_and_honours_noqa_and_annotations():
         "    return a\n"
     )
     assert unused_imports(source) == ["2: math", "4: osp"]
+
+
+def imports_delaunay(source: str) -> bool:
+    """Does the module import from the package's delaunay module?"""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if node.module in ("delaunay", "diskdraw.delaunay") or (
+                    node.level and not node.module and any(a.name == "delaunay" for a in node.names)):
+                return True
+        elif isinstance(node, ast.Import) and any(a.name == "diskdraw.delaunay" for a in node.names):
+            return True
+    return False
+
+
+def test_only_geometry_imports_delaunay():
+    """The triangulation is geometry's: other modules ask LargestEmptyCircle."""
+    package = sorted((ROOT / "src" / "diskdraw").glob("*.py"))
+    assert [p.name for p in package if imports_delaunay(p.read_text())] == ["geometry.py"]
+    assert imports_delaunay("from . import delaunay\n")
+    assert imports_delaunay("import diskdraw.delaunay as d\n")
+    assert not imports_delaunay("from .geometry import LargestEmptyCircle\n")

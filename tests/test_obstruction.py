@@ -40,6 +40,7 @@ from diskdraw import (
 )
 from diskdraw.constructions import (PiecewisePath, build_snake, region_coloring, sharp_dissection_spec,
                                     sharp_ndissected_script, snake_coloring, snake_dissection_spec)
+from diskdraw.delaunay import Delaunay
 from diskdraw.geometry import DEFAULT_TAU, SinglePoint, unit
 from diskdraw.obstruction import SPLIT_DEPTH, DissectionSpec
 
@@ -146,6 +147,7 @@ class TestEscapeRadius:
         square = [Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)]
         assert escape_radius(square, [Point(2, 0.5)]) == math.inf
         assert escape_radius(square[:2], [Point(0.5, 0.1)]) == math.inf
+        assert escape_radius([], [Point(0, 0)]) == math.inf
 
     def test_regular_12gon_center(self):
         # the center's cell is cut out by its bisectors with the vertices, at
@@ -240,6 +242,33 @@ class TestDescentVerify:
         cert = descent_verify(coloring, [near, far])
         assert not cert.valid
         assert [c.verdict for c in cert.checks if c.kind == "enc"] == [Verdict.NO]
+
+    def test_empty_families(self):
+        # an empty outer family encircles nothing and lets any disk escape;
+        # an empty inner family is encircled vacuously, with nothing to reach
+        coloring = chessboard_coloring(1.0)
+        first = StageFamily((Point(0.5, 0.5),), (), 1)
+        second = StageFamily((Point(0.1, 0.1),), (Point(0.1, -0.1),), 2)
+        empty = StageFamily((), (), 3)
+        cert = descent_verify(coloring, [first, second, empty])
+        enc = [(c.verdict, c.clearance) for c in cert.checks if c.kind == "enc"]
+        assert enc == [(Verdict.NO, math.inf), (Verdict.YES, 0.0)]
+        assert not cert.valid
+
+    def test_one_triangulation_per_family(self, monkeypatch):
+        # each stage pair triangulates its two outer families once, for the
+        # verdict and the clearance alike
+        builds = []
+        init = Delaunay.__init__
+
+        def counting_init(self, points):
+            builds.append(1)
+            init(self, points)
+
+        monkeypatch.setattr(Delaunay, "__init__", counting_init)
+        stages = chessboard_stages(0.1, math.radians(0.5), 10)
+        assert descent_verify(chessboard_coloring(1.0), stages).valid
+        assert len(builds) == 2 * (len(stages) - 1) == 18
 
     def test_report_line_format(self):
         stages = chessboard_stages(0.1, math.radians(0.5), 2)
