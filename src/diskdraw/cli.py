@@ -46,7 +46,7 @@ from .obstruction import (
 # so the pipelines call it by that name (like the noqa re-export in obstruction.py)
 from .obstruction import dissection_check as dissection_sample_check
 from .render import RasterSpec, write_pgm, write_svg
-from .scene import ParseError, parse_boundary, parse_script
+from .scene import ParseError, parse_boundary, parse_script, scene_lines
 
 OK, REFUTED, USAGE = 0, 1, 2
 
@@ -73,16 +73,15 @@ def _load_scene(path: str, tau: float):
     every kind loads as a coloring with margin tau."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    lines = ((k, words) for k, line in enumerate(text.splitlines(), start=1)
-             if (words := line.split("#", 1)[0].split()))
-    lineno, first = next(lines, (1, None))
-    if first and first[0] == "construction":
-        coloring = _checked(_construction_coloring, first[1:], tau, lineno=lineno)
+    lines = scene_lines(text)
+    first = next(lines, None)
+    if first and first.words[0] == "construction":
+        coloring = _checked(_construction_coloring, first.words[1:], tau, lineno=first.lineno)
         extra = next(lines, None)
         if extra:
-            raise ParseError(extra[0], 1, f"unexpected {extra[1][0]!r} after the construction line")
+            raise ParseError(extra.lineno, 1, f"unexpected {extra.words[0]!r} after the construction line")
         return coloring
-    if first and first[0] == "boundary":
+    if first and first.words[0] == "boundary":
         return region_coloring((parse_boundary(text),), tau, "boundary scene")
     return script_coloring(parse_script(text), tau)
 

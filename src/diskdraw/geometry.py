@@ -142,8 +142,8 @@ class SinglePoint:
 class Segment:
     """Directed straight segment from a to b.
 
-    Its squared length must be positive: distinct ends whose squared length
-    underflows to 0 would divide by zero in dist_to_segment.
+    Its squared length must be positive and finite: one that underflows to 0
+    divides by zero in dist_to_segment, one that overflows makes distances NaN.
     """
 
     a: Point
@@ -151,8 +151,8 @@ class Segment:
 
     def __post_init__(self):
         dx, dy = self.b.x - self.a.x, self.b.y - self.a.y
-        if dx * dx + dy * dy == 0.0:
-            raise ValueError("segment endpoints must be distinct, with a squared length above 0")
+        if not 0.0 < dx * dx + dy * dy < math.inf:
+            raise ValueError("segment endpoints must be distinct, with a finite squared length above 0")
 
     @property
     def start_point(self) -> Point:

@@ -1,6 +1,6 @@
 """Line-oriented scene DSL: parsing and serialization of drawing scripts.
 
-Grammar (one directive per line, `#` starts a comment):
+Grammar (one directive per line):
 
     model open|closed
     stroke pencil|eraser [PRIMITIVE ...]
@@ -10,6 +10,10 @@ Grammar (one directive per line, `#` starts a comment):
                | arc CX CY R A0 A1 [cw]
                | halfplane NX NY OFFSET
                | plane
+
+A line's words are what `str.split()` finds before its first `#` (a comment).
+A ParseError's line and column are 1-based: the offending word's column, or just
+past the last word when a line ends early; (1, 1) for the scene as a whole.
 
 Angles are radians; arcs run counterclockwise from A0 to A1 unless suffixed
 with `cw`, and equal angles mean the full circle.  A stroke with no
@@ -38,143 +42,128 @@ class ParseError(Exception):
     def __str__(self) -> str:
         return f"line {self.line}, column {self.column}: {self.message}"
 
+    def __reduce__(self):
+        return ParseError, (self.line, self.column, self.message)
+
 
 _TOKEN = re.compile(r"\S+")
+_CHOICES = {"model": {m.value: m for m in DiskModel}, "tool": {t.value: t for t in Tool}}
 
 
-def _tokenize(text: str):
-    """Yield (line_number, [(column, token), ...]) for non-comment lines."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        code = raw.split("#", 1)[0]
-        tokens = [(m.start() + 1, m.group()) for m in _TOKEN.finditer(code)]
-        if tokens:
-            yield lineno, tokens
+class SceneLine:
+    """The words of one scene line and a cursor k over them."""
 
-
-class _LineReader:
-    def __init__(self, lineno, tokens):
-        self.lineno = lineno
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos][1] if self.pos < len(self.tokens) else None
+    def __init__(self, lineno: int, raw: str, words: list[str]):
+        self.lineno, self.raw, self.words, self.k = lineno, raw, words, 0
 
     def take(self, what: str) -> str:
-        if self.pos >= len(self.tokens):
-            col = self.tokens[-1][0] + len(self.tokens[-1][1]) if self.tokens else 1
-            raise ParseError(self.lineno, col, f"expected {what}, found end of line")
-        col, tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+        k = self.k
+        if k >= len(self.words):
+            raise self.error(f"expected {what}, found end of line")
+        self.k = k + 1
+        return self.words[k]
 
-    def take_float(self, what: str) -> float:
-        col = self.tokens[self.pos][0] if self.pos < len(self.tokens) else 1
-        tok = self.take(what)
+    def number(self, what: str) -> float:
+        word = self.take(what)
         try:
-            value = float(tok)
+            value = float(word)
         except ValueError:
-            raise ParseError(self.lineno, col, f"expected {what}, got {tok!r}") from None
+            raise self.error(f"expected {what}, got {word!r}", self.k - 1) from None
         if not math.isfinite(value):
-            raise ParseError(self.lineno, col, f"{what} must be finite, got {tok!r}")
+            raise self.error(f"{what} must be finite, got {word!r}", self.k - 1)
         return value
 
-    def error_here(self, message: str) -> ParseError:
-        col = self.tokens[self.pos][0] if self.pos < len(self.tokens) else (
-            self.tokens[-1][0] + len(self.tokens[-1][1])
-        )
-        return ParseError(self.lineno, col, message)
+    def choice(self, name: str):
+        """The DiskModel (name "model") or Tool (name "tool") the next word names."""
+        members = _CHOICES[name]
+        what = " or ".join(members)
+        word = self.take(what)
+        if word not in members:
+            raise self.error(f"{name} must be {what}, got {word!r}", self.k - 1)
+        return members[word]
+
+    def error(self, message: str, k: int | None = None) -> ParseError:
+        """A ParseError at word k (default: the cursor), or past the last word."""
+        k = self.k if k is None else k
+        spans = [m.span() for m in _TOKEN.finditer(self.raw.split("#", 1)[0])]
+        column = spans[k][0] + 1 if k < len(spans) else spans[-1][1] + 1
+        return ParseError(self.lineno, column, message)
 
 
-def _parse_primitive(r: _LineReader):
-    """One primitive; the constructor's ValueError becomes a ParseError at
-    the primitive's kind."""
-    kind_col = r.tokens[r.pos][0]
-    kind = r.take("a primitive kind")
+def scene_lines(text: str):
+    """A SceneLine for each line of text that has a word."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        words = raw.split("#", 1)[0].split()
+        if words:
+            yield SceneLine(lineno, raw, words)
+
+
+# kind: (class, names of its numbers, primitive from numbers, numbers of primitive)
+_KINDS = {
+    "point": (SinglePoint, ("x", "y"), lambda x, y: SinglePoint(Point(x, y)),
+              lambda p: (p.p.x, p.p.y)),
+    "segment": (Segment, ("x1", "y1", "x2", "y2"),
+                lambda x1, y1, x2, y2: Segment(Point(x1, y1), Point(x2, y2)),
+                lambda s: (s.a.x, s.a.y, s.b.x, s.b.y)),
+    "arc": (Arc, ("cx", "cy", "radius", "start angle", "end angle"),
+            lambda cx, cy, r, a0, a1, ccw=True: Arc(Point(cx, cy), r, a0, a1, ccw=ccw),
+            lambda a: (a.center.x, a.center.y, a.radius, a.start_angle, a.end_angle)),
+    "halfplane": (OffsetHalfPlane, ("nx", "ny", "offset"),
+                  lambda nx, ny, offset: OffsetHalfPlane(Point(nx, ny), offset, margin=1.0),
+                  lambda h: (h.normal.x, h.normal.y, h.offset)),
+    "plane": (WholePlane, (), WholePlane, lambda w: ()),
+}
+_KIND_OF = {cls: name for name, (cls, *_) in _KINDS.items()}
+
+
+def _parse_primitive(r: SceneLine):
+    """One primitive; its constructor's ValueError is a ParseError at its kind."""
+    at = r.k
+    name = r.take("a primitive kind")
+    if name not in _KINDS:
+        raise r.error(f"unknown primitive kind {name!r}", at)
+    _, names, build, _ = _KINDS[name]
+    numbers = [r.number(what) for what in names]
+    if name == "arc" and r.words[r.k:r.k + 1] == ["cw"]:
+        r.k += 1
+        numbers.append(False)
     try:
-        if kind == "point":
-            return SinglePoint(Point(r.take_float("x"), r.take_float("y")))
-        if kind == "segment":
-            a = Point(r.take_float("x1"), r.take_float("y1"))
-            b = Point(r.take_float("x2"), r.take_float("y2"))
-            return Segment(a, b)
-        if kind == "arc":
-            c = Point(r.take_float("cx"), r.take_float("cy"))
-            radius = r.take_float("radius")
-            a0 = r.take_float("start angle")
-            a1 = r.take_float("end angle")
-            ccw = True
-            if r.peek() == "cw":
-                r.take("cw")
-                ccw = False
-            return Arc(c, radius, a0, a1, ccw=ccw)
-        if kind == "halfplane":
-            n = Point(r.take_float("nx"), r.take_float("ny"))
-            offset = r.take_float("offset")
-            return OffsetHalfPlane(n, offset, margin=1.0)
-        if kind == "plane":
-            return WholePlane()
+        return build(*numbers)
     except ValueError as exc:
-        raise ParseError(r.lineno, kind_col, str(exc)) from None
-    raise ParseError(r.lineno, kind_col, f"unknown primitive kind {kind!r}")
+        raise r.error(str(exc), at) from None
 
 
 def parse_script(text: str) -> DrawingScript:
     """Parse the DSL into a drawing script (alternation normalized)."""
     model: DiskModel | None = None
     strokes: list[Stroke] = []
-    for lineno, tokens in _tokenize(text):
-        r = _LineReader(lineno, tokens)
+    for r in scene_lines(text):
         directive = r.take("a directive")
-        if directive == "model":
-            if model is not None:
-                raise r.error_here("duplicate model declaration")
-            col = r.tokens[r.pos][0] if r.pos < len(r.tokens) else 1
-            word = r.take("open or closed")
-            if word == "open":
-                model = DiskModel.OPEN
-            elif word == "closed":
-                model = DiskModel.CLOSED
-            else:
-                raise ParseError(lineno, col, f"model must be open or closed, got {word!r}")
-        elif directive == "stroke":
+        if directive == "stroke":
             if model is None:
-                raise ParseError(lineno, 1, "the model declaration must come before any stroke")
-            col = r.tokens[r.pos][0] if r.pos < len(r.tokens) else 1
-            word = r.take("pencil or eraser")
-            if word == "pencil":
-                tool = Tool.PENCIL
-            elif word == "eraser":
-                tool = Tool.ERASER
-            else:
-                raise ParseError(lineno, col, f"tool must be pencil or eraser, got {word!r}")
+                raise ParseError(r.lineno, 1, "the model declaration must come before any stroke")
+            tool = r.choice("tool")
             prims = []
-            while r.peek() is not None:
+            while r.k < len(r.words):
                 prims.append(_parse_primitive(r))
             strokes.append(Stroke(tool, CenterSet(tuple(prims))))
+        elif directive == "model":
+            if model is not None:
+                raise r.error("duplicate model declaration")
+            model = r.choice("model")
         else:
-            raise ParseError(lineno, tokens[0][0], f"unknown directive {directive!r}")
+            raise r.error(f"unknown directive {directive!r}", 0)
     if model is None:
         raise ParseError(1, 1, "missing model declaration")
     return DrawingScript.relaxed(model, strokes)
 
 
 def _format_primitive(prim) -> str:
-    if isinstance(prim, SinglePoint):
-        return f"point {prim.p.x!r} {prim.p.y!r}"
-    if isinstance(prim, Segment):
-        return f"segment {prim.a.x!r} {prim.a.y!r} {prim.b.x!r} {prim.b.y!r}"
-    if isinstance(prim, Arc):
-        out = (
-            f"arc {prim.center.x!r} {prim.center.y!r} {prim.radius!r} "
-            f"{prim.start_angle!r} {prim.end_angle!r}"
-        )
-        return out if prim.ccw else out + " cw"
-    if isinstance(prim, OffsetHalfPlane):
-        return f"halfplane {prim.normal.x!r} {prim.normal.y!r} {prim.offset!r}"
-    if isinstance(prim, WholePlane):
-        return "plane"
-    raise TypeError(f"cannot serialize {prim!r}")
+    name = _KIND_OF.get(type(prim))
+    if name is None:
+        raise TypeError(f"cannot serialize {prim!r}")
+    out = " ".join([name, *map(repr, _KINDS[name][3](prim))])
+    return out + " cw" if name == "arc" and not prim.ccw else out
 
 
 def serialize_script(script: DrawingScript) -> str:
@@ -199,26 +188,20 @@ def parse_boundary(text: str):
     """Parse a boundary scene into a validated closed path."""
     from .constructions import PiecewisePath
 
+    lines = scene_lines(text)
+    head = next(lines, None)
+    if head is None:
+        raise ParseError(1, 1, "missing boundary header")
+    if head.words[0] != "boundary":
+        raise head.error(f"boundary scene must start with 'boundary', got {head.words[0]!r}", 0)
     pieces = []
-    seen_header = False
-    for lineno, tokens in _tokenize(text):
-        r = _LineReader(lineno, tokens)
-        if not seen_header:
-            word = r.take("the boundary header")
-            if word != "boundary":
-                raise ParseError(lineno, tokens[0][0],
-                                 f"boundary scene must start with 'boundary', got {word!r}")
-            seen_header = True
-            continue
+    for r in lines:
         prim = _parse_primitive(r)
         if not isinstance(prim, (Segment, Arc)):
-            raise ParseError(lineno, tokens[0][0],
-                             "boundary pieces must be segments or arcs")
-        if r.peek() is not None:
-            raise r.error_here("one primitive per boundary line")
+            raise r.error("boundary pieces must be segments or arcs", 0)
+        if r.k < len(r.words):
+            raise r.error("one primitive per boundary line")
         pieces.append(prim)
-    if not seen_header:
-        raise ParseError(1, 1, "missing boundary header")
     try:
         return PiecewisePath(tuple(pieces))
     except ValueError as exc:

@@ -45,12 +45,17 @@ queries as they were before the backward scan: each computes every stroke's
 verdict front to back, and the stationary number enumerates both
 resolutions of every boundary stroke in the script (more than 10 of them
 raise BoundaryPoint, wherever they are; max_boundary=None lifts that cap).
+
+parse_script_tokenized and parse_boundary_tokenized are the scene parsers as
+they were before the word reader: each line becomes a list of (column, token)
+pairs up front, and every error works out its own column from them.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Sequence
@@ -63,12 +68,16 @@ from diskdraw import (
     Containment,
     DiskModel,
     DrawingScript,
+    OffsetHalfPlane,
+    ParseError,
     Point,
     Segment,
     Shade,
+    SinglePoint,
     Stroke,
     Tool,
     Verdict,
+    WholePlane,
     nbhd_contains,
 )
 from diskdraw.constructions import PiecewisePath
@@ -556,3 +565,151 @@ def stationary_number_enumerated(x: Point, script: DrawingScript, tau: float = D
         if len(values) > 1:
             raise BoundaryPoint(f"stationary number of {x} depends on a boundary verdict")
     return values.pop()
+
+
+_TOKEN = re.compile(r"\S+")
+
+
+def _tokenize(text: str):
+    """Yield (line_number, [(column, token), ...]) for non-comment lines."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        code = raw.split("#", 1)[0]
+        tokens = [(m.start() + 1, m.group()) for m in _TOKEN.finditer(code)]
+        if tokens:
+            yield lineno, tokens
+
+
+class _LineReader:
+    def __init__(self, lineno, tokens):
+        self.lineno = lineno
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos][1] if self.pos < len(self.tokens) else None
+
+    def take(self, what: str) -> str:
+        if self.pos >= len(self.tokens):
+            col = self.tokens[-1][0] + len(self.tokens[-1][1]) if self.tokens else 1
+            raise ParseError(self.lineno, col, f"expected {what}, found end of line")
+        col, tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def take_float(self, what: str) -> float:
+        col = self.tokens[self.pos][0] if self.pos < len(self.tokens) else 1
+        tok = self.take(what)
+        try:
+            value = float(tok)
+        except ValueError:
+            raise ParseError(self.lineno, col, f"expected {what}, got {tok!r}") from None
+        if not math.isfinite(value):
+            raise ParseError(self.lineno, col, f"{what} must be finite, got {tok!r}")
+        return value
+
+    def error_here(self, message: str) -> ParseError:
+        col = self.tokens[self.pos][0] if self.pos < len(self.tokens) else (
+            self.tokens[-1][0] + len(self.tokens[-1][1])
+        )
+        return ParseError(self.lineno, col, message)
+
+
+def _parse_primitive(r: _LineReader):
+    """One primitive; the constructor's ValueError becomes a ParseError at
+    the primitive's kind."""
+    kind_col = r.tokens[r.pos][0]
+    kind = r.take("a primitive kind")
+    try:
+        if kind == "point":
+            return SinglePoint(Point(r.take_float("x"), r.take_float("y")))
+        if kind == "segment":
+            a = Point(r.take_float("x1"), r.take_float("y1"))
+            b = Point(r.take_float("x2"), r.take_float("y2"))
+            return Segment(a, b)
+        if kind == "arc":
+            c = Point(r.take_float("cx"), r.take_float("cy"))
+            radius = r.take_float("radius")
+            a0 = r.take_float("start angle")
+            a1 = r.take_float("end angle")
+            ccw = True
+            if r.peek() == "cw":
+                r.take("cw")
+                ccw = False
+            return Arc(c, radius, a0, a1, ccw=ccw)
+        if kind == "halfplane":
+            n = Point(r.take_float("nx"), r.take_float("ny"))
+            offset = r.take_float("offset")
+            return OffsetHalfPlane(n, offset, margin=1.0)
+        if kind == "plane":
+            return WholePlane()
+    except ValueError as exc:
+        raise ParseError(r.lineno, kind_col, str(exc)) from None
+    raise ParseError(r.lineno, kind_col, f"unknown primitive kind {kind!r}")
+
+
+def parse_script_tokenized(text: str) -> DrawingScript:
+    """Parse the DSL into a drawing script (alternation normalized)."""
+    model: DiskModel | None = None
+    strokes: list[Stroke] = []
+    for lineno, tokens in _tokenize(text):
+        r = _LineReader(lineno, tokens)
+        directive = r.take("a directive")
+        if directive == "model":
+            if model is not None:
+                raise r.error_here("duplicate model declaration")
+            col = r.tokens[r.pos][0] if r.pos < len(r.tokens) else 1
+            word = r.take("open or closed")
+            if word == "open":
+                model = DiskModel.OPEN
+            elif word == "closed":
+                model = DiskModel.CLOSED
+            else:
+                raise ParseError(lineno, col, f"model must be open or closed, got {word!r}")
+        elif directive == "stroke":
+            if model is None:
+                raise ParseError(lineno, 1, "the model declaration must come before any stroke")
+            col = r.tokens[r.pos][0] if r.pos < len(r.tokens) else 1
+            word = r.take("pencil or eraser")
+            if word == "pencil":
+                tool = Tool.PENCIL
+            elif word == "eraser":
+                tool = Tool.ERASER
+            else:
+                raise ParseError(lineno, col, f"tool must be pencil or eraser, got {word!r}")
+            prims = []
+            while r.peek() is not None:
+                prims.append(_parse_primitive(r))
+            strokes.append(Stroke(tool, CenterSet(tuple(prims))))
+        else:
+            raise ParseError(lineno, tokens[0][0], f"unknown directive {directive!r}")
+    if model is None:
+        raise ParseError(1, 1, "missing model declaration")
+    return DrawingScript.relaxed(model, strokes)
+
+
+def parse_boundary_tokenized(text: str):
+    """Parse a boundary scene into a validated closed path."""
+    pieces = []
+    seen_header = False
+    for lineno, tokens in _tokenize(text):
+        r = _LineReader(lineno, tokens)
+        if not seen_header:
+            word = r.take("the boundary header")
+            if word != "boundary":
+                raise ParseError(lineno, tokens[0][0],
+                                 f"boundary scene must start with 'boundary', got {word!r}")
+            seen_header = True
+            continue
+        prim = _parse_primitive(r)
+        if not isinstance(prim, (Segment, Arc)):
+            raise ParseError(lineno, tokens[0][0],
+                             "boundary pieces must be segments or arcs")
+        if r.peek() is not None:
+            raise r.error_here("one primitive per boundary line")
+        pieces.append(prim)
+    if not seen_header:
+        raise ParseError(1, 1, "missing boundary header")
+    try:
+        return PiecewisePath(tuple(pieces))
+    except ValueError as exc:
+        raise ParseError(1, 1, f"invalid boundary: {exc}") from None

@@ -58,12 +58,13 @@ class TestSimulate:
         assert main(["simulate"]) == 2
 
     def test_segment_too_short_to_measure_is_a_parse_error(self, tmp_path, capsys):
-        # the ends differ, but the squared length underflows to 0
+        # the ends differ, but the squared length underflows to 0 or overflows to inf
         scene = tmp_path / "s.txt"
-        scene.write_text("model open\nstroke pencil segment 0 0 1e-300 0\n")
-        code, out, err = run(capsys, "simulate", str(scene), "--query", "0", "0")
-        assert (code, out) == (2, "")
-        assert err.startswith("parse error: line 2,") and "Traceback" not in err
+        for segment in ("0 0 1e-300 0", "0 0 1e308 -1e308"):
+            scene.write_text(f"model open\nstroke pencil segment {segment}\n")
+            code, out, err = run(capsys, "simulate", str(scene), "--query", "0", "0")
+            assert (code, out) == (2, "")
+            assert err.startswith("parse error: line 2, column 15: ") and "Traceback" not in err
 
 
 class TestRender:

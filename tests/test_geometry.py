@@ -78,6 +78,10 @@ class TestDistToPrimitive:
         # 1e-300 squared underflows to 0: dist_to_segment would divide by it
         with pytest.raises(ValueError):
             Segment(Point(0, 0), Point(1e-300, 0))
+        # 1e308 squared overflows to inf: the distance to (1, -1), on the
+        # segment, would be NaN
+        with pytest.raises(ValueError):
+            Segment(Point(0, 0), Point(1e308, -1e308))
         with pytest.raises(ValueError):
             Segment(Point(1, 1), Point(1, 1))
         assert Segment(Point(0, 0), Point(1e-150, 0)).dist(Point(0, 1)) == 1.0

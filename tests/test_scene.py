@@ -1,6 +1,12 @@
+import copy
+import pickle
 import random
+from itertools import cycle
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from diskdraw import (
     Arc,
@@ -17,13 +23,17 @@ from diskdraw import (
     Stroke,
     Tool,
     WholePlane,
+    build_snake,
     eval_script,
+    parse_boundary,
     parse_script,
+    serialize_boundary,
     serialize_script,
     stationary_number,
 )
 
-from helpers import random_point, random_script
+from helpers import DIFF, random_point, random_script
+from oracles import parse_boundary_tokenized, parse_script_tokenized
 
 
 class TestParse:
@@ -123,6 +133,20 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_script("model open\nmodel closed\n")
 
+    def test_error_survives_copy_and_pickle(self):
+        err = ParseError(2, 15, "m")
+        assert copy.copy(err) == err
+        assert pickle.loads(pickle.dumps(err)) == err
+        assert str(pickle.loads(pickle.dumps(err))) == "line 2, column 15: m"
+
+    def test_readme_scene_example_round_trips(self):
+        # the DSL block under "### Scene files" in README.md is a script
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("### Scene files", 1)[1].split("```", 2)[1]
+        script = parse_script(block)
+        assert script.strokes
+        assert parse_script(serialize_script(script)) == script
+
 
 def _scripts_equivalent(a, b, tol=1e-12) -> bool:
     if a.model is not b.model or len(a.strokes) != len(b.strokes):
@@ -218,3 +242,87 @@ class TestBoundaryScenes:
             parse_boundary("boundary\npoint 0 0\n")  # not a path piece
         with pytest.raises(ParseError):
             parse_boundary("boundary\nsegment 0 0 1 0\nsegment 5 5 0 0\n")  # gap
+
+
+# Words that mutate a scene text: every directive, choice and kind, numbers
+# the parser must reject, and comment starts.
+_WORDS = ("model", "open", "closed", "stroke", "pencil", "eraser", "boundary", "point",
+          "segment", "arc", "halfplane", "plane", "cw", "0", "1", "-1", "0.5", "0.6", "0.8",
+          "3.14159", "1e308", "-1e308", "inf", "-inf", "nan", "1e400", "1e-300", "zero",
+          "#", "#note")
+# Separators around words; "\x0b", "\x1c", "\x85" and "\r\n" also break lines.
+_SEPS = (" ", "  ", "\t", "\x0b", "\x1c", "\x85", "\u3000", "\r\n")
+_OPS = ("replace", "delete", "insert")
+
+
+def _base_texts():
+    rng = random.Random(557)
+    texts = [serialize_boundary(build_snake(1.001).boundary.pieces),
+             "boundary\nsegment 0 0 1 0\nsegment 1 0 1 1\nsegment 1 1 0 1\nsegment 0 1 0 0\n",
+             "boundary  # a disk\narc 0 0 1 0 0 cw\n",
+             "model closed  # all kinds\nstroke eraser point 0 0 segment 0 0 1 0\n"
+             "stroke pencil arc 0 0 1.5 0 3.14159 cw halfplane 0.6 0.8 0.25 plane\n"]
+    for _ in range(8):
+        base = random_script(rng, max_strokes=4)
+        tools = [rng.choice(list(Tool)) for _ in base.strokes]
+        texts.append(serialize_script(DrawingScript.relaxed(
+            rng.choice(list(DiskModel)), [Stroke(t, s.centers) for t, s in zip(tools, base.strokes)])))
+    return texts
+
+
+_BASES = _base_texts()
+
+
+def _mutated(base: str, edits, seps) -> str:
+    """base with each edit (op, line, position, word) applied to its words,
+    then written with the separators seps in turn before and after words."""
+    lines = [line.split() for line in base.splitlines()]
+    for op, i, j, word in edits:
+        words = lines[i % len(lines)]
+        if op == "insert":
+            words.insert(j % (len(words) + 1), word)
+        elif words and op == "delete":
+            del words[j % len(words)]
+        elif words:
+            words[j % len(words)] = word
+    gaps = cycle(seps)
+    return "\n".join("".join(next(gaps) + w for w in words) + next(gaps) for words in lines)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return (exc.line, exc.column, exc.message)
+
+
+def _check_against_tokenized_parser(text):
+    """Both parsers give equal scripts and paths, or equal errors; the
+    outcomes of parse_script and parse_boundary, in that order."""
+    got = (_outcome(parse_script, text), _outcome(parse_boundary, text))
+    assert got == (_outcome(parse_script_tokenized, text), _outcome(parse_boundary_tokenized, text)), text
+    return got
+
+
+class TestTokenizedParserOracle:
+    def test_seeded_mutations(self):
+        rng = random.Random(558)
+        seen = set()
+        for _ in range(1500):
+            edits = [(rng.choice(_OPS), rng.randrange(40), rng.randrange(40), rng.choice(_WORDS))
+                     for _ in range(rng.randint(0, 3))]
+            seps = [" "] * 6 + rng.sample(_SEPS, rng.randint(1, 3))
+            rng.shuffle(seps)
+            for out in _check_against_tokenized_parser(_mutated(rng.choice(_BASES), edits, seps)):
+                seen.add(out[2] if isinstance(out, tuple) else type(out).__name__)
+        # scripts, paths and errors, at the end of a line too, were all met
+        assert {"DrawingScript", "PiecewisePath", "unknown primitive kind 'cw'"} <= seen
+        assert "expected x2, found end of line" in seen
+
+    @DIFF
+    @given(base=st.sampled_from(_BASES),
+           edits=st.lists(st.tuples(st.sampled_from(_OPS), st.integers(0, 40), st.integers(0, 40),
+                                    st.sampled_from(_WORDS)), max_size=4),
+           seps=st.lists(st.sampled_from(_SEPS), min_size=1, max_size=6))
+    def test_mutations(self, base, edits, seps):
+        _check_against_tokenized_parser(_mutated(base, edits, seps))
