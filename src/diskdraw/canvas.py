@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
 from typing import Sequence
 
 from .geometry import (
@@ -191,73 +190,52 @@ def reference_eval(x: Point, script: DrawingScript, tau: float = DEFAULT_TAU) ->
     return Shade.BLACK if black else Shade.WHITE
 
 
-def _sn_backward(covered: Sequence[bool], n: int) -> int:
-    """Stationary number when covered[i] says whether stroke n - i covers x.
-
-    The first covered stroke L sets the final color.  The walk goes down
-    while the covered strokes have L's parity and stops at the first covered
-    stroke of the other parity; the answer is the last stroke of L's parity
-    reached, or 0 when no stroke covers x.
-    """
-    sn = 0
-    for k, c in zip(range(n, 0, -1), covered):
-        if c:
-            if sn and (sn - k) % 2:
-                break
-            sn = k
-    return sn
-
-
 def stationary_number(x: Point, script: DrawingScript, tau: float = DEFAULT_TAU) -> int:
     """Index of the stroke that fixed x's final color; 0 when never covered.
 
     For a final-black point this is the smallest odd covering index after
-    which no eraser covers x; dually for final-white.  Boundary stroke
-    verdicts are tolerated only when they provably cannot change the answer
-    (both resolutions are enumerated); otherwise BoundaryPoint is raised.
+    which no eraser covers x; dually for final-white.  BoundaryPoint is
+    raised exactly when the answer depends on how a boundary verdict
+    resolves.
 
-    Only a suffix of the script is read.  The strokes are evaluated from the
-    last one back to the last definite IN stroke L, then on to the next
-    definite IN stroke j < L of the other parity, where the scan stops.
-    Under every resolution of the boundary verdicts, the last covering
-    stroke of L's parity is at least L and the last covering stroke of the
-    other parity is at least j.  The answer is a covering stroke of one
-    parity above the last covering stroke of the other, so it is above j,
-    and both "last" indices are found among the strokes j..n.  Strokes below
-    j therefore cannot change the answer under any resolution; their
-    verdicts are not computed, and their boundary verdicts are neither
-    enumerated nor counted against the cap of 10.  Without such a j the
-    whole script is the suffix.
+    One backward scan decides it.  The strokes are read from the last one
+    back.  The last IN stroke L sets sn and a parity; each IN stroke of that
+    parity met after it moves sn down to itself, and the first IN stroke j of
+    the other parity stops the scan (strokes below j are never evaluated).  Boundary strokes
+    met on the way are recorded.  The answer depends on a recorded boundary
+    stroke b exactly when no stroke is IN, or b has L's parity and b < sn,
+    or b has the other parity and b > sn:
+
+    - Sufficiency.  Otherwise every covering stroke above sn has L's parity,
+      and below sn the first covering stroke has the other parity (a
+      boundary stroke or j), under every resolution.  The walk down from
+      the last covering stroke therefore passes only strokes of L's parity
+      down to sn and stops there.
+    - Necessity.  Flipping the one offending boundary stroke to covered
+      changes the answer: to b itself when no stroke is IN, to b or below
+      when b continues L's run below sn, and to a stroke above sn when b
+      interrupts the run above it.
     """
     check_tolerance(tau)
     inner, outer = 1.0 - tau, 1.0 + tau
     strokes = script.strokes
-    n = len(strokes)
-    suffix: list[Containment] = []  # verdicts of strokes n, n - 1, ..., j (or 1)
+    sn = 0
     parity = None  # that of L
-    for k in range(n, 0, -1):
+    boundary: list[int] = []
+    for k in range(len(strokes), 0, -1):
         v = _containment(x, strokes[k - 1].centers, inner, outer)
-        suffix.append(v)
         if v is Containment.IN:
             if parity is None:
                 parity = k % 2
             elif k % 2 != parity:
                 break  # k is j
-    boundary_idx = [i for i, v in enumerate(suffix) if v is Containment.BOUNDARY]
-    base = [v is Containment.IN for v in suffix]
-    if not boundary_idx:
-        return _sn_backward(base, n)
-    if len(boundary_idx) > 10:
-        raise BoundaryPoint(f"{len(boundary_idx)} boundary strokes at {x}")
-    values = set()
-    for assignment in product((False, True), repeat=len(boundary_idx)):
-        trial = list(base)
-        for i, bit in zip(boundary_idx, assignment):
-            trial[i] = bit
-        values.add(_sn_backward(trial, n))
-        if len(values) > 1:
+            sn = k
+        elif v is Containment.BOUNDARY:
+            boundary.append(k)
+    for b in boundary:
+        if parity is None or (b < sn if b % 2 == parity else b > sn):
             raise BoundaryPoint(f"stationary number of {x} depends on a boundary verdict")
-    return values.pop()
+    return sn
 
 
 # ---------------------------------------------------------------------------

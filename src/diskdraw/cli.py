@@ -46,7 +46,7 @@ from .obstruction import (
 # so the pipelines call it by that name (like the noqa re-export in obstruction.py)
 from .obstruction import dissection_check as dissection_sample_check
 from .render import RasterSpec, write_pgm, write_svg
-from .scene import ParseError, parse_boundary, parse_script, scene_lines
+from .scene import ParseError, SceneLine, parse_boundary, parse_script, scene_lines
 
 OK, REFUTED, USAGE = 0, 1, 2
 
@@ -55,17 +55,18 @@ class UsageError(Exception):
     """A command-line parameter outside its domain."""
 
 
-def _checked(build, *args, lineno=None, **kwargs):
+def _checked(build, *args, at: SceneLine | None = None, **kwargs):
     """build(*args, **kwargs), a ValueError from it (a parameter outside its
-    domain) becoming a UsageError, or a ParseError at a scene file's lineno."""
+    domain) becoming a UsageError, or a ParseError at the cursor of the
+    scene line at."""
     try:
         return build(*args, **kwargs)
     except ConstructionInconsistent:  # a defect, not a bad parameter
         raise
     except ValueError as exc:
-        if lineno is None:
+        if at is None:
             raise UsageError(str(exc)) from None
-        raise ParseError(lineno, 1, str(exc)) from None
+        raise at.error(str(exc)) from None
 
 
 def _load_scene(path: str, tau: float):
@@ -76,10 +77,12 @@ def _load_scene(path: str, tau: float):
     lines = scene_lines(text)
     first = next(lines, None)
     if first and first.words[0] == "construction":
-        coloring = _checked(_construction_coloring, first.words[1:], tau, lineno=first.lineno)
+        # a rejected name is reported at the name, anything else at the first parameter
+        first.k = 2 if len(first.words) > 1 and first.words[1] in _CONSTRUCTIONS else 1
+        coloring = _checked(_construction_coloring, first.words[1:], tau, at=first)
         extra = next(lines, None)
         if extra:
-            raise ParseError(extra.lineno, 1, f"unexpected {extra.words[0]!r} after the construction line")
+            raise extra.error(f"unexpected {extra.words[0]!r} after the construction line", 0)
         return coloring
     if first and first.words[0] == "boundary":
         return region_coloring((parse_boundary(text),), tau, "boundary scene")

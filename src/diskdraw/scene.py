@@ -141,7 +141,7 @@ def parse_script(text: str) -> DrawingScript:
         directive = r.take("a directive")
         if directive == "stroke":
             if model is None:
-                raise ParseError(r.lineno, 1, "the model declaration must come before any stroke")
+                raise r.error("the model declaration must come before any stroke", 0)
             tool = r.choice("tool")
             prims = []
             while r.k < len(r.words):

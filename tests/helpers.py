@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import importlib
 import math
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 from hypothesis import HealthCheck, settings
@@ -101,3 +104,13 @@ def scaled_loop(loop: PiecewisePath, k: float, shift: Point) -> PiecewisePath:
         else Arc(move(p.center), k * p.radius, p.start_angle, p.end_angle, p.ccw)
         for p in loop.pieces
     ))
+
+
+def benchmark_workloads():
+    """perfbench/workloads.py, the benchmark's seeded input generators."""
+    bench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        return importlib.import_module("workloads")
+    finally:
+        sys.path.remove(bench)

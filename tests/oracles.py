@@ -667,7 +667,7 @@ def parse_script_tokenized(text: str) -> DrawingScript:
                 raise ParseError(lineno, col, f"model must be open or closed, got {word!r}")
         elif directive == "stroke":
             if model is None:
-                raise ParseError(lineno, 1, "the model declaration must come before any stroke")
+                raise ParseError(lineno, tokens[0][0], "the model declaration must come before any stroke")
             col = r.tokens[r.pos][0] if r.pos < len(r.tokens) else 1
             word = r.take("pencil or eraser")
             if word == "pencil":

@@ -28,13 +28,13 @@ from diskdraw import (
     eval_script,
     halfplane_center_set,
     nbhd_contains,
+    parse_script,
     reference_eval,
     stationary_number,
 )
-from diskdraw.canvas import _sn_backward
 
-from helpers import DIFF, random_point, random_script
-from oracles import _sn_definite, eval_script_forward, stationary_number_enumerated
+from helpers import DIFF, benchmark_workloads, random_point, random_script
+from oracles import eval_script_forward, stationary_number_enumerated
 
 
 def pencil(*pts):
@@ -344,15 +344,55 @@ class TestBackwardScanDifferential:
 
 
 class TestBackwardRule:
-    def test_matches_forward_rule_on_every_covered_vector(self):
-        # every covered-vector of length 1 to 10, read last stroke first as
-        # the backward scan collects it, against the forward rule
+    # a one-point stroke at each distance from the query gives that verdict
+    DISTANCE = {Containment.IN: 0.5, Containment.OUT: 3.0, Containment.BOUNDARY: 1.0}
+
+    def test_matches_enumeration_on_every_verdict_vector(self):
+        # every IN/OUT/BOUNDARY vector of length 1 to 8, against both
+        # resolutions of every boundary stroke enumerated without a cap
+        x = Point(0, 0)
         count = 0
-        for n in range(1, 11):
-            for covered in product((False, True), repeat=n):
-                assert _sn_backward(covered[::-1], n) == _sn_definite(list(covered)), covered
+        for n in range(1, 9):
+            for verdicts in product(tuple(self.DISTANCE), repeat=n):
+                s = script(*((pencil if k % 2 == 1 else eraser)(Point(self.DISTANCE[v], 0))
+                             for k, v in enumerate(verdicts, start=1)))
+                assert stationary_outcome(stationary_number, x, s) == stationary_outcome(
+                    stationary_number_enumerated, x, s, max_boundary=None), verdicts
                 count += 1
-        assert count == 2046
+        assert count == 9840
+
+    def test_no_cap_on_boundary_strokes(self):
+        # a covering pencil at stroke 1 under eleven pencils at distance
+        # exactly 1, with empty erasers between them: every resolution walks
+        # down to stroke 1
+        x = Point(0, 0)
+        ring = [pencil(Point(1, 0)) if k % 2 == 1 else eraser() for k in range(3, 24)]
+        s = script(pencil(Point(0.5, 0)), eraser(), *ring)
+        assert [nbhd_contains(x, st.centers) for st in s.strokes[2::2]] == [Containment.BOUNDARY] * 11
+        assert stationary_number(x, s) == 1
+        assert stationary_number_enumerated(x, s, max_boundary=None) == 1
+
+
+class TestBenchmarkQueries:
+    """The stationary numbers of the benchmark's membership workload, seed 1.
+
+    The benchmark's own check reads only their parity, so a wrong number of
+    the right parity would pass it; here each one is compared in full."""
+
+    @pytest.fixture(scope="class")
+    def scenes(self):
+        return benchmark_workloads().membership_inputs(1)[:250]
+
+    def test_match_enumeration(self, scenes):
+        count = 0
+        for scene in scenes:
+            s = parse_script(scene.text)
+            for qx, qy in scene.queries:
+                x = Point(qx, qy)
+                assert stationary_outcome(stationary_number, x, s) == stationary_outcome(
+                    stationary_number_enumerated, x, s, max_boundary=None), (scene.text, x)
+                count += 1
+        assert count == 8000
 
 
 class TestRelaxedNormalization:

@@ -329,6 +329,23 @@ class TestOutOfRangeParameters:
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
         assert err.startswith(f"parse error: line {lineno},")
 
+    @pytest.mark.parametrize("text, where", [
+        ("  construction chessboard abc\n", "line 1, column 27: "),
+        ("\tconstruction sharp-n 5\n", "line 1, column 23: "),
+        ("   construction  nope 2\n", "line 1, column 18: unknown construction 'nope'"),
+        ("  construction\n", "line 1, column 15: construction needs a name"),
+        ("construction chessboard\n\n    stroke pencil point 5 5\n",
+         "line 3, column 5: unexpected 'stroke' after the construction line"),
+    ], ids=["indented-parameter", "tab-parameter", "unknown-name", "no-name", "indented-trailing-line"])
+    def test_scene_file_error_column(self, tmp_path, capsys, text, where):
+        # the column is the offending word's (a rejected parameter: the first
+        # parameter word), or just past the last word
+        scene = tmp_path / "c.txt"
+        scene.write_text(text)
+        code, _, err = run(capsys, "simulate", str(scene), "--query", "0", "0")
+        assert code == 2
+        assert err.startswith(f"parse error: {where}")
+
 
 class TestEntryPoint:
     @pytest.mark.parametrize("module", ["diskdraw", "diskdraw.cli"])

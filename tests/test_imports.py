@@ -1,5 +1,6 @@
-"""Every import in the package and in the tests is read by its module, and
-only geometry.py imports the Delaunay kernel.
+"""Every import in the package and in the tests is read by its module, every
+private top-level name of the package is read somewhere in it, and only
+geometry.py imports the Delaunay kernel.
 
 No linter ships with the project and the runtime is stdlib only, so this is
 the unused-import check: the names a module binds by import against the
@@ -97,3 +98,63 @@ def test_only_geometry_imports_delaunay():
     assert imports_delaunay("from . import delaunay\n")
     assert imports_delaunay("import diskdraw.delaunay as d\n")
     assert not imports_delaunay("from .geometry import LargestEmptyCircle\n")
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, statement) for each private top-level def, class or assignment."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [stmt.name]
+        elif isinstance(stmt, ast.Assign):
+            targets = [n.id for t in stmt.targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            targets = [stmt.target.id]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, stmt
+
+
+def _read_names(node: ast.AST) -> set[str]:
+    """Names node reads: loaded names, attributes and names imported from a module."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def unreferenced_private_names(modules: dict[str, str]) -> list[str]:
+    """'module: name' for each private top-level name of modules ({module:
+    source}) that no other top-level statement of any of them reads."""
+    trees = {label: ast.parse(source) for label, source in modules.items()}
+    reads = [(stmt, _read_names(stmt)) for tree in trees.values() for stmt in tree.body]
+    dead = []
+    for label, tree in trees.items():
+        for name, stmt in _private_definitions(tree):
+            if not any(name in names for other, names in reads if other is not stmt):
+                dead.append(f"{label}: {name}")
+    return dead
+
+
+def test_no_dead_private_names():
+    package = {p.name: p.read_text() for p in sorted((ROOT / "src" / "diskdraw").glob("*.py"))}
+    assert unreferenced_private_names(package) == []
+
+
+def test_dead_code_checker():
+    modules = {
+        "a": ("def _used():\n    return 1\n"
+              "def _recursive(n):\n    return _recursive(n - 1)\n"
+              "_TABLE, _OTHER = {}, []\n"
+              "_STORED = 0\n"
+              "__dunder__ = 1\n"),
+        "b": ("from .a import _used\n"
+              "def f(m):\n    global _STORED\n    _STORED = m._TABLE\n"),
+    }
+    assert unreferenced_private_names(modules) == ["a: _recursive", "a: _OTHER", "a: _STORED"]

@@ -1,8 +1,6 @@
 import hashlib
 import logging
 import math
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -38,7 +36,7 @@ from diskdraw import (
     write_svg,
 )
 
-from helpers import DIFF, scaled_loop
+from helpers import DIFF, benchmark_workloads, scaled_loop
 from oracles import ray_cast_classify
 
 # frozen after the first verified generation (same code path, same platform)
@@ -380,13 +378,7 @@ class TestBenchmarkRenders:
 
     @pytest.fixture(scope="class")
     def inputs(self):
-        bench = str(Path(__file__).resolve().parents[1] / "perfbench")
-        sys.path.insert(0, bench)
-        try:
-            import workloads
-        finally:
-            sys.path.remove(bench)
-        return workloads.raster_inputs(1)
+        return benchmark_workloads().raster_inputs(1)
 
     def test_no_fallback_rows(self, inputs, caplog):
         colorings = {

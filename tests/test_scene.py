@@ -114,6 +114,12 @@ class TestParse:
             parse_script("model open\nsquiggle pencil point 0 0\n")
         assert (exc.value.line, exc.value.column) == (2, 1)
 
+        # the stroke that comes before the model declaration, where it is
+        with pytest.raises(ParseError) as exc:
+            parse_script("# strokes first\n   stroke pencil point 0 0\nmodel open\n")
+        assert (exc.value.line, exc.value.column) == (2, 4)
+        assert exc.value.message == "the model declaration must come before any stroke"
+
     def test_bad_values(self):
         # the primitive's constructor rejects the value, reported at its kind
         with pytest.raises(ParseError) as err:
