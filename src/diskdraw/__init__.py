@@ -67,6 +67,7 @@ from .obstruction import (
     encircles,
     escape_radius,
     five_circle_radii,
+    scaling_descent_verify,
     script_coloring,
     undrawability_bound,
 )

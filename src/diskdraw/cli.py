@@ -39,6 +39,7 @@ from .obstruction import (
     dissection_stages,
     dissection_wedge_checks,
     five_circle_radii,
+    scaling_descent_verify,
     script_coloring,
     undrawability_bound,
 )
@@ -193,10 +194,15 @@ def _radii_check(radii, tau: float, line: str) -> Check:
 @_records
 def verify_chessboard(r: float, theta_deg: float, depth: int, tau: float):
     """The two-square chessboard: a descent certificate whose stage
-    clearances halve exactly and stay below 1."""
+    clearances halve exactly and stay below 1 (scaling_descent_verify)."""
     stages = _checked(chessboard_stages, r, math.radians(theta_deg), depth)
-    cert = descent_verify(chessboard_coloring(1.0, tau), stages, tau)
+    cert = scaling_descent_verify(chessboard_coloring(1.0, tau), stages, tau)
+    if cert.premise:
+        yield Check("scaling premises", False, f"FAIL: {cert.premise}", cert.premise)
     yield from _certificate_checks(cert)
+    if cert.valid and depth >= 2:
+        yield Check("scaling lemma", True,
+                    f"scaling lemma: stages 2..{depth} follow from stage 1 and the stage pair 1-2")
     clearances = cert.enc_clearances()
     if clearances:
         limit = math.sqrt(10.0) * r / 4.0
@@ -329,7 +335,9 @@ def _tau(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged."""
     top = argparse.ArgumentParser(prog="diskdraw", description=__doc__)
     top.add_argument("--tau", type=_tau, default=DEFAULT_TAU, help="comparison margin, in (0, 1e-3)")
     sub = top.add_subparsers(dest="command", required=True)
@@ -389,9 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse uses code 2 for usage errors
         return exc.code if isinstance(exc.code, int) else USAGE
     try:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -103,6 +104,13 @@ def _offset(sub: Segment | Arc, side: int):
     return Arc(sub.center, abs(rho), sub.start_angle + turn, sub.end_angle + turn, sub.ccw)
 
 
+def _window_parts(shifted: list[list[float]], lo: float, hi: float) -> list[tuple[int, int]]:
+    """The (piece j, shift k) pairs whose range shifted[k][j..j + 1] may overlap
+    (lo, hi), by j and then k: each shifted[k] is sorted, so bisection finds them."""
+    return sorted((j, k) for k, edges in enumerate(shifted)
+                  for j in range(max(bisect_right(edges, lo) - 1, 0), min(bisect_left(edges, hi), len(edges) - 1)))
+
+
 def rolling_disk_check(path: PiecewisePath, eps: float = 0.5) -> CurvatureReport:
     """Prove that the two tangent unit disks roll along the whole path.
 
@@ -124,6 +132,8 @@ def rolling_disk_check(path: PiecewisePath, eps: float = 0.5) -> CurvatureReport
     curv = path_max_curvature(path)
     offsets = path.piece_offsets()
     total = offsets[-1]
+    shifts = (-total, 0.0, total)
+    shifted = [[o + shift for o in offsets] for shift in shifts]
     calls = 0
 
     def window_distance(curve, lo: float, hi: float, stop: float = -math.inf) -> float:
@@ -133,18 +143,18 @@ def rolling_disk_check(path: PiecewisePath, eps: float = 0.5) -> CurvatureReport
         worst = math.inf
         if hi - lo >= total:  # the whole path, once
             lo, hi = 0.0, total
-        for j, piece in enumerate(path.pieces):
-            ln = offsets[j + 1] - offsets[j]
-            for shift in (-total, 0.0, total):
-                a = max(lo, offsets[j] + shift)
-                b = min(hi, offsets[j + 1] + shift)
-                if a < b:
-                    f0 = max(0.0, (a - offsets[j] - shift) / ln)
-                    f1 = min(1.0, (b - offsets[j] - shift) / ln)
-                    calls += 1
-                    worst = min(worst, piece_distance(curve, _subpiece(piece, f0, f1)))
-                    if worst < stop:
-                        return worst
+        for j, k in _window_parts(shifted, lo, hi):
+            shift = shifts[k]
+            a = max(lo, offsets[j] + shift)
+            b = min(hi, offsets[j + 1] + shift)
+            if a < b:
+                ln = offsets[j + 1] - offsets[j]
+                f0 = max(0.0, (a - offsets[j] - shift) / ln)
+                f1 = min(1.0, (b - offsets[j] - shift) / ln)
+                calls += 1
+                worst = min(worst, piece_distance(curve, _subpiece(path.pieces[j], f0, f1)))
+                if worst < stop:
+                    return worst
         return worst
 
     failures: list[Leaf] = []

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
@@ -183,6 +185,7 @@ class DescentCertificate:
     stages: tuple[StageFamily, ...]
     checks: tuple[CheckRecord, ...]
     valid: bool
+    premise: str = ""  # the scaling-lemma premise that failed
 
     def enc_clearances(self) -> list[float]:
         return [c.clearance for c in self.checks if c.kind == "enc"]
@@ -210,18 +213,83 @@ def descent_verify(
     for fam in stages:
         _verify_family_colors(coloring, fam)
         checks.append(CheckRecord(fam.stage_index, "colors", Verdict.YES, 0.0))
-    for fam, nxt in zip(stages, stages[1:]):
-        v1, c1 = _encirclement(fam.blacks, nxt.whites, tau)
-        v2, c2 = _encirclement(fam.whites, nxt.blacks, tau)
-        if v1 is Verdict.NO or v2 is Verdict.NO:
-            verdict = Verdict.NO
-        elif v1 is Verdict.YES and v2 is Verdict.YES:
-            verdict = Verdict.YES
-        else:
-            verdict = Verdict.BOUNDARY
-        checks.append(CheckRecord(fam.stage_index, "enc", verdict, max(c1, c2)))
+    checks += [_stage_pair(fam, nxt, tau) for fam, nxt in zip(stages, stages[1:])]
     valid = all(c.verdict is Verdict.YES for c in checks)
     return DescentCertificate(tuple(stages), tuple(checks), valid)
+
+
+def _stage_pair(fam: StageFamily, nxt: StageFamily, tau: float) -> CheckRecord:
+    """The record of blacks around the next whites and whites around the next blacks."""
+    v1, c1 = _encirclement(fam.blacks, nxt.whites, tau)
+    v2, c2 = _encirclement(fam.whites, nxt.blacks, tau)
+    if v1 is Verdict.NO or v2 is Verdict.NO:
+        verdict = Verdict.NO
+    elif v1 is Verdict.YES and v2 is Verdict.YES:
+        verdict = Verdict.YES
+    else:
+        verdict = Verdict.BOUNDARY
+    return CheckRecord(fam.stage_index, "enc", verdict, max(c1, c2))
+
+
+def scaling_descent_verify(coloring: Coloring, stages: Sequence[StageFamily],
+                           tau: float = DEFAULT_TAU) -> DescentCertificate:
+    """descent_verify from stage 1 and the first stage pair alone, for a
+    chain of exact 1/2-scalings in a cone at the origin.
+
+    Lemma: if the clearance c of (S, T), the largest dist(x, S) over
+    |x - t| <= 1 with t in T, is below 1, then for 0 < k <= 1 that of
+    (kS, kT) is c' <= 1 - k(1 - c) < 1.  Proof: take |x' - kt| <= 1 with
+    dist(x', kS) = c'; for x = x'/k, y = t + k(x - t) is within 1 of t and
+    (1 - k)/k of x, so c >= dist(y, S) >= (c' - 1 + k)/k.  Pair i + 1 is pair
+    1 scaled by 2^-i: a YES at pair 1 puts every clearance below 1, with no
+    tau margin (the bound tends to 1), and scales its escape radius by 2^-i.
+
+    Premises, checked exactly: no coordinate of any stage is below the
+    smallest normal float, and each stage doubled is the previous one, point
+    for point (doubling is exact, so the halving is too); and every
+    region piece within R (the largest stage-1 radius, relative slack 1e-9)
+    of the origin is a Segment on a line through it (a x b == 0 in
+    rationals) whose ends are the origin or beyond R.  The segment from a
+    stage-1 point p, classified off the boundary, to 2^-i p then meets no
+    piece, so every stage point has p's colour.  A failed premise gives an
+    invalid certificate naming it; a failed pair 1 is recorded alone.
+    """
+    check_tolerance(tau)
+    if not stages:
+        raise InvalidParameters("descent chain needs at least one stage")
+    stages = tuple(stages)
+    if premise := _scaling_premise(coloring, stages):
+        return DescentCertificate(stages, (), False, premise=premise)
+    _verify_family_colors(coloring, stages[0])
+    colors = [CheckRecord(fam.stage_index, "colors", Verdict.YES, 0.0) for fam in stages]
+    if len(stages) == 1:
+        return DescentCertificate(stages, tuple(colors), True)
+    pair = _stage_pair(stages[0], stages[1], tau)
+    if pair.verdict is not Verdict.YES:
+        return DescentCertificate(stages, (colors[0], pair), False)
+    scaled = [CheckRecord(fam.stage_index, "enc", Verdict.YES, pair.clearance * 0.5**i)
+              for i, fam in enumerate(stages[1:-1], start=1)]
+    return DescentCertificate(stages, (*colors, pair, *scaled), True)
+
+
+def _scaling_premise(coloring: Coloring, stages: tuple[StageFamily, ...]) -> str:
+    """The first premise of scaling_descent_verify that fails, or ""."""
+    for prev, fam in zip((None, *stages), stages):
+        if any(0.0 < abs(v) < sys.float_info.min for q in fam.blacks + fam.whites for v in (q.x, q.y)):
+            return f"exact halving: stage {fam.stage_index} underflows"
+        doubled = tuple(tuple(p.scaled(2.0) for p in ps) for ps in (fam.blacks, fam.whites))
+        if prev is not None and doubled != (prev.blacks, prev.whites):
+            return f"exact halving: stage {fam.stage_index} is not stage {prev.stage_index} halved"
+    if not isinstance(coloring.source, tuple):
+        return "cone at the origin: the coloring is not a region"
+    origin = Point(0.0, 0.0)
+    reach = max((p.norm() for p in stages[0].blacks + stages[0].whites), default=0.0) * (1.0 + 1e-9)
+    for piece in (piece for loop in coloring.source for piece in loop.pieces):
+        if piece.dist(origin) <= reach and not (isinstance(piece, Segment) and all(
+                end == origin or end.norm() > reach for end in (piece.a, piece.b))
+                and Fraction(piece.a.x) * Fraction(piece.b.y) == Fraction(piece.a.y) * Fraction(piece.b.x)):
+            return f"cone at the origin: {piece} is within {reach!r} of the origin but not a ray from it"
+    return ""
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +304,7 @@ def chessboard_stages(r: float, theta: float, depth: int) -> list[StageFamily]:
     the black quadrants, and four white points mirrored into the white
     quadrants.  Each further stage is the previous one scaled by exactly 1/2,
     so every derived clearance halves exactly as well.  The colors are not
-    checked here: descent_verify checks them at its own tau.
+    checked here: the descent verifiers check them at their own tau.
     """
     if not (0.0 < r < 1.0):
         raise InvalidParameters(f"need 0 < r < 1, got {r}")

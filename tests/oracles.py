@@ -37,6 +37,9 @@ apart along each piece, against the path within the arclength window of
 radius eps around each sample.  It now samples piece by piece, so a
 junction is tested with the tangents of both pieces that meet there.
 
+window_parts_scanned is the window search of rolling_disk_check as it was
+before bisection: every piece at every shift, in the same order.
+
 dissection_sampled is the dissection check as it was before the rectangles
 were proved: it classifies jittered grid samples of each rectangle.
 
@@ -466,6 +469,12 @@ def rolling_disk_sampled(path: PiecewisePath, step: float = 0.05, eps: float = 0
                 if d < 1.0 - 1e-9:
                     failures.append((i, s0, side, center))
     return failures
+
+
+def window_parts_scanned(shifted, lo: float, hi: float) -> list[tuple[int, int]]:
+    """Every (piece, shift) pair, pieces first: rolling_disk_check keeps
+    those whose shifted range overlaps the window."""
+    return [(j, k) for j in range(len(shifted[0]) - 1) for k in range(len(shifted))]
 
 
 def dissection_sampled(coloring: Coloring, spec: DissectionSpec, samples_per_rect: int,

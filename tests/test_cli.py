@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from diskdraw.cli import main, verify_rolling, verify_sharp, verify_snake
+from diskdraw import cli, descent_verify
+from diskdraw.cli import build_parser, main, verify_rolling, verify_sharp, verify_snake
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -241,19 +242,91 @@ class TestVerify:
         assert "|AE|" in out and "rolling-disk check: ok" in out
 
     def test_boundary_stage_point_is_a_fail_line(self, capsys):
-        # at depth 21 the chessboard stage points shrink into the tau collar
-        code, out, _ = run(capsys, "verify", "chessboard", "--depth", "21")
+        # at theta 1e-7 degrees the stage-1 points lie within tau of an axis
+        code, out, _ = run(capsys, "verify", "chessboard", "--theta-deg", "1e-7", "--depth", "21")
         assert code == 1
         fail = [line for line in out.splitlines() if line.startswith("FAIL")]
         assert len(fail) == 1
-        assert "stage 21" in fail[0] and "Point(" in fail[0]
+        assert "stage 1" in fail[0] and "Point(" in fail[0]
 
     def test_stage_colors_are_checked_at_the_given_tau(self, capsys):
-        # the same stages are definite under a margin of 1e-12: the colors
-        # are checked once, at --tau, so the certificate holds
-        code, out, _ = run(capsys, "--tau", "1e-12", "verify", "chessboard", "--depth", "21")
+        # a stage-1 point 1.7e-10 from an axis is in the default 1e-9 collar
+        # (the FAIL above) and outside a collar of 1e-12
+        code, out, _ = run(capsys, "--tau", "1e-12", "verify", "chessboard", "--theta-deg", "1e-7", "--depth", "21")
         assert code == 0, out
         assert "certificate valid: True" in out and "FAIL" not in out
+
+
+class TestChessboardEveryDepth:
+    """verify chessboard proves every depth from stage 1 and the first
+    stage pair (obstruction.scaling_descent_verify)."""
+
+    ARGV = ("verify", "chessboard", "--r", "0.1", "--theta-deg", "0.5", "--depth")
+
+    @pytest.mark.parametrize("depth", [10, 21, 28, 60, 200])
+    def test_certifies(self, capsys, depth):
+        code, out, err = run(capsys, *self.ARGV, str(depth))
+        lines = out.splitlines()
+        assert (code, err) == (0, "")
+        assert "certificate valid: True" in lines and "FAIL" not in out
+        assert f"scaling lemma: stages 2..{depth} follow from stage 1 and the stage pair 1-2" in lines
+        assert out.count("kind=enc verdict=yes") == depth - 1
+        assert "clearance ratios: min 0.500000000 max 0.500000000" in lines
+
+    @pytest.mark.parametrize("argv", [("0.1", "0.5", "2"), ("0.1", "0.5", "10"), ("0.1", "0.5", "20"),
+                                      ("0.12", "0.7", "20"), ("0.08", "0.3", "12")])
+    def test_lines_match_the_stage_by_stage_check(self, capsys, monkeypatch, argv):
+        r, theta, depth = argv
+        argv = ["verify", "chessboard", "--r", r, "--theta-deg", theta, "--depth", depth]
+        code, out, err = run(capsys, *argv)
+        monkeypatch.setattr(cli, "scaling_descent_verify", descent_verify)
+        oracle_code, oracle_out, oracle_err = run(capsys, *argv)
+
+        def kept(text):  # every line but the lemma's, which both runs print
+            lines = text.splitlines(keepends=True)
+            rest = [line for line in lines if not line.startswith("scaling lemma: ")]
+            assert len(rest) == len(lines) - 1
+            return "".join(rest)
+
+        assert (code, kept(out), err) == (oracle_code, kept(oracle_out), oracle_err)
+        assert code == 0
+
+    def test_underflowing_depth_is_a_fail_line(self, capsys):
+        code, out, err = run(capsys, *self.ARGV, "1100")
+        assert (code, err) == (1, "")
+        lines = out.splitlines()
+        assert lines[0].startswith("FAIL: exact halving: stage ") and lines[0].endswith(" underflows")
+        assert lines[1:] == ["certificate valid: False"]
+
+
+def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
+    """One process, one parser: each call of a sequence prints exactly what
+    it prints alone, in a fresh process."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage text to the terminal
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    pgm = tmp_path / "c.pgm"
+    sequence = [
+        ["verify", "chessboard", "--r", "0.1", "--depth", "3"],
+        ["verify", "chessboard", "--r", "0.09", "--depth", "3"],
+        ["verify", "chessboard", "--depth", "three"],
+        ["render", "--construction", "chessboard", "--bbox", "-1", "-1", "1", "1", "--res", "8", "-o", str(pgm)],
+        ["verify", "rolling", "--eps", "1"],
+    ]
+
+    def image(argv):
+        return pgm.read_bytes() if argv[0] == "render" else None
+
+    alone = []
+    for argv in sequence:
+        proc = subprocess.run([sys.executable, "-m", "diskdraw", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        alone.append((proc.returncode, proc.stdout, proc.stderr, image(argv)))
+    pgm.unlink()
+    together = [(*run(capsys, *argv), image(argv)) for argv in sequence]
+    assert together == alone
+    assert [code for code, *_ in together] == [0, 0, 2, 0, 0]
+    assert build_parser() is build_parser()
 
 
 GOLDEN = Path(__file__).with_name("verify_golden.txt")

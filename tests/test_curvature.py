@@ -14,10 +14,11 @@ from diskdraw import (
     rolling_disk_check,
 )
 from diskdraw.constructions import PiecewisePath
+from diskdraw import curvature
 from diskdraw.curvature import CLEARANCE, MAX_DEPTH
 
 from helpers import DIFF, scaled_loop
-from oracles import rolling_disk_sampled, tangent_disk_distance
+from oracles import rolling_disk_sampled, tangent_disk_distance, window_parts_scanned
 
 
 def circle_path(radius, center=Point(0, 0), split=math.pi):
@@ -157,6 +158,18 @@ class TestRollingDisk:
             report = rolling_disk_check(snake_path, eps=0.5)
         (record,) = [r for r in caplog.records if r.getMessage().startswith("rolling disk:")]
         assert record.args == (56, 168, 0, report.min_cleared, 0, 0)
+
+
+@pytest.mark.parametrize("eps", [0.5, 1.0, 2.0, 4.0])
+def test_window_bisection_matches_the_scan(monkeypatch, snake_path, eps):
+    # the bisected windows visit the same (piece, shift) parts in the same
+    # order as the full scan, so every field of the report is identical,
+    # every leaf and the kernel count included (eps 4 has 1108 failures)
+    bisected = rolling_disk_check(snake_path, eps=eps)
+    monkeypatch.setattr(curvature, "_window_parts", window_parts_scanned)
+    scanned = rolling_disk_check(snake_path, eps=eps)
+    assert bisected == scanned
+    assert (eps < 4.0) == (not bisected.failures)
 
 
 # ---------------------------------------------------------------------------

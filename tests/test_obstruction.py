@@ -1,9 +1,11 @@
+import dataclasses
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diskdraw import (
@@ -34,14 +36,16 @@ from diskdraw import (
     encircles,
     escape_radius,
     five_circle_radii,
+    scaling_descent_verify,
     script_coloring,
     stationary_number,
     undrawability_bound,
 )
-from diskdraw.constructions import (PiecewisePath, build_snake, region_coloring, sharp_dissection_spec,
-                                    sharp_ndissected_script, snake_coloring, snake_dissection_spec)
+from diskdraw.constructions import (PiecewisePath, build_snake, region_coloring, rounded_chessboard_coloring,
+                                    sharp_dissection_spec, sharp_ndissected_script, snake_coloring,
+                                    snake_dissection_spec)
 from diskdraw.delaunay import Delaunay
-from diskdraw.geometry import DEFAULT_TAU, SinglePoint, unit
+from diskdraw.geometry import DEFAULT_TAU, LargestEmptyCircle, Segment, SinglePoint, unit
 from diskdraw.obstruction import SPLIT_DEPTH, DissectionSpec
 
 from helpers import DIFF, random_point, random_script, rigid_motion, scaled_loop
@@ -278,6 +282,155 @@ class TestDescentVerify:
         enc = [line for line in lines if "kind=enc" in line]
         assert len(enc) == 1
         assert "verdict=yes" in enc[0] and "clearance=" in enc[0]
+
+
+def pair_clearance(fam, nxt):
+    """The largest query(t, 1.0) clearance of one stage pair, over both
+    outer families: the c of the scaling lemma."""
+    return max(LargestEmptyCircle(outer).query(t, 1.0)[1]
+               for outer, inner in ((fam.blacks, nxt.whites), (fam.whites, nxt.blacks)) for t in inner)
+
+
+class TestScalingDescentVerify:
+    """scaling_descent_verify against the stage-by-stage descent_verify."""
+
+    @staticmethod
+    def assert_matches_oracle(r, theta_deg, depth=12):
+        stages = chessboard_stages(r, math.radians(theta_deg), depth)
+        coloring = chessboard_coloring(1.0)
+        oracle = descent_verify(coloring, stages)
+        cert = scaling_descent_verify(coloring, stages)
+        assert oracle.valid and cert.valid
+        assert cert.checks == oracle.checks  # derived clearances equal the computed ones bit for bit
+        assert len(cert.enc_clearances()) == depth - 1 and cert.premise == ""
+        c1 = pair_clearance(stages[0], stages[1])
+        for k, (fam, nxt) in enumerate(zip(stages, stages[1:]), start=1):
+            assert pair_clearance(fam, nxt) <= 1.0 - 0.5 ** (k - 1) * (1.0 - c1) + 1e-12
+
+    @DIFF
+    @given(r=st.floats(0.08, 0.12), theta_deg=st.floats(0.3, 0.7))
+    def test_benchmark_domain(self, r, theta_deg):
+        self.assert_matches_oracle(r, theta_deg)
+
+    @settings(DIFF, max_examples=30)
+    @given(r=st.floats(0.02, 0.9), theta_deg=st.floats(0.05, 5.0))
+    def test_wider_domain(self, r, theta_deg):
+        # the stage-by-stage check certifies every depth up to 12 here
+        self.assert_matches_oracle(r, theta_deg)
+
+    @pytest.mark.parametrize("depth", [10, 200])
+    def test_work_does_not_grow_with_depth(self, monkeypatch, depth):
+        builds, classified = [], []
+        init = LargestEmptyCircle.__init__
+
+        def counting_init(self, obstacles):
+            builds.append(len(obstacles))
+            init(self, obstacles)
+
+        monkeypatch.setattr(LargestEmptyCircle, "__init__", counting_init)
+        coloring = chessboard_coloring(1.0)
+        counted = dataclasses.replace(coloring, classify=lambda p: classified.append(p) or coloring.classify(p))
+        cert = scaling_descent_verify(counted, chessboard_stages(0.1, math.radians(0.5), depth))
+        assert cert.valid and len(cert.enc_clearances()) == depth - 1
+        assert builds == [4, 4] and len(classified) == 8
+
+    def test_deep_stages_certify(self):
+        # the stage-by-stage check classifies stage 21 into the tau collar
+        stages = chessboard_stages(0.1, math.radians(0.5), 28)
+        with pytest.raises(BoundaryPoint):
+            descent_verify(chessboard_coloring(1.0), stages)
+        cert = scaling_descent_verify(chessboard_coloring(1.0), stages)
+        assert cert.valid
+        clearances = cert.enc_clearances()
+        assert [b / a for a, b in zip(clearances, clearances[1:])] == [0.5] * 26
+
+    def test_squares_touching_off_the_origin_are_not_proved(self):
+        shift = Point(1e-3, 0.0)
+        loops = tuple(PiecewisePath(tuple(Segment(p.a + shift, p.b + shift) for p in loop.pieces))
+                      for loop in chessboard_coloring(1.0).source)
+        stages = chessboard_stages(0.1, math.radians(0.5), 10)
+        cert = scaling_descent_verify(region_coloring(loops), stages)
+        assert not cert.valid and cert.checks == ()
+        assert cert.premise.startswith("cone at the origin: ")
+        with pytest.raises(MisclassifiedPoint):  # the stage-by-stage check refutes it
+            descent_verify(region_coloring(loops), stages)
+
+    def test_point_off_by_one_ulp_is_not_proved(self):
+        stages = chessboard_stages(0.1, math.radians(0.5), 10)
+        p = stages[4].whites[2]
+        moved = dataclasses.replace(stages[4], whites=(*stages[4].whites[:2], Point(math.nextafter(p.x, 0.0), p.y),
+                                                       *stages[4].whites[3:]))
+        cert = scaling_descent_verify(chessboard_coloring(1.0), [*stages[:4], moved, *stages[5:]])
+        assert not cert.valid
+        assert cert.premise == "exact halving: stage 5 is not stage 4 halved"
+
+    def test_underflowing_depth_is_not_proved(self):
+        cert = scaling_descent_verify(chessboard_coloring(1.0), chessboard_stages(0.1, math.radians(0.5), 1100))
+        assert not cert.valid
+        assert cert.premise.startswith("exact halving: ") and cert.premise.endswith(" underflows")
+
+    @staticmethod
+    def halved_chain(p):
+        """Two stages: the chessboard's stage 1 with its first black point
+        replaced by p, and that stage scaled by 1/2 in floating point."""
+        (fam,) = chessboard_stages(0.1, math.radians(0.5), 1)
+        fam = dataclasses.replace(fam, blacks=(p, *fam.blacks[1:]))
+        half = StageFamily(tuple(q.scaled(0.5) for q in fam.blacks), tuple(q.scaled(0.5) for q in fam.whites), 2)
+        return [fam, half]
+
+    def test_subnormal_stage_one_is_not_proved(self):
+        # the smallest subnormal halves to 0.0, so stage 2 is not stage 1 halved
+        stages = self.halved_chain(Point(0.1, 5e-324))
+        assert stages[1].blacks[0].y == 0.0
+        cert = scaling_descent_verify(chessboard_coloring(1.0), stages)
+        assert not cert.valid and cert.premise == "exact halving: stage 1 underflows"
+
+    def test_halving_that_rounds_up_to_a_normal_is_not_proved(self):
+        # the largest float below 2^-1021 halves to 2^-1022, the smallest
+        # normal, by rounding: no coordinate underflows, yet the halving is not exact
+        stages = self.halved_chain(Point(0.1, 2.0**-1021 - 2.0**-1074))
+        assert stages[1].blacks[0].y == sys.float_info.min
+        cert = scaling_descent_verify(chessboard_coloring(1.0), stages)
+        assert not cert.valid and cert.premise == "exact halving: stage 2 is not stage 1 halved"
+
+    def test_other_colorings_are_not_cones(self):
+        stages = chessboard_stages(0.1, math.radians(0.5), 3)
+        script = script_coloring(sharp_ndissected_script(12))
+        assert scaling_descent_verify(script, stages).premise == "cone at the origin: the coloring is not a region"
+        # a fillet of radius 0.01: its arc, and edges that end 0.01 from the
+        # origin, lie within the stage-1 radius
+        cert = scaling_descent_verify(rounded_chessboard_coloring(0.01), stages)
+        assert not cert.valid and cert.premise.startswith("cone at the origin: Segment(a=Point(x=0.01, y=0)")
+        # an edge that passes 0.09 from the origin, inside the stage-1 radius 0.1, with both ends far away
+        square = PiecewisePath(tuple(Segment(a, b) for a, b in zip(
+            (Point(-1, 0.09), Point(1, 0.09), Point(1, 1), Point(-1, 1)),
+            (Point(1, 0.09), Point(1, 1), Point(-1, 1), Point(-1, 0.09)))))
+        cert = scaling_descent_verify(region_coloring((square,)), stages)
+        assert not cert.valid and cert.premise.startswith("cone at the origin: Segment(a=Point(x=-1, y=0.09)")
+        # a circle through the origin: only arcs
+        circle = PiecewisePath((Arc(Point(0.5, 0.0), 0.5, 0.0, math.pi), Arc(Point(0.5, 0.0), 0.5, math.pi, 0.0)))
+        cert = scaling_descent_verify(region_coloring((circle,)), stages)
+        assert not cert.valid and cert.premise.startswith("cone at the origin: Arc(")
+
+    def test_failed_first_pair_is_recorded_alone(self):
+        stages = chessboard_stages(0.5, math.radians(30.0), 5)
+        oracle = descent_verify(chessboard_coloring(1.0), stages)
+        cert = scaling_descent_verify(chessboard_coloring(1.0), stages)
+        assert not oracle.valid and not cert.valid and len(cert.enc_clearances()) == 1
+        assert cert.checks == (oracle.checks[0], oracle.checks[5])
+        assert cert.checks[1].verdict is not Verdict.YES
+
+    def test_single_stage_and_empty_chain(self):
+        stages = chessboard_stages(0.1, math.radians(0.5), 1)
+        cert = scaling_descent_verify(chessboard_coloring(1.0), stages)
+        assert cert == descent_verify(chessboard_coloring(1.0), stages)
+        with pytest.raises(InvalidParameters):
+            scaling_descent_verify(chessboard_coloring(1.0), [])
+
+    def test_stage_one_in_the_collar_raises(self):
+        stages = chessboard_stages(0.1, math.radians(1e-7), 3)
+        with pytest.raises(BoundaryPoint, match="stage 1: black point"):
+            scaling_descent_verify(chessboard_coloring(1.0), stages)
 
 
 class TestLemmaDescentSoundness:
