@@ -69,6 +69,7 @@ from .obstruction import (
     five_circle_radii,
     scaling_descent_verify,
     script_coloring,
+    symmetric_descent_verify,
     undrawability_bound,
 )
 from .constructions import (

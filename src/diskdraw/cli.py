@@ -34,13 +34,14 @@ from .obstruction import (
     Verdict,
     chessboard_stages,
     default_dissection_L,
-    descent_verify,
+    descent_verify,  # noqa: F401  (perfbench traces the descent under this name)
     dissection_pattern_coloring,
     dissection_stages,
     dissection_wedge_checks,
     five_circle_radii,
     scaling_descent_verify,
     script_coloring,
+    symmetric_descent_verify,
     undrawability_bound,
 )
 # perfbench traces the dissection check as diskdraw.cli.dissection_sample_check,
@@ -178,7 +179,10 @@ def _records(pipeline):
 
 
 def _certificate_checks(cert, kinds=("colors", "enc")):
-    """One check per record of a descent certificate of the given kinds."""
+    """A FAIL line for the failed premise of a descent certificate, if any,
+    then one check per record of the given kinds."""
+    if cert.premise:
+        yield Check("lemma premise", False, f"FAIL: {cert.premise}", cert.premise)
     for rec in cert.checks:
         if rec.kind in kinds:
             yield Check(f"stage {rec.stage} {rec.kind}", rec.verdict is Verdict.YES, rec.line(), rec.clearance)
@@ -197,8 +201,6 @@ def verify_chessboard(r: float, theta_deg: float, depth: int, tau: float):
     clearances halve exactly and stay below 1 (scaling_descent_verify)."""
     stages = _checked(chessboard_stages, r, math.radians(theta_deg), depth)
     cert = scaling_descent_verify(chessboard_coloring(1.0, tau), stages, tau)
-    if cert.premise:
-        yield Check("scaling premises", False, f"FAIL: {cert.premise}", cert.premise)
     yield from _certificate_checks(cert)
     if cert.valid and depth >= 2:
         yield Check("scaling lemma", True,
@@ -218,7 +220,8 @@ def verify_chessboard(r: float, theta_deg: float, depth: int, tau: float):
 
 @_records
 def verify_snake(r: float, depth: int, tau: float):
-    """The snake: its anchors, curvature, 12-dissection and descent."""
+    """The snake: its anchors, curvature, 12-dissection and descent, each
+    stage pair of the descent from ray 1 (symmetric_descent_verify)."""
     geom = _checked(build_snake, r)
     for name, value, expected in (("|AE|", geom.ae_len, 0.793), ("|OE|", geom.oe_len, 2.963),
                                   ("|OE'|", geom.oe_prime_len, 3.735)):
@@ -249,7 +252,7 @@ def verify_snake(r: float, depth: int, tau: float):
     yield radii_check
     if not radii_check.ok:
         return
-    cert = descent_verify(coloring, _checked(dissection_stages, params, spec, depth, tau), tau)
+    cert = symmetric_descent_verify(coloring, _checked(dissection_stages, params, spec, depth, tau), spec, tau)
     yield from _certificate_checks(cert, kinds=("enc",))
     yield Check("descent", cert.valid, f"descent stages 0..{depth}: {_mark(cert.valid)}", cert.valid)
 
@@ -257,7 +260,8 @@ def verify_snake(r: float, depth: int, tau: float):
 @_records
 def verify_dissection(n: int, L: float, s: float, depth: int, tau: float):
     """The ideal n-dissection pattern: critical radii, the descent over its
-    stages and the per-wedge case split."""
+    stages and the per-wedge case split, each from ray 1 or wedge 1 of every
+    stage pair (symmetric_descent_verify, dissection_wedge_checks)."""
     params = _checked(StageParams, n=n, L=L, s=s)
     radii = five_circle_radii(params)
     line = f"r_a={radii.r_a:.6f} r_c={radii.r_c:.6f} r_d={radii.r_d:.6f} r_e={radii.r_e:.6f}"
@@ -269,7 +273,7 @@ def verify_dissection(n: int, L: float, s: float, depth: int, tau: float):
     spec = _checked(DissectionSpec, apex=Point(0.0, 0.0), n=n, a=L - 4.0 * s, b=L + 4.0 * s,
                     d=4.0 * params.t, phase=0.0, first_orientation="ccw")
     stages = _checked(dissection_stages, params, spec, depth, tau)
-    cert = descent_verify(dissection_pattern_coloring(spec, tau), stages, tau)
+    cert = symmetric_descent_verify(dissection_pattern_coloring(spec, tau), stages, spec, tau)
     yield from _certificate_checks(cert, kinds=("enc",))
     wedges = dissection_wedge_checks(stages, spec, tau)
     good = sum(1 for w in wedges if w[2] is Verdict.YES)

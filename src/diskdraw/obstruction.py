@@ -126,30 +126,39 @@ def encircles(S: Sequence[Point], T: Sequence[Point], tau: float = DEFAULT_TAU) 
     check_tolerance(tau)
     if not (S and T):
         return Verdict.NO if T else Verdict.YES
-    return _encircles(LargestEmptyCircle(S), T, tau)
+    return _encircles(LargestEmptyCircle(S), T, tau)[0]
 
 
-def _encircles(lec: LargestEmptyCircle, T: Sequence[Point], tau: float) -> Verdict:
-    """The verdict of encircles for nonempty T, against the obstacles of lec."""
-    boundary = False
+def _encircles(lec: LargestEmptyCircle, T: Sequence[Point], tau: float,
+               margin: float = 0.0) -> tuple[Verdict, int]:
+    """The verdict of encircles for nonempty T, against the obstacles of lec,
+    and the number of queries it took.  A positive margin gives the verdict
+    that holds for every clearance within margin of the computed ones."""
+    boundary, queries = False, 0
     for t in T:
         _, clearance = lec.query(t, 1.0)
-        if clearance < 1.0 - tau:
+        queries += 1
+        if clearance < 1.0 - tau - margin:
             continue
         # Look for a definite counterexample strictly inside the touch region.
         _, inner = lec.query(t, 1.0 - 2.0 * tau)
-        if inner > 1.0 + tau:
-            return Verdict.NO
+        queries += 1
+        if inner > 1.0 + tau + margin:
+            return Verdict.NO, queries
         boundary = True
-    return Verdict.BOUNDARY if boundary else Verdict.YES
+    return (Verdict.BOUNDARY if boundary else Verdict.YES), queries
 
 
-def _encirclement(S: Sequence[Point], T: Sequence[Point], tau: float) -> tuple[Verdict, float]:
-    """encircles(S, T, tau) and escape_radius(S, T), from one triangulation of S."""
+def _encirclement(S: Sequence[Point], T: Sequence[Point], tau: float, queried: int | None = None,
+                  margin: float = 0.0) -> tuple[Verdict, float, int]:
+    """The verdict of encircles(S, T[:queried], tau) at margin (see
+    _encircles), escape_radius(S, T) and the number of queries, from one
+    triangulation of S."""
     if not (S and T):
-        return (Verdict.NO, math.inf) if T else (Verdict.YES, 0.0)
+        return (Verdict.NO, math.inf, 0) if T else (Verdict.YES, 0.0, 0)
     lec = LargestEmptyCircle(S)
-    return _encircles(lec, T, tau), max(map(lec.escape, T))
+    verdict, queries = _encircles(lec, T[:queried], tau, margin)
+    return verdict, max(map(lec.escape, T)), queries
 
 
 def escape_radius(S: Sequence[Point], T: Sequence[Point]) -> float:
@@ -185,7 +194,7 @@ class DescentCertificate:
     stages: tuple[StageFamily, ...]
     checks: tuple[CheckRecord, ...]
     valid: bool
-    premise: str = ""  # the scaling-lemma premise that failed
+    premise: str = ""  # the premise of a lemma that failed
 
     def enc_clearances(self) -> list[float]:
         return [c.clearance for c in self.checks if c.kind == "enc"]
@@ -213,22 +222,26 @@ def descent_verify(
     for fam in stages:
         _verify_family_colors(coloring, fam)
         checks.append(CheckRecord(fam.stage_index, "colors", Verdict.YES, 0.0))
-    checks += [_stage_pair(fam, nxt, tau) for fam, nxt in zip(stages, stages[1:])]
+    checks += [_stage_pair(fam, nxt, tau)[0] for fam, nxt in zip(stages, stages[1:])]
     valid = all(c.verdict is Verdict.YES for c in checks)
     return DescentCertificate(tuple(stages), tuple(checks), valid)
 
 
-def _stage_pair(fam: StageFamily, nxt: StageFamily, tau: float) -> CheckRecord:
-    """The record of blacks around the next whites and whites around the next blacks."""
-    v1, c1 = _encirclement(fam.blacks, nxt.whites, tau)
-    v2, c2 = _encirclement(fam.whites, nxt.blacks, tau)
+def _stage_pair(fam: StageFamily, nxt: StageFamily, tau: float, queried: int | None = None,
+                margin: float = 0.0) -> tuple[CheckRecord, int]:
+    """The record of blacks around the next whites and whites around the
+    next blacks, and its number of queries.  The verdict queries the first
+    `queried` targets of each colour at margin; the clearance is the escape
+    radius over all of them."""
+    v1, c1, q1 = _encirclement(fam.blacks, nxt.whites, tau, queried, margin)
+    v2, c2, q2 = _encirclement(fam.whites, nxt.blacks, tau, queried, margin)
     if v1 is Verdict.NO or v2 is Verdict.NO:
         verdict = Verdict.NO
     elif v1 is Verdict.YES and v2 is Verdict.YES:
         verdict = Verdict.YES
     else:
         verdict = Verdict.BOUNDARY
-    return CheckRecord(fam.stage_index, "enc", verdict, max(c1, c2))
+    return CheckRecord(fam.stage_index, "enc", verdict, max(c1, c2)), q1 + q2
 
 
 def scaling_descent_verify(coloring: Coloring, stages: Sequence[StageFamily],
@@ -264,7 +277,7 @@ def scaling_descent_verify(coloring: Coloring, stages: Sequence[StageFamily],
     colors = [CheckRecord(fam.stage_index, "colors", Verdict.YES, 0.0) for fam in stages]
     if len(stages) == 1:
         return DescentCertificate(stages, tuple(colors), True)
-    pair = _stage_pair(stages[0], stages[1], tau)
+    pair, _ = _stage_pair(stages[0], stages[1], tau)
     if pair.verdict is not Verdict.YES:
         return DescentCertificate(stages, (colors[0], pair), False)
     scaled = [CheckRecord(fam.stage_index, "enc", Verdict.YES, pair.clearance * 0.5**i)
@@ -303,8 +316,11 @@ def chessboard_stages(r: float, theta: float, depth: int) -> list[StageFamily]:
     Stage 1 has four black points at radius r, spread by the angle theta into
     the black quadrants, and four white points mirrored into the white
     quadrants.  Each further stage is the previous one scaled by exactly 1/2,
-    so every derived clearance halves exactly as well.  The colors are not
-    checked here: the descent verifiers check them at their own tau.
+    so every derived clearance halves exactly as well, down to the deepest
+    stage: a depth whose last stage has a coordinate below the smallest
+    normal float, where halving is no longer exact, is InvalidParameters.
+    The colors are not checked here: the descent verifiers check them at
+    their own tau.
     """
     if not (0.0 < r < 1.0):
         raise InvalidParameters(f"need 0 < r < 1, got {r}")
@@ -318,6 +334,9 @@ def chessboard_stages(r: float, theta: float, depth: int) -> list[StageFamily]:
     w1b = Point(-w1a.y, -w1a.x)
     blacks = [b1a, b1b, Point(-b1a.x, -b1a.y), Point(-b1b.x, -b1b.y)]
     whites = [w1a, w1b, Point(-w1a.x, -w1a.y), Point(-w1b.x, -w1b.y)]
+    if min(abs(v) for p in blacks + whites for v in (p.x, p.y)) * 0.5 ** (depth - 1) < sys.float_info.min:
+        raise InvalidParameters(f"depth {depth} underflows: stage {depth} has a coordinate "
+                                f"below the smallest normal float {sys.float_info.min!r}")
     stages = []
     for i in range(depth):
         k = 0.5**i  # power of two: scaling is exact in floating point
@@ -507,6 +526,102 @@ def dissection_stages(
     return stages
 
 
+def symmetric_descent_verify(coloring: Coloring, stages: Sequence[StageFamily], spec: DissectionSpec,
+                             tau: float = DEFAULT_TAU) -> DescentCertificate:
+    """descent_verify from ray 1 of each stage pair, for families that are
+    n-fold rotationally symmetric about spec.apex with the colours swapped,
+    as dissection_stages builds them.
+
+    Lemma: let f_S(t) be the clearance LargestEmptyCircle(S).query(t, 1)
+    computes, the largest dist(x, S) over |x - t| <= 1.  It is 1-Lipschitz
+    in t (move the maximiser with t), 1-Lipschitz in S under a bijection
+    that moves no point more than delta (each distance to S moves by at most
+    delta), and invariant under rotation.  Let R_k turn by 2*pi*k/n about
+    the apex, and let delta be the largest distance between a point of ray
+    k + 1 and R_k of the ray-1 point it stands for: the same foot, the same
+    colour for even k and the other colour for odd k.  A point of ray m is
+    within delta of R_(m-1) q for a ray-1 point q, and R_k R_(m-1) q is
+    within delta of a point of ray m + k (mod n; n is even, so the colour
+    parity holds), so R_k maps the blacks B and the whites W of a stage onto
+    B and W (even k) or W and B (odd k) within 2*delta.  A target t of ray
+    k + 1 is within delta of R_k t1 for a ray-1 target t1, so f_B(t) <=
+    f_B(R_k t1) + delta = f_(R_-k B)(t1) + delta <= f_B(t1) + 3*delta (even
+    k) or f_W(t1) + 3*delta (odd k, t1 a black target): ray 1's four
+    targets, two feet times both colour pairs, bound every clearance of the
+    stage pair within the margin 3*delta.
+
+    Premise, checked in floats (_rotation_premise): every stage holds two
+    points of each colour per ray, in dissection_stages' layout, and the
+    measured delta is at most a slack of 1e-12 times the family extent (the
+    largest coordinate magnitude of the apex and the stage points).  A
+    rounded turn is a few ulps of that extent off the exact one, and the
+    clearances of one configuration and of its turned copy are computed
+    from coordinates of that size, each to a few ulps; the slack covers both
+    with three orders of magnitude to spare, so delta + slack bounds the
+    exact delta, and 3*(delta + slack) also covers the rounding of every
+    clearance descent_verify would compute.
+
+    Every stage point is classified as in descent_verify.  Each stage pair
+    triangulates its two outer families and queries ray 1's four targets at
+    the margin (_encircles): YES needs every clearance below 1 - tau -
+    3*(delta + slack), which puts each of the pair's clearances below
+    1 - tau, descent_verify's YES; a NO or BOUNDARY at ray 1 is recorded as
+    it is.  The recorded clearance, the escape radius, is not Lipschitz, so
+    it is still the largest escape over all targets, from the same
+    triangulations.  A failed premise gives an invalid certificate that
+    names it, with no records; nothing falls back to descent_verify.
+    """
+    check_tolerance(tau)
+    if not stages:
+        raise InvalidParameters("descent chain needs at least one stage")
+    stages = tuple(stages)
+    delta, slack, premise = _rotation_premise(stages, spec)
+    checks: list[CheckRecord] = []
+    queries = 0
+    if not premise:
+        for fam in stages:
+            _verify_family_colors(coloring, fam)
+            checks.append(CheckRecord(fam.stage_index, "colors", Verdict.YES, 0.0))
+        for fam, nxt in zip(stages, stages[1:]):
+            record, asked = _stage_pair(fam, nxt, tau, 2, 3.0 * (delta + slack))
+            checks.append(record)
+            queries += asked
+    pairs = [c for c in checks if c.kind == "enc"]
+    logger.debug("symmetric descent: delta %r, slack %r, %d LEC builds, %d ray-1 queries, %d derived records",
+                 delta, slack, 2 * len(pairs), queries, sum(c.verdict is Verdict.YES for c in pairs))
+    valid = not premise and all(c.verdict is Verdict.YES for c in checks)
+    return DescentCertificate(stages, tuple(checks), valid, premise=premise)
+
+
+def _rotation_premise(stages: Sequence[StageFamily], spec: DissectionSpec) -> tuple[float, float, str]:
+    """(delta, slack, failure) of symmetric_descent_verify's premise: delta
+    is the largest distance between a point of ray k + 1 and the ray-1 point
+    it stands for, turned by 2*pi*k/n about spec.apex; slack is 1e-12 times
+    the largest coordinate magnitude of the apex and the stage points; and
+    failure names the first stage without two points of each colour per
+    ray, or the point where delta exceeds the slack, or is ""."""
+    n, (ax, ay) = spec.n, (spec.apex.x, spec.apex.y)
+    slack = 1e-12 * max(abs(v) for q in (spec.apex, *(p for fam in stages for p in fam.blacks + fam.whites))
+                        for v in (q.x, q.y))
+    turns = [(math.cos(2.0 * math.pi * k / n), math.sin(2.0 * math.pi * k / n)) for k in range(n)]
+    delta, worst = 0.0, ""
+    for fam in stages:
+        if not len(fam.blacks) == len(fam.whites) == 2 * n:
+            return math.inf, slack, (f"rotation symmetry: stage {fam.stage_index} has {len(fam.blacks)} blacks and "
+                                     f"{len(fam.whites)} whites, not 2 of each on each of {n} rays")
+        # ray 1's points relative to the apex, blacks then whites
+        ray_one = [[(q.x - ax, q.y - ay) for q in ps[:2]] for ps in (fam.blacks, fam.whites)]
+        for k, (c, s) in enumerate(turns):
+            for points, ref in zip((fam.blacks, fam.whites), ray_one[::-1] if k % 2 else ray_one):
+                for p, (dx, dy) in zip(points[2 * k:2 * k + 2], ref):
+                    d = math.hypot(p.x - (ax + c * dx - s * dy), p.y - (ay + s * dx + c * dy))
+                    if d > delta:
+                        delta, worst = d, f"stage {fam.stage_index} ray {k + 1} is {d!r} from ray 1 turned by 2*pi*{k}/{n}"
+    if delta > slack:
+        return delta, slack, f"rotation symmetry: {worst} about {spec.apex}, beyond the slack {slack!r}"
+    return delta, slack, ""
+
+
 def dissection_wedge_checks(
     stages: Sequence[StageFamily], spec: DissectionSpec, tau: float = DEFAULT_TAU
 ) -> list[tuple[int, int, Verdict]]:
@@ -518,26 +633,39 @@ def dissection_wedge_checks(
     with the same spec (the point layout per ray is two blacks then two
     whites, rays in order).  Returns (stage_index, wedge_index, verdict)
     triples.
+
+    Only wedge 1 is queried.  Under symmetric_descent_verify's premise each
+    point is within delta of its ray-1 point turned (ray 1's points are
+    their own), and the turn R_(j-1) maps those turned points of wedge 1
+    onto wedge j's, colours swapped for even j, which encircles ignores.  By
+    that lemma wedge j's clearances are within 4*delta of wedge 1's (2*delta
+    from each wedge's obstacles and targets to the turned points), so wedge
+    1's verdict at the margin 4*(delta + slack) holds for every wedge.  When
+    the premise fails, wedge 1 is checked alone and every other wedge is
+    BOUNDARY.
     """
-    n = spec.n
+    check_tolerance(tau)
+    delta, slack, premise = _rotation_premise(stages, spec)
     out = []
     for fam, nxt in zip(stages, stages[1:]):
-        for j in range(n):
-            jn = (j + 1) % n
-            outer: list[Point] = []
-            inner: list[Point] = []
-            # The wedge interior is the ccw side (+1) of ray j and the cw
-            # side (-1) of ray j+1.  The outer four points are the pairs on
-            # the far sides (one color); the inner four are the
-            # opposite-color pairs inside the wedge at the next stage.
-            for ray, into_wedge_sign in ((j, 1), (jn, -1)):
-                if spec.black_side(ray + 1) == into_wedge_sign:
-                    outer.extend(fam.whites[2 * ray : 2 * ray + 2])
-                    inner.extend(nxt.blacks[2 * ray : 2 * ray + 2])
-                else:
-                    outer.extend(fam.blacks[2 * ray : 2 * ray + 2])
-                    inner.extend(nxt.whites[2 * ray : 2 * ray + 2])
-            out.append((fam.stage_index, j + 1, encircles(outer, inner, tau)))
+        outer: list[Point] = []
+        inner: list[Point] = []
+        # The wedge interior is the ccw side (+1) of ray 1 and the cw side
+        # (-1) of ray 2.  The outer four points are the pairs on the far
+        # sides (one color); the inner four are the opposite-color pairs
+        # inside the wedge at the next stage.
+        for ray, into_wedge_sign in ((0, 1), (1, -1)):
+            if spec.black_side(ray + 1) == into_wedge_sign:
+                outer.extend(fam.whites[2 * ray : 2 * ray + 2])
+                inner.extend(nxt.blacks[2 * ray : 2 * ray + 2])
+            else:
+                outer.extend(fam.blacks[2 * ray : 2 * ray + 2])
+                inner.extend(nxt.whites[2 * ray : 2 * ray + 2])
+        if premise:
+            verdicts = [encircles(outer, inner, tau)] + [Verdict.BOUNDARY] * (spec.n - 1)
+        else:
+            verdicts = [_encircles(LargestEmptyCircle(outer), inner, tau, 4.0 * (delta + slack))[0]] * spec.n
+        out += [(fam.stage_index, j, v) for j, v in enumerate(verdicts, start=1)]
     return out
 
 

@@ -43,6 +43,9 @@ before bisection: every piece at every shift, in the same order.
 dissection_sampled is the dissection check as it was before the rectangles
 were proved: it classifies jittered grid samples of each rectangle.
 
+wedge_checks_enumerated is the wedge case split as it was before the
+rotation lemma: it asks encircles about every wedge of every stage pair.
+
 eval_script_forward and stationary_number_enumerated are the two point
 queries as they were before the backward scan: each computes every stroke's
 verdict front to back, and the stationary number enumerates both
@@ -81,11 +84,12 @@ from diskdraw import (
     Tool,
     Verdict,
     WholePlane,
+    encircles,
     nbhd_contains,
 )
 from diskdraw.constructions import PiecewisePath
 from diskdraw.geometry import _line_circle_params, dist_to_segment, unit
-from diskdraw.obstruction import Coloring, DissectionSpec
+from diskdraw.obstruction import Coloring, DissectionSpec, StageFamily
 
 
 def _circumcenter_xy(a, b, c):
@@ -510,6 +514,33 @@ def dissection_sampled(coloring: Coloring, spec: DissectionSpec, samples_per_rec
                     if got is not expect:
                         failures.append((j, side, sample, got.value))
     return failures
+
+
+def wedge_checks_enumerated(stages: Sequence[StageFamily], spec: DissectionSpec,
+                            tau: float = DEFAULT_TAU) -> list[tuple[int, int, Verdict]]:
+    """(stage_index, wedge_index, verdict) of every wedge of every stage
+    pair: the four stage-i points on the outer sides of the wedge between
+    rays j and j+1 against the four stage-(i+1) points inside it."""
+    n = spec.n
+    out = []
+    for fam, nxt in zip(stages, stages[1:]):
+        for j in range(n):
+            jn = (j + 1) % n
+            outer: list[Point] = []
+            inner: list[Point] = []
+            # The wedge interior is the ccw side (+1) of ray j and the cw
+            # side (-1) of ray j+1.  The outer four points are the pairs on
+            # the far sides (one color); the inner four are the
+            # opposite-color pairs inside the wedge at the next stage.
+            for ray, into_wedge_sign in ((j, 1), (jn, -1)):
+                if spec.black_side(ray + 1) == into_wedge_sign:
+                    outer.extend(fam.whites[2 * ray : 2 * ray + 2])
+                    inner.extend(nxt.blacks[2 * ray : 2 * ray + 2])
+                else:
+                    outer.extend(fam.blacks[2 * ray : 2 * ray + 2])
+                    inner.extend(nxt.whites[2 * ray : 2 * ray + 2])
+            out.append((fam.stage_index, j + 1, encircles(outer, inner, tau)))
+    return out
 
 
 def _stroke_verdicts(x: Point, script: DrawingScript, tau: float) -> list[Containment]:

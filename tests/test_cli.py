@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import os
 import subprocess
@@ -7,8 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from diskdraw import cli, descent_verify
+from diskdraw import Point, cli, descent_verify
 from diskdraw.cli import build_parser, main, verify_rolling, verify_sharp, verify_snake
+from diskdraw.geometry import LargestEmptyCircle
+
+from oracles import wedge_checks_enumerated
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -291,12 +295,79 @@ class TestChessboardEveryDepth:
         assert (code, kept(out), err) == (oracle_code, kept(oracle_out), oracle_err)
         assert code == 0
 
-    def test_underflowing_depth_is_a_fail_line(self, capsys):
-        code, out, err = run(capsys, *self.ARGV, "1100")
+    def test_underflowing_depth_is_a_usage_error(self, capsys):
+        # stage 1013 would have a coordinate below the smallest normal float
+        for depth in ("1013", "1100"):
+            code, out, err = run(capsys, *self.ARGV, depth)
+            assert (code, out) == (2, "")
+            assert err == (f"usage error: depth {depth} underflows: stage {depth} has a coordinate "
+                           "below the smallest normal float 2.2250738585072014e-308\n")
+        code, out, err = run(capsys, *self.ARGV, "1012")
+        assert (code, err) == (0, "") and out.endswith("certificate valid: True\n")
+
+
+def moved_stages(monkeypatch):
+    """Make verify build its dissection stages with one stage-1 black point
+    of ray 3 moved by 1e-6."""
+    build = cli.dissection_stages
+
+    def moved(*args):
+        stages = build(*args)
+        fam = stages[1]
+        p = fam.blacks[5]
+        stages[1] = dataclasses.replace(fam, blacks=(*fam.blacks[:5], Point(p.x, p.y + 1e-6), *fam.blacks[6:]))
+        return stages
+
+    monkeypatch.setattr(cli, "dissection_stages", moved)
+
+
+class TestSymmetricDescent:
+    """verify snake and verify dissection decide each stage pair from ray 1
+    and wedge 1 (obstruction.symmetric_descent_verify)."""
+
+    @pytest.mark.parametrize("argv, today, work", [
+        (("verify", "dissection", "--n", "12", "--L", "3", "--s", "1e-3", "--depth", "5"), (70, 480, 240), (15, 40, 240)),
+        (("verify", "dissection", "--n", "20", "--L", "5", "--s", "1e-3", "--depth", "2"), (44, 320, 160), (6, 16, 160)),
+        (("verify", "snake"), (16, 384, 384), (16, 32, 384)),
+    ], ids=["dissection-n12", "dissection-n20", "snake"])
+    def test_work(self, capsys, monkeypatch, argv, today, work):
+        """(LargestEmptyCircle builds, queries, escapes) of the command, and
+        of the stage-by-stage checks it replaces: the same escapes, since the
+        printed clearance is still the escape radius over every target."""
+        counts = [0, 0, 0]
+        init, query, escape = LargestEmptyCircle.__init__, LargestEmptyCircle.query, LargestEmptyCircle.escape
+
+        def counting(k, method):
+            def counted(*args):
+                counts[k] += 1
+                return method(*args)
+            return counted
+
+        monkeypatch.setattr(LargestEmptyCircle, "__init__", counting(0, init))
+        monkeypatch.setattr(LargestEmptyCircle, "query", counting(1, query))
+        monkeypatch.setattr(LargestEmptyCircle, "escape", counting(2, escape))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and tuple(counts) == work
+        counts[:] = [0, 0, 0]
+        monkeypatch.setattr(cli, "symmetric_descent_verify",
+                            lambda coloring, stages, spec, tau: descent_verify(coloring, stages, tau))
+        monkeypatch.setattr(cli, "dissection_wedge_checks", wedge_checks_enumerated)
+        assert run(capsys, *argv) == (0, out, "")
+        assert tuple(counts) == today
+
+    @pytest.mark.parametrize("argv, lines", [
+        (("verify", "dissection", "--n", "12", "--L", "3", "--s", "1e-3", "--depth", "2"),
+         ["wedge case split: 2/24 ok", "stage encirclements: FAIL"]),
+        (("verify", "snake", "--depth", "2"), ["descent stages 0..2: FAIL"]),
+    ], ids=["dissection", "snake"])
+    def test_failed_premise_is_a_fail_line(self, capsys, monkeypatch, argv, lines):
+        moved_stages(monkeypatch)
+        code, out, err = run(capsys, *argv)
         assert (code, err) == (1, "")
-        lines = out.splitlines()
-        assert lines[0].startswith("FAIL: exact halving: stage ") and lines[0].endswith(" underflows")
-        assert lines[1:] == ["certificate valid: False"]
+        out = out.splitlines()
+        fails = [line for line in out if line.startswith("FAIL")]
+        assert len(fails) == 1 and fails[0].startswith("FAIL: rotation symmetry: stage 1 ray 3 is ")
+        assert out[-len(lines) - 1:] == fails + lines  # no stage record, no fallback
 
 
 def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):

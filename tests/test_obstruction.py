@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diskdraw import (
@@ -28,6 +28,7 @@ from diskdraw import (
     Verdict,
     chessboard_coloring,
     chessboard_stages,
+    default_dissection_L,
     descent_verify,
     dissection_pattern_coloring,
     dissection_check,
@@ -39,17 +40,19 @@ from diskdraw import (
     scaling_descent_verify,
     script_coloring,
     stationary_number,
+    symmetric_descent_verify,
     undrawability_bound,
 )
 from diskdraw.constructions import (PiecewisePath, build_snake, region_coloring, rounded_chessboard_coloring,
                                     sharp_dissection_spec, sharp_ndissected_script, snake_coloring,
                                     snake_dissection_spec)
+from diskdraw import obstruction
 from diskdraw.delaunay import Delaunay
 from diskdraw.geometry import DEFAULT_TAU, LargestEmptyCircle, Segment, SinglePoint, unit
-from diskdraw.obstruction import SPLIT_DEPTH, DissectionSpec
+from diskdraw.obstruction import SPLIT_DEPTH, DissectionSpec, _encircles, _rotation_premise
 
 from helpers import DIFF, random_point, random_script, rigid_motion, scaled_loop
-from oracles import dissection_sampled
+from oracles import dissection_sampled, wedge_checks_enumerated
 from test_render import arc_loops, convex_polygons
 
 
@@ -365,9 +368,18 @@ class TestScalingDescentVerify:
         assert cert.premise == "exact halving: stage 5 is not stage 4 halved"
 
     def test_underflowing_depth_is_not_proved(self):
-        cert = scaling_descent_verify(chessboard_coloring(1.0), chessboard_stages(0.1, math.radians(0.5), 1100))
-        assert not cert.valid
-        assert cert.premise.startswith("exact halving: ") and cert.premise.endswith(" underflows")
+        # chessboard_stages refuses a depth whose last stage underflows, so
+        # the chain past stage 1012 is halved by hand
+        with pytest.raises(InvalidParameters, match="depth 1013 underflows"):
+            chessboard_stages(0.1, math.radians(0.5), 1013)
+        stages = chessboard_stages(0.1, math.radians(0.5), 1012)
+        for index in range(1013, 1101):
+            fam = stages[-1]
+            stages.append(StageFamily(tuple(q.scaled(0.5) for q in fam.blacks),
+                                      tuple(q.scaled(0.5) for q in fam.whites), index))
+        cert = scaling_descent_verify(chessboard_coloring(1.0), stages)
+        assert not cert.valid and cert.checks == ()
+        assert cert.premise == "exact halving: stage 1013 underflows"
 
     @staticmethod
     def halved_chain(p):
@@ -540,12 +552,18 @@ class TestDissectionStages:
         assert len(near) == 4  # one black pair and one white pair on ray 1
 
     def test_rotation_swaps_colors(self):
-        stages = dissection_stages(self.params, self.spec, 0)
+        # every point of ray j is the ray-1 point of its foot turned by
+        # 2*pi*(j - 1)/12 about the apex, of the other colour for even j,
+        # within an ulp of the rays' length
+        stages = dissection_stages(self.params, self.spec, 2)
+        delta, slack, premise = _rotation_premise(stages, self.spec)
+        assert premise == "" and delta <= math.ulp(3.0) and 0.0 < slack < 1e-11
+        # without the colour swap ray 2 is 2 t off: the measure sees colours
         fam = stages[0]
-        rot = rigid_motion(2.0 * math.pi / 12.0, Point(0, 0))
-        rotated_blacks = {(round(rot(p).x, 9), round(rot(p).y, 9)) for p in fam.blacks[0:2]}
-        whites_ray2 = {(round(p.x, 9), round(p.y, 9)) for p in fam.whites[2:4]}
-        assert rotated_blacks == whites_ray2
+        unswapped = dataclasses.replace(fam, blacks=fam.blacks[:2] + fam.whites[2:4] + fam.blacks[4:],
+                                        whites=fam.whites[:2] + fam.blacks[2:4] + fam.whites[4:])
+        delta, _, premise = _rotation_premise([unswapped], self.spec)
+        assert delta == pytest.approx(2.0 * self.params.t) and premise.startswith("rotation symmetry: stage 0 ray 2 ")
 
     def test_union_families_encircle(self):
         stages = dissection_stages(self.params, self.spec, 1)
@@ -590,6 +608,173 @@ class TestDissectionStages:
         stages = dissection_stages(self.params, self.spec, 3)
         cert = descent_verify(dissection_pattern_coloring(self.spec), stages)
         assert cert.valid
+
+
+def snake_chain(depth):
+    """The snake's coloring, 12-dissection spec and descent stages, as
+    verify snake builds them."""
+    geom = build_snake(1.001)
+    spec = snake_dissection_spec(geom)
+    params = StageParams(n=12, L=default_dissection_L(12, spec.a, spec.b), s=1e-3)
+    return snake_coloring(geom), spec, dissection_stages(params, spec, depth)
+
+
+def pattern_chain(n, L, s, depth, apex=Point(0.0, 0.0), phase=0.0, orientation="ccw"):
+    """The ideal n-dissection pattern's coloring, spec and descent stages,
+    with the rectangles verify dissection uses."""
+    params = StageParams(n=n, L=L, s=s)
+    spec = DissectionSpec(apex=apex, n=n, a=L - 4.0 * s, b=L + 4.0 * s, d=4.0 * params.t, phase=phase,
+                          first_orientation=orientation)
+    return dissection_pattern_coloring(spec), spec, dissection_stages(params, spec, depth)
+
+
+def with_point(stages, index, color, k, p):
+    """The stages with point k of one colour of stage `index` replaced by p."""
+    fam = stages[index]
+    points = list(getattr(fam, color))
+    points[k] = p
+    return [*stages[:index], dataclasses.replace(fam, **{color: tuple(points)}), *stages[index + 1:]]
+
+
+class TestSymmetricDescentVerify:
+    """symmetric_descent_verify and the one-wedge case split against the
+    stage-by-stage descent_verify and tests/oracles.py::wedge_checks_enumerated."""
+
+    @staticmethod
+    def assert_matches_oracles(coloring, spec, stages):
+        oracle = descent_verify(coloring, stages)
+        cert = symmetric_descent_verify(coloring, stages, spec)
+        assert cert.premise == ""
+        assert cert.checks == oracle.checks  # verdicts and escape radii, bit for bit
+        assert oracle.valid or not cert.valid
+        assert dissection_wedge_checks(stages, spec) == wedge_checks_enumerated(stages, spec)
+        return cert
+
+    @settings(DIFF, max_examples=25)
+    @given(n=st.sampled_from(range(4, 26, 2)), frac=st.floats(0.3, 1.0), s=st.floats(1e-4, 1e-2),
+           apex=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)), phase=st.floats(0.0, 2.0 * math.pi),
+           orientation=st.sampled_from(["ccw", "cw"]))
+    def test_dissection_patterns(self, n, frac, s, apex, phase, orientation):
+        L = frac * (undrawability_bound(n) - 0.05)
+        try:
+            coloring, spec, stages = pattern_chain(n, L, s, 2, Point(*apex), phase, orientation)
+        except RadiiTooLarge:
+            assume(False)
+        self.assert_matches_oracles(coloring, spec, stages)
+
+    def test_snake(self):
+        assert self.assert_matches_oracles(*snake_chain(8)).valid
+
+    def test_refuted_chain_is_recorded_as_the_oracle_records_it(self):
+        # the critical radii are below 1 - tau, yet stage 0 does not encircle stage 1
+        coloring, spec, stages = pattern_chain(12, 3.5887177858128325, 0.002590482283749564, 2)
+        cert = self.assert_matches_oracles(coloring, spec, stages)
+        assert [c.verdict for c in cert.checks if c.kind == "enc"] == [Verdict.NO, Verdict.YES]
+
+    def test_single_stage_and_empty_chain(self):
+        coloring, spec, stages = pattern_chain(12, 3.0, 1e-3, 0)
+        assert symmetric_descent_verify(coloring, stages, spec) == descent_verify(coloring, stages)
+        assert dissection_wedge_checks(stages, spec) == []
+        with pytest.raises(InvalidParameters):
+            symmetric_descent_verify(coloring, [], spec)
+
+    def test_stage_point_in_the_collar_raises(self):
+        coloring, spec, stages = pattern_chain(12, 3.0, 1e-3, 2)
+        with pytest.raises(BoundaryPoint, match="stage 0"):
+            symmetric_descent_verify(dissection_pattern_coloring(spec, tau=1e-4), stages, spec, tau=1e-4)
+
+    def test_margin(self):
+        # a margin keeps only the verdicts that hold for every clearance
+        # within it: a narrow YES or NO becomes BOUNDARY
+        tau = DEFAULT_TAU
+        hexagon = LargestEmptyCircle([unit(math.pi * k / 3.0).scaled(0.9) for k in range(6)])
+        gap = 1.0 - tau - hexagon.query(Point(0.0, 0.0), 1.0)[1]  # the centre's clearance is 0.9
+        assert _encircles(hexagon, [Point(0.0, 0.0)], tau, 0.5 * gap) == (Verdict.YES, 1)
+        assert _encircles(hexagon, [Point(0.0, 0.0)], tau, 2.0 * gap) == (Verdict.BOUNDARY, 2)
+        far = LargestEmptyCircle([Point(3.0, 0.0)])
+        assert _encircles(far, [Point(0.0, 0.0)], tau, 1.0) == (Verdict.NO, 2)
+        assert _encircles(far, [Point(0.0, 0.0)], tau, 3.0) == (Verdict.BOUNDARY, 2)
+
+    def test_verdicts_are_taken_at_the_lemma_margins(self, monkeypatch):
+        # 3 (delta + slack) for a stage pair's ray-1 targets, 4 (delta + slack) for wedge 1
+        coloring, spec, stages = snake_chain(2)
+        delta, slack, _ = _rotation_premise(stages, spec)
+        margins = []
+        encircles_at = obstruction._encircles
+
+        def spy(lec, T, tau, margin=0.0):
+            margins.append((len(T), margin))
+            return encircles_at(lec, T, tau, margin)
+
+        monkeypatch.setattr(obstruction, "_encircles", spy)
+        assert symmetric_descent_verify(coloring, stages, spec).valid
+        assert margins == [(2, 3.0 * (delta + slack))] * 4 and 0.0 < delta < slack
+        margins.clear()
+        assert {v for _, _, v in dissection_wedge_checks(stages, spec)} == {Verdict.YES}
+        assert margins == [(4, 4.0 * (delta + slack))] * 2
+
+    def test_work_is_logged(self, caplog):
+        coloring, spec, stages = pattern_chain(12, 3.0, 1e-3, 5)
+        with caplog.at_level("DEBUG", logger="diskdraw"):
+            symmetric_descent_verify(coloring, stages, spec)
+            symmetric_descent_verify(coloring, with_point(stages, 1, "whites", 7, Point(0.0, 0.0)), spec)
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("symmetric descent: ")]
+        assert len(lines) == 2
+        assert lines[0].startswith("symmetric descent: delta 0.0, slack 3.001e-12, ")
+        assert lines[0].endswith(", 10 LEC builds, 20 ray-1 queries, 5 derived records")
+        assert lines[1].endswith(", 0 LEC builds, 0 ray-1 queries, 0 derived records")
+
+
+class TestSymmetryMutants:
+    """Chains that break the rotation lemma's premise are not proved, and the
+    certificate names the premise; the wedges the lemma would derive are
+    BOUNDARY."""
+
+    @staticmethod
+    def assert_not_proved(coloring, spec, stages, where):
+        cert = symmetric_descent_verify(coloring, stages, spec)
+        assert not cert.valid and cert.checks == ()
+        assert cert.premise.startswith(f"rotation symmetry: {where}"), cert.premise
+        wedges = dissection_wedge_checks(stages, spec)
+        assert len(wedges) == spec.n * (len(stages) - 1)
+        assert all(v is Verdict.BOUNDARY for _, wedge, v in wedges if wedge > 1)
+
+    def test_point_moved_by_1e_6(self):
+        coloring, spec, stages = snake_chain(3)
+        p = stages[2].whites[7]
+        moved = with_point(stages, 2, "whites", 7, Point(p.x + 1e-6, p.y))
+        self.assert_not_proved(coloring, spec, moved, "stage 2 ray 4 is 1.0000")
+
+    def test_unevenly_spaced_rays(self):
+        class Uneven(DissectionSpec):
+            def ray_angle(self, j):
+                return super().ray_angle(j) + (1e-4 if j == 5 else 0.0)
+
+        params = StageParams(n=12, L=3.0, s=1e-3)
+        spec = Uneven(apex=Point(0.0, 0.0), n=12, a=2.996, b=3.004, d=4.0 * params.t, phase=0.0)
+        stages = dissection_stages(params, spec, 2)
+        self.assert_not_proved(dissection_pattern_coloring(spec), spec, stages, "stage ")
+        assert " ray 5 is " in symmetric_descent_verify(dissection_pattern_coloring(spec), stages, spec).premise
+
+    def test_rotation_about_the_origin(self):
+        coloring, spec, stages = snake_chain(2)
+        assert spec.apex.x == pytest.approx(3.068, abs=1e-3) and spec.apex.y == 0.0
+        self.assert_not_proved(coloring, dataclasses.replace(spec, apex=Point(0.0, 0.0)), stages, "stage ")
+
+    def test_shuffled_layout(self):
+        coloring, spec, stages = pattern_chain(12, 3.0, 1e-3, 2)
+        blacks = list(stages[1].blacks)
+        random.Random(5).shuffle(blacks)
+        shuffled = [stages[0], dataclasses.replace(stages[1], blacks=tuple(blacks)), stages[2]]
+        self.assert_not_proved(coloring, spec, shuffled, "stage 1 ray ")
+        # the same point sets, so the stage-by-stage check still proves them
+        assert descent_verify(coloring, shuffled).valid
+
+    def test_missing_point(self):
+        coloring, spec, stages = pattern_chain(12, 3.0, 1e-3, 2)
+        short = [stages[0], dataclasses.replace(stages[1], whites=stages[1].whites[:-1]), stages[2]]
+        self.assert_not_proved(coloring, spec, short,
+                               "stage 1 has 24 blacks and 23 whites, not 2 of each on each of 12 rays")
 
 
 def local_coordinates(spec, leaf, q):
