@@ -261,7 +261,12 @@ def verify_snake(r: float, depth: int, tau: float):
 def verify_dissection(n: int, L: float, s: float, depth: int, tau: float):
     """The ideal n-dissection pattern: critical radii, the descent over its
     stages and the per-wedge case split, each from ray 1 or wedge 1 of every
-    stage pair (symmetric_descent_verify, dissection_wedge_checks)."""
+    stage pair (symmetric_descent_verify, dissection_wedge_checks).
+
+    `all radii < 1` is the premise dissection_stages needs.  It does not
+    prove the descent at a finite s (n = 12, L = 3.5887177858128325,
+    s = 0.002590482283749564 passes it and is refuted at stage 0); the
+    computed descent does."""
     params = _checked(StageParams, n=n, L=L, s=s)
     radii = five_circle_radii(params)
     line = f"r_a={radii.r_a:.6f} r_c={radii.r_c:.6f} r_d={radii.r_d:.6f} r_e={radii.r_e:.6f}"

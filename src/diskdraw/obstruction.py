@@ -121,7 +121,8 @@ def encircles(S: Sequence[Point], T: Sequence[Point], tau: float = DEFAULT_TAU) 
     center sits definitely inside the touching region (distance to T below
     1 - tau) with distance to S above 1 + tau.  BOUNDARY otherwise.  Empty T
     is vacuously YES; empty S with nonempty T is NO.  One triangulation of S
-    answers every anchor, and in descent_verify the escape radius as well.
+    answers every anchor.  The descent checks ask the same question of a
+    triangulation of only the obstacles their targets can see (_local_lec).
     """
     check_tolerance(tau)
     if not (S and T):
@@ -150,15 +151,73 @@ def _encircles(lec: LargestEmptyCircle, T: Sequence[Point], tau: float,
 
 
 def _encirclement(S: Sequence[Point], T: Sequence[Point], tau: float, queried: int | None = None,
-                  margin: float = 0.0) -> tuple[Verdict, float, int]:
+                  margin: float = 0.0) -> tuple[Verdict, float, tuple[int, int, int, int]]:
     """The verdict of encircles(S, T[:queried], tau) at margin (see
-    _encircles), escape_radius(S, T) and the number of queries, from one
-    triangulation of S."""
+    _encircles), escape_radius(S, T[:queried]) and the work it took: the
+    LargestEmptyCircle builds, the obstacle points they triangulated, the
+    queries and the escapes.  Both answers come from one triangulation of
+    the obstacles that T[:queried] can see (_local_lec), so they are those of
+    a triangulation of all of S: the escapes bit for bit, the clearances up
+    to the rounding of their candidate points."""
+    T = T[:queried]
     if not (S and T):
-        return (Verdict.NO, math.inf, 0) if T else (Verdict.YES, 0.0, 0)
-    lec = LargestEmptyCircle(S)
-    verdict, queries = _encircles(lec, T[:queried], tau, margin)
-    return verdict, max(map(lec.escape, T)), queries
+        return (Verdict.NO, math.inf, (0, 0, 0, 0)) if T else (Verdict.YES, 0.0, (0, 0, 0, 0))
+    lec, escapes, builds, points = _local_lec(S, T)
+    verdict, queries = _encircles(lec, T, tau, margin)
+    return verdict, max(escapes), (builds, points, queries, builds * len(T))
+
+
+def _local_lec(S: Sequence[Point], T: Sequence[Point]) -> tuple[LargestEmptyCircle, list[float], int, int]:
+    """A LargestEmptyCircle of the obstacles S' of S that the targets T can
+    see, the escape radius over S of each target, the builds and the
+    obstacle points they triangulated.
+
+    S' starts as the points of S, in S's order, within (d0(t) + 2)(1 + g)
+    of some t in T, where d0(t) = dist(t, S) and g = 1e-9.
+
+    Query lemma: take x with |x - t| <= rho <= 1.  Then dist(x, S) <= d0 +
+    rho, and an obstacle beyond d0 + 2*rho of t is farther than d0 + rho
+    from x, so it is never x's nearest.  Vor(S) and Vor(S') therefore agree
+    on the disk: every Voronoi vertex of S in it, and every Voronoi edge of S
+    crossing its circle, belongs to points of S' and is one of S' too, so
+    query(t, rho) scores every candidate that a triangulation of S scores,
+    and any extra candidate of S' is a point of the disk scored against the
+    same nearby obstacles.  The clearance is the same up to the rounding of
+    the candidate points.  S' keeps S's order, so a shared triangle lists its
+    vertices in the same rotation and its circumcentre is the same float.
+
+    Escape lemma: let E' be t's escape over S', the farthest vertex of its
+    cell in Vor(S' + {t}).  The cell lies within E' of t, and an obstacle s
+    with |s - t| > 2E' is farther than E' from every point of it, so s does
+    not cut the cell.  When E' is finite and every dropped obstacle is that
+    far, t's cell in Vor(S + {t}) is the same, with the same Delaunay fan,
+    and the escape over S is E', bit for bit.  Otherwise the obstacles
+    within 2E'(1 + g) of t (all of S when E' is infinite) join S' and it is
+    triangulated again; S' only grows, so this ends at S' = S at worst.
+
+    The slack g covers rounding.  A distance is correctly rounded to half an
+    ulp, so the reach of the query lemma needs only a few ulps of it.  A
+    circumcentre of t and a fan edge uv is off by a few ulps times
+    (|u - t| + |v - t|) / |u - v| of its radius, so the escape test holds
+    for fans whose ratio is below about 1e6; the families of a descent
+    have ratios of a few.  Only the escape radius, which no verdict reads,
+    depends on that test.
+    """
+    g = 1e-9
+    dist = [[math.hypot(p.x - t.x, p.y - t.y) for p in S] for t in T]
+    reach = [(min(row) + 2.0) * (1.0 + g) for row in dist]
+    keep = [any(row[i] <= r for row, r in zip(dist, reach)) for i in range(len(S))]
+    builds = points = 0
+    while True:
+        local = [p for p, k in zip(S, keep) if k]
+        lec = LargestEmptyCircle(local)
+        builds, points = builds + 1, points + len(local)
+        escapes = [lec.escape(t) for t in T]
+        cut = [2.0 * e * (1.0 + g) for e in escapes]
+        grow = [not k and any(row[i] <= c for row, c in zip(dist, cut)) for i, k in enumerate(keep)]
+        if not any(grow):
+            return lec, escapes, builds, points
+        keep = [k or more for k, more in zip(keep, grow)]
 
 
 def escape_radius(S: Sequence[Point], T: Sequence[Point]) -> float:
@@ -228,20 +287,20 @@ def descent_verify(
 
 
 def _stage_pair(fam: StageFamily, nxt: StageFamily, tau: float, queried: int | None = None,
-                margin: float = 0.0) -> tuple[CheckRecord, int]:
+                margin: float = 0.0) -> tuple[CheckRecord, tuple[int, ...]]:
     """The record of blacks around the next whites and whites around the
-    next blacks, and its number of queries.  The verdict queries the first
-    `queried` targets of each colour at margin; the clearance is the escape
-    radius over all of them."""
-    v1, c1, q1 = _encirclement(fam.blacks, nxt.whites, tau, queried, margin)
-    v2, c2, q2 = _encirclement(fam.whites, nxt.blacks, tau, queried, margin)
+    next blacks, and its work (see _encirclement).  The verdict queries the
+    first `queried` targets of each colour at margin, and the clearance is
+    the escape radius over the same targets."""
+    v1, c1, w1 = _encirclement(fam.blacks, nxt.whites, tau, queried, margin)
+    v2, c2, w2 = _encirclement(fam.whites, nxt.blacks, tau, queried, margin)
     if v1 is Verdict.NO or v2 is Verdict.NO:
         verdict = Verdict.NO
     elif v1 is Verdict.YES and v2 is Verdict.YES:
         verdict = Verdict.YES
     else:
         verdict = Verdict.BOUNDARY
-    return CheckRecord(fam.stage_index, "enc", verdict, max(c1, c2)), q1 + q2
+    return CheckRecord(fam.stage_index, "enc", verdict, max(c1, c2)), tuple(map(sum, zip(w1, w2)))
 
 
 def scaling_descent_verify(coloring: Coloring, stages: Sequence[StageFamily],
@@ -562,14 +621,20 @@ def symmetric_descent_verify(coloring: Coloring, stages: Sequence[StageFamily], 
     clearance descent_verify would compute.
 
     Every stage point is classified as in descent_verify.  Each stage pair
-    triangulates its two outer families and queries ray 1's four targets at
-    the margin (_encircles): YES needs every clearance below 1 - tau -
-    3*(delta + slack), which puts each of the pair's clearances below
-    1 - tau, descent_verify's YES; a NO or BOUNDARY at ray 1 is recorded as
-    it is.  The recorded clearance, the escape radius, is not Lipschitz, so
-    it is still the largest escape over all targets, from the same
-    triangulations.  A failed premise gives an invalid certificate that
-    names it, with no records; nothing falls back to descent_verify.
+    queries ray 1's four targets at the margin (_encircles), against the
+    obstacles of each outer family that those targets can see (_local_lec):
+    YES needs every clearance below 1 - tau - 3*(delta + slack), which puts
+    each of the pair's clearances below 1 - tau, descent_verify's YES; a NO
+    or BOUNDARY at ray 1 is recorded as it is.  The local triangulation
+    computes ray 1's clearances up to the rounding of candidate points,
+    which the margin covers as it covers the rounding of the turns.  The
+    recorded clearance is the largest escape radius of ray 1's four
+    targets, equal bit for bit to that over a triangulation of the whole
+    family.  It is informational: the escape radius is not Lipschitz, so it
+    bounds nothing about the other rays, and it may differ from
+    descent_verify's largest escape over all targets in the last digits.  A
+    failed premise gives an invalid certificate that names it, with no
+    records; nothing falls back to descent_verify.
     """
     check_tolerance(tau)
     if not stages:
@@ -577,18 +642,18 @@ def symmetric_descent_verify(coloring: Coloring, stages: Sequence[StageFamily], 
     stages = tuple(stages)
     delta, slack, premise = _rotation_premise(stages, spec)
     checks: list[CheckRecord] = []
-    queries = 0
+    work = (0, 0, 0, 0)
     if not premise:
         for fam in stages:
             _verify_family_colors(coloring, fam)
             checks.append(CheckRecord(fam.stage_index, "colors", Verdict.YES, 0.0))
         for fam, nxt in zip(stages, stages[1:]):
-            record, asked = _stage_pair(fam, nxt, tau, 2, 3.0 * (delta + slack))
+            record, done = _stage_pair(fam, nxt, tau, 2, 3.0 * (delta + slack))
             checks.append(record)
-            queries += asked
-    pairs = [c for c in checks if c.kind == "enc"]
-    logger.debug("symmetric descent: delta %r, slack %r, %d LEC builds, %d ray-1 queries, %d derived records",
-                 delta, slack, 2 * len(pairs), queries, sum(c.verdict is Verdict.YES for c in pairs))
+            work = tuple(map(sum, zip(work, done)))
+    logger.debug("symmetric descent: delta %r, slack %r, %d LEC builds, %d obstacle points, %d ray-1 queries, "
+                 "%d escapes, %d derived records", delta, slack, *work,
+                 sum(c.kind == "enc" and c.verdict is Verdict.YES for c in checks))
     valid = not premise and all(c.verdict is Verdict.YES for c in checks)
     return DescentCertificate(stages, tuple(checks), valid, premise=premise)
 
@@ -897,13 +962,13 @@ def dissection_pattern_coloring(spec: DissectionSpec, tau: float = DEFAULT_TAU) 
     Points inside a ray's black rectangle are black, inside its white
     rectangle white, everything else white; rectangle edges within tau are
     boundary.  Used to verify abstract descent stages without a concrete
-    target set.
+    target set.  Each ray's unit vector and black side are computed once.
     """
+    frames = [(unit(spec.ray_angle(j)), spec.black_side(j)) for j in range(1, spec.n + 1)]
 
     def classify(pt: Point) -> Shade:
         rel = pt - spec.apex
-        for j in range(1, spec.n + 1):
-            u = unit(spec.ray_angle(j))
+        for u, black_side in frames:
             s_val = rel.dot(u)
             h_val = u.cross(rel)
             if not (spec.a - tau < s_val < spec.b + tau and abs(h_val) < spec.d + tau):
@@ -917,7 +982,7 @@ def dissection_pattern_coloring(spec: DissectionSpec, tau: float = DEFAULT_TAU) 
             if on_edge:
                 return Shade.BOUNDARY
             side = 1 if h_val > 0 else -1
-            return Shade.BLACK if side == spec.black_side(j) else Shade.WHITE
+            return Shade.BLACK if side == black_side else Shade.WHITE
         return Shade.WHITE
 
     return Coloring(classify, f"ideal {spec.n}-dissection pattern")

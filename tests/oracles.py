@@ -46,6 +46,10 @@ were proved: it classifies jittered grid samples of each rectangle.
 wedge_checks_enumerated is the wedge case split as it was before the
 rotation lemma: it asks encircles about every wedge of every stage pair.
 
+dissection_pattern_classify is the classifier of the ideal dissection
+pattern as it was before its ray frames were built once: every call turns
+each ray's angle into a unit vector and works out its black side.
+
 eval_script_forward and stationary_number_enumerated are the two point
 queries as they were before the backward scan: each computes every stroke's
 verdict front to back, and the stationary number enumerates both
@@ -541,6 +545,33 @@ def wedge_checks_enumerated(stages: Sequence[StageFamily], spec: DissectionSpec,
                     inner.extend(nxt.whites[2 * ray : 2 * ray + 2])
             out.append((fam.stage_index, j + 1, encircles(outer, inner, tau)))
     return out
+
+
+def dissection_pattern_classify(spec: DissectionSpec, tau: float = DEFAULT_TAU):
+    """The shade of a point in the ideal dissection pattern of spec, with
+    each ray's frame worked out again on every call."""
+
+    def classify(pt: Point) -> Shade:
+        rel = pt - spec.apex
+        for j in range(1, spec.n + 1):
+            u = unit(spec.ray_angle(j))
+            s_val = rel.dot(u)
+            h_val = u.cross(rel)
+            if not (spec.a - tau < s_val < spec.b + tau and abs(h_val) < spec.d + tau):
+                continue
+            on_edge = (
+                abs(s_val - spec.a) <= tau
+                or abs(s_val - spec.b) <= tau
+                or abs(h_val) <= tau
+                or abs(abs(h_val) - spec.d) <= tau
+            )
+            if on_edge:
+                return Shade.BOUNDARY
+            side = 1 if h_val > 0 else -1
+            return Shade.BLACK if side == spec.black_side(j) else Shade.WHITE
+        return Shade.WHITE
+
+    return classify
 
 
 def _stroke_verdicts(x: Point, script: DrawingScript, tau: float) -> list[Containment]:

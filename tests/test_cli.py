@@ -321,21 +321,40 @@ def moved_stages(monkeypatch):
     monkeypatch.setattr(cli, "dissection_stages", moved)
 
 
+def assert_same_but_clearances(out, expected, rel=1e-9):
+    """The same lines, but for `clearance=` values within rel of each other."""
+    assert len(out.splitlines()) == len(expected.splitlines())
+    for line, want in zip(out.splitlines(), expected.splitlines()):
+        head, _, value = line.partition(" clearance=")
+        want_head, _, want_value = want.partition(" clearance=")
+        assert head == want_head
+        assert (value == want_value) if not value else float(value) == pytest.approx(float(want_value), rel=rel)
+
+
 class TestSymmetricDescent:
     """verify snake and verify dissection decide each stage pair from ray 1
     and wedge 1 (obstruction.symmetric_descent_verify)."""
 
-    @pytest.mark.parametrize("argv, today, work", [
-        (("verify", "dissection", "--n", "12", "--L", "3", "--s", "1e-3", "--depth", "5"), (70, 480, 240), (15, 40, 240)),
-        (("verify", "dissection", "--n", "20", "--L", "5", "--s", "1e-3", "--depth", "2"), (44, 320, 160), (6, 16, 160)),
-        (("verify", "snake"), (16, 384, 384), (16, 32, 384)),
+    @pytest.mark.parametrize("argv, oracle, work", [
+        (("verify", "dissection", "--n", "12", "--L", "3", "--s", "1e-3", "--depth", "5"),
+         (70, 480, 480, 240), (15, 80, 40, 20)),
+        (("verify", "dissection", "--n", "20", "--L", "5", "--s", "1e-3", "--depth", "2"),
+         (44, 320, 320, 160), (6, 32, 16, 8)),
+        (("verify", "snake"), (16, 384, 384, 384), (16, 96, 32, 32)),
     ], ids=["dissection-n12", "dissection-n20", "snake"])
-    def test_work(self, capsys, monkeypatch, argv, today, work):
-        """(LargestEmptyCircle builds, queries, escapes) of the command, and
-        of the stage-by-stage checks it replaces: the same escapes, since the
-        printed clearance is still the escape radius over every target."""
-        counts = [0, 0, 0]
+    def test_work(self, capsys, monkeypatch, argv, oracle, work):
+        """(LargestEmptyCircle builds, obstacle points they triangulate,
+        queries, escapes) of the command, and of the stage-by-stage checks
+        it replaces, which triangulate whole families and take the escape
+        radius over every target: the same verdicts and exit code, and
+        clearances within a relative 1e-9."""
+        counts = [0, 0, 0, 0]
         init, query, escape = LargestEmptyCircle.__init__, LargestEmptyCircle.query, LargestEmptyCircle.escape
+
+        def built(lec, obstacles):
+            counts[0] += 1
+            counts[1] += len(obstacles)
+            init(lec, obstacles)
 
         def counting(k, method):
             def counted(*args):
@@ -343,17 +362,19 @@ class TestSymmetricDescent:
                 return method(*args)
             return counted
 
-        monkeypatch.setattr(LargestEmptyCircle, "__init__", counting(0, init))
-        monkeypatch.setattr(LargestEmptyCircle, "query", counting(1, query))
-        monkeypatch.setattr(LargestEmptyCircle, "escape", counting(2, escape))
+        monkeypatch.setattr(LargestEmptyCircle, "__init__", built)
+        monkeypatch.setattr(LargestEmptyCircle, "query", counting(2, query))
+        monkeypatch.setattr(LargestEmptyCircle, "escape", counting(3, escape))
         code, out, _ = run(capsys, *argv)
         assert code == 0 and tuple(counts) == work
-        counts[:] = [0, 0, 0]
+        counts[:] = [0, 0, 0, 0]
         monkeypatch.setattr(cli, "symmetric_descent_verify",
                             lambda coloring, stages, spec, tau: descent_verify(coloring, stages, tau))
         monkeypatch.setattr(cli, "dissection_wedge_checks", wedge_checks_enumerated)
-        assert run(capsys, *argv) == (0, out, "")
-        assert tuple(counts) == today
+        code, expected, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert_same_but_clearances(out, expected)
+        assert tuple(counts) == oracle
 
     @pytest.mark.parametrize("argv, lines", [
         (("verify", "dissection", "--n", "12", "--L", "3", "--s", "1e-3", "--depth", "2"),

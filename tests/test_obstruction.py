@@ -51,8 +51,8 @@ from diskdraw.delaunay import Delaunay
 from diskdraw.geometry import DEFAULT_TAU, LargestEmptyCircle, Segment, SinglePoint, unit
 from diskdraw.obstruction import SPLIT_DEPTH, DissectionSpec, _encircles, _rotation_premise
 
-from helpers import DIFF, random_point, random_script, rigid_motion, scaled_loop
-from oracles import dissection_sampled, wedge_checks_enumerated
+from helpers import DIFF, benchmark_workloads, random_point, random_script, rigid_motion, scaled_loop
+from oracles import dissection_pattern_classify, dissection_sampled, wedge_checks_enumerated
 from test_render import arc_loops, convex_polygons
 
 
@@ -645,8 +645,22 @@ class TestSymmetricDescentVerify:
         oracle = descent_verify(coloring, stages)
         cert = symmetric_descent_verify(coloring, stages, spec)
         assert cert.premise == ""
-        assert cert.checks == oracle.checks  # verdicts and escape radii, bit for bit
+        assert [c.line().partition(" clearance=")[0] for c in cert.checks] == \
+            [c.line().partition(" clearance=")[0] for c in oracle.checks]  # the same verdicts
+        # the clearance is ray 1's escape radius over the whole family, bit
+        # for bit, and the oracle's over every target up to rounding
+        assert cert.enc_clearances() == [
+            max(LargestEmptyCircle(S).escape(t) for S, T in ((fam.blacks, nxt.whites), (fam.whites, nxt.blacks))
+                for t in T[:2])
+            for fam, nxt in zip(stages, stages[1:])]
+        assert cert.enc_clearances() == pytest.approx(oracle.enc_clearances(), rel=1e-9)
         assert oracle.valid or not cert.valid
+        for fam, nxt in zip(stages, stages[1:]):
+            for S, T in ((fam.blacks, nxt.whites), (fam.whites, nxt.blacks)):
+                # every target, against the obstacles they see: encircles'
+                # verdict and the whole family's escapes, bit for bit
+                verdict, clearance, _ = obstruction._encirclement(S, T, DEFAULT_TAU)
+                assert (verdict, clearance) == (encircles(S, T), max(map(LargestEmptyCircle(S).escape, T)))
         assert dissection_wedge_checks(stages, spec) == wedge_checks_enumerated(stages, spec)
         return cert
 
@@ -721,8 +735,105 @@ class TestSymmetricDescentVerify:
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("symmetric descent: ")]
         assert len(lines) == 2
         assert lines[0].startswith("symmetric descent: delta 0.0, slack 3.001e-12, ")
-        assert lines[0].endswith(", 10 LEC builds, 20 ray-1 queries, 5 derived records")
-        assert lines[1].endswith(", 0 LEC builds, 0 ray-1 queries, 0 derived records")
+        assert lines[0].endswith(", 10 LEC builds, 60 obstacle points, 20 ray-1 queries, 20 escapes, "
+                                 "5 derived records")
+        assert lines[1].endswith(", 0 LEC builds, 0 obstacle points, 0 ray-1 queries, 0 escapes, "
+                                 "0 derived records")
+
+
+class TestLocalObstacles:
+    """_encirclement triangulates only the obstacles its targets can see
+    (obstruction._local_lec), and answers as a triangulation of the whole
+    family does (see also TestSymmetricDescentVerify.assert_matches_oracles)."""
+
+    def test_local_set_keeps_what_the_targets_can_see_in_order(self, monkeypatch):
+        _, _, stages = snake_chain(2)
+        S, T = stages[0].blacks, stages[1].whites[:2]
+        built = []
+        init = LargestEmptyCircle.__init__
+
+        def spy(lec, obstacles):
+            built.append(list(obstacles))
+            init(lec, obstacles)
+
+        monkeypatch.setattr(LargestEmptyCircle, "__init__", spy)
+        assert obstruction._encirclement(S, T, DEFAULT_TAU, 2)[2] == (1, 6, 2, 2)
+        [local] = built
+        assert local == [p for p in S if p in local]  # S's order
+        for t in T:
+            d0 = min(p.distance_to(t) for p in S)
+            assert {p for p in S if p.distance_to(t) <= d0 + 2.0} <= set(local)
+        assert len(local) < len(S)
+
+    def test_an_unbounded_cell_grows_to_the_whole_family(self):
+        # the obstacles within d0 + 2 = 3 of t lie on one side of it, so its
+        # cell among them is unbounded; the far ones close it
+        t = Point(0.0, 0.0)
+        near = [Point(1.0, 0.0), Point(1.0, 1.0), Point(1.0, -1.0)]
+        far = [Point(-10.0, 0.0), Point(-10.0, 8.0), Point(-10.0, -8.0), Point(-4.0, 6.0), Point(-4.0, -6.0)]
+        S = [far[0], *near, *far[1:]]
+        assert LargestEmptyCircle(near).escape(t) == math.inf
+        lec, escapes, builds, points = obstruction._local_lec(S, [t])
+        assert (builds, points) == (2, 3 + 8)
+        assert escapes == [LargestEmptyCircle(S).escape(t)] and escapes[0] < math.inf
+
+    def test_a_dropped_obstacle_within_twice_the_escape_joins(self):
+        # the cell of t among the obstacles within d0 + 2 = 2.1 reaches
+        # about 4.05 from t; (0, 4) and (0, -4) are dropped but cut it at
+        # y = 2 and y = -2
+        t = Point(0.0, 0.0)
+        near = [Point(0.1, 0.0), Point(-1.9, 0.5), Point(-1.9, -0.5)]
+        S = [*near, Point(0.0, 4.0), Point(0.0, 30.0), Point(0.0, -4.0)]
+        first = LargestEmptyCircle(near).escape(t)
+        assert 4.0 < first < 4.1 and 2.1 < S[3].distance_to(t) < 2.0 * first
+        lec, escapes, builds, points = obstruction._local_lec(S, [t])
+        assert (builds, points) == (2, 3 + 5)  # (0, 30) stays out: it is beyond twice the new escape
+        assert escapes == [LargestEmptyCircle(S).escape(t)] and escapes[0] < first
+
+    def test_chessboard_sees_its_whole_family(self):
+        first, second = stage1_points()
+        for S, T in ((first.blacks, second.whites), (first.whites, second.blacks)):
+            lec, escapes, builds, points = obstruction._local_lec(S, T)
+            assert (builds, points) == (1, len(S))
+            assert escapes == [LargestEmptyCircle(S).escape(t) for t in T]
+
+
+class TestPatternColoring:
+    """dissection_pattern_coloring against the per-call classifier of
+    tests/oracles.py::dissection_pattern_classify."""
+
+    def test_certify_stage_points(self):
+        for seed in (1, 13, 29, 77):
+            for _, argv in benchmark_workloads().certify_inputs(seed):
+                if argv[1] != "dissection":
+                    continue
+                n, L, s, depth = (argv[argv.index(f) + 1] for f in ("--n", "--L", "--s", "--depth"))
+                coloring, spec, stages = pattern_chain(int(n), float(L), float(s), int(depth))
+                oracle = dissection_pattern_classify(spec)
+                for fam in stages:
+                    for p in fam.blacks + fam.whites:
+                        assert coloring.classify(p) is oracle(p)
+
+    @pytest.mark.parametrize("tau", [DEFAULT_TAU, 1e-4])
+    def test_near_every_rectangle_edge(self, tau):
+        spec = DissectionSpec(apex=Point(1.5, -2.0), n=6, a=0.5, b=1.2, d=0.3, phase=0.4, first_orientation="cw")
+        coloring, oracle = dissection_pattern_coloring(spec, tau), dissection_pattern_classify(spec, tau)
+        offsets = [k * tau / 4.0 for k in range(-8, 9)]
+        offsets += [math.nextafter(o, math.inf) for o in (-tau, tau)] + [math.nextafter(o, -math.inf) for o in (-tau, tau)]
+        seen = set()
+        for j in range(1, spec.n + 1):
+            u = unit(spec.ray_angle(j))
+            v = u.rot90()
+            for f in np.linspace(0.0, 1.0, 9):
+                s_along, h_along = spec.a + f * (spec.b - spec.a), -spec.d + 2.0 * f * spec.d
+                edges = [(spec.a, h_along), (spec.b, h_along), (s_along, 0.0), (s_along, spec.d), (s_along, -spec.d)]
+                for k, (s0, h0) in enumerate(edges):
+                    for o in offsets:
+                        s_val, h_val = (s0 + o, h0) if k < 2 else (s0, h0 + o)
+                        p = spec.apex + u.scaled(s_val) + v.scaled(h_val)
+                        seen.add(oracle(p))
+                        assert coloring.classify(p) is oracle(p)
+        assert seen == set(Shade)
 
 
 class TestSymmetryMutants:
