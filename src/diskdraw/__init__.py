@@ -47,12 +47,12 @@ from .obstruction import (
     CheckRecord,
     Coloring,
     DescentCertificate,
-    DissectionCheckResult,
     DissectionSpec,
     FiveCircleRadii,
     InvalidN,
     InvalidParameters,
     MisclassifiedPoint,
+    ProofReport,
     RadiiTooLarge,
     StageFamily,
     StageParams,
@@ -86,7 +86,7 @@ from .constructions import (
     snake_coloring,
     snake_dissection_spec,
 )
-from .curvature import CurvatureReport, path_max_curvature, rolling_disk_check
+from .curvature import path_max_curvature, rolling_disk_check
 from .scene import ParseError, parse_boundary, parse_script, serialize_boundary, serialize_script
 from .render import RasterSpec, black_fraction, render, to_pgm, write_pgm, write_svg
 

@@ -87,7 +87,7 @@ def _load_scene(path: str, tau: float):
             raise extra.error(f"unexpected {extra.words[0]!r} after the construction line", 0)
         return coloring
     if first and first.words[0] == "boundary":
-        return region_coloring((parse_boundary(text),), tau, "boundary scene")
+        return region_coloring((parse_boundary(text),), tau)
     return script_coloring(parse_script(text), tau)
 
 
@@ -228,13 +228,12 @@ def verify_snake(r: float, depth: int, tau: float):
         ok = abs(value - expected) <= 0.002
         yield Check(name, ok, f"{name}: {value:.6f} (expected {expected} +/- 0.002) {_mark(ok)}", value)
 
-    curv = path_max_curvature(geom.boundary).max_unsigned_curvature
+    curv = path_max_curvature(geom.boundary)
     ok = curv == 1.0 / r
     yield Check("max curvature", ok, f"max curvature: {curv!r} == 1/r {_mark(ok)}", curv)
 
     rolling = rolling_disk_check(geom.boundary, eps=0.5)
-    yield Check("rolling-disk check", rolling.rolling_disk_ok,
-                f"rolling-disk check: {_mark(rolling.rolling_disk_ok)}", rolling.counts())
+    yield Check("rolling-disk check", rolling.ok, f"rolling-disk check: {_mark(rolling.ok)}", rolling.counts())
 
     spec = snake_dissection_spec(geom, tau)
     coloring = snake_coloring(geom, tau)
@@ -308,11 +307,12 @@ def verify_trapezoid(fuzz: int):
 @_records
 def verify_rolling(eps: float):
     """The two tangent unit disks roll along the snake boundary."""
-    report = _checked(rolling_disk_check, build_snake().boundary, eps=eps)
-    curv = report.max_unsigned_curvature
+    boundary = build_snake().boundary
+    report = _checked(rolling_disk_check, boundary, eps=eps)
+    curv = path_max_curvature(boundary)
     yield Check("max curvature", True, f"max curvature: {curv:.6f}", curv)
     yield Check("failures", True, f"failures: {len(report.failures)}", len(report.failures))
-    yield Check("rolling disk", report.rolling_disk_ok, _mark(report.rolling_disk_ok), report.counts())
+    yield Check("rolling disk", report.ok, _mark(report.ok), report.counts())
 
 
 @_records

@@ -215,21 +215,14 @@ def classify_against_path(
     return Shade.BLACK if inside else Shade.WHITE
 
 
-def region_coloring(
-    loops: Sequence[PiecewisePath], tau: float = DEFAULT_TAU, description: str = ""
-) -> Coloring:
+def region_coloring(loops: Sequence[PiecewisePath], tau: float = DEFAULT_TAU) -> Coloring:
     """Membership in the union of the regions enclosed by closed loops with
     disjoint interiors; the coloring records the loops for the renderer."""
     check_tolerance(tau)
     loops = tuple(loops)
     if not loops:
         raise ValueError("a region needs at least one loop")
-    return Coloring(
-        classify=lambda p: classify_against_path(loops, p, tau),
-        description=description or f"region of {len(loops)} loop(s)",
-        source=loops,
-        tau=tau,
-    )
+    return Coloring(classify=lambda p: classify_against_path(loops, p, tau), source=loops, tau=tau)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +245,7 @@ def chessboard_coloring(c: float, tau: float = DEFAULT_TAU) -> Coloring:
         _polygon(Point(0, 0), Point(c, 0), Point(c, c), Point(0, c)),
         _polygon(Point(0, 0), Point(-c, 0), Point(-c, -c), Point(0, -c)),
     )
-    return region_coloring(loops, tau, f"2x2 chessboard, side {c}")
+    return region_coloring(loops, tau)
 
 
 def rounded_chessboard_coloring(rho: float, tau: float = DEFAULT_TAU) -> Coloring:
@@ -281,7 +274,7 @@ def rounded_chessboard_coloring(rho: float, tau: float = DEFAULT_TAU) -> Colorin
             Arc(Point(-rho, -rho), rho, 0.0, 0.5 * math.pi, ccw=True),
         )),
     )
-    return region_coloring(loops, tau, f"rounded chessboard, fillet {rho}")
+    return region_coloring(loops, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +449,7 @@ def build_snake(r: float = 1.001) -> SnakeGeometry:
 
 def snake_coloring(geom: SnakeGeometry, tau: float = DEFAULT_TAU) -> Coloring:
     """Membership in the region enclosed by the snake boundary."""
-    return region_coloring((geom.boundary,), tau, f"snake region, osculating radius {geom.r}")
+    return region_coloring((geom.boundary,), tau)
 
 
 SNAKE_DISSECTION_A = 2.964

@@ -16,11 +16,11 @@ from __future__ import annotations
 import logging
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .constructions import PiecewisePath
 from .geometry import Arc, Point, Segment, SinglePoint, piece_distance
+from .obstruction import ProofReport
 
 logger = logging.getLogger("diskdraw")
 
@@ -45,36 +45,13 @@ class Leaf(NamedTuple):
     distance: float  # from the centre to the path within eps of s
 
 
-@dataclass(frozen=True)
-class CurvatureReport:
-    max_unsigned_curvature: float
-    per_piece: tuple[tuple[int, float], ...]
-    rolling_disk_ok: bool = True
-    failures: tuple[Leaf, ...] = ()  # leaves whose midpoint disk meets the path
-    undecided: tuple[Leaf, ...] = ()  # leaves whose midpoint disk is clear
-    intervals: int = 0  # parameter intervals visited
-    kernel_calls: int = 0  # piece_distance calls
-    depth: int = 0  # deepest split
-    min_cleared: float = math.inf  # smallest distance that cleared an interval
-
-    def counts(self) -> dict:
-        """The branch and bound's work counters and outcome sizes."""
-        return {"intervals": self.intervals, "kernel_calls": self.kernel_calls, "depth": self.depth,
-                "min_cleared": self.min_cleared, "undecided": len(self.undecided),
-                "failures": len(self.failures)}
-
-
-def path_max_curvature(path: PiecewisePath) -> CurvatureReport:
-    """Analytic per-piece curvature: 0 for segments, 1/radius for arcs.
+def path_max_curvature(path: PiecewisePath) -> float:
+    """The largest analytic piece curvature: 0 for segments, 1/radius for arcs.
 
     Junctions between pieces are corners, not curvature, and do not enter
     the maximum.
     """
-    per_piece = tuple(
-        (i, 0.0 if isinstance(p, Segment) else 1.0 / p.radius)
-        for i, p in enumerate(path.pieces)
-    )
-    return CurvatureReport(max(k for _, k in per_piece), per_piece)
+    return max(0.0 if isinstance(p, Segment) else 1.0 / p.radius for p in path.pieces)
 
 
 def _subpiece(piece, f0: float, f1: float):
@@ -111,7 +88,7 @@ def _window_parts(shifted: list[list[float]], lo: float, hi: float) -> list[tupl
                   for j in range(max(bisect_right(edges, lo) - 1, 0), min(bisect_left(edges, hi), len(edges) - 1)))
 
 
-def rolling_disk_check(path: PiecewisePath, eps: float = 0.5) -> CurvatureReport:
+def rolling_disk_check(path: PiecewisePath, eps: float = 0.5) -> ProofReport:
     """Prove that the two tangent unit disks roll along the whole path.
 
     The disk tangent at arclength s on either side must not contain a path
@@ -124,12 +101,11 @@ def rolling_disk_check(path: PiecewisePath, eps: float = 0.5) -> CurvatureReport
     interval that is not cleared is halved, down to MAX_DEPTH; a leaf that
     is still not cleared is decided at its midpoint by the same test for
     the one disk there.  It becomes a failure when that disk meets the path,
-    and is undecided otherwise.  rolling_disk_ok holds only when every
-    interval is cleared.  Failures are reported, not raised.
+    and is undecided otherwise.  ok holds only when every interval is
+    cleared.  Failures are reported, not raised.
     """
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps!r}")
-    curv = path_max_curvature(path)
     offsets = path.piece_offsets()
     total = offsets[-1]
     shifts = (-total, 0.0, total)
@@ -183,18 +159,9 @@ def rolling_disk_check(path: PiecewisePath, eps: float = 0.5) -> CurvatureReport
                     leaf = Leaf(i, side, lo, hi, s, center, dm)
                     (failures if dm < CLEARANCE else undecided).append(leaf)
 
-    report = CurvatureReport(
-        curv.max_unsigned_curvature,
-        curv.per_piece,
-        rolling_disk_ok=not failures and not undecided,
-        failures=tuple(failures),
-        undecided=tuple(undecided),
-        intervals=visited,
-        kernel_calls=calls,
-        depth=deepest,
-        min_cleared=min_cleared,
-    )
+    # min_cleared: the smallest distance that cleared an interval
+    counters = {"intervals": visited, "kernel_calls": calls, "depth": deepest, "min_cleared": min_cleared}
+    report = ProofReport(not failures and not undecided, (), tuple(failures), tuple(undecided), counters)
     logger.debug("rolling disk: %d intervals, %d kernel calls, depth %d, min cleared %r, "
-                 "%d undecided, %d failures", visited, calls, deepest, min_cleared,
-                 len(undecided), len(failures))
+                 "%d undecided, %d failures", *report.counts().values())
     return report

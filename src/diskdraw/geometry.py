@@ -495,17 +495,16 @@ def piece_distance(p: Piece, q: Piece) -> float:
 # ---------------------------------------------------------------------------
 
 
-def circumcircle3(p: Point, q: Point, r: Point, tau: float = DEFAULT_TAU) -> Circle:
+def circumcircle3(p: Point, q: Point, r: Point) -> Circle:
     """Unique circle through three points.
 
     Raises CollinearPoints when the signed triangle area is below
-    tau * (max pairwise distance)^2; the threshold is scale-relative so large
-    coordinates do not defeat it.
+    DEFAULT_TAU * (max pairwise distance)^2; the threshold is scale-relative
+    so large coordinates do not defeat it.
     """
-    check_tolerance(tau)
     area2 = (q - p).cross(r - p)  # twice the signed area
     dmax = max(p.distance_to(q), q.distance_to(r), r.distance_to(p))
-    if abs(area2) * 0.5 < tau * dmax * dmax or dmax == 0.0:
+    if abs(area2) * 0.5 < DEFAULT_TAU * dmax * dmax or dmax == 0.0:
         raise CollinearPoints(f"points {p}, {q}, {r} are (nearly) collinear")
     center = Point(*circumcenter((p.x, p.y), (q.x, q.y), (r.x, r.y)))
     radius = (center.distance_to(p) + center.distance_to(q) + center.distance_to(r)) / 3.0

@@ -70,23 +70,18 @@ class Coloring:
     DrawingScript of a script coloring, or the tuple of closed PiecewisePath
     loops of a region (see constructions.region_coloring), together with the
     margin tau that classify uses.  The renderer reads it to classify whole
-    raster rows at once; None leaves classify opaque.
+    raster rows at once, and dissection_check to prove rectangles; None
+    leaves classify opaque.
     """
 
     classify: Callable[[Point], Shade]
-    description: str = ""
     source: DrawingScript | tuple[PiecewisePath, ...] | None = None
     tau: float = DEFAULT_TAU
 
 
-def script_coloring(script: DrawingScript, tau: float = DEFAULT_TAU, description: str = "") -> Coloring:
+def script_coloring(script: DrawingScript, tau: float = DEFAULT_TAU) -> Coloring:
     check_tolerance(tau)
-    return Coloring(
-        classify=lambda p: eval_script(p, script, tau),
-        description=description or f"script with {len(script)} strokes",
-        source=script,
-        tau=tau,
-    )
+    return Coloring(classify=lambda p: eval_script(p, script, tau), source=script, tau=tau)
 
 
 @dataclass(frozen=True)
@@ -250,7 +245,6 @@ class CheckRecord:
 
 @dataclass(frozen=True)
 class DescentCertificate:
-    stages: tuple[StageFamily, ...]
     checks: tuple[CheckRecord, ...]
     valid: bool
     premise: str = ""  # the premise of a lemma that failed
@@ -283,7 +277,7 @@ def descent_verify(
         checks.append(CheckRecord(fam.stage_index, "colors", Verdict.YES, 0.0))
     checks += [_stage_pair(fam, nxt, tau)[0] for fam, nxt in zip(stages, stages[1:])]
     valid = all(c.verdict is Verdict.YES for c in checks)
-    return DescentCertificate(tuple(stages), tuple(checks), valid)
+    return DescentCertificate(tuple(checks), valid)
 
 
 def _stage_pair(fam: StageFamily, nxt: StageFamily, tau: float, queried: int | None = None,
@@ -331,17 +325,17 @@ def scaling_descent_verify(coloring: Coloring, stages: Sequence[StageFamily],
         raise InvalidParameters("descent chain needs at least one stage")
     stages = tuple(stages)
     if premise := _scaling_premise(coloring, stages):
-        return DescentCertificate(stages, (), False, premise=premise)
+        return DescentCertificate((), False, premise=premise)
     _verify_family_colors(coloring, stages[0])
     colors = [CheckRecord(fam.stage_index, "colors", Verdict.YES, 0.0) for fam in stages]
     if len(stages) == 1:
-        return DescentCertificate(stages, tuple(colors), True)
+        return DescentCertificate(tuple(colors), True)
     pair, _ = _stage_pair(stages[0], stages[1], tau)
     if pair.verdict is not Verdict.YES:
-        return DescentCertificate(stages, (colors[0], pair), False)
+        return DescentCertificate((colors[0], pair), False)
     scaled = [CheckRecord(fam.stage_index, "enc", Verdict.YES, pair.clearance * 0.5**i)
               for i, fam in enumerate(stages[1:-1], start=1)]
-    return DescentCertificate(stages, (*colors, pair, *scaled), True)
+    return DescentCertificate((*colors, pair, *scaled), True)
 
 
 def _scaling_premise(coloring: Coloring, stages: tuple[StageFamily, ...]) -> str:
@@ -655,7 +649,7 @@ def symmetric_descent_verify(coloring: Coloring, stages: Sequence[StageFamily], 
                  "%d escapes, %d derived records", delta, slack, *work,
                  sum(c.kind == "enc" and c.verdict is Verdict.YES for c in checks))
     valid = not premise and all(c.verdict is Verdict.YES for c in checks)
-    return DescentCertificate(stages, tuple(checks), valid, premise=premise)
+    return DescentCertificate(tuple(checks), valid, premise=premise)
 
 
 def _rotation_premise(stages: Sequence[StageFamily], spec: DissectionSpec) -> tuple[float, float, str]:
@@ -756,25 +750,25 @@ class RectLeaf(NamedTuple):
 
 
 @dataclass(frozen=True)
-class DissectionCheckResult:
+class ProofReport:
+    """The outcome of a branch and bound proof, dissection_check here and
+    curvature.rolling_disk_check: ok when every part was proved.  The leaves
+    (RectLeaf, curvature.Leaf) are the witnesses: the parts proved, the
+    failures, whose witness contradicts the claim, and the undecided parts,
+    whose witness does not."""
+
     ok: bool
-    proved: tuple[RectLeaf, ...] = ()  # parts proved to have the expected shade
-    failures: tuple[RectLeaf, ...] = ()  # parts whose centre has another shade
-    undecided: tuple[RectLeaf, ...] = ()  # undecided parts whose centre has the expected shade
-    rectangles: int = 0
-    kernel_calls: int = 0  # piece_distance and primitive dist calls
-    depth: int = 0  # deepest split
-    min_margin: float = math.inf  # smallest amount by which a proof cleared its bound
+    proved: tuple
+    failures: tuple
+    undecided: tuple
+    counters: dict  # work counters, in the order counts() reports them
 
     def __bool__(self) -> bool:
         return self.ok
 
     def counts(self) -> dict:
-        """The check's work counters and outcome sizes."""
-        return {"rectangles": self.rectangles,
-                "leaves": len(self.proved) + len(self.failures) + len(self.undecided),
-                "kernel_calls": self.kernel_calls, "depth": self.depth, "min_margin": self.min_margin,
-                "undecided": len(self.undecided), "failures": len(self.failures)}
+        """The proof's work counters and outcome sizes."""
+        return {**self.counters, "undecided": len(self.undecided), "failures": len(self.failures)}
 
 
 class _Part:
@@ -809,7 +803,7 @@ class _Part:
         return math.hypot(dx, dy)
 
 
-def dissection_check(coloring: Coloring, spec: DissectionSpec, tau: float = DEFAULT_TAU) -> DissectionCheckResult:
+def dissection_check(coloring: Coloring, spec: DissectionSpec, tau: float = DEFAULT_TAU) -> ProofReport:
     """Prove the dissection pattern of spec against a coloring.
 
     Both rectangles of every ray, shrunk by 2*tau, must have one shade
@@ -839,10 +833,10 @@ def dissection_check(coloring: Coloring, spec: DissectionSpec, tau: float = DEFA
 
     A part that no rule decides is halved both ways, down to SPLIT_DEPTH
     (Snyder, Interval analysis for computer graphics, SIGGRAPH 1992).  A
-    leaf there, and each rectangle of an opaque coloring (source None), is
-    decided at its centre: a failure when the centre has another shade,
-    undecided otherwise.  A part proved uniform in another shade is a
-    failure too.  ok needs every rectangle proved.
+    leaf there is decided at its centre: a failure when the centre has
+    another shade, undecided otherwise.  A part proved uniform in another
+    shade is a failure too.  ok needs every rectangle proved, so a coloring
+    without a source, which no rule can prove, is a TypeError.
     """
     check_tolerance(tau)
     if not (spec.b - spec.a > 4.0 * tau and spec.d > 4.0 * tau):
@@ -908,7 +902,7 @@ def dissection_check(coloring: Coloring, spec: DissectionSpec, tau: float = DEFA
         rule = region_rule
         pieces = [(piece, piece.bbox()) for loop in source for piece in loop.pieces]
     else:
-        rule = None
+        raise TypeError("dissection_check needs a coloring whose source is a script or a region")
 
     proved: list[RectLeaf] = []
     failures: list[RectLeaf] = []
@@ -925,8 +919,8 @@ def dissection_check(coloring: Coloring, spec: DissectionSpec, tau: float = DEFA
                 s0, s1, h0, h1, depth = stack.pop()
                 deepest = max(deepest, depth)
                 part = _Part(frame, s0, s1, h0, h1)
-                shade, margin = rule(part) if rule else (None, math.inf)
-                if shade is None and rule and depth < SPLIT_DEPTH:
+                shade, margin = rule(part)
+                if shade is None and depth < SPLIT_DEPTH:
                     sm, hm = 0.5 * (s0 + s1), 0.5 * (h0 + h1)
                     stack += [(a, b, c, d, depth + 1) for a, b in ((s0, sm), (sm, s1)) for c, d in ((h0, hm), (hm, h1))]
                     continue
@@ -941,16 +935,10 @@ def dissection_check(coloring: Coloring, spec: DissectionSpec, tau: float = DEFA
                 else:
                     undecided.append(leaf)
 
-    result = DissectionCheckResult(
-        ok=not failures and not undecided,
-        proved=tuple(proved),
-        failures=tuple(failures),
-        undecided=tuple(undecided),
-        rectangles=2 * spec.n,
-        kernel_calls=calls,
-        depth=deepest,
-        min_margin=min_margin,
-    )
+    # min_margin: the smallest amount by which a proof cleared its bound
+    counters = {"rectangles": 2 * spec.n, "leaves": len(proved) + len(failures) + len(undecided),
+                "kernel_calls": calls, "depth": deepest, "min_margin": min_margin}
+    result = ProofReport(not failures and not undecided, tuple(proved), tuple(failures), tuple(undecided), counters)
     logger.debug("dissection check: %d rectangles, %d leaves, %d kernel calls, depth %d, min margin %r, "
                  "%d undecided, %d failures", *result.counts().values())
     return result
@@ -985,7 +973,7 @@ def dissection_pattern_coloring(spec: DissectionSpec, tau: float = DEFAULT_TAU) 
             return Shade.BLACK if side == black_side else Shade.WHITE
         return Shade.WHITE
 
-    return Coloring(classify, f"ideal {spec.n}-dissection pattern")
+    return Coloring(classify)
 
 
 def undrawability_bound(n: int) -> float:

@@ -288,9 +288,9 @@ def test_criterion_09_chessboard_final_remark():
     )
     result = dissection_check(chessboard_coloring(1.0), spec)
     report("9", "chessboard is totally 4-dissected at (0, c) thickness c", bool(result),
-           f"{len(result.proved)}/{result.rectangles} rectangles proved")
+           f"{len(result.proved)}/{result.counts()['rectangles']} rectangles proved")
     assert result
-    assert len(result.proved) == result.rectangles == 8
+    assert len(result.proved) == result.counts()["rectangles"] == 8
 
 
 def test_criterion_10_rendering(snake_col):

@@ -70,38 +70,33 @@ def failing_length(report):
 
 class TestMaxCurvature:
     def test_snake(self, snake_path):
-        report = path_max_curvature(snake_path)
-        assert report.max_unsigned_curvature == 1.0 / 1.001
+        assert path_max_curvature(snake_path) == 1.0 / 1.001
 
     def test_circle(self):
-        report = path_max_curvature(circle_path(2.0))
-        assert report.max_unsigned_curvature == pytest.approx(0.5, rel=1e-15)
+        assert path_max_curvature(circle_path(2.0)) == pytest.approx(0.5, rel=1e-15)
 
     def test_square_pieces_are_flat(self):
-        report = path_max_curvature(square_path())
-        assert report.max_unsigned_curvature == 0.0
-        assert all(k == 0.0 for _, k in report.per_piece)
+        assert path_max_curvature(square_path()) == 0.0
 
 
 class TestRollingDisk:
     def test_snake_passes(self, snake_path):
         report = rolling_disk_check(snake_path, eps=0.5)
-        assert report.rolling_disk_ok
+        assert report.ok
         assert report.failures == () and report.undecided == ()
-        assert report.max_unsigned_curvature < 1.0
 
     def test_snake_is_cleared_without_a_split(self, snake_path):
         # each piece and side is cleared whole: 28 pieces x 2 sides, each
         # against its own piece and the two next to it
         report = rolling_disk_check(snake_path, eps=0.5)
         assert report.counts() == {"intervals": 56, "kernel_calls": 168, "depth": 0,
-                                   "min_cleared": report.min_cleared, "undecided": 0, "failures": 0}
-        assert CLEARANCE <= report.min_cleared <= 1.0 + 1e-12
+                                   "min_cleared": report.counts()["min_cleared"], "undecided": 0, "failures": 0}
+        assert CLEARANCE <= report.counts()["min_cleared"] <= 1.0 + 1e-12
 
     def test_small_circle_fails_everywhere(self):
         path = circle_path(0.5)
         report = rolling_disk_check(path, eps=0.5)
-        assert not report.rolling_disk_ok
+        assert not report.ok
         # the failing leaves cover the path, on the inner side
         assert failing_length(report) >= path.total_length * 0.9
         assert {leaf.side for leaf in report.failures} == {1}
@@ -110,7 +105,7 @@ class TestRollingDisk:
         # a huge square: corner failures are genuine (junctions are corners),
         # but the long flat runs must be cleared
         report = rolling_disk_check(square_path(40.0), eps=0.5)
-        assert not report.rolling_disk_ok
+        assert not report.ok
         for leaf in report.failures:
             dist_to_corner = min(abs((leaf.s % 40.0) - 0.0), abs((leaf.s % 40.0) - 40.0))
             assert dist_to_corner <= 0.5 + 1e-9
@@ -118,17 +113,17 @@ class TestRollingDisk:
     def test_radius_dichotomy(self):
         for radius in (0.5, 0.9):
             report = rolling_disk_check(circle_path(radius), eps=0.4)
-            assert not report.rolling_disk_ok
+            assert not report.ok
         for radius in (1.1, 2.0):
             report = rolling_disk_check(circle_path(radius), eps=0.4)
-            assert report.rolling_disk_ok
+            assert report.ok
 
     def test_rigid_motion_invariance(self, snake_path):
         rotated = PiecewisePath(
             tuple(p.rotated(Point(3.0, -2.0), 1.2345) for p in snake_path.pieces)
         )
         report = rolling_disk_check(rotated, eps=0.5)
-        assert report.rolling_disk_ok
+        assert report.ok
 
     def test_invalid_arguments(self):
         for eps in (0.0, -1.0, math.nan):
@@ -138,7 +133,7 @@ class TestRollingDisk:
     def test_circle_of_radius_09_fails_with_a_witness(self):
         path = circle_path(0.9)
         report = rolling_disk_check(path, eps=0.5)
-        assert not report.rolling_disk_ok and report.failures
+        assert not report.ok and report.failures
         offsets = path.piece_offsets()
         for leaf in report.failures[:: len(report.failures) // 7]:
             f = (leaf.s - offsets[leaf.piece]) / (offsets[leaf.piece + 1] - offsets[leaf.piece])
@@ -150,14 +145,14 @@ class TestRollingDisk:
     @pytest.mark.parametrize("radius", [1.0, 1.5])
     def test_circles_of_radius_at_least_one_pass(self, radius):
         report = rolling_disk_check(circle_path(radius), eps=0.5)
-        assert report.rolling_disk_ok
-        assert report.depth == 0
+        assert report.ok
+        assert report.counts()["depth"] == 0
 
     def test_counts_are_logged(self, caplog, snake_path):
         with caplog.at_level(logging.DEBUG, logger="diskdraw"):
             report = rolling_disk_check(snake_path, eps=0.5)
         (record,) = [r for r in caplog.records if r.getMessage().startswith("rolling disk:")]
-        assert record.args == (56, 168, 0, report.min_cleared, 0, 0)
+        assert record.args == (56, 168, 0, report.counts()["min_cleared"], 0, 0)
 
 
 @pytest.mark.parametrize("eps", [0.5, 1.0, 2.0, 4.0])
@@ -193,7 +188,7 @@ def assert_sound(path, eps=0.5, step=0.05):
     for leaf in report.failures[:: max(1, len(report.failures) // 40)]:
         f = (leaf.s - offsets[leaf.piece]) / (offsets[leaf.piece + 1] - offsets[leaf.piece])
         assert tangent_disk_distance(path, leaf.piece, f, leaf.side, eps)[2] < CLEARANCE
-    assert report.depth <= MAX_DEPTH
+    assert report.counts()["depth"] <= MAX_DEPTH
     return report
 
 
@@ -210,7 +205,7 @@ class TestAgainstSampler:
            center=st.tuples(st.floats(-5, 5), st.floats(-5, 5)))
     def test_split_circles(self, radius, split, center):
         report = assert_sound(circle_path(radius, Point(*center), split))
-        assert report.rolling_disk_ok == (radius >= 1.0)
+        assert report.ok == (radius >= 1.0)
 
     @settings(DIFF, max_examples=25)
     @given(radius=st.floats(0.5, 2.0), width=st.floats(0.1, 6.0), height=st.floats(0.1, 6.0))
@@ -218,13 +213,13 @@ class TestAgainstSampler:
         path = rounded_rectangle(2.0 * radius + width, 2.0 * radius + height, radius)
         report = assert_sound(path)
         if radius >= 1.0:
-            assert report.rolling_disk_ok
+            assert report.ok
 
     @settings(DIFF, max_examples=25)
     @given(side=st.floats(1.0, 40.0))
     def test_square_corners(self, side):
         report = assert_sound(square_path(side))
-        assert not report.rolling_disk_ok
+        assert not report.ok
 
     @settings(DIFF, max_examples=6)
     @given(scale=st.sampled_from([0.98, 1.0, 1.5]), angle=st.floats(0.0, 2.0 * math.pi))
@@ -232,4 +227,4 @@ class TestAgainstSampler:
         pieces = scaled_loop(snake_path, scale, Point(0.0, 0.0)).pieces
         path = PiecewisePath(tuple(p.rotated(Point(1.0, 2.0), angle) for p in pieces))
         report = assert_sound(path, step=0.25)
-        assert report.rolling_disk_ok == (scale >= 1.0)
+        assert report.ok == (scale >= 1.0)

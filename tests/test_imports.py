@@ -1,6 +1,7 @@
 """Every import in the package and in the tests is read by its module, every
-private top-level name of the package is read somewhere in it, and only
-geometry.py imports the Delaunay kernel.
+private top-level name of the package is read somewhere in it, every field
+of the package's records is read, and only geometry.py imports the Delaunay
+kernel.
 
 No linter ships with the project and the runtime is stdlib only, so this is
 the unused-import check: the names a module binds by import against the
@@ -158,3 +159,44 @@ def test_dead_code_checker():
               "def f(m):\n    global _STORED\n    _STORED = m._TABLE\n"),
     }
     assert unreferenced_private_names(modules) == ["a: _recursive", "a: _OTHER", "a: _STORED"]
+
+
+def _is_record(cls: ast.ClassDef) -> bool:
+    """Is the class a dataclass or a NamedTuple?"""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    names = [n.attr if isinstance(n, ast.Attribute) else getattr(n, "id", "") for n in decorators + cls.bases]
+    return "dataclass" in names or "NamedTuple" in names
+
+
+def unread_fields(package: dict[str, str], readers: list[str]) -> list[str]:
+    """'module: Class.field' for each field that a dataclass or NamedTuple of
+    package ({module: source}) declares and that no source of readers (which
+    should include the package) reads as an attribute of anything."""
+    read = {node.attr for source in readers for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for label, source in package.items():
+        for cls in ast.walk(ast.parse(source)):
+            if isinstance(cls, ast.ClassDef) and _is_record(cls):
+                unread += [f"{label}: {cls.name}.{stmt.target.id}" for stmt in cls.body
+                           if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                           and stmt.target.id not in read and "ClassVar" not in ast.unparse(stmt.annotation)]
+    return unread
+
+
+def test_every_record_field_is_read():
+    """A field that nothing reads is a value the package computes for no one."""
+    package = {p.name: p.read_text() for p in sorted((ROOT / "src" / "diskdraw").glob("*.py"))}
+    others = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+    assert unread_fields(package, list(package.values()) + [p.read_text() for p in others]) == []
+
+
+def test_unread_field_checker():
+    package = {"m": ("from dataclasses import dataclass\n"
+                     "from typing import ClassVar, NamedTuple\n"
+                     "@dataclass(frozen=True)\n"
+                     "class A:\n    used: int\n    stored: str = ''\n    shared: ClassVar[int] = 0\n"
+                     "class B(NamedTuple):\n    x: float\n    y: float\n"
+                     "class C:\n    plain: int = 0\n")}
+    readers = list(package.values()) + ["def f(a, b):\n    b.y = 1\n    return a.used + b.x\n"]
+    assert unread_fields(package, readers) == ["m: A.stored", "m: B.y"]

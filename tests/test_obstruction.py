@@ -911,18 +911,23 @@ class TestDissectionSampleCheck:
     def test_chessboard_remark(self):
         result = dissection_check(chessboard_coloring(1.0), self.spec)
         assert result
-        assert len(result.proved) == 8 and result.depth == 0
+        assert len(result.proved) == 8 and result.counts()["depth"] == 0
 
     def test_all_white_fails(self):
-        blank = Coloring(lambda p: Shade.WHITE, "all white")
+        blank = script_coloring(DrawingScript(DiskModel.OPEN, ()))
         result = dissection_check(blank, self.spec)
         assert not result
-        # an opaque coloring is one leaf per rectangle, decided at its centre
-        assert result.counts()["leaves"] == 8 and not result.proved
+        # the empty script is proved white on every rectangle at depth 0
+        assert result.counts()["leaves"] == 8 and result.counts()["depth"] == 0
         assert [(leaf.ray, leaf.side) for leaf in result.failures] == [(1, 1), (2, -1), (3, 1), (4, -1)]
-        assert all(leaf.got is Shade.WHITE and not leaf.proved for leaf in result.failures)
-        assert len(result.undecided) == 4
+        assert all(leaf.got is Shade.WHITE and leaf.proved for leaf in result.failures)
+        assert len(result.proved) == 4 and not result.undecided
         assert_witnesses_in_their_rectangles(self.spec, blank, result.failures)
+
+    def test_coloring_without_a_source_is_rejected(self):
+        # no rule can prove a part of an opaque coloring
+        with pytest.raises(TypeError):
+            dissection_check(Coloring(lambda p: Shade.WHITE), self.spec)
 
     def test_wrong_orientation_fails(self):
         spec = DissectionSpec(apex=Point(0, 0), n=4, a=0.05, b=0.95, d=0.9, phase=0.0, first_orientation="cw")
@@ -996,7 +1001,7 @@ class TestDissectionCheck:
     def test_sharp_12_proves_every_rectangle_at_depth_0(self):
         result = dissection_check(script_coloring(sharp_ndissected_script(12)), sharp_dissection_spec(12))
         assert result.ok and len(result.proved) == 24
-        assert (result.depth, len(result.undecided), len(result.failures)) == (0, 0, 0)
+        assert (result.counts()["depth"], len(result.undecided), len(result.failures)) == (0, 0, 0)
 
     @pytest.mark.parametrize("which", ["snake", "sharp"])
     def test_the_tau_shrunk_edge_sits_on_the_collar(self, which):
@@ -1010,7 +1015,7 @@ class TestDissectionCheck:
         result = dissection_check(coloring, spec, DEFAULT_TAU)
         assert not result and not result.failures
         assert {leaf.ray for leaf in result.undecided} == set(range(1, 13))
-        assert result.depth == SPLIT_DEPTH
+        assert result.counts()["depth"] == SPLIT_DEPTH
 
     def test_crossed_rectangle_is_never_proved(self):
         # the four rectangles in the black quadrants run from 0.5 to 1.5
@@ -1022,7 +1027,7 @@ class TestDissectionCheck:
         assert not result
         crossed = {(leaf.ray, leaf.side) for leaf in result.failures + result.undecided}
         assert crossed == {(1, 1), (2, -1), (3, 1), (4, -1)}
-        assert result.depth == SPLIT_DEPTH
+        assert result.counts()["depth"] == SPLIT_DEPTH
         whole = [(leaf.ray, leaf.side) for leaf in result.proved if leaf.s[1] - leaf.s[0] > 0.9]
         assert sorted(whole) == [(1, -1), (2, 1), (3, -1), (4, 1)]
         for leaf in result.proved:
