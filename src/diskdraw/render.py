@@ -12,6 +12,15 @@ in closed-form intervals, whole runs between them are filled at once, and
 only the pixels in a conservative collar window go to the exact per-pixel
 classifier.  The bytes are those of classifying every pixel, which stays the
 path for opaque classifiers.
+
+The same reference's active edge table keeps a row from visiting items that
+cannot reach it: before the first row, each primitive or piece is listed
+under the rows whose center lies within its y-range widened by the radius
+of its closed forms, and each row computes the closed forms of its own list
+only.  The table may hold a superset, since a closed form returns nothing
+on a row its item misses; so each reach is widened by one more collar
+margin, which dominates the rounding of the closed forms' own tests and of
+the reach's ends, and no row an item reaches is left out.
 """
 
 from __future__ import annotations
@@ -39,10 +48,14 @@ class RasterSpec:
     resolution: float  # pixels per unit
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.xmin, self.ymin, self.xmax, self.ymax, self.resolution))):
+            raise ValueError("raster bbox and resolution must be finite")
         if not (self.xmax > self.xmin and self.ymax > self.ymin):
             raise ValueError("raster bbox must have positive extent")
         if self.resolution < 1.0:
             raise ValueError(f"resolution must be >= 1 pixel per unit, got {self.resolution}")
+        if not math.isfinite(max(self.xmax - self.xmin, self.ymax - self.ymin) * self.resolution):
+            raise ValueError("raster width or height overflows")
 
     @property
     def width(self) -> int:
@@ -69,11 +82,15 @@ def render(source: RenderSource, spec: RasterSpec) -> bytes:
     records its script or region, is filled a row at a time from closed
     forms (see _script_rows and _region_rows) with the coloring's own tau;
     the pixels those cannot settle, and every pixel of an opaque classifier,
-    are classified one by one.  Either way each byte is the verdict the
-    classifier gives at that pixel center.  The number of rows classified
-    pixel by pixel (every row of an opaque classifier, none otherwise) and
-    of pixels classified exactly are logged at DEBUG on the "diskdraw"
-    logger.
+    are classified one by one.  A row computes the closed forms only of the
+    items its active table lists, those whose reach holds the row's center;
+    an item listed on a row it misses adds nothing, so the table may list
+    more than it must, never less.  Either way each byte is the verdict the
+    classifier gives at that pixel center.
+    The number of rows classified pixel by pixel (every row of an opaque
+    classifier, none otherwise), of pixels classified exactly and of (row,
+    item) pairs the active table hands to the closed forms are logged at
+    DEBUG on the "diskdraw" logger.
     """
     if isinstance(source, DrawingScript):
         source = script_coloring(source)
@@ -84,24 +101,24 @@ def render(source: RenderSource, spec: RasterSpec) -> bytes:
     grid = _Grid(spec)
     w, h = grid.w, grid.h
     if shape is None:
-        rows = None
+        rows, pairs = None, 0
     elif isinstance(shape, DrawingScript):
-        rows = _script_rows(shape, source.tau, grid)
+        rows, pairs = _script_rows(shape, source.tau, grid)
     else:
-        rows = _region_rows(shape, source.tau, grid)
+        rows, pairs = _region_rows(shape, source.tau, grid)
     pixels = bytearray(b"\xff") * (w * h)
     exact = 0
     for i in range(h):
         y = grid.y(i)
         base = i * w
-        cols = rows(y, pixels, base) if rows else range(w)
+        cols = rows(i, y, pixels, base) if rows else range(w)
         exact += len(cols)
         for j in cols:
             shade = classify(Point(grid.x(j), y))
             pixels[base + j] = _SHADE_BYTE[shade]
     fallback_rows = 0 if rows else h
-    logger.debug("render %dx%d: %d fallback rows, %d pixels classified exactly",
-                 w, h, fallback_rows, exact)
+    logger.debug("render %dx%d: %d fallback rows, %d pixels classified exactly, %d active row items",
+                 w, h, fallback_rows, exact, pairs)
     return bytes(pixels)
 
 
@@ -141,6 +158,17 @@ class _Grid:
         while j < self.w and self.x(j) < v:
             j += 1
         return j
+
+    def row(self, v: float) -> int:
+        """Smallest row i in [0, h] whose center y_i <= v (centers descend
+        with i), corrected against the computed centers as first is."""
+        t = (self.ymax - v) / self.sy - 0.5
+        i = 0 if not t > 0.0 else self.h if t >= self.h else math.ceil(t)
+        while i > 0 and self.y(i - 1) <= v:
+            i -= 1
+        while i < self.h and self.y(i) > v:
+            i += 1
+        return i
 
     def cols(self, lo: float, hi: float) -> range:
         """Columns whose centers x_j satisfy lo <= x_j < hi.
@@ -247,6 +275,24 @@ def _convex_span(prim, y: float, rho: float):
     raise TypeError(f"unknown primitive {prim!r}")
 
 
+def _active(grid: _Grid, entries) -> list:
+    """The active table: per row, in entry order, the payloads of the
+    entries (item, reach, payload) whose y-range widened by reach holds the
+    row's center.  An arc's y-range is its whole circle, about which its
+    closed forms work; a half-plane's or the whole plane's is unbounded."""
+    table = [[] for _ in range(grid.h)]
+    for item, reach, payload in entries:
+        if isinstance(item, Arc):
+            lo, hi = item.center.y - item.radius, item.center.y + item.radius
+        elif isinstance(item, (SinglePoint, Segment)):
+            _, lo, _, hi = item.bbox()
+        else:
+            lo, hi = -math.inf, math.inf
+        for i in range(grid.row(hi + reach), grid.row(lo - reach)):
+            table[i].append(payload)
+    return table
+
+
 def _split(outer, inner):
     """(certain-IN, uncertain) intervals from a convex neighbourhood's trace
     at the two radii: what lies between them is uncertain."""
@@ -268,29 +314,33 @@ def _script_rows(script: DrawingScript, tau: float, grid: _Grid):
     verdict wherever no stroke is uncertain.  The pixels between the two
     radii of any primitive are returned for exact classification.  An arc
     has no certain-IN part here: its whole annulus R -+ (1 + tau + m) is
-    returned for exact classification.
+    returned for exact classification.  A row visits, in stroke order, the
+    primitives its active table lists (reach r_out + m).  Returns the row
+    filler and the number of (row, primitive) pairs in the table.
     """
-    strokes = []
+    entries = []
     for k, stroke in enumerate(script.strokes, start=1):
-        prims = [(p, _margin(grid, p)) for p in stroke.centers.primitives]
-        strokes.append((_BLACK if k % 2 == 1 else _WHITE, prims))
+        value = _BLACK if k % 2 == 1 else _WHITE
+        for prim in stroke.centers.primitives:
+            m = _margin(grid, prim)
+            r_in, r_out = 1.0 - tau - m, 1.0 + tau + m
+            entries.append((prim, r_out + m, (value, prim, r_in, r_out)))
+    active = _active(grid, entries)
 
-    def row(y: float, pixels: bytearray, base: int):
+    def row(i: int, y: float, pixels: bytearray, base: int):
         uncertain = []
-        for value, prims in strokes:
-            for prim, m in prims:
-                r_in, r_out = 1.0 - tau - m, 1.0 + tau + m
-                if isinstance(prim, Arc):  # the annulus about the circle holds the arc's neighbourhood
-                    c, radius = prim.center, prim.radius
-                    inner, unsure = [], _annulus(c.x, y - c.y, radius - r_out, radius + r_out)
-                else:
-                    inner, unsure = _split(_convex_span(prim, y, r_out), _convex_span(prim, y, r_in))
-                for lo, hi in inner:
-                    grid.fill(pixels, base, lo, hi, value)
-                uncertain += unsure
+        for value, prim, r_in, r_out in active[i]:
+            if isinstance(prim, Arc):  # the annulus about the circle holds the arc's neighbourhood
+                c, radius = prim.center, prim.radius
+                inner, unsure = [], _annulus(c.x, y - c.y, radius - r_out, radius + r_out)
+            else:
+                inner, unsure = _split(_convex_span(prim, y, r_out), _convex_span(prim, y, r_in))
+            for lo, hi in inner:
+                grid.fill(pixels, base, lo, hi, value)
+            uncertain += unsure
         return {j for lo, hi in uncertain for j in grid.cols(lo, hi)}
 
-    return row
+    return row, sum(map(len, active))
 
 
 def _region_rows(loops, tau: float, grid: _Grid):
@@ -300,22 +350,31 @@ def _region_rows(loops, tau: float, grid: _Grid):
     the classifier counts) gives each pixel the classifier's parity.  That
     is the verdict outside the collar windows: the pixels within tau + m of
     a piece (m from _margin), in the capsule about a segment or the annulus
-    R -+ (tau + m) about an arc's circle, which are classified exactly.
+    R -+ (tau + m) about an arc's circle, which are classified exactly.  A
+    row visits the pieces its active table lists (reach tau + 2m).  Returns
+    the row filler and the number of (row, piece) pairs in the table.
     """
-    segments, arcs = [], []
+    entries = []
     for piece in (piece for loop in loops for piece in loop.pieces):
-        (segments if isinstance(piece, Segment) else arcs).append((piece, tau + _margin(grid, piece)))
+        m = _margin(grid, piece)
+        entries.append((piece, tau + 2.0 * m, (piece, tau + m)))
+    active = _active(grid, entries)
 
-    def row(y: float, pixels: bytearray, base: int):
+    def row(i: int, y: float, pixels: bytearray, base: int):
         crossings = sorted(x for loop in loops for x in loop.crossings(y))
         for k in range(0, len(crossings), 2):  # an odd number of crossings lies to the right
             grid.fill(pixels, base, crossings[k], crossings[k + 1], _BLACK)
-        windows = [w for w in (_capsule(seg, y, r) for seg, r in segments) if w is not None]
-        for arc, r in arcs:
-            windows += _annulus(arc.center.x, y - arc.center.y, arc.radius - r, arc.radius + r)
+        windows = []
+        for piece, r in active[i]:
+            if isinstance(piece, Segment):
+                window = _capsule(piece, y, r)
+                if window is not None:
+                    windows.append(window)
+            else:
+                windows += _annulus(piece.center.x, y - piece.center.y, piece.radius - r, piece.radius + r)
         return {j for lo, hi in windows for j in grid.cols(lo, hi)}
 
-    return row
+    return row, sum(map(len, active))
 
 
 def to_pgm(pixels: bytes, spec: RasterSpec) -> bytes:
@@ -324,8 +383,10 @@ def to_pgm(pixels: bytes, spec: RasterSpec) -> bytes:
 
 
 def write_pgm(path: str, source: RenderSource, spec: RasterSpec) -> None:
+    """Render, then write: a render that fails leaves an existing file as it was."""
+    data = to_pgm(render(source, spec), spec)
     with open(path, "wb") as fh:
-        fh.write(to_pgm(render(source, spec), spec))
+        fh.write(data)
 
 
 def black_fraction(pixels: bytes) -> float:

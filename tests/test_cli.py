@@ -479,6 +479,20 @@ class TestOutOfRangeParameters:
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
         assert stdout == "" and not out.exists()
 
+    @pytest.mark.parametrize("raster", [
+        ["--bbox", "0", "0", "1", "1", "--res", "inf"],
+        ["--bbox", "0", "0", "inf", "1", "--res", "4"],
+        ["--bbox", "0", "0", "1e308", "1", "--res", "4"],
+        ["--bbox", "0", "0", "1", "1", "--res", "nan"],
+    ], ids=["res-inf", "bbox-inf", "bbox-overflow", "res-nan"])
+    def test_render_keeps_existing_output(self, tmp_path, capsys, raster):
+        out = tmp_path / "out.pgm"
+        out.write_bytes(b"keep\n")
+        code, stdout, err = run(capsys, "render", "--construction", "chessboard", *raster, "-o", str(out))
+        assert code == 2
+        assert err.startswith("usage error: ") and len(err.strip().splitlines()) == 1
+        assert stdout == "" and out.read_bytes() == b"keep\n"
+
     @pytest.mark.parametrize("text, lineno", [
         ("# a comment\n\nconstruction chessboard abc\n", 3),
         ("construction sharp-n 5\n", 1),

@@ -57,6 +57,11 @@ class TestRasterSpec:
             RasterSpec(0, 0, 0, 1, resolution=10)
         with pytest.raises(ValueError):
             RasterSpec(0, 0, 1, 1, resolution=0.5)
+        # non-finite coordinates or resolution, and sizes that overflow
+        for bbox, res in [((0, 0, 1, 1), math.inf), ((0, 0, 1, 1), math.nan), ((0, 0, math.inf, 1), 10),
+                          ((-math.inf, 0, 1, 1), 10), ((0, 0, 1e308, 1), 10), ((0, -1e308, 1, 1e308), 1)]:
+            with pytest.raises(ValueError):
+                RasterSpec(*bbox, resolution=res)
 
 
 class TestRender:
@@ -128,12 +133,22 @@ class TestFiles:
         assert text.startswith("<svg")
         assert text.count("<path") == len(geom.boundary.pieces)
 
+    def test_failed_render_keeps_existing_file(self, tmp_path):
+        def classify(p):
+            raise RuntimeError("classifier failed")
+
+        out = tmp_path / "out.pgm"
+        out.write_bytes(b"keep\n")
+        with pytest.raises(RuntimeError):
+            write_pgm(str(out), Coloring(classify=classify), RasterSpec(0, 0, 1, 1, resolution=4.0))
+        assert out.read_bytes() == b"keep\n"
+
 
 # ---------------------------------------------------------------------------
 # Row spans against the per-pixel loop
 # ---------------------------------------------------------------------------
 
-SCALES = [1e-3, 2.0**-5, 0.25, 1.0, 4.0, 2.0**5, 1e3]
+SCALES = [1e-3, 2.0**-5, 0.25, 1.0, 4.0, 2.0**5, 1e3, 1e6]
 
 
 def per_pixel(source, spec):
@@ -145,14 +160,15 @@ def per_pixel(source, spec):
 
 
 def render_counts(caplog, source, spec):
-    """Pixels, fallback rows and exactly classified pixels of one render."""
+    """Pixels, fallback rows, exactly classified pixels and active (row,
+    item) pairs of one render."""
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="diskdraw"):
         pixels = render(source, spec)
     (record,) = [r for r in caplog.records if "fallback rows" in r.getMessage()]
-    w, h, fallback_rows, exact = record.args
+    w, h, fallback_rows, exact, pairs = record.args
     assert (w, h) == (spec.width, spec.height)
-    return pixels, fallback_rows, exact
+    return pixels, fallback_rows, exact, pairs
 
 
 def bbox_near(center: Point, half: float, dx: float, dy: float):
@@ -216,8 +232,17 @@ def scripts_and_specs(draw):
     center = anchor(draw(st.sampled_from([p for s in strokes for p in s.centers.primitives])))
     center = Point(round(center.x * 4.0) / 4.0, round(center.y * 4.0) / 4.0)
     dx, dy = (draw(SHIFT) + draw(st.integers(-8, 8)) for _ in "xy")
-    bbox = bbox_near(center, 2.0, dx / 8.0, dy / 8.0)
-    return script, RasterSpec(*bbox, resolution=8.0)
+    xmin, ymin, xmax, ymax = bbox_near(center, 2.0, dx / 8.0, dy / 8.0)
+    # the 32-row raster near the anchor, one of its rows alone (h == 1), or
+    # the raster lifted wholly above or below every bounded primitive's reach
+    place = draw(st.sampled_from(["near", "row", "above", "below"]))
+    if place == "row":
+        ymax -= draw(st.integers(0, 31)) / 8.0
+        ymin = ymax - 1.0 / 8.0
+    elif place != "near":
+        lift = 10.0 * scale + 4.0 if place == "above" else -10.0 * scale - 4.0
+        ymin, ymax = ymin + lift, ymax + lift
+    return script, RasterSpec(xmin, ymin, xmax, ymax, resolution=8.0)
 
 
 class TestScriptSpans:
@@ -254,7 +279,7 @@ class TestScriptSpans:
             Stroke(Tool.PENCIL, CenterSet.of_points(Point(0.5, 0.5))),
         ])
         spec = RasterSpec(-2.125, -2.125, 4.125, 2.125, resolution=4.0)
-        pixels, fallback_rows, exact = render_counts(caplog, script, spec)
+        pixels, fallback_rows, exact, _ = render_counts(caplog, script, spec)
         assert pixels == per_pixel(script, spec)
         assert pixels.count(128) > 0 and exact >= pixels.count(128)
         assert fallback_rows == 0
@@ -300,23 +325,26 @@ def convex_polygons(draw):
 
 @st.composite
 def arc_loops(draw):
-    """A circle cut into arcs, or a rectangle with rounded corners."""
+    """A circle cut into arcs, or a rectangle with rounded corners, about the
+    origin or lifted wholly above or below the raster about the origin that
+    test_random_loops_match_per_pixel draws at small scales."""
+    lift = draw(st.sampled_from([0.0, 5.0, -5.0]))
     if draw(st.booleans()):
         cut = st.one_of(st.sampled_from([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi]),
                         st.floats(0.0, 2.0 * math.pi, exclude_max=True))
         cuts = sorted(draw(st.lists(cut, min_size=2, max_size=4, unique_by=lambda a: round(a, 2))))
         radius = draw(st.sampled_from([0.5, 1.0, 1.5]))
         return PiecewisePath(tuple(
-            Arc(Point(0, 0), radius, cuts[i], cuts[(i + 1) % len(cuts)]) for i in range(len(cuts))
+            Arc(Point(0, lift), radius, cuts[i], cuts[(i + 1) % len(cuts)]) for i in range(len(cuts))
         ))
     w, h, r = draw(st.sampled_from([1.0, 1.5])), draw(st.sampled_from([0.75, 1.25])), draw(st.sampled_from([0.25, 0.5]))
     q = math.pi / 2.0
-    return PiecewisePath((
+    return scaled_loop(PiecewisePath((
         Segment(Point(-w + r, -h), Point(w - r, -h)), Arc(Point(w - r, -h + r), r, -q, 0.0),
         Segment(Point(w, -h + r), Point(w, h - r)), Arc(Point(w - r, h - r), r, 0.0, q),
         Segment(Point(w - r, h), Point(-w + r, h)), Arc(Point(-w + r, h - r), r, q, 2 * q),
         Segment(Point(-w, h - r), Point(-w, -h + r)), Arc(Point(-w + r, -h + r), r, 2 * q, 3 * q),
-    ))
+    )), 1.0, Point(0.0, lift))
 
 
 class TestRegionSpans:
@@ -331,7 +359,7 @@ class TestRegionSpans:
         half = min(3.0 * scale, 1.5)
         focus = shift if half < 1.5 else loop.pieces[0].point_at(0.0)
         spec = RasterSpec(*bbox_near(focus, half, dx * half / 12.0, dy * half / 12.0), resolution=12.0 / half)
-        pixels, fallback_rows, _ = render_counts(caplog, coloring, spec)
+        pixels, fallback_rows, _, _ = render_counts(caplog, coloring, spec)
         assert fallback_rows == 0
         assert pixels == per_pixel(coloring, spec)
 
@@ -340,24 +368,29 @@ class TestRegionSpans:
         lambda: chessboard_coloring(1.0),
         lambda: rounded_chessboard_coloring(0.35),
         lambda: region_coloring((scaled_loop(build_snake(1.001).boundary, 1e3, Point(0, 0)),)),
-    ], ids=["snake", "chessboard", "rounded", "snake-1e3"])
+        lambda: region_coloring(tuple(scaled_loop(loop, 1e6, Point(0, 0))
+                                      for loop in chessboard_coloring(1.0).source)),
+    ], ids=["snake", "chessboard", "rounded", "snake-1e3", "chessboard-1e6"])
     @pytest.mark.parametrize("shift", [0.0, -1.0 / 16.0, 0.137])
     def test_constructions_match_per_pixel(self, caplog, make, shift):
         coloring = make()
         pieces = [p for loop in coloring.source for p in loop.pieces]
         focus = pieces[len(pieces) // 3].point_at(0.0)
         focus = Point(round(focus.x * 4.0) / 4.0 + shift, round(focus.y * 4.0) / 4.0 + shift)
-        spec = RasterSpec(*bbox_near(focus, 1.5, 0.0, 0.0), resolution=8.0)
-        pixels, fallback_rows, _ = render_counts(caplog, coloring, spec)
-        assert fallback_rows == 0
-        assert pixels == per_pixel(coloring, spec)
+        xmin, ymin, xmax, ymax = bbox_near(focus, 1.5, 0.0, 0.0)
+        # the 24-row raster and its middle row alone (h == 1)
+        for spec in (RasterSpec(xmin, ymin, xmax, ymax, resolution=8.0),
+                     RasterSpec(xmin, focus.y - 1.0 / 16.0, xmax, focus.y + 1.0 / 16.0, resolution=8.0)):
+            pixels, fallback_rows, _, _ = render_counts(caplog, coloring, spec)
+            assert fallback_rows == 0
+            assert pixels == per_pixel(coloring, spec)
 
     def test_rows_through_vertices_need_no_fallback(self, caplog):
         # rows exactly along y = 1, 0 and -1 (the horizontal edges and the
         # shared vertex) and columns through x = -1, 0, 1
         coloring = chessboard_coloring(1.0)
         spec = RasterSpec(-2.125, -1.875, 2.125, 2.125, resolution=4.0)
-        pixels, fallback_rows, _ = render_counts(caplog, coloring, spec)
+        pixels, fallback_rows, _, _ = render_counts(caplog, coloring, spec)
         assert fallback_rows == 0
         assert pixels == per_pixel(coloring, spec)
         assert pixels == render(Coloring(classify=lambda p: ray_cast_classify(coloring.source, p)), spec)
@@ -367,7 +400,7 @@ class TestRegionSpans:
         circle = PiecewisePath((Arc(Point(0, 0), 1.0, 0.0, math.pi), Arc(Point(0, 0), 1.0, math.pi, 0.0)))
         coloring = region_coloring((circle,))
         spec = RasterSpec(-1.5, -1.625, 1.5, 1.375, resolution=4.0)
-        pixels, fallback_rows, _ = render_counts(caplog, coloring, spec)
+        pixels, fallback_rows, _, _ = render_counts(caplog, coloring, spec)
         assert fallback_rows == 0
         assert pixels == per_pixel(coloring, spec)
         assert pixels == render(Coloring(classify=lambda p: ray_cast_classify(circle, p)), spec)
@@ -376,17 +409,46 @@ class TestRegionSpans:
 class TestBenchmarkRenders:
     """The three renders of the benchmark's raster workload, seed 1."""
 
+    COLORINGS = {
+        "snake": lambda: snake_coloring(build_snake(1.001)),
+        "sharp-n": lambda: script_coloring(sharp_ndissected_script(12)),
+        "chessboard": lambda: chessboard_coloring(1.0),
+    }
+
     @pytest.fixture(scope="class")
     def inputs(self):
         return benchmark_workloads().raster_inputs(1)
 
     def test_no_fallback_rows(self, inputs, caplog):
-        colorings = {
-            "snake": snake_coloring(build_snake(1.001)),
-            "sharp-n": script_coloring(sharp_ndissected_script(12)),
-            "chessboard": chessboard_coloring(1.0),
-        }
         for item in inputs:
             spec = RasterSpec(*item.bbox, resolution=item.res)
-            _, fallback_rows, _ = render_counts(caplog, colorings[item.construction], spec)
+            _, fallback_rows, _, _ = render_counts(caplog, self.COLORINGS[item.construction](), spec)
             assert fallback_rows == 0, item.construction
+
+    def test_active_pairs_are_the_rows_in_reach(self, inputs, caplog):
+        # each item reaches the rows whose center lies within r of its
+        # y-range (an arc's whole circle): r = 1 + tau for a stroke
+        # primitive, tau for a boundary piece
+        for item in inputs:
+            coloring = self.COLORINGS[item.construction]()
+            if isinstance(coloring.source, DrawingScript):
+                items = [p for s in coloring.source.strokes for p in s.centers.primitives]
+                r = 1.0 + coloring.tau
+            else:
+                items = [p for loop in coloring.source for p in loop.pieces]
+                r = coloring.tau
+            spec = RasterSpec(*item.bbox, resolution=item.res)
+            h, sy = spec.height, (spec.ymax - spec.ymin) / spec.height
+            ys = [spec.ymax - (i + 0.5) * sy for i in range(h)]
+
+            def in_reach(widen):
+                count = 0
+                for p in items:
+                    lo, hi = (p.center.y - p.radius, p.center.y + p.radius) if isinstance(p, Arc) \
+                        else (min(p.a.y, p.b.y), max(p.a.y, p.b.y))
+                    count += sum(1 for y in ys if lo - r - widen <= y <= hi + r + widen)
+                return count
+
+            _, _, _, pairs = render_counts(caplog, coloring, spec)
+            assert pairs == in_reach(0.0) == in_reach(1e-6), item.construction  # no center near a reach's end
+            assert pairs < h * len(items) / 2, item.construction
