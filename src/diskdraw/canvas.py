@@ -251,7 +251,7 @@ def halfplane_center_set(normal: Point, offset: float) -> CenterSet:
     """
     if abs(normal.norm() - 1.0) > 1e-12:
         raise NonUnitNormal(f"normal {normal} must have unit length")
-    return CenterSet((OffsetHalfPlane(normal, offset, margin=1.0),))
+    return CenterSet((OffsetHalfPlane(normal, offset),))
 
 
 def convex_polygon_script(
@@ -275,7 +275,7 @@ def convex_polygon_script(
     for i in range(n):
         a, b = vertices[i], vertices[(i + 1) % n]
         outward = Point(b.y - a.y, a.x - b.x).normalized()  # edge direction rotated cw
-        halfplanes.append(OffsetHalfPlane(outward, a.dot(outward), margin=1.0))
+        halfplanes.append(OffsetHalfPlane(outward, a.dot(outward)))
     return DrawingScript(
         model,
         (

@@ -115,7 +115,7 @@ def _construction_coloring(args_list, tau: float):
 
 def _cmd_simulate(args) -> int:
     coloring = _load_scene(args.scene, args.tau)
-    print(coloring.classify(Point(args.query[0], args.query[1])).value)
+    print(coloring.classify(_checked(Point, *args.query)).value)
     return OK
 
 
@@ -394,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     trap.set_defaults(pipeline=lambda a: verify_trapezoid(a.fuzz))
 
     roll = vsub.add_parser("rolling")
-    roll.add_argument("--construction", choices=["snake"], default="snake")
     roll.add_argument("--eps", type=float, default=0.5)
     roll.set_defaults(pipeline=lambda a: verify_rolling(a.eps))
 

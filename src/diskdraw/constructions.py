@@ -44,12 +44,13 @@ class ConstructionInconsistent(ValueError):
 
 @dataclass(frozen=True)
 class PiecewisePath:
-    """A closed, simple, ccw-oriented chain of segments and arcs.
+    """A closed, simple chain of segments and arcs, kept in the order given:
+    no consumer reads its orientation.
 
-    Consecutive pieces must share endpoints to 1e-9 and the last piece must
-    close onto the first.  Orientation is normalized at construction;
-    simplicity is checked pairwise in closed form by validate_simple (called
-    by the snake builder and by tests, since it is the expensive part).
+    Consecutive pieces must share endpoints to 1e-9 times the largest piece
+    extent (at least 1), the last closing onto the first.  Simplicity is
+    checked pairwise in closed form by validate_simple (called by the snake
+    builder and by tests, since it is the expensive part).
     """
 
     pieces: tuple[PathPiece, ...]
@@ -58,30 +59,11 @@ class PiecewisePath:
         if len(self.pieces) < 2:
             raise ValueError("path needs at least two pieces")
         n = len(self.pieces)
+        slack = 1e-9 * max(1.0, *(p.extent() for p in self.pieces))
         for i in range(n):
             gap = self.pieces[i].end_point.distance_to(self.pieces[(i + 1) % n].start_point)
-            if gap > 1e-9:
+            if gap > slack:
                 raise ValueError(f"pieces {i} and {(i + 1) % n} do not meet (gap {gap:.3e})")
-        if self.signed_area() < 0.0:
-            rev = tuple(p.reversed() for p in reversed(self.pieces))
-            object.__setattr__(self, "pieces", rev)
-
-    def signed_area(self) -> float:
-        total = 0.0
-        for piece in self.pieces:
-            if isinstance(piece, Segment):
-                total += 0.5 * (piece.a.x * piece.b.y - piece.b.x * piece.a.y)
-            else:
-                r = piece.radius
-                th0 = piece.start_angle
-                sweep = piece.sweep if piece.ccw else -piece.sweep
-                th1 = th0 + sweep
-                cx, cy = piece.center.x, piece.center.y
-                total += 0.5 * (
-                    r * r * sweep
-                    + r * (cx * (math.sin(th1) - math.sin(th0)) - cy * (math.cos(th1) - math.cos(th0)))
-                )
-        return total
 
     @property
     def total_length(self) -> float:

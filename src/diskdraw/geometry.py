@@ -134,7 +134,7 @@ class SinglePoint:
 
 
 # Segment and Arc are the pieces of boundary paths and share one interface:
-# start_point, end_point, length, point_at(f), tangent_at(f), reversed() and
+# start_point, end_point, length, point_at(f), tangent_at(f) and
 # rotated(center, angle), with f in [0, 1] running from start to end.
 
 
@@ -171,9 +171,6 @@ class Segment:
 
     def tangent_at(self, f: float) -> Point:
         return (self.b - self.a).normalized()
-
-    def reversed(self) -> "Segment":
-        return Segment(self.b, self.a)
 
     def rotated(self, center: Point, angle: float) -> "Segment":
         return Segment(rotate_about(self.a, center, angle), rotate_about(self.b, center, angle))
@@ -239,9 +236,6 @@ class Arc:
         t = unit(self.angle_at(f)).rot90()
         return t if self.ccw else Point(-t.x, -t.y)
 
-    def reversed(self) -> "Arc":
-        return Arc(self.center, self.radius, self.end_angle, self.start_angle, not self.ccw)
-
     def rotated(self, center: Point, angle: float) -> "Arc":
         return Arc(
             rotate_about(self.center, center, angle),
@@ -289,27 +283,26 @@ class Arc:
 
 @dataclass(frozen=True, slots=True)
 class OffsetHalfPlane:
-    """Center set {z + lam*normal : <z, normal> = offset, lam >= margin}.
-
-    Equivalently all points at inner-product height >= offset + margin.
-    Whether lam = margin itself belongs to the set does not change the
-    distance to it, so the open and closed versions are the same primitive.
+    """Center set {z + lam*normal : <z, normal> = offset, lam >= 1}, the
+    points at height >= offset + 1 along normal: the unit disks about them
+    lie in <x, normal> > offset.  Whether lam = 1 itself belongs to the set
+    does not change the distance to it, so the open and closed versions are
+    the same primitive.
     """
 
     normal: Point
     offset: float
-    margin: float = 1.0
 
     def __post_init__(self):
         if abs(self.normal.norm() - 1.0) > 1e-12:
             raise ValueError("half-plane normal must have unit length (tolerance 1e-12)")
 
     def dist(self, x: Point) -> float:
-        height = x.dot(self.normal) - (self.offset + self.margin)
+        height = x.dot(self.normal) - (self.offset + 1.0)
         return max(0.0, -height)
 
     def extent(self) -> float:
-        return abs(self.offset) + self.margin
+        return abs(self.offset) + 1.0
 
 
 @dataclass(frozen=True, slots=True)

@@ -264,9 +264,9 @@ def _convex_span(prim, y: float, rho: float):
     if isinstance(prim, Segment):
         return _capsule(prim, y, rho)
     if isinstance(prim, OffsetHalfPlane):
-        # distance below rho  <=>  x*nx + y*ny >= offset + margin - rho
+        # distance below rho  <=>  x*nx + y*ny >= offset + 1 - rho
         nx = prim.normal.x
-        t = prim.offset + prim.margin - rho - y * prim.normal.y
+        t = prim.offset + 1.0 - rho - y * prim.normal.y
         if nx == 0.0:
             return (-math.inf, math.inf) if t <= 0.0 else None
         return (t / nx, math.inf) if nx > 0.0 else (-math.inf, t / nx)

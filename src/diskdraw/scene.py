@@ -109,7 +109,7 @@ _KINDS = {
             lambda cx, cy, r, a0, a1, ccw=True: Arc(Point(cx, cy), r, a0, a1, ccw=ccw),
             lambda a: (a.center.x, a.center.y, a.radius, a.start_angle, a.end_angle)),
     "halfplane": (OffsetHalfPlane, ("nx", "ny", "offset"),
-                  lambda nx, ny, offset: OffsetHalfPlane(Point(nx, ny), offset, margin=1.0),
+                  lambda nx, ny, offset: OffsetHalfPlane(Point(nx, ny), offset),
                   lambda h: (h.normal.x, h.normal.y, h.offset)),
     "plane": (WholePlane, (), WholePlane, lambda w: ()),
 }

@@ -106,6 +106,15 @@ def scaled_loop(loop: PiecewisePath, k: float, shift: Point) -> PiecewisePath:
     ))
 
 
+def reversed_loop(loop: PiecewisePath) -> PiecewisePath:
+    """The loop traversed the other way round."""
+    return PiecewisePath(tuple(
+        Segment(p.b, p.a) if isinstance(p, Segment)
+        else Arc(p.center, p.radius, p.end_angle, p.start_angle, not p.ccw)
+        for p in reversed(loop.pieces)
+    ))
+
+
 def benchmark_workloads():
     """perfbench/workloads.py, the benchmark's seeded input generators."""
     bench = str(Path(__file__).resolve().parents[1] / "perfbench")

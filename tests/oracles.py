@@ -710,7 +710,7 @@ def _parse_primitive(r: _LineReader):
         if kind == "halfplane":
             n = Point(r.take_float("nx"), r.take_float("ny"))
             offset = r.take_float("offset")
-            return OffsetHalfPlane(n, offset, margin=1.0)
+            return OffsetHalfPlane(n, offset)
         if kind == "plane":
             return WholePlane()
     except ValueError as exc:

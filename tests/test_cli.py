@@ -1,9 +1,11 @@
+import argparse
 import ast
 import dataclasses
 import importlib
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -182,7 +184,7 @@ class TestVerify:
         assert "ok" in out
 
     def test_rolling(self, capsys):
-        code, out, _ = run(capsys, "verify", "rolling", "--construction", "snake", "--eps", "0.5")
+        code, out, _ = run(capsys, "verify", "rolling", "--eps", "0.5")
         assert code == 0
         assert "ok" in out
 
@@ -201,9 +203,10 @@ class TestVerify:
             assert check.value["failures"] == check.value["undecided"] == 0
 
     def test_rolling_needs_the_snake(self, capsys):
+        # the rolling check reads the snake alone, so it offers no choice of construction
         code, out, err = run(capsys, "verify", "rolling", "--construction", "chessboard")
         assert (code, out) == (2, "")
-        assert "invalid choice: 'chessboard'" in err
+        assert "unrecognized arguments: --construction chessboard" in err
 
     def test_chessboard_single_stage(self, capsys):
         # one stage has no stage pair, so no clearance is printed
@@ -493,6 +496,15 @@ class TestOutOfRangeParameters:
         assert err.startswith("usage error: ") and len(err.strip().splitlines()) == 1
         assert stdout == "" and out.read_bytes() == b"keep\n"
 
+    @pytest.mark.parametrize("query", [("nan", "0"), ("inf", "0"), ("1e400", "0"), ("0", "nan")],
+                             ids=["nan", "inf", "overflow", "nan-y"])
+    def test_non_finite_query(self, tmp_path, capsys, query):
+        scene = tmp_path / "s.txt"
+        scene.write_text("model open\nstroke pencil point 0 0\n")
+        code, stdout, err = run(capsys, "simulate", str(scene), "--query", *query)
+        assert (code, stdout) == (2, "")
+        assert err.startswith("usage error: non-finite coordinates") and len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("text, lineno", [
         ("# a comment\n\nconstruction chessboard abc\n", 3),
         ("construction sharp-n 5\n", 1),
@@ -537,6 +549,38 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[-1] == "ok"
+
+
+def _leaf_parsers(parser, path=()):
+    """(command path, parser) of each subcommand that has no subcommands."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(path), parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _leaf_parsers(sub, (*path, name))
+
+
+def _loaded_names(code) -> set[str]:
+    """The names a code object and the code nested in it load."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _loaded_names(const)
+    return names
+
+
+def test_every_option_reaches_its_handler():
+    """Each subcommand option is read by its handler: a verify command's
+    pipeline, or the func of simulate and render.  An option nothing reads
+    is a knob that changes nothing."""
+    leaves = dict(_leaf_parsers(build_parser()))
+    assert {"simulate", "render", "verify rolling", "verify snake"} <= leaves.keys()
+    for command, parser in leaves.items():
+        handler = parser.get_default("pipeline") or parser.get_default("func")
+        loaded = _loaded_names(handler.__code__)
+        dests = [a.dest for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+        assert dests and [d for d in dests if d not in loaded] == [], command
 
 
 def test_traced_names_resolve():

@@ -10,6 +10,7 @@ from diskdraw import (
     Arc,
     InvalidN,
     Point,
+    RasterSpec,
     Segment,
     Shade,
     Tool,
@@ -19,6 +20,9 @@ from diskdraw import (
     classify_against_path,
     dissection_check,
     eval_script,
+    region_coloring,
+    render,
+    rolling_disk_check,
     rounded_chessboard_coloring,
     script_coloring,
     sharp_ndissected_script,
@@ -29,9 +33,9 @@ from diskdraw import (
 from diskdraw.constructions import PiecewisePath
 from diskdraw.geometry import rotate_about
 
-from helpers import random_point
+from helpers import random_point, reversed_loop
 from oracles import chessboard_classify, ray_cast_classify, rounded_chessboard_classify, sharp_ndissected_strokes
-from test_render import arc_loops, convex_polygons, scaled_loop
+from test_render import arc_loops, convex_polygons, per_pixel, scaled_loop
 
 
 @pytest.fixture(scope="module")
@@ -152,7 +156,6 @@ class TestBuildSnake:
 
     def test_boundary_simple_and_closed(self, snake):
         snake.boundary.validate_simple()
-        assert snake.boundary.signed_area() > 0
 
     def test_bad_radius_rejected(self):
         with pytest.raises(ValueError):
@@ -313,15 +316,40 @@ class TestPiecewisePath:
                 )
             )
 
-    def test_orientation_normalized(self):
-        cw_square = (
-            Segment(Point(0, 0), Point(0, 1)),
-            Segment(Point(0, 1), Point(1, 1)),
-            Segment(Point(1, 1), Point(1, 0)),
-            Segment(Point(1, 0), Point(0, 0)),
-        )
-        path = PiecewisePath(cw_square)
-        assert path.signed_area() > 0
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    def test_junction_slack_is_relative(self, scale):
+        # the slack is 1e-9 times the largest piece extent, at least 1
+        square = ((0, 0), (1, 0), (1, 1), (0, 1))
+        pts = [Point(scale * x, scale * y) for x, y in square]
+        closed = tuple(Segment(pts[i], pts[(i + 1) % 4]) for i in range(4))
+        assert PiecewisePath(closed).pieces == closed
+        gap = Segment(pts[1], Point(pts[2].x + 10.0 * 1e-9 * scale, pts[2].y))
+        with pytest.raises(ValueError, match="pieces 1 and 2 do not meet"):
+            PiecewisePath((closed[0], gap, *closed[2:]))
+
+    def test_orientation_does_not_matter(self, snake):
+        # every built-in loop, traversed the other way round, gives the same
+        # pixels and the same proofs; kernel_calls and min_cleared follow the
+        # scan order and are not compared
+        def outcome(report):
+            counts = report.counts()
+            return report.ok, *(counts[k] for k in ("intervals", "depth", "failures", "undecided"))
+
+        for ccw, spec in ((snake_coloring(snake), RasterSpec(-5, -9, 8.5, 9, resolution=10.0)),
+                          (chessboard_coloring(1.0), RasterSpec(-2, -2, 2, 2, resolution=20.0)),
+                          (rounded_chessboard_coloring(0.35), RasterSpec(-2, -2, 2, 2, resolution=20.0))):
+            loops = tuple(reversed_loop(loop) for loop in ccw.source)
+            # kept in the order given: each copy starts along its loop's last piece
+            assert all(b.pieces[0].end_point.distance_to(a.pieces[-1].start_point) < 1e-12
+                       for a, b in zip(ccw.source, loops))
+            cw = region_coloring(loops)
+            assert render(cw, spec) == render(ccw, spec) == per_pixel(cw, spec)
+            for a, b in zip(ccw.source, loops):
+                assert outcome(rolling_disk_check(a)) == outcome(rolling_disk_check(b))
+        spec = snake_dissection_spec(snake)
+        a = dissection_check(snake_coloring(snake), spec)
+        b = dissection_check(region_coloring((reversed_loop(snake.boundary),)), spec)
+        assert a.ok and b.ok and a.proved == b.proved
 
     def test_crossing_classify_square(self):
         square = PiecewisePath(

@@ -87,7 +87,7 @@ class TestDistToPrimitive:
         assert Segment(Point(0, 0), Point(1e-150, 0)).dist(Point(0, 1)) == 1.0
 
     def test_halfplane_distance(self):
-        hp = OffsetHalfPlane(Point(0, 1), 0.0, margin=1.0)
+        hp = OffsetHalfPlane(Point(0, 1), 0.0)
         assert hp.dist(Point(0, 0.5)) == 0.5
         assert hp.dist(Point(5, 3.0)) == 0.0
         assert hp.dist(Point(0, -0.1)) == pytest.approx(1.1)
@@ -146,12 +146,10 @@ class TestArcDerivedFields:
             with pytest.raises(ValueError, match="angles must be finite"):
                 Arc(Point(0, 0), 1.0, a0, a1)
 
-    def test_reversed_and_rotated_ends(self):
+    def test_rotated_ends(self):
         a = self.ARC
-        for b in (a.reversed(), a.rotated(Point(1.0, 2.0), 0.7), a.reversed().rotated(Point(-3, 0), -2.0)):
+        for b in (a.rotated(Point(1.0, 2.0), 0.7), a.rotated(Point(-3, 0), -2.0)):
             self.assert_derived(b)
-        assert a.reversed().start_point.distance_to(a.end_point) < 1e-15
-        assert a.reversed().end_point.distance_to(a.start_point) < 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -370,7 +370,8 @@ class TestRegionSpans:
         lambda: region_coloring((scaled_loop(build_snake(1.001).boundary, 1e3, Point(0, 0)),)),
         lambda: region_coloring(tuple(scaled_loop(loop, 1e6, Point(0, 0))
                                       for loop in chessboard_coloring(1.0).source)),
-    ], ids=["snake", "chessboard", "rounded", "snake-1e3", "chessboard-1e6"])
+        lambda: region_coloring((scaled_loop(build_snake(1.001).boundary, 1e6, Point(0, 0)),)),
+    ], ids=["snake", "chessboard", "rounded", "snake-1e3", "chessboard-1e6", "snake-1e6"])
     @pytest.mark.parametrize("shift", [0.0, -1.0 / 16.0, 0.137])
     def test_constructions_match_per_pixel(self, caplog, make, shift):
         coloring = make()
