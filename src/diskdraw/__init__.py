@@ -61,7 +61,6 @@ from .obstruction import (
     default_dissection_L,
     descent_verify,
     dissection_check,
-    dissection_pattern_coloring,
     dissection_stages,
     dissection_wedge_checks,
     encircles,

@@ -35,7 +35,6 @@ from .obstruction import (
     chessboard_stages,
     default_dissection_L,
     descent_verify,  # noqa: F401  (perfbench traces the descent under this name)
-    dissection_pattern_coloring,
     dissection_stages,
     dissection_wedge_checks,
     five_circle_radii,
@@ -221,7 +220,8 @@ def verify_chessboard(r: float, theta_deg: float, depth: int, tau: float):
 @_records
 def verify_snake(r: float, depth: int, tau: float):
     """The snake: its anchors, curvature, 12-dissection and descent, each
-    stage pair of the descent from ray 1 (symmetric_descent_verify)."""
+    stage pair of the descent from ray 1 (symmetric_descent_verify), the
+    stage colours from the proved 12-dissection."""
     geom = _checked(build_snake, r)
     for name, value, expected in (("|AE|", geom.ae_len, 0.793), ("|OE|", geom.oe_len, 2.963),
                                   ("|OE'|", geom.oe_prime_len, 3.735)):
@@ -236,8 +236,7 @@ def verify_snake(r: float, depth: int, tau: float):
     yield Check("rolling-disk check", rolling.ok, f"rolling-disk check: {_mark(rolling.ok)}", rolling.counts())
 
     spec = snake_dissection_spec(geom, tau)
-    coloring = snake_coloring(geom, tau)
-    result = dissection_sample_check(coloring, spec, tau)
+    result = dissection_sample_check(snake_coloring(geom, tau), spec, tau)
     line = f"12-dissection at ({spec.a}, {spec.b}) thickness {spec.d}: {_mark(result.ok)}"
     yield Check("12-dissection", result.ok, line, result.counts())
 
@@ -251,16 +250,18 @@ def verify_snake(r: float, depth: int, tau: float):
     yield radii_check
     if not radii_check.ok:
         return
-    cert = symmetric_descent_verify(coloring, _checked(dissection_stages, params, spec, depth, tau), spec, tau)
+    cert = symmetric_descent_verify(_checked(dissection_stages, params, spec, depth, tau), spec, tau)
     yield from _certificate_checks(cert, kinds=("enc",))
-    yield Check("descent", cert.valid, f"descent stages 0..{depth}: {_mark(cert.valid)}", cert.valid)
+    ok = cert.valid and result.ok  # the stage colours are those of the proved rectangles
+    yield Check("descent", ok, f"descent stages 0..{depth}: {_mark(ok)}", ok)
 
 
 @_records
 def verify_dissection(n: int, L: float, s: float, depth: int, tau: float):
     """The ideal n-dissection pattern: critical radii, the descent over its
     stages and the per-wedge case split, each from ray 1 or wedge 1 of every
-    stage pair (symmetric_descent_verify, dissection_wedge_checks).
+    stage pair (symmetric_descent_verify, dissection_wedge_checks), the
+    stage colours from the pattern's rectangles.
 
     `all radii < 1` is the premise dissection_stages needs.  It does not
     prove the descent at a finite s (n = 12, L = 3.5887177858128325,
@@ -277,7 +278,7 @@ def verify_dissection(n: int, L: float, s: float, depth: int, tau: float):
     spec = _checked(DissectionSpec, apex=Point(0.0, 0.0), n=n, a=L - 4.0 * s, b=L + 4.0 * s,
                     d=4.0 * params.t, phase=0.0, first_orientation="ccw")
     stages = _checked(dissection_stages, params, spec, depth, tau)
-    cert = symmetric_descent_verify(dissection_pattern_coloring(spec, tau), stages, spec, tau)
+    cert = symmetric_descent_verify(stages, spec, tau)
     yield from _certificate_checks(cert, kinds=("enc",))
     wedges = dissection_wedge_checks(stages, spec, tau)
     good = sum(1 for w in wedges if w[2] is Verdict.YES)
@@ -344,10 +345,22 @@ def _tau(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every number as a value: argparse's own
+    rule takes -1e5 or -inf for an option, since it is not -D or -D.D."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process: parsing leaves it unchanged."""
-    top = argparse.ArgumentParser(prog="diskdraw", description=__doc__)
+    top = _Parser(prog="diskdraw", description=__doc__)
     top.add_argument("--tau", type=_tau, default=DEFAULT_TAU, help="comparison margin, in (0, 1e-3)")
     sub = top.add_subparsers(dest="command", required=True)
 

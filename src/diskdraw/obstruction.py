@@ -66,16 +66,15 @@ class InvalidN(ValueError):
 class Coloring:
     """A deterministic black/white membership oracle over the plane.
 
-    source records what classify evaluates, when it is known: the
-    DrawingScript of a script coloring, or the tuple of closed PiecewisePath
-    loops of a region (see constructions.region_coloring), together with the
-    margin tau that classify uses.  The renderer reads it to classify whole
-    raster rows at once, and dissection_check to prove rectangles; None
-    leaves classify opaque.
+    source records what classify evaluates: the DrawingScript of a script
+    coloring, or the tuple of closed PiecewisePath loops of a region (see
+    constructions.region_coloring), together with the margin tau that
+    classify uses.  The renderer reads it to classify whole raster rows at
+    once, and dissection_check to prove rectangles.
     """
 
     classify: Callable[[Point], Shade]
-    source: DrawingScript | tuple[PiecewisePath, ...] | None = None
+    source: DrawingScript | tuple[PiecewisePath, ...]
     tau: float = DEFAULT_TAU
 
 
@@ -528,6 +527,10 @@ class DissectionSpec:
         first = 1 if self.first_orientation == "ccw" else -1
         return first * (1 if (j - 1) % 2 == 0 else -1)
 
+    def shrunk(self, tau: float) -> tuple[float, float, float, float]:
+        """(s0, s1, h0, h1): the rectangles shrunk by 2*tau, along the ray and away from it."""
+        return self.a + 2.0 * tau, self.b - 2.0 * tau, 2.0 * tau, self.d - 2.0 * tau
+
 
 def default_dissection_L(n: int, a: float, b: float) -> float:
     """Midpoint of (a, min(b, cot(pi/n))), the widest safe anchor distance."""
@@ -579,7 +582,7 @@ def dissection_stages(
     return stages
 
 
-def symmetric_descent_verify(coloring: Coloring, stages: Sequence[StageFamily], spec: DissectionSpec,
+def symmetric_descent_verify(stages: Sequence[StageFamily], spec: DissectionSpec,
                              tau: float = DEFAULT_TAU) -> DescentCertificate:
     """descent_verify from ray 1 of each stage pair, for families that are
     n-fold rotationally symmetric about spec.apex with the colours swapped,
@@ -614,33 +617,43 @@ def symmetric_descent_verify(coloring: Coloring, stages: Sequence[StageFamily], 
     exact delta, and 3*(delta + slack) also covers the rounding of every
     clearance descent_verify would compute.
 
-    Every stage point is classified as in descent_verify.  Each stage pair
-    queries ray 1's four targets at the margin (_encircles), against the
-    obstacles of each outer family that those targets can see (_local_lec):
-    YES needs every clearance below 1 - tau - 3*(delta + slack), which puts
-    each of the pair's clearances below 1 - tau, descent_verify's YES; a NO
-    or BOUNDARY at ray 1 is recorded as it is.  The local triangulation
-    computes ray 1's clearances up to the rounding of candidate points,
-    which the margin covers as it covers the rounding of the turns.  The
-    recorded clearance is the largest escape radius of ray 1's four
-    targets, equal bit for bit to that over a triangulation of the whole
-    family.  It is informational: the escape radius is not Lipschitz, so it
-    bounds nothing about the other rays, and it may differ from
-    descent_verify's largest escape over all targets in the last digits.  A
-    failed premise gives an invalid certificate that names it, with no
-    records; nothing falls back to descent_verify.
+    Colours, checked in floats (_colour_premise): each stage point p lies in
+    its ray's rectangle of its colour shrunk by 2*tau + slack, that is, its
+    coordinates s = rel.u and h = u x rel in the ray frame (rel = p -
+    spec.apex), h signed towards the colour's side, lie in spec.shrunk(tau)
+    narrowed by the slack.  Then p has its colour in every coloring with
+    spec's n-dissection: in the ideal pattern by definition, and in a
+    coloring that dissection_check proves, whose proved parts tile the
+    2*tau-shrunk rectangles (verify snake counts the descent only when that
+    proof is ok).  s, h and the parts' corners are each a few ulps of the
+    extent off, which the slack covers as it covers the turns.  No point is
+    classified.
+
+    Each stage pair queries ray 1's four targets at the margin (_encircles),
+    against the obstacles of each outer family that those targets can see
+    (_local_lec): YES needs every clearance below 1 - tau - 3*(delta +
+    slack), which puts each of the pair's clearances below 1 - tau,
+    descent_verify's YES; a NO or BOUNDARY at ray 1 is recorded as it is.
+    The local triangulation computes ray 1's clearances up to the rounding
+    of candidate points, which the margin covers as it covers the rounding
+    of the turns.  The recorded clearance is the largest escape radius of
+    ray 1's four targets, equal bit for bit to that over a triangulation of
+    the whole family.  It is informational: the escape radius is not
+    Lipschitz, so it bounds nothing about the other rays, and it may differ
+    from descent_verify's largest escape over all targets in the last
+    digits.  A failed premise gives an invalid certificate that names it,
+    with no records; nothing falls back to descent_verify.
     """
     check_tolerance(tau)
     if not stages:
         raise InvalidParameters("descent chain needs at least one stage")
     stages = tuple(stages)
     delta, slack, premise = _rotation_premise(stages, spec)
+    premise = premise or _colour_premise(stages, spec, tau, slack)
     checks: list[CheckRecord] = []
     work = (0, 0, 0, 0)
     if not premise:
-        for fam in stages:
-            _verify_family_colors(coloring, fam)
-            checks.append(CheckRecord(fam.stage_index, "colors", Verdict.YES, 0.0))
+        checks = [CheckRecord(fam.stage_index, "colors", Verdict.YES, 0.0) for fam in stages]
         for fam, nxt in zip(stages, stages[1:]):
             record, done = _stage_pair(fam, nxt, tau, 2, 3.0 * (delta + slack))
             checks.append(record)
@@ -679,6 +692,24 @@ def _rotation_premise(stages: Sequence[StageFamily], spec: DissectionSpec) -> tu
     if delta > slack:
         return delta, slack, f"rotation symmetry: {worst} about {spec.apex}, beyond the slack {slack!r}"
     return delta, slack, ""
+
+
+def _colour_premise(stages: Sequence[StageFamily], spec: DissectionSpec, tau: float, slack: float) -> str:
+    """The failure of symmetric_descent_verify's colour premise: the first
+    stage point outside its ray's rectangle of its colour shrunk by 2*tau +
+    slack, named, or "".  Point k of a colour lies on ray k // 2 + 1."""
+    s0, s1, h0, h1 = spec.shrunk(tau)
+    frames = [(unit(spec.ray_angle(j)), spec.black_side(j)) for j in range(1, spec.n + 1)]
+    for fam in stages:
+        for points, colour, sign in ((fam.blacks, "black", 1), (fam.whites, "white", -1)):
+            for k, p in enumerate(points):
+                u, side = frames[k // 2]
+                rel = p - spec.apex
+                s, h = rel.dot(u), sign * side * u.cross(rel)
+                if not (s0 + slack <= s <= s1 - slack and h0 + slack <= h <= h1 - slack):
+                    return (f"stage colours: stage {fam.stage_index} {colour} point {p} is outside ray {k // 2 + 1}'s "
+                            f"{colour} rectangle shrunk by 2*tau + {slack!r}")
+    return ""
 
 
 def dissection_wedge_checks(
@@ -835,8 +866,7 @@ def dissection_check(coloring: Coloring, spec: DissectionSpec, tau: float = DEFA
     (Snyder, Interval analysis for computer graphics, SIGGRAPH 1992).  A
     leaf there is decided at its centre: a failure when the centre has
     another shade, undecided otherwise.  A part proved uniform in another
-    shade is a failure too.  ok needs every rectangle proved, so a coloring
-    without a source, which no rule can prove, is a TypeError.
+    shade is a failure too.  ok needs every rectangle proved.
     """
     check_tolerance(tau)
     if not (spec.b - spec.a > 4.0 * tau and spec.d > 4.0 * tau):
@@ -898,11 +928,9 @@ def dissection_check(coloring: Coloring, spec: DissectionSpec, tau: float = DEFA
                 [(p, p.bbox()) for p in prims if isinstance(p, (SinglePoint, Segment, Arc))],
                 [p for p in prims if not isinstance(p, (SinglePoint, Segment, Arc))],
             ))
-    elif source is not None:
+    else:
         rule = region_rule
         pieces = [(piece, piece.bbox()) for loop in source for piece in loop.pieces]
-    else:
-        raise TypeError("dissection_check needs a coloring whose source is a script or a region")
 
     proved: list[RectLeaf] = []
     failures: list[RectLeaf] = []
@@ -914,7 +942,7 @@ def dissection_check(coloring: Coloring, spec: DissectionSpec, tau: float = DEFA
         for side in (1, -1):
             frame = (spec.apex, u, u.rot90().scaled(side))
             want = Shade.BLACK if side == spec.black_side(j) else Shade.WHITE
-            stack = [(spec.a + 2.0 * tau, spec.b - 2.0 * tau, 2.0 * tau, spec.d - 2.0 * tau, 0)]
+            stack = [(*spec.shrunk(tau), 0)]
             while stack:
                 s0, s1, h0, h1, depth = stack.pop()
                 deepest = max(deepest, depth)
@@ -942,38 +970,6 @@ def dissection_check(coloring: Coloring, spec: DissectionSpec, tau: float = DEFA
     logger.debug("dissection check: %d rectangles, %d leaves, %d kernel calls, depth %d, min margin %r, "
                  "%d undecided, %d failures", *result.counts().values())
     return result
-
-
-def dissection_pattern_coloring(spec: DissectionSpec, tau: float = DEFAULT_TAU) -> Coloring:
-    """The idealized coloring of a dissection pattern (white background).
-
-    Points inside a ray's black rectangle are black, inside its white
-    rectangle white, everything else white; rectangle edges within tau are
-    boundary.  Used to verify abstract descent stages without a concrete
-    target set.  Each ray's unit vector and black side are computed once.
-    """
-    frames = [(unit(spec.ray_angle(j)), spec.black_side(j)) for j in range(1, spec.n + 1)]
-
-    def classify(pt: Point) -> Shade:
-        rel = pt - spec.apex
-        for u, black_side in frames:
-            s_val = rel.dot(u)
-            h_val = u.cross(rel)
-            if not (spec.a - tau < s_val < spec.b + tau and abs(h_val) < spec.d + tau):
-                continue
-            on_edge = (
-                abs(s_val - spec.a) <= tau
-                or abs(s_val - spec.b) <= tau
-                or abs(h_val) <= tau
-                or abs(abs(h_val) - spec.d) <= tau
-            )
-            if on_edge:
-                return Shade.BOUNDARY
-            side = 1 if h_val > 0 else -1
-            return Shade.BLACK if side == black_side else Shade.WHITE
-        return Shade.WHITE
-
-    return Coloring(classify)
 
 
 def undrawability_bound(n: int) -> float:

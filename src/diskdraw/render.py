@@ -10,8 +10,7 @@ Scripts and regions are filled a row at a time, as in scanline polygon fill
 through a row's pixel centers meets each stroke primitive or boundary piece
 in closed-form intervals, whole runs between them are filled at once, and
 only the pixels in a conservative collar window go to the exact per-pixel
-classifier.  The bytes are those of classifying every pixel, which stays the
-path for opaque classifiers.
+classifier.  The bytes are those of classifying every pixel.
 
 The same reference's active edge table keeps a row from visiting items that
 cannot reach it: before the first row, each primitive or piece is listed
@@ -78,31 +77,26 @@ def render(source: RenderSource, spec: RasterSpec) -> bytes:
     """Classify every pixel center; returns raw row-major bytes.
 
     A bare DrawingScript is classified at DEFAULT_TAU; wrap it with
-    script_coloring for another margin.  A script, or a Coloring that
-    records its script or region, is filled a row at a time from closed
-    forms (see _script_rows and _region_rows) with the coloring's own tau;
-    the pixels those cannot settle, and every pixel of an opaque classifier,
-    are classified one by one.  A row computes the closed forms only of the
-    items its active table lists, those whose reach holds the row's center;
-    an item listed on a row it misses adds nothing, so the table may list
-    more than it must, never less.  Either way each byte is the verdict the
+    script_coloring for another margin.  A Coloring is filled a row at a
+    time from the closed forms of the script or region it records (see
+    _script_rows and _region_rows) with its own tau; the pixels those cannot
+    settle are classified one by one.  A row computes the closed forms only
+    of the items its active table lists, those whose reach holds the row's
+    center; an item listed on a row it misses adds nothing, so the table may
+    list more than it must, never less.  Each byte is the verdict the
     classifier gives at that pixel center.
-    The number of rows classified pixel by pixel (every row of an opaque
-    classifier, none otherwise), of pixels classified exactly and of (row,
-    item) pairs the active table hands to the closed forms are logged at
-    DEBUG on the "diskdraw" logger.
+    The number of pixels classified exactly and of (row, item) pairs the
+    active table hands to the closed forms are logged at DEBUG on the
+    "diskdraw" logger.
     """
     if isinstance(source, DrawingScript):
         source = script_coloring(source)
-    if isinstance(source, Coloring):
-        classify, shape = source.classify, source.source
-    else:
+    if not isinstance(source, Coloring):
         raise TypeError(f"cannot render {source!r}")
+    classify, shape = source.classify, source.source
     grid = _Grid(spec)
     w, h = grid.w, grid.h
-    if shape is None:
-        rows, pairs = None, 0
-    elif isinstance(shape, DrawingScript):
+    if isinstance(shape, DrawingScript):
         rows, pairs = _script_rows(shape, source.tau, grid)
     else:
         rows, pairs = _region_rows(shape, source.tau, grid)
@@ -111,14 +105,11 @@ def render(source: RenderSource, spec: RasterSpec) -> bytes:
     for i in range(h):
         y = grid.y(i)
         base = i * w
-        cols = rows(i, y, pixels, base) if rows else range(w)
+        cols = rows(i, y, pixels, base)
         exact += len(cols)
         for j in cols:
-            shade = classify(Point(grid.x(j), y))
-            pixels[base + j] = _SHADE_BYTE[shade]
-    fallback_rows = 0 if rows else h
-    logger.debug("render %dx%d: %d fallback rows, %d pixels classified exactly, %d active row items",
-                 w, h, fallback_rows, exact, pairs)
+            pixels[base + j] = _SHADE_BYTE[classify(Point(grid.x(j), y))]
+    logger.debug("render %dx%d: %d pixels classified exactly, %d active row items", w, h, exact, pairs)
     return bytes(pixels)
 
 

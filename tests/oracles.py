@@ -48,7 +48,13 @@ rotation lemma: it asks encircles about every wedge of every stage pair.
 
 dissection_pattern_classify is the classifier of the ideal dissection
 pattern as it was before its ray frames were built once: every call turns
-each ray's angle into a unit vector and works out its black side.
+each ray's angle into a unit vector and works out its black side.  The
+package no longer classifies the pattern: symmetric_descent_verify takes the
+stage colours from the spec's rectangles.  pattern_coloring wraps the
+classifier as descent_verify reads a coloring, by its classify alone.
+
+render_per_pixel is render as it was for a coloring without a source: it
+classifies every pixel center on its own, at the coordinates render uses.
 
 eval_script_forward and stationary_number_enumerated are the two point
 queries as they were before the backward scan: each computes every stroke's
@@ -68,6 +74,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import combinations, product
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 from diskdraw import (
@@ -81,6 +88,7 @@ from diskdraw import (
     OffsetHalfPlane,
     ParseError,
     Point,
+    RasterSpec,
     Segment,
     Shade,
     SinglePoint,
@@ -572,6 +580,22 @@ def dissection_pattern_classify(spec: DissectionSpec, tau: float = DEFAULT_TAU):
         return Shade.WHITE
 
     return classify
+
+
+def pattern_coloring(spec: DissectionSpec, tau: float = DEFAULT_TAU) -> SimpleNamespace:
+    """The ideal dissection pattern of spec as descent_verify reads a
+    coloring: its classify alone."""
+    return SimpleNamespace(classify=dissection_pattern_classify(spec, tau))
+
+
+def render_per_pixel(classify, spec: RasterSpec) -> bytes:
+    """Raw row-major bytes of classify at every pixel center: 0 black, 255
+    white, 128 boundary."""
+    w, h = spec.width, spec.height
+    sx, sy = (spec.xmax - spec.xmin) / w, (spec.ymax - spec.ymin) / h
+    shade_byte = {Shade.BLACK: 0, Shade.WHITE: 255, Shade.BOUNDARY: 128}
+    return bytes(shade_byte[classify(Point(spec.xmin + (j + 0.5) * sx, spec.ymax - (i + 0.5) * sy))]
+                 for i in range(h) for j in range(w))
 
 
 def _stroke_verdicts(x: Point, script: DrawingScript, tau: float) -> list[Containment]:

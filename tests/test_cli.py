@@ -10,11 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from diskdraw import Point, cli, descent_verify
+from diskdraw import Point, cli, constructions, descent_verify
 from diskdraw.cli import build_parser, main, verify_rolling, verify_sharp, verify_snake
 from diskdraw.geometry import LargestEmptyCircle
 
-from oracles import wedge_checks_enumerated
+from oracles import pattern_coloring, wedge_checks_enumerated
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -72,6 +72,20 @@ class TestSimulate:
             code, out, err = run(capsys, "simulate", str(scene), "--query", "0", "0")
             assert (code, out) == (2, "")
             assert err.startswith("parse error: line 2, column 15: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, out", [
+    (("simulate", "s.txt", "--query", "0", "-1e5"), "white"),
+    (("simulate", "s.txt", "--query", "0.25", "-5e-1"), "black"),
+    (("simulate", "s.txt", "--query", "-1.2e-05", "-0"), "black"),
+    (("render", "--construction", "chessboard", "--bbox", "-2e0", "-2", "2", "2", "--res", "4", "-o", "x.pgm"),
+     "wrote 16x16 PGM to x.pgm"),
+], ids=["query-y", "query-fraction", "query-x", "bbox"])
+def test_negative_numbers_in_exponent_form(tmp_path, capsys, monkeypatch, argv, out):
+    """argparse alone takes a word such as -1e5 for an option."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.txt").write_text("model open\nstroke pencil point 0 0\n")
+    assert run(capsys, *argv) == (0, out + "\n", "")
 
 
 class TestRender:
@@ -334,6 +348,9 @@ def assert_same_but_clearances(out, expected, rel=1e-9):
         assert (value == want_value) if not value else float(value) == pytest.approx(float(want_value), rel=rel)
 
 
+DISSECTION = ("verify", "dissection", "--n", "12", "--L", "3", "--s", "1e-3", "--depth", "5")
+
+
 class TestSymmetricDescent:
     """verify snake and verify dissection decide each stage pair from ray 1
     and wedge 1 (obstruction.symmetric_descent_verify)."""
@@ -372,7 +389,7 @@ class TestSymmetricDescent:
         assert code == 0 and tuple(counts) == work
         counts[:] = [0, 0, 0, 0]
         monkeypatch.setattr(cli, "symmetric_descent_verify",
-                            lambda coloring, stages, spec, tau: descent_verify(coloring, stages, tau))
+                            lambda stages, spec, tau: descent_verify(pattern_coloring(spec, tau), stages, tau))
         monkeypatch.setattr(cli, "dissection_wedge_checks", wedge_checks_enumerated)
         code, expected, err = run(capsys, *argv)
         assert (code, err) == (0, "")
@@ -392,6 +409,38 @@ class TestSymmetricDescent:
         fails = [line for line in out if line.startswith("FAIL")]
         assert len(fails) == 1 and fails[0].startswith("FAIL: rotation symmetry: stage 1 ray 3 is ")
         assert out[-len(lines) - 1:] == fails + lines  # no stage record, no fallback
+
+    @pytest.mark.parametrize("argv", [("verify", "snake"), DISSECTION], ids=["snake", "dissection"])
+    def test_stage_points_are_not_classified(self, capsys, monkeypatch, argv):
+        # the region classifier, counted during the descent and over the whole command
+        calls, during = [0], []
+        classify, verify = constructions.classify_against_path, cli.symmetric_descent_verify
+
+        def counted(*args):
+            calls[0] += 1
+            return classify(*args)
+
+        def measured(*args):
+            before = calls[0]
+            cert = verify(*args)
+            during.append(calls[0] - before)
+            return cert
+
+        monkeypatch.setattr(constructions, "classify_against_path", counted)
+        monkeypatch.setattr(cli, "symmetric_descent_verify", measured)
+        assert run(capsys, *argv)[0] == 0
+        assert during == [0]
+        assert (calls[0] > 0) == (argv[1] == "snake")  # the snake's rectangle proof classifies part centres
+
+    def test_descent_needs_the_proved_dissection(self, capsys, monkeypatch):
+        # the stage colours are those of the 12-dissection's rectangles
+        check = cli.dissection_sample_check
+        monkeypatch.setattr(cli, "dissection_sample_check", lambda *args: dataclasses.replace(check(*args), ok=False))
+        code, out, err = run(capsys, "verify", "snake")
+        assert (code, err) == (1, "")
+        out = out.splitlines()
+        assert "12-dissection at (2.964, 3.735) thickness 0.793: FAIL" in out
+        assert out[-1] == "descent stages 0..8: FAIL" and not any(line.startswith("FAIL") for line in out)
 
 
 def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
@@ -496,8 +545,8 @@ class TestOutOfRangeParameters:
         assert err.startswith("usage error: ") and len(err.strip().splitlines()) == 1
         assert stdout == "" and out.read_bytes() == b"keep\n"
 
-    @pytest.mark.parametrize("query", [("nan", "0"), ("inf", "0"), ("1e400", "0"), ("0", "nan")],
-                             ids=["nan", "inf", "overflow", "nan-y"])
+    @pytest.mark.parametrize("query", [("nan", "0"), ("inf", "0"), ("1e400", "0"), ("0", "nan"), ("0", "-inf")],
+                             ids=["nan", "inf", "overflow", "nan-y", "minus-inf"])
     def test_non_finite_query(self, tmp_path, capsys, query):
         scene = tmp_path / "s.txt"
         scene.write_text("model open\nstroke pencil point 0 0\n")

@@ -12,7 +12,6 @@ from diskdraw import (
     Arc,
     BoundaryPoint,
     CenterSet,
-    Coloring,
     DiskModel,
     DrawingScript,
     InvalidN,
@@ -30,7 +29,6 @@ from diskdraw import (
     chessboard_stages,
     default_dissection_L,
     descent_verify,
-    dissection_pattern_coloring,
     dissection_check,
     dissection_stages,
     dissection_wedge_checks,
@@ -52,7 +50,7 @@ from diskdraw.geometry import DEFAULT_TAU, LargestEmptyCircle, Segment, SinglePo
 from diskdraw.obstruction import SPLIT_DEPTH, DissectionSpec, _encircles, _rotation_premise
 
 from helpers import DIFF, benchmark_workloads, random_point, random_script, rigid_motion, scaled_loop
-from oracles import dissection_pattern_classify, dissection_sampled, wedge_checks_enumerated
+from oracles import dissection_pattern_classify, dissection_sampled, pattern_coloring, wedge_checks_enumerated
 from test_render import arc_loops, convex_polygons
 
 
@@ -606,7 +604,7 @@ class TestDissectionStages:
 
     def test_descent_against_pattern_coloring(self):
         stages = dissection_stages(self.params, self.spec, 3)
-        cert = descent_verify(dissection_pattern_coloring(self.spec), stages)
+        cert = descent_verify(pattern_coloring(self.spec), stages)
         assert cert.valid
 
 
@@ -620,12 +618,12 @@ def snake_chain(depth):
 
 
 def pattern_chain(n, L, s, depth, apex=Point(0.0, 0.0), phase=0.0, orientation="ccw"):
-    """The ideal n-dissection pattern's coloring, spec and descent stages,
-    with the rectangles verify dissection uses."""
+    """The ideal n-dissection pattern's classifier (tests/oracles.py), spec
+    and descent stages, with the rectangles verify dissection uses."""
     params = StageParams(n=n, L=L, s=s)
     spec = DissectionSpec(apex=apex, n=n, a=L - 4.0 * s, b=L + 4.0 * s, d=4.0 * params.t, phase=phase,
                           first_orientation=orientation)
-    return dissection_pattern_coloring(spec), spec, dissection_stages(params, spec, depth)
+    return pattern_coloring(spec), spec, dissection_stages(params, spec, depth)
 
 
 def with_point(stages, index, color, k, p):
@@ -643,7 +641,7 @@ class TestSymmetricDescentVerify:
     @staticmethod
     def assert_matches_oracles(coloring, spec, stages):
         oracle = descent_verify(coloring, stages)
-        cert = symmetric_descent_verify(coloring, stages, spec)
+        cert = symmetric_descent_verify(stages, spec)
         assert cert.premise == ""
         assert [c.line().partition(" clearance=")[0] for c in cert.checks] == \
             [c.line().partition(" clearance=")[0] for c in oracle.checks]  # the same verdicts
@@ -687,15 +685,20 @@ class TestSymmetricDescentVerify:
 
     def test_single_stage_and_empty_chain(self):
         coloring, spec, stages = pattern_chain(12, 3.0, 1e-3, 0)
-        assert symmetric_descent_verify(coloring, stages, spec) == descent_verify(coloring, stages)
+        assert symmetric_descent_verify(stages, spec) == descent_verify(coloring, stages)
         assert dissection_wedge_checks(stages, spec) == []
         with pytest.raises(InvalidParameters):
-            symmetric_descent_verify(coloring, [], spec)
+            symmetric_descent_verify([], spec)
 
-    def test_stage_point_in_the_collar_raises(self):
+    def test_stage_point_in_the_collar_is_a_failed_premise(self):
+        # t_0 = 3.2e-5 is below 2 tau = 2e-4: ray 1's first black point is
+        # outside the shrunk rectangle, and the pattern puts it in the collar
         coloring, spec, stages = pattern_chain(12, 3.0, 1e-3, 2)
-        with pytest.raises(BoundaryPoint, match="stage 0"):
-            symmetric_descent_verify(dissection_pattern_coloring(spec, tau=1e-4), stages, spec, tau=1e-4)
+        cert = symmetric_descent_verify(stages, spec, tau=1e-4)
+        assert not cert.valid and cert.checks == ()
+        assert cert.premise.startswith(f"stage colours: stage 0 black point {stages[0].blacks[0]} is outside ray 1's "
+                                       "black rectangle shrunk by 2*tau + ")
+        assert dissection_pattern_classify(spec, 1e-4)(stages[0].blacks[0]) is Shade.BOUNDARY
 
     def test_margin(self):
         # a margin keeps only the verdicts that hold for every clearance
@@ -711,7 +714,7 @@ class TestSymmetricDescentVerify:
 
     def test_verdicts_are_taken_at_the_lemma_margins(self, monkeypatch):
         # 3 (delta + slack) for a stage pair's ray-1 targets, 4 (delta + slack) for wedge 1
-        coloring, spec, stages = snake_chain(2)
+        _, spec, stages = snake_chain(2)
         delta, slack, _ = _rotation_premise(stages, spec)
         margins = []
         encircles_at = obstruction._encircles
@@ -721,17 +724,17 @@ class TestSymmetricDescentVerify:
             return encircles_at(lec, T, tau, margin)
 
         monkeypatch.setattr(obstruction, "_encircles", spy)
-        assert symmetric_descent_verify(coloring, stages, spec).valid
+        assert symmetric_descent_verify(stages, spec).valid
         assert margins == [(2, 3.0 * (delta + slack))] * 4 and 0.0 < delta < slack
         margins.clear()
         assert {v for _, _, v in dissection_wedge_checks(stages, spec)} == {Verdict.YES}
         assert margins == [(4, 4.0 * (delta + slack))] * 2
 
     def test_work_is_logged(self, caplog):
-        coloring, spec, stages = pattern_chain(12, 3.0, 1e-3, 5)
+        _, spec, stages = pattern_chain(12, 3.0, 1e-3, 5)
         with caplog.at_level("DEBUG", logger="diskdraw"):
-            symmetric_descent_verify(coloring, stages, spec)
-            symmetric_descent_verify(coloring, with_point(stages, 1, "whites", 7, Point(0.0, 0.0)), spec)
+            symmetric_descent_verify(stages, spec)
+            symmetric_descent_verify(with_point(stages, 1, "whites", 7, Point(0.0, 0.0)), spec)
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("symmetric descent: ")]
         assert len(lines) == 2
         assert lines[0].startswith("symmetric descent: delta 0.0, slack 3.001e-12, ")
@@ -798,9 +801,30 @@ class TestLocalObstacles:
             assert escapes == [LargestEmptyCircle(S).escape(t) for t in T]
 
 
+def centred_stage(spec):
+    """One stage in dissection_stages' layout (two points of each colour per
+    ray), every point at the centre of its rectangle."""
+    blacks, whites = [], []
+    for j in range(1, spec.n + 1):
+        u = unit(spec.ray_angle(j))
+        mid = spec.apex + u.scaled(0.5 * (spec.a + spec.b))
+        side = u.rot90().scaled(0.5 * spec.d * spec.black_side(j))
+        blacks += [mid + side] * 2
+        whites += [mid - side] * 2
+    return StageFamily(tuple(blacks), tuple(whites), 0)
+
+
+def assert_pattern_colours(classify, stages):
+    for fam in stages:
+        assert all(classify(p) is Shade.BLACK for p in fam.blacks) and all(classify(p) is Shade.WHITE for p in fam.whites)
+
+
 class TestPatternColoring:
-    """dissection_pattern_coloring against the per-call classifier of
-    tests/oracles.py::dissection_pattern_classify."""
+    """The stage colours of symmetric_descent_verify come from the spec's
+    rectangles (obstruction._colour_premise): a point passes only inside its
+    rectangle shrunk by 2*tau + slack, where the pattern's classifier
+    (tests/oracles.py::dissection_pattern_classify) gives it its colour, and
+    where the snake's proved rectangles give it the snake's."""
 
     def test_certify_stage_points(self):
         for seed in (1, 13, 29, 77):
@@ -809,31 +833,72 @@ class TestPatternColoring:
                     continue
                 n, L, s, depth = (argv[argv.index(f) + 1] for f in ("--n", "--L", "--s", "--depth"))
                 coloring, spec, stages = pattern_chain(int(n), float(L), float(s), int(depth))
-                oracle = dissection_pattern_classify(spec)
-                for fam in stages:
-                    for p in fam.blacks + fam.whites:
-                        assert coloring.classify(p) is oracle(p)
+                assert obstruction._colour_premise(stages, spec, DEFAULT_TAU, _rotation_premise(stages, spec)[1]) == ""
+                assert_pattern_colours(coloring.classify, stages)
 
     @pytest.mark.parametrize("tau", [DEFAULT_TAU, 1e-4])
     def test_near_every_rectangle_edge(self, tau):
-        spec = DissectionSpec(apex=Point(1.5, -2.0), n=6, a=0.5, b=1.2, d=0.3, phase=0.4, first_orientation="cw")
-        coloring, oracle = dissection_pattern_coloring(spec, tau), dissection_pattern_classify(spec, tau)
-        offsets = [k * tau / 4.0 for k in range(-8, 9)]
-        offsets += [math.nextafter(o, math.inf) for o in (-tau, tau)] + [math.nextafter(o, -math.inf) for o in (-tau, tau)]
-        seen = set()
-        for j in range(1, spec.n + 1):
-            u = unit(spec.ray_angle(j))
-            v = u.rot90()
-            for f in np.linspace(0.0, 1.0, 9):
-                s_along, h_along = spec.a + f * (spec.b - spec.a), -spec.d + 2.0 * f * spec.d
-                edges = [(spec.a, h_along), (spec.b, h_along), (s_along, 0.0), (s_along, spec.d), (s_along, -spec.d)]
-                for k, (s0, h0) in enumerate(edges):
-                    for o in offsets:
-                        s_val, h_val = (s0 + o, h0) if k < 2 else (s0, h0 + o)
+        # one point at a time moved to offset o inside an edge of its
+        # rectangle (o < 0: across the ray, past a or b, beyond d)
+        spec = DissectionSpec(apex=Point(1.5, -2.0), n=6, a=0.5, b=1.2, d=0.25, phase=0.4, first_orientation="cw")
+        oracle = dissection_pattern_classify(spec, tau)
+        stage = centred_stage(spec)
+        slack = _rotation_premise([stage], spec)[1]
+        mid_s, mid_h = 0.5 * (spec.a + spec.b), 0.5 * spec.d
+        passed = 0
+        for colour, want, sign in (("blacks", Shade.BLACK, 1), ("whites", Shade.WHITE, -1)):
+            for k in range(2 * spec.n):
+                u = unit(spec.ray_angle(k // 2 + 1))
+                v = u.rot90().scaled(sign * spec.black_side(k // 2 + 1))
+                for o in (q * tau / 4.0 for q in range(-8, 17)):
+                    for s_val, h_val in ((spec.a + o, mid_h), (spec.b - o, mid_h), (mid_s, o), (mid_s, spec.d - o)):
                         p = spec.apex + u.scaled(s_val) + v.scaled(h_val)
-                        seen.add(oracle(p))
-                        assert coloring.classify(p) is oracle(p)
-        assert seen == set(Shade)
+                        moved = with_point([stage], 0, colour, k, p)
+                        failure = obstruction._colour_premise(moved, spec, tau, slack)
+                        assert (failure == "") == (o > 2.0 * tau), (colour, k, o, failure)
+                        if failure:
+                            assert failure.startswith(f"stage colours: stage 0 {colour[:-1]} point {p} is outside "
+                                                      f"ray {k // 2 + 1}'s {colour[:-1]} rectangle shrunk by 2*tau + ")
+                        else:
+                            passed += 1
+                            assert oracle(p) is want
+        assert passed == 2 * (2 * spec.n) * 4 * 8
+
+    @settings(DIFF, max_examples=30)
+    @given(n=st.sampled_from(range(4, 26, 2)), frac=st.floats(0.3, 1.0), s=st.floats(1e-4, 1e-2),
+           apex=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)), phase=st.floats(0.0, 2.0 * math.pi),
+           orientation=st.sampled_from(["ccw", "cw"]), depth=st.integers(0, 3),
+           tau=st.sampled_from([DEFAULT_TAU, 1e-6, 1e-4]))
+    def test_a_pass_gives_every_point_its_pattern_colour(self, n, frac, s, apex, phase, orientation, depth, tau):
+        L = frac * (undrawability_bound(n) - 0.05)
+        try:
+            _, spec, stages = pattern_chain(n, L, s, depth, Point(*apex), phase, orientation)
+        except RadiiTooLarge:
+            assume(False)
+        cert = symmetric_descent_verify(stages, spec, tau)
+        if cert.premise:
+            assert cert.premise.startswith("stage colours: stage ") and not cert.checks
+        else:
+            assert_pattern_colours(dissection_pattern_classify(spec, tau), stages)
+
+    def test_snake(self):
+        # stages 0..9 pass and have the snake's colours; t_10 = 9.65e-10 is below 2 tau
+        coloring, spec, stages = snake_chain(10)
+        assert symmetric_descent_verify(stages[:10], spec).valid
+        assert_pattern_colours(coloring.classify, stages[:10])
+        cert = symmetric_descent_verify(stages, spec)
+        assert not cert.valid and cert.checks == ()
+        assert cert.premise.startswith(f"stage colours: stage 10 black point {stages[10].blacks[0]} is outside ray 1's ")
+
+    @pytest.mark.parametrize("change, k", [({"first_orientation": "cw"}, 0), ({"b": 3.0 + 0.5e-3}, 1)],
+                             ids=["across the rays", "past b"])
+    def test_chain_outside_its_rectangles(self, change, k):
+        # the stages of one spec against a spec of the other orientation, or
+        # with b below the outer feet L + s: black point k of ray 1 fails first
+        _, spec, stages = pattern_chain(12, 3.0, 1e-3, 2)
+        cert = symmetric_descent_verify(stages, dataclasses.replace(spec, **change))
+        assert not cert.valid and cert.checks == ()
+        assert cert.premise.startswith(f"stage colours: stage 0 black point {stages[0].blacks[k]} is outside ray 1's ")
 
 
 class TestSymmetryMutants:
@@ -842,8 +907,8 @@ class TestSymmetryMutants:
     BOUNDARY."""
 
     @staticmethod
-    def assert_not_proved(coloring, spec, stages, where):
-        cert = symmetric_descent_verify(coloring, stages, spec)
+    def assert_not_proved(spec, stages, where):
+        cert = symmetric_descent_verify(stages, spec)
         assert not cert.valid and cert.checks == ()
         assert cert.premise.startswith(f"rotation symmetry: {where}"), cert.premise
         wedges = dissection_wedge_checks(stages, spec)
@@ -851,10 +916,10 @@ class TestSymmetryMutants:
         assert all(v is Verdict.BOUNDARY for _, wedge, v in wedges if wedge > 1)
 
     def test_point_moved_by_1e_6(self):
-        coloring, spec, stages = snake_chain(3)
+        _, spec, stages = snake_chain(3)
         p = stages[2].whites[7]
         moved = with_point(stages, 2, "whites", 7, Point(p.x + 1e-6, p.y))
-        self.assert_not_proved(coloring, spec, moved, "stage 2 ray 4 is 1.0000")
+        self.assert_not_proved(spec, moved, "stage 2 ray 4 is 1.0000")
 
     def test_unevenly_spaced_rays(self):
         class Uneven(DissectionSpec):
@@ -864,27 +929,27 @@ class TestSymmetryMutants:
         params = StageParams(n=12, L=3.0, s=1e-3)
         spec = Uneven(apex=Point(0.0, 0.0), n=12, a=2.996, b=3.004, d=4.0 * params.t, phase=0.0)
         stages = dissection_stages(params, spec, 2)
-        self.assert_not_proved(dissection_pattern_coloring(spec), spec, stages, "stage ")
-        assert " ray 5 is " in symmetric_descent_verify(dissection_pattern_coloring(spec), stages, spec).premise
+        self.assert_not_proved(spec, stages, "stage ")
+        assert " ray 5 is " in symmetric_descent_verify(stages, spec).premise
 
     def test_rotation_about_the_origin(self):
-        coloring, spec, stages = snake_chain(2)
+        _, spec, stages = snake_chain(2)
         assert spec.apex.x == pytest.approx(3.068, abs=1e-3) and spec.apex.y == 0.0
-        self.assert_not_proved(coloring, dataclasses.replace(spec, apex=Point(0.0, 0.0)), stages, "stage ")
+        self.assert_not_proved(dataclasses.replace(spec, apex=Point(0.0, 0.0)), stages, "stage ")
 
     def test_shuffled_layout(self):
         coloring, spec, stages = pattern_chain(12, 3.0, 1e-3, 2)
         blacks = list(stages[1].blacks)
         random.Random(5).shuffle(blacks)
         shuffled = [stages[0], dataclasses.replace(stages[1], blacks=tuple(blacks)), stages[2]]
-        self.assert_not_proved(coloring, spec, shuffled, "stage 1 ray ")
+        self.assert_not_proved(spec, shuffled, "stage 1 ray ")
         # the same point sets, so the stage-by-stage check still proves them
         assert descent_verify(coloring, shuffled).valid
 
     def test_missing_point(self):
-        coloring, spec, stages = pattern_chain(12, 3.0, 1e-3, 2)
+        _, spec, stages = pattern_chain(12, 3.0, 1e-3, 2)
         short = [stages[0], dataclasses.replace(stages[1], whites=stages[1].whites[:-1]), stages[2]]
-        self.assert_not_proved(coloring, spec, short,
+        self.assert_not_proved(spec, short,
                                "stage 1 has 24 blacks and 23 whites, not 2 of each on each of 12 rays")
 
 
@@ -923,11 +988,6 @@ class TestDissectionSampleCheck:
         assert all(leaf.got is Shade.WHITE and leaf.proved for leaf in result.failures)
         assert len(result.proved) == 4 and not result.undecided
         assert_witnesses_in_their_rectangles(self.spec, blank, result.failures)
-
-    def test_coloring_without_a_source_is_rejected(self):
-        # no rule can prove a part of an opaque coloring
-        with pytest.raises(TypeError):
-            dissection_check(Coloring(lambda p: Shade.WHITE), self.spec)
 
     def test_wrong_orientation_fails(self):
         spec = DissectionSpec(apex=Point(0, 0), n=4, a=0.05, b=0.95, d=0.9, phase=0.0, first_orientation="cw")

@@ -37,7 +37,7 @@ from diskdraw import (
 )
 
 from helpers import DIFF, benchmark_workloads, scaled_loop
-from oracles import ray_cast_classify
+from oracles import ray_cast_classify, render_per_pixel
 
 # frozen after the first verified generation (same code path, same platform)
 SNAKE_PGM_SHA256 = "9f19fb2a89d27cdddae939032db05831e5bee9cb0a6274162ff07b05e51d2934"
@@ -139,8 +139,10 @@ class TestFiles:
 
         out = tmp_path / "out.pgm"
         out.write_bytes(b"keep\n")
+        # pixel centers on the chessboard's edges x = 0 and y = 0 reach the classifier
+        coloring = Coloring(classify=classify, source=chessboard_coloring(1.0).source)
         with pytest.raises(RuntimeError):
-            write_pgm(str(out), Coloring(classify=classify), RasterSpec(0, 0, 1, 1, resolution=4.0))
+            write_pgm(str(out), coloring, RasterSpec(-0.125, -0.125, 0.875, 0.875, resolution=4.0))
         assert out.read_bytes() == b"keep\n"
 
 
@@ -152,23 +154,23 @@ SCALES = [1e-3, 2.0**-5, 0.25, 1.0, 4.0, 2.0**5, 1e3, 1e6]
 
 
 def per_pixel(source, spec):
-    """The oracle: a coloring without a source is opaque, so render
-    classifies each pixel."""
+    """The oracle: every pixel center classified on its own
+    (tests/oracles.py::render_per_pixel)."""
     if isinstance(source, DrawingScript):
-        return render(Coloring(classify=lambda p: eval_script(p, source)), spec)
-    return render(Coloring(classify=source.classify), spec)
+        return render_per_pixel(lambda p: eval_script(p, source), spec)
+    return render_per_pixel(source.classify, spec)
 
 
 def render_counts(caplog, source, spec):
-    """Pixels, fallback rows, exactly classified pixels and active (row,
-    item) pairs of one render."""
+    """Pixels, exactly classified pixels and active (row, item) pairs of one
+    render."""
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="diskdraw"):
         pixels = render(source, spec)
-    (record,) = [r for r in caplog.records if "fallback rows" in r.getMessage()]
-    w, h, fallback_rows, exact, pairs = record.args
+    (record,) = [r for r in caplog.records if "pixels classified exactly" in r.getMessage()]
+    w, h, exact, pairs = record.args
     assert (w, h) == (spec.width, spec.height)
-    return pixels, fallback_rows, exact, pairs
+    return pixels, exact, pairs
 
 
 def bbox_near(center: Point, half: float, dx: float, dy: float):
@@ -279,10 +281,9 @@ class TestScriptSpans:
             Stroke(Tool.PENCIL, CenterSet.of_points(Point(0.5, 0.5))),
         ])
         spec = RasterSpec(-2.125, -2.125, 4.125, 2.125, resolution=4.0)
-        pixels, fallback_rows, exact, _ = render_counts(caplog, script, spec)
+        pixels, exact, _ = render_counts(caplog, script, spec)
         assert pixels == per_pixel(script, spec)
         assert pixels.count(128) > 0 and exact >= pixels.count(128)
-        assert fallback_rows == 0
 
     def test_script_coloring_checks_tau(self):
         script = DrawingScript.relaxed(DiskModel.OPEN, [Stroke(Tool.PENCIL, CenterSet.of_points(Point(0, 0)))])
@@ -359,8 +360,7 @@ class TestRegionSpans:
         half = min(3.0 * scale, 1.5)
         focus = shift if half < 1.5 else loop.pieces[0].point_at(0.0)
         spec = RasterSpec(*bbox_near(focus, half, dx * half / 12.0, dy * half / 12.0), resolution=12.0 / half)
-        pixels, fallback_rows, _, _ = render_counts(caplog, coloring, spec)
-        assert fallback_rows == 0
+        pixels, _, _ = render_counts(caplog, coloring, spec)
         assert pixels == per_pixel(coloring, spec)
 
     @pytest.mark.parametrize("make", [
@@ -382,8 +382,7 @@ class TestRegionSpans:
         # the 24-row raster and its middle row alone (h == 1)
         for spec in (RasterSpec(xmin, ymin, xmax, ymax, resolution=8.0),
                      RasterSpec(xmin, focus.y - 1.0 / 16.0, xmax, focus.y + 1.0 / 16.0, resolution=8.0)):
-            pixels, fallback_rows, _, _ = render_counts(caplog, coloring, spec)
-            assert fallback_rows == 0
+            pixels, _, _ = render_counts(caplog, coloring, spec)
             assert pixels == per_pixel(coloring, spec)
 
     def test_rows_through_vertices_need_no_fallback(self, caplog):
@@ -391,20 +390,18 @@ class TestRegionSpans:
         # shared vertex) and columns through x = -1, 0, 1
         coloring = chessboard_coloring(1.0)
         spec = RasterSpec(-2.125, -1.875, 2.125, 2.125, resolution=4.0)
-        pixels, fallback_rows, _, _ = render_counts(caplog, coloring, spec)
-        assert fallback_rows == 0
+        pixels, _, _ = render_counts(caplog, coloring, spec)
         assert pixels == per_pixel(coloring, spec)
-        assert pixels == render(Coloring(classify=lambda p: ray_cast_classify(coloring.source, p)), spec)
+        assert pixels == render_per_pixel(lambda p: ray_cast_classify(coloring.source, p), spec)
 
     def test_rows_tangent_to_arcs_need_no_fallback(self, caplog):
         # rows at y = 1, 0.75, ..., -1.5: y = 1 and y = -1 are tangent, y = 0 holds the arc endpoints
         circle = PiecewisePath((Arc(Point(0, 0), 1.0, 0.0, math.pi), Arc(Point(0, 0), 1.0, math.pi, 0.0)))
         coloring = region_coloring((circle,))
         spec = RasterSpec(-1.5, -1.625, 1.5, 1.375, resolution=4.0)
-        pixels, fallback_rows, _, _ = render_counts(caplog, coloring, spec)
-        assert fallback_rows == 0
+        pixels, _, _ = render_counts(caplog, coloring, spec)
         assert pixels == per_pixel(coloring, spec)
-        assert pixels == render(Coloring(classify=lambda p: ray_cast_classify(circle, p)), spec)
+        assert pixels == render_per_pixel(lambda p: ray_cast_classify(circle, p), spec)
 
 
 class TestBenchmarkRenders:
@@ -421,10 +418,11 @@ class TestBenchmarkRenders:
         return benchmark_workloads().raster_inputs(1)
 
     def test_no_fallback_rows(self, inputs, caplog):
+        # the spans settle the rows: fewer pixels go to the classifier than one row holds
         for item in inputs:
             spec = RasterSpec(*item.bbox, resolution=item.res)
-            _, fallback_rows, _, _ = render_counts(caplog, self.COLORINGS[item.construction](), spec)
-            assert fallback_rows == 0, item.construction
+            _, exact, _ = render_counts(caplog, self.COLORINGS[item.construction](), spec)
+            assert exact < spec.width, item.construction
 
     def test_active_pairs_are_the_rows_in_reach(self, inputs, caplog):
         # each item reaches the rows whose center lies within r of its
@@ -450,6 +448,6 @@ class TestBenchmarkRenders:
                     count += sum(1 for y in ys if lo - r - widen <= y <= hi + r + widen)
                 return count
 
-            _, _, _, pairs = render_counts(caplog, coloring, spec)
+            _, _, pairs = render_counts(caplog, coloring, spec)
             assert pairs == in_reach(0.0) == in_reach(1e-6), item.construction  # no center near a reach's end
             assert pairs < h * len(items) / 2, item.construction
