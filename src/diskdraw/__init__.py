@@ -51,7 +51,6 @@ from .obstruction import (
     FiveCircleRadii,
     InvalidN,
     InvalidParameters,
-    MisclassifiedPoint,
     ProofReport,
     RadiiTooLarge,
     StageFamily,

@@ -13,7 +13,6 @@ import random
 import sys
 from dataclasses import dataclass
 
-from .canvas import BoundaryPoint
 from .constructions import (
     ConstructionInconsistent,
     build_snake,
@@ -29,7 +28,6 @@ from .curvature import path_max_curvature, rolling_disk_check
 from .geometry import DEFAULT_TAU, Point, check_tolerance, circumcircle3, trapezoid_circumradius
 from .obstruction import (
     DissectionSpec,
-    MisclassifiedPoint,
     StageParams,
     Verdict,
     chessboard_stages,
@@ -119,14 +117,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    if (args.scene is None) == (args.construction is None):
+        raise UsageError("render needs a scene file or --construction, not both")
     if args.construction:
         extra = [str(args.n)] if args.construction == "sharp-n" else []
         coloring = _checked(_construction_coloring, [args.construction, *extra], args.tau)
-    elif args.scene:
-        coloring = _load_scene(args.scene, args.tau)
     else:
-        print("render needs a scene file or --construction", file=sys.stderr)
-        return USAGE
+        coloring = _load_scene(args.scene, args.tau)
     spec = _checked(RasterSpec, *args.bbox, resolution=args.res)
     write_pgm(args.output, coloring, spec)
     print(f"wrote {spec.width}x{spec.height} PGM to {args.output}")
@@ -162,29 +159,22 @@ def _mark(ok: bool) -> str:
 
 
 def _records(pipeline):
-    """Collect a pipeline's checks into a tuple.  A stage point that fails
-    its own color check ends the pipeline with a failing FAIL record."""
+    """Collect a pipeline's checks into a tuple."""
 
     @functools.wraps(pipeline)
     def run(*args, **kwargs) -> tuple[Check, ...]:
-        checks: list[Check] = []
-        try:
-            checks.extend(pipeline(*args, **kwargs))
-        except (BoundaryPoint, MisclassifiedPoint) as exc:
-            checks.append(Check("stage colors", False, f"FAIL: {exc}"))
-        return tuple(checks)
+        return tuple(pipeline(*args, **kwargs))
 
     return run
 
 
-def _certificate_checks(cert, kinds=("colors", "enc")):
+def _certificate_checks(cert):
     """A FAIL line for the failed premise of a descent certificate, if any,
-    then one check per record of the given kinds."""
+    then one check per stage pair."""
     if cert.premise:
         yield Check("lemma premise", False, f"FAIL: {cert.premise}", cert.premise)
     for rec in cert.checks:
-        if rec.kind in kinds:
-            yield Check(f"stage {rec.stage} {rec.kind}", rec.verdict is Verdict.YES, rec.line(), rec.clearance)
+        yield Check(f"stage {rec.stage} enc", rec.verdict is Verdict.YES, rec.line(), rec.clearance)
 
 
 def _radii_check(radii, tau: float, line: str) -> Check:
@@ -204,7 +194,7 @@ def verify_chessboard(r: float, theta_deg: float, depth: int, tau: float):
     if cert.valid and depth >= 2:
         yield Check("scaling lemma", True,
                     f"scaling lemma: stages 2..{depth} follow from stage 1 and the stage pair 1-2")
-    clearances = cert.enc_clearances()
+    clearances = [rec.clearance for rec in cert.checks]
     if clearances:
         limit = math.sqrt(10.0) * r / 4.0
         yield Check("stage-1 clearance", True,
@@ -251,7 +241,7 @@ def verify_snake(r: float, depth: int, tau: float):
     if not radii_check.ok:
         return
     cert = symmetric_descent_verify(_checked(dissection_stages, params, spec, depth, tau), spec, tau)
-    yield from _certificate_checks(cert, kinds=("enc",))
+    yield from _certificate_checks(cert)
     ok = cert.valid and result.ok  # the stage colours are those of the proved rectangles
     yield Check("descent", ok, f"descent stages 0..{depth}: {_mark(ok)}", ok)
 
@@ -279,7 +269,7 @@ def verify_dissection(n: int, L: float, s: float, depth: int, tau: float):
                     d=4.0 * params.t, phase=0.0, first_orientation="ccw")
     stages = _checked(dissection_stages, params, spec, depth, tau)
     cert = symmetric_descent_verify(stages, spec, tau)
-    yield from _certificate_checks(cert, kinds=("enc",))
+    yield from _certificate_checks(cert)
     wedges = dissection_wedge_checks(stages, spec, tau)
     good = sum(1 for w in wedges if w[2] is Verdict.YES)
     yield Check("wedge case split", good == len(wedges), f"wedge case split: {good}/{len(wedges)} ok", good)

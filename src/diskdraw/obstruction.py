@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from .canvas import BoundaryPoint, DrawingScript, Shade, eval_script
+from .canvas import DrawingScript, Shade, eval_script
 from .geometry import (
     DEFAULT_TAU,
     Arc,
@@ -44,10 +44,6 @@ class Verdict(Enum):
     YES = "yes"
     NO = "no"
     BOUNDARY = "boundary"
-
-
-class MisclassifiedPoint(ValueError):
-    pass
 
 
 class InvalidParameters(ValueError):
@@ -92,14 +88,18 @@ class StageFamily:
     stage_index: int
 
 
-def _verify_family_colors(coloring: Coloring, fam: StageFamily) -> None:
-    for points, want in ((fam.blacks, Shade.BLACK), (fam.whites, Shade.WHITE)):
-        for p in points:
-            shade = coloring.classify(p)
-            if shade is Shade.BOUNDARY:
-                raise BoundaryPoint(f"stage {fam.stage_index}: {want.value} point {p} is on the boundary")
-            if shade is not want:
-                raise MisclassifiedPoint(f"stage {fam.stage_index}: {p} should be {want.value}, got {shade.value}")
+def _classified_premise(coloring: Coloring, stages: Sequence[StageFamily]) -> str:
+    """The failure of a descent's colour premise as the coloring classifies
+    the stage points: the first point on the boundary or of the other
+    colour, named, or ""."""
+    for fam in stages:
+        for points, want in ((fam.blacks, Shade.BLACK), (fam.whites, Shade.WHITE)):
+            for p in points:
+                shade = coloring.classify(p)
+                if shade is not want:
+                    got = "on the boundary" if shade is Shade.BOUNDARY else shade.value
+                    return f"stage colours: stage {fam.stage_index} {want.value} point {p} is {got}"
+    return ""
 
 
 # ---------------------------------------------------------------------------
@@ -230,26 +230,28 @@ def escape_radius(S: Sequence[Point], T: Sequence[Point]) -> float:
 
 @dataclass(frozen=True)
 class CheckRecord:
+    """One stage pair of a descent: the outer stage, the verdict of its
+    encirclement and its escape radius."""
+
     stage: int
-    kind: str  # "colors" or "enc"
     verdict: Verdict
     clearance: float
 
     def line(self) -> str:
-        return (
-            f"stage={self.stage} kind={self.kind} "
-            f"verdict={self.verdict.value} clearance={self.clearance!r}"
-        )
+        return f"stage={self.stage} kind=enc verdict={self.verdict.value} clearance={self.clearance!r}"
 
 
 @dataclass(frozen=True)
 class DescentCertificate:
-    checks: tuple[CheckRecord, ...]
-    valid: bool
-    premise: str = ""  # the premise of a lemma that failed
+    """The records of a descent's stage pairs, and the premise of a lemma
+    that failed, which leaves no records."""
 
-    def enc_clearances(self) -> list[float]:
-        return [c.clearance for c in self.checks if c.kind == "enc"]
+    checks: tuple[CheckRecord, ...]
+    premise: str = ""
+
+    @property
+    def valid(self) -> bool:
+        return not self.premise and all(c.verdict is Verdict.YES for c in self.checks)
 
 
 def descent_verify(
@@ -259,24 +261,22 @@ def descent_verify(
 ) -> DescentCertificate:
     """Verify a descent chain against a coloring.
 
-    Every listed point must classify definitely with its declared color
-    (MisclassifiedPoint / BoundaryPoint otherwise).  For each consecutive pair
-    of stages the blacks of stage i must encircle the whites of stage i+1 and
-    the whites of stage i must encircle the blacks of stage i+1; the recorded
-    clearance is the escape radius of the pair (the largest disk that can
-    still reach the inner family while dodging the outer one).  A non-YES
-    encirclement is recorded and the certificate comes back invalid.
+    Premise (_classified_premise): every listed point classifies definitely
+    with its declared colour; a point on the boundary or of the other colour
+    gives an invalid certificate that names it, with no records.  For each
+    consecutive pair of stages the blacks of stage i must encircle the
+    whites of stage i+1 and the whites of stage i must encircle the blacks
+    of stage i+1; the recorded clearance is the escape radius of the pair
+    (the largest disk that can still reach the inner family while dodging
+    the outer one).  A non-YES encirclement is recorded and the certificate
+    comes back invalid.
     """
     check_tolerance(tau)
     if not stages:
         raise InvalidParameters("descent chain needs at least one stage")
-    checks: list[CheckRecord] = []
-    for fam in stages:
-        _verify_family_colors(coloring, fam)
-        checks.append(CheckRecord(fam.stage_index, "colors", Verdict.YES, 0.0))
-    checks += [_stage_pair(fam, nxt, tau)[0] for fam, nxt in zip(stages, stages[1:])]
-    valid = all(c.verdict is Verdict.YES for c in checks)
-    return DescentCertificate(tuple(checks), valid)
+    if premise := _classified_premise(coloring, stages):
+        return DescentCertificate((), premise)
+    return DescentCertificate(tuple(_stage_pair(fam, nxt, tau)[0] for fam, nxt in zip(stages, stages[1:])))
 
 
 def _stage_pair(fam: StageFamily, nxt: StageFamily, tau: float, queried: int | None = None,
@@ -293,7 +293,7 @@ def _stage_pair(fam: StageFamily, nxt: StageFamily, tau: float, queried: int | N
         verdict = Verdict.YES
     else:
         verdict = Verdict.BOUNDARY
-    return CheckRecord(fam.stage_index, "enc", verdict, max(c1, c2)), tuple(map(sum, zip(w1, w2)))
+    return CheckRecord(fam.stage_index, verdict, max(c1, c2)), tuple(map(sum, zip(w1, w2)))
 
 
 def scaling_descent_verify(coloring: Coloring, stages: Sequence[StageFamily],
@@ -315,26 +315,25 @@ def scaling_descent_verify(coloring: Coloring, stages: Sequence[StageFamily],
     region piece within R (the largest stage-1 radius, relative slack 1e-9)
     of the origin is a Segment on a line through it (a x b == 0 in
     rationals) whose ends are the origin or beyond R.  The segment from a
-    stage-1 point p, classified off the boundary, to 2^-i p then meets no
-    piece, so every stage point has p's colour.  A failed premise gives an
-    invalid certificate naming it; a failed pair 1 is recorded alone.
+    stage-1 point p, classified off the boundary with its colour
+    (_classified_premise, stage 1 alone), to 2^-i p then meets no piece, so
+    every stage point has p's colour.  A failed premise gives an invalid
+    certificate that names it, with no records; a failed pair 1 is recorded
+    alone.
     """
     check_tolerance(tau)
     if not stages:
         raise InvalidParameters("descent chain needs at least one stage")
     stages = tuple(stages)
-    if premise := _scaling_premise(coloring, stages):
-        return DescentCertificate((), False, premise=premise)
-    _verify_family_colors(coloring, stages[0])
-    colors = [CheckRecord(fam.stage_index, "colors", Verdict.YES, 0.0) for fam in stages]
+    if premise := _scaling_premise(coloring, stages) or _classified_premise(coloring, stages[:1]):
+        return DescentCertificate((), premise)
     if len(stages) == 1:
-        return DescentCertificate(tuple(colors), True)
+        return DescentCertificate(())
     pair, _ = _stage_pair(stages[0], stages[1], tau)
     if pair.verdict is not Verdict.YES:
-        return DescentCertificate((colors[0], pair), False)
-    scaled = [CheckRecord(fam.stage_index, "enc", Verdict.YES, pair.clearance * 0.5**i)
-              for i, fam in enumerate(stages[1:-1], start=1)]
-    return DescentCertificate((*colors, pair, *scaled), True)
+        return DescentCertificate((pair,))
+    return DescentCertificate(tuple(CheckRecord(fam.stage_index, Verdict.YES, pair.clearance * 0.5**i)
+                                    for i, fam in enumerate(stages[:-1])))
 
 
 def _scaling_premise(coloring: Coloring, stages: tuple[StageFamily, ...]) -> str:
@@ -653,16 +652,14 @@ def symmetric_descent_verify(stages: Sequence[StageFamily], spec: DissectionSpec
     checks: list[CheckRecord] = []
     work = (0, 0, 0, 0)
     if not premise:
-        checks = [CheckRecord(fam.stage_index, "colors", Verdict.YES, 0.0) for fam in stages]
         for fam, nxt in zip(stages, stages[1:]):
             record, done = _stage_pair(fam, nxt, tau, 2, 3.0 * (delta + slack))
             checks.append(record)
             work = tuple(map(sum, zip(work, done)))
     logger.debug("symmetric descent: delta %r, slack %r, %d LEC builds, %d obstacle points, %d ray-1 queries, "
                  "%d escapes, %d derived records", delta, slack, *work,
-                 sum(c.kind == "enc" and c.verdict is Verdict.YES for c in checks))
-    valid = not premise and all(c.verdict is Verdict.YES for c in checks)
-    return DescentCertificate(tuple(checks), valid, premise=premise)
+                 sum(c.verdict is Verdict.YES for c in checks))
+    return DescentCertificate(tuple(checks), premise)
 
 
 def _rotation_premise(stages: Sequence[StageFamily], spec: DissectionSpec) -> tuple[float, float, str]:

@@ -16,7 +16,6 @@ from diskdraw import (
     DrawingScript,
     InvalidN,
     InvalidParameters,
-    MisclassifiedPoint,
     Point,
     RadiiTooLarge,
     Shade,
@@ -209,21 +208,25 @@ class TestChessboardStages:
             chessboard_stages(0.1, 0.01, 0)
 
 
+def clearances(cert):
+    return [c.clearance for c in cert.checks]
+
+
 class TestDescentVerify:
     def test_chessboard_depth10_valid(self):
         stages = chessboard_stages(0.1, math.radians(0.5), 10)
         cert = descent_verify(chessboard_coloring(1.0), stages)
-        assert cert.valid
-        clearances = cert.enc_clearances()
-        assert all(c < 1.0 for c in clearances)
-        ratios = [b / a for a, b in zip(clearances, clearances[1:])]
+        assert cert.valid and cert.premise == ""
+        assert [c.stage for c in cert.checks] == list(range(1, 10))
+        assert all(c < 1.0 for c in clearances(cert))
+        ratios = [b / a for a, b in zip(clearances(cert), clearances(cert)[1:])]
         assert all(abs(r - 0.5) < 1e-6 for r in ratios)
 
     def test_single_stage_trivially_valid(self):
         stages = chessboard_stages(0.1, math.radians(0.5), 1)
         cert = descent_verify(chessboard_coloring(1.0), stages)
         assert cert.valid
-        assert cert.enc_clearances() == []
+        assert cert.checks == () and cert.premise == ""
 
     def test_recolored_point_rejected(self):
         stages = chessboard_stages(0.1, math.radians(0.5), 2)
@@ -232,21 +235,23 @@ class TestDescentVerify:
             whites=stages[0].whites[1:],
             stage_index=1,
         )
-        with pytest.raises(MisclassifiedPoint):
-            descent_verify(chessboard_coloring(1.0), [bad, stages[1]])
+        cert = descent_verify(chessboard_coloring(1.0), [bad, stages[1]])
+        assert not cert.valid and cert.checks == ()
+        assert cert.premise == f"stage colours: stage 1 black point {stages[0].whites[0]} is white"
 
     def test_boundary_point_rejected(self):
         fam = StageFamily(blacks=(Point(0.5, 0.0),), whites=(), stage_index=1)
-        with pytest.raises(BoundaryPoint):
-            descent_verify(chessboard_coloring(1.0), [fam])
+        cert = descent_verify(chessboard_coloring(1.0), [fam])
+        assert not cert.valid and cert.checks == ()
+        assert cert.premise == "stage colours: stage 1 black point Point(x=0.5, y=0.0) is on the boundary"
 
     def test_failed_encirclement_is_reported(self):
         coloring = chessboard_coloring(1.0)
         near = StageFamily((Point(0.5, 0.5),), (Point(0.5, -0.5),), 1)
         far = StageFamily((Point(0.6, 0.6),), (Point(0.6, -0.6),), 2)
         cert = descent_verify(coloring, [near, far])
-        assert not cert.valid
-        assert [c.verdict for c in cert.checks if c.kind == "enc"] == [Verdict.NO]
+        assert not cert.valid and cert.premise == ""
+        assert [c.verdict for c in cert.checks] == [Verdict.NO]
 
     def test_empty_families(self):
         # an empty outer family encircles nothing and lets any disk escape;
@@ -256,7 +261,7 @@ class TestDescentVerify:
         second = StageFamily((Point(0.1, 0.1),), (Point(0.1, -0.1),), 2)
         empty = StageFamily((), (), 3)
         cert = descent_verify(coloring, [first, second, empty])
-        enc = [(c.verdict, c.clearance) for c in cert.checks if c.kind == "enc"]
+        enc = [(c.verdict, c.clearance) for c in cert.checks]
         assert enc == [(Verdict.NO, math.inf), (Verdict.YES, 0.0)]
         assert not cert.valid
 
@@ -278,11 +283,8 @@ class TestDescentVerify:
     def test_report_line_format(self):
         stages = chessboard_stages(0.1, math.radians(0.5), 2)
         cert = descent_verify(chessboard_coloring(1.0), stages)
-        lines = [c.line() for c in cert.checks]
-        assert any(line.startswith("stage=1 kind=colors verdict=yes") for line in lines)
-        enc = [line for line in lines if "kind=enc" in line]
-        assert len(enc) == 1
-        assert "verdict=yes" in enc[0] and "clearance=" in enc[0]
+        (line,) = [c.line() for c in cert.checks]
+        assert line == f"stage=1 kind=enc verdict=yes clearance={cert.checks[0].clearance!r}"
 
 
 def pair_clearance(fam, nxt):
@@ -303,7 +305,7 @@ class TestScalingDescentVerify:
         cert = scaling_descent_verify(coloring, stages)
         assert oracle.valid and cert.valid
         assert cert.checks == oracle.checks  # derived clearances equal the computed ones bit for bit
-        assert len(cert.enc_clearances()) == depth - 1 and cert.premise == ""
+        assert len(cert.checks) == depth - 1 and cert.premise == ""
         c1 = pair_clearance(stages[0], stages[1])
         for k, (fam, nxt) in enumerate(zip(stages, stages[1:]), start=1):
             assert pair_clearance(fam, nxt) <= 1.0 - 0.5 ** (k - 1) * (1.0 - c1) + 1e-12
@@ -332,18 +334,18 @@ class TestScalingDescentVerify:
         coloring = chessboard_coloring(1.0)
         counted = dataclasses.replace(coloring, classify=lambda p: classified.append(p) or coloring.classify(p))
         cert = scaling_descent_verify(counted, chessboard_stages(0.1, math.radians(0.5), depth))
-        assert cert.valid and len(cert.enc_clearances()) == depth - 1
+        assert cert.valid and len(cert.checks) == depth - 1
         assert builds == [4, 4] and len(classified) == 8
 
     def test_deep_stages_certify(self):
         # the stage-by-stage check classifies stage 21 into the tau collar
         stages = chessboard_stages(0.1, math.radians(0.5), 28)
-        with pytest.raises(BoundaryPoint):
-            descent_verify(chessboard_coloring(1.0), stages)
+        oracle = descent_verify(chessboard_coloring(1.0), stages)
+        assert not oracle.valid and oracle.checks == ()
+        assert oracle.premise == f"stage colours: stage 21 black point {stages[20].blacks[0]} is on the boundary"
         cert = scaling_descent_verify(chessboard_coloring(1.0), stages)
         assert cert.valid
-        clearances = cert.enc_clearances()
-        assert [b / a for a, b in zip(clearances, clearances[1:])] == [0.5] * 26
+        assert [b / a for a, b in zip(clearances(cert), clearances(cert)[1:])] == [0.5] * 26
 
     def test_squares_touching_off_the_origin_are_not_proved(self):
         shift = Point(1e-3, 0.0)
@@ -353,8 +355,9 @@ class TestScalingDescentVerify:
         cert = scaling_descent_verify(region_coloring(loops), stages)
         assert not cert.valid and cert.checks == ()
         assert cert.premise.startswith("cone at the origin: ")
-        with pytest.raises(MisclassifiedPoint):  # the stage-by-stage check refutes it
-            descent_verify(region_coloring(loops), stages)
+        # the stage-by-stage check refutes it
+        oracle = descent_verify(region_coloring(loops), stages)
+        assert oracle.premise == f"stage colours: stage 1 black point {stages[0].blacks[1]} is white"
 
     def test_point_off_by_one_ulp_is_not_proved(self):
         stages = chessboard_stages(0.1, math.radians(0.5), 10)
@@ -426,9 +429,9 @@ class TestScalingDescentVerify:
         stages = chessboard_stages(0.5, math.radians(30.0), 5)
         oracle = descent_verify(chessboard_coloring(1.0), stages)
         cert = scaling_descent_verify(chessboard_coloring(1.0), stages)
-        assert not oracle.valid and not cert.valid and len(cert.enc_clearances()) == 1
-        assert cert.checks == (oracle.checks[0], oracle.checks[5])
-        assert cert.checks[1].verdict is not Verdict.YES
+        assert not oracle.valid and not cert.valid and cert.premise == ""
+        assert cert.checks == oracle.checks[:1]
+        assert cert.checks[0].verdict is not Verdict.YES
 
     def test_single_stage_and_empty_chain(self):
         stages = chessboard_stages(0.1, math.radians(0.5), 1)
@@ -437,10 +440,11 @@ class TestScalingDescentVerify:
         with pytest.raises(InvalidParameters):
             scaling_descent_verify(chessboard_coloring(1.0), [])
 
-    def test_stage_one_in_the_collar_raises(self):
+    def test_stage_one_in_the_collar_is_a_failed_premise(self):
         stages = chessboard_stages(0.1, math.radians(1e-7), 3)
-        with pytest.raises(BoundaryPoint, match="stage 1: black point"):
-            scaling_descent_verify(chessboard_coloring(1.0), stages)
+        cert = scaling_descent_verify(chessboard_coloring(1.0), stages)
+        assert not cert.valid and cert.checks == ()
+        assert cert.premise == f"stage colours: stage 1 black point {stages[0].blacks[0]} is on the boundary"
 
 
 class TestLemmaDescentSoundness:
@@ -643,15 +647,15 @@ class TestSymmetricDescentVerify:
         oracle = descent_verify(coloring, stages)
         cert = symmetric_descent_verify(stages, spec)
         assert cert.premise == ""
-        assert [c.line().partition(" clearance=")[0] for c in cert.checks] == \
-            [c.line().partition(" clearance=")[0] for c in oracle.checks]  # the same verdicts
+        assert oracle.premise == ""
+        assert [(c.stage, c.verdict) for c in cert.checks] == [(c.stage, c.verdict) for c in oracle.checks]
         # the clearance is ray 1's escape radius over the whole family, bit
         # for bit, and the oracle's over every target up to rounding
-        assert cert.enc_clearances() == [
+        assert clearances(cert) == [
             max(LargestEmptyCircle(S).escape(t) for S, T in ((fam.blacks, nxt.whites), (fam.whites, nxt.blacks))
                 for t in T[:2])
             for fam, nxt in zip(stages, stages[1:])]
-        assert cert.enc_clearances() == pytest.approx(oracle.enc_clearances(), rel=1e-9)
+        assert clearances(cert) == pytest.approx(clearances(oracle), rel=1e-9)
         assert oracle.valid or not cert.valid
         for fam, nxt in zip(stages, stages[1:]):
             for S, T in ((fam.blacks, nxt.whites), (fam.whites, nxt.blacks)):
@@ -681,7 +685,7 @@ class TestSymmetricDescentVerify:
         # the critical radii are below 1 - tau, yet stage 0 does not encircle stage 1
         coloring, spec, stages = pattern_chain(12, 3.5887177858128325, 0.002590482283749564, 2)
         cert = self.assert_matches_oracles(coloring, spec, stages)
-        assert [c.verdict for c in cert.checks if c.kind == "enc"] == [Verdict.NO, Verdict.YES]
+        assert [c.verdict for c in cert.checks] == [Verdict.NO, Verdict.YES]
 
     def test_single_stage_and_empty_chain(self):
         coloring, spec, stages = pattern_chain(12, 3.0, 1e-3, 0)
@@ -742,6 +746,43 @@ class TestSymmetricDescentVerify:
                                  "5 derived records")
         assert lines[1].endswith(", 0 LEC builds, 0 obstacle points, 0 ray-1 queries, 0 escapes, "
                                  "0 derived records")
+
+
+def chessboard_case(verify, p):
+    """verify on the chessboard's stages 1 and 2 (TestScalingDescentVerify.halved_chain)
+    with stage 1's first black point replaced by p: (certificate, stage, point)."""
+    return verify(chessboard_coloring(1.0), TestScalingDescentVerify.halved_chain(p)), 1, p
+
+
+def dissection_case(orientation, tau):
+    """symmetric_descent_verify on the 12-dissection pattern's stages 0..2,
+    against a spec of the given orientation: (certificate, stage, point),
+    the point being stage 0's first black one."""
+    _, spec, stages = pattern_chain(12, 3.0, 1e-3, 2)
+    spec = dataclasses.replace(spec, first_orientation=orientation)
+    return symmetric_descent_verify(stages, spec, tau), 0, stages[0].blacks[0]
+
+
+WHITE_POINT = chessboard_stages(0.1, math.radians(0.5), 1)[0].whites[0]
+OUTSIDE = "outside ray 1's black rectangle shrunk by 2*tau + "
+
+
+@pytest.mark.parametrize("case, got", [
+    (lambda: chessboard_case(descent_verify, WHITE_POINT), "white"),
+    (lambda: chessboard_case(descent_verify, Point(0.1, 1e-10)), "on the boundary"),
+    (lambda: chessboard_case(scaling_descent_verify, WHITE_POINT), "white"),
+    (lambda: chessboard_case(scaling_descent_verify, Point(0.1, 1e-10)), "on the boundary"),
+    (lambda: dissection_case("cw", DEFAULT_TAU), OUTSIDE),  # every colour swapped
+    (lambda: dissection_case("ccw", 1e-4), OUTSIDE),  # t_0 = 3.2e-5 is below 2 tau
+], ids=["descent-recoloured", "descent-collar", "scaling-recoloured", "scaling-collar",
+        "symmetric-recoloured", "symmetric-collar"])
+def test_a_wrong_stage_colour_is_a_failed_premise(case, got):
+    """Each descent verifier reports a stage point of the other colour, or
+    in the tau collar, as its failed colour premise, naming the stage, the
+    colour and the point, with no records, and raises nothing."""
+    cert, stage, p = case()
+    assert not cert.valid and cert.checks == ()
+    assert cert.premise.startswith(f"stage colours: stage {stage} black point {p} is {got}"), cert.premise
 
 
 class TestLocalObstacles:
