@@ -44,9 +44,8 @@ from .canvas import (
     stationary_number,
 )
 from .obstruction import (
-    CheckRecord,
+    Check,
     Coloring,
-    DescentCertificate,
     DissectionSpec,
     FiveCircleRadii,
     InvalidN,

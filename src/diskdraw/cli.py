@@ -11,7 +11,6 @@ import functools
 import math
 import random
 import sys
-from dataclasses import dataclass
 
 from .constructions import (
     ConstructionInconsistent,
@@ -27,6 +26,7 @@ from .constructions import (
 from .curvature import path_max_curvature, rolling_disk_check
 from .geometry import DEFAULT_TAU, Point, check_tolerance, circumcircle3, trapezoid_circumradius
 from .obstruction import (
+    Check,
     DissectionSpec,
     StageParams,
     Verdict,
@@ -119,8 +119,10 @@ def _cmd_simulate(args) -> int:
 def _cmd_render(args) -> int:
     if (args.scene is None) == (args.construction is None):
         raise UsageError("render needs a scene file or --construction, not both")
+    if args.n is not None and args.construction != "sharp-n":
+        raise UsageError("--n is only read by --construction sharp-n")
     if args.construction:
-        extra = [str(args.n)] if args.construction == "sharp-n" else []
+        extra = [] if args.n is None else [str(args.n)]
         coloring = _checked(_construction_coloring, [args.construction, *extra], args.tau)
     else:
         coloring = _load_scene(args.scene, args.tau)
@@ -142,16 +144,9 @@ def _cmd_render(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Check:
-    """One verdict of a verify pipeline: what was checked, whether it held,
-    the line `verify` prints for it (None for a check it does not print)
-    and the measured value."""
-
-    name: str
-    ok: bool
-    line: str | None
-    value: object = None
+def _check(name: str, ok: bool, line: str | None, value: object = None) -> Check:
+    """The Check of a yes-or-no verdict."""
+    return Check(name, Verdict.YES if ok else Verdict.NO, line, value)
 
 
 def _mark(ok: bool) -> str:
@@ -168,20 +163,11 @@ def _records(pipeline):
     return run
 
 
-def _certificate_checks(cert):
-    """A FAIL line for the failed premise of a descent certificate, if any,
-    then one check per stage pair."""
-    if cert.premise:
-        yield Check("lemma premise", False, f"FAIL: {cert.premise}", cert.premise)
-    for rec in cert.checks:
-        yield Check(f"stage {rec.stage} enc", rec.verdict is Verdict.YES, rec.line(), rec.clearance)
-
-
 def _radii_check(radii, tau: float, line: str) -> Check:
     """The critical radii are below one: the predicate dissection_stages
     requires of its parameters."""
     ok = radii.below_one(tau)
-    return Check("critical radii", ok, f"{line} {_mark(ok)}", max(radii.all_values()))
+    return _check("critical radii", ok, f"{line} {_mark(ok)}", max(radii.all_values()))
 
 
 @_records
@@ -190,21 +176,22 @@ def verify_chessboard(r: float, theta_deg: float, depth: int, tau: float):
     clearances halve exactly and stay below 1 (scaling_descent_verify)."""
     stages = _checked(chessboard_stages, r, math.radians(theta_deg), depth)
     cert = scaling_descent_verify(chessboard_coloring(1.0, tau), stages, tau)
-    yield from _certificate_checks(cert)
-    if cert.valid and depth >= 2:
-        yield Check("scaling lemma", True,
-                    f"scaling lemma: stages 2..{depth} follow from stage 1 and the stage pair 1-2")
-    clearances = [rec.clearance for rec in cert.checks]
+    yield from cert
+    valid = all(c.ok for c in cert)
+    if valid and depth >= 2:
+        yield _check("scaling lemma", True,
+                     f"scaling lemma: stages 2..{depth} follow from stage 1 and the stage pair 1-2")
+    clearances = [c.value for c in cert if c.name != "lemma premise"]
     if clearances:
         limit = math.sqrt(10.0) * r / 4.0
-        yield Check("stage-1 clearance", True,
-                    f"stage-1 clearance: {clearances[0]:.6f} (small-angle limit {limit:.6f})", clearances[0])
+        yield _check("stage-1 clearance", True,
+                     f"stage-1 clearance: {clearances[0]:.6f} (small-angle limit {limit:.6f})", clearances[0])
     ratios = [b / a for a, b in zip(clearances, clearances[1:])]
     if ratios:
-        yield Check("clearance ratios", True,
-                    f"clearance ratios: min {min(ratios):.9f} max {max(ratios):.9f}", (min(ratios), max(ratios)))
-    yield Check("certificate valid", cert.valid, f"certificate valid: {cert.valid}", cert.valid)
-    yield Check("clearances < 1", all(c < 1.0 for c in clearances), None, max(clearances, default=0.0))
+        yield _check("clearance ratios", True,
+                     f"clearance ratios: min {min(ratios):.9f} max {max(ratios):.9f}", (min(ratios), max(ratios)))
+    yield _check("certificate valid", valid, f"certificate valid: {valid}", valid)
+    yield _check("clearances < 1", all(c < 1.0 for c in clearances), None, max(clearances, default=0.0))
 
 
 @_records
@@ -216,23 +203,23 @@ def verify_snake(r: float, depth: int, tau: float):
     for name, value, expected in (("|AE|", geom.ae_len, 0.793), ("|OE|", geom.oe_len, 2.963),
                                   ("|OE'|", geom.oe_prime_len, 3.735)):
         ok = abs(value - expected) <= 0.002
-        yield Check(name, ok, f"{name}: {value:.6f} (expected {expected} +/- 0.002) {_mark(ok)}", value)
+        yield _check(name, ok, f"{name}: {value:.6f} (expected {expected} +/- 0.002) {_mark(ok)}", value)
 
     curv = path_max_curvature(geom.boundary)
     ok = curv == 1.0 / r
-    yield Check("max curvature", ok, f"max curvature: {curv!r} == 1/r {_mark(ok)}", curv)
+    yield _check("max curvature", ok, f"max curvature: {curv!r} == 1/r {_mark(ok)}", curv)
 
     rolling = rolling_disk_check(geom.boundary, eps=0.5)
-    yield Check("rolling-disk check", rolling.ok, f"rolling-disk check: {_mark(rolling.ok)}", rolling.counts())
+    yield _check("rolling-disk check", rolling.ok, f"rolling-disk check: {_mark(rolling.ok)}", rolling.counts())
 
     spec = snake_dissection_spec(geom, tau)
     result = dissection_sample_check(snake_coloring(geom, tau), spec, tau)
     line = f"12-dissection at ({spec.a}, {spec.b}) thickness {spec.d}: {_mark(result.ok)}"
-    yield Check("12-dissection", result.ok, line, result.counts())
+    yield _check("12-dissection", result.ok, line, result.counts())
 
     bound = undrawability_bound(12)
     ok = spec.a < bound
-    yield Check("anchor bound", ok, f"anchor bound: {spec.a} < cot(pi/12) = {bound:.6f} {_mark(ok)}", bound)
+    yield _check("anchor bound", ok, f"anchor bound: {spec.a} < cot(pi/12) = {bound:.6f} {_mark(ok)}", bound)
 
     params = StageParams(n=12, L=default_dissection_L(12, spec.a, spec.b), s=1e-3)
     radii = five_circle_radii(params)
@@ -241,9 +228,9 @@ def verify_snake(r: float, depth: int, tau: float):
     if not radii_check.ok:
         return
     cert = symmetric_descent_verify(_checked(dissection_stages, params, spec, depth, tau), spec, tau)
-    yield from _certificate_checks(cert)
-    ok = cert.valid and result.ok  # the stage colours are those of the proved rectangles
-    yield Check("descent", ok, f"descent stages 0..{depth}: {_mark(ok)}", ok)
+    yield from cert
+    ok = all(c.ok for c in cert) and result.ok  # the stage colours are those of the proved rectangles
+    yield _check("descent", ok, f"descent stages 0..{depth}: {_mark(ok)}", ok)
 
 
 @_records
@@ -260,7 +247,7 @@ def verify_dissection(n: int, L: float, s: float, depth: int, tau: float):
     params = _checked(StageParams, n=n, L=L, s=s)
     radii = five_circle_radii(params)
     line = f"r_a={radii.r_a:.6f} r_c={radii.r_c:.6f} r_d={radii.r_d:.6f} r_e={radii.r_e:.6f}"
-    yield Check("radii", True, line, radii)
+    yield _check("radii", True, line, radii)
     radii_check = _radii_check(radii, tau, "all radii < 1:")
     yield radii_check
     if not radii_check.ok:
@@ -269,12 +256,12 @@ def verify_dissection(n: int, L: float, s: float, depth: int, tau: float):
                     d=4.0 * params.t, phase=0.0, first_orientation="ccw")
     stages = _checked(dissection_stages, params, spec, depth, tau)
     cert = symmetric_descent_verify(stages, spec, tau)
-    yield from _certificate_checks(cert)
+    yield from cert
     wedges = dissection_wedge_checks(stages, spec, tau)
     good = sum(1 for w in wedges if w[2] is Verdict.YES)
-    yield Check("wedge case split", good == len(wedges), f"wedge case split: {good}/{len(wedges)} ok", good)
-    ok = cert.valid and good == len(wedges)
-    yield Check("stage encirclements", ok, f"stage encirclements: {_mark(ok)}", ok)
+    yield _check("wedge case split", good == len(wedges), f"wedge case split: {good}/{len(wedges)} ok", good)
+    ok = all(c.ok for c in cert) and good == len(wedges)
+    yield _check("stage encirclements", ok, f"stage encirclements: {_mark(ok)}", ok)
 
 
 @_records
@@ -291,8 +278,8 @@ def verify_trapezoid(fuzz: int):
         h = rng.uniform(1e-3, 5.0)
         oracle = circumcircle3(Point(-b / 2.0, 0.0), Point(b / 2.0, 0.0), Point(a / 2.0, h)).radius
         worst = max(worst, abs(trapezoid_circumradius(a, b, h) - oracle))
-    yield Check("max deviation", True, f"max |formula - circumcircle| over {fuzz} trials: {worst:.3e}", worst)
-    yield Check("formula", worst < 1e-9, _mark(worst < 1e-9), worst)
+    yield _check("max deviation", True, f"max |formula - circumcircle| over {fuzz} trials: {worst:.3e}", worst)
+    yield _check("formula", worst < 1e-9, _mark(worst < 1e-9), worst)
 
 
 @_records
@@ -301,9 +288,9 @@ def verify_rolling(eps: float):
     boundary = build_snake().boundary
     report = _checked(rolling_disk_check, boundary, eps=eps)
     curv = path_max_curvature(boundary)
-    yield Check("max curvature", True, f"max curvature: {curv:.6f}", curv)
-    yield Check("failures", True, f"failures: {len(report.failures)}", len(report.failures))
-    yield Check("rolling disk", report.ok, _mark(report.ok), report.counts())
+    yield _check("max curvature", True, f"max curvature: {curv:.6f}", curv)
+    yield _check("failures", True, f"failures: {len(report.failures)}", len(report.failures))
+    yield _check("rolling disk", report.ok, _mark(report.ok), report.counts())
 
 
 @_records
@@ -312,12 +299,12 @@ def verify_sharp(n: int, tau: float):
     script = _checked(sharp_ndissected_script, n)
     spec = sharp_dissection_spec(n)
     result = dissection_sample_check(script_coloring(script, tau), spec, tau)
-    yield Check(f"{n}-dissection", result.ok,
-                f"{n}-dissection of the slid-disk script at ({spec.a:.4f}, {spec.b}) "
-                f"thickness {spec.d}: {_mark(result.ok)}", result.counts())
+    yield _check(f"{n}-dissection", result.ok,
+                 f"{n}-dissection of the slid-disk script at ({spec.a:.4f}, {spec.b}) "
+                 f"thickness {spec.d}: {_mark(result.ok)}", result.counts())
     for k, leaf in enumerate(result.failures[:5], start=1):
-        yield Check(f"failure {k}", False, f"  ray {leaf.ray} side {leaf.side}: {leaf.got.value} "
-                    f"at ({leaf.witness.x:.4f}, {leaf.witness.y:.4f})", leaf.witness)
+        yield _check(f"failure {k}", False, f"  ray {leaf.ray} side {leaf.side}: {leaf.got.value} "
+                     f"at ({leaf.witness.x:.4f}, {leaf.witness.y:.4f})", leaf.witness)
 
 
 def _cmd_verify(args) -> int:
@@ -362,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     ren = sub.add_parser("render", help="render a scene or construction to PGM")
     ren.add_argument("scene", nargs="?")
     ren.add_argument("--construction", choices=["chessboard", "rounded", "snake", "sharp-n"])
-    ren.add_argument("--n", type=int, default=12, help="ray count for sharp-n")
+    ren.add_argument("--n", type=int, help="ray count for sharp-n")
     ren.add_argument("--bbox", type=float, nargs=4, required=True,
                      metavar=("XMIN", "YMIN", "XMAX", "YMAX"))
     ren.add_argument("--res", type=float, required=True, help="pixels per unit")

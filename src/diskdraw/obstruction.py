@@ -144,16 +144,15 @@ def _encircles(lec: LargestEmptyCircle, T: Sequence[Point], tau: float,
     return (Verdict.BOUNDARY if boundary else Verdict.YES), queries
 
 
-def _encirclement(S: Sequence[Point], T: Sequence[Point], tau: float, queried: int | None = None,
+def _encirclement(S: Sequence[Point], T: Sequence[Point], tau: float,
                   margin: float = 0.0) -> tuple[Verdict, float, tuple[int, int, int, int]]:
-    """The verdict of encircles(S, T[:queried], tau) at margin (see
-    _encircles), escape_radius(S, T[:queried]) and the work it took: the
-    LargestEmptyCircle builds, the obstacle points they triangulated, the
-    queries and the escapes.  Both answers come from one triangulation of
-    the obstacles that T[:queried] can see (_local_lec), so they are those of
-    a triangulation of all of S: the escapes bit for bit, the clearances up
-    to the rounding of their candidate points."""
-    T = T[:queried]
+    """The verdict of encircles(S, T, tau) at margin (see _encircles),
+    escape_radius(S, T) and the work it took: the LargestEmptyCircle builds,
+    the obstacle points they triangulated, the queries and the escapes.
+    Both answers come from one triangulation of the obstacles that T can
+    see (_local_lec), so they are those of a triangulation of all of S: the
+    escapes bit for bit, the clearances up to the rounding of their
+    candidate points."""
     if not (S and T):
         return (Verdict.NO, math.inf, (0, 0, 0, 0)) if T else (Verdict.YES, 0.0, (0, 0, 0, 0))
     lec, escapes, builds, points = _local_lec(S, T)
@@ -229,75 +228,78 @@ def escape_radius(S: Sequence[Point], T: Sequence[Point]) -> float:
 
 
 @dataclass(frozen=True)
-class CheckRecord:
-    """One stage pair of a descent: the outer stage, the verdict of its
-    encirclement and its escape radius."""
+class Check:
+    """One verdict: what was checked, its verdict, the line `verify` prints
+    for it (None for a check it does not print) and the measured value."""
 
-    stage: int
+    name: str
     verdict: Verdict
-    clearance: float
-
-    def line(self) -> str:
-        return f"stage={self.stage} kind=enc verdict={self.verdict.value} clearance={self.clearance!r}"
-
-
-@dataclass(frozen=True)
-class DescentCertificate:
-    """The records of a descent's stage pairs, and the premise of a lemma
-    that failed, which leaves no records."""
-
-    checks: tuple[CheckRecord, ...]
-    premise: str = ""
+    line: str | None
+    value: object = None
 
     @property
-    def valid(self) -> bool:
-        return not self.premise and all(c.verdict is Verdict.YES for c in self.checks)
+    def ok(self) -> bool:
+        return self.verdict is Verdict.YES
+
+
+def _premise_check(premise: str) -> Check:
+    """The record of a lemma premise that failed, named."""
+    return Check("lemma premise", Verdict.NO, f"FAIL: {premise}", premise)
+
+
+def _stage_check(stage: int, verdict: Verdict, clearance: float) -> Check:
+    """The record of a stage pair: the outer stage, the verdict of its
+    encirclement and its escape radius."""
+    return Check(f"stage {stage} enc", verdict,
+                 f"stage={stage} kind=enc verdict={verdict.value} clearance={clearance!r}", clearance)
 
 
 def descent_verify(
     coloring: Coloring,
     stages: Sequence[StageFamily],
     tau: float = DEFAULT_TAU,
-) -> DescentCertificate:
-    """Verify a descent chain against a coloring.
+) -> tuple[Check, ...]:
+    """Verify a descent chain against a coloring: one Check per stage pair,
+    or one failed `lemma premise`.  The descent is valid when every record
+    is ok; a single stage gives no records and is valid.
 
     Premise (_classified_premise): every listed point classifies definitely
     with its declared colour; a point on the boundary or of the other colour
-    gives an invalid certificate that names it, with no records.  For each
+    is a failed premise that names it, with no record after it.  For each
     consecutive pair of stages the blacks of stage i must encircle the
     whites of stage i+1 and the whites of stage i must encircle the blacks
-    of stage i+1; the recorded clearance is the escape radius of the pair
-    (the largest disk that can still reach the inner family while dodging
-    the outer one).  A non-YES encirclement is recorded and the certificate
-    comes back invalid.
+    of stage i+1; the record's value is the escape radius of the pair (the
+    largest disk that can still reach the inner family while dodging the
+    outer one), and its verdict that of the encirclements: a NO or BOUNDARY
+    makes the descent invalid.
     """
     check_tolerance(tau)
     if not stages:
         raise InvalidParameters("descent chain needs at least one stage")
     if premise := _classified_premise(coloring, stages):
-        return DescentCertificate((), premise)
-    return DescentCertificate(tuple(_stage_pair(fam, nxt, tau)[0] for fam, nxt in zip(stages, stages[1:])))
+        return (_premise_check(premise),)
+    return tuple(_stage_pair(fam, nxt, tau)[0] for fam, nxt in zip(stages, stages[1:]))
 
 
-def _stage_pair(fam: StageFamily, nxt: StageFamily, tau: float, queried: int | None = None,
-                margin: float = 0.0) -> tuple[CheckRecord, tuple[int, ...]]:
+def _stage_pair(fam: StageFamily, nxt: StageFamily, tau: float,
+                margin: float = 0.0) -> tuple[Check, tuple[int, ...]]:
     """The record of blacks around the next whites and whites around the
-    next blacks, and its work (see _encirclement).  The verdict queries the
-    first `queried` targets of each colour at margin, and the clearance is
-    the escape radius over the same targets."""
-    v1, c1, w1 = _encirclement(fam.blacks, nxt.whites, tau, queried, margin)
-    v2, c2, w2 = _encirclement(fam.whites, nxt.blacks, tau, queried, margin)
+    next blacks, and its work (see _encirclement).  The verdict queries
+    every target at margin, and the clearance is the escape radius over
+    them."""
+    v1, c1, w1 = _encirclement(fam.blacks, nxt.whites, tau, margin)
+    v2, c2, w2 = _encirclement(fam.whites, nxt.blacks, tau, margin)
     if v1 is Verdict.NO or v2 is Verdict.NO:
         verdict = Verdict.NO
     elif v1 is Verdict.YES and v2 is Verdict.YES:
         verdict = Verdict.YES
     else:
         verdict = Verdict.BOUNDARY
-    return CheckRecord(fam.stage_index, verdict, max(c1, c2)), tuple(map(sum, zip(w1, w2)))
+    return _stage_check(fam.stage_index, verdict, max(c1, c2)), tuple(map(sum, zip(w1, w2)))
 
 
 def scaling_descent_verify(coloring: Coloring, stages: Sequence[StageFamily],
-                           tau: float = DEFAULT_TAU) -> DescentCertificate:
+                           tau: float = DEFAULT_TAU) -> tuple[Check, ...]:
     """descent_verify from stage 1 and the first stage pair alone, for a
     chain of exact 1/2-scalings in a cone at the origin.
 
@@ -317,23 +319,21 @@ def scaling_descent_verify(coloring: Coloring, stages: Sequence[StageFamily],
     rationals) whose ends are the origin or beyond R.  The segment from a
     stage-1 point p, classified off the boundary with its colour
     (_classified_premise, stage 1 alone), to 2^-i p then meets no piece, so
-    every stage point has p's colour.  A failed premise gives an invalid
-    certificate that names it, with no records; a failed pair 1 is recorded
-    alone.
+    every stage point has p's colour.  A failed premise is a single `lemma
+    premise` record that names it; a failed pair 1 is recorded alone.
     """
     check_tolerance(tau)
     if not stages:
         raise InvalidParameters("descent chain needs at least one stage")
     stages = tuple(stages)
     if premise := _scaling_premise(coloring, stages) or _classified_premise(coloring, stages[:1]):
-        return DescentCertificate((), premise)
+        return (_premise_check(premise),)
     if len(stages) == 1:
-        return DescentCertificate(())
+        return ()
     pair, _ = _stage_pair(stages[0], stages[1], tau)
-    if pair.verdict is not Verdict.YES:
-        return DescentCertificate((pair,))
-    return DescentCertificate(tuple(CheckRecord(fam.stage_index, Verdict.YES, pair.clearance * 0.5**i)
-                                    for i, fam in enumerate(stages[:-1])))
+    if not pair.ok:
+        return (pair,)
+    return tuple(_stage_check(fam.stage_index, Verdict.YES, pair.value * 0.5**i) for i, fam in enumerate(stages[:-1]))
 
 
 def _scaling_premise(coloring: Coloring, stages: tuple[StageFamily, ...]) -> str:
@@ -582,7 +582,7 @@ def dissection_stages(
 
 
 def symmetric_descent_verify(stages: Sequence[StageFamily], spec: DissectionSpec,
-                             tau: float = DEFAULT_TAU) -> DescentCertificate:
+                             tau: float = DEFAULT_TAU) -> tuple[Check, ...]:
     """descent_verify from ray 1 of each stage pair, for families that are
     n-fold rotationally symmetric about spec.apex with the colours swapped,
     as dissection_stages builds them.
@@ -640,8 +640,8 @@ def symmetric_descent_verify(stages: Sequence[StageFamily], spec: DissectionSpec
     the whole family.  It is informational: the escape radius is not
     Lipschitz, so it bounds nothing about the other rays, and it may differ
     from descent_verify's largest escape over all targets in the last
-    digits.  A failed premise gives an invalid certificate that names it,
-    with no records; nothing falls back to descent_verify.
+    digits.  A failed premise is a single `lemma premise` record that names
+    it; nothing falls back to descent_verify.
     """
     check_tolerance(tau)
     if not stages:
@@ -649,17 +649,17 @@ def symmetric_descent_verify(stages: Sequence[StageFamily], spec: DissectionSpec
     stages = tuple(stages)
     delta, slack, premise = _rotation_premise(stages, spec)
     premise = premise or _colour_premise(stages, spec, tau, slack)
-    checks: list[CheckRecord] = []
+    checks: list[Check] = [_premise_check(premise)] if premise else []
     work = (0, 0, 0, 0)
     if not premise:
         for fam, nxt in zip(stages, stages[1:]):
-            record, done = _stage_pair(fam, nxt, tau, 2, 3.0 * (delta + slack))
+            ray_one = StageFamily(nxt.blacks[:2], nxt.whites[:2], nxt.stage_index)
+            record, done = _stage_pair(fam, ray_one, tau, 3.0 * (delta + slack))
             checks.append(record)
             work = tuple(map(sum, zip(work, done)))
     logger.debug("symmetric descent: delta %r, slack %r, %d LEC builds, %d obstacle points, %d ray-1 queries, "
-                 "%d escapes, %d derived records", delta, slack, *work,
-                 sum(c.verdict is Verdict.YES for c in checks))
-    return DescentCertificate(tuple(checks), premise)
+                 "%d escapes, %d derived records", delta, slack, *work, sum(c.ok for c in checks))
+    return tuple(checks)
 
 
 def _rotation_premise(stages: Sequence[StageFamily], spec: DissectionSpec) -> tuple[float, float, str]:

@@ -12,7 +12,7 @@ import pytest
 
 from diskdraw import Point, cli, constructions, descent_verify
 from diskdraw.cli import build_parser, main, verify_rolling, verify_sharp, verify_snake
-from diskdraw.geometry import LargestEmptyCircle
+from diskdraw.geometry import DEFAULT_TAU, LargestEmptyCircle
 
 from oracles import pattern_coloring, wedge_checks_enumerated
 
@@ -150,6 +150,27 @@ class TestRender:
                                 "--bbox", "-1", "-1", "1", "1", "--res", "4", "-o", str(out))
         assert (code, stdout) == (2, "") and not out.exists()
         assert err == "usage error: render needs a scene file or --construction, not both\n"
+
+    @pytest.mark.parametrize("source", [("--construction", "chessboard"), ("scene",)], ids=["chessboard", "scene"])
+    def test_render_n_needs_sharp_n(self, tmp_path, capsys, source):
+        # --n is the ray count of sharp-n; any other source would ignore it
+        scene = tmp_path / "scene"
+        scene.write_text("stroke pencil point 0 0\n")
+        out = tmp_path / "x.pgm"
+        source = [str(scene) if word == "scene" else word for word in source]
+        code, stdout, err = run(capsys, "render", *source, "--n", "5",
+                                "--bbox", "-1", "-1", "1", "1", "--res", "4", "-o", str(out))
+        assert (code, stdout) == (2, "") and not out.exists()
+        assert err == "usage error: --n is only read by --construction sharp-n\n"
+
+    def test_sharp_n_defaults_to_twelve_rays(self, tmp_path, capsys):
+        pgms = []
+        for n in ([], ["--n", "12"]):
+            pgms.append(tmp_path / f"sharp{len(n)}.pgm")
+            code, _, err = run(capsys, "render", "--construction", "sharp-n", *n,
+                               "--bbox", "-4", "-4", "4", "4", "--res", "2", "-o", str(pgms[-1]))
+            assert (code, err) == (0, "")
+        assert pgms[0].read_bytes() == pgms[1].read_bytes()
 
 
 class TestTau:
@@ -450,6 +471,29 @@ class TestSymmetricDescent:
         out = out.splitlines()
         assert "12-dissection at (2.964, 3.735) thickness 0.793: FAIL" in out
         assert out[-1] == "descent stages 0..8: FAIL" and not any(line.startswith("FAIL") for line in out)
+
+
+@pytest.mark.parametrize("pipeline, verifier, args", [
+    (cli.verify_chessboard, "scaling_descent_verify", (0.1, 0.5, 10, DEFAULT_TAU)),
+    (cli.verify_chessboard, "scaling_descent_verify", (0.1, 1e-7, 21, DEFAULT_TAU)),
+    (cli.verify_snake, "symmetric_descent_verify", (1.001, 8, DEFAULT_TAU)),
+    (cli.verify_dissection, "symmetric_descent_verify", (12, 3.0, 1e-3, 5, DEFAULT_TAU)),
+    (cli.verify_dissection, "symmetric_descent_verify", (12, 3.5887177858128325, 0.002590482283749564, 2,
+                                                         DEFAULT_TAU)),
+], ids=["chessboard", "chessboard-premise", "snake", "dissection", "dissection-refuted"])
+def test_pipelines_pass_the_descent_records_through(monkeypatch, pipeline, verifier, args):
+    """A verify pipeline yields the descent verifier's own Check records, in
+    order, and builds no stage or premise record of its own."""
+    returned = []
+    verify = getattr(cli, verifier)
+    monkeypatch.setattr(cli, verifier, lambda *a: returned.append(verify(*a)) or returned[-1])
+    checks = pipeline(*args)
+    (cert,) = returned
+    assert cert
+    start = next(k for k, c in enumerate(checks) if c is cert[0])
+    assert all(c is want for c, want in zip(checks[start:start + len(cert)], cert, strict=True))
+    rest = checks[:start] + checks[start + len(cert):]
+    assert not any(c.name == "lemma premise" or c.name.endswith(" enc") for c in rest)
 
 
 def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):

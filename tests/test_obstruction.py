@@ -208,16 +208,32 @@ class TestChessboardStages:
             chessboard_stages(0.1, 0.01, 0)
 
 
+def valid(cert):
+    """A descent is valid when every record is ok."""
+    return all(c.ok for c in cert)
+
+
+def failed_premise(cert):
+    """The premise a descent's `lemma premise` record names, or "" when it
+    has none; a failed premise is the descent's only record."""
+    premises = [c for c in cert if c.name == "lemma premise"]
+    if not premises:
+        return ""
+    (check,) = cert
+    assert check.verdict is Verdict.NO and check.line == f"FAIL: {check.value}"
+    return check.value
+
+
 def clearances(cert):
-    return [c.clearance for c in cert.checks]
+    return [c.value for c in cert]
 
 
 class TestDescentVerify:
     def test_chessboard_depth10_valid(self):
         stages = chessboard_stages(0.1, math.radians(0.5), 10)
         cert = descent_verify(chessboard_coloring(1.0), stages)
-        assert cert.valid and cert.premise == ""
-        assert [c.stage for c in cert.checks] == list(range(1, 10))
+        assert valid(cert) and failed_premise(cert) == ""
+        assert [c.name for c in cert] == [f"stage {k} enc" for k in range(1, 10)]
         assert all(c < 1.0 for c in clearances(cert))
         ratios = [b / a for a, b in zip(clearances(cert), clearances(cert)[1:])]
         assert all(abs(r - 0.5) < 1e-6 for r in ratios)
@@ -225,8 +241,7 @@ class TestDescentVerify:
     def test_single_stage_trivially_valid(self):
         stages = chessboard_stages(0.1, math.radians(0.5), 1)
         cert = descent_verify(chessboard_coloring(1.0), stages)
-        assert cert.valid
-        assert cert.checks == () and cert.premise == ""
+        assert cert == () and valid(cert)
 
     def test_recolored_point_rejected(self):
         stages = chessboard_stages(0.1, math.radians(0.5), 2)
@@ -236,22 +251,22 @@ class TestDescentVerify:
             stage_index=1,
         )
         cert = descent_verify(chessboard_coloring(1.0), [bad, stages[1]])
-        assert not cert.valid and cert.checks == ()
-        assert cert.premise == f"stage colours: stage 1 black point {stages[0].whites[0]} is white"
+        assert not valid(cert)
+        assert failed_premise(cert) == f"stage colours: stage 1 black point {stages[0].whites[0]} is white"
 
     def test_boundary_point_rejected(self):
         fam = StageFamily(blacks=(Point(0.5, 0.0),), whites=(), stage_index=1)
         cert = descent_verify(chessboard_coloring(1.0), [fam])
-        assert not cert.valid and cert.checks == ()
-        assert cert.premise == "stage colours: stage 1 black point Point(x=0.5, y=0.0) is on the boundary"
+        assert not valid(cert)
+        assert failed_premise(cert) == "stage colours: stage 1 black point Point(x=0.5, y=0.0) is on the boundary"
 
     def test_failed_encirclement_is_reported(self):
         coloring = chessboard_coloring(1.0)
         near = StageFamily((Point(0.5, 0.5),), (Point(0.5, -0.5),), 1)
         far = StageFamily((Point(0.6, 0.6),), (Point(0.6, -0.6),), 2)
         cert = descent_verify(coloring, [near, far])
-        assert not cert.valid and cert.premise == ""
-        assert [c.verdict for c in cert.checks] == [Verdict.NO]
+        assert not valid(cert) and failed_premise(cert) == ""
+        assert [c.verdict for c in cert] == [Verdict.NO]
 
     def test_empty_families(self):
         # an empty outer family encircles nothing and lets any disk escape;
@@ -261,9 +276,9 @@ class TestDescentVerify:
         second = StageFamily((Point(0.1, 0.1),), (Point(0.1, -0.1),), 2)
         empty = StageFamily((), (), 3)
         cert = descent_verify(coloring, [first, second, empty])
-        enc = [(c.verdict, c.clearance) for c in cert.checks]
+        enc = [(c.verdict, c.value) for c in cert]
         assert enc == [(Verdict.NO, math.inf), (Verdict.YES, 0.0)]
-        assert not cert.valid
+        assert not valid(cert)
 
     def test_one_triangulation_per_family(self, monkeypatch):
         # each stage pair triangulates its two outer families once, for the
@@ -277,14 +292,14 @@ class TestDescentVerify:
 
         monkeypatch.setattr(Delaunay, "__init__", counting_init)
         stages = chessboard_stages(0.1, math.radians(0.5), 10)
-        assert descent_verify(chessboard_coloring(1.0), stages).valid
+        assert valid(descent_verify(chessboard_coloring(1.0), stages))
         assert len(builds) == 2 * (len(stages) - 1) == 18
 
     def test_report_line_format(self):
         stages = chessboard_stages(0.1, math.radians(0.5), 2)
         cert = descent_verify(chessboard_coloring(1.0), stages)
-        (line,) = [c.line() for c in cert.checks]
-        assert line == f"stage=1 kind=enc verdict=yes clearance={cert.checks[0].clearance!r}"
+        (line,) = [c.line for c in cert]
+        assert line == f"stage=1 kind=enc verdict=yes clearance={cert[0].value!r}"
 
 
 def pair_clearance(fam, nxt):
@@ -303,9 +318,9 @@ class TestScalingDescentVerify:
         coloring = chessboard_coloring(1.0)
         oracle = descent_verify(coloring, stages)
         cert = scaling_descent_verify(coloring, stages)
-        assert oracle.valid and cert.valid
-        assert cert.checks == oracle.checks  # derived clearances equal the computed ones bit for bit
-        assert len(cert.checks) == depth - 1 and cert.premise == ""
+        assert valid(oracle) and valid(cert)
+        assert cert == oracle  # derived clearances equal the computed ones bit for bit
+        assert len(cert) == depth - 1
         c1 = pair_clearance(stages[0], stages[1])
         for k, (fam, nxt) in enumerate(zip(stages, stages[1:]), start=1):
             assert pair_clearance(fam, nxt) <= 1.0 - 0.5 ** (k - 1) * (1.0 - c1) + 1e-12
@@ -334,17 +349,18 @@ class TestScalingDescentVerify:
         coloring = chessboard_coloring(1.0)
         counted = dataclasses.replace(coloring, classify=lambda p: classified.append(p) or coloring.classify(p))
         cert = scaling_descent_verify(counted, chessboard_stages(0.1, math.radians(0.5), depth))
-        assert cert.valid and len(cert.checks) == depth - 1
+        assert valid(cert) and len(cert) == depth - 1
         assert builds == [4, 4] and len(classified) == 8
 
     def test_deep_stages_certify(self):
         # the stage-by-stage check classifies stage 21 into the tau collar
         stages = chessboard_stages(0.1, math.radians(0.5), 28)
         oracle = descent_verify(chessboard_coloring(1.0), stages)
-        assert not oracle.valid and oracle.checks == ()
-        assert oracle.premise == f"stage colours: stage 21 black point {stages[20].blacks[0]} is on the boundary"
+        assert not valid(oracle)
+        assert failed_premise(oracle) == (f"stage colours: stage 21 black point {stages[20].blacks[0]} "
+                                          "is on the boundary")
         cert = scaling_descent_verify(chessboard_coloring(1.0), stages)
-        assert cert.valid
+        assert valid(cert)
         assert [b / a for a, b in zip(clearances(cert), clearances(cert)[1:])] == [0.5] * 26
 
     def test_squares_touching_off_the_origin_are_not_proved(self):
@@ -353,11 +369,11 @@ class TestScalingDescentVerify:
                       for loop in chessboard_coloring(1.0).source)
         stages = chessboard_stages(0.1, math.radians(0.5), 10)
         cert = scaling_descent_verify(region_coloring(loops), stages)
-        assert not cert.valid and cert.checks == ()
-        assert cert.premise.startswith("cone at the origin: ")
+        assert not valid(cert)
+        assert failed_premise(cert).startswith("cone at the origin: ")
         # the stage-by-stage check refutes it
         oracle = descent_verify(region_coloring(loops), stages)
-        assert oracle.premise == f"stage colours: stage 1 black point {stages[0].blacks[1]} is white"
+        assert failed_premise(oracle) == f"stage colours: stage 1 black point {stages[0].blacks[1]} is white"
 
     def test_point_off_by_one_ulp_is_not_proved(self):
         stages = chessboard_stages(0.1, math.radians(0.5), 10)
@@ -365,8 +381,8 @@ class TestScalingDescentVerify:
         moved = dataclasses.replace(stages[4], whites=(*stages[4].whites[:2], Point(math.nextafter(p.x, 0.0), p.y),
                                                        *stages[4].whites[3:]))
         cert = scaling_descent_verify(chessboard_coloring(1.0), [*stages[:4], moved, *stages[5:]])
-        assert not cert.valid
-        assert cert.premise == "exact halving: stage 5 is not stage 4 halved"
+        assert not valid(cert)
+        assert failed_premise(cert) == "exact halving: stage 5 is not stage 4 halved"
 
     def test_underflowing_depth_is_not_proved(self):
         # chessboard_stages refuses a depth whose last stage underflows, so
@@ -379,8 +395,8 @@ class TestScalingDescentVerify:
             stages.append(StageFamily(tuple(q.scaled(0.5) for q in fam.blacks),
                                       tuple(q.scaled(0.5) for q in fam.whites), index))
         cert = scaling_descent_verify(chessboard_coloring(1.0), stages)
-        assert not cert.valid and cert.checks == ()
-        assert cert.premise == "exact halving: stage 1013 underflows"
+        assert not valid(cert)
+        assert failed_premise(cert) == "exact halving: stage 1013 underflows"
 
     @staticmethod
     def halved_chain(p):
@@ -396,7 +412,7 @@ class TestScalingDescentVerify:
         stages = self.halved_chain(Point(0.1, 5e-324))
         assert stages[1].blacks[0].y == 0.0
         cert = scaling_descent_verify(chessboard_coloring(1.0), stages)
-        assert not cert.valid and cert.premise == "exact halving: stage 1 underflows"
+        assert not valid(cert) and failed_premise(cert) == "exact halving: stage 1 underflows"
 
     def test_halving_that_rounds_up_to_a_normal_is_not_proved(self):
         # the largest float below 2^-1021 halves to 2^-1022, the smallest
@@ -404,47 +420,49 @@ class TestScalingDescentVerify:
         stages = self.halved_chain(Point(0.1, 2.0**-1021 - 2.0**-1074))
         assert stages[1].blacks[0].y == sys.float_info.min
         cert = scaling_descent_verify(chessboard_coloring(1.0), stages)
-        assert not cert.valid and cert.premise == "exact halving: stage 2 is not stage 1 halved"
+        assert not valid(cert) and failed_premise(cert) == "exact halving: stage 2 is not stage 1 halved"
 
     def test_other_colorings_are_not_cones(self):
         stages = chessboard_stages(0.1, math.radians(0.5), 3)
         script = script_coloring(sharp_ndissected_script(12))
-        assert scaling_descent_verify(script, stages).premise == "cone at the origin: the coloring is not a region"
+        cert = scaling_descent_verify(script, stages)
+        assert failed_premise(cert) == "cone at the origin: the coloring is not a region"
         # a fillet of radius 0.01: its arc, and edges that end 0.01 from the
         # origin, lie within the stage-1 radius
         cert = scaling_descent_verify(rounded_chessboard_coloring(0.01), stages)
-        assert not cert.valid and cert.premise.startswith("cone at the origin: Segment(a=Point(x=0.01, y=0)")
+        assert failed_premise(cert).startswith("cone at the origin: Segment(a=Point(x=0.01, y=0)")
         # an edge that passes 0.09 from the origin, inside the stage-1 radius 0.1, with both ends far away
         square = PiecewisePath(tuple(Segment(a, b) for a, b in zip(
             (Point(-1, 0.09), Point(1, 0.09), Point(1, 1), Point(-1, 1)),
             (Point(1, 0.09), Point(1, 1), Point(-1, 1), Point(-1, 0.09)))))
         cert = scaling_descent_verify(region_coloring((square,)), stages)
-        assert not cert.valid and cert.premise.startswith("cone at the origin: Segment(a=Point(x=-1, y=0.09)")
+        assert failed_premise(cert).startswith("cone at the origin: Segment(a=Point(x=-1, y=0.09)")
         # a circle through the origin: only arcs
         circle = PiecewisePath((Arc(Point(0.5, 0.0), 0.5, 0.0, math.pi), Arc(Point(0.5, 0.0), 0.5, math.pi, 0.0)))
         cert = scaling_descent_verify(region_coloring((circle,)), stages)
-        assert not cert.valid and cert.premise.startswith("cone at the origin: Arc(")
+        assert not valid(cert) and failed_premise(cert).startswith("cone at the origin: Arc(")
 
     def test_failed_first_pair_is_recorded_alone(self):
         stages = chessboard_stages(0.5, math.radians(30.0), 5)
         oracle = descent_verify(chessboard_coloring(1.0), stages)
         cert = scaling_descent_verify(chessboard_coloring(1.0), stages)
-        assert not oracle.valid and not cert.valid and cert.premise == ""
-        assert cert.checks == oracle.checks[:1]
-        assert cert.checks[0].verdict is not Verdict.YES
+        assert not valid(oracle) and not valid(cert) and failed_premise(cert) == ""
+        assert cert == oracle[:1]
+        assert cert[0].verdict is not Verdict.YES
 
     def test_single_stage_and_empty_chain(self):
         stages = chessboard_stages(0.1, math.radians(0.5), 1)
         cert = scaling_descent_verify(chessboard_coloring(1.0), stages)
-        assert cert == descent_verify(chessboard_coloring(1.0), stages)
+        assert cert == descent_verify(chessboard_coloring(1.0), stages) == ()
         with pytest.raises(InvalidParameters):
             scaling_descent_verify(chessboard_coloring(1.0), [])
 
     def test_stage_one_in_the_collar_is_a_failed_premise(self):
         stages = chessboard_stages(0.1, math.radians(1e-7), 3)
         cert = scaling_descent_verify(chessboard_coloring(1.0), stages)
-        assert not cert.valid and cert.checks == ()
-        assert cert.premise == f"stage colours: stage 1 black point {stages[0].blacks[0]} is on the boundary"
+        assert not valid(cert)
+        assert failed_premise(cert) == (f"stage colours: stage 1 black point {stages[0].blacks[0]} "
+                                        "is on the boundary")
 
 
 class TestLemmaDescentSoundness:
@@ -609,7 +627,7 @@ class TestDissectionStages:
     def test_descent_against_pattern_coloring(self):
         stages = dissection_stages(self.params, self.spec, 3)
         cert = descent_verify(pattern_coloring(self.spec), stages)
-        assert cert.valid
+        assert valid(cert) and len(cert) == 3
 
 
 def snake_chain(depth):
@@ -646,9 +664,9 @@ class TestSymmetricDescentVerify:
     def assert_matches_oracles(coloring, spec, stages):
         oracle = descent_verify(coloring, stages)
         cert = symmetric_descent_verify(stages, spec)
-        assert cert.premise == ""
-        assert oracle.premise == ""
-        assert [(c.stage, c.verdict) for c in cert.checks] == [(c.stage, c.verdict) for c in oracle.checks]
+        assert failed_premise(cert) == ""
+        assert failed_premise(oracle) == ""
+        assert [(c.name, c.verdict) for c in cert] == [(c.name, c.verdict) for c in oracle]
         # the clearance is ray 1's escape radius over the whole family, bit
         # for bit, and the oracle's over every target up to rounding
         assert clearances(cert) == [
@@ -656,7 +674,7 @@ class TestSymmetricDescentVerify:
                 for t in T[:2])
             for fam, nxt in zip(stages, stages[1:])]
         assert clearances(cert) == pytest.approx(clearances(oracle), rel=1e-9)
-        assert oracle.valid or not cert.valid
+        assert valid(oracle) or not valid(cert)
         for fam, nxt in zip(stages, stages[1:]):
             for S, T in ((fam.blacks, nxt.whites), (fam.whites, nxt.blacks)):
                 # every target, against the obstacles they see: encircles'
@@ -679,17 +697,17 @@ class TestSymmetricDescentVerify:
         self.assert_matches_oracles(coloring, spec, stages)
 
     def test_snake(self):
-        assert self.assert_matches_oracles(*snake_chain(8)).valid
+        assert valid(self.assert_matches_oracles(*snake_chain(8)))
 
     def test_refuted_chain_is_recorded_as_the_oracle_records_it(self):
         # the critical radii are below 1 - tau, yet stage 0 does not encircle stage 1
         coloring, spec, stages = pattern_chain(12, 3.5887177858128325, 0.002590482283749564, 2)
         cert = self.assert_matches_oracles(coloring, spec, stages)
-        assert [c.verdict for c in cert.checks] == [Verdict.NO, Verdict.YES]
+        assert [c.verdict for c in cert] == [Verdict.NO, Verdict.YES]
 
     def test_single_stage_and_empty_chain(self):
         coloring, spec, stages = pattern_chain(12, 3.0, 1e-3, 0)
-        assert symmetric_descent_verify(stages, spec) == descent_verify(coloring, stages)
+        assert symmetric_descent_verify(stages, spec) == descent_verify(coloring, stages) == ()
         assert dissection_wedge_checks(stages, spec) == []
         with pytest.raises(InvalidParameters):
             symmetric_descent_verify([], spec)
@@ -699,9 +717,10 @@ class TestSymmetricDescentVerify:
         # outside the shrunk rectangle, and the pattern puts it in the collar
         coloring, spec, stages = pattern_chain(12, 3.0, 1e-3, 2)
         cert = symmetric_descent_verify(stages, spec, tau=1e-4)
-        assert not cert.valid and cert.checks == ()
-        assert cert.premise.startswith(f"stage colours: stage 0 black point {stages[0].blacks[0]} is outside ray 1's "
-                                       "black rectangle shrunk by 2*tau + ")
+        assert not valid(cert)
+        premise = failed_premise(cert)
+        assert premise.startswith(f"stage colours: stage 0 black point {stages[0].blacks[0]} is outside ray 1's "
+                                  "black rectangle shrunk by 2*tau + ")
         assert dissection_pattern_classify(spec, 1e-4)(stages[0].blacks[0]) is Shade.BOUNDARY
 
     def test_margin(self):
@@ -728,7 +747,7 @@ class TestSymmetricDescentVerify:
             return encircles_at(lec, T, tau, margin)
 
         monkeypatch.setattr(obstruction, "_encircles", spy)
-        assert symmetric_descent_verify(stages, spec).valid
+        assert valid(symmetric_descent_verify(stages, spec))
         assert margins == [(2, 3.0 * (delta + slack))] * 4 and 0.0 < delta < slack
         margins.clear()
         assert {v for _, _, v in dissection_wedge_checks(stages, spec)} == {Verdict.YES}
@@ -750,13 +769,13 @@ class TestSymmetricDescentVerify:
 
 def chessboard_case(verify, p):
     """verify on the chessboard's stages 1 and 2 (TestScalingDescentVerify.halved_chain)
-    with stage 1's first black point replaced by p: (certificate, stage, point)."""
+    with stage 1's first black point replaced by p: (records, stage, point)."""
     return verify(chessboard_coloring(1.0), TestScalingDescentVerify.halved_chain(p)), 1, p
 
 
 def dissection_case(orientation, tau):
     """symmetric_descent_verify on the 12-dissection pattern's stages 0..2,
-    against a spec of the given orientation: (certificate, stage, point),
+    against a spec of the given orientation: (records, stage, point),
     the point being stage 0's first black one."""
     _, spec, stages = pattern_chain(12, 3.0, 1e-3, 2)
     spec = dataclasses.replace(spec, first_orientation=orientation)
@@ -779,10 +798,10 @@ OUTSIDE = "outside ray 1's black rectangle shrunk by 2*tau + "
 def test_a_wrong_stage_colour_is_a_failed_premise(case, got):
     """Each descent verifier reports a stage point of the other colour, or
     in the tau collar, as its failed colour premise, naming the stage, the
-    colour and the point, with no records, and raises nothing."""
+    colour and the point, as its only record, and raises nothing."""
     cert, stage, p = case()
-    assert not cert.valid and cert.checks == ()
-    assert cert.premise.startswith(f"stage colours: stage {stage} black point {p} is {got}"), cert.premise
+    assert not valid(cert)
+    assert failed_premise(cert).startswith(f"stage colours: stage {stage} black point {p} is {got}"), cert
 
 
 class TestLocalObstacles:
@@ -801,7 +820,7 @@ class TestLocalObstacles:
             init(lec, obstacles)
 
         monkeypatch.setattr(LargestEmptyCircle, "__init__", spy)
-        assert obstruction._encirclement(S, T, DEFAULT_TAU, 2)[2] == (1, 6, 2, 2)
+        assert obstruction._encirclement(S, T, DEFAULT_TAU)[2] == (1, 6, 2, 2)
         [local] = built
         assert local == [p for p in S if p in local]  # S's order
         for t in T:
@@ -917,19 +936,20 @@ class TestPatternColoring:
         except RadiiTooLarge:
             assume(False)
         cert = symmetric_descent_verify(stages, spec, tau)
-        if cert.premise:
-            assert cert.premise.startswith("stage colours: stage ") and not cert.checks
+        if premise := failed_premise(cert):
+            assert premise.startswith("stage colours: stage ")
         else:
             assert_pattern_colours(dissection_pattern_classify(spec, tau), stages)
 
     def test_snake(self):
         # stages 0..9 pass and have the snake's colours; t_10 = 9.65e-10 is below 2 tau
         coloring, spec, stages = snake_chain(10)
-        assert symmetric_descent_verify(stages[:10], spec).valid
+        assert valid(symmetric_descent_verify(stages[:10], spec))
         assert_pattern_colours(coloring.classify, stages[:10])
         cert = symmetric_descent_verify(stages, spec)
-        assert not cert.valid and cert.checks == ()
-        assert cert.premise.startswith(f"stage colours: stage 10 black point {stages[10].blacks[0]} is outside ray 1's ")
+        assert not valid(cert)
+        premise = failed_premise(cert)
+        assert premise.startswith(f"stage colours: stage 10 black point {stages[10].blacks[0]} is outside ray 1's ")
 
     @pytest.mark.parametrize("change, k", [({"first_orientation": "cw"}, 0), ({"b": 3.0 + 0.5e-3}, 1)],
                              ids=["across the rays", "past b"])
@@ -938,8 +958,9 @@ class TestPatternColoring:
         # with b below the outer feet L + s: black point k of ray 1 fails first
         _, spec, stages = pattern_chain(12, 3.0, 1e-3, 2)
         cert = symmetric_descent_verify(stages, dataclasses.replace(spec, **change))
-        assert not cert.valid and cert.checks == ()
-        assert cert.premise.startswith(f"stage colours: stage 0 black point {stages[0].blacks[k]} is outside ray 1's ")
+        assert not valid(cert)
+        premise = failed_premise(cert)
+        assert premise.startswith(f"stage colours: stage 0 black point {stages[0].blacks[k]} is outside ray 1's ")
 
 
 class TestSymmetryMutants:
@@ -950,8 +971,8 @@ class TestSymmetryMutants:
     @staticmethod
     def assert_not_proved(spec, stages, where):
         cert = symmetric_descent_verify(stages, spec)
-        assert not cert.valid and cert.checks == ()
-        assert cert.premise.startswith(f"rotation symmetry: {where}"), cert.premise
+        assert not valid(cert)
+        assert failed_premise(cert).startswith(f"rotation symmetry: {where}"), cert
         wedges = dissection_wedge_checks(stages, spec)
         assert len(wedges) == spec.n * (len(stages) - 1)
         assert all(v is Verdict.BOUNDARY for _, wedge, v in wedges if wedge > 1)
@@ -971,7 +992,7 @@ class TestSymmetryMutants:
         spec = Uneven(apex=Point(0.0, 0.0), n=12, a=2.996, b=3.004, d=4.0 * params.t, phase=0.0)
         stages = dissection_stages(params, spec, 2)
         self.assert_not_proved(spec, stages, "stage ")
-        assert " ray 5 is " in symmetric_descent_verify(stages, spec).premise
+        assert " ray 5 is " in failed_premise(symmetric_descent_verify(stages, spec))
 
     def test_rotation_about_the_origin(self):
         _, spec, stages = snake_chain(2)
@@ -985,7 +1006,7 @@ class TestSymmetryMutants:
         shuffled = [stages[0], dataclasses.replace(stages[1], blacks=tuple(blacks)), stages[2]]
         self.assert_not_proved(spec, shuffled, "stage 1 ray ")
         # the same point sets, so the stage-by-stage check still proves them
-        assert descent_verify(coloring, shuffled).valid
+        assert valid(descent_verify(coloring, shuffled))
 
     def test_missing_point(self):
         _, spec, stages = pattern_chain(12, 3.0, 1e-3, 2)
