@@ -19,7 +19,7 @@ from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
 from .constructions import PiecewisePath
-from .geometry import Arc, Point, Segment, SinglePoint, piece_distance
+from .geometry import Arc, Point, Segment, SinglePoint, piece_distance, turn_mismatch
 from .obstruction import ProofReport
 
 logger = logging.getLogger("diskdraw")
@@ -88,6 +88,43 @@ def _window_parts(shifted: list[list[float]], lo: float, hi: float) -> list[tupl
                   for j in range(max(bisect_right(edges, lo) - 1, 0), min(bisect_left(edges, hi), len(edges) - 1)))
 
 
+def _orbit(path: PiecewisePath, offsets: list[float]) -> tuple[int, float, float]:
+    """(m, delta, slack) of the turn rolling_disk_check proves by: the largest
+    m >= 2 dividing the piece count P whose turn R by 2*pi/m about the mean
+    of the piece start points maps the path onto itself, piece k onto piece
+    k + P/m, within slack; m = 1 when none does, delta then being the
+    mismatch of the last turn tried.
+
+    R^q, q = 1..m - 1, maps every piece within (m - 1)*d1 of its image
+    (turn_mismatch, d1 for R; R is an isometry, so mismatches add up along
+    its powers).  e is the largest arclength mismatch of R, |offsets[i +
+    P/m] - offsets[i] - offsets[P/m]| (modulo the total), and that of R^q,
+    a sum of q differences of two of them, is at most 2*(m - 1)*e; g is the
+    largest gap at a junction.  delta = (m - 1)*(d1 + 6*e) + g, and slack
+    is 1e-12 times the largest coordinate magnitude of the centre and the
+    pieces.
+    """
+    pieces, count = path.pieces, len(path.pieces)
+    total = offsets[-1]
+    center = Point(math.fsum(p.start_point.x for p in pieces) / count,
+                   math.fsum(p.start_point.y for p in pieces) / count)
+    slack = 1e-12 * max(abs(center.x), abs(center.y), *(p.extent() for p in pieces))
+    delta = math.inf
+    for m in range(count, 1, -1):
+        if count % m:
+            continue
+        step = count // m
+        delta = (m - 1) * turn_mismatch(pieces, center, 2.0 * math.pi / m, step, slack / (m - 1))
+        if delta <= slack:
+            gap = max(p.end_point.distance_to(pieces[(i + 1) % count].start_point) for i, p in enumerate(pieces))
+            images = offsets[step:] + [o + total for o in offsets[1:step]]  # where piece i + P/m starts
+            arc = max(abs(b - a - offsets[step]) for a, b in zip(offsets, images))
+            delta += 6.0 * (m - 1) * arc + gap
+            if delta <= slack:
+                return m, delta, slack
+    return 1, delta, slack
+
+
 def rolling_disk_check(path: PiecewisePath, eps: float = 0.5) -> ProofReport:
     """Prove that the two tangent unit disks roll along the whole path.
 
@@ -103,6 +140,26 @@ def rolling_disk_check(path: PiecewisePath, eps: float = 0.5) -> ProofReport:
     the one disk there.  It becomes a failure when that disk meets the path,
     and is undecided otherwise.  ok holds only when every interval is
     cleared.  Failures are reported, not raised.
+
+    When the path turns onto itself (_orbit: m > 1, within delta), only the
+    representatives, pieces 0..P/m - 1, are decided in full.  Lemma: the
+    distance an interval test computes is 1-Lipschitz in the offset curve
+    and in the pieces of the window, and does not change under a turn.
+    R^q maps the offset curve of an interval of piece k within (m - 1)*d1
+    of that of the same fractions of piece k + qP/m, and the window of the
+    one onto that of the other, its parts within (m - 1)*d1 + 6*E + g, E
+    being R^q's arclength mismatch: both windows cut the same pieces at
+    arclengths at most 6*E apart, and a sliver cut off at a junction lies
+    within g of the neighbouring piece.  So the two distances differ by at
+    most 2*delta (E <= 2*(m - 1)*e), and the slack covers the rounding of
+    both as it does in _rotation_premise.  An interval of an image takes its
+    representative's verdict when that distance cleared or failed CLEARANCE
+    by more than 2*(delta + slack); any other interval of an image is
+    decided again, on the image.  Every leaf is decided at its own midpoint,
+    so its identity and witness are the image's.  The tree, the leaves and
+    their order are those of the full proof.  Only the counters
+    kernel_calls, orbit and min_cleared, which covers the intervals decided
+    here, tell the two apart.
     """
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps!r}")
@@ -133,6 +190,10 @@ def rolling_disk_check(path: PiecewisePath, eps: float = 0.5) -> ProofReport:
                     return worst
         return worst
 
+    orbit, delta, slack = _orbit(path, offsets)
+    margin = 2.0 * (delta + slack)
+    per = len(path.pieces) // orbit  # pieces 0..per - 1 represent their orbits
+    decided: dict = {}  # (piece, side, f0, f1) of a representative interval -> the distance that decided it
     failures: list[Leaf] = []
     undecided: list[Leaf] = []
     visited = deepest = 0
@@ -146,7 +207,12 @@ def rolling_disk_check(path: PiecewisePath, eps: float = 0.5) -> ProofReport:
                 visited += 1
                 deepest = max(deepest, depth)
                 lo, hi = offsets[i] + ln * f0, offsets[i] + ln * f1
-                d = window_distance(_offset(_subpiece(piece, f0, f1), side), lo - eps, hi + eps, CLEARANCE)
+                key = (i % per, side, f0, f1)
+                d = decided.get(key)
+                if d is None or abs(d - CLEARANCE) <= margin:
+                    d = window_distance(_offset(_subpiece(piece, f0, f1), side), lo - eps, hi + eps, CLEARANCE)
+                    if i < per:
+                        decided[key] = d
                 mid = 0.5 * (f0 + f1)
                 if d >= CLEARANCE:
                     min_cleared = min(min_cleared, d)
@@ -159,9 +225,10 @@ def rolling_disk_check(path: PiecewisePath, eps: float = 0.5) -> ProofReport:
                     leaf = Leaf(i, side, lo, hi, s, center, dm)
                     (failures if dm < CLEARANCE else undecided).append(leaf)
 
-    # min_cleared: the smallest distance that cleared an interval
-    counters = {"intervals": visited, "kernel_calls": calls, "depth": deepest, "min_cleared": min_cleared}
+    # min_cleared: the smallest distance that cleared an interval; orbit: m
+    counters = {"intervals": visited, "kernel_calls": calls, "depth": deepest, "min_cleared": min_cleared,
+                "orbit": orbit}
     report = ProofReport(not failures and not undecided, (), tuple(failures), tuple(undecided), counters)
-    logger.debug("rolling disk: %d intervals, %d kernel calls, depth %d, min cleared %r, "
-                 "%d undecided, %d failures", *report.counts().values())
+    logger.debug("rolling disk: delta %r, slack %r, %d intervals, %d kernel calls, depth %d, min cleared %r, "
+                 "orbit %d, %d undecided, %d failures", delta, slack, *report.counts().values())
     return report

@@ -483,6 +483,55 @@ def piece_distance(p: Piece, q: Piece) -> float:
     return min(other.dist(x) for x, other in ends)
 
 
+def turn_mismatch(pieces: Sequence[Primitive], center: Point, angle: float, shift: int, bound: float) -> float:
+    """How far the turn by angle about center is from mapping the pieces
+    onto themselves, piece k onto piece (k + shift) mod len(pieces): the
+    largest mismatch over k, or the first one above bound.
+
+    The mismatch of the turned piece k and its image bounds how far the
+    point at any fraction of the one is from the point at that fraction of
+    the other, and so too those points moved by one unit along the pieces'
+    normals (the unit offset curves of curvature.rolling_disk_check).  Two
+    points: their distance.  Two segments: the larger distance between
+    their ends, plus that between their unit directions.  Two arcs turning
+    the same way: the distances between their centres and between their
+    radii, plus 1 + radius times the differences of their start angles (mod
+    2*pi) and of their sweeps.  Any other pair, a half-plane or the whole
+    plane among them, is inf.  Compared in floats: the caller's slack covers
+    the rounding.
+    """
+    c, s = math.cos(angle), math.sin(angle)
+    cx, cy = center.x, center.y
+
+    def gap(p: Point, q: Point) -> float:
+        dx, dy = p.x - cx, p.y - cy
+        return math.hypot(q.x - cx - c * dx + s * dy, q.y - cy - s * dx - c * dy)
+
+    def direction(seg: Segment) -> tuple[float, float]:
+        dx, dy = seg.b.x - seg.a.x, seg.b.y - seg.a.y
+        length = math.hypot(dx, dy)
+        return dx / length, dy / length
+
+    worst = 0.0
+    for k, p in enumerate(pieces):
+        q = pieces[(k + shift) % len(pieces)]
+        if isinstance(p, SinglePoint) and isinstance(q, SinglePoint):
+            d = gap(p.p, q.p)
+        elif isinstance(p, Segment) and isinstance(q, Segment):
+            (ux, uy), (vx, vy) = direction(p), direction(q)
+            d = max(gap(p.a, q.a), gap(p.b, q.b)) + math.hypot(vx - c * ux + s * uy, vy - s * ux - c * uy)
+        elif isinstance(p, Arc) and isinstance(q, Arc) and p.ccw == q.ccw:
+            turn = (q.start_angle - p.start_angle - angle + math.pi) % TWO_PI - math.pi
+            d = (gap(p.center, q.center) + abs(q.radius - p.radius)
+                 + (1.0 + p.radius) * (abs(turn) + abs(q.sweep - p.sweep)))
+        else:
+            return math.inf
+        worst = max(worst, d)
+        if worst > bound:
+            break
+    return worst
+
+
 # ---------------------------------------------------------------------------
 # Circumcircles and the isosceles-trapezoid radius formula
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .geometry import (
     circumcircle3,
     constrained_largest_empty_circle,  # noqa: F401  (perfbench traces it under this module)
     piece_distance,
+    turn_mismatch,
     unit,
 )
 
@@ -864,6 +865,23 @@ def dissection_check(coloring: Coloring, spec: DissectionSpec, tau: float = DEFA
     leaf there is decided at its centre: a failure when the centre has
     another shade, undecided otherwise.  A part proved uniform in another
     shade is a failure too.  ok needs every rectangle proved.
+
+    When the source turns onto itself (_ray_orbit: the turn R by 2*pi*k/n,
+    within delta), only the representatives, rays 1..k, are decided in
+    full.  Lemma: each rule compares distances from the part's corners or
+    from the filled part to the pieces, which are 1-Lipschitz in both and do
+    not change under a turn.  R^q maps a part of ray j onto the part of the
+    same ranges of ray j + qk, which wants the same shade, and every piece
+    within delta of its image, so each distance moves by at most delta; the
+    parts' corners are a few ulps of the extent off the turned ones, which
+    the slack covers as it does in _rotation_premise.  A part of an
+    image takes its representative's answer, a shade or a split, when the
+    rule's inequalities held by more than 2*(delta + slack); any other part
+    of an image is decided again, on the image.  A leaf that no rule decides
+    is classified at its own centre, and every leaf's identity and witness
+    are the image part's.  The tree, the leaves and their order are those
+    of the full proof.  Only the counters kernel_calls, orbit and
+    min_margin, which covers the parts decided here, tell the two apart.
     """
     check_tolerance(tau)
     if not (spec.b - spec.a > 4.0 * tau and spec.d > 4.0 * tau):
@@ -897,21 +915,26 @@ def dissection_check(coloring: Coloring, spec: DissectionSpec, tau: float = DEFA
         calls += 4
         return reduce(prim.dist(c) for c in part.corners)
 
+    # Each rule returns the part's shade, None when it decides nothing, and
+    # how far its inequalities are from deciding otherwise.
+
     def region_rule(part: _Part) -> tuple[Shade | None, float]:
         margin = clearance(part, pieces, t) - t
-        return (coloring.classify(part.center) if margin > 0.0 else None), margin
+        return (coloring.classify(part.center) if margin > 0.0 else None), abs(margin)
 
     def script_rule(part: _Part) -> tuple[Shade | None, float]:
         margin = math.inf
         for k in range(len(strokes) - 1, -1, -1):
             convex, boxed, planes = strokes[k]
+            uncovered = math.inf
             for prim in convex:
                 far = corner_distance(part, prim, max)
                 if far < 1.0 - t:
                     return (Shade.BLACK if k % 2 == 0 else Shade.WHITE), min(margin, 1.0 - t - far)
+                uncovered = min(uncovered, far - (1.0 - t))
             near = min([clearance(part, boxed, 1.0 + t)] + [corner_distance(part, p, min) for p in planes])
             if not near > 1.0 + t:
-                return None, margin
+                return None, min(margin, uncovered, 1.0 + t - near)
             margin = min(margin, near - (1.0 + t))
         return Shade.WHITE, margin
 
@@ -929,12 +952,16 @@ def dissection_check(coloring: Coloring, spec: DissectionSpec, tau: float = DEFA
         rule = region_rule
         pieces = [(piece, piece.bbox()) for loop in source for piece in loop.pieces]
 
+    step, delta, slack = _ray_orbit(source, spec)
+    lemma = 2.0 * (delta + slack)
+    decided: dict = {}  # (ray, side, s0, s1, h0, h1) of a representative part -> the rule's answer
     proved: list[RectLeaf] = []
     failures: list[RectLeaf] = []
     undecided: list[RectLeaf] = []
     deepest = 0
     min_margin = math.inf
     for j in range(1, spec.n + 1):
+        rep = (j - 1) % step + 1  # rays 1..step represent their orbits
         u = unit(spec.ray_angle(j))
         for side in (1, -1):
             frame = (spec.apex, u, u.rot90().scaled(side))
@@ -944,7 +971,12 @@ def dissection_check(coloring: Coloring, spec: DissectionSpec, tau: float = DEFA
                 s0, s1, h0, h1, depth = stack.pop()
                 deepest = max(deepest, depth)
                 part = _Part(frame, s0, s1, h0, h1)
-                shade, margin = rule(part)
+                key = (rep, side, s0, s1, h0, h1)
+                shade, margin = decided.get(key, (None, 0.0))
+                if not margin > lemma:
+                    shade, margin = rule(part)
+                    if j == rep:
+                        decided[key] = shade, margin
                 if shade is None and depth < SPLIT_DEPTH:
                     sm, hm = 0.5 * (s0 + s1), 0.5 * (h0 + h1)
                     stack += [(a, b, c, d, depth + 1) for a, b in ((s0, sm), (sm, s1)) for c, d in ((h0, hm), (hm, h1))]
@@ -962,11 +994,42 @@ def dissection_check(coloring: Coloring, spec: DissectionSpec, tau: float = DEFA
 
     # min_margin: the smallest amount by which a proof cleared its bound
     counters = {"rectangles": 2 * spec.n, "leaves": len(proved) + len(failures) + len(undecided),
-                "kernel_calls": calls, "depth": deepest, "min_margin": min_margin}
+                "kernel_calls": calls, "depth": deepest, "min_margin": min_margin, "orbit": spec.n // step}
     result = ProofReport(not failures and not undecided, tuple(proved), tuple(failures), tuple(undecided), counters)
-    logger.debug("dissection check: %d rectangles, %d leaves, %d kernel calls, depth %d, min margin %r, "
-                 "%d undecided, %d failures", *result.counts().values())
+    logger.debug("dissection check: delta %r, slack %r, %d rectangles, %d leaves, %d kernel calls, depth %d, "
+                 "min margin %r, orbit %d, %d undecided, %d failures", delta, slack, *result.counts().values())
     return result
+
+
+def _ray_orbit(source, spec: DissectionSpec) -> tuple[int, float, float]:
+    """(k, delta, slack) of the turn dissection_check proves by: the
+    smallest even k < n dividing n whose turn R by 2*pi*k/n about spec.apex
+    maps every loop of the region source, or the primitives of every stroke
+    of the script source, onto itself by a cyclic shift within slack; k = n
+    when none does, delta then being the mismatch of the last turn tried.
+
+    R^q, q = 1..n/k - 1, maps ray j onto ray j + qk with the same black
+    side (k is even) and every piece within delta = (n/k - 1)*d1 of its
+    image (turn_mismatch, d1 for R; R is an isometry, so mismatches add up
+    along its powers).  slack is 1e-12 times the largest coordinate
+    magnitude of the pieces and the rectangles (|apex| + b + d).
+    """
+    groups = ([stroke.centers.primitives for stroke in source.strokes] if isinstance(source, DrawingScript)
+              else [loop.pieces for loop in source])
+    apex = spec.apex
+    slack = 1e-12 * max([max(abs(apex.x), abs(apex.y)) + spec.b + spec.d,
+                         *(p.extent() for group in groups for p in group)])
+    delta = math.inf
+    for k in range(2, spec.n, 2):
+        if spec.n % k:
+            continue
+        m, angle = spec.n // k, 2.0 * math.pi * k / spec.n
+        bound = slack / (m - 1)
+        delta = (m - 1) * max((min(turn_mismatch(group, apex, angle, shift, bound) for shift in range(len(group)))
+                               for group in groups if group), default=0.0)
+        if delta <= slack:
+            return k, delta, slack
+    return spec.n, delta, slack
 
 
 def undrawability_bound(n: int) -> float:

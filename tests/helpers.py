@@ -123,3 +123,18 @@ def benchmark_workloads():
         return importlib.import_module("workloads")
     finally:
         sys.path.remove(bench)
+
+
+# The work counters of a ProofReport: an orbit-reduced proof and the full
+# one may differ in these alone.
+WORK_COUNTERS = ("kernel_calls", "orbit", "min_cleared", "min_margin")
+
+
+def same_proof(report, full) -> bool:
+    """Whether two ProofReports agree leaf for leaf, in order, and in every
+    count but the work counters."""
+    def outcome(r):
+        return (r.ok, r.proved, r.failures, r.undecided,
+                {k: v for k, v in r.counts().items() if k not in WORK_COUNTERS})
+
+    return outcome(report) == outcome(full)

@@ -244,7 +244,8 @@ class TestVerify:
                              (verify_snake(1.001, 1, 1e-9), "rolling-disk check")):
             (check,) = [c for c in checks if c.name == name]
             assert check.ok
-            assert check.value["intervals"] == 56 and check.value["kernel_calls"] == 168
+            assert check.value["intervals"] == 56 and check.value["kernel_calls"] == 84
+            assert check.value["orbit"] == 2
             assert check.value["failures"] == check.value["undecided"] == 0
 
     def test_rolling_needs_the_snake(self, capsys):

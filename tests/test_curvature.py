@@ -17,7 +17,7 @@ from diskdraw.constructions import PiecewisePath
 from diskdraw import curvature
 from diskdraw.curvature import CLEARANCE, MAX_DEPTH
 
-from helpers import DIFF, scaled_loop
+from helpers import DIFF, same_proof, scaled_loop
 from oracles import rolling_disk_sampled, tangent_disk_distance, window_parts_scanned
 
 
@@ -87,10 +87,12 @@ class TestRollingDisk:
 
     def test_snake_is_cleared_without_a_split(self, snake_path):
         # each piece and side is cleared whole: 28 pieces x 2 sides, each
-        # against its own piece and the two next to it
+        # against its own piece and the two next to it, and the half turn
+        # about the hub derives pieces 14..27 from pieces 0..13
         report = rolling_disk_check(snake_path, eps=0.5)
-        assert report.counts() == {"intervals": 56, "kernel_calls": 168, "depth": 0,
-                                   "min_cleared": report.counts()["min_cleared"], "undecided": 0, "failures": 0}
+        assert report.counts() == {"intervals": 56, "kernel_calls": 84, "depth": 0,
+                                   "min_cleared": report.counts()["min_cleared"], "orbit": 2,
+                                   "undecided": 0, "failures": 0}
         assert CLEARANCE <= report.counts()["min_cleared"] <= 1.0 + 1e-12
 
     def test_small_circle_fails_everywhere(self):
@@ -152,7 +154,9 @@ class TestRollingDisk:
         with caplog.at_level(logging.DEBUG, logger="diskdraw"):
             report = rolling_disk_check(snake_path, eps=0.5)
         (record,) = [r for r in caplog.records if r.getMessage().startswith("rolling disk:")]
-        assert record.args == (56, 168, 0, report.counts()["min_cleared"], 0, 0)
+        assert record.args[2:] == (56, 84, 0, report.counts()["min_cleared"], 2, 0, 0)
+        delta, slack = record.args[:2]
+        assert 0.0 < delta < 1e-12 < slack < 1e-11
 
 
 @pytest.mark.parametrize("eps", [0.5, 1.0, 2.0, 4.0])
@@ -228,3 +232,82 @@ class TestAgainstSampler:
         path = PiecewisePath(tuple(p.rotated(Point(1.0, 2.0), angle) for p in pieces))
         report = assert_sound(path, step=0.25)
         assert report.ok == (scale >= 1.0)
+
+
+# ---------------------------------------------------------------------------
+# One representative per orbit against the full proof
+# ---------------------------------------------------------------------------
+
+
+def full_proof(monkeypatch, path, eps):
+    """rolling_disk_check with the orbit finder patched to the trivial orbit."""
+    with monkeypatch.context() as patch:
+        patch.setattr(curvature, "_orbit", lambda path, offsets: (1, math.inf, 0.0))
+        return rolling_disk_check(path, eps)
+
+
+def assert_orbit_matches_the_full_proof(monkeypatch, path, eps, orbit, saves=True):
+    report, full = rolling_disk_check(path, eps), full_proof(monkeypatch, path, eps)
+    assert (report.counts()["orbit"], full.counts()["orbit"]) == (orbit, 1)
+    assert same_proof(report, full)
+    assert (report.counts()["kernel_calls"] < full.counts()["kernel_calls"]) == saves
+    return report
+
+
+def moved(piece, by: Point):
+    """The piece translated by the vector by."""
+    if isinstance(piece, Segment):
+        return Segment(piece.a + by, piece.b + by)
+    return Arc(piece.center + by, piece.radius, piece.start_angle, piece.end_angle, piece.ccw)
+
+
+def regular_polygon_path(m, radius, center, turn, start):
+    corners = [center + Point(radius * math.cos(turn + 2.0 * math.pi * k / m),
+                              radius * math.sin(turn + 2.0 * math.pi * k / m)) for k in range(m)]
+    sides = [Segment(corners[k], corners[(k + 1) % m]) for k in range(m)]
+    return PiecewisePath(tuple(sides[start:] + sides[:start]))
+
+
+class TestOrbit:
+    @pytest.mark.parametrize("eps", [0.5, 1.0, 2.0, 4.0])
+    def test_snake(self, monkeypatch, snake_path, eps):
+        # pieces 0..13 represent the half-turn orbits; eps 4 has 1108 failures
+        report = assert_orbit_matches_the_full_proof(monkeypatch, snake_path, eps, 2)
+        assert len(report.failures) == (1108 if eps == 4.0 else 0)
+
+    @pytest.mark.parametrize("path, orbit", [(circle_path(0.9), 2), (circle_path(1.5, Point(2.0, -1.0)), 2),
+                                             (square_path(10.0), 4)])
+    def test_circles_and_squares(self, monkeypatch, path, orbit):
+        assert_orbit_matches_the_full_proof(monkeypatch, path, 0.5, orbit)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e6])
+    def test_snake_scaled_and_moved(self, monkeypatch, snake_path, scale):
+        # at 1e6 the slack, 1e-12 times the extent, is about 1e-5, more than
+        # the 1e-9 between CLEARANCE and the distance 1 from an offset curve
+        # to its own piece, so every interval of an image is decided again
+        loop = scaled_loop(snake_path, scale, Point(-7.0 * scale, 3.0 * scale))
+        path = PiecewisePath(tuple(p.rotated(Point(scale, 2.0 * scale), 1.2345) for p in loop.pieces))
+        report = assert_orbit_matches_the_full_proof(monkeypatch, path, 0.5 * scale, 2, saves=scale < 1.0)
+        assert bool(report.failures) == (scale < 1.0)
+
+    @settings(DIFF, max_examples=25)
+    @given(m=st.integers(3, 12), radius=st.floats(2.0, 20.0), center=st.tuples(st.floats(-50, 50), st.floats(-50, 50)),
+           turn=st.floats(0.0, 2.0 * math.pi), start=st.integers(0, 11))
+    def test_regular_polygons(self, monkeypatch, m, radius, center, turn, start):
+        path = regular_polygon_path(m, radius, Point(*center), turn, start % m)
+        assert_orbit_matches_the_full_proof(monkeypatch, path, 0.5, m)
+
+    def test_a_nudged_piece_has_no_orbit(self, monkeypatch, snake_path):
+        # 1e-10 is inside the junction slack (1e-9 times the extent), so the
+        # path still closes, and far beyond the symmetry slack (1e-12 times it)
+        pieces = list(snake_path.pieces)
+        pieces[5] = moved(pieces[5], Point(1e-10, 0.0))
+        nudged = PiecewisePath(tuple(pieces))
+        report, full = rolling_disk_check(nudged, 0.5), full_proof(monkeypatch, nudged, 0.5)
+        assert report == full and report.ok
+        assert (report.counts()["orbit"], report.counts()["kernel_calls"]) == (1, 168)
+
+    def test_another_start_piece_keeps_the_orbit(self, monkeypatch, snake_path):
+        pieces = snake_path.pieces
+        path = PiecewisePath(pieces[5:] + pieces[:5])
+        assert_orbit_matches_the_full_proof(monkeypatch, path, 4.0, 2)

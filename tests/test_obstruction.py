@@ -16,6 +16,7 @@ from diskdraw import (
     DrawingScript,
     InvalidN,
     InvalidParameters,
+    OffsetHalfPlane,
     Point,
     RadiiTooLarge,
     Shade,
@@ -43,12 +44,13 @@ from diskdraw import (
 from diskdraw.constructions import (PiecewisePath, build_snake, region_coloring, rounded_chessboard_coloring,
                                     sharp_dissection_spec, sharp_ndissected_script, snake_coloring,
                                     snake_dissection_spec)
-from diskdraw import obstruction
+from diskdraw import cli, obstruction
 from diskdraw.delaunay import Delaunay
-from diskdraw.geometry import DEFAULT_TAU, LargestEmptyCircle, Segment, SinglePoint, unit
+from diskdraw.geometry import DEFAULT_TAU, LargestEmptyCircle, Segment, SinglePoint, rotate_about, unit
 from diskdraw.obstruction import SPLIT_DEPTH, DissectionSpec, _encircles, _rotation_premise
 
-from helpers import DIFF, benchmark_workloads, random_point, random_script, rigid_motion, scaled_loop
+from helpers import (DIFF, benchmark_workloads, random_point, random_primitive, random_script, rigid_motion,
+                     same_proof, scaled_loop)
 from oracles import dissection_pattern_classify, dissection_sampled, pattern_coloring, wedge_checks_enumerated
 from test_render import arc_loops, convex_polygons
 
@@ -1230,6 +1232,112 @@ class TestDissectionCheckAgainstSampler:
     def test_sharp_script_against_the_sampler(self, n):
         result = assert_agrees_with_sampler(script_coloring(sharp_ndissected_script(n)), sharp_dissection_spec(n), n)
         assert result.ok
+
+
+def full_dissection_check(monkeypatch, coloring, spec):
+    """dissection_check with the orbit finder patched to the trivial orbit."""
+    with monkeypatch.context() as patch:
+        patch.setattr(obstruction, "_ray_orbit", lambda source, spec: (spec.n, math.inf, 0.0))
+        return dissection_check(coloring, spec)
+
+
+def assert_orbit_matches_the_full_proof(monkeypatch, coloring, spec, orbit):
+    report, full = dissection_check(coloring, spec), full_dissection_check(monkeypatch, coloring, spec)
+    assert (report.counts()["orbit"], full.counts()["orbit"]) == (orbit, 1)
+    assert same_proof(report, full)
+    assert report.counts()["kernel_calls"] < full.counts()["kernel_calls"]
+    return report
+
+
+def turned(piece, centre, angle):
+    if isinstance(piece, SinglePoint):
+        return SinglePoint(rotate_about(piece.p, centre, angle))
+    return piece.rotated(centre, angle)
+
+
+@st.composite
+def turned_scripts(draw):
+    """(script, spec, m): one to three strokes, each holding m turned copies
+    of one or two random points, segments and arcs about a random centre,
+    and a spec of 2m rays about that centre, which the turn by 2*pi/m maps
+    ray j onto ray j + 2."""
+    m = draw(st.integers(2, 6))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    centre = random_point(rng)
+    strokes = []
+    for k in range(rng.randint(1, 3)):
+        base = []
+        while len(base) < rng.randint(1, 2):
+            prim = random_primitive(rng)
+            if isinstance(prim, (SinglePoint, Segment, Arc)):
+                base.append(prim)
+        prims = tuple(turned(p, centre, 2.0 * math.pi * q / m) for q in range(m) for p in base)
+        strokes.append(Stroke(Tool.PENCIL if k % 2 == 0 else Tool.ERASER, CenterSet(prims)))
+    a = rng.uniform(0.0, 2.0)
+    spec = DissectionSpec(apex=centre, n=2 * m, a=a, b=a + rng.uniform(0.1, 3.0), d=rng.uniform(0.1, 2.0),
+                          phase=rng.uniform(0.0, 2.0 * math.pi), first_orientation=rng.choice(["ccw", "cw"]))
+    return DrawingScript(DiskModel.OPEN, tuple(strokes)), spec, m
+
+
+class TestRayOrbit:
+    """dissection_check decides rays 1..k and derives the others from them."""
+
+    @pytest.mark.parametrize("start", [0, 5])
+    def test_snake(self, monkeypatch, start):
+        # the loop listed from another start piece turns onto itself all the same
+        geom = build_snake(1.001)
+        pieces = geom.boundary.pieces
+        coloring = region_coloring((PiecewisePath(pieces[start:] + pieces[:start]),))
+        assert_orbit_matches_the_full_proof(monkeypatch, coloring, snake_dissection_spec(geom), 2)
+
+    @pytest.mark.parametrize("n", [4, 6, 12, 20])
+    def test_sharp_scripts(self, monkeypatch, n):
+        report = assert_orbit_matches_the_full_proof(
+            monkeypatch, script_coloring(sharp_ndissected_script(n)), sharp_dissection_spec(n), n // 2)
+        assert report.ok
+
+    def test_failures_below_the_bound(self, monkeypatch):
+        # below cot(pi/12) the slid disks leave parts of the rectangles white
+        spec = dataclasses.replace(sharp_dissection_spec(12), a=0.5)
+        report = assert_orbit_matches_the_full_proof(
+            monkeypatch, script_coloring(sharp_ndissected_script(12)), spec, 6)
+        assert len(report.failures) == 324 and len(report.undecided) == 144
+
+    def test_printed_failures_below_the_bound(self, monkeypatch, capsys):
+        spec = dataclasses.replace(sharp_dissection_spec(12), a=0.5)
+        monkeypatch.setattr(cli, "sharp_dissection_spec", lambda n: spec)
+        derived = cli.main(["verify", "sharp", "--n", "12"]), capsys.readouterr()
+        monkeypatch.setattr(obstruction, "_ray_orbit", lambda source, spec: (spec.n, math.inf, 0.0))
+        full = cli.main(["verify", "sharp", "--n", "12"]), capsys.readouterr()
+        assert derived == full
+        code, (out, err) = derived
+        assert (code, err) == (1, "")
+        assert len(out.splitlines()) == 6 and out.splitlines()[1].startswith("  ray ")
+
+    @settings(DIFF, max_examples=25)
+    @given(case=turned_scripts())
+    def test_turned_scripts(self, monkeypatch, case):
+        script, spec, m = case
+        assert_orbit_matches_the_full_proof(monkeypatch, script_coloring(script), spec, m)
+
+    def test_a_nudged_segment_has_no_orbit(self, monkeypatch):
+        # 1e-10 is far beyond the symmetry slack (1e-12 times the extent)
+        # and well inside the proof's margin
+        (stroke,) = sharp_ndissected_script(12).strokes
+        prims = list(stroke.centers.primitives)
+        prims[3] = Segment(prims[3].a + Point(1e-10, 0.0), prims[3].b + Point(1e-10, 0.0))
+        script = DrawingScript(DiskModel.OPEN, (Stroke(Tool.PENCIL, CenterSet(tuple(prims))),))
+        coloring, spec = script_coloring(script), sharp_dissection_spec(12)
+        report, full = dissection_check(coloring, spec), full_dissection_check(monkeypatch, coloring, spec)
+        assert report == full and report.ok
+        assert (report.counts()["orbit"], report.counts()["kernel_calls"]) == (1, 1000)
+
+    def test_a_half_plane_has_no_orbit(self, monkeypatch):
+        (stroke,) = sharp_ndissected_script(12).strokes
+        plane = OffsetHalfPlane(Point(0.0, 1.0), 100.0)
+        script = DrawingScript(DiskModel.OPEN, (Stroke(Tool.PENCIL, CenterSet(stroke.centers.primitives + (plane,))),))
+        report = dissection_check(script_coloring(script), sharp_dissection_spec(12))
+        assert report.ok and report.counts()["orbit"] == 1
 
 
 class TestUndrawabilityBound:
