@@ -5,12 +5,25 @@ center sets, pencil strokes at odd positions and eraser strokes at even ones
 (the alternating normal form).  All comparisons against the critical radius 1
 use a symmetric margin and produce three-valued verdicts; boundary verdicts
 are propagated, never silently rounded.
+
+A stroke covers only points within distance 1 of its centre set, so each
+centre set has a reach box: the box of its primitives' covering boxes
+(geometry.covering_box) widened on every side by r = 1 + 1e-3 + m, with
+m = 1e-7 * max(1, largest coordinate magnitude of that box).  A point
+outside it is farther than 1 + 1e-3 from every primitive, and tau < 1e-3
+(check_tolerance), so one box serves every allowed tau: the stroke is OUT
+there.  m dominates the rounding of the box and of the distances, as
+render._margin argues.  eval_script and stationary_number skip such a
+stroke without computing a distance; both already pass over OUT strokes,
+so no verdict, stationary number or BoundaryPoint changes.  nbhd_contains
+and reference_eval take no shortcut: they evaluate every primitive, and
+stay the oracle of the skip.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -22,6 +35,7 @@ from .geometry import (
     SinglePoint,
     WholePlane,
     check_tolerance,
+    covering_box,
 )
 
 
@@ -68,14 +82,35 @@ class CenterSet:
     """A finite union of primitives serving as the center set of one stroke.
 
     The empty set is allowed: it is infinitely far from every point, so its
-    stroke paints nothing (the padding of DrawingScript.relaxed).
+    stroke paints nothing (the padding of DrawingScript.relaxed), and its
+    reach box is empty.
     """
 
     primitives: tuple[Primitive, ...]
+    # The reach box, derived on the first query (reach_box) so that a set
+    # built and never queried does not pay for it; not part of ==, hash or
+    # repr.  Two threads that both fill it store equal tuples.
+    _box: tuple[float, float, float, float] | None = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def of_points(*pts: Point) -> "CenterSet":
         return CenterSet(tuple(SinglePoint(p) for p in pts))
+
+    def reach_box(self) -> tuple[float, float, float, float]:
+        """(xmin, ymin, xmax, ymax) outside which every point is OUT at
+        every allowed tau (see the module docstring)."""
+        box = self._box
+        if box is None:
+            if self.primitives:
+                boxes = [covering_box(p) for p in self.primitives]
+                xmin, ymin = min(b[0] for b in boxes), min(b[1] for b in boxes)
+                xmax, ymax = max(b[2] for b in boxes), max(b[3] for b in boxes)
+                r = 1.0 + 1e-3 + 1e-7 * max(1.0, -xmin, -ymin, xmax, ymax)
+                box = xmin - r, ymin - r, xmax + r, ymax + r
+            else:
+                box = math.inf, math.inf, -math.inf, -math.inf
+            object.__setattr__(self, "_box", box)
+        return box
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,13 +191,19 @@ def eval_script(x: Point, script: DrawingScript, tau: float = DEFAULT_TAU) -> Sh
 
     The strokes are read from the last one back, and the first one that is
     not OUT decides: IN gives its parity, BOUNDARY gives Shade.BOUNDARY.
-    Strokes below it are never evaluated.
+    Strokes below it are never evaluated, and a stroke whose reach box does
+    not hold x is OUT without computing a distance.
     """
     check_tolerance(tau)
     inner, outer = 1.0 - tau, 1.0 + tau
+    px, py = x.x, x.y
     strokes = script.strokes
     for k in range(len(strokes), 0, -1):
-        v = _containment(x, strokes[k - 1].centers, inner, outer)
+        centers = strokes[k - 1].centers
+        xmin, ymin, xmax, ymax = centers._box or centers.reach_box()
+        if not (xmin <= px <= xmax and ymin <= py <= ymax):
+            continue
+        v = _containment(x, centers, inner, outer)
         if v is Containment.IN:
             return Shade.BLACK if k % 2 == 1 else Shade.WHITE
         if v is Containment.BOUNDARY:
@@ -215,15 +256,23 @@ def stationary_number(x: Point, script: DrawingScript, tau: float = DEFAULT_TAU)
       changes the answer: to b itself when no stroke is IN, to b or below
       when b continues L's run below sn, and to a stroke above sn when b
       interrupts the run above it.
+
+    A stroke whose reach box does not hold x is OUT, and is passed over
+    without computing a distance.
     """
     check_tolerance(tau)
     inner, outer = 1.0 - tau, 1.0 + tau
+    px, py = x.x, x.y
     strokes = script.strokes
     sn = 0
     parity = None  # that of L
     boundary: list[int] = []
     for k in range(len(strokes), 0, -1):
-        v = _containment(x, strokes[k - 1].centers, inner, outer)
+        centers = strokes[k - 1].centers
+        xmin, ymin, xmax, ymax = centers._box or centers.reach_box()
+        if not (xmin <= px <= xmax and ymin <= py <= ymax):
+            continue
+        v = _containment(x, centers, inner, outer)
         if v is Containment.IN:
             if parity is None:
                 parity = k % 2

@@ -88,6 +88,11 @@ def _window_parts(shifted: list[list[float]], lo: float, hi: float) -> list[tupl
                   for j in range(max(bisect_right(edges, lo) - 1, 0), min(bisect_left(edges, hi), len(edges) - 1)))
 
 
+def _box_distance(box: tuple[float, float, float, float], p: Point) -> float:
+    """Distance from p to the box (xmin, ymin, xmax, ymax)."""
+    return math.hypot(max(box[0] - p.x, p.x - box[2], 0.0), max(box[1] - p.y, p.y - box[3], 0.0))
+
+
 def _orbit(path: PiecewisePath, offsets: list[float]) -> tuple[int, float, float]:
     """(m, delta, slack) of the turn rolling_disk_check proves by: the largest
     m >= 2 dividing the piece count P whose turn R by 2*pi/m about the mean
@@ -167,13 +172,12 @@ def rolling_disk_check(path: PiecewisePath, eps: float = 0.5) -> ProofReport:
     total = offsets[-1]
     shifts = (-total, 0.0, total)
     shifted = [[o + shift for o in offsets] for shift in shifts]
+    boxes = [piece.bbox() for piece in path.pieces]
+    rounding = 1e-12 * (1.0 + max(piece.extent() for piece in path.pieces))
     calls = 0
 
-    def window_distance(curve, lo: float, hi: float, stop: float = -math.inf) -> float:
-        """Distance from curve to the path between arclengths lo and hi, or
-        the first distance below stop."""
-        nonlocal calls
-        worst = math.inf
+    def window(lo: float, hi: float):
+        """(piece j, f0, f1) of each part of the path between arclengths lo and hi."""
         if hi - lo >= total:  # the whole path, once
             lo, hi = 0.0, total
         for j, k in _window_parts(shifted, lo, hi):
@@ -182,12 +186,34 @@ def rolling_disk_check(path: PiecewisePath, eps: float = 0.5) -> ProofReport:
             b = min(hi, offsets[j + 1] + shift)
             if a < b:
                 ln = offsets[j + 1] - offsets[j]
-                f0 = max(0.0, (a - offsets[j] - shift) / ln)
-                f1 = min(1.0, (b - offsets[j] - shift) / ln)
-                calls += 1
-                worst = min(worst, piece_distance(curve, _subpiece(path.pieces[j], f0, f1)))
-                if worst < stop:
-                    return worst
+                yield j, max(0.0, (a - offsets[j] - shift) / ln), min(1.0, (b - offsets[j] - shift) / ln)
+
+    def window_distance(curve, lo: float, hi: float, stop: float) -> float:
+        """Distance from curve to the path between arclengths lo and hi, or
+        the first distance below stop."""
+        nonlocal calls
+        worst = math.inf
+        for j, f0, f1 in window(lo, hi):
+            calls += 1
+            worst = min(worst, piece_distance(curve, _subpiece(path.pieces[j], f0, f1)))
+            if worst < stop:
+                return worst
+        return worst
+
+    def witness_distance(center: Point, lo: float, hi: float) -> float:
+        """Distance from center to the path between arclengths lo and hi,
+        the parts taken nearest piece box first.  A part lies in its piece's
+        box up to rounding (far below the rounding margin), so once a box is
+        farther than the least distance so far by more than the margin, no
+        part left can lower it: the minimum is that of the full scan, bit
+        for bit."""
+        nonlocal calls
+        worst = math.inf
+        for gap, j, f0, f1 in sorted((_box_distance(boxes[j], center), j, f0, f1) for j, f0, f1 in window(lo, hi)):
+            if gap > worst + rounding:
+                break
+            calls += 1
+            worst = min(worst, _subpiece(path.pieces[j], f0, f1).dist(center))
         return worst
 
     orbit, delta, slack = _orbit(path, offsets)
@@ -221,7 +247,7 @@ def rolling_disk_check(path: PiecewisePath, eps: float = 0.5) -> ProofReport:
                 else:
                     s = offsets[i] + ln * mid
                     center = piece.point_at(mid) + piece.tangent_at(mid).rot90().scaled(side)
-                    dm = window_distance(SinglePoint(center), s - eps, s + eps)
+                    dm = witness_distance(center, s - eps, s + eps)
                     leaf = Leaf(i, side, lo, hi, s, center, dm)
                     (failures if dm < CLEARANCE else undecided).append(leaf)
 

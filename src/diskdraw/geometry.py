@@ -317,6 +317,19 @@ class WholePlane:
 Primitive = Union[SinglePoint, Segment, Arc, OffsetHalfPlane, WholePlane]
 
 
+def covering_box(prim: Primitive) -> tuple[float, float, float, float]:
+    """(xmin, ymin, xmax, ymax) of a box holding the primitive, from which
+    its neighbourhoods are measured: a point's or segment's bbox(), an arc's
+    whole circle (about which the closed forms of render work), unbounded
+    for a half-plane or the whole plane."""
+    if isinstance(prim, Arc):
+        c, r = prim.center, prim.radius
+        return c.x - r, c.y - r, c.x + r, c.y + r
+    if isinstance(prim, (SinglePoint, Segment)):
+        return prim.bbox()
+    return -math.inf, -math.inf, math.inf, math.inf
+
+
 def dist_to_segment(x: Point, a: Point, b: Point) -> float:
     vx, vy = b.x - a.x, b.y - a.y
     wx, wy = x.x - a.x, x.y - a.y

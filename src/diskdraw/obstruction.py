@@ -31,6 +31,7 @@ from .geometry import (
     circumcircle3,
     constrained_largest_empty_circle,  # noqa: F401  (perfbench traces it under this module)
     piece_distance,
+    rotate_about,
     turn_mismatch,
     unit,
 )
@@ -1006,13 +1007,15 @@ def _ray_orbit(source, spec: DissectionSpec) -> tuple[int, float, float]:
     smallest even k < n dividing n whose turn R by 2*pi*k/n about spec.apex
     maps every loop of the region source, or the primitives of every stroke
     of the script source, onto itself by a cyclic shift within slack; k = n
-    when none does, delta then being the mismatch of the last turn tried.
+    when none does, delta then being above slack.
 
     R^q, q = 1..n/k - 1, maps ray j onto ray j + qk with the same black
     side (k is even) and every piece within delta = (n/k - 1)*d1 of its
     image (turn_mismatch, d1 for R; R is an isometry, so mismatches add up
     along its powers).  slack is 1e-12 times the largest coordinate
-    magnitude of the pieces and the rectangles (|apex| + b + d).
+    magnitude of the pieces and the rectangles (|apex| + b + d).  Each
+    group's shift is the one of least mismatch, found by _least_mismatch
+    among the few whose piece starts where piece 0's turned start lands.
     """
     groups = ([stroke.centers.primitives for stroke in source.strokes] if isinstance(source, DrawingScript)
               else [loop.pieces for loop in source])
@@ -1025,11 +1028,46 @@ def _ray_orbit(source, spec: DissectionSpec) -> tuple[int, float, float]:
             continue
         m, angle = spec.n // k, 2.0 * math.pi * k / spec.n
         bound = slack / (m - 1)
-        delta = (m - 1) * max((min(turn_mismatch(group, apex, angle, shift, bound) for shift in range(len(group)))
-                               for group in groups if group), default=0.0)
+        delta = (m - 1) * max((_least_mismatch(group, apex, angle, bound, slack) for group in groups if group),
+                              default=0.0)
         if delta <= slack:
             return k, delta, slack
     return spec.n, delta, slack
+
+
+def _start(prim) -> Point | None:
+    """Where a point, segment or arc starts; None for a half-plane or the whole plane."""
+    if isinstance(prim, SinglePoint):
+        return prim.p
+    return prim.start_point if isinstance(prim, (Segment, Arc)) else None
+
+
+def _least_mismatch(group, center: Point, angle: float, bound: float, margin: float) -> float:
+    """The least turn_mismatch(group, center, angle, shift, bound) over the
+    shifts when it is at most bound; otherwise some value above bound.
+
+    Whatever turn_mismatch returns for a shift is at least the distance from
+    piece 0's turned start to the start of that shift's piece: it compares
+    piece 0 first, and each kind's mismatch bounds the distance between the
+    points at fraction 0 (for arcs, |r0*u - r1*v| <= |r0 - r1| + r0*|u - v|).
+    So the shifts are tried nearest start first, and the search stops at a
+    start farther than bound, or than the least mismatch so far, by more
+    than margin, which covers the rounding of both: a shift within bound is
+    never passed over.  A group that turns onto itself takes one call.  A
+    shift onto a half-plane or the whole plane, or any shift when piece 0 is
+    one, mismatches by inf.
+    """
+    first = _start(group[0])
+    if first is None:
+        return math.inf
+    target = rotate_about(first, center, angle)
+    best = math.inf
+    for gap, shift in sorted((target.distance_to(q), shift) for shift, q in enumerate(map(_start, group))
+                             if q is not None):
+        if gap > min(best, bound) + margin:
+            break
+        best = min(best, turn_mismatch(group, center, angle, shift, bound))
+    return best
 
 
 def undrawability_bound(n: int) -> float:

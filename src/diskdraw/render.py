@@ -34,7 +34,7 @@ from .canvas import (
     Shade,
     eval_script,  # noqa: F401  (perfbench traces it under this module)
 )
-from .geometry import Arc, OffsetHalfPlane, Point, Segment, SinglePoint, WholePlane
+from .geometry import Arc, OffsetHalfPlane, Point, Segment, SinglePoint, WholePlane, covering_box
 from .obstruction import Coloring, script_coloring
 
 
@@ -269,16 +269,12 @@ def _convex_span(prim, y: float, rho: float):
 def _active(grid: _Grid, entries) -> list:
     """The active table: per row, in entry order, the payloads of the
     entries (item, reach, payload) whose y-range widened by reach holds the
-    row's center.  An arc's y-range is its whole circle, about which its
-    closed forms work; a half-plane's or the whole plane's is unbounded."""
+    row's center.  The y-range is that of the item's covering_box: an arc's
+    whole circle, about which its closed forms work, and unbounded for a
+    half-plane or the whole plane."""
     table = [[] for _ in range(grid.h)]
     for item, reach, payload in entries:
-        if isinstance(item, Arc):
-            lo, hi = item.center.y - item.radius, item.center.y + item.radius
-        elif isinstance(item, (SinglePoint, Segment)):
-            _, lo, _, hi = item.bbox()
-        else:
-            lo, hi = -math.inf, math.inf
+        _, lo, _, hi = covering_box(item)
         for i in range(grid.row(hi + reach), grid.row(lo - reach)):
             table[i].append(payload)
     return table

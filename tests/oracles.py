@@ -100,7 +100,7 @@ from diskdraw import (
     nbhd_contains,
 )
 from diskdraw.constructions import PiecewisePath
-from diskdraw.geometry import _line_circle_params, dist_to_segment, unit
+from diskdraw.geometry import _line_circle_params, dist_to_segment, turn_mismatch, unit
 from diskdraw.obstruction import Coloring, DissectionSpec, StageFamily
 
 
@@ -553,6 +553,27 @@ def wedge_checks_enumerated(stages: Sequence[StageFamily], spec: DissectionSpec,
                     inner.extend(nxt.whites[2 * ray : 2 * ray + 2])
             out.append((fam.stage_index, j + 1, encircles(outer, inner, tau)))
     return out
+
+
+def ray_orbit_every_shift(source, spec: DissectionSpec) -> tuple[int, float, float]:
+    """obstruction._ray_orbit as it was before its shift lookup: each group's
+    least mismatch is taken over every cyclic shift."""
+    groups = ([stroke.centers.primitives for stroke in source.strokes] if isinstance(source, DrawingScript)
+              else [loop.pieces for loop in source])
+    apex = spec.apex
+    slack = 1e-12 * max([max(abs(apex.x), abs(apex.y)) + spec.b + spec.d,
+                         *(p.extent() for group in groups for p in group)])
+    delta = math.inf
+    for k in range(2, spec.n, 2):
+        if spec.n % k:
+            continue
+        m, angle = spec.n // k, 2.0 * math.pi * k / spec.n
+        bound = slack / (m - 1)
+        delta = (m - 1) * max((min(turn_mismatch(group, apex, angle, shift, bound) for shift in range(len(group)))
+                               for group in groups if group), default=0.0)
+        if delta <= slack:
+            return k, delta, slack
+    return spec.n, delta, slack
 
 
 def dissection_pattern_classify(spec: DissectionSpec, tau: float = DEFAULT_TAU):

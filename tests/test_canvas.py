@@ -33,6 +33,7 @@ from diskdraw import (
     stationary_number,
 )
 
+from diskdraw import canvas
 from helpers import DIFF, benchmark_workloads, random_point, random_script
 from oracles import eval_script_forward, stationary_number_enumerated
 
@@ -228,13 +229,25 @@ class TestStationaryNumber:
 QUARTERS = st.integers(-12, 12).map(lambda k: k / 4.0)
 OFFSETS = st.sampled_from([0.0, 2.5, -1e3, 1e6, -1e6])
 AXES = [Point(1, 0), Point(0, 1), Point(-1, 0), Point(0, -1)]
+# the default tolerance and the largest below check_tolerance's bound 1e-3
+TAUS = [DEFAULT_TAU, 9.99e-4]
+
+
+def extreme_point(prim, u):
+    """The point of a point's, segment's or arc's covering box farthest along
+    the axis direction u that lies nearest the primitive: a point, a segment
+    end, or the point of the arc's circle in direction u."""
+    if isinstance(prim, Arc):
+        return prim.center + u.scaled(prim.radius)
+    return max([prim.p] if isinstance(prim, SinglePoint) else [prim.a, prim.b], key=u.dot)
 
 
 @st.composite
-def point_queries(draw):
+def point_queries(draw, where=None):
     """A script of 1 to 16 strokes over a pool of all five primitive kinds,
     with empty and repeated strokes, and a query point that is often on one
-    primitive's unit circle."""
+    primitive's unit circle or on the edge of a stroke's reach box (where
+    picks one of "circle", "free" and "edge")."""
     ox, oy = draw(OFFSETS), draw(OFFSETS)
 
     def pt():
@@ -251,8 +264,11 @@ def point_queries(draw):
             return Segment(a, b) if a != b else SinglePoint(a)
         if kind == "arc":
             a0 = draw(st.integers(0, 7)) * math.pi / 4.0
-            sweep = draw(st.one_of(st.just(0.0), st.floats(0.2, 6.0)))
-            radius = draw(st.sampled_from([0.25, 0.5, 1.0, 1.75]))
+            if draw(st.booleans()):
+                sweep = draw(st.one_of(st.just(0.0), st.floats(0.2, 6.0)))
+                radius = draw(st.sampled_from([0.25, 0.5, 1.0, 1.75]))
+            else:  # a short arc of a big circle: its circle's box is far larger than the arc
+                sweep, radius = draw(st.floats(1e-3, 0.05)), draw(st.sampled_from([6.0, 40.0]))
             return Arc(pt(), radius, a0, a0 + sweep, draw(st.booleans()))
         if kind == "halfplane":
             n = draw(st.sampled_from(AXES))
@@ -272,6 +288,24 @@ def point_queries(draw):
             return Point(ox, oy) + n.scaled(base) + n.rot90().scaled(draw(QUARTERS))
         return pt()
 
+    def on_box_edge(centers):
+        # a point on one side of the stroke's reach box, or a few ulps to
+        # either side of it along the axis normal to that side; often level
+        # with the primitive point that makes that side, so 1 + 1e-3 + m
+        # from it
+        box = centers.reach_box()
+        if not all(map(math.isfinite, box)):
+            return pt()
+        side, u = draw(st.sampled_from(list(enumerate(AXES))))  # xmax, ymax, xmin, ymin
+        edge = box[(side + 2) % 4]
+        for _ in range(draw(st.integers(0, 3))):
+            edge = math.nextafter(edge, draw(st.sampled_from([-math.inf, math.inf])))
+        if draw(st.booleans()):
+            level = max((extreme_point(p, u) for p in centers.primitives), key=u.dot)
+        else:
+            level = Point(*(lo + draw(st.floats(0.0, 1.0)) * (hi - lo) for lo, hi in zip(box[:2], box[2:])))
+        return Point(edge, level.y) if side % 2 == 0 else Point(level.x, edge)
+
     pool = [primitive() for _ in range(draw(st.integers(1, 5)))]
     strokes: list[Stroke] = []
     for k in range(1, draw(st.integers(1, 16)) + 1):
@@ -284,9 +318,12 @@ def point_queries(draw):
             centers = CenterSet(tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))))
         strokes.append(Stroke(Tool.PENCIL if k % 2 == 1 else Tool.ERASER, centers))
     target = draw(st.sampled_from(pool))
-    where = draw(st.sampled_from(["circle", "circle", "circle", "free"]))
+    where = where or draw(st.sampled_from(["circle", "circle", "circle", "free", "edge"]))
+    filled = [stroke.centers for stroke in strokes if stroke.centers.primitives]
     if where == "circle":
         x = on_unit_circle(target)
+    elif where == "edge" and filled:
+        x = on_box_edge(draw(st.sampled_from(filled)))
     else:
         x = pt() + Point(draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5)))
     return DrawingScript(draw(st.sampled_from(DiskModel)), tuple(strokes)), x
@@ -304,16 +341,16 @@ class TestBackwardScanDifferential:
     they replaced (tests/oracles.py)."""
 
     @DIFF
-    @given(point_queries())
-    def test_matches_forward_oracles(self, case):
+    @given(point_queries(), st.sampled_from(TAUS))
+    def test_matches_forward_oracles(self, case, tau):
         s, x = case
-        assert eval_script(x, s) is eval_script_forward(x, s)
-        got = stationary_outcome(stationary_number, x, s)
-        want = stationary_outcome(stationary_number_enumerated, x, s)
+        assert eval_script(x, s, tau) is eval_script_forward(x, s, tau)
+        got = stationary_outcome(stationary_number, x, s, tau=tau)
+        want = stationary_outcome(stationary_number_enumerated, x, s, tau=tau)
         if want is BoundaryPoint and got is not BoundaryPoint:
             # only the whole-script cap on boundary strokes may separate them;
             # without the cap the oracle must give the same number
-            assert stationary_number_enumerated(x, s, max_boundary=None) == got
+            assert stationary_number_enumerated(x, s, tau, max_boundary=None) == got
         else:
             assert got == want
 
@@ -341,6 +378,77 @@ class TestBackwardScanDifferential:
                 assert eval_script(x, s) is eval_script_forward(x, s)
                 assert stationary_outcome(stationary_number, x, s) == stationary_outcome(
                     stationary_number_enumerated, x, s)
+
+
+def skipped(x, centers):
+    """Whether the backward scans pass over the stroke at x on its reach box."""
+    xmin, ymin, xmax, ymax = centers.reach_box()
+    return not (xmin <= x.x <= xmax and ymin <= x.y <= ymax)
+
+
+class TestReachBox:
+    """The reach box against nbhd_contains, which evaluates every primitive."""
+
+    @settings(DIFF, max_examples=200)
+    @given(point_queries(where="edge"))
+    def test_a_skipped_stroke_is_out(self, case):
+        s, x = case
+        for stroke in s.strokes:
+            if skipped(x, stroke.centers):
+                for tau in TAUS:
+                    assert nbhd_contains(x, stroke.centers, tau) is Containment.OUT
+
+    def test_edge_queries_are_generated(self):
+        # the first 300 cases put queries just inside and just outside the
+        # box of a stroke that has primitives, at offsets up to 1e6
+        inside = outside = 0
+        scales = set()
+
+        @settings(max_examples=300, derandomize=True, deadline=None)
+        @given(point_queries())
+        def collect(case):
+            nonlocal inside, outside
+            s, x = case
+            for stroke in s.strokes:
+                box = stroke.centers.reach_box()
+                gap = min(abs(x.x - box[0]), abs(x.x - box[2]), abs(x.y - box[1]), abs(x.y - box[3]))
+                if stroke.centers.primitives and gap <= 4.0 * math.ulp(max(map(abs, box))):
+                    outside += skipped(x, stroke.centers)
+                    inside += not skipped(x, stroke.centers)
+                    scales.add(max(abs(x.x), abs(x.y)) > 1e5)
+
+        collect()
+        assert inside and outside and scales == {False, True}
+
+    def test_boxes(self):
+        r = 1.0 + 1e-3 + 1e-7 * 3.0
+        assert CenterSet.of_points(Point(0, 0), Point(3, -1)).reach_box() == (-r, -1.0 - r, 3.0 + r, r)
+        # an arc's box is its whole circle's, however short the arc
+        r = 1.0 + 1e-3 + 1e-7 * 12.0
+        assert CenterSet((Arc(Point(10, 0), 2.0, 0.0, 0.01),)).reach_box() == (8.0 - r, -2.0 - r, 12.0 + r, 2.0 + r)
+        r = 1.0 + 1e-3 + 1e-7
+        assert CenterSet((Segment(Point(0.5, 0), Point(0, 0.25)),)).reach_box() == (-r, -r, 0.5 + r, 0.25 + r)
+        unbounded = (-math.inf, -math.inf, math.inf, math.inf)
+        assert CenterSet((SinglePoint(Point(0, 0)), OffsetHalfPlane(Point(0, 1), 0.0))).reach_box() == unbounded
+        assert CenterSet((WholePlane(),)).reach_box() == unbounded
+        assert CenterSet(()).reach_box() == (math.inf, math.inf, -math.inf, -math.inf)
+
+    def test_the_box_is_not_compared_hashed_or_printed(self):
+        queried, fresh = CenterSet.of_points(Point(0, 0)), CenterSet.of_points(Point(0, 0))
+        eval_script(Point(5, 5), script(Stroke(Tool.PENCIL, queried)))
+        assert queried._box is not None and fresh._box is None
+        assert queried == fresh and hash(queried) == hash(fresh) and repr(queried) == repr(fresh)
+
+    def test_an_emptied_box_skips_the_stroke(self):
+        # the scans read the stored box; nbhd_contains and reference_eval
+        # evaluate every primitive and still see the eraser
+        s = script(pencil(Point(0, 0)), eraser(Point(0.2, 0)))
+        x = Point(0.1, 0)
+        assert eval_script(x, s) is Shade.WHITE and stationary_number(x, s) == 2
+        object.__setattr__(s.strokes[1].centers, "_box", (math.inf, math.inf, -math.inf, -math.inf))
+        assert eval_script(x, s) is Shade.BLACK and stationary_number(x, s) == 1
+        assert nbhd_contains(x, s.strokes[1].centers) is Containment.IN
+        assert reference_eval(x, s) is Shade.WHITE
 
 
 class TestBackwardRule:
@@ -393,6 +501,31 @@ class TestBenchmarkQueries:
                     stationary_number_enumerated, x, s, max_boundary=None), (scene.text, x)
                 count += 1
         assert count == 8000
+
+    def test_distance_work(self, scenes, monkeypatch):
+        # stroke evaluations (_containment calls) of the two backward scans;
+        # before the reach box skipped strokes they were 30173 and 55130
+        calls = 0
+        containment = canvas._containment
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return containment(*args)
+
+        monkeypatch.setattr(canvas, "_containment", counted)
+        evals = stationary = 0
+        for scene in scenes:
+            s = parse_script(scene.text)
+            for qx, qy in scene.queries:
+                x = Point(qx, qy)
+                calls = 0
+                eval_script(x, s)
+                evals += calls
+                calls = 0
+                stationary_outcome(stationary_number, x, s)
+                stationary += calls
+        assert (evals, stationary) == (10237, 17813)
 
 
 class TestRelaxedNormalization:

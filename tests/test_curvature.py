@@ -171,6 +171,28 @@ def test_window_bisection_matches_the_scan(monkeypatch, snake_path, eps):
     assert (eps < 4.0) == (not bisected.failures)
 
 
+def witnesses_scanned(monkeypatch, path, eps):
+    """rolling_disk_check with every piece box at distance 0 from every
+    point, so that each witness scan computes the distance to every part."""
+    with monkeypatch.context() as patch:
+        patch.setattr(curvature, "_box_distance", lambda box, p: 0.0)
+        return rolling_disk_check(path, eps)
+
+
+@pytest.mark.parametrize("path, eps", [("snake", 4.0), (square_path(10.0), math.inf), (circle_path(0.5), math.inf),
+                                       (rounded_rectangle(3.0, 2.0, 0.6), math.inf),
+                                       (rounded_rectangle(3.0, 2.0, 0.6), 0.5)])
+def test_witness_scan_matches_the_full_scan(monkeypatch, snake_path, path, eps):
+    # the witness scan skips the parts whose piece box is too far to lower
+    # the distance: every leaf, its witness and its distance are the full
+    # scan's, bit for bit, and only the kernel count falls
+    path = snake_path if path == "snake" else path
+    report, full = rolling_disk_check(path, eps), witnesses_scanned(monkeypatch, path, eps)
+    assert same_proof(report, full)
+    assert report.failures and report.failures == full.failures
+    assert report.counts()["kernel_calls"] < full.counts()["kernel_calls"]
+
+
 # ---------------------------------------------------------------------------
 # The branch and bound against the sampling oracle
 # ---------------------------------------------------------------------------

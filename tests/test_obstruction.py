@@ -51,7 +51,8 @@ from diskdraw.obstruction import SPLIT_DEPTH, DissectionSpec, _encircles, _rotat
 
 from helpers import (DIFF, benchmark_workloads, random_point, random_primitive, random_script, rigid_motion,
                      same_proof, scaled_loop)
-from oracles import dissection_pattern_classify, dissection_sampled, pattern_coloring, wedge_checks_enumerated
+from oracles import (dissection_pattern_classify, dissection_sampled, pattern_coloring, ray_orbit_every_shift,
+                     wedge_checks_enumerated)
 from test_render import arc_loops, convex_polygons
 
 
@@ -1338,6 +1339,79 @@ class TestRayOrbit:
         script = DrawingScript(DiskModel.OPEN, (Stroke(Tool.PENCIL, CenterSet(stroke.centers.primitives + (plane,))),))
         report = dissection_check(script_coloring(script), sharp_dissection_spec(12))
         assert report.ok and report.counts()["orbit"] == 1
+
+
+class TestShiftLookup:
+    """_ray_orbit tries the shifts nearest start first, against the search
+    over every shift that it replaced (tests/oracles.py)."""
+
+    @staticmethod
+    def assert_matches(source, spec):
+        # the same (k, delta, slack) where an orbit is found; without one,
+        # both deltas are above the slack
+        got, want = obstruction._ray_orbit(source, spec), ray_orbit_every_shift(source, spec)
+        if want[0] < spec.n:
+            assert got == want
+        else:
+            assert got[0] == spec.n and got[2] == want[2] and got[1] > got[2]
+        return got
+
+    @pytest.mark.parametrize("start", [0, 5, 17])
+    def test_snake(self, monkeypatch, start):
+        geom = build_snake(1.001)
+        pieces = geom.boundary.pieces
+        loops = (PiecewisePath(pieces[start:] + pieces[:start]),)
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return turn_mismatch(*args)
+
+        turn_mismatch = obstruction.turn_mismatch
+        monkeypatch.setattr(obstruction, "turn_mismatch", counted)
+        assert self.assert_matches(loops, snake_dissection_spec(geom))[0] == 6
+        # k = 2, 4 and 6 take at most one call each, none when no piece
+        # starts within the bound of piece 0's turned start; the search over
+        # every shift took 28 for each
+        assert calls == {0: 3, 5: 1, 17: 3}[start]
+
+    @pytest.mark.parametrize("n", [4, 6, 12, 20])
+    def test_sharp_scripts(self, n):
+        assert self.assert_matches(sharp_ndissected_script(n), sharp_dissection_spec(n))[0] == 2
+
+    def test_no_orbit(self):
+        (stroke,) = sharp_ndissected_script(12).strokes
+        prims = list(stroke.centers.primitives)
+        prims[3] = Segment(prims[3].a + Point(1e-10, 0.0), prims[3].b + Point(1e-10, 0.0))
+        for extra in ((), (OffsetHalfPlane(Point(0.0, 1.0), 100.0),)):
+            script = DrawingScript(DiskModel.OPEN, (Stroke(Tool.PENCIL, CenterSet(tuple(prims) + extra)),))
+            assert self.assert_matches(script, sharp_dissection_spec(12))[0] == 12
+
+    def test_two_pieces_start_where_piece_0_lands(self):
+        # the half turn takes S0 onto S1 (shift 2) and T onto U; T, at shift
+        # 1, starts where S1 does, so the nearest start alone is a tie that
+        # the lower, wrong shift wins
+        p, q, r = Point(1.0, 0.5), Point(2.0, 1.5), Point(-0.5, 2.0)
+        p_, q_, r_ = (v.scaled(-1.0) for v in (p, q, r))
+        prims = (Segment(p, q), Segment(p_, r), Segment(p_, q_), Segment(p, r_))
+        script = DrawingScript(DiskModel.OPEN, (Stroke(Tool.PENCIL, CenterSet(prims)),))
+        spec = DissectionSpec(apex=Point(0.0, 0.0), n=4, a=0.5, b=3.0, d=1.0, phase=0.3)
+        assert self.assert_matches(script, spec)[0] == 2
+
+    @settings(DIFF, max_examples=50)
+    @given(case=turned_scripts(), shuffle=st.randoms(use_true_random=False))
+    def test_turned_scripts(self, case, shuffle):
+        # also with the primitives of each stroke listed in another order,
+        # which no cyclic shift maps onto itself in general
+        script, spec, m = case
+        assert self.assert_matches(script, spec)[0] == 2
+        strokes = []
+        for stroke in script.strokes:
+            prims = list(stroke.centers.primitives)
+            shuffle.shuffle(prims)
+            strokes.append(Stroke(stroke.tool, CenterSet(tuple(prims))))
+        self.assert_matches(DrawingScript(script.model, tuple(strokes)), spec)
 
 
 class TestUndrawabilityBound:
