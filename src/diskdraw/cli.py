@@ -30,6 +30,7 @@ from .obstruction import (
     DissectionSpec,
     StageParams,
     Verdict,
+    _rotation_premise,
     chessboard_stages,
     default_dissection_L,
     descent_verify,  # noqa: F401  (perfbench traces the descent under this name)
@@ -238,7 +239,8 @@ def verify_dissection(n: int, L: float, s: float, depth: int, tau: float):
     """The ideal n-dissection pattern: critical radii, the descent over its
     stages and the per-wedge case split, each from ray 1 or wedge 1 of every
     stage pair (symmetric_descent_verify, dissection_wedge_checks), the
-    stage colours from the pattern's rectangles.
+    stage colours from the pattern's rectangles.  Both checks read one
+    rotation premise (_rotation_premise), measured once.
 
     `all radii < 1` is the premise dissection_stages needs.  It does not
     prove the descent at a finite s (n = 12, L = 3.5887177858128325,
@@ -255,9 +257,10 @@ def verify_dissection(n: int, L: float, s: float, depth: int, tau: float):
     spec = _checked(DissectionSpec, apex=Point(0.0, 0.0), n=n, a=L - 4.0 * s, b=L + 4.0 * s,
                     d=4.0 * params.t, phase=0.0, first_orientation="ccw")
     stages = _checked(dissection_stages, params, spec, depth, tau)
-    cert = symmetric_descent_verify(stages, spec, tau)
+    rotation = _rotation_premise(stages, spec)  # the premise of both checks, measured once
+    cert = symmetric_descent_verify(stages, spec, tau, rotation=rotation)
     yield from cert
-    wedges = dissection_wedge_checks(stages, spec, tau)
+    wedges = dissection_wedge_checks(stages, spec, tau, rotation=rotation)
     good = sum(1 for w in wedges if w[2] is Verdict.YES)
     yield _check("wedge case split", good == len(wedges), f"wedge case split: {good}/{len(wedges)} ok", good)
     ok = all(c.ok for c in cert) and good == len(wedges)

@@ -98,10 +98,22 @@ class PiecewisePath:
     def validate_simple(self) -> None:
         """Raise ConstructionInconsistent when non-adjacent pieces intersect
         or adjacent pieces meet anywhere besides their shared endpoint
-        (within 1e-7; a junction may be off by ten times that)."""
+        (within 1e-7; a junction may be off by ten times that).
+
+        A pair whose piece boxes are more than 10 * tol apart on some axis is
+        skipped, for it has no hit: a hit of piece_intersections is a point
+        of one piece (its parameter clamped by at most tol of length) within
+        a few tol of the other, which allows a parameter overshoot of tol or
+        an angular slack of tol / R, tol of arc length.  Parallel segments of
+        lengths L >= l allow tol + 1e-14 L^2 / l, a few tol while l >= 1e-7
+        L^2.  Rounding adds ulps of the coordinates.  The pairs keep the
+        order of the full loop, so the first error is the same."""
         tol = 1e-7
+        far = 10.0 * tol
         n = len(self.pieces)
-        for i, j in combinations(range(n), 2):
+        for (i, (_, ax0, ay0, ax1, ay1)), (j, (_, bx0, by0, bx1, by1)) in combinations(enumerate(self._boxes), 2):
+            if bx0 - ax1 > far or ax0 - bx1 > far or by0 - ay1 > far or ay0 - by1 > far:
+                continue
             if j == i + 1:
                 shared = self.pieces[j].start_point
             elif i == 0 and j == n - 1:

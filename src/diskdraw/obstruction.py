@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .canvas import DrawingScript, Shade, eval_script
@@ -201,15 +203,16 @@ def _local_lec(S: Sequence[Point], T: Sequence[Point]) -> tuple[LargestEmptyCirc
     g = 1e-9
     dist = [[math.hypot(p.x - t.x, p.y - t.y) for p in S] for t in T]
     reach = [(min(row) + 2.0) * (1.0 + g) for row in dist]
-    keep = [any(row[i] <= r for row, r in zip(dist, reach)) for i in range(len(S))]
+    cols = list(zip(*dist))  # each point's distances to the targets
+    keep = [any(map(operator.le, col, reach)) for col in cols]
     builds = points = 0
     while True:
-        local = [p for p, k in zip(S, keep) if k]
+        local = list(compress(S, keep))
         lec = LargestEmptyCircle(local)
         builds, points = builds + 1, points + len(local)
         escapes = [lec.escape(t) for t in T]
         cut = [2.0 * e * (1.0 + g) for e in escapes]
-        grow = [not k and any(row[i] <= c for row, c in zip(dist, cut)) for i, k in enumerate(keep)]
+        grow = [not k and any(map(operator.le, col, cut)) for col, k in zip(cols, keep)]
         if not any(grow):
             return lec, escapes, builds, points
         keep = [k or more for k, more in zip(keep, grow)]
@@ -528,6 +531,11 @@ class DissectionSpec:
         first = 1 if self.first_orientation == "ccw" else -1
         return first * (1 if (j - 1) % 2 == 0 else -1)
 
+    def frames(self) -> list[tuple[float, float, int]]:
+        """(u.x, u.y, black_side(j)) of rays j = 1..n, u = unit(ray_angle(j))."""
+        angles = [self.ray_angle(j) for j in range(1, self.n + 1)]
+        return [(math.cos(a), math.sin(a), self.black_side(j)) for j, a in enumerate(angles, start=1)]
+
     def shrunk(self, tau: float) -> tuple[float, float, float, float]:
         """(s0, s1, h0, h1): the rectangles shrunk by 2*tau, along the ray and away from it."""
         return self.a + 2.0 * tau, self.b - 2.0 * tau, 2.0 * tau, self.d - 2.0 * tau
@@ -557,6 +565,12 @@ def dissection_stages(
     Rotating a ray's configuration by 2*pi/n gives the next ray's
     configuration with the colors swapped.  The critical radii must be
     below one (FiveCircleRadii.below_one at tau), else RadiiTooLarge.
+
+    The coordinates are those of spec.apex + u.scaled(foot) +
+    p.scaled(+-side * t_i), with u = unit(spec.ray_angle(j)) and p =
+    u.rot90(), written out in floats as the Point methods compute them, in
+    the same order, so they are the same floats; only the stage points
+    themselves are built as Points.
     """
     if depth < 0:
         raise InvalidParameters(f"depth must be >= 0, got {depth}")
@@ -565,26 +579,27 @@ def dissection_stages(
     radii = five_circle_radii(params)
     if not radii.below_one(tau):
         raise RadiiTooLarge(f"critical circle radius {max(radii.all_values())} is not below 1")
+    ax, ay = spec.apex.x, spec.apex.y
+    rays = spec.frames()
     stages = []
     for i in range(depth + 1):
         s_i = params.s * (0.5**i)
         t_i = s_i**1.5
         blacks: list[Point] = []
         whites: list[Point] = []
-        for j in range(1, spec.n + 1):
-            u = unit(spec.ray_angle(j))
-            p = u.rot90()
-            side = spec.black_side(j)
+        for ux, uy, side in rays:
+            px, py = -uy, ux
+            kb, kw = side * t_i, -side * t_i
             for foot in (params.L - s_i, params.L + s_i):
-                base = spec.apex + u.scaled(foot)
-                blacks.append(base + p.scaled(side * t_i))
-                whites.append(base + p.scaled(-side * t_i))
+                bx, by = ax + foot * ux, ay + foot * uy
+                blacks.append(Point(bx + kb * px, by + kb * py))
+                whites.append(Point(bx + kw * px, by + kw * py))
         stages.append(StageFamily(tuple(blacks), tuple(whites), stage_index=i))
     return stages
 
 
-def symmetric_descent_verify(stages: Sequence[StageFamily], spec: DissectionSpec,
-                             tau: float = DEFAULT_TAU) -> tuple[Check, ...]:
+def symmetric_descent_verify(stages: Sequence[StageFamily], spec: DissectionSpec, tau: float = DEFAULT_TAU, *,
+                             rotation: tuple[float, float, str] | None = None) -> tuple[Check, ...]:
     """descent_verify from ray 1 of each stage pair, for families that are
     n-fold rotationally symmetric about spec.apex with the colours swapped,
     as dissection_stages builds them.
@@ -644,12 +659,16 @@ def symmetric_descent_verify(stages: Sequence[StageFamily], spec: DissectionSpec
     from descent_verify's largest escape over all targets in the last
     digits.  A failed premise is a single `lemma premise` record that names
     it; nothing falls back to descent_verify.
+
+    rotation is _rotation_premise(stages, spec) when the caller has
+    measured it: verify dissection measures delta once and hands it to this
+    check and to dissection_wedge_checks.  By default it is measured here.
     """
     check_tolerance(tau)
     if not stages:
         raise InvalidParameters("descent chain needs at least one stage")
     stages = tuple(stages)
-    delta, slack, premise = _rotation_premise(stages, spec)
+    delta, slack, premise = rotation or _rotation_premise(stages, spec)
     premise = premise or _colour_premise(stages, spec, tau, slack)
     checks: list[Check] = [_premise_check(premise)] if premise else []
     work = (0, 0, 0, 0)
@@ -696,23 +715,30 @@ def _rotation_premise(stages: Sequence[StageFamily], spec: DissectionSpec) -> tu
 def _colour_premise(stages: Sequence[StageFamily], spec: DissectionSpec, tau: float, slack: float) -> str:
     """The failure of symmetric_descent_verify's colour premise: the first
     stage point outside its ray's rectangle of its colour shrunk by 2*tau +
-    slack, named, or "".  Point k of a colour lies on ray k // 2 + 1."""
+    slack, named, or "".  Point k of a colour lies on ray k // 2 + 1.
+
+    s and h are rel.dot(u) and u.cross(rel), rel = p - spec.apex and u =
+    unit(spec.ray_angle(j)), written out in floats as the Point methods
+    compute them, in the same order, so they are the same floats."""
     s0, s1, h0, h1 = spec.shrunk(tau)
-    frames = [(unit(spec.ray_angle(j)), spec.black_side(j)) for j in range(1, spec.n + 1)]
+    s_lo, s_hi, h_lo, h_hi = s0 + slack, s1 - slack, h0 + slack, h1 - slack
+    ax, ay = spec.apex.x, spec.apex.y
+    frames = spec.frames()
     for fam in stages:
         for points, colour, sign in ((fam.blacks, "black", 1), (fam.whites, "white", -1)):
             for k, p in enumerate(points):
-                u, side = frames[k // 2]
-                rel = p - spec.apex
-                s, h = rel.dot(u), sign * side * u.cross(rel)
-                if not (s0 + slack <= s <= s1 - slack and h0 + slack <= h <= h1 - slack):
+                ux, uy, side = frames[k // 2]
+                rx, ry = p.x - ax, p.y - ay
+                s, h = rx * ux + ry * uy, sign * side * (ux * ry - uy * rx)
+                if not (s_lo <= s <= s_hi and h_lo <= h <= h_hi):
                     return (f"stage colours: stage {fam.stage_index} {colour} point {p} is outside ray {k // 2 + 1}'s "
                             f"{colour} rectangle shrunk by 2*tau + {slack!r}")
     return ""
 
 
 def dissection_wedge_checks(
-    stages: Sequence[StageFamily], spec: DissectionSpec, tau: float = DEFAULT_TAU
+    stages: Sequence[StageFamily], spec: DissectionSpec, tau: float = DEFAULT_TAU, *,
+    rotation: tuple[float, float, str] | None = None,
 ) -> list[tuple[int, int, Verdict]]:
     """Per-wedge encirclement of the case split behind the descent chain.
 
@@ -731,10 +757,12 @@ def dissection_wedge_checks(
     from each wedge's obstacles and targets to the turned points), so wedge
     1's verdict at the margin 4*(delta + slack) holds for every wedge.  When
     the premise fails, wedge 1 is checked alone and every other wedge is
-    BOUNDARY.
+    BOUNDARY.  rotation is the measured premise, as in
+    symmetric_descent_verify, which verify dissection hands both checks; by
+    default it is measured here.
     """
     check_tolerance(tau)
-    delta, slack, premise = _rotation_premise(stages, spec)
+    delta, slack, premise = rotation or _rotation_premise(stages, spec)
     out = []
     for fam, nxt in zip(stages, stages[1:]):
         outer: list[Point] = []

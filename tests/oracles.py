@@ -46,6 +46,16 @@ were proved: it classifies jittered grid samples of each rectangle.
 wedge_checks_enumerated is the wedge case split as it was before the
 rotation lemma: it asks encircles about every wedge of every stage pair.
 
+dissection_stages_by_points, colour_premise_by_points and local_lec_by_rows
+are obstruction.dissection_stages, _colour_premise and _local_lec as they
+were before they were written out in floats: every vector a Point, every
+ray frame a unit vector, and the obstacle filter a scan of the whole
+distance table per obstacle.  The package's versions must equal them bit
+for bit.
+
+validate_simple_all_pairs is PiecewisePath.validate_simple as it was
+before it skipped the pairs whose piece boxes are far apart: every pair.
+
 dissection_pattern_classify is the classifier of the ideal dissection
 pattern as it was before its ray frames were built once: every call turns
 each ray's angle into a unit vector and works out its black side.  The
@@ -99,9 +109,11 @@ from diskdraw import (
     encircles,
     nbhd_contains,
 )
-from diskdraw.constructions import PiecewisePath
-from diskdraw.geometry import _line_circle_params, dist_to_segment, turn_mismatch, unit
-from diskdraw.obstruction import Coloring, DissectionSpec, StageFamily
+from diskdraw.constructions import ConstructionInconsistent, PiecewisePath
+from diskdraw.geometry import (LargestEmptyCircle, _line_circle_params, dist_to_segment, piece_intersections,
+                               turn_mismatch, unit)
+from diskdraw.obstruction import (Coloring, DissectionSpec, InvalidParameters, RadiiTooLarge, StageFamily,
+                                  StageParams, five_circle_radii)
 
 
 def _circumcenter_xy(a, b, c):
@@ -553,6 +565,98 @@ def wedge_checks_enumerated(stages: Sequence[StageFamily], spec: DissectionSpec,
                     inner.extend(nxt.whites[2 * ray : 2 * ray + 2])
             out.append((fam.stage_index, j + 1, encircles(outer, inner, tau)))
     return out
+
+
+def dissection_stages_by_points(params: StageParams, spec: DissectionSpec, depth: int,
+                                tau: float = DEFAULT_TAU) -> list[StageFamily]:
+    """obstruction.dissection_stages, each point apex + u.scaled(foot) +
+    p.scaled(+-side * t_i) computed with Points."""
+    if depth < 0:
+        raise InvalidParameters(f"depth must be >= 0, got {depth}")
+    if spec.n != params.n:
+        raise InvalidParameters(f"spec has {spec.n} rays, params {params.n}")
+    radii = five_circle_radii(params)
+    if not radii.below_one(tau):
+        raise RadiiTooLarge(f"critical circle radius {max(radii.all_values())} is not below 1")
+    stages = []
+    for i in range(depth + 1):
+        s_i = params.s * (0.5**i)
+        t_i = s_i**1.5
+        blacks: list[Point] = []
+        whites: list[Point] = []
+        for j in range(1, spec.n + 1):
+            u = unit(spec.ray_angle(j))
+            p = u.rot90()
+            side = spec.black_side(j)
+            for foot in (params.L - s_i, params.L + s_i):
+                base = spec.apex + u.scaled(foot)
+                blacks.append(base + p.scaled(side * t_i))
+                whites.append(base + p.scaled(-side * t_i))
+        stages.append(StageFamily(tuple(blacks), tuple(whites), stage_index=i))
+    return stages
+
+
+def colour_premise_by_points(stages: Sequence[StageFamily], spec: DissectionSpec, tau: float, slack: float) -> str:
+    """obstruction._colour_premise, each point's ray frame coordinates
+    computed with Points."""
+    s0, s1, h0, h1 = spec.shrunk(tau)
+    frames = [(unit(spec.ray_angle(j)), spec.black_side(j)) for j in range(1, spec.n + 1)]
+    for fam in stages:
+        for points, colour, sign in ((fam.blacks, "black", 1), (fam.whites, "white", -1)):
+            for k, p in enumerate(points):
+                u, side = frames[k // 2]
+                rel = p - spec.apex
+                s, h = rel.dot(u), sign * side * u.cross(rel)
+                if not (s0 + slack <= s <= s1 - slack and h0 + slack <= h <= h1 - slack):
+                    return (f"stage colours: stage {fam.stage_index} {colour} point {p} is outside ray {k // 2 + 1}'s "
+                            f"{colour} rectangle shrunk by 2*tau + {slack!r}")
+    return ""
+
+
+def local_lec_by_rows(S: Sequence[Point], T: Sequence[Point]) -> tuple[LargestEmptyCircle, list[float], int, int]:
+    """obstruction._local_lec, which obstacles to keep and to add read
+    column i of the distance table row by row."""
+    g = 1e-9
+    dist = [[math.hypot(p.x - t.x, p.y - t.y) for p in S] for t in T]
+    reach = [(min(row) + 2.0) * (1.0 + g) for row in dist]
+    keep = [any(row[i] <= r for row, r in zip(dist, reach)) for i in range(len(S))]
+    builds = points = 0
+    while True:
+        local = [p for p, k in zip(S, keep) if k]
+        lec = LargestEmptyCircle(local)
+        builds, points = builds + 1, points + len(local)
+        escapes = [lec.escape(t) for t in T]
+        cut = [2.0 * e * (1.0 + g) for e in escapes]
+        grow = [not k and any(row[i] <= c for row, c in zip(dist, cut)) for i, k in enumerate(keep)]
+        if not any(grow):
+            return lec, escapes, builds, points
+        keep = [k or more for k, more in zip(keep, grow)]
+
+
+def validate_simple_all_pairs(path: PiecewisePath) -> None:
+    """PiecewisePath.validate_simple, asking piece_intersections about every
+    pair of pieces."""
+    tol = 1e-7
+    n = len(path.pieces)
+    for i, j in combinations(range(n), 2):
+        if j == i + 1:
+            shared = path.pieces[j].start_point
+        elif i == 0 and j == n - 1:
+            shared = path.pieces[0].start_point
+        else:
+            shared = None
+        hits = piece_intersections(path.pieces[i], path.pieces[j], tol)
+        if not hits:
+            continue
+        if shared is None:
+            raise ConstructionInconsistent(
+                f"pieces {i} and {j} intersect at {hits[0]} (non-adjacent)"
+            )
+        for h in hits:
+            if h.distance_to(shared) > tol * 10.0:
+                raise ConstructionInconsistent(
+                    f"adjacent pieces {i} and {j} intersect away from their junction at {h}"
+                )
 
 
 def ray_orbit_every_shift(source, spec: DissectionSpec) -> tuple[int, float, float]:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from diskdraw import Point, cli, constructions, descent_verify
+from diskdraw import Point, cli, constructions, descent_verify, obstruction
 from diskdraw.cli import build_parser, main, verify_rolling, verify_sharp, verify_snake
 from diskdraw.geometry import DEFAULT_TAU, LargestEmptyCircle
 
@@ -419,13 +419,30 @@ class TestSymmetricDescent:
         code, out, _ = run(capsys, *argv)
         assert code == 0 and tuple(counts) == work
         counts[:] = [0, 0, 0, 0]
-        monkeypatch.setattr(cli, "symmetric_descent_verify",
-                            lambda stages, spec, tau: descent_verify(pattern_coloring(spec, tau), stages, tau))
-        monkeypatch.setattr(cli, "dissection_wedge_checks", wedge_checks_enumerated)
+        # the stand-ins measure no premise, so they ignore the one verify dissection shares
+        monkeypatch.setattr(cli, "symmetric_descent_verify", lambda stages, spec, tau, rotation=None:
+                            descent_verify(pattern_coloring(spec, tau), stages, tau))
+        monkeypatch.setattr(cli, "dissection_wedge_checks", lambda stages, spec, tau, rotation=None:
+                            wedge_checks_enumerated(stages, spec, tau))
         code, expected, err = run(capsys, *argv)
         assert (code, err) == (0, "")
         assert_same_but_clearances(out, expected)
         assert tuple(counts) == oracle
+
+    @pytest.mark.parametrize("argv", [("verify", "snake"), DISSECTION], ids=["snake", "dissection"])
+    def test_rotation_premise_is_measured_once(self, capsys, monkeypatch, argv):
+        # verify dissection hands the descent and the wedge split one premise
+        calls = []
+        measure = obstruction._rotation_premise
+
+        def counted(*args):
+            calls.append(args)
+            return measure(*args)
+
+        monkeypatch.setattr(obstruction, "_rotation_premise", counted)
+        monkeypatch.setattr(cli, "_rotation_premise", counted)
+        assert run(capsys, *argv)[0] == 0
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("argv, lines", [
         (("verify", "dissection", "--n", "12", "--L", "3", "--s", "1e-3", "--depth", "2"),
@@ -451,9 +468,9 @@ class TestSymmetricDescent:
             calls[0] += 1
             return classify(*args)
 
-        def measured(*args):
+        def measured(*args, **kwargs):
             before = calls[0]
-            cert = verify(*args)
+            cert = verify(*args, **kwargs)
             during.append(calls[0] - before)
             return cert
 
@@ -487,7 +504,7 @@ def test_pipelines_pass_the_descent_records_through(monkeypatch, pipeline, verif
     order, and builds no stage or premise record of its own."""
     returned = []
     verify = getattr(cli, verifier)
-    monkeypatch.setattr(cli, verifier, lambda *a: returned.append(verify(*a)) or returned[-1])
+    monkeypatch.setattr(cli, verifier, lambda *a, **kw: returned.append(verify(*a, **kw)) or returned[-1])
     checks = pipeline(*args)
     (cert,) = returned
     assert cert

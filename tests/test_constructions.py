@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import random
 
@@ -30,11 +32,13 @@ from diskdraw import (
     snake_dissection_spec,
     undrawability_bound,
 )
-from diskdraw.constructions import PiecewisePath
+from diskdraw import constructions
+from diskdraw.constructions import ConstructionInconsistent, PiecewisePath
 from diskdraw.geometry import rotate_about
 
-from helpers import random_point, reversed_loop
-from oracles import chessboard_classify, ray_cast_classify, rounded_chessboard_classify, sharp_ndissected_strokes
+from helpers import DIFF, random_point, reversed_loop
+from oracles import (chessboard_classify, ray_cast_classify, rounded_chessboard_classify, sharp_ndissected_strokes,
+                     validate_simple_all_pairs)
 from test_render import arc_loops, convex_polygons, per_pixel, scaled_loop
 
 
@@ -306,6 +310,37 @@ class TestSharpScript:
         assert dissection_check(script_coloring(script), spec)
 
 
+SIMPLE_TOL = 1e-7  # the tolerance of PiecewisePath.validate_simple
+
+
+def unchecked_path(pieces) -> PiecewisePath:
+    """A PiecewisePath of the pieces without its junction check: a moved
+    piece breaks its junctions, which validate_simple does not test."""
+    path = object.__new__(PiecewisePath)
+    object.__setattr__(path, "pieces", tuple(pieces))
+    return path
+
+
+def spurred(loop, i, k, w, gap, outer):
+    """The loop with piece k replaced by a segment of length 5 along the
+    unit vector w, starting gap * tol beyond the end of piece i that is
+    outer (or inner) along w."""
+    inner, far = sorted((loop.pieces[i].start_point, loop.pieces[i].end_point), key=w.dot)
+    start = (far if outer else inner) + w.scaled(gap * SIMPLE_TOL)
+    pieces = list(loop.pieces)
+    pieces[k] = Segment(start, start + w.scaled(5.0))
+    return unchecked_path(pieces)
+
+
+def simple_outcome(check):
+    """The message of the ConstructionInconsistent that check raises, or None."""
+    try:
+        check()
+    except ConstructionInconsistent as exc:
+        return str(exc)
+    return None
+
+
 class TestPiecewisePath:
     def test_requires_continuity(self):
         with pytest.raises(ValueError):
@@ -374,6 +409,50 @@ class TestPiecewisePath:
         assert classify_against_path(circle, Point(0.3, -0.2)) is Shade.BLACK
         assert classify_against_path(circle, Point(2.5, 0)) is Shade.WHITE
         assert circle.total_length == pytest.approx(4.0 * math.pi, rel=1e-12)
+
+    def test_validate_simple_asks_only_about_near_pairs(self, snake, monkeypatch):
+        # 28 snake pieces make 378 pairs; 62 have piece boxes within 10 * tol
+        calls = []
+        intersections = constructions.piece_intersections
+        monkeypatch.setattr(constructions, "piece_intersections", lambda *a: calls.append(a) or intersections(*a))
+        PiecewisePath(snake.boundary.pieces).validate_simple()
+        assert len(snake.boundary.pieces) == 28 and len(calls) == 62
+
+    @settings(DIFF, max_examples=80)
+    @given(i=st.integers(0, 27), k=st.integers(0, 27), spur=st.booleans(),
+           gap=st.one_of(st.sampled_from([0.0, 0.5, 0.99, 1.0, 1.01, 2.0, 9.9, 10.0, 10.1, 11.0]),
+                         st.floats(0.0, 30.0)),
+           angle=st.one_of(st.sampled_from([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi]),
+                           st.floats(0.0, 2.0 * math.pi)),
+           outer=st.booleans())
+    def test_validate_simple_equals_all_pairs(self, snake, i, k, spur, gap, angle, outer):
+        """Piece k of the snake is replaced by a copy of piece i moved by gap
+        * tol, or by a spur from one end of piece i (see spurred): both loops
+        raise alike, with the same message, or pass."""
+        w = Point(math.cos(angle), math.sin(angle))
+        if spur:
+            path = spurred(snake.boundary, i, k, w, gap, outer)
+        else:
+            pieces = list(snake.boundary.pieces)
+            piece, move = pieces[i], w.scaled(gap * SIMPLE_TOL)
+            if isinstance(piece, Segment):
+                pieces[k] = Segment(piece.a + move, piece.b + move)
+            else:
+                pieces[k] = dataclasses.replace(piece, center=piece.center + move)
+            path = unchecked_path(pieces)
+        assert simple_outcome(path.validate_simple) == simple_outcome(lambda: validate_simple_all_pairs(path))
+
+    def test_validate_simple_spurs_off_every_end(self, snake):
+        # a spur along each axis from the outer end of each piece leaves that
+        # end's box along the axis, touching the piece up to a gap of about tol
+        outcomes = {}
+        for i, angle, gap in itertools.product(range(28), (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi),
+                                               (0.5, 0.99, 1.01, 2.0, 9.9, 10.1)):
+            path = spurred(snake.boundary, i, (i + 14) % 28, Point(math.cos(angle), math.sin(angle)), gap, True)
+            got = outcomes[i, angle, gap] = simple_outcome(path.validate_simple)
+            assert got == simple_outcome(lambda: validate_simple_all_pairs(path))
+        assert all(outcomes[key] for key in outcomes if key[2] == 0.99)
+        assert not all(outcomes[key] for key in outcomes if key[2] == 10.1)
 
     def test_rotate_piece_roundtrip(self):
         arc = Arc(Point(1, 2), 0.7, 0.3, 2.1, ccw=False)

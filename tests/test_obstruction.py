@@ -51,7 +51,8 @@ from diskdraw.obstruction import SPLIT_DEPTH, DissectionSpec, _encircles, _rotat
 
 from helpers import (DIFF, benchmark_workloads, random_point, random_primitive, random_script, rigid_motion,
                      same_proof, scaled_loop)
-from oracles import (dissection_pattern_classify, dissection_sampled, pattern_coloring, ray_orbit_every_shift,
+from oracles import (colour_premise_by_points, dissection_pattern_classify, dissection_sampled,
+                     dissection_stages_by_points, local_lec_by_rows, pattern_coloring, ray_orbit_every_shift,
                      wedge_checks_enumerated)
 from test_render import arc_loops, convex_polygons
 
@@ -862,6 +863,140 @@ class TestLocalObstacles:
             lec, escapes, builds, points = obstruction._local_lec(S, T)
             assert (builds, points) == (1, len(S))
             assert escapes == [LargestEmptyCircle(S).escape(t) for t in T]
+
+
+def outcome(build, *args):
+    """build(*args), or the type and message of the ValueError it raises."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def bits(stages):
+    """Every coordinate of the stages as its exact float, -0.0 apart from 0.0."""
+    return [[(p.x.hex(), p.y.hex()) for p in fam.blacks + fam.whites] for fam in stages]
+
+
+@st.composite
+def stage_specs(draw, max_depth=10):
+    """(params, spec, depth): n even from 4 to 24, any phase, an apex up to
+    1e6 from the origin, either orientation, s from 1e-9 to 1e-2 and
+    depth 0..max_depth, with the rectangles verify dissection uses."""
+    n = draw(st.sampled_from(range(4, 25, 2)))
+    s = 10.0 ** draw(st.floats(-9.0, -2.0))
+    L = draw(st.floats(0.3, 0.98)) * undrawability_bound(n)
+    params = StageParams(n=n, L=L, s=s)
+    apex = Point(*(draw(st.floats(-1e6, 1e6)) for _ in range(2)))
+    spec = DissectionSpec(apex=apex, n=n, a=max(0.0, L - 4.0 * s), b=L + 4.0 * s, d=4.0 * params.t,
+                          phase=draw(st.floats(-2.0 * math.pi, 2.0 * math.pi)),
+                          first_orientation=draw(st.sampled_from(["ccw", "cw"])))
+    return params, spec, draw(st.integers(0, max_depth))
+
+
+class TestFloatRewrites:
+    """dissection_stages, _colour_premise and _local_lec equal, bit for bit,
+    the Point-by-Point versions they replace (tests/oracles.py)."""
+
+    @settings(DIFF, max_examples=80)
+    @given(case=stage_specs())
+    def test_stages(self, case):
+        params, spec, depth = case
+        got, want = outcome(dissection_stages, params, spec, depth), outcome(dissection_stages_by_points, *case)
+        if isinstance(want, tuple):
+            assert got == want  # RadiiTooLarge, with its message
+        else:
+            assert got == want and bits(got) == bits(want)
+
+    def test_stage_failures(self):
+        params = StageParams(n=12, L=3.0, s=1e-3)
+        spec = DissectionSpec(apex=Point(0.0, 0.0), n=12, a=2.9, b=3.1, d=1e-4, phase=0.0)
+        for case in ((params, spec, -1), (params, dataclasses.replace(spec, n=10), 2),
+                     (StageParams(n=12, L=3.9, s=1e-3), spec, 2)):
+            got = outcome(dissection_stages, *case)
+            assert isinstance(got, tuple) and got == outcome(dissection_stages_by_points, *case)
+
+    @settings(DIFF, max_examples=80)
+    @given(case=stage_specs(max_depth=4), tau=st.sampled_from([1e-12, DEFAULT_TAU, 1e-6]), data=st.data())
+    def test_colour_premise(self, case, tau, data):
+        """One stage point moved onto an edge of its shrunk rectangle, then
+        up to three ulps either way in x."""
+        params, spec, depth = case
+        stages = outcome(dissection_stages, params, spec, depth)
+        assume(not isinstance(stages, tuple))
+        slack = _rotation_premise(stages, spec)[1]
+        index = data.draw(st.integers(0, depth))
+        colour, sign = data.draw(st.sampled_from([("blacks", 1), ("whites", -1)]))
+        k = data.draw(st.integers(0, 2 * spec.n - 1))
+        p = getattr(stages[index], colour)[k]
+        j = k // 2 + 1
+        u = unit(spec.ray_angle(j))
+        rel = p - spec.apex
+        s0, s1, h0, h1 = spec.shrunk(tau)
+        edge = data.draw(st.sampled_from(range(5)))  # 4: leave the point where it is
+        if edge < 2:
+            p = p + u.scaled((s0 + slack, s1 - slack)[edge] - rel.dot(u))
+        elif edge < 4:
+            h = sign * spec.black_side(j) * u.cross(rel)
+            p = p + u.rot90().scaled(sign * spec.black_side(j) * ((h0 + slack, h1 - slack)[edge - 2] - h))
+        x = p.x
+        for _ in range(data.draw(st.integers(0, 3))):
+            x = math.nextafter(x, data.draw(st.sampled_from([-math.inf, math.inf])))
+        stages = with_point(stages, index, colour, k, Point(x, p.y))
+        got = obstruction._colour_premise(stages, spec, tau, slack)
+        assert got == colour_premise_by_points(stages, spec, tau, slack)
+
+    @staticmethod
+    def assert_local_lec_matches(S, T):
+        got, want = outcome(obstruction._local_lec, S, T), outcome(local_lec_by_rows, S, T)
+        if isinstance(want, tuple) and isinstance(want[0], type):
+            assert got == want
+            return
+        (lec, escapes, builds, points), (want_lec, *rest) = got, want
+        assert lec._points == want_lec._points  # the same S', in S's order
+        assert [escapes, builds, points] == rest
+        for t in T:
+            for rho in (1.0, 1.0 - 2.0 * DEFAULT_TAU):
+                assert lec.query(t, rho) == want_lec.query(t, rho)
+
+    @settings(DIFF, max_examples=80)
+    @given(S=st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)), min_size=1, max_size=12),
+           data=st.data())
+    def test_local_lec(self, S, data):
+        """Random obstacles, each target an obstacle or a new point."""
+        S = [Point(*p) for p in S]
+        T = data.draw(st.lists(st.one_of(st.sampled_from(S), st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
+                                          .map(lambda p: Point(*p))), min_size=1, max_size=4))
+        self.assert_local_lec_matches(S, T)
+
+    @pytest.mark.parametrize("step", [-1, 0, 1])
+    @pytest.mark.parametrize("d0", [0.0, 0.25, 1.5])
+    def test_local_lec_at_the_reach(self, d0, step):
+        # t's nearest obstacle is d0 away, so its reach is (d0 + 2)(1 + 1e-9):
+        # an obstacle one ulp inside it, exactly on it and one ulp beyond it
+        t = Point(0.0, 0.0)
+        r = (d0 + 2.0) * (1.0 + 1e-9)
+        at = math.nextafter(r, math.inf * step) if step else r
+        S = [Point(-5.0, 1.0), Point(d0, 0.0), Point(0.0, at), Point(-at, 0.0), Point(3.0, -4.0)]
+        self.assert_local_lec_matches(S, [t])
+        self.assert_local_lec_matches(S, [t, S[1], S[3]])
+
+    @pytest.mark.parametrize("step", [-1, 0, 1])
+    def test_local_lec_at_twice_the_escape(self, step):
+        # t's cell among the three near obstacles reaches about 4.05 from t;
+        # a dropped obstacle one ulp inside 2E'(1 + 1e-9), on it or one ulp
+        # beyond it
+        t = Point(0.0, 0.0)
+        near = [Point(0.1, 0.0), Point(-1.9, 0.5), Point(-1.9, -0.5)]
+        cut = 2.0 * LargestEmptyCircle(near).escape(t) * (1.0 + 1e-9)
+        at = math.nextafter(cut, math.inf * step) if step else cut
+        self.assert_local_lec_matches([*near, Point(0.0, -at)], [t])
+
+    def test_local_lec_on_stages(self):
+        _, _, stages = snake_chain(3)
+        for fam, nxt in zip(stages, stages[1:]):
+            for S, T in ((fam.blacks, nxt.whites[:2]), (fam.whites, nxt.blacks), (fam.blacks, fam.blacks[:3])):
+                self.assert_local_lec_matches(S, T)
 
 
 def centred_stage(spec):
