@@ -104,10 +104,11 @@ class PiecewisePath:
         skipped, for it has no hit: a hit of piece_intersections is a point
         of one piece (its parameter clamped by at most tol of length) within
         a few tol of the other, which allows a parameter overshoot of tol or
-        an angular slack of tol / R, tol of arc length.  Parallel segments of
-        lengths L >= l allow tol + 1e-14 L^2 / l, a few tol while l >= 1e-7
-        L^2.  Rounding adds ulps of the coordinates.  The pairs keep the
-        order of the full loop, so the first error is the same."""
+        an angular slack of tol / R, tol of arc length.  Near-parallel
+        segments hit mid-overlap, one end of which is within tol of both;
+        their lines part by under 1e-14 L along it (L the longer length), a
+        few tol while L <= 1e7.  Rounding adds ulps of the coordinates.  The
+        pairs keep the order of the full loop, so the first error is the same."""
         tol = 1e-7
         far = 10.0 * tol
         n = len(self.pieces)

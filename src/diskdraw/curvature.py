@@ -19,8 +19,8 @@ from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
 from .constructions import PiecewisePath
-from .geometry import Arc, Point, Segment, SinglePoint, piece_distance, turn_mismatch
-from .obstruction import ProofReport
+from .geometry import Arc, Point, Segment, SinglePoint, box_gap, piece_distance, turn_mismatch
+from .obstruction import ProofReport, branch_and_bound
 
 logger = logging.getLogger("diskdraw")
 
@@ -88,11 +88,6 @@ def _window_parts(shifted: list[list[float]], lo: float, hi: float) -> list[tupl
                   for j in range(max(bisect_right(edges, lo) - 1, 0), min(bisect_left(edges, hi), len(edges) - 1)))
 
 
-def _box_distance(box: tuple[float, float, float, float], p: Point) -> float:
-    """Distance from p to the box (xmin, ymin, xmax, ymax)."""
-    return math.hypot(max(box[0] - p.x, p.x - box[2], 0.0), max(box[1] - p.y, p.y - box[3], 0.0))
-
-
 def _orbit(path: PiecewisePath, offsets: list[float]) -> tuple[int, float, float]:
     """(m, delta, slack) of the turn rolling_disk_check proves by: the largest
     m >= 2 dividing the piece count P whose turn R by 2*pi/m about the mean
@@ -146,25 +141,18 @@ def rolling_disk_check(path: PiecewisePath, eps: float = 0.5) -> ProofReport:
     and is undecided otherwise.  ok holds only when every interval is
     cleared.  Failures are reported, not raised.
 
-    When the path turns onto itself (_orbit: m > 1, within delta), only the
-    representatives, pieces 0..P/m - 1, are decided in full.  Lemma: the
-    distance an interval test computes is 1-Lipschitz in the offset curve
-    and in the pieces of the window, and does not change under a turn.
-    R^q maps the offset curve of an interval of piece k within (m - 1)*d1
-    of that of the same fractions of piece k + qP/m, and the window of the
-    one onto that of the other, its parts within (m - 1)*d1 + 6*E + g, E
-    being R^q's arclength mismatch: both windows cut the same pieces at
-    arclengths at most 6*E apart, and a sliver cut off at a junction lies
-    within g of the neighbouring piece.  So the two distances differ by at
-    most 2*delta (E <= 2*(m - 1)*e), and the slack covers the rounding of
-    both as it does in _rotation_premise.  An interval of an image takes its
-    representative's verdict when that distance cleared or failed CLEARANCE
-    by more than 2*(delta + slack); any other interval of an image is
-    decided again, on the image.  Every leaf is decided at its own midpoint,
-    so its identity and witness are the image's.  The tree, the leaves and
-    their order are those of the full proof.  Only the counters
-    kernel_calls, orbit and min_cleared, which covers the intervals decided
-    here, tell the two apart.
+    When the path turns onto itself (_orbit: m > 1, within delta), pieces
+    0..P/m - 1 represent their orbits in branch_and_bound, with lemma
+    2*(delta + slack).  The distance an interval test computes is
+    1-Lipschitz in the offset curve and in the window's pieces, and kept by
+    a turn.  R^q maps the offset curve of an interval of piece k within
+    (m - 1)*d1 of that of the same fractions of piece k + qP/m, and the
+    window of the one onto that of the other, its parts within (m - 1)*d1 +
+    6*E + g, E being R^q's arclength mismatch: both windows cut the same
+    pieces at arclengths at most 6*E apart, and a sliver cut off at a
+    junction lies within g of the neighbouring piece.  So the distances
+    differ by at most 2*delta (E <= 2*(m - 1)*e), and the slack covers
+    their rounding.  min_cleared covers the intervals decided here.
     """
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps!r}")
@@ -174,7 +162,7 @@ def rolling_disk_check(path: PiecewisePath, eps: float = 0.5) -> ProofReport:
     shifted = [[o + shift for o in offsets] for shift in shifts]
     boxes = [piece.bbox() for piece in path.pieces]
     rounding = 1e-12 * (1.0 + max(piece.extent() for piece in path.pieces))
-    calls = 0
+    calls, min_cleared = 0, math.inf
 
     def window(lo: float, hi: float):
         """(piece j, f0, f1) of each part of the path between arclengths lo and hi."""
@@ -209,7 +197,8 @@ def rolling_disk_check(path: PiecewisePath, eps: float = 0.5) -> ProofReport:
         for bit."""
         nonlocal calls
         worst = math.inf
-        for gap, j, f0, f1 in sorted((_box_distance(boxes[j], center), j, f0, f1) for j, f0, f1 in window(lo, hi)):
+        point = (center.x, center.y, center.x, center.y)
+        for gap, j, f0, f1 in sorted((box_gap(point, boxes[j]), j, f0, f1) for j, f0, f1 in window(lo, hi)):
             if gap > worst + rounding:
                 break
             calls += 1
@@ -217,44 +206,37 @@ def rolling_disk_check(path: PiecewisePath, eps: float = 0.5) -> ProofReport:
         return worst
 
     orbit, delta, slack = _orbit(path, offsets)
-    margin = 2.0 * (delta + slack)
     per = len(path.pieces) // orbit  # pieces 0..per - 1 represent their orbits
-    decided: dict = {}  # (piece, side, f0, f1) of a representative interval -> the distance that decided it
-    failures: list[Leaf] = []
-    undecided: list[Leaf] = []
-    visited = deepest = 0
-    min_cleared = math.inf
-    for i, piece in enumerate(path.pieces):
-        ln = offsets[i + 1] - offsets[i]
-        for side in (1, -1):
-            stack = [(0.0, 1.0, 0)]
-            while stack:
-                f0, f1, depth = stack.pop()
-                visited += 1
-                deepest = max(deepest, depth)
-                lo, hi = offsets[i] + ln * f0, offsets[i] + ln * f1
-                key = (i % per, side, f0, f1)
-                d = decided.get(key)
-                if d is None or abs(d - CLEARANCE) <= margin:
-                    d = window_distance(_offset(_subpiece(piece, f0, f1), side), lo - eps, hi + eps, CLEARANCE)
-                    if i < per:
-                        decided[key] = d
-                mid = 0.5 * (f0 + f1)
-                if d >= CLEARANCE:
-                    min_cleared = min(min_cleared, d)
-                elif depth < MAX_DEPTH:
-                    stack += [(mid, f1, depth + 1), (f0, mid, depth + 1)]
-                else:
-                    s = offsets[i] + ln * mid
-                    center = piece.point_at(mid) + piece.tangent_at(mid).rot90().scaled(side)
-                    dm = witness_distance(center, s - eps, s + eps)
-                    leaf = Leaf(i, side, lo, hi, s, center, dm)
-                    (failures if dm < CLEARANCE else undecided).append(leaf)
+
+    def rule(root, part):
+        (i, side, piece, o, ln), (f0, f1) = root, part
+        d = window_distance(_offset(_subpiece(piece, f0, f1), side), o + ln * f0 - eps, o + ln * f1 + eps, CLEARANCE)
+        return (d if d >= CLEARANCE else None), abs(d - CLEARANCE)
+
+    def settle(root, part, d, margin):  # a leaf at the cap is decided at its midpoint
+        nonlocal min_cleared
+        (i, side, piece, o, ln), (f0, f1) = root, part
+        if d is not None:
+            min_cleared = min(min_cleared, d)
+            return None
+        mid = 0.5 * (f0 + f1)
+        s, center = o + ln * mid, piece.point_at(mid) + piece.tangent_at(mid).rot90().scaled(side)
+        dm = witness_distance(center, s - eps, s + eps)
+        return Leaf(i, side, o + ln * f0, o + ln * f1, s, center, dm), ("failed" if dm < CLEARANCE else "undecided")
+
+    def split(part):
+        mid = 0.5 * (part[0] + part[1])
+        return (part[0], mid), (mid, part[1])
+
+    roots = (((i % per, side), i < per, (i, side, piece, offsets[i], offsets[i + 1] - offsets[i]), (0.0, 1.0))
+             for i, piece in enumerate(path.pieces) for side in (1, -1))
+    _, failures, undecided, visited, deepest = branch_and_bound(roots, rule, split, MAX_DEPTH, 2.0 * (delta + slack),
+                                                                settle)
 
     # min_cleared: the smallest distance that cleared an interval; orbit: m
     counters = {"intervals": visited, "kernel_calls": calls, "depth": deepest, "min_cleared": min_cleared,
                 "orbit": orbit}
-    report = ProofReport(not failures and not undecided, (), tuple(failures), tuple(undecided), counters)
+    report = ProofReport(not failures and not undecided, (), failures, undecided, counters)
     logger.debug("rolling disk: delta %r, slack %r, %d intervals, %d kernel calls, depth %d, min cleared %r, "
                  "orbit %d, %d undecided, %d failures", delta, slack, *report.counts().values())
     return report

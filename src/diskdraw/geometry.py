@@ -330,6 +330,11 @@ def covering_box(prim: Primitive) -> tuple[float, float, float, float]:
     return -math.inf, -math.inf, math.inf, math.inf
 
 
+def box_gap(a: tuple[float, float, float, float], b: tuple[float, float, float, float]) -> float:
+    """Distance between the boxes (xmin, ymin, xmax, ymax) a and b; a point is a box of no size."""
+    return math.hypot(max(b[0] - a[2], a[0] - b[2], 0.0), max(b[1] - a[3], a[1] - b[3], 0.0))
+
+
 def dist_to_segment(x: Point, a: Point, b: Point) -> float:
     vx, vy = b.x - a.x, b.y - a.y
     wx, wy = x.x - a.x, x.y - a.y
@@ -356,8 +361,8 @@ def _seg_seg_intersections(s1: Segment, s2: Segment, tol: float) -> list[Point]:
     rel = s2.a - s1.a
     scale = max(d1.norm(), d2.norm())
     if abs(denom) < 1e-14 * scale * scale:
-        # parallel; report the overlap midpoint only if truly collinear
-        if abs(rel.cross(d1)) > tol * d1.norm():
+        # parallel: they meet when an end of one is within tol of the other; report the overlap midpoint
+        if min(s2.dist(s1.a), s2.dist(s1.b), s1.dist(s2.a), s1.dist(s2.b)) > tol:
             return []
         t0 = rel.dot(d1) / d1.dot(d1)
         t1 = t0 + d2.dot(d1) / d1.dot(d1)

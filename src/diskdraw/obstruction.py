@@ -29,6 +29,7 @@ from .geometry import (
     Point,
     Segment,
     SinglePoint,
+    box_gap,
     check_tolerance,
     circumcircle3,
     constrained_largest_empty_circle,  # noqa: F401  (perfbench traces it under this module)
@@ -829,6 +830,46 @@ class ProofReport:
         return {**self.counters, "undecided": len(self.undecided), "failures": len(self.failures)}
 
 
+def branch_and_bound(roots, rule: Callable, split: Callable, max_depth: int, lemma: float, settle: Callable):
+    """A branch and bound proof's loop: its proved, failed and undecided
+    leaves (tuples), the parts visited and the deepest depth.
+
+    Each root (orbit key, representative, context, part) is bisected depth
+    first: rule(context, part) gives (answer, margin), answer None when it
+    decides nothing, and such a part is replaced by split(part), its
+    children in pop order, down to max_depth.  settle(context, part, answer,
+    margin) gets every other part, answer None at the cap, and returns None
+    or (leaf, kind), kind "proved", "failed" or "undecided".
+
+    Lemma: the roots of one orbit key are turns of one another, the
+    representative first.  The margin is how far the rule's inequalities are
+    from deciding otherwise, so when each quantity they compare moves by at
+    most lemma from a representative's part to the part of the same
+    coordinates in an image (each proof says why), a margin above lemma
+    decides both alike: the image part takes the answer without the rule,
+    and any other is decided again.  settle gets the image part, so the tree
+    and the leaves, witnesses and order are the full proof's (lemma = inf).
+    """
+    decided: dict = {}  # (orbit key, part) of a representative -> the rule's (answer, margin)
+    leaves: dict = {"proved": [], "failed": [], "undecided": []}
+    visited = deepest = 0
+    for key, representative, context, root in roots:
+        stack = [(root, 0)]
+        while stack:
+            part, depth = stack.pop()
+            visited, deepest = visited + 1, max(deepest, depth)
+            answer, margin = decided.get((key, part), (None, 0.0))
+            if not margin > lemma:
+                answer, margin = rule(context, part)
+                if representative:
+                    decided[key, part] = answer, margin
+            if answer is None and depth < max_depth:
+                stack += [(child, depth + 1) for child in reversed(split(part))]
+            elif (settled := settle(context, part, answer, margin)) is not None:
+                leaves[settled[1]].append(settled[0])
+    return (*map(tuple, leaves.values()), visited, deepest)
+
+
 class _Part:
     """The part [s0, s1] x [h0, h1] of a rectangle in the frame (apex, u, v):
     u runs along the ray, v away from it into the rectangle's side."""
@@ -840,8 +881,7 @@ class _Part:
                              for s, h in ((s0, h0), (s1, h0), (s1, h1), (s0, h1)))
         self.center = Point(0.5 * (self.corners[0].x + self.corners[2].x),
                             0.5 * (self.corners[0].y + self.corners[2].y))
-        xs = [c.x for c in self.corners]
-        ys = [c.y for c in self.corners]
+        xs, ys = [c.x for c in self.corners], [c.y for c in self.corners]
         self.box = (min(xs), min(ys), max(xs), max(ys))
 
     @cached_property
@@ -849,16 +889,22 @@ class _Part:
         c = self.corners
         return tuple(Segment(c[k], c[(k + 1) % 4]) for k in range(4))
 
+    def __eq__(self, other) -> bool:  # the same ranges in any frame: branch_and_bound's replay key
+        return (self.s, self.h) == (other.s, other.h)
+
+    def __hash__(self) -> int:
+        return hash((self.s, self.h))
+
     def contains(self, q: Point) -> bool:
         apex, u, v = self.frame
         rel = q - apex
         return self.s[0] <= rel.dot(u) <= self.s[1] and self.h[0] <= rel.dot(v) <= self.h[1]
 
-    def box_gap(self, box: tuple[float, float, float, float]) -> float:
-        """Distance from the part's bounding box to another box."""
-        dx = max(box[0] - self.box[2], self.box[0] - box[2], 0.0)
-        dy = max(box[1] - self.box[3], self.box[1] - box[3], 0.0)
-        return math.hypot(dx, dy)
+    def split(self) -> list[_Part]:
+        """The four quarters, in pop order: the high quadrant first."""
+        (s0, s1), (h0, h1) = self.s, self.h
+        sm, hm = 0.5 * (s0 + s1), 0.5 * (h0 + h1)
+        return [_Part(self.frame, a, b, c, d) for a, b in ((sm, s1), (s0, sm)) for c, d in ((hm, h1), (h0, hm))]
 
 
 def dissection_check(coloring: Coloring, spec: DissectionSpec, tau: float = DEFAULT_TAU) -> ProofReport:
@@ -896,27 +942,20 @@ def dissection_check(coloring: Coloring, spec: DissectionSpec, tau: float = DEFA
     shade is a failure too.  ok needs every rectangle proved.
 
     When the source turns onto itself (_ray_orbit: the turn R by 2*pi*k/n,
-    within delta), only the representatives, rays 1..k, are decided in
-    full.  Lemma: each rule compares distances from the part's corners or
-    from the filled part to the pieces, which are 1-Lipschitz in both and do
-    not change under a turn.  R^q maps a part of ray j onto the part of the
+    within delta), rays 1..k represent their orbits in branch_and_bound,
+    with lemma 2*(delta + slack).  Each rule compares distances from the
+    part's corners or from the filled part to the pieces, 1-Lipschitz in
+    both and kept by a turn.  R^q maps a part of ray j onto the part of the
     same ranges of ray j + qk, which wants the same shade, and every piece
     within delta of its image, so each distance moves by at most delta; the
-    parts' corners are a few ulps of the extent off the turned ones, which
-    the slack covers as it does in _rotation_premise.  A part of an
-    image takes its representative's answer, a shade or a split, when the
-    rule's inequalities held by more than 2*(delta + slack); any other part
-    of an image is decided again, on the image.  A leaf that no rule decides
-    is classified at its own centre, and every leaf's identity and witness
-    are the image part's.  The tree, the leaves and their order are those
-    of the full proof.  Only the counters kernel_calls, orbit and
-    min_margin, which covers the parts decided here, tell the two apart.
+    corners are a few ulps of the extent off the turned ones, which the
+    slack covers.  min_margin covers the parts decided here.
     """
     check_tolerance(tau)
     if not (spec.b - spec.a > 4.0 * tau and spec.d > 4.0 * tau):
         raise InvalidParameters("the rectangles vanish when shrunk by 2*tau")
     t, source = coloring.tau, coloring.source
-    calls = 0
+    calls, min_margin = 0, math.inf
 
     def clearance(part: _Part, boxed, bound: float) -> float:
         """A lower bound on the distance from the boxed pieces to the filled
@@ -926,7 +965,7 @@ def dissection_check(coloring: Coloring, spec: DissectionSpec, tau: float = DEFA
         nonlocal calls
         best = math.inf
         for piece, box in boxed:
-            gap = part.box_gap(box)
+            gap = box_gap(part.box, box)
             if gap > bound:
                 best = min(best, gap)
                 continue
@@ -969,62 +1008,35 @@ def dissection_check(coloring: Coloring, spec: DissectionSpec, tau: float = DEFA
 
     if isinstance(source, DrawingScript):
         rule = script_rule
-        strokes = []
-        for stroke in source.strokes:
-            prims = stroke.centers.primitives
-            strokes.append((
-                [p for p in prims if not isinstance(p, Arc)],
-                [(p, p.bbox()) for p in prims if isinstance(p, (SinglePoint, Segment, Arc))],
-                [p for p in prims if not isinstance(p, (SinglePoint, Segment, Arc))],
-            ))
+        strokes = [([p for p in prims if not isinstance(p, Arc)],
+                    [(p, p.bbox()) for p in prims if isinstance(p, (SinglePoint, Segment, Arc))],
+                    [p for p in prims if not isinstance(p, (SinglePoint, Segment, Arc))])
+                   for prims in (stroke.centers.primitives for stroke in source.strokes)]
     else:
         rule = region_rule
         pieces = [(piece, piece.bbox()) for loop in source for piece in loop.pieces]
 
     step, delta, slack = _ray_orbit(source, spec)
-    lemma = 2.0 * (delta + slack)
-    decided: dict = {}  # (ray, side, s0, s1, h0, h1) of a representative part -> the rule's answer
-    proved: list[RectLeaf] = []
-    failures: list[RectLeaf] = []
-    undecided: list[RectLeaf] = []
-    deepest = 0
-    min_margin = math.inf
-    for j in range(1, spec.n + 1):
-        rep = (j - 1) % step + 1  # rays 1..step represent their orbits
-        u = unit(spec.ray_angle(j))
-        for side in (1, -1):
-            frame = (spec.apex, u, u.rot90().scaled(side))
-            want = Shade.BLACK if side == spec.black_side(j) else Shade.WHITE
-            stack = [(*spec.shrunk(tau), 0)]
-            while stack:
-                s0, s1, h0, h1, depth = stack.pop()
-                deepest = max(deepest, depth)
-                part = _Part(frame, s0, s1, h0, h1)
-                key = (rep, side, s0, s1, h0, h1)
-                shade, margin = decided.get(key, (None, 0.0))
-                if not margin > lemma:
-                    shade, margin = rule(part)
-                    if j == rep:
-                        decided[key] = shade, margin
-                if shade is None and depth < SPLIT_DEPTH:
-                    sm, hm = 0.5 * (s0 + s1), 0.5 * (h0 + h1)
-                    stack += [(a, b, c, d, depth + 1) for a, b in ((s0, sm), (sm, s1)) for c, d in ((h0, hm), (hm, h1))]
-                    continue
-                if shade is not None:
-                    min_margin = min(min_margin, margin)
-                got = shade or coloring.classify(part.center)
-                leaf = RectLeaf(j, side, part.s, part.h, part.center, got, shade is not None)
-                if got is not want:
-                    failures.append(leaf)
-                elif shade:
-                    proved.append(leaf)
-                else:
-                    undecided.append(leaf)
+
+    def settle(root, part: _Part, shade: Shade | None, margin: float):
+        nonlocal min_margin
+        (j, side), got = root, shade or coloring.classify(part.center)
+        if shade is not None:
+            min_margin = min(min_margin, margin)
+        want = Shade.BLACK if side == spec.black_side(j) else Shade.WHITE
+        leaf = RectLeaf(j, side, part.s, part.h, part.center, got, shade is not None)
+        return leaf, ("failed" if got is not want else "proved" if shade else "undecided")
+
+    shrunk, rays = spec.shrunk(tau), [(j, unit(spec.ray_angle(j))) for j in range(1, spec.n + 1)]
+    roots = ((((j - 1) % step + 1, side), j <= step, (j, side), _Part((spec.apex, u, u.rot90().scaled(side)), *shrunk))
+             for j, u in rays for side in (1, -1))  # rays 1..step represent their orbits
+    proved, failures, undecided, _, deepest = branch_and_bound(
+        roots, lambda root, part: rule(part), _Part.split, SPLIT_DEPTH, 2.0 * (delta + slack), settle)
 
     # min_margin: the smallest amount by which a proof cleared its bound
     counters = {"rectangles": 2 * spec.n, "leaves": len(proved) + len(failures) + len(undecided),
                 "kernel_calls": calls, "depth": deepest, "min_margin": min_margin, "orbit": spec.n // step}
-    result = ProofReport(not failures and not undecided, tuple(proved), tuple(failures), tuple(undecided), counters)
+    result = ProofReport(not failures and not undecided, proved, failures, undecided, counters)
     logger.debug("dissection check: delta %r, slack %r, %d rectangles, %d leaves, %d kernel calls, depth %d, "
                  "min margin %r, orbit %d, %d undecided, %d failures", delta, slack, *result.counts().values())
     return result

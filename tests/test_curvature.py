@@ -175,7 +175,7 @@ def witnesses_scanned(monkeypatch, path, eps):
     """rolling_disk_check with every piece box at distance 0 from every
     point, so that each witness scan computes the distance to every part."""
     with monkeypatch.context() as patch:
-        patch.setattr(curvature, "_box_distance", lambda box, p: 0.0)
+        patch.setattr(curvature, "box_gap", lambda a, b: 0.0)
         return rolling_disk_check(path, eps)
 
 

@@ -310,6 +310,24 @@ class TestPieceDistance:
             assert min(q.x for q in pts) <= x0 + near and max(q.x for q in pts) >= x1 - near
             assert min(q.y for q in pts) <= y0 + near and max(q.y for q in pts) >= y1 - near
 
+    def test_near_parallel_segments_beside_each_other_do_not_meet(self):
+        # a short segment 5e-7 beside a long one that is nearly parallel to
+        # it: the long one's start is within tol of the short one's line,
+        # but neither segment comes within tol of the other
+        short = Segment(Point(0, 0), Point(1e-6, 0))
+        assert piece_intersections(short, Segment(Point(-5, 5e-8), Point(5, 5e-8 + 9e-7)), 1e-7) == []
+        long = Segment(Point(-5, 1e-12), Point(5, 1e-12 + 9e-7))
+        assert piece_distance(short, long) == piece_distance(long, short) == pytest.approx(4.5e-7, rel=1e-4)
+
+    def test_near_parallel_segments_that_cross_meet(self):
+        # the long segment crosses the short one at the origin, though its
+        # start is 4e-7 off the short one's line
+        short, long = Segment(Point(0, 0), Point(1e-6, 0)), Segment(Point(-5, -4e-7), Point(5, 4e-7))
+        for p, q in ((short, long), (long, short)):
+            (hit,) = piece_intersections(p, q, 1e-7)
+            assert short.dist(hit) <= 1e-7 and long.dist(hit) <= 1e-7
+        assert piece_distance(short, long) == piece_distance(long, short) == 0.0
+
     def test_segment_and_arc_interior_pair(self):
         # the closest pair joins the top of the arc to the foot on the segment
         d = piece_distance(Arc(Point(0, 0), 1.0, 0.2, math.pi - 0.2), Segment(Point(-5, 3), Point(5, 3)))

@@ -1370,6 +1370,73 @@ class TestDissectionCheckAgainstSampler:
         assert result.ok
 
 
+class TestBranchAndBound:
+    """The shared loop on a toy input: parts are intervals of [0, 1], the
+    context names the root, and every part that is not split is a leaf."""
+
+    @staticmethod
+    def run(roots, answers, lemma, max_depth=3):
+        """(result, the (context, part) pairs the rule saw, the settle calls);
+        answers(part) gives the rule's (answer, margin)."""
+        seen, settled = [], []
+
+        def rule(context, part):
+            seen.append((context, part))
+            return answers(part)
+
+        def settle(context, part, answer, margin):
+            settled.append((context, part, answer))
+            return (context, part, answer), ("undecided" if answer is None else "proved")
+
+        def split(part):
+            mid = 0.5 * (part[0] + part[1])
+            return (part[0], mid), (mid, part[1])
+
+        result = obstruction.branch_and_bound(roots, rule, split, max_depth, lemma, settle)
+        return result, seen, settled
+
+    def test_an_image_takes_an_answer_that_cleared_the_lemma(self):
+        roots = [("k", True, "rep", (0.0, 1.0)), ("k", False, "image", (0.0, 1.0))]
+        result, seen, _ = self.run(roots, lambda part: ("yes", 1.5), lemma=1.0)
+        assert seen == [("rep", (0.0, 1.0))]
+        assert result[0] == (("rep", (0.0, 1.0), "yes"), ("image", (0.0, 1.0), "yes"))
+
+    def test_a_margin_equal_to_the_lemma_is_decided_again(self):
+        roots = [("k", True, "rep", (0.0, 1.0)), ("k", False, "image", (0.0, 1.0))]
+        _, seen, _ = self.run(roots, lambda part: ("yes", 1.0), lemma=1.0)
+        assert seen == [("rep", (0.0, 1.0)), ("image", (0.0, 1.0))]
+
+    def test_an_image_does_not_seed_the_replay(self):
+        roots = [("k", False, "image", (0.0, 1.0)), ("k", True, "rep", (0.0, 1.0)), ("k", False, "other", (0.0, 1.0))]
+        _, seen, _ = self.run(roots, lambda part: ("yes", 1.5), lemma=1.0)
+        assert seen == [("image", (0.0, 1.0)), ("rep", (0.0, 1.0))]
+
+    def test_an_open_part_at_the_cap_is_settled_without_an_answer(self):
+        (proved, failed, undecided, visited, deepest), seen, settled = self.run(
+            [("k", True, "rep", (0.0, 1.0))], lambda part: (None, 0.0), lemma=1.0, max_depth=2)
+        quarters = [(0.0, 0.25), (0.25, 0.5), (0.5, 0.75), (0.75, 1.0)]  # the low half first
+        assert settled == [("rep", q, None) for q in quarters]
+        assert (proved, failed, undecided, visited, deepest) == ((), (), tuple(settled), 7, 2)
+        assert len(seen) == 7
+
+    def test_the_leaves_are_those_of_the_full_proof(self):
+        # an interval away from 0.3 is proved with its distance to 0.3 as
+        # margin; the images replay the representative's far parts and decide
+        # the near ones again
+        def answers(part):
+            lo, hi = part
+            return ("far", min(abs(lo - 0.3), abs(hi - 0.3))) if not lo < 0.3 < hi else (None, 0.0)
+
+        roots = [(key, rep, (key, k), (0.0, 1.0)) for k, (key, rep) in enumerate([(0, True), (1, True), (0, False),
+                                                                                   (1, False), (0, False)])]
+        reduced, seen, _ = self.run(roots, answers, lemma=0.1)
+        full, every, _ = self.run(roots, answers, lemma=math.inf)
+        assert reduced[:3] == full[:3] and reduced[3:] == full[3:] == (5 * 7, 3)
+        assert [part for (_, k), part, _ in full[0] if k == 0] == [(0.0, 0.25), (0.375, 0.5), (0.5, 1.0)]
+        assert [k for (_, k), _, _ in full[0]] == sorted(k for (_, k), _, _ in full[0])
+        assert len(every) == 5 * 7 and len(seen) < len(every)
+
+
 def full_dissection_check(monkeypatch, coloring, spec):
     """dissection_check with the orbit finder patched to the trivial orbit."""
     with monkeypatch.context() as patch:
