@@ -105,9 +105,10 @@ class PiecewisePath:
         of one piece (its parameter clamped by at most tol of length) within
         a few tol of the other, which allows a parameter overshoot of tol or
         an angular slack of tol / R, tol of arc length.  Near-parallel
-        segments hit mid-overlap, one end of which is within tol of both;
-        their lines part by under 1e-14 L along it (L the longer length), a
-        few tol while L <= 1e7.  Rounding adds ulps of the coordinates.  The
+        segments hit mid-overlap, or at the near end when they lie end to
+        end, one end of which is within tol of both; their lines part by
+        under 1e-14 L along it (L the longer length), a few tol while L <=
+        1e7.  Rounding adds ulps of the coordinates.  The
         pairs keep the order of the full loop, so the first error is the same."""
         tol = 1e-7
         far = 10.0 * tol

@@ -19,7 +19,7 @@ from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
 from .constructions import PiecewisePath
-from .geometry import Arc, Point, Segment, SinglePoint, box_gap, piece_distance, turn_mismatch
+from .geometry import Arc, Point, Segment, SinglePoint, box_gap, piece_distance, turn_orbits
 from .obstruction import ProofReport, branch_and_bound
 
 logger = logging.getLogger("diskdraw")
@@ -89,40 +89,34 @@ def _window_parts(shifted: list[list[float]], lo: float, hi: float) -> list[tupl
 
 
 def _orbit(path: PiecewisePath, offsets: list[float]) -> tuple[int, float, float]:
-    """(m, delta, slack) of the turn rolling_disk_check proves by: the largest
-    m >= 2 dividing the piece count P whose turn R by 2*pi/m about the mean
-    of the piece start points maps the path onto itself, piece k onto piece
-    k + P/m, within slack; m = 1 when none does, delta then being the
-    mismatch of the last turn tried.
+    """(m, delta, slack) of the turn rolling_disk_check proves by: the
+    largest m >= 2 dividing the piece count P whose turn R by 2*pi/m about
+    the mean of the piece start points maps piece k onto piece k + h
+    (geometry.turn_orbits) with gcd(h, P) = P/m, so that the orbits of k ->
+    k + h are the classes of k mod P/m; m = 1 and delta = inf when none does.
 
-    R^q, q = 1..m - 1, maps every piece within (m - 1)*d1 of its image
-    (turn_mismatch, d1 for R; R is an isometry, so mismatches add up along
-    its powers).  e is the largest arclength mismatch of R, |offsets[i +
-    P/m] - offsets[i] - offsets[P/m]| (modulo the total), and that of R^q,
-    a sum of q differences of two of them, is at most 2*(m - 1)*e; g is the
-    largest gap at a junction.  delta = (m - 1)*(d1 + 6*e) + g, and slack
-    is 1e-12 times the largest coordinate magnitude of the centre and the
-    pieces.
+    e is the largest arclength mismatch of R, |offsets[i + h] - offsets[i]
+    - offsets[h]| (modulo the total), and that of R^q, a sum of q
+    differences of two of them, is at most 2*(m - 1)*e; g is the largest
+    gap at a junction.  delta is turn_orbits' plus 6*(m - 1)*e + g, and
+    slack is 1e-12 times the largest coordinate magnitude of the centre and
+    the pieces.
     """
     pieces, count = path.pieces, len(path.pieces)
-    total = offsets[-1]
     center = Point(math.fsum(p.start_point.x for p in pieces) / count,
                    math.fsum(p.start_point.y for p in pieces) / count)
     slack = 1e-12 * max(abs(center.x), abs(center.y), *(p.extent() for p in pieces))
-    delta = math.inf
-    for m in range(count, 1, -1):
-        if count % m:
+    orders = [m for m in range(count, 1, -1) if count % m == 0]
+    for m, delta, (h,) in turn_orbits([pieces], center, orders, slack):
+        if math.gcd(h, count) != count // m:
             continue
-        step = count // m
-        delta = (m - 1) * turn_mismatch(pieces, center, 2.0 * math.pi / m, step, slack / (m - 1))
+        gap = max(p.end_point.distance_to(pieces[(i + 1) % count].start_point) for i, p in enumerate(pieces))
+        images = offsets[h:] + [o + offsets[-1] for o in offsets[1:h]]  # where piece i + h starts
+        arc = max(abs(b - a - offsets[h]) for a, b in zip(offsets, images))
+        delta += 6.0 * (m - 1) * arc + gap
         if delta <= slack:
-            gap = max(p.end_point.distance_to(pieces[(i + 1) % count].start_point) for i, p in enumerate(pieces))
-            images = offsets[step:] + [o + total for o in offsets[1:step]]  # where piece i + P/m starts
-            arc = max(abs(b - a - offsets[step]) for a, b in zip(offsets, images))
-            delta += 6.0 * (m - 1) * arc + gap
-            if delta <= slack:
-                return m, delta, slack
-    return 1, delta, slack
+            return m, delta, slack
+    return 1, math.inf, slack
 
 
 def rolling_disk_check(path: PiecewisePath, eps: float = 0.5) -> ProofReport:
@@ -146,9 +140,9 @@ def rolling_disk_check(path: PiecewisePath, eps: float = 0.5) -> ProofReport:
     2*(delta + slack).  The distance an interval test computes is
     1-Lipschitz in the offset curve and in the window's pieces, and kept by
     a turn.  R^q maps the offset curve of an interval of piece k within
-    (m - 1)*d1 of that of the same fractions of piece k + qP/m, and the
-    window of the one onto that of the other, its parts within (m - 1)*d1 +
-    6*E + g, E being R^q's arclength mismatch: both windows cut the same
+    turn_orbits' delta D of that of the same fractions of piece k + qh, and
+    the window of the one onto that of the other, its parts within D + 6*E
+    + g, E being R^q's arclength mismatch: both windows cut the same
     pieces at arclengths at most 6*E apart, and a sliver cut off at a
     junction lies within g of the neighbouring piece.  So the distances
     differ by at most 2*delta (E <= 2*(m - 1)*e), and the slack covers
@@ -236,7 +230,7 @@ def rolling_disk_check(path: PiecewisePath, eps: float = 0.5) -> ProofReport:
     # min_cleared: the smallest distance that cleared an interval; orbit: m
     counters = {"intervals": visited, "kernel_calls": calls, "depth": deepest, "min_cleared": min_cleared,
                 "orbit": orbit}
-    report = ProofReport(not failures and not undecided, (), failures, undecided, counters)
+    report = ProofReport((), failures, undecided, counters)
     logger.debug("rolling disk: delta %r, slack %r, %d intervals, %d kernel calls, depth %d, min cleared %r, "
                  "orbit %d, %d undecided, %d failures", delta, slack, *report.counts().values())
     return report

@@ -362,15 +362,14 @@ def _seg_seg_intersections(s1: Segment, s2: Segment, tol: float) -> list[Point]:
     scale = max(d1.norm(), d2.norm())
     if abs(denom) < 1e-14 * scale * scale:
         # parallel: they meet when an end of one is within tol of the other; report the overlap midpoint
+        # clamped to s1: s1's near end when the two lie end to end, apart by under tol
         if min(s2.dist(s1.a), s2.dist(s1.b), s1.dist(s2.a), s1.dist(s2.b)) > tol:
             return []
         t0 = rel.dot(d1) / d1.dot(d1)
         t1 = t0 + d2.dot(d1) / d1.dot(d1)
         lo = max(min(t0, t1), 0.0)
         hi = min(max(t0, t1), 1.0)
-        if hi < lo:
-            return []
-        return [s1.point_at(0.5 * (lo + hi))]
+        return [s1.point_at(min(1.0, max(0.0, 0.5 * (lo + hi))))]
     t = rel.cross(d2) / denom
     u = rel.cross(d1) / denom
     eps = tol / scale
@@ -548,6 +547,58 @@ def turn_mismatch(pieces: Sequence[Primitive], center: Point, angle: float, shif
         if worst > bound:
             break
     return worst
+
+
+def _start(prim) -> Point | None:
+    """Where a point, segment or arc starts; None for a half-plane or the whole plane."""
+    if isinstance(prim, SinglePoint):
+        return prim.p
+    return prim.start_point if isinstance(prim, (Segment, Arc)) else None
+
+
+def _least_mismatch(group, starts, center: Point, angle: float, bound: float, margin: float) -> tuple[float, int]:
+    """The least turn_mismatch(group, center, angle, shift, bound) over the
+    shifts when it is at most bound, and its shift (the least on a tie);
+    otherwise some value above bound.  starts holds _start of each piece.
+
+    Whatever turn_mismatch returns for a shift is at least the distance from
+    piece 0's turned start to the start of that shift's piece: it compares
+    piece 0 first, and each kind's mismatch bounds the distance between the
+    points at fraction 0 (for arcs, |r0*u - r1*v| <= |r0 - r1| + r0*|u - v|).
+    So the shifts are tried nearest start first, and the search stops at a
+    start farther than bound, or than the least mismatch so far, by more
+    than margin, which covers the rounding of both: a shift within bound is
+    never passed over.  A group that turns onto itself takes one call.  A
+    shift onto a half-plane or the whole plane, or any shift when piece 0 is
+    one, mismatches by inf.
+    """
+    best = math.inf, 0
+    if starts[0] is None:
+        return best
+    target = rotate_about(starts[0], center, angle)
+    for gap, shift in sorted((target.distance_to(q), shift) for shift, q in enumerate(starts) if q is not None):
+        if gap > min(best[0], bound) + margin:
+            break
+        best = min(best, (turn_mismatch(group, center, angle, shift, bound), shift))
+    return best
+
+
+def turn_orbits(groups: Sequence[Sequence[Primitive]], center: Point, orders: Sequence[int], slack: float):
+    """(m, delta, shifts) for each m of orders, in turn, whose turn R by
+    2*pi/m about center maps every nonempty group onto itself by a cyclic
+    shift, each group's of least mismatch (_least_mismatch), within slack:
+    delta = (m - 1)*d1, d1 the largest of those mismatches.  R^q, q = 1..m
+    - 1, maps piece k of a group within delta of piece k + q*shift: R is an
+    isometry, so mismatches add up along its powers.
+    """
+    groups = [group for group in groups if group]
+    starts = [[_start(p) for p in group] for group in groups]
+    for m in orders:
+        angle, bound = 2.0 * math.pi / m, slack / (m - 1)
+        found = [_least_mismatch(group, s, center, angle, bound, slack) for group, s in zip(groups, starts)]
+        delta = (m - 1) * max((d for d, _ in found), default=0.0)
+        if delta <= slack:
+            yield m, delta, tuple(shift for _, shift in found)
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,7 @@ from .geometry import (
     circumcircle3,
     constrained_largest_empty_circle,  # noqa: F401  (perfbench traces it under this module)
     piece_distance,
-    rotate_about,
-    turn_mismatch,
+    turn_orbits,
     unit,
 )
 
@@ -816,11 +815,14 @@ class ProofReport:
     failures, whose witness contradicts the claim, and the undecided parts,
     whose witness does not."""
 
-    ok: bool
     proved: tuple
     failures: tuple
     undecided: tuple
     counters: dict  # work counters, in the order counts() reports them
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures and not self.undecided
 
     def __bool__(self) -> bool:
         return self.ok
@@ -1036,7 +1038,7 @@ def dissection_check(coloring: Coloring, spec: DissectionSpec, tau: float = DEFA
     # min_margin: the smallest amount by which a proof cleared its bound
     counters = {"rectangles": 2 * spec.n, "leaves": len(proved) + len(failures) + len(undecided),
                 "kernel_calls": calls, "depth": deepest, "min_margin": min_margin, "orbit": spec.n // step}
-    result = ProofReport(not failures and not undecided, proved, failures, undecided, counters)
+    result = ProofReport(proved, failures, undecided, counters)
     logger.debug("dissection check: delta %r, slack %r, %d rectangles, %d leaves, %d kernel calls, depth %d, "
                  "min margin %r, orbit %d, %d undecided, %d failures", delta, slack, *result.counts().values())
     return result
@@ -1046,68 +1048,18 @@ def _ray_orbit(source, spec: DissectionSpec) -> tuple[int, float, float]:
     """(k, delta, slack) of the turn dissection_check proves by: the
     smallest even k < n dividing n whose turn R by 2*pi*k/n about spec.apex
     maps every loop of the region source, or the primitives of every stroke
-    of the script source, onto itself by a cyclic shift within slack; k = n
-    when none does, delta then being above slack.
-
-    R^q, q = 1..n/k - 1, maps ray j onto ray j + qk with the same black
-    side (k is even) and every piece within delta = (n/k - 1)*d1 of its
-    image (turn_mismatch, d1 for R; R is an isometry, so mismatches add up
-    along its powers).  slack is 1e-12 times the largest coordinate
-    magnitude of the pieces and the rectangles (|apex| + b + d).  Each
-    group's shift is the one of least mismatch, found by _least_mismatch
-    among the few whose piece starts where piece 0's turned start lands.
+    of the script source, onto itself (geometry.turn_orbits, order n/k);
+    k = n and delta = inf when none does.  R^q maps ray j onto ray j + qk
+    with the same black side (k is even).  slack is 1e-12 times the largest
+    coordinate magnitude of the pieces and the rectangles (|apex| + b + d).
     """
     groups = ([stroke.centers.primitives for stroke in source.strokes] if isinstance(source, DrawingScript)
               else [loop.pieces for loop in source])
-    apex = spec.apex
-    slack = 1e-12 * max([max(abs(apex.x), abs(apex.y)) + spec.b + spec.d,
+    slack = 1e-12 * max([max(abs(spec.apex.x), abs(spec.apex.y)) + spec.b + spec.d,
                          *(p.extent() for group in groups for p in group)])
-    delta = math.inf
-    for k in range(2, spec.n, 2):
-        if spec.n % k:
-            continue
-        m, angle = spec.n // k, 2.0 * math.pi * k / spec.n
-        bound = slack / (m - 1)
-        delta = (m - 1) * max((_least_mismatch(group, apex, angle, bound, slack) for group in groups if group),
-                              default=0.0)
-        if delta <= slack:
-            return k, delta, slack
-    return spec.n, delta, slack
-
-
-def _start(prim) -> Point | None:
-    """Where a point, segment or arc starts; None for a half-plane or the whole plane."""
-    if isinstance(prim, SinglePoint):
-        return prim.p
-    return prim.start_point if isinstance(prim, (Segment, Arc)) else None
-
-
-def _least_mismatch(group, center: Point, angle: float, bound: float, margin: float) -> float:
-    """The least turn_mismatch(group, center, angle, shift, bound) over the
-    shifts when it is at most bound; otherwise some value above bound.
-
-    Whatever turn_mismatch returns for a shift is at least the distance from
-    piece 0's turned start to the start of that shift's piece: it compares
-    piece 0 first, and each kind's mismatch bounds the distance between the
-    points at fraction 0 (for arcs, |r0*u - r1*v| <= |r0 - r1| + r0*|u - v|).
-    So the shifts are tried nearest start first, and the search stops at a
-    start farther than bound, or than the least mismatch so far, by more
-    than margin, which covers the rounding of both: a shift within bound is
-    never passed over.  A group that turns onto itself takes one call.  A
-    shift onto a half-plane or the whole plane, or any shift when piece 0 is
-    one, mismatches by inf.
-    """
-    first = _start(group[0])
-    if first is None:
-        return math.inf
-    target = rotate_about(first, center, angle)
-    best = math.inf
-    for gap, shift in sorted((target.distance_to(q), shift) for shift, q in enumerate(map(_start, group))
-                             if q is not None):
-        if gap > min(best, bound) + margin:
-            break
-        best = min(best, turn_mismatch(group, center, angle, shift, bound))
-    return best
+    orders = [spec.n // k for k in range(2, spec.n, 2) if spec.n % k == 0]
+    m, delta, _ = next(turn_orbits(groups, spec.apex, orders, slack), (1, math.inf, ()))
+    return spec.n // m, delta, slack
 
 
 def undrawability_bound(n: int) -> float:

@@ -115,6 +115,15 @@ def reversed_loop(loop: PiecewisePath) -> PiecewisePath:
     ))
 
 
+def regular_polygon_path(m, radius, center, turn, start):
+    """The counter-clockwise regular m-gon about center, its corner 0 at the
+    angle turn, listed from side start."""
+    corners = [center + Point(radius * math.cos(turn + 2.0 * math.pi * k / m),
+                              radius * math.sin(turn + 2.0 * math.pi * k / m)) for k in range(m)]
+    sides = [Segment(corners[k], corners[(k + 1) % m]) for k in range(m)]
+    return PiecewisePath(tuple(sides[start:] + sides[:start]))
+
+
 def benchmark_workloads():
     """perfbench/workloads.py, the benchmark's seeded input generators."""
     bench = str(Path(__file__).resolve().parents[1] / "perfbench")

@@ -659,25 +659,18 @@ def validate_simple_all_pairs(path: PiecewisePath) -> None:
                 )
 
 
-def ray_orbit_every_shift(source, spec: DissectionSpec) -> tuple[int, float, float]:
-    """obstruction._ray_orbit as it was before its shift lookup: each group's
-    least mismatch is taken over every cyclic shift."""
-    groups = ([stroke.centers.primitives for stroke in source.strokes] if isinstance(source, DrawingScript)
-              else [loop.pieces for loop in source])
-    apex = spec.apex
-    slack = 1e-12 * max([max(abs(apex.x), abs(apex.y)) + spec.b + spec.d,
-                         *(p.extent() for group in groups for p in group)])
-    delta = math.inf
-    for k in range(2, spec.n, 2):
-        if spec.n % k:
-            continue
-        m, angle = spec.n // k, 2.0 * math.pi * k / spec.n
-        bound = slack / (m - 1)
-        delta = (m - 1) * max((min(turn_mismatch(group, apex, angle, shift, bound) for shift in range(len(group)))
-                               for group in groups if group), default=0.0)
+def turn_orbits_every_shift(groups, center: Point, orders, slack: float):
+    """geometry.turn_orbits as it would be without its shift lookup: each
+    group's least mismatch, and its shift, are taken over every cyclic
+    shift, the least shift on a tie."""
+    groups = [group for group in groups if group]
+    for m in orders:
+        angle, bound = 2.0 * math.pi / m, slack / (m - 1)
+        found = [min((turn_mismatch(group, center, angle, shift, bound), shift) for shift in range(len(group)))
+                 for group in groups]
+        delta = (m - 1) * max((d for d, _ in found), default=0.0)
         if delta <= slack:
-            return k, delta, slack
-    return spec.n, delta, slack
+            yield m, delta, tuple(shift for _, shift in found)
 
 
 def dissection_pattern_classify(spec: DissectionSpec, tau: float = DEFAULT_TAU):

@@ -442,6 +442,26 @@ class TestPiecewisePath:
             path = unchecked_path(pieces)
         assert simple_outcome(path.validate_simple) == simple_outcome(lambda: validate_simple_all_pairs(path))
 
+    def test_validate_simple_collinear_segments_end_to_end(self):
+        # pieces 0 and 2 lie on the x-axis 1e-8 apart, end to end; piece 1,
+        # a circle but for that gap, joins them above the axis, and the
+        # rectangle below closes the loop: no other pair comes near
+        gap = 1e-8
+        center = Point(1.0 + 0.5 * gap, math.sqrt(0.25 - 0.25 * gap * gap))
+        start = math.atan2(-center.y, -0.5 * gap)
+        end = math.atan2(-center.y, 0.5 * gap)
+        path = PiecewisePath((
+            Segment(Point(0, 0), Point(1, 0)),
+            Arc(center, 0.5, start, end, ccw=False),
+            Segment(Point(1.0 + gap, 0), Point(3, 0)),
+            Segment(Point(3, 0), Point(3, -1)),
+            Segment(Point(3, -1), Point(0, -1)),
+            Segment(Point(0, -1), Point(0, 0)),
+        ))
+        with pytest.raises(ConstructionInconsistent, match="pieces 0 and 2 intersect"):
+            path.validate_simple()
+        assert simple_outcome(path.validate_simple) == simple_outcome(lambda: validate_simple_all_pairs(path))
+
     def test_validate_simple_spurs_off_every_end(self, snake):
         # a spur along each axis from the outer end of each piece leaves that
         # end's box along the axis, touching the piece up to a gap of about tol

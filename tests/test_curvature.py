@@ -17,7 +17,7 @@ from diskdraw.constructions import PiecewisePath
 from diskdraw import curvature
 from diskdraw.curvature import CLEARANCE, MAX_DEPTH
 
-from helpers import DIFF, same_proof, scaled_loop
+from helpers import DIFF, regular_polygon_path, reversed_loop, same_proof, scaled_loop
 from oracles import rolling_disk_sampled, tangent_disk_distance, window_parts_scanned
 
 
@@ -283,13 +283,6 @@ def moved(piece, by: Point):
     return Arc(piece.center + by, piece.radius, piece.start_angle, piece.end_angle, piece.ccw)
 
 
-def regular_polygon_path(m, radius, center, turn, start):
-    corners = [center + Point(radius * math.cos(turn + 2.0 * math.pi * k / m),
-                              radius * math.sin(turn + 2.0 * math.pi * k / m)) for k in range(m)]
-    sides = [Segment(corners[k], corners[(k + 1) % m]) for k in range(m)]
-    return PiecewisePath(tuple(sides[start:] + sides[:start]))
-
-
 class TestOrbit:
     @pytest.mark.parametrize("eps", [0.5, 1.0, 2.0, 4.0])
     def test_snake(self, monkeypatch, snake_path, eps):
@@ -316,8 +309,10 @@ class TestOrbit:
     @given(m=st.integers(3, 12), radius=st.floats(2.0, 20.0), center=st.tuples(st.floats(-50, 50), st.floats(-50, 50)),
            turn=st.floats(0.0, 2.0 * math.pi), start=st.integers(0, 11))
     def test_regular_polygons(self, monkeypatch, m, radius, center, turn, start):
+        # listed clockwise, the turn maps piece k onto piece k - 1 = k + (m - 1)
         path = regular_polygon_path(m, radius, Point(*center), turn, start % m)
-        assert_orbit_matches_the_full_proof(monkeypatch, path, 0.5, m)
+        for loop in (path, reversed_loop(path)):
+            assert_orbit_matches_the_full_proof(monkeypatch, loop, 0.5, m)
 
     def test_a_nudged_piece_has_no_orbit(self, monkeypatch, snake_path):
         # 1e-10 is inside the junction slack (1e-9 times the extent), so the

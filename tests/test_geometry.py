@@ -328,6 +328,15 @@ class TestPieceDistance:
             assert short.dist(hit) <= 1e-7 and long.dist(hit) <= 1e-7
         assert piece_distance(short, long) == piece_distance(long, short) == 0.0
 
+    def test_collinear_segments_end_to_end_meet(self):
+        # 1e-8 apart on one line, under tol: each reports its own near end
+        right, left = Segment(Point(0, 0), Point(1, 0)), Segment(Point(-5, 0), Point(-1e-8, 0))
+        assert piece_intersections(right, left, 1e-7) == [Point(0, 0)]
+        (hit,) = piece_intersections(left, right, 1e-7)
+        assert hit.distance_to(Point(-1e-8, 0)) < 1e-15
+        # piece_distance asks within 1e-12 of the scale, so the gap stays
+        assert piece_distance(right, left) == piece_distance(left, right) == pytest.approx(1e-8, rel=1e-6)
+
     def test_segment_and_arc_interior_pair(self):
         # the closest pair joins the top of the arc to the foot on the segment
         d = piece_distance(Arc(Point(0, 0), 1.0, 0.2, math.pi - 0.2), Segment(Point(-5, 3), Point(5, 3)))

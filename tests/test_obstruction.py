@@ -44,15 +44,15 @@ from diskdraw import (
 from diskdraw.constructions import (PiecewisePath, build_snake, region_coloring, rounded_chessboard_coloring,
                                     sharp_dissection_spec, sharp_ndissected_script, snake_coloring,
                                     snake_dissection_spec)
-from diskdraw import cli, obstruction
+from diskdraw import cli, curvature, geometry, obstruction
 from diskdraw.delaunay import Delaunay
 from diskdraw.geometry import DEFAULT_TAU, LargestEmptyCircle, Segment, SinglePoint, rotate_about, unit
 from diskdraw.obstruction import SPLIT_DEPTH, DissectionSpec, _encircles, _rotation_premise
 
-from helpers import (DIFF, benchmark_workloads, random_point, random_primitive, random_script, rigid_motion,
-                     same_proof, scaled_loop)
+from helpers import (DIFF, benchmark_workloads, random_point, random_primitive, random_script, regular_polygon_path,
+                     reversed_loop, rigid_motion, same_proof, scaled_loop)
 from oracles import (colour_premise_by_points, dissection_pattern_classify, dissection_sampled,
-                     dissection_stages_by_points, local_lec_by_rows, pattern_coloring, ray_orbit_every_shift,
+                     dissection_stages_by_points, local_lec_by_rows, pattern_coloring, turn_orbits_every_shift,
                      wedge_checks_enumerated)
 from test_render import arc_loops, convex_polygons
 
@@ -1544,25 +1544,35 @@ class TestRayOrbit:
 
 
 class TestShiftLookup:
-    """_ray_orbit tries the shifts nearest start first, against the search
-    over every shift that it replaced (tests/oracles.py)."""
+    """_orbit and _ray_orbit take their shifts from geometry.turn_orbits,
+    which tries the shifts nearest start first, against the search over
+    every shift (tests/oracles.py) through each caller."""
 
     @staticmethod
-    def assert_matches(source, spec):
-        # the same (k, delta, slack) where an orbit is found; without one,
-        # both deltas are above the slack
-        got, want = obstruction._ray_orbit(source, spec), ray_orbit_every_shift(source, spec)
-        if want[0] < spec.n:
+    def assert_matches(monkeypatch, module, find, none):
+        # the same (m or k, delta, slack) where an orbit is found; without
+        # one (m or k equal to none), both deltas are above the slack
+        got = find()
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "turn_orbits", turn_orbits_every_shift)
+            want = find()
+        if want[0] != none:
             assert got == want
         else:
-            assert got[0] == spec.n and got[2] == want[2] and got[1] > got[2]
+            assert got[0] == none and got[2] == want[2] and got[1] > got[2]
         return got
+
+    def ray_orbit(self, monkeypatch, source, spec):
+        return self.assert_matches(monkeypatch, obstruction, lambda: obstruction._ray_orbit(source, spec), spec.n)
+
+    def orbit(self, monkeypatch, path):
+        return self.assert_matches(monkeypatch, curvature, lambda: curvature._orbit(path, path.piece_offsets()), 1)
 
     @pytest.mark.parametrize("start", [0, 5, 17])
     def test_snake(self, monkeypatch, start):
         geom = build_snake(1.001)
         pieces = geom.boundary.pieces
-        loops = (PiecewisePath(pieces[start:] + pieces[:start]),)
+        path = PiecewisePath(pieces[start:] + pieces[:start])
         calls = 0
 
         def counted(*args):
@@ -1570,27 +1580,43 @@ class TestShiftLookup:
             calls += 1
             return turn_mismatch(*args)
 
-        turn_mismatch = obstruction.turn_mismatch
-        monkeypatch.setattr(obstruction, "turn_mismatch", counted)
-        assert self.assert_matches(loops, snake_dissection_spec(geom))[0] == 6
+        turn_mismatch = geometry.turn_mismatch
+        monkeypatch.setattr(geometry, "turn_mismatch", counted)
+        assert self.ray_orbit(monkeypatch, (path,), snake_dissection_spec(geom))[0] == 6
         # k = 2, 4 and 6 take at most one call each, none when no piece
         # starts within the bound of piece 0's turned start; the search over
         # every shift took 28 for each
         assert calls == {0: 3, 5: 1, 17: 3}[start]
+        assert self.orbit(monkeypatch, path)[0] == 2
+        # and listed clockwise
+        path = reversed_loop(path)
+        assert self.ray_orbit(monkeypatch, (path,), snake_dissection_spec(geom))[0] == 6
+        assert self.orbit(monkeypatch, path)[0] == 2
+
+    @pytest.mark.parametrize("clockwise", [False, True])
+    @pytest.mark.parametrize("m", range(3, 13))
+    def test_regular_polygons(self, monkeypatch, m, clockwise):
+        # the turn by 2*pi/m maps side k onto side k + 1, or k - 1 clockwise
+        center = Point(3.0, -2.0)
+        path = regular_polygon_path(m, 5.0, center, 0.3, 1 % m)
+        path = reversed_loop(path) if clockwise else path
+        assert self.orbit(monkeypatch, path)[0] == m
+        spec = DissectionSpec(apex=center, n=2 * m, a=1.0, b=2.0, d=0.5, phase=0.1)
+        assert self.ray_orbit(monkeypatch, (path,), spec)[0] == 2
 
     @pytest.mark.parametrize("n", [4, 6, 12, 20])
-    def test_sharp_scripts(self, n):
-        assert self.assert_matches(sharp_ndissected_script(n), sharp_dissection_spec(n))[0] == 2
+    def test_sharp_scripts(self, monkeypatch, n):
+        assert self.ray_orbit(monkeypatch, sharp_ndissected_script(n), sharp_dissection_spec(n))[0] == 2
 
-    def test_no_orbit(self):
+    def test_no_orbit(self, monkeypatch):
         (stroke,) = sharp_ndissected_script(12).strokes
         prims = list(stroke.centers.primitives)
         prims[3] = Segment(prims[3].a + Point(1e-10, 0.0), prims[3].b + Point(1e-10, 0.0))
         for extra in ((), (OffsetHalfPlane(Point(0.0, 1.0), 100.0),)):
             script = DrawingScript(DiskModel.OPEN, (Stroke(Tool.PENCIL, CenterSet(tuple(prims) + extra)),))
-            assert self.assert_matches(script, sharp_dissection_spec(12))[0] == 12
+            assert self.ray_orbit(monkeypatch, script, sharp_dissection_spec(12))[0] == 12
 
-    def test_two_pieces_start_where_piece_0_lands(self):
+    def test_two_pieces_start_where_piece_0_lands(self, monkeypatch):
         # the half turn takes S0 onto S1 (shift 2) and T onto U; T, at shift
         # 1, starts where S1 does, so the nearest start alone is a tie that
         # the lower, wrong shift wins
@@ -1599,21 +1625,21 @@ class TestShiftLookup:
         prims = (Segment(p, q), Segment(p_, r), Segment(p_, q_), Segment(p, r_))
         script = DrawingScript(DiskModel.OPEN, (Stroke(Tool.PENCIL, CenterSet(prims)),))
         spec = DissectionSpec(apex=Point(0.0, 0.0), n=4, a=0.5, b=3.0, d=1.0, phase=0.3)
-        assert self.assert_matches(script, spec)[0] == 2
+        assert self.ray_orbit(monkeypatch, script, spec)[0] == 2
 
     @settings(DIFF, max_examples=50)
     @given(case=turned_scripts(), shuffle=st.randoms(use_true_random=False))
-    def test_turned_scripts(self, case, shuffle):
+    def test_turned_scripts(self, monkeypatch, case, shuffle):
         # also with the primitives of each stroke listed in another order,
         # which no cyclic shift maps onto itself in general
         script, spec, m = case
-        assert self.assert_matches(script, spec)[0] == 2
+        assert self.ray_orbit(monkeypatch, script, spec)[0] == 2
         strokes = []
         for stroke in script.strokes:
             prims = list(stroke.centers.primitives)
             shuffle.shuffle(prims)
             strokes.append(Stroke(stroke.tool, CenterSet(tuple(prims))))
-        self.assert_matches(DrawingScript(script.model, tuple(strokes)), spec)
+        self.ray_orbit(monkeypatch, DrawingScript(script.model, tuple(strokes)), spec)
 
 
 class TestUndrawabilityBound:
