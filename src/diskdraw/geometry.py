@@ -359,7 +359,8 @@ def _seg_seg_intersections(s1: Segment, s2: Segment, tol: float) -> list[Point]:
     d2 = s2.b - s2.a
     denom = d1.cross(d2)
     rel = s2.a - s1.a
-    scale = max(d1.norm(), d2.norm())
+    n1, n2 = d1.norm(), d2.norm()
+    scale = max(n1, n2)
     if abs(denom) < 1e-14 * scale * scale:
         # parallel: they meet when an end of one is within tol of the other; report the overlap midpoint
         # clamped to s1: s1's near end when the two lie end to end, apart by under tol
@@ -372,8 +373,9 @@ def _seg_seg_intersections(s1: Segment, s2: Segment, tol: float) -> list[Point]:
         return [s1.point_at(min(1.0, max(0.0, 0.5 * (lo + hi))))]
     t = rel.cross(d2) / denom
     u = rel.cross(d1) / denom
-    eps = tol / scale
-    if -eps <= t <= 1.0 + eps and -eps <= u <= 1.0 + eps:
+    # each parameter may overshoot by tol of its own segment's length
+    eps_t, eps_u = tol / n1, tol / n2
+    if -eps_t <= t <= 1.0 + eps_t and -eps_u <= u <= 1.0 + eps_u:
         return [s1.point_at(min(1.0, max(0.0, t)))]
     return []
 
@@ -565,19 +567,21 @@ def _least_mismatch(group, starts, center: Point, angle: float, bound: float, ma
     piece 0's turned start to the start of that shift's piece: it compares
     piece 0 first, and each kind's mismatch bounds the distance between the
     points at fraction 0 (for arcs, |r0*u - r1*v| <= |r0 - r1| + r0*|u - v|).
-    So the shifts are tried nearest start first, and the search stops at a
-    start farther than bound, or than the least mismatch so far, by more
-    than margin, which covers the rounding of both: a shift within bound is
-    never passed over.  A group that turns onto itself takes one call.  A
+    So only the starts within bound + margin are sorted, the shifts are
+    tried nearest start first, and the search stops at a start farther than
+    the least mismatch so far by more than margin, which covers the rounding
+    of both: a shift within bound is never passed over.  A group that turns
+    onto itself takes one call.  A
     shift onto a half-plane or the whole plane, or any shift when piece 0 is
     one, mismatches by inf.
     """
     best = math.inf, 0
     if starts[0] is None:
         return best
-    target = rotate_about(starts[0], center, angle)
-    for gap, shift in sorted((target.distance_to(q), shift) for shift, q in enumerate(starts) if q is not None):
-        if gap > min(best[0], bound) + margin:
+    target, reach = rotate_about(starts[0], center, angle), bound + margin
+    near = ((target.distance_to(q), shift) for shift, q in enumerate(starts) if q is not None)
+    for gap, shift in sorted(pair for pair in near if pair[0] <= reach):
+        if gap > best[0] + margin:
             break
         best = min(best, (turn_mismatch(group, center, angle, shift, bound), shift))
     return best

@@ -283,24 +283,22 @@ def descent_verify(
         raise InvalidParameters("descent chain needs at least one stage")
     if premise := _classified_premise(coloring, stages):
         return (_premise_check(premise),)
-    return tuple(_stage_pair(fam, nxt, tau)[0] for fam, nxt in zip(stages, stages[1:]))
+    return tuple(_stage_pair(fam, nxt, tau) for fam, nxt in zip(stages, stages[1:]))
 
 
-def _stage_pair(fam: StageFamily, nxt: StageFamily, tau: float,
-                margin: float = 0.0) -> tuple[Check, tuple[int, ...]]:
+def _stage_pair(fam: StageFamily, nxt: StageFamily, tau: float) -> Check:
     """The record of blacks around the next whites and whites around the
-    next blacks, and its work (see _encirclement).  The verdict queries
-    every target at margin, and the clearance is the escape radius over
-    them."""
-    v1, c1, w1 = _encirclement(fam.blacks, nxt.whites, tau, margin)
-    v2, c2, w2 = _encirclement(fam.whites, nxt.blacks, tau, margin)
+    next blacks (see _encirclement): the verdict of both, and the escape
+    radius over every target as the clearance."""
+    v1, c1, _ = _encirclement(fam.blacks, nxt.whites, tau)
+    v2, c2, _ = _encirclement(fam.whites, nxt.blacks, tau)
     if v1 is Verdict.NO or v2 is Verdict.NO:
         verdict = Verdict.NO
     elif v1 is Verdict.YES and v2 is Verdict.YES:
         verdict = Verdict.YES
     else:
         verdict = Verdict.BOUNDARY
-    return _stage_check(fam.stage_index, verdict, max(c1, c2)), tuple(map(sum, zip(w1, w2)))
+    return _stage_check(fam.stage_index, verdict, max(c1, c2))
 
 
 def scaling_descent_verify(coloring: Coloring, stages: Sequence[StageFamily],
@@ -335,7 +333,7 @@ def scaling_descent_verify(coloring: Coloring, stages: Sequence[StageFamily],
         return (_premise_check(premise),)
     if len(stages) == 1:
         return ()
-    pair, _ = _stage_pair(stages[0], stages[1], tau)
+    pair = _stage_pair(stages[0], stages[1], tau)
     if not pair.ok:
         return (pair,)
     return tuple(_stage_check(fam.stage_index, Verdict.YES, pair.value * 0.5**i) for i, fam in enumerate(stages[:-1]))
@@ -600,38 +598,58 @@ def dissection_stages(
 
 def symmetric_descent_verify(stages: Sequence[StageFamily], spec: DissectionSpec, tau: float = DEFAULT_TAU, *,
                              rotation: tuple[float, float, str] | None = None) -> tuple[Check, ...]:
-    """descent_verify from ray 1 of each stage pair, for families that are
-    n-fold rotationally symmetric about spec.apex with the colours swapped,
-    as dissection_stages builds them.
+    """descent_verify from ray 1's two white targets of each stage pair, for
+    families that are n-fold rotationally symmetric about spec.apex and
+    mirror symmetric in ray 1's line, each with the colours swapped, as
+    dissection_stages builds them.
 
-    Lemma: let f_S(t) be the clearance LargestEmptyCircle(S).query(t, 1)
-    computes, the largest dist(x, S) over |x - t| <= 1.  It is 1-Lipschitz
-    in t (move the maximiser with t), 1-Lipschitz in S under a bijection
-    that moves no point more than delta (each distance to S moves by at most
-    delta), and invariant under rotation.  Let R_k turn by 2*pi*k/n about
-    the apex, and let delta be the largest distance between a point of ray
-    k + 1 and R_k of the ray-1 point it stands for: the same foot, the same
-    colour for even k and the other colour for odd k.  A point of ray m is
-    within delta of R_(m-1) q for a ray-1 point q, and R_k R_(m-1) q is
-    within delta of a point of ray m + k (mod n; n is even, so the colour
-    parity holds), so R_k maps the blacks B and the whites W of a stage onto
-    B and W (even k) or W and B (odd k) within 2*delta.  A target t of ray
-    k + 1 is within delta of R_k t1 for a ray-1 target t1, so f_B(t) <=
-    f_B(R_k t1) + delta = f_(R_-k B)(t1) + delta <= f_B(t1) + 3*delta (even
-    k) or f_W(t1) + 3*delta (odd k, t1 a black target): ray 1's four
-    targets, two feet times both colour pairs, bound every clearance of the
-    stage pair within the margin 3*delta.
+    Rotation lemma: let f_S(t) be the clearance
+    LargestEmptyCircle(S).query(t, 1) computes, the largest dist(x, S) over
+    |x - t| <= 1.  It is 1-Lipschitz in t (move the maximiser with t),
+    1-Lipschitz in S under a bijection that moves no point more than delta
+    (each distance to S moves by at most delta), and invariant under
+    isometries.  Let R_k turn by 2*pi*k/n about the apex, and let delta be
+    the largest distance between a point of ray k + 1 and R_k of the ray-1
+    point it stands for: the same foot, the same colour for even k and the
+    other colour for odd k.  A point of ray m is within delta of R_(m-1) q
+    for a ray-1 point q, and R_k R_(m-1) q is within delta of a point of ray
+    m + k (mod n; n is even, so the colour parity holds), so R_k maps the
+    blacks B and the whites W of a stage onto B and W (even k) or W and B
+    (odd k) within 2*delta.  A target t of ray k + 1 is within delta of R_k
+    t1 for a ray-1 target t1, so f_B(t) <= f_B(R_k t1) + delta = f_(R_-k
+    B)(t1) + delta <= f_B(t1) + 3*delta (even k) or f_W(t1) + 3*delta (odd
+    k, t1 a black target): ray 1's four targets, two feet times both colour
+    pairs, bound every clearance of the stage pair within 3*delta.
 
-    Premise, checked in floats (_rotation_premise): every stage holds two
-    points of each colour per ray, in dissection_stages' layout, and the
-    measured delta is at most a slack of 1e-12 times the family extent (the
-    largest coordinate magnitude of the apex and the stage points).  A
-    rounded turn is a few ulps of that extent off the exact one, and the
-    clearances of one configuration and of its turned copy are computed
-    from coordinates of that size, each to a few ulps; the slack covers both
-    with three orders of magnitude to spare, so delta + slack bounds the
-    exact delta, and 3*(delta + slack) also covers the rounding of every
-    clearance descent_verify would compute.
+    Reflection lemma: let M be the reflection in the line of ray 1 through
+    the apex, and mirror the largest distance between M of ray 1's black
+    point at a foot and ray 1's white point at that foot, over the stages.
+    M is an isometry and an involution, so M of the white point is within
+    mirror of the black one too.  It maps ray j onto ray 2 - j (mod n) and
+    the ccw side of a ray onto the cw side, and M R_k = R_-k M.  A point p
+    of ray k + 1 is within delta of R_k q, q ray 1's point of p's foot that
+    p stands for; M p is within delta of R_-k M q, M q within mirror of ray
+    1's point q' of the other colour, and R_-k q' within delta of a point of
+    ray 1 - k of p's other colour (R_-k = R_(n-k) swaps colours as k does,
+    n being even).  So M maps B onto W and W onto B within 2*delta +
+    mirror.  For a black target t of ray 1, M t is within mirror of the
+    white target t' of its foot, so f_W(t) = f_(MW)(M t) <= f_(MW)(t') +
+    mirror <= f_B(t') + 2*delta + 2*mirror.  Ray 1's two white targets, the
+    next stage's first two whites against this stage's blacks, therefore
+    bound every clearance of the stage pair within 5*delta + 2*mirror.
+
+    Premises, checked in floats (_rotation_premise, _reflection_premise):
+    every stage holds two points of each colour per ray, in
+    dissection_stages' layout, and the measured delta and mirror are each at
+    most a slack of 1e-12 times the family extent (the largest coordinate
+    magnitude of the apex and the stage points).  A rounded turn or
+    reflection is a few ulps of that extent off the exact one, and the
+    clearances of one configuration and of its turned or reflected copy are
+    computed from coordinates of that size, each to a few ulps; the slack
+    covers both with three orders of magnitude to spare, so delta + slack
+    and mirror + slack bound the exact values, and the margin 5*(delta +
+    slack) + 2*(mirror + slack) also covers the rounding of every clearance
+    descent_verify would compute.
 
     Colours, checked in floats (_colour_premise): each stage point p lies in
     its ray's rectangle of its colour shrunk by 2*tau + slack, that is, its
@@ -645,20 +663,21 @@ def symmetric_descent_verify(stages: Sequence[StageFamily], spec: DissectionSpec
     extent off, which the slack covers as it covers the turns.  No point is
     classified.
 
-    Each stage pair queries ray 1's four targets at the margin (_encircles),
-    against the obstacles of each outer family that those targets can see
-    (_local_lec): YES needs every clearance below 1 - tau - 3*(delta +
-    slack), which puts each of the pair's clearances below 1 - tau,
-    descent_verify's YES; a NO or BOUNDARY at ray 1 is recorded as it is.
-    The local triangulation computes ray 1's clearances up to the rounding
-    of candidate points, which the margin covers as it covers the rounding
-    of the turns.  The recorded clearance is the largest escape radius of
-    ray 1's four targets, equal bit for bit to that over a triangulation of
-    the whole family.  It is informational: the escape radius is not
-    Lipschitz, so it bounds nothing about the other rays, and it may differ
-    from descent_verify's largest escape over all targets in the last
-    digits.  A failed premise is a single `lemma premise` record that names
-    it; nothing falls back to descent_verify.
+    Each stage pair queries ray 1's two white targets at the margin
+    (_encircles), against the obstacles of the outer blacks that those
+    targets can see (_local_lec): YES needs both clearances below 1 - tau -
+    5*(delta + slack) - 2*(mirror + slack), which puts each of the pair's
+    clearances below 1 - tau, descent_verify's YES; a NO or BOUNDARY at ray
+    1 is recorded as it is.  The local triangulation computes ray 1's
+    clearances up to the rounding of candidate points, which the margin
+    covers as it covers the rounding of the turns.  The recorded clearance
+    is the largest escape radius of ray 1's two white targets, equal bit for
+    bit to that over a triangulation of the whole black family.  It is
+    informational: the escape radius is not Lipschitz, so it bounds nothing
+    about the other targets, and it may differ from descent_verify's largest
+    escape over all targets in the last digits.  A failed premise is a
+    single `lemma premise` record that names it; nothing falls back to
+    descent_verify.
 
     rotation is _rotation_premise(stages, spec) when the caller has
     measured it: verify dissection measures delta once and hands it to this
@@ -669,17 +688,19 @@ def symmetric_descent_verify(stages: Sequence[StageFamily], spec: DissectionSpec
         raise InvalidParameters("descent chain needs at least one stage")
     stages = tuple(stages)
     delta, slack, premise = rotation or _rotation_premise(stages, spec)
-    premise = premise or _colour_premise(stages, spec, tau, slack)
+    mirror, reflected = _reflection_premise(stages, spec, slack)
+    premise = premise or reflected or _colour_premise(stages, spec, tau, slack)
     checks: list[Check] = [_premise_check(premise)] if premise else []
     work = (0, 0, 0, 0)
     if not premise:
+        margin = 5.0 * (delta + slack) + 2.0 * (mirror + slack)
         for fam, nxt in zip(stages, stages[1:]):
-            ray_one = StageFamily(nxt.blacks[:2], nxt.whites[:2], nxt.stage_index)
-            record, done = _stage_pair(fam, ray_one, tau, 3.0 * (delta + slack))
-            checks.append(record)
+            verdict, clearance, done = _encirclement(fam.blacks, nxt.whites[:2], tau, margin)
+            checks.append(_stage_check(fam.stage_index, verdict, clearance))
             work = tuple(map(sum, zip(work, done)))
-    logger.debug("symmetric descent: delta %r, slack %r, %d LEC builds, %d obstacle points, %d ray-1 queries, "
-                 "%d escapes, %d derived records", delta, slack, *work, sum(c.ok for c in checks))
+    logger.debug("symmetric descent: delta %r, slack %r, mirror %r, %d LEC builds, %d obstacle points, "
+                 "%d ray-1 queries, %d escapes, %d derived records", delta, slack, mirror, *work,
+                 sum(c.ok for c in checks))
     return tuple(checks)
 
 
@@ -710,6 +731,28 @@ def _rotation_premise(stages: Sequence[StageFamily], spec: DissectionSpec) -> tu
     if delta > slack:
         return delta, slack, f"rotation symmetry: {worst} about {spec.apex}, beyond the slack {slack!r}"
     return delta, slack, ""
+
+
+def _reflection_premise(stages: Sequence[StageFamily], spec: DissectionSpec, slack: float) -> tuple[float, str]:
+    """(mirror, failure) of symmetric_descent_verify's reflection premise:
+    mirror is the largest distance between ray 1's black point at a foot,
+    reflected in ray 1's line through spec.apex, and ray 1's white point at
+    that foot, over every stage, and failure names the stage and the foot
+    where mirror exceeds slack, or is "".  The reflection of rel = p -
+    spec.apex is 2 (rel.u) u - rel, u = unit(spec.ray_angle(1))."""
+    u, (ax, ay) = unit(spec.ray_angle(1)), (spec.apex.x, spec.apex.y)
+    mirror, worst = 0.0, ""
+    for fam in stages:
+        for foot, (b, w) in enumerate(zip(fam.blacks[:2], fam.whites[:2]), start=1):
+            rx, ry = b.x - ax, b.y - ay
+            along = 2.0 * (rx * u.x + ry * u.y)
+            d = math.hypot(w.x - (ax + along * u.x - rx), w.y - (ay + along * u.y - ry))
+            if d > mirror:
+                mirror, worst = d, (f"stage {fam.stage_index} foot {foot}: ray 1's black point {b}, reflected in "
+                                    f"ray 1's line, is {d!r} from its white point {w}")
+    if mirror > slack:
+        return mirror, f"reflection symmetry: {worst}, beyond the slack {slack!r}"
+    return mirror, ""
 
 
 def _colour_premise(stages: Sequence[StageFamily], spec: DissectionSpec, tau: float, slack: float) -> str:

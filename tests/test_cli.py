@@ -388,10 +388,10 @@ class TestSymmetricDescent:
 
     @pytest.mark.parametrize("argv, oracle, work", [
         (("verify", "dissection", "--n", "12", "--L", "3", "--s", "1e-3", "--depth", "5"),
-         (70, 480, 480, 240), (15, 80, 40, 20)),
+         (70, 480, 480, 240), (10, 50, 30, 10)),
         (("verify", "dissection", "--n", "20", "--L", "5", "--s", "1e-3", "--depth", "2"),
-         (44, 320, 320, 160), (6, 32, 16, 8)),
-        (("verify", "snake"), (16, 384, 384, 384), (16, 96, 32, 32)),
+         (44, 320, 320, 160), (4, 20, 12, 4)),
+        (("verify", "snake"), (16, 384, 384, 384), (8, 48, 16, 16)),
     ], ids=["dissection-n12", "dissection-n20", "snake"])
     def test_work(self, capsys, monkeypatch, argv, oracle, work):
         """(LargestEmptyCircle builds, obstacle points they triangulate,

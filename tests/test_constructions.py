@@ -462,6 +462,15 @@ class TestPiecewisePath:
             path.validate_simple()
         assert simple_outcome(path.validate_simple) == simple_outcome(lambda: validate_simple_all_pairs(path))
 
+    def test_validate_simple_t_junction_near_touch(self):
+        # piece 3, of length about 1, ends 5e-8 above piece 0, of length 100
+        corners = [Point(0, 0), Point(100, 0), Point(100, 1), Point(50.1, 1), Point(50, 5e-8), Point(49.9, 1),
+                   Point(0, 1)]
+        path = PiecewisePath(tuple(Segment(a, b) for a, b in zip(corners, corners[1:] + corners[:1])))
+        with pytest.raises(ConstructionInconsistent, match="pieces 0 and 3 intersect"):
+            path.validate_simple()
+        assert simple_outcome(path.validate_simple) == simple_outcome(lambda: validate_simple_all_pairs(path))
+
     def test_validate_simple_spurs_off_every_end(self, snake):
         # a spur along each axis from the outer end of each piece leaves that
         # end's box along the axis, touching the piece up to a gap of about tol

@@ -337,6 +337,15 @@ class TestPieceDistance:
         # piece_distance asks within 1e-12 of the scale, so the gap stays
         assert piece_distance(right, left) == piece_distance(left, right) == pytest.approx(1e-8, rel=1e-6)
 
+    def test_short_segment_stopping_short_of_a_long_one_meets_it(self):
+        # (0, 0)-(1, 0) stops 5e-8 short of the vertical x = 1 + 5e-8 of
+        # length 100: each parameter may overshoot by tol of its own length,
+        # so the pair meets, either way round, at the short one's end
+        short, long = Segment(Point(0, 0), Point(1, 0)), Segment(Point(1 + 5e-8, -50), Point(1 + 5e-8, 50))
+        assert piece_intersections(short, long, 1e-7) == [Point(1, 0)]
+        (hit,) = piece_intersections(long, short, 1e-7)
+        assert hit.distance_to(Point(1, 0)) <= 1e-7 and long.dist(hit) == 0.0
+
     def test_segment_and_arc_interior_pair(self):
         # the closest pair joins the top of the arc to the foot on the segment
         d = piece_distance(Arc(Point(0, 0), 1.0, 0.2, math.pi - 0.2), Segment(Point(-5, 3), Point(5, 3)))

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 import sys
 
 import numpy as np
@@ -671,13 +672,22 @@ class TestSymmetricDescentVerify:
         assert failed_premise(cert) == ""
         assert failed_premise(oracle) == ""
         assert [(c.name, c.verdict) for c in cert] == [(c.name, c.verdict) for c in oracle]
-        # the clearance is ray 1's escape radius over the whole family, bit
-        # for bit, and the oracle's over every target up to rounding
-        assert clearances(cert) == [
-            max(LargestEmptyCircle(S).escape(t) for S, T in ((fam.blacks, nxt.whites), (fam.whites, nxt.blacks))
-                for t in T[:2])
-            for fam, nxt in zip(stages, stages[1:])]
+        # the clearance is the escape radius of ray 1's white targets over
+        # the whole black family, bit for bit, and the oracle's over every
+        # target up to rounding
+        assert clearances(cert) == [max(LargestEmptyCircle(fam.blacks).escape(t) for t in nxt.whites[:2])
+                                    for fam, nxt in zip(stages, stages[1:])]
         assert clearances(cert) == pytest.approx(clearances(oracle), rel=1e-9)
+        # the reflection lemma: at each foot of ray 1, the whites' clearance
+        # of the black target is within 2 (delta + slack) + 2 (mirror +
+        # slack) of the blacks' clearance of the white target
+        delta, slack, _ = _rotation_premise(stages, spec)
+        mirror, _ = obstruction._reflection_premise(stages, spec, slack)
+        for fam, nxt in zip(stages, stages[1:]):
+            for b, w in zip(nxt.blacks[:2], nxt.whites[:2]):
+                f_w = LargestEmptyCircle(fam.whites).query(b, 1.0)[1]
+                f_b = LargestEmptyCircle(fam.blacks).query(w, 1.0)[1]
+                assert abs(f_w - f_b) <= 2.0 * (delta + slack) + 2.0 * (mirror + slack), (f_w, f_b)
         assert valid(oracle) or not valid(cert)
         for fam, nxt in zip(stages, stages[1:]):
             for S, T in ((fam.blacks, nxt.whites), (fam.whites, nxt.blacks)):
@@ -740,9 +750,11 @@ class TestSymmetricDescentVerify:
         assert _encircles(far, [Point(0.0, 0.0)], tau, 3.0) == (Verdict.BOUNDARY, 2)
 
     def test_verdicts_are_taken_at_the_lemma_margins(self, monkeypatch):
-        # 3 (delta + slack) for a stage pair's ray-1 targets, 4 (delta + slack) for wedge 1
+        # 5 (delta + slack) + 2 (mirror + slack) for a stage pair's ray-1
+        # white targets, 4 (delta + slack) for wedge 1
         _, spec, stages = snake_chain(2)
         delta, slack, _ = _rotation_premise(stages, spec)
+        mirror, _ = obstruction._reflection_premise(stages, spec, slack)
         margins = []
         encircles_at = obstruction._encircles
 
@@ -752,7 +764,8 @@ class TestSymmetricDescentVerify:
 
         monkeypatch.setattr(obstruction, "_encircles", spy)
         assert valid(symmetric_descent_verify(stages, spec))
-        assert margins == [(2, 3.0 * (delta + slack))] * 4 and 0.0 < delta < slack
+        assert margins == [(2, 5.0 * (delta + slack) + 2.0 * (mirror + slack))] * 2
+        assert 0.0 < delta < slack and 0.0 < mirror < slack
         margins.clear()
         assert {v for _, _, v in dissection_wedge_checks(stages, spec)} == {Verdict.YES}
         assert margins == [(4, 4.0 * (delta + slack))] * 2
@@ -764,8 +777,8 @@ class TestSymmetricDescentVerify:
             symmetric_descent_verify(with_point(stages, 1, "whites", 7, Point(0.0, 0.0)), spec)
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("symmetric descent: ")]
         assert len(lines) == 2
-        assert lines[0].startswith("symmetric descent: delta 0.0, slack 3.001e-12, ")
-        assert lines[0].endswith(", 10 LEC builds, 60 obstacle points, 20 ray-1 queries, 20 escapes, "
+        assert lines[0].startswith("symmetric descent: delta 0.0, slack 3.001e-12, mirror 0.0, ")
+        assert lines[0].endswith(", 5 LEC builds, 30 obstacle points, 10 ray-1 queries, 10 escapes, "
                                  "5 derived records")
         assert lines[1].endswith(", 0 LEC builds, 0 obstacle points, 0 ray-1 queries, 0 escapes, "
                                  "0 derived records")
@@ -1104,7 +1117,8 @@ class TestPatternColoring:
 class TestSymmetryMutants:
     """Chains that break the rotation lemma's premise are not proved, and the
     certificate names the premise; the wedges the lemma would derive are
-    BOUNDARY."""
+    BOUNDARY.  Chains that break the reflection lemma's premise are not
+    proved either, and the certificate names that premise."""
 
     @staticmethod
     def assert_not_proved(spec, stages, where):
@@ -1145,6 +1159,35 @@ class TestSymmetryMutants:
         self.assert_not_proved(spec, shuffled, "stage 1 ray ")
         # the same point sets, so the stage-by-stage check still proves them
         assert valid(descent_verify(coloring, shuffled))
+
+    def test_ray_one_mirror_broken_on_every_ray(self):
+        # on each ray, the points that stand for ray 1's blacks move out along
+        # the ray by 1e-7 and those for its whites move in: every turn still
+        # maps ray 1 onto each ray, but the reflection in ray 1's line no
+        # longer maps its blacks onto its whites
+        coloring, spec, stages = pattern_chain(12, 3.0, 1e-3, 2)
+        moved = []
+        for fam in stages:
+            points = {"blacks": list(fam.blacks), "whites": list(fam.whites)}
+            for k in range(spec.n):
+                u = unit(spec.ray_angle(k + 1))
+                for colour, other, step in (("blacks", "whites", 1e-7), ("whites", "blacks", -1e-7)):
+                    stand_in = points[colour if k % 2 == 0 else other]
+                    for i in (2 * k, 2 * k + 1):
+                        stand_in[i] = stand_in[i] + u.scaled(step)
+            moved.append(dataclasses.replace(fam, blacks=tuple(points["blacks"]), whites=tuple(points["whites"])))
+        delta, slack, premise = _rotation_premise(moved, spec)
+        assert premise == "" and delta < slack
+        assert obstruction._colour_premise(moved, spec, DEFAULT_TAU, slack) == ""
+        mirror, _ = obstruction._reflection_premise(moved, spec, slack)
+        assert mirror == pytest.approx(2e-7, rel=1e-6)
+        cert = symmetric_descent_verify(moved, spec)
+        assert not valid(cert)
+        premise = failed_premise(cert)
+        assert re.fullmatch(r"reflection symmetry: stage [012] foot [12]: ray 1's black point .*, reflected in "
+                            r"ray 1's line, is .* from its white point .*, beyond the slack .*", premise), premise
+        # the chain itself holds: only the lemma cannot be applied
+        assert valid(descent_verify(coloring, moved))
 
     def test_missing_point(self):
         _, spec, stages = pattern_chain(12, 3.0, 1e-3, 2)
