@@ -56,7 +56,9 @@ def path_max_curvature(path: PiecewisePath) -> float:
 
 def _subpiece(piece, f0: float, f1: float):
     """The part of a piece between the fractions f0 <= f1, a SinglePoint
-    when it has no length."""
+    when it has no length, and the piece itself when it is all of it."""
+    if f0 == 0.0 and f1 == 1.0:
+        return piece
     if isinstance(piece, Segment):
         a, b = piece.point_at(f0), piece.point_at(f1)
         return Segment(a, b) if a != b else SinglePoint(a)

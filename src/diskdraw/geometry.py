@@ -116,7 +116,8 @@ class Circle:
 # Every primitive answers dist(x), its exact distance to the point x, and
 # extent(), the largest coordinate magnitude it reaches, a scale for slacks.
 # The pieces SinglePoint, Segment and Arc also answer bbox(), their
-# (xmin, ymin, xmax, ymax).
+# (xmin, ymin, xmax, ymax); Segment and Arc answer dist_xy(x, y), dist of
+# the point (x, y), which the piece kernels call to build no Point.
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,7 +177,10 @@ class Segment:
         return Segment(rotate_about(self.a, center, angle), rotate_about(self.b, center, angle))
 
     def dist(self, x: Point) -> float:
-        return dist_to_segment(x, self.a, self.b)
+        return dist_to_segment(x.x, x.y, self.a, self.b)
+
+    def dist_xy(self, x: float, y: float) -> float:
+        return dist_to_segment(x, y, self.a, self.b)
 
     def extent(self) -> float:
         return max(abs(self.a.x), abs(self.a.y), abs(self.b.x), abs(self.b.y))
@@ -257,13 +261,17 @@ class Arc:
         return d <= sweep + slack or d >= TWO_PI - slack
 
     def dist(self, x: Point) -> float:
-        vx, vy = x.x - self.center.x, x.y - self.center.y
+        return self.dist_xy(x.x, x.y)
+
+    def dist_xy(self, x: float, y: float) -> float:
+        vx, vy = x - self.center.x, y - self.center.y
         r = math.hypot(vx, vy)
         if r == 0.0:
             return self.radius
         if self.contains_angle(math.atan2(vy, vx)):
             return abs(r - self.radius)
-        return min(x.distance_to(self.start_point), x.distance_to(self.end_point))
+        s, e = self.start_point, self.end_point
+        return min(math.hypot(x - s.x, y - s.y), math.hypot(x - e.x, y - e.y))
 
     def extent(self) -> float:
         return max(abs(self.center.x), abs(self.center.y)) + self.radius
@@ -335,15 +343,16 @@ def box_gap(a: tuple[float, float, float, float], b: tuple[float, float, float, 
     return math.hypot(max(b[0] - a[2], a[0] - b[2], 0.0), max(b[1] - a[3], a[1] - b[3], 0.0))
 
 
-def dist_to_segment(x: Point, a: Point, b: Point) -> float:
+def dist_to_segment(x: float, y: float, a: Point, b: Point) -> float:
+    """Distance from the point (x, y) to the segment from a to b."""
     vx, vy = b.x - a.x, b.y - a.y
-    wx, wy = x.x - a.x, x.y - a.y
+    wx, wy = x - a.x, y - a.y
     vv = vx * vx + vy * vy
     t = (wx * vx + wy * vy) / vv
     if t <= 0.0:
         return math.hypot(wx, wy)
     if t >= 1.0:
-        return math.hypot(x.x - b.x, x.y - b.y)
+        return math.hypot(x - b.x, y - b.y)
     return math.hypot(wx - t * vx, wy - t * vy)
 
 
@@ -355,24 +364,25 @@ Piece = Union[SinglePoint, Segment, Arc]
 
 
 def _seg_seg_intersections(s1: Segment, s2: Segment, tol: float) -> list[Point]:
-    d1 = s1.b - s1.a
-    d2 = s2.b - s2.a
-    denom = d1.cross(d2)
-    rel = s2.a - s1.a
-    n1, n2 = d1.norm(), d2.norm()
+    ax, ay, bx, by = s1.a.x, s1.a.y, s2.a.x, s2.a.y
+    d1x, d1y = s1.b.x - ax, s1.b.y - ay
+    d2x, d2y = s2.b.x - bx, s2.b.y - by
+    denom = d1x * d2y - d1y * d2x
+    rx, ry = bx - ax, by - ay
+    n1, n2 = math.hypot(d1x, d1y), math.hypot(d2x, d2y)
     scale = max(n1, n2)
     if abs(denom) < 1e-14 * scale * scale:
         # parallel: they meet when an end of one is within tol of the other; report the overlap midpoint
         # clamped to s1: s1's near end when the two lie end to end, apart by under tol
         if min(s2.dist(s1.a), s2.dist(s1.b), s1.dist(s2.a), s1.dist(s2.b)) > tol:
             return []
-        t0 = rel.dot(d1) / d1.dot(d1)
-        t1 = t0 + d2.dot(d1) / d1.dot(d1)
+        t0 = (rx * d1x + ry * d1y) / (d1x * d1x + d1y * d1y)
+        t1 = t0 + (d2x * d1x + d2y * d1y) / (d1x * d1x + d1y * d1y)
         lo = max(min(t0, t1), 0.0)
         hi = min(max(t0, t1), 1.0)
         return [s1.point_at(min(1.0, max(0.0, 0.5 * (lo + hi))))]
-    t = rel.cross(d2) / denom
-    u = rel.cross(d1) / denom
+    t = (rx * d2y - ry * d2x) / denom
+    u = (rx * d1y - ry * d1x) / denom
     # each parameter may overshoot by tol of its own segment's length
     eps_t, eps_u = tol / n1, tol / n2
     if -eps_t <= t <= 1.0 + eps_t and -eps_u <= u <= 1.0 + eps_u:
@@ -380,37 +390,35 @@ def _seg_seg_intersections(s1: Segment, s2: Segment, tol: float) -> list[Point]:
     return []
 
 
-def _line_circle_params(a: Point, d: Point, center: Point, radius: float) -> list[float]:
-    """Parameters t with |a + t d - center| = radius (d not normalized)."""
-    fx, fy = a.x - center.x, a.y - center.y
-    A = d.dot(d)
-    B = 2.0 * (fx * d.x + fy * d.y)
-    C = fx * fx + fy * fy - radius * radius
+def _seg_arc_intersections(seg: Segment, arc: Arc, tol: float) -> list[Point]:
+    ax, ay, cx, cy, r = seg.a.x, seg.a.y, arc.center.x, arc.center.y, arc.radius
+    dx, dy = seg.b.x - ax, seg.b.y - ay
+    eps = tol / max(math.hypot(dx, dy), 1e-300)
+    # the parameters t with |a + t d - center| = r
+    fx, fy = ax - cx, ay - cy
+    A = dx * dx + dy * dy
+    B = 2.0 * (fx * dx + fy * dy)
+    C = fx * fx + fy * fy - r * r
     disc = B * B - 4.0 * A * C
     if disc < 0.0:
         return []
     root = math.sqrt(disc)
-    return [(-B - root) / (2.0 * A), (-B + root) / (2.0 * A)]
-
-
-def _seg_arc_intersections(seg: Segment, arc: Arc, tol: float) -> list[Point]:
-    d = seg.b - seg.a
-    eps = tol / max(d.norm(), 1e-300)
     out = []
-    for t in _line_circle_params(seg.a, d, arc.center, arc.radius):
+    for t in ((-B - root) / (2.0 * A), (-B + root) / (2.0 * A)):
         if -eps <= t <= 1.0 + eps:
-            p = seg.point_at(min(1.0, max(0.0, t)))
-            theta = math.atan2(p.y - arc.center.y, p.x - arc.center.x)
-            if arc.contains_angle(theta, slack=tol / arc.radius):
-                out.append(p)
+            f = min(1.0, max(0.0, t))
+            px, py = ax + f * dx, ay + f * dy
+            if arc.contains_angle(math.atan2(py - cy, px - cx), slack=tol / r):
+                out.append(Point(px, py))
     return out
 
 
 def _arc_arc_intersections(a1: Arc, a2: Arc, tol: float) -> list[Point]:
-    d = a2.center - a1.center
-    dist = d.norm()
+    c1x, c1y, c2x, c2y = a1.center.x, a1.center.y, a2.center.x, a2.center.y
+    dx, dy = c2x - c1x, c2y - c1y
+    dist = math.hypot(dx, dy)
     r1, r2 = a1.radius, a2.radius
-    if dist < 1e-15:  # concentric: one circle, met where the arcs overlap, or none
+    if dist < 1e-15 * max(r1, r2):  # concentric: one circle, met where the arcs overlap, or none
         if abs(r1 - r2) > tol:
             return []
         ends = [(a1.start_point, a1.start_angle, a2), (a1.end_point, a1.end_angle, a2),
@@ -422,24 +430,24 @@ def _arc_arc_intersections(a1: Arc, a2: Arc, tol: float) -> list[Point]:
     x = (dist * dist - r2 * r2 + r1 * r1) / (2.0 * dist)
     h2 = r1 * r1 - x * x
     h = math.sqrt(h2) if h2 > 0.0 else 0.0
-    ux, uy = d.x / dist, d.y / dist
-    base = Point(a1.center.x + x * ux, a1.center.y + x * uy)
-    cands = [Point(base.x - h * uy, base.y + h * ux)]
+    ux, uy = dx / dist, dy / dist
+    bx, by = c1x + x * ux, c1y + x * uy
+    cands = [(bx - h * uy, by + h * ux)]
     if h > 0.0:
-        cands.append(Point(base.x + h * uy, base.y - h * ux))
+        cands.append((bx + h * uy, by - h * ux))
     out = []
-    for p in cands:
-        th1 = math.atan2(p.y - a1.center.y, p.x - a1.center.x)
-        th2 = math.atan2(p.y - a2.center.y, p.x - a2.center.x)
-        if a1.contains_angle(th1, slack=tol / r1) and a2.contains_angle(th2, slack=tol / r2):
-            out.append(p)
+    for px, py in cands:
+        if (a1.contains_angle(math.atan2(py - c1y, px - c1x), slack=tol / r1)
+                and a2.contains_angle(math.atan2(py - c2y, px - c2x), slack=tol / r2)):
+            out.append(Point(px, py))
     return out
 
 
 def piece_intersections(p1: Segment | Arc, p2: Segment | Arc, tol: float) -> list[Point]:
     """Points where two segments or arcs meet within the absolute slack tol,
     in closed form: crossings and tangencies, the middle of a collinear
-    overlap, and the overlapping ends of two arcs of one circle."""
+    overlap, and the overlapping ends of two arcs of one circle.  Computed
+    in floats: a Point is built only for a hit."""
     if isinstance(p1, Segment) and isinstance(p2, Segment):
         return _seg_seg_intersections(p1, p2, tol)
     if isinstance(p1, Segment):
@@ -449,27 +457,32 @@ def piece_intersections(p1: Segment | Arc, p2: Segment | Arc, tol: float) -> lis
     return _arc_arc_intersections(p1, p2, tol)
 
 
-def _candidates(p: Segment | Arc, q: Segment | Arc) -> list[Point]:
-    """Points of p where p can come closest to q when the two do not meet:
-    p's ends, and the interior points where a segment joining p to q can be
-    normal to both, namely the foot of q's centre on a segment p, and the
-    points of an arc p along the line of centres or along the normal of a
-    segment q."""
-    out = [p.start_point, p.end_point]
+def _candidates(p: Segment | Arc, q: Segment | Arc) -> list[tuple[float, float]]:
+    """(x, y) of the points of p where p can come closest to q when the two
+    do not meet: p's ends, and the interior points where a segment joining
+    p to q can be normal to both, namely the foot of q's centre on a segment
+    p, and the points of an arc p along the line of centres or along the
+    normal of a segment q."""
+    s, e = p.start_point, p.end_point
+    out = [(s.x, s.y), (e.x, e.y)]
     if isinstance(p, Segment):
         if isinstance(q, Arc):
-            d = p.b - p.a
-            t = min(1.0, max(0.0, (q.center - p.a).dot(d) / d.dot(d)))
-            out.append(p.point_at(t))
+            ax, ay = p.a.x, p.a.y
+            dx, dy = p.b.x - ax, p.b.y - ay
+            t = min(1.0, max(0.0, ((q.center.x - ax) * dx + (q.center.y - ay) * dy) / (dx * dx + dy * dy)))
+            out.append((ax + t * dx, ay + t * dy))
         return out
+    cx, cy, r = p.center.x, p.center.y, p.radius
     if isinstance(q, Segment):
-        u = (q.b - q.a).rot90().normalized()
+        vx, vy = -(q.b.y - q.a.y), q.b.x - q.a.x
     else:
-        u = (q.center - p.center).normalized()
-    for k in (p.radius, -p.radius):
-        x = Point(p.center.x + k * u.x, p.center.y + k * u.y)
-        if p.contains_angle(math.atan2(x.y - p.center.y, x.x - p.center.x)):
-            out.append(x)
+        vx, vy = q.center.x - cx, q.center.y - cy
+    n = math.hypot(vx, vy)
+    ux, uy = vx / n, vy / n
+    for k in (r, -r):
+        x, y = cx + k * ux, cy + k * uy
+        if p.contains_angle(math.atan2(y - cy, x - cx)):
+            out.append((x, y))
     return out
 
 
@@ -483,8 +496,9 @@ def piece_distance(p: Piece, q: Piece) -> float:
     (Schneider and Eberly, Geometric Tools for Computer Graphics, 2003,
     ch. 6); _candidates holds a point of every such pair.  Each candidate
     is a point of its piece, so its exact distance to the other piece
-    (the piece's dist) bounds the answer from above, and the smallest one
-    is the distance up to rounding.
+    (the piece's dist_xy) bounds the answer from above, and the smallest
+    one is the distance up to rounding.  Computed in floats: no Point is
+    built for a pair that does not meet.
     """
     if isinstance(p, SinglePoint):
         return q.dist(p.p)
@@ -496,10 +510,9 @@ def piece_distance(p: Piece, q: Piece) -> float:
         if (p.contains_angle(q.start_angle) or p.contains_angle(q.end_angle)
                 or q.contains_angle(p.start_angle)):
             return abs(p.radius - q.radius)
-        ends = [(p.start_point, q), (p.end_point, q), (q.start_point, p), (q.end_point, p)]
-    else:
-        ends = [(x, q) for x in _candidates(p, q)] + [(y, p) for y in _candidates(q, p)]
-    return min(other.dist(x) for x, other in ends)
+        return min(q.dist(p.start_point), q.dist(p.end_point), p.dist(q.start_point), p.dist(q.end_point))
+    return min(min(q.dist_xy(x, y) for x, y in _candidates(p, q)),
+               min(p.dist_xy(x, y) for x, y in _candidates(q, p)))
 
 
 def turn_mismatch(pieces: Sequence[Primitive], center: Point, angle: float, shift: int, bound: float) -> float:

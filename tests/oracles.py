@@ -53,6 +53,11 @@ ray frame a unit vector, and the obstacle filter a scan of the whole
 distance table per obstacle.  The package's versions must equal them bit
 for bit.
 
+piece_intersections_by_points and piece_distance_by_points are
+geometry.piece_intersections and piece_distance as they were before they
+were written out in floats: every vector and every candidate point a Point.
+The package's versions must equal them bit for bit.
+
 validate_simple_all_pairs is PiecewisePath.validate_simple as it was
 before it skipped the pairs whose piece boxes are far apart: every pair.
 
@@ -110,8 +115,7 @@ from diskdraw import (
     nbhd_contains,
 )
 from diskdraw.constructions import ConstructionInconsistent, PiecewisePath
-from diskdraw.geometry import (LargestEmptyCircle, _line_circle_params, dist_to_segment, piece_intersections,
-                               turn_mismatch, unit)
+from diskdraw.geometry import LargestEmptyCircle, dist_to_segment, piece_intersections, turn_mismatch, unit
 from diskdraw.obstruction import (Coloring, DissectionSpec, InvalidParameters, RadiiTooLarge, StageFamily,
                                   StageParams, five_circle_radii)
 
@@ -446,7 +450,7 @@ def _dist_to_subpiece(piece, f0: float, f1: float, x: Point) -> float:
         p0, p1 = piece.point_at(f0), piece.point_at(f1)
         if p0.distance_to(p1) == 0.0:
             return x.distance_to(p0)
-        return dist_to_segment(x, p0, p1)
+        return dist_to_segment(x.x, x.y, p0, p1)
     a0, a1 = piece.angle_at(f0), piece.angle_at(f1)
     if a0 == a1:  # Arc treats equal angles as the full circle; collapse instead
         return x.distance_to(piece.point_at(f0))
@@ -631,6 +635,154 @@ def local_lec_by_rows(S: Sequence[Point], T: Sequence[Point]) -> tuple[LargestEm
         if not any(grow):
             return lec, escapes, builds, points
         keep = [k or more for k, more in zip(keep, grow)]
+
+
+def _seg_seg_by_points(s1: Segment, s2: Segment, tol: float) -> list[Point]:
+    d1 = s1.b - s1.a
+    d2 = s2.b - s2.a
+    denom = d1.cross(d2)
+    rel = s2.a - s1.a
+    n1, n2 = d1.norm(), d2.norm()
+    scale = max(n1, n2)
+    if abs(denom) < 1e-14 * scale * scale:
+        # parallel: they meet when an end of one is within tol of the other; report the overlap midpoint
+        # clamped to s1: s1's near end when the two lie end to end, apart by under tol
+        if min(s2.dist(s1.a), s2.dist(s1.b), s1.dist(s2.a), s1.dist(s2.b)) > tol:
+            return []
+        t0 = rel.dot(d1) / d1.dot(d1)
+        t1 = t0 + d2.dot(d1) / d1.dot(d1)
+        lo = max(min(t0, t1), 0.0)
+        hi = min(max(t0, t1), 1.0)
+        return [s1.point_at(min(1.0, max(0.0, 0.5 * (lo + hi))))]
+    t = rel.cross(d2) / denom
+    u = rel.cross(d1) / denom
+    # each parameter may overshoot by tol of its own segment's length
+    eps_t, eps_u = tol / n1, tol / n2
+    if -eps_t <= t <= 1.0 + eps_t and -eps_u <= u <= 1.0 + eps_u:
+        return [s1.point_at(min(1.0, max(0.0, t)))]
+    return []
+
+
+def _line_circle_params(a: Point, d: Point, center: Point, radius: float) -> list[float]:
+    """Parameters t with |a + t d - center| = radius (d not normalized)."""
+    fx, fy = a.x - center.x, a.y - center.y
+    A = d.dot(d)
+    B = 2.0 * (fx * d.x + fy * d.y)
+    C = fx * fx + fy * fy - radius * radius
+    disc = B * B - 4.0 * A * C
+    if disc < 0.0:
+        return []
+    root = math.sqrt(disc)
+    return [(-B - root) / (2.0 * A), (-B + root) / (2.0 * A)]
+
+
+def _seg_arc_by_points(seg: Segment, arc: Arc, tol: float) -> list[Point]:
+    d = seg.b - seg.a
+    eps = tol / max(d.norm(), 1e-300)
+    out = []
+    for t in _line_circle_params(seg.a, d, arc.center, arc.radius):
+        if -eps <= t <= 1.0 + eps:
+            p = seg.point_at(min(1.0, max(0.0, t)))
+            theta = math.atan2(p.y - arc.center.y, p.x - arc.center.x)
+            if arc.contains_angle(theta, slack=tol / arc.radius):
+                out.append(p)
+    return out
+
+
+def _arc_arc_by_points(a1: Arc, a2: Arc, tol: float) -> list[Point]:
+    d = a2.center - a1.center
+    dist = d.norm()
+    r1, r2 = a1.radius, a2.radius
+    if dist < 1e-15 * max(r1, r2):  # concentric: one circle, met where the arcs overlap, or none
+        if abs(r1 - r2) > tol:
+            return []
+        ends = [(a1.start_point, a1.start_angle, a2), (a1.end_point, a1.end_angle, a2),
+                (a2.start_point, a2.start_angle, a1), (a2.end_point, a2.end_angle, a1)]
+        return [p for p, theta, other in ends if other.contains_angle(theta, slack=tol / other.radius)]
+    if dist > r1 + r2 + tol or dist < abs(r1 - r2) - tol:
+        return []
+    # clamp for tangency
+    x = (dist * dist - r2 * r2 + r1 * r1) / (2.0 * dist)
+    h2 = r1 * r1 - x * x
+    h = math.sqrt(h2) if h2 > 0.0 else 0.0
+    ux, uy = d.x / dist, d.y / dist
+    base = Point(a1.center.x + x * ux, a1.center.y + x * uy)
+    cands = [Point(base.x - h * uy, base.y + h * ux)]
+    if h > 0.0:
+        cands.append(Point(base.x + h * uy, base.y - h * ux))
+    out = []
+    for p in cands:
+        th1 = math.atan2(p.y - a1.center.y, p.x - a1.center.x)
+        th2 = math.atan2(p.y - a2.center.y, p.x - a2.center.x)
+        if a1.contains_angle(th1, slack=tol / r1) and a2.contains_angle(th2, slack=tol / r2):
+            out.append(p)
+    return out
+
+
+def piece_intersections_by_points(p1, p2, tol: float) -> list[Point]:
+    """Points where two segments or arcs meet within the absolute slack tol,
+    in closed form: crossings and tangencies, the middle of a collinear
+    overlap, and the overlapping ends of two arcs of one circle."""
+    if isinstance(p1, Segment) and isinstance(p2, Segment):
+        return _seg_seg_by_points(p1, p2, tol)
+    if isinstance(p1, Segment):
+        return _seg_arc_by_points(p1, p2, tol)
+    if isinstance(p2, Segment):
+        return _seg_arc_by_points(p2, p1, tol)
+    return _arc_arc_by_points(p1, p2, tol)
+
+
+def _candidates_by_points(p, q) -> list[Point]:
+    """Points of p where p can come closest to q when the two do not meet:
+    p's ends, and the interior points where a segment joining p to q can be
+    normal to both, namely the foot of q's centre on a segment p, and the
+    points of an arc p along the line of centres or along the normal of a
+    segment q."""
+    out = [p.start_point, p.end_point]
+    if isinstance(p, Segment):
+        if isinstance(q, Arc):
+            d = p.b - p.a
+            t = min(1.0, max(0.0, (q.center - p.a).dot(d) / d.dot(d)))
+            out.append(p.point_at(t))
+        return out
+    if isinstance(q, Segment):
+        u = (q.b - q.a).rot90().normalized()
+    else:
+        u = (q.center - p.center).normalized()
+    for k in (p.radius, -p.radius):
+        x = Point(p.center.x + k * u.x, p.center.y + k * u.y)
+        if p.contains_angle(math.atan2(x.y - p.center.y, x.x - p.center.x)):
+            out.append(x)
+    return out
+
+
+def piece_distance_by_points(p, q) -> float:
+    """Distance between two pieces, each a SinglePoint, Segment or Arc.
+
+    0 when piece_intersections finds a common point (within 1e-12 of the
+    pieces' coordinate scale).  Concentric arcs are |R1 - R2| apart where
+    their angular ranges overlap.  Otherwise a closest pair has an end of
+    one piece, or joins interior points and is normal to both pieces there
+    (Schneider and Eberly, Geometric Tools for Computer Graphics, 2003,
+    ch. 6); _candidates holds a point of every such pair.  Each candidate
+    is a point of its piece, so its exact distance to the other piece
+    (the piece's dist) bounds the answer from above, and the smallest one
+    is the distance up to rounding.
+    """
+    if isinstance(p, SinglePoint):
+        return q.dist(p.p)
+    if isinstance(q, SinglePoint):
+        return p.dist(q.p)
+    if piece_intersections_by_points(p, q, 1e-12 * max(p.extent(), q.extent())):
+        return 0.0
+    if isinstance(p, Arc) and isinstance(q, Arc) and p.center == q.center:
+        if (p.contains_angle(q.start_angle) or p.contains_angle(q.end_angle)
+                or q.contains_angle(p.start_angle)):
+            return abs(p.radius - q.radius)
+        ends = [(p.start_point, q), (p.end_point, q), (q.start_point, p), (q.end_point, p)]
+    else:
+        ends = [(x, q) for x in _candidates_by_points(p, q)] + [(y, p) for y in _candidates_by_points(q, p)]
+    return min(other.dist(x) for x, other in ends)
 
 
 def validate_simple_all_pairs(path: PiecewisePath) -> None:

@@ -18,15 +18,17 @@ from diskdraw import (
     Segment,
     SinglePoint,
     WholePlane,
+    build_snake,
     circumcircle3,
     constrained_largest_empty_circle,
     piece_distance,
     trapezoid_circumradius,
 )
+from diskdraw import curvature
 from diskdraw.geometry import TWO_PI, OffsetHalfPlane, piece_intersections, unit
 
 from helpers import DIFF, grid_max_min_dist, random_point, random_primitive, rigid_motion
-from oracles import convex_hull, strictly_inside_hull
+from oracles import convex_hull, piece_distance_by_points, piece_intersections_by_points, strictly_inside_hull
 
 
 class TestDistToPrimitive:
@@ -350,6 +352,84 @@ class TestPieceDistance:
         # the closest pair joins the top of the arc to the foot on the segment
         d = piece_distance(Arc(Point(0, 0), 1.0, 0.2, math.pi - 0.2), Segment(Point(-5, 3), Point(5, 3)))
         assert d == pytest.approx(2.0, rel=1e-15)
+
+
+def assert_same_kernel(p, q):
+    """piece_distance and piece_intersections (at tol 1e-7 and at 1e-12 of
+    the pieces' extent) equal the Point kernel of tests/oracles.py bit for
+    bit, either way round."""
+    for a, b in ((p, q), (q, p)):
+        assert piece_distance(a, b).hex() == piece_distance_by_points(a, b).hex()
+        if isinstance(a, SinglePoint) or isinstance(b, SinglePoint):
+            continue
+        for tol in (1e-7, 1e-12 * max(a.extent(), b.extent())):
+            hits = [(h.x.hex(), h.y.hex()) for h in piece_intersections(a, b, tol)]
+            assert hits == [(h.x.hex(), h.y.hex()) for h in piece_intersections_by_points(a, b, tol)]
+
+
+@pytest.fixture(scope="module")
+def snake_pieces():
+    return build_snake(1.001).boundary.pieces
+
+
+@pytest.fixture(scope="module")
+def rolling_pairs():
+    """(offset curve, window part) of every piece_distance call the
+    rolling-disk proof of the snake makes at eps 0.5 and 4 (the latter
+    bisects down to MAX_DEPTH)."""
+    pairs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(curvature, "piece_distance", lambda p, q: pairs.append((p, q)) or piece_distance(p, q))
+        for eps in (0.5, 4.0):
+            curvature.rolling_disk_check(build_snake(1.001).boundary, eps)
+    return pairs
+
+
+class TestFloatKernel:
+    """The kernels compute in floats and build a Point only for a hit; the
+    Point kernel they replaced is the oracle."""
+
+    @DIFF
+    @given(pair=piece_pairs(), k=st.sampled_from(SCALES + [1e-6, 1e6]))
+    def test_equals_the_point_kernel(self, pair, k):
+        assert_same_kernel(*(scaled_piece(piece, k) for piece in pair))
+
+    def test_snake_pairs_equal_the_point_kernel(self, snake_pieces):
+        for p in snake_pieces:
+            for q in snake_pieces:
+                assert_same_kernel(p, q)
+
+    def test_rolling_offsets_equal_the_point_kernel(self, rolling_pairs):
+        assert len(rolling_pairs) > 84
+        for p, q in rolling_pairs:
+            assert_same_kernel(p, q)
+
+    def test_no_point_is_built_for_pieces_that_do_not_meet(self, monkeypatch, snake_pieces, rolling_pairs):
+        pairs = [(p, q) for p in snake_pieces for q in snake_pieces] + rolling_pairs
+        apart = [(p, q) for p, q in pairs if piece_distance(p, q) > 0.0]
+        kinds = {(type(p), type(q), isinstance(p, Arc) and isinstance(q, Arc) and p.center == q.center)
+                 for p, q in apart}
+        assert kinds >= {(Segment, Segment, False), (Segment, Arc, False), (Arc, Segment, False),
+                         (Arc, Arc, False), (Arc, Arc, True)}
+        built = []
+        monkeypatch.setattr(Point, "__post_init__", lambda self: built.append(self))
+        for p, q in apart:
+            piece_distance(p, q)
+        assert built == []
+        # the count sees the Points hits are built as: pieces 0 and 1 meet
+        assert piece_distance(snake_pieces[0], snake_pieces[1]) == 0.0 and built
+
+    @pytest.mark.parametrize("k", [1e-15, 1e-9])
+    def test_nearly_concentric_circles_cross_at_every_scale(self, k):
+        # radii 1 and 1.05, centres 0.1 apart: the circles cross twice.  At
+        # k = 1e-15 the centres are 1e-16 apart, which a concentric test
+        # not relative to the radii took for one centre
+        a, b = Arc(Point(0, 0), k, 0.0, 0.0), Arc(Point(0.1 * k, 0), 1.05 * k, 0.0, 0.0)
+        tol = 1e-12 * b.extent()
+        for kernel in (piece_intersections, piece_intersections_by_points):
+            hits = kernel(a, b, tol)
+            assert len(hits) == 2 and all(a.dist(h) <= tol and b.dist(h) <= tol for h in hits)
+        assert piece_distance(a, b) == piece_distance_by_points(a, b) == 0.0
 
 
 class TestCircumcircle:
