@@ -197,9 +197,9 @@ def verify_chessboard(r: float, theta_deg: float, depth: int, tau: float):
 
 @_records
 def verify_snake(r: float, depth: int, tau: float):
-    """The snake: its anchors, curvature, 12-dissection and descent, each
+    """The snake: its anchors, curvature, total dissection and descent, each
     stage pair of the descent from ray 1 (symmetric_descent_verify), the
-    stage colours from the proved 12-dissection."""
+    stage colours from the dissection proved at the descent's own tau."""
     geom = _checked(build_snake, r)
     for name, value, expected in (("|AE|", geom.ae_len, 0.793), ("|OE|", geom.oe_len, 2.963),
                                   ("|OE'|", geom.oe_prime_len, 3.735)):
@@ -213,16 +213,16 @@ def verify_snake(r: float, depth: int, tau: float):
     rolling = rolling_disk_check(geom.boundary, eps=0.5)
     yield _check("rolling-disk check", rolling.ok, f"rolling-disk check: {_mark(rolling.ok)}", rolling.counts())
 
-    spec = snake_dissection_spec(geom, tau)
-    result = dissection_sample_check(snake_coloring(geom, tau), spec, tau)
-    line = f"12-dissection at ({spec.a}, {spec.b}) thickness {spec.d}: {_mark(result.ok)}"
-    yield _check("12-dissection", result.ok, line, result.counts())
+    spec = snake_dissection_spec(geom)
+    result = dissection_sample_check(snake_coloring(geom, tau), spec)
+    line = f"{spec.n}-dissection at ({spec.a}, {spec.b}) thickness {spec.d}: {_mark(result.ok)}"
+    yield _check(f"{spec.n}-dissection", result.ok, line, result.counts())
 
-    bound = undrawability_bound(12)
+    bound = undrawability_bound(spec.n)
     ok = spec.a < bound
-    yield _check("anchor bound", ok, f"anchor bound: {spec.a} < cot(pi/12) = {bound:.6f} {_mark(ok)}", bound)
+    yield _check("anchor bound", ok, f"anchor bound: {spec.a} < cot(pi/{spec.n}) = {bound:.6f} {_mark(ok)}", bound)
 
-    params = StageParams(n=12, L=default_dissection_L(12, spec.a, spec.b), s=1e-3)
+    params = StageParams(n=spec.n, L=default_dissection_L(spec), s=1e-3)
     radii = five_circle_radii(params)
     radii_check = _radii_check(radii, tau, f"critical radii: {['%.4f' % rr for rr in radii.all_values()]} all < 1")
     yield radii_check
@@ -247,7 +247,7 @@ def verify_dissection(n: int, L: float, s: float, depth: int, tau: float):
     s = 0.002590482283749564 passes it and is refuted at stage 0); the
     computed descent does."""
     params = _checked(StageParams, n=n, L=L, s=s)
-    radii = five_circle_radii(params)
+    radii = _checked(five_circle_radii, params)
     line = f"r_a={radii.r_a:.6f} r_c={radii.r_c:.6f} r_d={radii.r_d:.6f} r_e={radii.r_e:.6f}"
     yield _check("radii", True, line, radii)
     radii_check = _radii_check(radii, tau, "all radii < 1:")
@@ -300,8 +300,8 @@ def verify_rolling(eps: float):
 def verify_sharp(n: int, tau: float):
     """The slid-disk script is totally n-dissected just past cot(pi/n)."""
     script = _checked(sharp_ndissected_script, n)
-    spec = sharp_dissection_spec(n)
-    result = dissection_sample_check(script_coloring(script, tau), spec, tau)
+    spec = _checked(sharp_dissection_spec, n)
+    result = dissection_sample_check(script_coloring(script, tau), spec)
     yield _check(f"{n}-dissection", result.ok,
                  f"{n}-dissection of the slid-disk script at ({spec.a:.4f}, {spec.b}) "
                  f"thickness {spec.d}: {_mark(result.ok)}", result.counts())

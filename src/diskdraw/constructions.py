@@ -453,14 +453,14 @@ SNAKE_DISSECTION_B = 3.735
 SNAKE_DISSECTION_D = 0.793
 
 
-def snake_dissection_spec(geom: SnakeGeometry, tau: float = DEFAULT_TAU) -> DissectionSpec:
+def snake_dissection_spec(geom: SnakeGeometry) -> DissectionSpec:
     """The total 12-dissection exhibited by the snake.
 
     Interval and thickness are the published constants; they sit strictly
     inside the boundary-segment span (|OE|, |OE'|) of every ray.  The side
     holding the full rectangle on ray 1 is probed from the actual coloring.
     """
-    coloring = snake_coloring(geom, tau)
+    coloring = snake_coloring(geom)
     mid = 0.5 * (SNAKE_DISSECTION_A + SNAKE_DISSECTION_B)
     u1 = unit(geom.ray_angles[0])
     probe = geom.apex + u1.scaled(mid) + u1.rot90().scaled(0.05)

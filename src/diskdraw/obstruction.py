@@ -539,12 +539,12 @@ class DissectionSpec:
         return self.a + 2.0 * tau, self.b - 2.0 * tau, 2.0 * tau, self.d - 2.0 * tau
 
 
-def default_dissection_L(n: int, a: float, b: float) -> float:
-    """Midpoint of (a, min(b, cot(pi/n))), the widest safe anchor distance."""
-    hi = min(b, undrawability_bound(n))
-    if not a < hi:
-        raise InvalidParameters(f"no valid anchor distance in ({a}, {hi})")
-    return 0.5 * (a + hi)
+def default_dissection_L(spec: DissectionSpec) -> float:
+    """Midpoint of (a, min(b, cot(pi/n))) of spec, the widest safe anchor distance."""
+    hi = min(spec.b, undrawability_bound(spec.n))
+    if not spec.a < hi:
+        raise InvalidParameters(f"no valid anchor distance in ({spec.a}, {hi})")
+    return 0.5 * (spec.a + hi)
 
 
 def dissection_stages(
@@ -658,10 +658,11 @@ def symmetric_descent_verify(stages: Sequence[StageFamily], spec: DissectionSpec
     narrowed by the slack.  Then p has its colour in every coloring with
     spec's n-dissection: in the ideal pattern by definition, and in a
     coloring that dissection_check proves, whose proved parts tile the
-    2*tau-shrunk rectangles (verify snake counts the descent only when that
-    proof is ok).  s, h and the parts' corners are each a few ulps of the
-    extent off, which the slack covers as it covers the turns.  No point is
-    classified.
+    rectangles shrunk by 2*coloring.tau.  Those hold the 2*tau-shrunk ones
+    only when coloring.tau <= tau; verify snake builds both at one tau, and
+    counts the descent only when that proof is ok.  s, h and the parts'
+    corners are each a few ulps of the extent off, which the slack covers as
+    it covers the turns.  No point is classified.
 
     Each stage pair queries ray 1's two white targets at the margin
     (_encircles), against the obstacles of the outer blacks that those
@@ -952,21 +953,19 @@ class _Part:
         return [_Part(self.frame, a, b, c, d) for a, b in ((sm, s1), (s0, sm)) for c, d in ((hm, h1), (h0, hm))]
 
 
-def dissection_check(coloring: Coloring, spec: DissectionSpec, tau: float = DEFAULT_TAU) -> ProofReport:
-    """Prove the dissection pattern of spec against a coloring.
+def dissection_check(coloring: Coloring, spec: DissectionSpec) -> ProofReport:
+    """Prove the dissection pattern of spec against a coloring, at the
+    coloring's own margin t = coloring.tau.
 
-    Both rectangles of every ray, shrunk by 2*tau, must have one shade
+    Both rectangles of every ray, shrunk by 2*t, must have one shade
     throughout: black on the ray's black side, white on the other.  The
-    margin is 2*tau, not tau, because the tau-shrunk rectangles of the snake
-    and of the slid-disk script put one edge exactly on the classifier's
-    collar: the snake's boundary segment lies on the ray, at distance tau
-    from that edge, and the slid disks' centres run at height 1 from the
-    ray, at 1 -+ tau from it.  The samples of the former sampled check kept
-    at least 1/60 of a side away from the tau-shrunk edges, so they all lie
-    in the 2*tau-shrunk rectangle.
+    shrink is 2*t, not t, because the t-shrunk rectangles of the snake and
+    of the slid-disk script put one edge exactly on the classifier's collar:
+    the snake's boundary segment lies on the ray, at distance t from that
+    edge, and the slid disks' centres run at height 1 from the ray, at
+    1 -+ t from it.
 
-    A part R of a rectangle is decided by what coloring.source records,
-    with the coloring's own margin t:
+    A part R of a rectangle is decided by what coloring.source records:
 
     - A region (a tuple of loops): R is uniform when no piece is within t of
       the filled R.  A piece whose start lies in R is at distance 0; any
@@ -996,10 +995,9 @@ def dissection_check(coloring: Coloring, spec: DissectionSpec, tau: float = DEFA
     corners are a few ulps of the extent off the turned ones, which the
     slack covers.  min_margin covers the parts decided here.
     """
-    check_tolerance(tau)
-    if not (spec.b - spec.a > 4.0 * tau and spec.d > 4.0 * tau):
+    t, source = check_tolerance(coloring.tau), coloring.source
+    if not (spec.b - spec.a > 4.0 * t and spec.d > 4.0 * t):
         raise InvalidParameters("the rectangles vanish when shrunk by 2*tau")
-    t, source = coloring.tau, coloring.source
     calls, min_margin = 0, math.inf
 
     def clearance(part: _Part, boxed, bound: float) -> float:
@@ -1072,7 +1070,7 @@ def dissection_check(coloring: Coloring, spec: DissectionSpec, tau: float = DEFA
         leaf = RectLeaf(j, side, part.s, part.h, part.center, got, shade is not None)
         return leaf, ("failed" if got is not want else "proved" if shade else "undecided")
 
-    shrunk, rays = spec.shrunk(tau), [(j, unit(spec.ray_angle(j))) for j in range(1, spec.n + 1)]
+    shrunk, rays = spec.shrunk(t), [(j, unit(spec.ray_angle(j))) for j in range(1, spec.n + 1)]
     roots = ((((j - 1) % step + 1, side), j <= step, (j, side), _Part((spec.apex, u, u.rot90().scaled(side)), *shrunk))
              for j, u in rays for side in (1, -1))  # rays 1..step represent their orbits
     proved, failures, undecided, _, deepest = branch_and_bound(

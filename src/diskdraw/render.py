@@ -32,7 +32,7 @@ from typing import Union
 from .canvas import (
     DrawingScript,
     Shade,
-    eval_script,  # noqa: F401  (perfbench traces it under this module)
+    eval_script,  # noqa: F401  (never called here; perfbench's tracer looks the name up in this module)
 )
 from .geometry import Arc, OffsetHalfPlane, Point, Segment, SinglePoint, WholePlane, covering_box
 from .obstruction import Coloring, script_coloring

@@ -597,9 +597,12 @@ class TestOutOfRangeParameters:
         ["verify", "trapezoid", "--fuzz", "0"],
         ["render", "--construction", "chessboard", "--bbox", "-2", "-2", "2", "2", "--res", "0.5"],
         ["render", "--construction", "chessboard", "--bbox", "2", "2", "-2", "-2", "--res", "4"],
+        ["verify", "dissection", "--n", "2", "--L", "0.5", "--s", "1e-3", "--depth", "1"],
+        ["verify", "dissection", "--n", "12", "--L", "1e9", "--s", "1e-3", "--depth", "1"],
+        ["verify", "sharp", "--n", "64"],
     ], ids=["sharp-n5", "chessboard-r2", "snake-r2", "dissection-s2", "dissection-negative-s",
          "dissection-small-L", "dissection-depth", "snake-depth", "rolling-eps-nan", "trapezoid-fuzz-0",
-         "render-res", "render-bbox"])
+         "render-res", "render-bbox", "dissection-n2", "dissection-huge-L", "sharp-n64"])
     def test_command_line(self, tmp_path, capsys, argv):
         out = tmp_path / "x.pgm"
         code, stdout, err = run(capsys, *argv, *(["-o", str(out)] if argv[0] == "render" else []))

@@ -640,7 +640,7 @@ def snake_chain(depth):
     verify snake builds them."""
     geom = build_snake(1.001)
     spec = snake_dissection_spec(geom)
-    params = StageParams(n=12, L=default_dissection_L(12, spec.a, spec.b), s=1e-3)
+    params = StageParams(n=spec.n, L=default_dissection_L(spec), s=1e-3)
     return snake_coloring(geom), spec, dissection_stages(params, spec, depth)
 
 
@@ -1256,12 +1256,14 @@ def leaf_samples(spec, leaf, rng, count=4):
     return out
 
 
-def assert_agrees_with_sampler(coloring, spec, seed, tau=DEFAULT_TAU):
+def assert_agrees_with_sampler(coloring, spec, seed):
     """No part proved uniform holds a sample of another shade, every failure
     witness has the shade reported, and a rectangle proved whole has no
-    failing sample of the former sampled check on the 2*tau-shrunk
-    rectangle (nor does a rectangle with a failing sample get proved)."""
-    result = dissection_check(coloring, spec, tau)
+    failing sample of the former sampled check on the rectangle shrunk by
+    twice the coloring's margin (nor does a rectangle with a failing sample
+    get proved)."""
+    tau = coloring.tau
+    result = dissection_check(coloring, spec)
     rng = random.Random(seed)
     for leaf in result.proved + result.failures:
         if leaf.proved:
@@ -1291,6 +1293,14 @@ def grazing_specs(draw, loop, scale):
                           first_orientation=draw(st.sampled_from(["ccw", "cw"])))
 
 
+def dissected(which, tau=DEFAULT_TAU):
+    """The snake's or the sharp-12 script's coloring at tau, and its 12-dissection spec."""
+    if which == "snake":
+        geom = build_snake(1.001)
+        return snake_coloring(geom, tau), snake_dissection_spec(geom)
+    return script_coloring(sharp_ndissected_script(12), tau), sharp_dissection_spec(12)
+
+
 class TestDissectionCheck:
     def test_snake_proves_every_rectangle_at_depth_0(self):
         geom = build_snake(1.001)
@@ -1306,16 +1316,29 @@ class TestDissectionCheck:
         assert result.ok and len(result.proved) == 24
         assert (result.counts()["depth"], len(result.undecided), len(result.failures)) == (0, 0, 0)
 
+    @pytest.mark.parametrize("tau", [1e-6, 1e-4])
+    @pytest.mark.parametrize("which, calls", [("snake", 100), ("sharp", 128)])
+    def test_proves_at_the_colorings_own_tau(self, which, calls, tau):
+        # the rectangles shrink by twice the coloring's margin, so a coloring
+        # at a larger tau is proved as at the default, in as many kernel calls
+        coloring, spec = dissected(which, tau)
+        result = dissection_check(coloring, spec)
+        counts = result.counts()
+        assert result.ok and len(result.proved) == 24 and not result.undecided
+        assert (counts["depth"], counts["kernel_calls"]) == (0, calls)
+        assert all(leaf.s[0] == spec.a + 2 * tau and leaf.h[0] == 2 * tau for leaf in result.proved)
+
     @pytest.mark.parametrize("which", ["snake", "sharp"])
-    def test_the_tau_shrunk_edge_sits_on_the_collar(self, which):
-        # shrunk by tau only (the coloring's margin is 2x the check's), one
-        # edge of a rectangle per ray lies on the collar and is not proved
-        if which == "snake":
-            geom = build_snake(1.001)
-            coloring, spec = snake_coloring(geom, 2 * DEFAULT_TAU), snake_dissection_spec(geom)
-        else:
-            coloring, spec = script_coloring(sharp_ndissected_script(12), 2 * DEFAULT_TAU), sharp_dissection_spec(12)
-        result = dissection_check(coloring, spec, DEFAULT_TAU)
+    def test_an_edge_within_the_collar_is_not_proved(self, which):
+        # the boundary lies on every ray, 2*tau from the near edge of the
+        # shrunk rectangles.  Turning the rays by k*tau/b brings it within
+        # (2 - k)*tau of that edge of one rectangle per ray near s = b: at
+        # k = 1.5 the edge is inside the collar and is not proved, as a
+        # tau-shrunk edge would not be; at k = 0.5 every rectangle is.
+        coloring, spec = dissected(which)
+        turned = [dataclasses.replace(spec, phase=spec.phase + k * DEFAULT_TAU / spec.b) for k in (0.5, 1.5)]
+        assert dissection_check(coloring, turned[0]).ok
+        result = dissection_check(coloring, turned[1])
         assert not result and not result.failures
         assert {leaf.ray for leaf in result.undecided} == set(range(1, 13))
         assert result.counts()["depth"] == SPLIT_DEPTH
