@@ -175,11 +175,13 @@ def _radii_check(radii, tau: float, line: str) -> Check:
 def verify_chessboard(r: float, theta_deg: float, depth: int, tau: float):
     """The two-square chessboard: a descent certificate whose stage
     clearances halve exactly and stay below 1 (scaling_descent_verify)."""
+    if depth < 2:  # stages 1..depth
+        raise UsageError(f"--depth must be at least 2, for one stage pair, got {depth}")
     stages = _checked(chessboard_stages, r, math.radians(theta_deg), depth)
     cert = scaling_descent_verify(chessboard_coloring(1.0, tau), stages, tau)
     yield from cert
     valid = all(c.ok for c in cert)
-    if valid and depth >= 2:
+    if valid:
         yield _check("scaling lemma", True,
                      f"scaling lemma: stages 2..{depth} follow from stage 1 and the stage pair 1-2")
     clearances = [c.value for c in cert if c.name != "lemma premise"]
@@ -200,6 +202,8 @@ def verify_snake(r: float, depth: int, tau: float):
     """The snake: its anchors, curvature, total dissection and descent, each
     stage pair of the descent from ray 1 (symmetric_descent_verify), the
     stage colours from the dissection proved at the descent's own tau."""
+    if depth < 1:  # stages 0..depth
+        raise UsageError(f"--depth must be at least 1, for one stage pair, got {depth}")
     geom = _checked(build_snake, r)
     for name, value, expected in (("|AE|", geom.ae_len, 0.793), ("|OE|", geom.oe_len, 2.963),
                                   ("|OE'|", geom.oe_prime_len, 3.735)):
@@ -246,6 +250,8 @@ def verify_dissection(n: int, L: float, s: float, depth: int, tau: float):
     prove the descent at a finite s (n = 12, L = 3.5887177858128325,
     s = 0.002590482283749564 passes it and is refuted at stage 0); the
     computed descent does."""
+    if depth < 1:  # stages 0..depth
+        raise UsageError(f"--depth must be at least 1, for one stage pair, got {depth}")
     params = _checked(StageParams, n=n, L=L, s=s)
     radii = _checked(five_circle_radii, params)
     line = f"r_a={radii.r_a:.6f} r_c={radii.r_c:.6f} r_d={radii.r_d:.6f} r_e={radii.r_e:.6f}"
@@ -261,9 +267,9 @@ def verify_dissection(n: int, L: float, s: float, depth: int, tau: float):
     cert = symmetric_descent_verify(stages, spec, tau, rotation=rotation)
     yield from cert
     wedges = dissection_wedge_checks(stages, spec, tau, rotation=rotation)
-    good = sum(1 for w in wedges if w[2] is Verdict.YES)
-    yield _check("wedge case split", good == len(wedges), f"wedge case split: {good}/{len(wedges)} ok", good)
-    ok = all(c.ok for c in cert) and good == len(wedges)
+    good, total = n * sum(c.ok for c in wedges), n * depth  # each record stands for the pair's n wedges
+    yield _check("wedge case split", good == total, f"wedge case split: {good}/{total} {_mark(good == total)}", good)
+    ok = all(c.ok for c in cert + wedges)
     yield _check("stage encirclements", ok, f"stage encirclements: {_mark(ok)}", ok)
 
 

@@ -783,15 +783,15 @@ def _colour_premise(stages: Sequence[StageFamily], spec: DissectionSpec, tau: fl
 def dissection_wedge_checks(
     stages: Sequence[StageFamily], spec: DissectionSpec, tau: float = DEFAULT_TAU, *,
     rotation: tuple[float, float, str] | None = None,
-) -> list[tuple[int, int, Verdict]]:
-    """Per-wedge encirclement of the case split behind the descent chain.
+) -> tuple[Check, ...]:
+    """The case split behind the descent chain, from wedge 1: one Check per
+    stage pair, or one failed `lemma premise`.
 
     For consecutive stages and each wedge between rays j and j+1, the four
     stage-i points on the outer sides of the wedge must encircle the four
     stage-(i+1) points inside it.  Families must come from dissection_stages
     with the same spec (the point layout per ray is two blacks then two
-    whites, rays in order).  Returns (stage_index, wedge_index, verdict)
-    triples.
+    whites, rays in order).
 
     Only wedge 1 is queried.  Under symmetric_descent_verify's premise each
     point is within delta of its ray-1 point turned (ray 1's points are
@@ -799,15 +799,18 @@ def dissection_wedge_checks(
     onto wedge j's, colours swapped for even j, which encircles ignores.  By
     that lemma wedge j's clearances are within 4*delta of wedge 1's (2*delta
     from each wedge's obstacles and targets to the turned points), so wedge
-    1's verdict at the margin 4*(delta + slack) holds for every wedge.  When
-    the premise fails, wedge 1 is checked alone and every other wedge is
-    BOUNDARY.  rotation is the measured premise, as in
+    1's verdict at the margin 4*(delta + slack) holds for every wedge, and
+    the record `stage i wedges` of stage pair i stands for all n.  A failed
+    premise is symmetric_descent_verify's single `lemma premise` record;
+    nothing falls back.  rotation is the measured premise, as in
     symmetric_descent_verify, which verify dissection hands both checks; by
     default it is measured here.
     """
     check_tolerance(tau)
     delta, slack, premise = rotation or _rotation_premise(stages, spec)
-    out = []
+    if premise:
+        return (_premise_check(premise),)
+    checks = []
     for fam, nxt in zip(stages, stages[1:]):
         outer: list[Point] = []
         inner: list[Point] = []
@@ -816,18 +819,12 @@ def dissection_wedge_checks(
         # sides (one color); the inner four are the opposite-color pairs
         # inside the wedge at the next stage.
         for ray, into_wedge_sign in ((0, 1), (1, -1)):
-            if spec.black_side(ray + 1) == into_wedge_sign:
-                outer.extend(fam.whites[2 * ray : 2 * ray + 2])
-                inner.extend(nxt.blacks[2 * ray : 2 * ray + 2])
-            else:
-                outer.extend(fam.blacks[2 * ray : 2 * ray + 2])
-                inner.extend(nxt.whites[2 * ray : 2 * ray + 2])
-        if premise:
-            verdicts = [encircles(outer, inner, tau)] + [Verdict.BOUNDARY] * (spec.n - 1)
-        else:
-            verdicts = [_encircles(LargestEmptyCircle(outer), inner, tau, 4.0 * (delta + slack))[0]] * spec.n
-        out += [(fam.stage_index, j, v) for j, v in enumerate(verdicts, start=1)]
-    return out
+            white_outside = spec.black_side(ray + 1) == into_wedge_sign
+            outer.extend((fam.whites if white_outside else fam.blacks)[2 * ray : 2 * ray + 2])
+            inner.extend((nxt.blacks if white_outside else nxt.whites)[2 * ray : 2 * ray + 2])
+        verdict, _ = _encircles(LargestEmptyCircle(outer), inner, tau, 4.0 * (delta + slack))
+        checks.append(Check(f"stage {fam.stage_index} wedges", verdict, None))
+    return tuple(checks)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import argparse
 import ast
 import dataclasses
 import importlib
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from diskdraw import Point, cli, constructions, descent_verify, obstruction
+from diskdraw import Check, Point, Verdict, cli, constructions, descent_verify, obstruction
 from diskdraw.cli import build_parser, main, verify_rolling, verify_sharp, verify_snake
 from diskdraw.geometry import DEFAULT_TAU, LargestEmptyCircle
 
@@ -255,10 +256,13 @@ class TestVerify:
         assert "unrecognized arguments: --construction chessboard" in err
 
     def test_chessboard_single_stage(self, capsys):
-        # one stage has no stage pair, so no record and no clearance is printed
-        code, out, _ = run(capsys, "verify", "chessboard", "--depth", "1")
-        assert code == 0
-        assert out.splitlines() == ["certificate valid: True"]
+        # one stage has no stage pair: the verifier returns no record, and
+        # the command refuses the depth before any work
+        stages = obstruction.chessboard_stages(0.1, math.radians(0.5), 1)
+        assert obstruction.scaling_descent_verify(constructions.chessboard_coloring(1.0), stages) == ()
+        code, out, err = run(capsys, "verify", "chessboard", "--depth", "1")
+        assert (code, out) == (2, "")
+        assert err == "usage error: --depth must be at least 2, for one stage pair, got 1\n"
 
     def test_sharp(self, capsys):
         code, out, _ = run(capsys, "verify", "sharp", "--n", "4")
@@ -379,6 +383,20 @@ def assert_same_but_clearances(out, expected, rel=1e-9):
         assert (value == want_value) if not value else float(value) == pytest.approx(float(want_value), rel=rel)
 
 
+def wedge_records_enumerated(stages, spec, tau):
+    """dissection_wedge_checks' records from every wedge of every stage pair
+    (tests/oracles.py::wedge_checks_enumerated): a pair's verdict is YES
+    when each of its n wedges is, and its first other verdict otherwise."""
+    enumerated = wedge_checks_enumerated(stages, spec, tau)
+    records = []
+    for fam in stages[:-1]:
+        verdicts = [v for i, _, v in enumerated if i == fam.stage_index]
+        assert len(verdicts) == spec.n
+        verdict = next((v for v in verdicts if v is not Verdict.YES), Verdict.YES)
+        records.append(Check(f"stage {fam.stage_index} wedges", verdict, None))
+    return tuple(records)
+
+
 DISSECTION = ("verify", "dissection", "--n", "12", "--L", "3", "--s", "1e-3", "--depth", "5")
 
 
@@ -423,7 +441,7 @@ class TestSymmetricDescent:
         monkeypatch.setattr(cli, "symmetric_descent_verify", lambda stages, spec, tau, rotation=None:
                             descent_verify(pattern_coloring(spec, tau), stages, tau))
         monkeypatch.setattr(cli, "dissection_wedge_checks", lambda stages, spec, tau, rotation=None:
-                            wedge_checks_enumerated(stages, spec, tau))
+                            wedge_records_enumerated(stages, spec, tau))
         code, expected, err = run(capsys, *argv)
         assert (code, err) == (0, "")
         assert_same_but_clearances(out, expected)
@@ -446,7 +464,7 @@ class TestSymmetricDescent:
 
     @pytest.mark.parametrize("argv, lines", [
         (("verify", "dissection", "--n", "12", "--L", "3", "--s", "1e-3", "--depth", "2"),
-         ["wedge case split: 2/24 ok", "stage encirclements: FAIL"]),
+         ["wedge case split: 0/24 FAIL", "stage encirclements: FAIL"]),
         (("verify", "snake", "--depth", "2"), ["descent stages 0..2: FAIL"]),
     ], ids=["dissection", "snake"])
     def test_failed_premise_is_a_fail_line(self, capsys, monkeypatch, argv, lines):
@@ -593,6 +611,9 @@ class TestOutOfRangeParameters:
         ["verify", "dissection", "--n", "12", "--L", "0.001", "--s", "1e-3"],
         ["verify", "dissection", "--n", "12", "--L", "3", "--s", "1e-3", "--depth", "-1"],
         ["verify", "snake", "--depth", "-1"],
+        ["verify", "chessboard", "--depth", "1"],
+        ["verify", "snake", "--depth", "0"],
+        ["verify", "dissection", "--n", "12", "--L", "3", "--s", "1e-3", "--depth", "0"],
         ["verify", "rolling", "--eps", "nan"],
         ["verify", "trapezoid", "--fuzz", "0"],
         ["render", "--construction", "chessboard", "--bbox", "-2", "-2", "2", "2", "--res", "0.5"],
@@ -601,7 +622,8 @@ class TestOutOfRangeParameters:
         ["verify", "dissection", "--n", "12", "--L", "1e9", "--s", "1e-3", "--depth", "1"],
         ["verify", "sharp", "--n", "64"],
     ], ids=["sharp-n5", "chessboard-r2", "snake-r2", "dissection-s2", "dissection-negative-s",
-         "dissection-small-L", "dissection-depth", "snake-depth", "rolling-eps-nan", "trapezoid-fuzz-0",
+         "dissection-small-L", "dissection-depth", "snake-depth", "chessboard-one-stage", "snake-one-stage",
+         "dissection-one-stage", "rolling-eps-nan", "trapezoid-fuzz-0",
          "render-res", "render-bbox", "dissection-n2", "dissection-huge-L", "sharp-n64"])
     def test_command_line(self, tmp_path, capsys, argv):
         out = tmp_path / "x.pgm"

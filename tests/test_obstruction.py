@@ -13,6 +13,7 @@ from diskdraw import (
     Arc,
     BoundaryPoint,
     CenterSet,
+    Check,
     DiskModel,
     DrawingScript,
     InvalidN,
@@ -598,18 +599,18 @@ class TestDissectionStages:
 
     def test_wedge_case_split(self):
         stages = dissection_stages(self.params, self.spec, 1)
-        checks = dissection_wedge_checks(stages, self.spec)
-        assert len(checks) == 12
-        assert all(v is Verdict.YES for _, _, v in checks)
+        # one record for the stage pair, standing for its 12 wedges
+        assert dissection_wedge_checks(stages, self.spec) == (Check("stage 0 wedges", Verdict.YES, None),)
 
     def test_wedge_case_split_reads_the_spec_orientation(self):
         cw = DissectionSpec(apex=self.apex, n=12, a=2.99, b=3.01, d=0.01, phase=0.0, first_orientation="cw")
         stages = dissection_stages(self.params, cw, 1)
         ccw_stages = dissection_stages(self.params, self.spec, 1)
         assert stages[0].blacks == ccw_stages[0].whites  # mirrored about every ray
-        assert all(v is Verdict.YES for _, _, v in dissection_wedge_checks(stages, cw))
+        assert [c.verdict for c in dissection_wedge_checks(stages, cw)] == [Verdict.YES]
         # the case split of the ccw layout does not hold for the cw families
-        assert all(v is not Verdict.YES for _, _, v in dissection_wedge_checks(stages, self.spec))
+        (check,) = dissection_wedge_checks(stages, self.spec)
+        assert check.name == "stage 0 wedges" and check.verdict is not Verdict.YES
 
     def test_ray_count_must_match(self):
         with pytest.raises(InvalidParameters):
@@ -695,7 +696,14 @@ class TestSymmetricDescentVerify:
                 # verdict and the whole family's escapes, bit for bit
                 verdict, clearance, _ = obstruction._encirclement(S, T, DEFAULT_TAU)
                 assert (verdict, clearance) == (encircles(S, T), max(map(LargestEmptyCircle(S).escape, T)))
-        assert dissection_wedge_checks(stages, spec) == wedge_checks_enumerated(stages, spec)
+        # each pair's record stands for its n wedges: every wedge the oracle
+        # asks about has the record's verdict
+        wedges = dissection_wedge_checks(stages, spec)
+        enumerated = wedge_checks_enumerated(stages, spec)
+        assert [c.name for c in wedges] == [f"stage {fam.stage_index} wedges" for fam in stages[:-1]]
+        for check in wedges:
+            verdicts = [v for i, _, v in enumerated if check.name == f"stage {i} wedges"]
+            assert verdicts == [check.verdict] * spec.n
         return cert
 
     @settings(DIFF, max_examples=25)
@@ -722,7 +730,7 @@ class TestSymmetricDescentVerify:
     def test_single_stage_and_empty_chain(self):
         coloring, spec, stages = pattern_chain(12, 3.0, 1e-3, 0)
         assert symmetric_descent_verify(stages, spec) == descent_verify(coloring, stages) == ()
-        assert dissection_wedge_checks(stages, spec) == []
+        assert dissection_wedge_checks(stages, spec) == ()
         with pytest.raises(InvalidParameters):
             symmetric_descent_verify([], spec)
 
@@ -767,7 +775,7 @@ class TestSymmetricDescentVerify:
         assert margins == [(2, 5.0 * (delta + slack) + 2.0 * (mirror + slack))] * 2
         assert 0.0 < delta < slack and 0.0 < mirror < slack
         margins.clear()
-        assert {v for _, _, v in dissection_wedge_checks(stages, spec)} == {Verdict.YES}
+        assert [c.verdict for c in dissection_wedge_checks(stages, spec)] == [Verdict.YES] * 2
         assert margins == [(4, 4.0 * (delta + slack))] * 2
 
     def test_work_is_logged(self, caplog):
@@ -1116,18 +1124,39 @@ class TestPatternColoring:
 
 class TestSymmetryMutants:
     """Chains that break the rotation lemma's premise are not proved, and the
-    certificate names the premise; the wedges the lemma would derive are
-    BOUNDARY.  Chains that break the reflection lemma's premise are not
-    proved either, and the certificate names that premise."""
+    certificate and the wedge case split both return the one `lemma premise`
+    record that names it.  Chains that break the reflection lemma's premise
+    are not proved either, and the certificate names that premise."""
 
     @staticmethod
     def assert_not_proved(spec, stages, where):
         cert = symmetric_descent_verify(stages, spec)
         assert not valid(cert)
         assert failed_premise(cert).startswith(f"rotation symmetry: {where}"), cert
-        wedges = dissection_wedge_checks(stages, spec)
-        assert len(wedges) == spec.n * (len(stages) - 1)
-        assert all(v is Verdict.BOUNDARY for _, wedge, v in wedges if wedge > 1)
+        assert [c.name for c in cert] == ["lemma premise"]
+        assert dissection_wedge_checks(stages, spec) == cert
+
+    def test_failed_premise_asks_no_wedge(self, monkeypatch):
+        # the split neither falls back to encircles nor triangulates a wedge
+        _, spec, stages = snake_chain(3)
+        p = stages[2].whites[7]
+        moved = with_point(stages, 2, "whites", 7, Point(p.x + 1e-6, p.y))
+        calls = {"encircles": 0, "LargestEmptyCircle": 0}
+        init, ask = LargestEmptyCircle.__init__, obstruction.encircles
+
+        def built(lec, obstacles):
+            calls["LargestEmptyCircle"] += 1
+            init(lec, obstacles)
+
+        def counted(*args, **kwargs):
+            calls["encircles"] += 1
+            return ask(*args, **kwargs)
+
+        monkeypatch.setattr(LargestEmptyCircle, "__init__", built)
+        monkeypatch.setattr(obstruction, "encircles", counted)
+        wedges = dissection_wedge_checks(moved, spec)
+        assert calls == {"encircles": 0, "LargestEmptyCircle": 0}
+        assert [(c.name, c.ok) for c in wedges] == [("lemma premise", False)]
 
     def test_point_moved_by_1e_6(self):
         _, spec, stages = snake_chain(3)
