@@ -515,6 +515,92 @@ def piece_distance(p: Piece, q: Piece) -> float:
                min(p.dist_xy(x, y) for x, y in _candidates(q, p)))
 
 
+def piece_rect_distance(piece: Piece, frame: tuple[Point, Point, Point], s: tuple[float, float],
+                        h: tuple[float, float]) -> float:
+    """Distance from a piece to the filled rectangle [s0, s1] x [h0, h1] of
+    the frame (apex, u, v), v = +-u rotated a quarter turn: the points apex
+    + s*u + h*v.
+
+    In the frame's coordinates, (q - apex).u and (q - apex).v, the
+    rectangle is an axis-aligned box, and the frame is an isometry (a
+    reflection when v = -u rotated).  A segment meets the box when clipping
+    it to the four slabs leaves a parameter interval (Liang and Barsky, ACM
+    TOG 3(1), 1984).  An arc meets it when an end lies in the box or its
+    circle crosses an edge at a point of its sweep, which is tested in world
+    angles, as the frame may reflect.  Lemma: when a piece and the box do
+    not meet, a closest pair has an end of the piece, or a corner of the
+    box (two disjoint convex sets are closest at a vertex of one; Schneider
+    and Eberly, Geometric Tools for Computer Graphics, 2003, ch. 6), or
+    else joins an interior point of an arc to an interior point of an edge
+    and is normal to both: the arc's point is its centre plus or minus the
+    radius along a frame axis.  So the distance is the least over the
+    piece's ends to the box, the corners to the piece (its dist_xy), and
+    those axis points of an arc that lie on its sweep to the box.  A
+    result within 1e-12 of the larger extent (of the piece and of the
+    corners) is 0, as piece_intersections' slack in piece_distance.
+    Computed in floats: no Point is built.
+    """
+    apex, u, v = frame
+    ox, oy, ux, uy, vx, vy = apex.x, apex.y, u.x, u.y, v.x, v.y
+    (s0, s1), (h0, h1) = s, h
+
+    def coords(p: Point) -> tuple[float, float]:  # p's frame coordinates
+        x, y = p.x - ox, p.y - oy
+        return x * ux + y * uy, x * vx + y * vy
+
+    def gap(ps: float, ph: float) -> float:  # from the frame point (ps, ph) to the box
+        return math.hypot(max(s0 - ps, ps - s1, 0.0), max(h0 - ph, ph - h1, 0.0))
+
+    if isinstance(piece, SinglePoint):
+        best = gap(*coords(piece.p))
+    elif isinstance(piece, Segment):
+        (sa, ha), (sb, hb) = coords(piece.a), coords(piece.b)
+        ds, dh = sb - sa, hb - ha
+        t0, t1 = 0.0, 1.0
+        for p, q in ((-ds, sa - s0), (ds, s1 - sa), (-dh, ha - h0), (dh, h1 - ha)):
+            if p == 0.0:
+                if q < 0.0:
+                    break
+            elif p < 0.0:
+                t0 = max(t0, q / p)
+            else:
+                t1 = min(t1, q / p)
+            if t0 > t1:
+                break
+        else:
+            return 0.0
+        best = min(gap(sa, ha), gap(sb, hb))
+    else:
+        best = min(gap(*coords(piece.start_point)), gap(*coords(piece.end_point)))
+        if best == 0.0:
+            return 0.0
+        (cs, ch), r = coords(piece.center), piece.radius
+
+        def on_arc(ds: float, dh: float) -> bool:  # whether the circle's point c + ds*u + dh*v is on the sweep
+            return piece.contains_angle(math.atan2(ds * uy + dh * vy, ds * ux + dh * vx))
+
+        if gap(cs, ch) <= r:  # else the disk misses the box, and so does the circle
+            # the circle's points on the edges s = s0, s1 (across False) and h = h0, h1
+            for w, lo, hi, across in ((s0 - cs, h0 - ch, h1 - ch, False), (s1 - cs, h0 - ch, h1 - ch, False),
+                                      (h0 - ch, s0 - cs, s1 - cs, True), (h1 - ch, s0 - cs, s1 - cs, True)):
+                disc = r * r - w * w
+                if disc >= 0.0:
+                    root = math.sqrt(disc)
+                    for k in (-root, root):
+                        if lo <= k <= hi and (on_arc(k, w) if across else on_arc(w, k)):
+                            return 0.0
+        for ds, dh in ((r, 0.0), (-r, 0.0), (0.0, r), (0.0, -r)):  # c +- r*u, c +- r*v
+            d = gap(cs + ds, ch + dh)
+            if d < best and on_arc(ds, dh):
+                best = d
+    corners = ((s0, h0), (s1, h0), (s1, h1), (s0, h1))
+    xs, ys = [ox + a * ux + b * vx for a, b in corners], [oy + a * uy + b * vy for a, b in corners]
+    if not isinstance(piece, SinglePoint):
+        best = min(best, *map(piece.dist_xy, xs, ys))
+    extent = max(piece.extent(), *map(abs, xs), *map(abs, ys))
+    return best if best > 1e-12 * extent else 0.0
+
+
 def turn_mismatch(pieces: Sequence[Primitive], center: Point, angle: float, shift: int, bound: float) -> float:
     """How far the turn by angle about center is from mapping the pieces
     onto themselves, piece k onto piece (k + shift) mod len(pieces): the

@@ -33,7 +33,7 @@ from .geometry import (
     check_tolerance,
     circumcircle3,
     constrained_largest_empty_circle,  # noqa: F401  (perfbench traces it under this module)
-    piece_distance,
+    piece_rect_distance,
     turn_orbits,
     unit,
 )
@@ -804,9 +804,12 @@ def dissection_wedge_checks(
     premise is symmetric_descent_verify's single `lemma premise` record;
     nothing falls back.  rotation is the measured premise, as in
     symmetric_descent_verify, which verify dissection hands both checks; by
-    default it is measured here.
+    default it is measured here.  An empty chain is refused, as by the
+    descent verifiers; a single stage has no pair and gives ().
     """
     check_tolerance(tau)
+    if not stages:
+        raise InvalidParameters("descent chain needs at least one stage")
     delta, slack, premise = rotation or _rotation_premise(stages, spec)
     if premise:
         return (_premise_check(premise),)
@@ -920,28 +923,21 @@ class _Part:
     def __init__(self, frame: tuple[Point, Point, Point], s0: float, s1: float, h0: float, h1: float):
         self.frame, self.s, self.h = frame, (s0, s1), (h0, h1)
         apex, u, v = frame
-        self.corners = tuple(Point(apex.x + s * u.x + h * v.x, apex.y + s * u.y + h * v.y)
-                             for s, h in ((s0, h0), (s1, h0), (s1, h1), (s0, h1)))
-        self.center = Point(0.5 * (self.corners[0].x + self.corners[2].x),
-                            0.5 * (self.corners[0].y + self.corners[2].y))
-        xs, ys = [c.x for c in self.corners], [c.y for c in self.corners]
+        sh = [(s0, h0), (s1, h0), (s1, h1), (s0, h1)]
+        xs = self._xs = [apex.x + s * u.x + h * v.x for s, h in sh]
+        ys = self._ys = [apex.y + s * u.y + h * v.y for s, h in sh]
+        self.center = Point(0.5 * (xs[0] + xs[2]), 0.5 * (ys[0] + ys[2]))
         self.box = (min(xs), min(ys), max(xs), max(ys))
 
     @cached_property
-    def edges(self) -> tuple[Segment, ...]:
-        c = self.corners
-        return tuple(Segment(c[k], c[(k + 1) % 4]) for k in range(4))
+    def corners(self) -> tuple[Point, ...]:
+        return tuple(map(Point, self._xs, self._ys))
 
     def __eq__(self, other) -> bool:  # the same ranges in any frame: branch_and_bound's replay key
         return (self.s, self.h) == (other.s, other.h)
 
     def __hash__(self) -> int:
         return hash((self.s, self.h))
-
-    def contains(self, q: Point) -> bool:
-        apex, u, v = self.frame
-        rel = q - apex
-        return self.s[0] <= rel.dot(u) <= self.s[1] and self.h[0] <= rel.dot(v) <= self.h[1]
 
     def split(self) -> list[_Part]:
         """The four quarters, in pop order: the high quadrant first."""
@@ -965,10 +961,15 @@ def dissection_check(coloring: Coloring, spec: DissectionSpec) -> ProofReport:
     A part R of a rectangle is decided by what coloring.source records:
 
     - A region (a tuple of loops): R is uniform when no piece is within t of
-      the filled R.  A piece whose start lies in R is at distance 0; any
-      other is as far from R as from the nearest of R's edges
-      (piece_distance), and a piece whose bounding box is farther than t
-      from R's box is skipped.  R's centre, classified, gives the shade.
+      the filled R.  In the ray's frame R is an axis-aligned box, and
+      geometry.piece_rect_distance gives a piece's distance to it in one
+      closed form: 0 when the piece meets the box (clipped, for a segment;
+      an end inside or a crossing of an edge on its sweep, for an arc),
+      else the least over the piece's ends to the box, R's corners to the
+      piece and an arc's points on the frame axes through its centre to the
+      box, as a closest pair of disjoint convex sets has a vertex of one.
+      A piece whose bounding box is farther than t from R's box is skipped.
+      R's centre, classified, gives the shade.
     - A DrawingScript: a stroke is IN on R when one convex primitive (point,
       segment, half-plane or plane) has all four corners closer than 1 - t,
       its neighbourhood being convex, and OUT when every primitive is
@@ -1009,11 +1010,8 @@ def dissection_check(coloring: Coloring, spec: DissectionSpec) -> ProofReport:
             if gap > bound:
                 best = min(best, gap)
                 continue
-            if part.contains(piece.p if isinstance(piece, SinglePoint) else piece.start_point):
-                return 0.0
-            for edge in part.edges:
-                calls += 1
-                best = min(best, piece_distance(piece, edge))
+            calls += 1
+            best = min(best, piece_rect_distance(piece, part.frame, part.s, part.h))
             if best <= bound:
                 return best
         return best

@@ -58,6 +58,11 @@ geometry.piece_intersections and piece_distance as they were before they
 were written out in floats: every vector and every candidate point a Point.
 The package's versions must equal them bit for bit.
 
+piece_rect_distance_by_edges is geometry.piece_rect_distance as
+dissection_check measured it before the closed form: 0 when the piece
+starts in the rectangle, else the least piece_distance to the rectangle's
+four edges, each a Segment.
+
 validate_simple_all_pairs is PiecewisePath.validate_simple as it was
 before it skipped the pairs whose piece boxes are far apart: every pair.
 
@@ -115,7 +120,8 @@ from diskdraw import (
     nbhd_contains,
 )
 from diskdraw.constructions import ConstructionInconsistent, PiecewisePath
-from diskdraw.geometry import LargestEmptyCircle, dist_to_segment, piece_intersections, turn_mismatch, unit
+from diskdraw.geometry import (LargestEmptyCircle, dist_to_segment, piece_distance, piece_intersections, turn_mismatch,
+                               unit)
 from diskdraw.obstruction import (Coloring, DissectionSpec, InvalidParameters, RadiiTooLarge, StageFamily,
                                   StageParams, five_circle_radii)
 
@@ -783,6 +789,21 @@ def piece_distance_by_points(p, q) -> float:
     else:
         ends = [(x, q) for x in _candidates_by_points(p, q)] + [(y, p) for y in _candidates_by_points(q, p)]
     return min(other.dist(x) for x, other in ends)
+
+
+def piece_rect_distance_by_edges(piece, frame, s, h) -> float:
+    """Distance from a piece to the filled rectangle [s0, s1] x [h0, h1] of
+    the frame (apex, u, v): 0 when the piece's start lies in it, else the
+    distance to the nearest edge, as a piece that does not start inside
+    meets the filled rectangle only if it meets an edge."""
+    apex, u, v = frame
+    (s0, s1), (h0, h1) = s, h
+    rel = (piece.p if isinstance(piece, SinglePoint) else piece.start_point) - apex
+    if s0 <= rel.dot(u) <= s1 and h0 <= rel.dot(v) <= h1:
+        return 0.0
+    c = [Point(apex.x + a * u.x + b * v.x, apex.y + a * u.y + b * v.y)
+         for a, b in ((s0, h0), (s1, h0), (s1, h1), (s0, h1))]
+    return min(piece_distance(piece, Segment(c[k], c[(k + 1) % 4])) for k in range(4))
 
 
 def validate_simple_all_pairs(path: PiecewisePath) -> None:

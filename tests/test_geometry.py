@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diskdraw import (
@@ -25,10 +25,11 @@ from diskdraw import (
     trapezoid_circumradius,
 )
 from diskdraw import curvature
-from diskdraw.geometry import TWO_PI, OffsetHalfPlane, piece_intersections, unit
+from diskdraw.geometry import TWO_PI, OffsetHalfPlane, piece_intersections, piece_rect_distance, unit
 
 from helpers import DIFF, grid_max_min_dist, random_point, random_primitive, rigid_motion
-from oracles import convex_hull, piece_distance_by_points, piece_intersections_by_points, strictly_inside_hull
+from oracles import (convex_hull, piece_distance_by_points, piece_intersections_by_points, piece_rect_distance_by_edges,
+                     strictly_inside_hull)
 
 
 class TestDistToPrimitive:
@@ -430,6 +431,154 @@ class TestFloatKernel:
             hits = kernel(a, b, tol)
             assert len(hits) == 2 and all(a.dist(h) <= tol and b.dist(h) <= tol for h in hits)
         assert piece_distance(a, b) == piece_distance_by_points(a, b) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# piece_rect_distance against the four-edge form
+# ---------------------------------------------------------------------------
+
+# (s, h) of corner k of the rectangle, edge k running from corner k to
+# corner k + 1, and edge k's outward normal in the frame
+CORNERS = ((0, 0), (1, 0), (1, 1), (0, 1))
+NORMALS = ((0.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0))
+
+
+@st.composite
+def rect_cases(draw):
+    """(piece, frame, s, h) in the unit scale, on either side of the ray: a
+    random point, segment, arc or full circle; a segment or arc through a
+    corner; a segment on an edge's line overlapping it, end to end with it
+    or a tiny gap apart; an arc tangent to an edge from outside or inside;
+    an arc whose circle crosses an edge outside its sweep; or an arc of
+    radius 1e-3 near an edge, as the snake's offsets are."""
+    apex = Point(draw(st.floats(-2, 2)), draw(st.floats(-2, 2)))
+    u = unit(draw(ANGLE))
+    v = u.rot90().scaled(draw(st.sampled_from([1, -1])))
+    s0, h0 = draw(st.floats(0.0, 2.0)), draw(st.floats(0.0, 1.0))
+    s, h = (s0, s0 + draw(st.floats(0.05, 2.0))), (h0, h0 + draw(st.floats(0.05, 2.0)))
+
+    def at(a, b):  # the point of frame coordinates (a, b)
+        return Point(apex.x + a * u.x + b * v.x, apex.y + a * u.y + b * v.y)
+
+    def angle(ds, dh):  # the world angle of the frame direction (ds, dh)
+        return math.atan2(ds * u.y + dh * v.y, ds * u.x + dh * v.x)
+
+    def on_edge(k, f):  # frame coordinates of the point at fraction f of edge k
+        (a0, b0), (a1, b1) = CORNERS[k], CORNERS[(k + 1) % 4]
+        return s[0] + (a0 + f * (a1 - a0)) * (s[1] - s[0]), h[0] + (b0 + f * (b1 - b0)) * (h[1] - h[0])
+
+    kind = draw(st.sampled_from(["point", "segment", "arc", "circle", "corner", "collinear", "tangent",
+                                 "outside sweep", "small"]))
+    k, r, ccw = draw(st.integers(0, 3)), draw(UNIT), draw(st.booleans())
+    nx, ny = NORMALS[k]
+
+    def rand():  # frame coordinates of a point within 1.5 of the rectangle's box
+        return draw(st.floats(s[0] - 1.5, s[1] + 1.5)), draw(st.floats(h[0] - 1.5, h[1] + 1.5))
+
+    if kind == "point":
+        piece = SinglePoint(at(*rand()))
+    elif kind == "segment":
+        a, b = at(*rand()), at(*rand())
+        assume(a != b)
+        piece = Segment(a, b)
+    elif kind in ("arc", "circle"):
+        a0 = draw(ANGLE)
+        piece = arc(at(*rand()), r, a0, draw(SWEEP), ccw) if kind == "arc" else Arc(at(*rand()), r, a0, a0, ccw)
+    elif kind == "corner":
+        c, beta = at(*on_edge(k, 0.0)), draw(ANGLE)
+        if draw(st.booleans()):
+            d = unit(beta)
+            piece = Segment(c + d.scaled(draw(UNIT)), c - d.scaled(draw(UNIT)))
+        else:
+            piece = arc(c + unit(beta).scaled(r), r, beta + math.pi - 0.5, draw(SWEEP), True)
+    elif kind == "collinear":
+        # from a fraction of the edge that overlaps it, or from its end, or
+        # a tiny gap past it
+        if draw(st.booleans()):
+            t0 = draw(st.floats(-0.5, 0.9))
+        else:
+            t0 = 1.0 + draw(st.sampled_from([0.0, 1e-13, 1e-9, 1e-6]))
+        ends = [at(*on_edge(k, t0)), at(*on_edge(k, t0 + draw(st.floats(0.1, 1.5))))]
+        piece = Segment(*(ends if draw(st.booleans()) else ends[::-1]))
+    elif kind == "tangent":
+        ps, ph = on_edge(k, draw(st.floats(0.0, 1.0)))
+        out = draw(st.sampled_from([1, -1]))  # the centre outside the rectangle or inside
+        touch = angle(-out * nx, -out * ny)
+        a0 = touch - 0.5 if draw(st.booleans()) else draw(ANGLE)
+        piece = arc(at(ps + out * r * nx, ph + out * r * ny), r, a0, draw(SWEEP), True)
+    elif kind == "outside sweep":
+        # the circle crosses the edge's line; the arc, within 1 of the
+        # direction of the normal about a centre r/2 out, stays outside
+        ps, ph = on_edge(k, draw(st.floats(0.0, 1.0)))
+        half = draw(st.floats(0.05, 1.0))
+        piece = arc(at(ps + 0.5 * r * nx, ph + 0.5 * r * ny), r, angle(nx, ny) - half, 2.0 * half, ccw=True)
+    else:
+        ps, ph = on_edge(k, draw(st.floats(-0.1, 1.1)))
+        off = draw(st.floats(-2e-3, 2e-3))
+        piece = arc(at(ps + off * nx, ph + off * ny), 1e-3, draw(ANGLE), draw(SWEEP), ccw)
+    return piece, (apex, u, v), s, h
+
+
+def scaled_rect_case(piece, frame, s, h, k):
+    apex, u, v = frame
+    return scaled_piece(piece, k), (apex.scaled(k), u, v), (k * s[0], k * s[1]), (k * h[0], k * h[1])
+
+
+class TestPieceRectDistance:
+    """piece_rect_distance against the four-edge form it replaced in
+    dissection_check (tests/oracles.py)."""
+
+    @settings(DIFF, max_examples=400)
+    @given(case=rect_cases(), k=st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6]))
+    def test_equals_the_four_edge_form(self, case, k):
+        piece, frame, s, h = scaled_rect_case(*case, k)
+        apex, u, v = frame
+        corners = [apex + u.scaled(a) + v.scaled(b) for a in s for b in h]
+        extent = max(piece.extent(), *(max(abs(c.x), abs(c.y)) for c in corners))
+        got, want = piece_rect_distance(piece, frame, s, h), piece_rect_distance_by_edges(piece, frame, s, h)
+        assert abs(got - want) <= 2e-12 * extent, (got, want)
+
+    @pytest.mark.parametrize("side", [1, -1])
+    def test_closed_forms(self, side):
+        # the rectangle [1, 3] x [1, 2] of a frame turned by 0.3
+        u = unit(0.3)
+        frame, s, h = (Point(0.5, -0.25), u, u.rot90().scaled(side)), (1.0, 3.0), (1.0, 2.0)
+
+        def at(a, b):
+            return frame[0] + u.scaled(a) + frame[2].scaled(b)
+
+        def rect_angle(ds, dh):
+            d = u.scaled(ds) + frame[2].scaled(dh)
+            return math.atan2(d.y, d.x)
+
+        assert piece_rect_distance(SinglePoint(at(2.0, 1.5)), frame, s, h) == 0.0
+        assert piece_rect_distance(SinglePoint(at(4.0, 2.0 + 1.0)), frame, s, h) == pytest.approx(math.sqrt(2.0))
+        # a segment crossing the rectangle with both ends outside
+        assert piece_rect_distance(Segment(at(0.0, 1.5), at(4.0, 1.5)), frame, s, h) == 0.0
+        assert piece_rect_distance(Segment(at(0.0, 2.5), at(4.0, 2.5)), frame, s, h) == pytest.approx(0.5)
+        # a full circle around the rectangle: its nearest points are the corners'
+        c, r = at(2.0, 1.5), 2.0
+        assert piece_rect_distance(Arc(c, r, 0.0, 0.0), frame, s, h) == pytest.approx(r - math.hypot(1.0, 0.5))
+        # an arc bulging towards the top edge is nearest at its lowest point,
+        # c - v, an interior point; the arc away from it, at its ends
+        top = rect_angle(0.0, 1.0)
+        c = at(2.0, 4.0)
+        assert piece_rect_distance(Arc(c, 1.0, top + math.pi - 0.5, top + math.pi + 0.5), frame, s, h) == \
+            pytest.approx(1.0)
+        assert piece_rect_distance(Arc(c, 1.0, top - 0.5, top + 0.5), frame, s, h) == pytest.approx(2.0 + math.cos(0.5))
+        # a circle crossing the top edge, met only within its sweep
+        c = at(2.0, 2.5)
+        assert piece_rect_distance(Arc(c, 1.0, top + math.pi - 0.2, top + math.pi + 0.2), frame, s, h) == 0.0
+        assert piece_rect_distance(Arc(c, 1.0, top - 0.2, top + 0.2), frame, s, h) == pytest.approx(0.5 + math.cos(0.2))
+
+    def test_builds_no_point(self, monkeypatch):
+        u = unit(1.0)
+        frame = (Point(0.0, 0.0), u, u.rot90())
+        pieces = [SinglePoint(Point(5, 5)), Segment(Point(5, 5), Point(6, 4)), Arc(Point(5, 5), 1.0, 0.0, 2.0)]
+        built = []
+        monkeypatch.setattr(Point, "__post_init__", lambda self: built.append(self))
+        assert all(piece_rect_distance(p, frame, (0.0, 1.0), (0.0, 1.0)) > 0.0 for p in pieces)
+        assert built == []
 
 
 class TestCircumcircle:

@@ -54,8 +54,8 @@ from diskdraw.obstruction import SPLIT_DEPTH, DissectionSpec, _encircles, _rotat
 from helpers import (DIFF, benchmark_workloads, random_point, random_primitive, random_script, regular_polygon_path,
                      reversed_loop, rigid_motion, same_proof, scaled_loop)
 from oracles import (colour_premise_by_points, dissection_pattern_classify, dissection_sampled,
-                     dissection_stages_by_points, local_lec_by_rows, pattern_coloring, turn_orbits_every_shift,
-                     wedge_checks_enumerated)
+                     dissection_stages_by_points, local_lec_by_rows, pattern_coloring, piece_rect_distance_by_edges,
+                     turn_orbits_every_shift, wedge_checks_enumerated)
 from test_render import arc_loops, convex_polygons
 
 
@@ -733,6 +733,8 @@ class TestSymmetricDescentVerify:
         assert dissection_wedge_checks(stages, spec) == ()
         with pytest.raises(InvalidParameters):
             symmetric_descent_verify([], spec)
+        with pytest.raises(InvalidParameters, match="at least one stage"):
+            dissection_wedge_checks([], spec)
 
     def test_stage_point_in_the_collar_is_a_failed_premise(self):
         # t_0 = 3.2e-5 is below 2 tau = 2e-4: ray 1's first black point is
@@ -1346,7 +1348,7 @@ class TestDissectionCheck:
         assert (result.counts()["depth"], len(result.undecided), len(result.failures)) == (0, 0, 0)
 
     @pytest.mark.parametrize("tau", [1e-6, 1e-4])
-    @pytest.mark.parametrize("which, calls", [("snake", 100), ("sharp", 128)])
+    @pytest.mark.parametrize("which, calls", [("snake", 25), ("sharp", 113)])
     def test_proves_at_the_colorings_own_tau(self, which, calls, tau):
         # the rectangles shrink by twice the coloring's margin, so a coloring
         # at a larger tau is proved as at the default, in as many kernel calls
@@ -1428,6 +1430,55 @@ class TestDissectionCheck:
         (record,) = [r for r in caplog.records if r.getMessage().startswith("dissection check:")]
         assert "8 rectangles, 8 leaves" in record.getMessage()
         assert record.getMessage().endswith("0 undecided, 0 failures")
+
+
+def rect_proof_inputs():
+    """(name, coloring at tau, spec) of the snakes r = 1.0001 to 1.1, the
+    snake's spec with a = 2.5 and 2.9, and sharp-n for n = 4, 12, 20: proofs
+    whole at depth 0, and proofs split to depth 4 with failures and
+    undecided leaves."""
+    for tau in (1e-9, 1e-6, 1e-4):
+        for r in (1.0001, 1.001, 1.01, 1.05, 1.1):
+            geom = build_snake(r)
+            yield pytest.param(snake_coloring(geom, tau), snake_dissection_spec(geom), id=f"snake r={r} tau={tau}")
+        geom = build_snake(1.001)
+        for a in (2.5, 2.9):
+            spec = dataclasses.replace(snake_dissection_spec(geom), a=a)
+            yield pytest.param(snake_coloring(geom, tau), spec, id=f"snake a={a} tau={tau}")
+        for n in (4, 12, 20):
+            yield pytest.param(script_coloring(sharp_ndissected_script(n), tau), sharp_dissection_spec(n),
+                               id=f"sharp n={n} tau={tau}")
+
+
+class TestPieceRectKernel:
+    """dissection_check measures each piece near a part with
+    geometry.piece_rect_distance, in place of the four-edge form of
+    tests/oracles.py."""
+
+    @pytest.mark.parametrize("coloring, spec", rect_proof_inputs())
+    def test_same_proofs_as_the_four_edge_form(self, monkeypatch, coloring, spec):
+        report = dissection_check(coloring, spec)
+        monkeypatch.setattr(obstruction, "piece_rect_distance", piece_rect_distance_by_edges)
+        edges = dissection_check(coloring, spec)
+        assert same_proof(report, edges)
+        assert abs(report.counts()["min_margin"] - edges.counts()["min_margin"]) <= 1e-15
+
+    def test_split_proofs_are_among_the_inputs(self):
+        counts = [dissection_check(*param.values).counts() for param in rect_proof_inputs()]
+        assert any(c["depth"] == SPLIT_DEPTH and c["failures"] and c["undecided"] for c in counts)
+
+    @pytest.mark.parametrize("which", ["snake", "sharp"])
+    def test_builds_no_segment_and_calls_no_piece_distance(self, monkeypatch, which):
+        coloring, spec = dissected(which)
+        calls, segments = [], []
+        distance, check = geometry.piece_distance, Segment.__post_init__
+        monkeypatch.setattr(geometry, "piece_distance", lambda p, q: calls.append(p) or distance(p, q))
+        monkeypatch.setattr(Segment, "__post_init__", lambda self: segments.append(self) or check(self))
+        assert dissection_check(coloring, spec).ok
+        assert (len(calls), len(segments)) == (0, 0)
+        # the count sees the Segments the four-edge form builds
+        monkeypatch.setattr(obstruction, "piece_rect_distance", piece_rect_distance_by_edges)
+        assert dissection_check(coloring, spec).ok and segments
 
 
 class TestDissectionCheckAgainstSampler:
@@ -1628,7 +1679,7 @@ class TestRayOrbit:
         coloring, spec = script_coloring(script), sharp_dissection_spec(12)
         report, full = dissection_check(coloring, spec), full_dissection_check(monkeypatch, coloring, spec)
         assert report == full and report.ok
-        assert (report.counts()["orbit"], report.counts()["kernel_calls"]) == (1, 1000)
+        assert (report.counts()["orbit"], report.counts()["kernel_calls"]) == (1, 916)
 
     def test_a_half_plane_has_no_orbit(self, monkeypatch):
         (stroke,) = sharp_ndissected_script(12).strokes
