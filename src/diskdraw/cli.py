@@ -128,7 +128,10 @@ def _cmd_render(args) -> int:
     else:
         coloring = _load_scene(args.scene, args.tau)
     spec = _checked(RasterSpec, *args.bbox, resolution=args.res)
-    write_pgm(args.output, coloring, spec)
+    try:
+        write_pgm(args.output, coloring, spec)
+    except MemoryError:
+        raise UsageError(f"a {spec.width}x{spec.height} raster does not fit in memory") from None
     print(f"wrote {spec.width}x{spec.height} PGM to {args.output}")
     if args.svg:
         if isinstance(coloring.source, tuple):

@@ -84,16 +84,16 @@ class PiecewisePath:
         return tuple((piece, *piece.bbox()) for piece in self.pieces)
 
     @cached_property
-    def _parts(self) -> tuple:
-        """The y-monotone parts of all pieces (see _monotone_parts).  Piece i
-        ends at piece i+1's start height, so the two share one float there."""
+    def parts(self) -> tuple:
+        """The y-monotone parts (y0, y1, x_at) of all pieces (_monotone_parts).
+        Piece i ends at piece i+1's start height, sharing one float there."""
         ends = [piece.start_point.y for piece in self.pieces[1:] + self.pieces[:1]]
         return tuple(part for pc, y_end in zip(self.pieces, ends) for part in _monotone_parts(pc, y_end))
 
     def crossings(self, y: float) -> list[float]:
         """Abscissas where the row at height y crosses the path, by the
         half-open rule: a monotone part counts when (y0 > y) != (y1 > y)."""
-        return [x_at(y) for y0, y1, x_at in self._parts if (y0 > y) != (y1 > y)]
+        return [x_at(y) for y0, y1, x_at in self.parts if (y0 > y) != (y1 > y)]
 
     def validate_simple(self) -> None:
         """Raise ConstructionInconsistent when non-adjacent pieces intersect

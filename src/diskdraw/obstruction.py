@@ -918,10 +918,11 @@ def branch_and_bound(roots, rule: Callable, split: Callable, max_depth: int, lem
 
 class _Part:
     """The part [s0, s1] x [h0, h1] of a rectangle in the frame (apex, u, v):
-    u runs along the ray, v away from it into the rectangle's side."""
+    u runs along the ray, v away from it into the rectangle's side; near is
+    what its parent's clearance handed down."""
 
-    def __init__(self, frame: tuple[Point, Point, Point], s0: float, s1: float, h0: float, h1: float):
-        self.frame, self.s, self.h = frame, (s0, s1), (h0, h1)
+    def __init__(self, frame: tuple[Point, Point, Point], s0: float, s1: float, h0: float, h1: float, near=()):
+        self.frame, self.s, self.h, self.near = frame, (s0, s1), (h0, h1), dict(near)
         apex, u, v = frame
         sh = [(s0, h0), (s1, h0), (s1, h1), (s0, h1)]
         xs = self._xs = [apex.x + s * u.x + h * v.x for s, h in sh]
@@ -943,7 +944,8 @@ class _Part:
         """The four quarters, in pop order: the high quadrant first."""
         (s0, s1), (h0, h1) = self.s, self.h
         sm, hm = 0.5 * (s0 + s1), 0.5 * (h0 + h1)
-        return [_Part(self.frame, a, b, c, d) for a, b in ((sm, s1), (s0, sm)) for c, d in ((hm, h1), (h0, hm))]
+        return [_Part(self.frame, a, b, c, d, self.near)
+                for a, b in ((sm, s1), (s0, sm)) for c, d in ((hm, h1), (h0, hm))]
 
 
 def dissection_check(coloring: Coloring, spec: DissectionSpec) -> ProofReport:
@@ -998,23 +1000,28 @@ def dissection_check(coloring: Coloring, spec: DissectionSpec) -> ProofReport:
         raise InvalidParameters("the rectangles vanish when shrunk by 2*tau")
     calls, min_margin = 0, math.inf
 
-    def clearance(part: _Part, boxed, bound: float) -> float:
+    def clearance(part: _Part, key, boxed, bound: float) -> float:
         """A lower bound on the distance from the boxed pieces to the filled
         part: exact for a piece whose box is within bound of the part's box,
         the gap between the boxes for any other; a value at most bound as
-        soon as one piece is that close."""
+        soon as one piece is that close.  Only the pieces the parent handed
+        down under key are measured, its floor standing for the rest, whose
+        gaps only grow in the part's smaller box; the part hands its children
+        the pieces within bound, so every exact distance stays the same."""
         nonlocal calls
-        best = math.inf
+        boxed, floor = part.near.get(key, (boxed, math.inf))
+        best, near = math.inf, []
         for piece, box in boxed:
             gap = box_gap(part.box, box)
             if gap > bound:
-                best = min(best, gap)
+                floor = min(floor, gap)
                 continue
-            calls += 1
-            best = min(best, piece_rect_distance(piece, part.frame, part.s, part.h))
-            if best <= bound:
-                return best
-        return best
+            near.append((piece, box))
+            if best > bound:  # once a piece is that close, only the boxes are sorted
+                calls += 1
+                best = min(best, piece_rect_distance(piece, part.frame, part.s, part.h))
+        part.near[key] = near, floor
+        return min(best, floor)
 
     def corner_distance(part: _Part, prim, reduce) -> float:
         nonlocal calls
@@ -1025,7 +1032,7 @@ def dissection_check(coloring: Coloring, spec: DissectionSpec) -> ProofReport:
     # how far its inequalities are from deciding otherwise.
 
     def region_rule(part: _Part) -> tuple[Shade | None, float]:
-        margin = clearance(part, pieces, t) - t
+        margin = clearance(part, None, pieces, t) - t
         return (coloring.classify(part.center) if margin > 0.0 else None), abs(margin)
 
     def script_rule(part: _Part) -> tuple[Shade | None, float]:
@@ -1038,7 +1045,7 @@ def dissection_check(coloring: Coloring, spec: DissectionSpec) -> ProofReport:
                 if far < 1.0 - t:
                     return (Shade.BLACK if k % 2 == 0 else Shade.WHITE), min(margin, 1.0 - t - far)
                 uncovered = min(uncovered, far - (1.0 - t))
-            near = min([clearance(part, boxed, 1.0 + t)] + [corner_distance(part, p, min) for p in planes])
+            near = min([clearance(part, k, boxed, 1.0 + t)] + [corner_distance(part, p, min) for p in planes])
             if not near > 1.0 + t:
                 return None, min(margin, uncovered, 1.0 + t - near)
             margin = min(margin, near - (1.0 + t))

@@ -12,14 +12,14 @@ in closed-form intervals, whole runs between them are filled at once, and
 only the pixels in a conservative collar window go to the exact per-pixel
 classifier.  The bytes are those of classifying every pixel.
 
-The same reference's active edge table keeps a row from visiting items that
-cannot reach it: before the first row, each primitive or piece is listed
-under the rows whose center lies within its y-range widened by the radius
-of its closed forms, and each row computes the closed forms of its own list
-only.  The table may hold a superset, since a closed form returns nothing
-on a row its item misses; so each reach is widened by one more collar
-margin, which dominates the rounding of the closed forms' own tests and of
-the reach's ends, and no row an item reaches is left out.
+The same reference's active edge table is all a row reads: each primitive
+or piece is listed, with its closed-form constants, under the rows whose
+center lies within its y-range widened by the radius of its closed forms,
+and each y-monotone part of a region's loops under those within its own.
+A table may hold a superset, since a closed form or the crossing rule adds
+nothing on a row its item misses; so each reach is widened by one more
+collar margin, which dominates the rounding of the closed forms' own tests
+and of the reach's ends, and no row an item reaches is left out.
 """
 
 from __future__ import annotations
@@ -84,9 +84,10 @@ def render(source: RenderSource, spec: RasterSpec) -> bytes:
     of the items its active table lists, those whose reach holds the row's
     center; an item listed on a row it misses adds nothing, so the table may
     list more than it must, never less.  Each byte is the verdict the
-    classifier gives at that pixel center.
-    The number of pixels classified exactly and of (row, item) pairs the
-    active table hands to the closed forms are logged at DEBUG on the
+    classifier gives at that pixel center; the pixel buffer is allocated
+    before the tables.  The numbers of pixels classified exactly, of (row,
+    item) pairs the active table hands to the closed forms and of (row,
+    part) pairs a region's crossing table lists are logged at DEBUG on the
     "diskdraw" logger.
     """
     if isinstance(source, DrawingScript):
@@ -96,11 +97,11 @@ def render(source: RenderSource, spec: RasterSpec) -> bytes:
     classify, shape = source.classify, source.source
     grid = _Grid(spec)
     w, h = grid.w, grid.h
-    if isinstance(shape, DrawingScript):
-        rows, pairs = _script_rows(shape, source.tau, grid)
-    else:
-        rows, pairs = _region_rows(shape, source.tau, grid)
     pixels = bytearray(b"\xff") * (w * h)
+    if isinstance(shape, DrawingScript):
+        rows, pairs, parts = _script_rows(shape, source.tau, grid)
+    else:
+        rows, pairs, parts = _region_rows(shape, source.tau, grid)
     exact = 0
     for i in range(h):
         y = grid.y(i)
@@ -109,7 +110,8 @@ def render(source: RenderSource, spec: RasterSpec) -> bytes:
         exact += len(cols)
         for j in cols:
             pixels[base + j] = _SHADE_BYTE[classify(Point(grid.x(j), y))]
-    logger.debug("render %dx%d: %d pixels classified exactly, %d active row items", w, h, exact, pairs)
+    logger.debug("render %dx%d: %d pixels classified exactly, %d active row items, %d active row parts",
+                 w, h, exact, pairs, parts)
     return bytes(pixels)
 
 
@@ -165,14 +167,16 @@ class _Grid:
         """Columns whose centers x_j satisfy lo <= x_j < hi.
 
         Spans meet at shared ends, and a center exactly on one lies a margin
-        away from any verdict change, so half-open ranges lose nothing.
+        away from any verdict change, so half-open ranges lose nothing.  A
+        window holding no center costs one search.
         """
-        return range(self.first(lo), self.first(hi))
+        j0 = self.first(lo)
+        return range(j0, j0 if j0 == self.w or self.x(j0) >= hi else self.first(hi))
 
     def fill(self, pixels: bytearray, base: int, lo: float, hi: float, value: int) -> None:
-        j0, j1 = self.first(lo), self.first(hi)
-        if j1 > j0:
-            pixels[base + j0 : base + j1] = (self.black if value == _BLACK else self.white)[: j1 - j0]
+        cols = self.cols(lo, hi)
+        if cols:
+            pixels[base + cols.start : base + cols.stop] = (self.black if value == _BLACK else self.white)[: len(cols)]
 
 
 def _margin(grid: _Grid, piece) -> float:
@@ -221,23 +225,37 @@ def _between(a: float, b: float, lo: float, hi: float):
     return (u0, u1) if a > 0.0 else (u1, u0)
 
 
-def _capsule(seg: Segment, y: float, rho: float):
-    """x-interval of the row at height y within rho of the segment, or None.
+def _form(item, r: float):
+    """An item's closed-form constants, by the operations a row once
+    repeated: a segment's (ax, ay, bx, by, dx, dy, length, ymin, ymax), an
+    arc's (cx, cy, R - r, R + r), None for any other primitive."""
+    if isinstance(item, Segment):
+        ax, ay, bx, by = item.a.x, item.a.y, item.b.x, item.b.y
+        dx, dy = bx - ax, by - ay
+        return ax, ay, bx, by, dx, dy, math.hypot(dx, dy), min(ay, by), max(ay, by)
+    if isinstance(item, Arc):
+        c, radius = item.center, item.radius
+        return c.x, c.y, radius - r, radius + r
+    return None
+
+
+def _capsule(form: tuple, y: float, rho: float):
+    """x-interval of the row at height y within rho of the segment of form
+    (see _form), or None.
 
     The capsule is the union of the endpoint disks and the rectangle of
     points that project into the segment within rho of its line; it is
     convex, so its trace on the row is one interval.
     """
-    ax, ay, bx, by = seg.a.x, seg.a.y, seg.b.x, seg.b.y
-    if not min(ay, by) - rho <= y <= max(ay, by) + rho:
+    ax, ay, bx, by, dx, dy, length, ymin, ymax = form
+    if not ymin - rho <= y <= ymax + rho:
         return None
     lo, hi = math.inf, -math.inf
     for px, py in ((ax, ay), (bx, by)):
         span = _chord(px, y - py, rho)
         if span is not None:
             lo, hi = min(lo, span[0]), max(hi, span[1])
-    dx, dy, h = bx - ax, by - ay, y - ay
-    length = math.hypot(dx, dy)
+    h = y - ay
     across = _between(-dy, dx * h, -rho * length, rho * length)  # distance to the line
     along = _between(dx, dy * h, 0.0, length * length)  # projection inside the segment
     if across is not None and along is not None:
@@ -248,12 +266,10 @@ def _capsule(seg: Segment, y: float, rho: float):
 
 
 def _convex_span(prim, y: float, rho: float):
-    """x-interval of the row at height y within rho of a point, segment,
-    half-plane or the whole plane (each neighbourhood is convex), or None."""
+    """x-interval of the row at height y within rho of a point, half-plane
+    or the whole plane (each neighbourhood is convex), or None."""
     if isinstance(prim, SinglePoint):
         return _chord(prim.p.x, y - prim.p.y, rho)
-    if isinstance(prim, Segment):
-        return _capsule(prim, y, rho)
     if isinstance(prim, OffsetHalfPlane):
         # distance below rho  <=>  x*nx + y*ny >= offset + 1 - rho
         nx = prim.normal.x
@@ -268,14 +284,12 @@ def _convex_span(prim, y: float, rho: float):
 
 def _active(grid: _Grid, entries) -> list:
     """The active table: per row, in entry order, the payloads of the
-    entries (item, reach, payload) whose y-range widened by reach holds the
-    row's center.  The y-range is that of the item's covering_box: an arc's
-    whole circle, about which its closed forms work, and unbounded for a
-    half-plane or the whole plane."""
+    entries (lo, hi, payload) whose closed y-range holds the row's center;
+    an item's is its covering_box's (an arc's whole circle, unbounded for a
+    half-plane or the whole plane) widened by its reach."""
     table = [[] for _ in range(grid.h)]
-    for item, reach, payload in entries:
-        _, lo, _, hi = covering_box(item)
-        for i in range(grid.row(hi + reach), grid.row(lo - reach)):
+    for lo, hi, payload in entries:
+        for i in range(grid.row(hi), grid.row(math.nextafter(lo, -math.inf))):  # y_i <= hi and y_i >= lo
             table[i].append(payload)
     return table
 
@@ -303,7 +317,7 @@ def _script_rows(script: DrawingScript, tau: float, grid: _Grid):
     has no certain-IN part here: its whole annulus R -+ (1 + tau + m) is
     returned for exact classification.  A row visits, in stroke order, the
     primitives its active table lists (reach r_out + m).  Returns the row
-    filler and the number of (row, primitive) pairs in the table.
+    filler and the numbers of (row, primitive) and (row, part) pairs, 0.
     """
     entries = []
     for k, stroke in enumerate(script.strokes, start=1):
@@ -311,15 +325,18 @@ def _script_rows(script: DrawingScript, tau: float, grid: _Grid):
         for prim in stroke.centers.primitives:
             m = _margin(grid, prim)
             r_in, r_out = 1.0 - tau - m, 1.0 + tau + m
-            entries.append((prim, r_out + m, (value, prim, r_in, r_out)))
+            _, lo, _, hi = covering_box(prim)
+            entries.append((lo - (r_out + m), hi + (r_out + m), (value, prim, _form(prim, r_out), r_in, r_out)))
     active = _active(grid, entries)
 
     def row(i: int, y: float, pixels: bytearray, base: int):
         uncertain = []
-        for value, prim, r_in, r_out in active[i]:
-            if isinstance(prim, Arc):  # the annulus about the circle holds the arc's neighbourhood
-                c, radius = prim.center, prim.radius
-                inner, unsure = [], _annulus(c.x, y - c.y, radius - r_out, radius + r_out)
+        for value, prim, form, r_in, r_out in active[i]:
+            if isinstance(prim, Segment):
+                inner, unsure = _split(_capsule(form, y, r_out), _capsule(form, y, r_in))
+            elif isinstance(prim, Arc):  # the annulus about the circle holds the arc's neighbourhood
+                cx, cy, r_lo, r_hi = form
+                inner, unsure = [], _annulus(cx, y - cy, r_lo, r_hi)
             else:
                 inner, unsure = _split(_convex_span(prim, y, r_out), _convex_span(prim, y, r_in))
             for lo, hi in inner:
@@ -327,41 +344,45 @@ def _script_rows(script: DrawingScript, tau: float, grid: _Grid):
             uncertain += unsure
         return {j for lo, hi in uncertain for j in grid.cols(lo, hi)}
 
-    return row, sum(map(len, active))
+    return row, sum(map(len, active)), 0
+
+
+def _crossing_table(grid: _Grid, loops) -> list:
+    """Per row, the y-monotone parts (y0, y1, x_at) of the loops whose
+    closed y-range holds the row's center: each part the row can cross."""
+    return _active(grid, ((min(p[0], p[1]), max(p[0], p[1]), p) for loop in loops for p in loop.parts))
 
 
 def _region_rows(loops, tau: float, grid: _Grid):
     """Row filler for classify_against_path over closed loops.
 
     Filling between consecutive sorted crossings of the row (the same floats
-    the classifier counts) gives each pixel the classifier's parity.  That
-    is the verdict outside the collar windows: the pixels within tau + m of
-    a piece (m from _margin), in the capsule about a segment or the annulus
-    R -+ (tau + m) about an arc's circle, which are classified exactly.  A
-    row visits the pieces its active table lists (reach tau + 2m).  Returns
-    the row filler and the number of (row, piece) pairs in the table.
+    the classifier counts, from the parts its crossing table lists) gives
+    each pixel the classifier's parity.  That is the verdict outside the
+    collar windows: the pixels within tau + m of a piece (m from _margin),
+    in the capsule about a segment or the annulus R -+ (tau + m) about an
+    arc's circle, which are classified exactly.  A row visits the pieces its
+    active table lists (reach tau + 2m).  Returns the row filler and the
+    numbers of (row, piece) and (row, part) pairs in the tables.
     """
-    entries = []
+    capsules, annuli = [], []
     for piece in (piece for loop in loops for piece in loop.pieces):
         m = _margin(grid, piece)
-        entries.append((piece, tau + 2.0 * m, (piece, tau + m)))
-    active = _active(grid, entries)
+        _, lo, _, hi = covering_box(piece)
+        (capsules if isinstance(piece, Segment) else annuli).append(
+            (lo - (tau + 2.0 * m), hi + (tau + 2.0 * m), (_form(piece, tau + m), tau + m)))
+    parts, capsules, annuli = _crossing_table(grid, loops), _active(grid, capsules), _active(grid, annuli)
 
     def row(i: int, y: float, pixels: bytearray, base: int):
-        crossings = sorted(x for loop in loops for x in loop.crossings(y))
+        crossings = sorted([x_at(y) for y0, y1, x_at in parts[i] if (y0 > y) != (y1 > y)])
         for k in range(0, len(crossings), 2):  # an odd number of crossings lies to the right
             grid.fill(pixels, base, crossings[k], crossings[k + 1], _BLACK)
-        windows = []
-        for piece, r in active[i]:
-            if isinstance(piece, Segment):
-                window = _capsule(piece, y, r)
-                if window is not None:
-                    windows.append(window)
-            else:
-                windows += _annulus(piece.center.x, y - piece.center.y, piece.radius - r, piece.radius + r)
+        windows = [w for form, r in capsules[i] if (w := _capsule(form, y, r)) is not None]
+        for (cx, cy, r_in, r_out), _ in annuli[i]:
+            windows += _annulus(cx, y - cy, r_in, r_out)
         return {j for lo, hi in windows for j in grid.cols(lo, hi)}
 
-    return row, sum(map(len, active))
+    return row, sum(map(len, capsules)) + sum(map(len, annuli)), sum(map(len, parts))
 
 
 def to_pgm(pixels: bytes, spec: RasterSpec) -> bytes:

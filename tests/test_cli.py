@@ -1,6 +1,7 @@
 import argparse
 import ast
 import dataclasses
+import hashlib
 import importlib
 import math
 import os
@@ -590,6 +591,39 @@ def test_verify_golden(capsys, argv, stdout, code):
     assert run(capsys, *argv) == (code, stdout, "")
 
 
+RENDER_GOLDEN = Path(__file__).with_name("render_golden.txt")
+
+
+def render_golden_runs():
+    """(argv, {file name: SHA-256}) of each run in render_golden.txt: a
+    `$ diskdraw ...` line, then one `<sha256>  <name>` line per file written."""
+    runs = []
+    for line in RENDER_GOLDEN.read_text().splitlines():
+        if line.startswith("$ diskdraw "):
+            runs.append((line.split()[2:], {}))
+        elif line and not line.startswith("#"):
+            digest, name = line.split()
+            runs[-1][1][name] = digest
+    return runs
+
+
+def test_render_golden_holds_the_readme_commands():
+    readme = (ROOT / "README.md").read_text().splitlines()
+    commands = [line.split() for line in readme if line.startswith("diskdraw render --construction ")]
+    assert [["diskdraw", *argv] for argv, _ in render_golden_runs()] == commands
+    assert len(commands) == 3
+
+
+@pytest.mark.parametrize("argv, files", [pytest.param(argv, files, id=argv[2]) for argv, files in render_golden_runs()])
+def test_render_golden(tmp_path, capsys, monkeypatch, argv, files):
+    """The bytes of every file these README renders write are pinned."""
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in files} == files
+
+
 def test_radii_within_tau_of_one_is_a_fail_line(capsys):
     # the largest critical radius is 1 - 5e-10: below 1 but not below 1 - tau
     code, out, err = run(capsys, "verify", "dissection", "--n", "12", "--L", "3.698018215596676",
@@ -645,6 +679,28 @@ class TestOutOfRangeParameters:
         assert code == 2
         assert err.startswith("usage error: ") and len(err.strip().splitlines()) == 1
         assert stdout == "" and out.read_bytes() == b"keep\n"
+
+    def test_raster_too_big_for_memory(self, tmp_path, capsys, monkeypatch):
+        # a refused pixel buffer is a usage error naming the raster size, and
+        # the output is left as it was; the buffer is requested before any
+        # row table is built, and nothing of that size is allocated here
+        class Refused:
+            def __mul__(self, count):
+                raise MemoryError
+
+        def no_table(*args):
+            raise AssertionError("a row table was built before the pixel buffer")
+
+        module = importlib.import_module("diskdraw.render")
+        monkeypatch.setattr(module, "bytearray", lambda *args: Refused(), raising=False)
+        monkeypatch.setattr(module, "_active", no_table)
+        out = tmp_path / "out.pgm"
+        out.write_bytes(b"keep\n")
+        code, stdout, err = run(capsys, "render", "--construction", "chessboard",
+                                "--bbox", "-2", "-2", "2", "2", "--res", "100000", "-o", str(out))
+        assert (code, stdout) == (2, "")
+        assert err == "usage error: a 400000x400000 raster does not fit in memory\n"
+        assert out.read_bytes() == b"keep\n"
 
     @pytest.mark.parametrize("query", [("nan", "0"), ("inf", "0"), ("1e400", "0"), ("0", "nan"), ("0", "-inf")],
                              ids=["nan", "inf", "overflow", "nan-y", "minus-inf"])

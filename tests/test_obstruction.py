@@ -1450,6 +1450,17 @@ def rect_proof_inputs():
                                id=f"sharp n={n} tau={tau}")
 
 
+def far_edge_input():
+    """A loop with a corner inside ray 1's black rectangle [1, 3] x [0, 1]
+    of a 2-dissection and an edge along y = 1.01, 0.01 from the rectangle:
+    the rectangle splits, and its quarters read that edge through their
+    parent's floor."""
+    corners = [Point(1.2, 0.5), Point(0.5, 1.01), Point(3.5, 1.01), Point(3.5, 2.0), Point(-1.2, 1.86)]
+    loop = PiecewisePath(tuple(Segment(corners[k - 1], corners[k]) for k in range(5)))
+    spec = DissectionSpec(apex=Point(0, 0), n=2, a=1.0, b=3.0, d=1.0, phase=0.0)
+    return pytest.param(region_coloring((loop,)), spec, id="far edge")
+
+
 class TestPieceRectKernel:
     """dissection_check measures each piece near a part with
     geometry.piece_rect_distance, in place of the four-edge form of
@@ -1462,6 +1473,77 @@ class TestPieceRectKernel:
         edges = dissection_check(coloring, spec)
         assert same_proof(report, edges)
         assert abs(report.counts()["min_margin"] - edges.counts()["min_margin"]) <= 1e-15
+
+    @pytest.mark.parametrize("coloring, spec", [*rect_proof_inputs(), far_edge_input()])
+    def test_handed_down_pieces_give_the_same_proofs(self, monkeypatch, coloring, spec):
+        # each part measures only the pieces its parent found within the
+        # bound, with the parent's floor for the rest.  Against parts that
+        # measure every piece, each part the rule sees gets the same answer
+        # and, when decided, a margin no larger; the proofs have the same
+        # leaves, witnesses and counters, kernel calls and min_margin
+        # included.  A decided region part's margin stays a lower bound:
+        # tau below its least exact distance to any piece
+        driver, split = obstruction.branch_and_bound, obstruction._Part.split
+
+        def proof(fresh: bool):
+            seen = []
+
+            def recorded(roots, rule, part_split, *rest):
+                def rule_seen(context, part):
+                    seen.append((context, part.s, part.h, *rule(context, part), part))
+                    return seen[-1][3:5]
+
+                if fresh:
+                    part_split = lambda part: [obstruction._Part(c.frame, *c.s, *c.h) for c in split(part)]
+                return driver(roots, rule_seen, part_split, *rest)
+
+            monkeypatch.setattr(obstruction, "branch_and_bound", recorded)
+            return dissection_check(coloring, spec), seen
+
+        (report, seen), (full, seen_full) = proof(False), proof(True)
+        assert [r[:4] for r in seen] == [r[:4] for r in seen_full]
+        assert all(r[4] <= f[4] for r, f in zip(seen, seen_full) if r[3] is not None)
+        assert same_proof(report, full)
+        assert report.counts() == full.counts()
+        if not isinstance(coloring.source, DrawingScript):
+            pieces = [piece for loop in coloring.source for piece in loop.pieces]
+            for _, s, h, answer, margin, part in seen:
+                if answer is not None:
+                    exact = min(geometry.piece_rect_distance(piece, part.frame, s, h) for piece in pieces)
+                    assert margin + coloring.tau <= exact + 1e-12, (s, h)
+
+    def test_a_far_edge_is_read_through_the_floor(self, monkeypatch):
+        # the bottom right quarter of ray 1's black rectangle is 0.51 from
+        # the edge y = 1.01 and farther from the corner inside the
+        # rectangle; that edge is 0.01 + 2 tau from the shrunk rectangle,
+        # past tau, so the quarter's margin is the floor's 0.01 + tau
+        coloring, spec = far_edge_input().values
+        margins = {}
+        rule = obstruction.branch_and_bound
+
+        def recorded(roots, part_rule, *rest):
+            def rule_seen(context, part):
+                margins[context, part.s, part.h] = answer = part_rule(context, part)
+                return answer
+            return rule(roots, rule_seen, *rest)
+
+        monkeypatch.setattr(obstruction, "branch_and_bound", recorded)
+        dissection_check(coloring, spec)
+        t = coloring.tau
+        shade, margin = margins[(1, 1), (2.0, spec.b - 2 * t), (2 * t, 0.5)]
+        assert shade is Shade.WHITE and margin == pytest.approx(0.01 + t, abs=1e-15)
+
+    def test_sub_parts_measure_only_the_pieces_handed_down(self, monkeypatch):
+        # the snake's spec with a = 2.5 splits to depth 4: 157 kernel calls,
+        # and 1584 box gaps when every sub-part measured every piece
+        geom = build_snake(1.001)
+        spec = dataclasses.replace(snake_dissection_spec(geom), a=2.5)
+        gaps = []
+        box_gap = obstruction.box_gap
+        monkeypatch.setattr(obstruction, "box_gap", lambda a, b: gaps.append(a) or box_gap(a, b))
+        counts = dissection_check(snake_coloring(geom), spec).counts()
+        assert (counts["depth"], counts["kernel_calls"]) == (SPLIT_DEPTH, 157)
+        assert len(gaps) <= 511
 
     def test_split_proofs_are_among_the_inputs(self):
         counts = [dissection_check(*param.values).counts() for param in rect_proof_inputs()]

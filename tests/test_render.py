@@ -36,6 +36,8 @@ from diskdraw import (
     write_svg,
 )
 
+from diskdraw.render import _crossing_table, _Grid
+
 from helpers import DIFF, benchmark_workloads, scaled_loop
 from oracles import ray_cast_classify, render_per_pixel
 
@@ -162,15 +164,15 @@ def per_pixel(source, spec):
 
 
 def render_counts(caplog, source, spec):
-    """Pixels, exactly classified pixels and active (row, item) pairs of one
-    render."""
+    """Pixels, exactly classified pixels, active (row, item) pairs and
+    crossing (row, part) pairs of one render."""
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="diskdraw"):
         pixels = render(source, spec)
     (record,) = [r for r in caplog.records if "pixels classified exactly" in r.getMessage()]
-    w, h, exact, pairs = record.args
+    w, h, exact, pairs, parts = record.args
     assert (w, h) == (spec.width, spec.height)
-    return pixels, exact, pairs
+    return pixels, exact, pairs, parts
 
 
 def bbox_near(center: Point, half: float, dx: float, dy: float):
@@ -281,7 +283,7 @@ class TestScriptSpans:
             Stroke(Tool.PENCIL, CenterSet.of_points(Point(0.5, 0.5))),
         ])
         spec = RasterSpec(-2.125, -2.125, 4.125, 2.125, resolution=4.0)
-        pixels, exact, _ = render_counts(caplog, script, spec)
+        pixels, exact, _, _ = render_counts(caplog, script, spec)
         assert pixels == per_pixel(script, spec)
         assert pixels.count(128) > 0 and exact >= pixels.count(128)
 
@@ -360,7 +362,7 @@ class TestRegionSpans:
         half = min(3.0 * scale, 1.5)
         focus = shift if half < 1.5 else loop.pieces[0].point_at(0.0)
         spec = RasterSpec(*bbox_near(focus, half, dx * half / 12.0, dy * half / 12.0), resolution=12.0 / half)
-        pixels, _, _ = render_counts(caplog, coloring, spec)
+        pixels, _, _, _ = render_counts(caplog, coloring, spec)
         assert pixels == per_pixel(coloring, spec)
 
     @pytest.mark.parametrize("make", [
@@ -382,7 +384,7 @@ class TestRegionSpans:
         # the 24-row raster and its middle row alone (h == 1)
         for spec in (RasterSpec(xmin, ymin, xmax, ymax, resolution=8.0),
                      RasterSpec(xmin, focus.y - 1.0 / 16.0, xmax, focus.y + 1.0 / 16.0, resolution=8.0)):
-            pixels, _, _ = render_counts(caplog, coloring, spec)
+            pixels, _, _, _ = render_counts(caplog, coloring, spec)
             assert pixels == per_pixel(coloring, spec)
 
     def test_rows_through_vertices_need_no_fallback(self, caplog):
@@ -390,7 +392,7 @@ class TestRegionSpans:
         # shared vertex) and columns through x = -1, 0, 1
         coloring = chessboard_coloring(1.0)
         spec = RasterSpec(-2.125, -1.875, 2.125, 2.125, resolution=4.0)
-        pixels, _, _ = render_counts(caplog, coloring, spec)
+        pixels, _, _, _ = render_counts(caplog, coloring, spec)
         assert pixels == per_pixel(coloring, spec)
         assert pixels == render_per_pixel(lambda p: ray_cast_classify(coloring.source, p), spec)
 
@@ -399,7 +401,7 @@ class TestRegionSpans:
         circle = PiecewisePath((Arc(Point(0, 0), 1.0, 0.0, math.pi), Arc(Point(0, 0), 1.0, math.pi, 0.0)))
         coloring = region_coloring((circle,))
         spec = RasterSpec(-1.5, -1.625, 1.5, 1.375, resolution=4.0)
-        pixels, _, _ = render_counts(caplog, coloring, spec)
+        pixels, _, _, _ = render_counts(caplog, coloring, spec)
         assert pixels == per_pixel(coloring, spec)
         assert pixels == render_per_pixel(lambda p: ray_cast_classify(circle, p), spec)
 
@@ -421,21 +423,25 @@ class TestBenchmarkRenders:
         # the spans settle the rows: fewer pixels go to the classifier than one row holds
         for item in inputs:
             spec = RasterSpec(*item.bbox, resolution=item.res)
-            _, exact, _ = render_counts(caplog, self.COLORINGS[item.construction](), spec)
+            _, exact, _, _ = render_counts(caplog, self.COLORINGS[item.construction](), spec)
             assert exact < spec.width, item.construction
 
     def test_active_pairs_are_the_rows_in_reach(self, inputs, caplog):
         # each item reaches the rows whose center lies within r of its
         # y-range (an arc's whole circle): r = 1 + tau for a stroke
-        # primitive, tau for a boundary piece
+        # primitive, tau for a boundary piece; a region's crossing table
+        # lists each y-monotone part under the rows whose center lies in
+        # its closed y-range, a script has none
         for item in inputs:
             coloring = self.COLORINGS[item.construction]()
             if isinstance(coloring.source, DrawingScript):
                 items = [p for s in coloring.source.strokes for p in s.centers.primitives]
                 r = 1.0 + coloring.tau
+                ranges = []
             else:
                 items = [p for loop in coloring.source for p in loop.pieces]
                 r = coloring.tau
+                ranges = [(min(y0, y1), max(y0, y1)) for loop in coloring.source for y0, y1, _ in loop.parts]
             spec = RasterSpec(*item.bbox, resolution=item.res)
             h, sy = spec.height, (spec.ymax - spec.ymin) / spec.height
             ys = [spec.ymax - (i + 0.5) * sy for i in range(h)]
@@ -448,6 +454,119 @@ class TestBenchmarkRenders:
                     count += sum(1 for y in ys if lo - r - widen <= y <= hi + r + widen)
                 return count
 
-            _, _, pairs = render_counts(caplog, coloring, spec)
+            _, _, pairs, parts = render_counts(caplog, coloring, spec)
             assert pairs == in_reach(0.0) == in_reach(1e-6), item.construction  # no center near a reach's end
             assert pairs < h * len(items) / 2, item.construction
+            assert parts == sum(1 for lo, hi in ranges for y in ys if lo <= y <= hi), item.construction
+            assert parts < h * len(ranges) / 4 if ranges else parts == 0, item.construction
+
+
+# ---------------------------------------------------------------------------
+# The active tables against the per-row scans they replace
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def lattice_loops(draw):
+    """A closed chain (not necessarily simple) of segments and quarter-circle
+    arcs with every vertex on the quarter grid: rows through vertices, along
+    horizontal segments and tangent to arcs."""
+    q = math.pi / 2.0
+    pieces, at = [], Point(draw(GRID), draw(GRID))
+    start = at
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            r, k = draw(st.sampled_from([0.25, 0.5, 1.0])), draw(st.integers(0, 3))
+            arc = Arc(Point(at.x - r * math.cos(k * q), at.y - r * math.sin(k * q)), r,
+                      k * q, k * q + draw(st.sampled_from([q, 2 * q, -q, -2 * q])), draw(st.booleans()))
+            # the arc's end, snapped to the quarter grid it lies on up to rounding
+            end = Point(round(arc.end_point.x * 4.0) / 4.0, round(arc.end_point.y * 4.0) / 4.0)
+            if end != at:
+                pieces.append(arc)
+                at = end
+        else:
+            b = draw(st.one_of(st.builds(lambda y: Point(draw(GRID), y), st.just(at.y)),
+                               st.builds(lambda: Point(draw(GRID), draw(GRID)))))
+            if b != at:
+                pieces.append(Segment(at, b))
+                at = b
+    if at != start:
+        pieces.append(Segment(at, start))
+    if len(pieces) < 2:
+        pieces = [Segment(start, Point(start.x + 1.0, start.y)), Segment(Point(start.x + 1.0, start.y), start)]
+    return PiecewisePath(tuple(pieces))
+
+
+def table_crossings(parts, y: float) -> list:
+    """A row's crossings as the renderer sorts them: its listed parts only,
+    by the half-open rule of PiecewisePath.crossings."""
+    return sorted(x_at(y) for y0, y1, x_at in parts if (y0 > y) != (y1 > y))
+
+
+def row_spec(draw):
+    """A raster at resolution 4 whose row centers lie on the quarter grid or
+    are shifted off it, 24 rows high or one row alone (h == 1)."""
+    ymax = draw(st.integers(-16, 16)) / 4.0 + 1.0 / 8.0 + (draw(SHIFT) + 0.5) / 4.0
+    rows = draw(st.sampled_from([24, 1]))
+    return RasterSpec(-4.0, ymax - rows / 4.0, 4.0, ymax, resolution=4.0)
+
+
+class TestActiveTables:
+    @DIFF
+    @given(st.lists(st.one_of(lattice_loops(), convex_polygons(), arc_loops()), min_size=1, max_size=3),
+           st.data())
+    def test_row_crossings_are_the_loops_crossings(self, loops, data):
+        spec = row_spec(data.draw)
+        grid = _Grid(spec)
+        table = _crossing_table(grid, loops)
+        for i in range(grid.h):
+            y = grid.y(i)
+            assert table_crossings(table[i], y) == sorted(x for loop in loops for x in loop.crossings(y)), (i, y)
+
+    @pytest.mark.parametrize("make", [lambda: snake_coloring(build_snake(1.001)), lambda: chessboard_coloring(1.0),
+                                      lambda: rounded_chessboard_coloring(0.35)],
+                             ids=["snake", "chessboard", "rounded"])
+    @pytest.mark.parametrize("ymax", [9.125, 2.0, 1.0 + 1.0 / 16.0])
+    def test_construction_row_crossings(self, make, ymax):
+        # rows on the quarter grid (through the chessboard's vertices and along
+        # its horizontal edges) and off it, plus the top row alone (h == 1)
+        loops = make().source
+        for spec in (RasterSpec(-5.0, ymax - 18.5, 8.5, ymax, resolution=4.0),
+                     RasterSpec(-5.0, ymax - 0.25, 8.5, ymax, resolution=4.0)):
+            grid = _Grid(spec)
+            table = _crossing_table(grid, loops)
+            for i in range(grid.h):
+                y = grid.y(i)
+                assert table_crossings(table[i], y) == sorted(x for loop in loops for x in loop.crossings(y)), (i, y)
+
+    @DIFF
+    @given(st.sampled_from([1, 2, 7, 24]), st.floats(-0.5, 0.5), st.data())
+    def test_cols_is_the_two_search_range(self, w, shift, data):
+        spec = RasterSpec(-1.0 + shift / 4.0, -1.0, -1.0 + w / 4.0 + shift / 4.0, 0.0, resolution=4.0)
+        grid = _Grid(spec)
+        centre = st.integers(0, w - 1).map(grid.x)
+        edge = st.one_of(
+            centre,  # on a column center, columns 0 and w - 1 included
+            centre.map(lambda x: math.nextafter(x, math.inf)),
+            centre.map(lambda x: math.nextafter(x, -math.inf)),
+            st.sampled_from([-math.inf, math.inf, spec.xmin, spec.xmax, grid.x(w - 1) + 1.0, grid.x(0) - 1.0]),
+            st.floats(spec.xmin - 1.0, spec.xmax + 1.0),
+        )
+        lo = data.draw(edge)
+        kind = data.draw(st.sampled_from(["any", "empty", "inverted", "one", "full"]))
+        if kind == "empty":
+            hi = lo
+        elif kind == "inverted":
+            hi = data.draw(st.floats(-math.inf, lo, allow_nan=False))
+        elif kind == "one":  # one pixel: [x_j, x_(j+1)), or x_(w-1) up past the last column
+            j = data.draw(st.integers(0, w - 1))
+            lo, hi = grid.x(j), grid.x(j + 1)
+        elif kind == "full":
+            lo, hi = data.draw(st.sampled_from([(-math.inf, math.inf), (spec.xmin, spec.xmax), (grid.x(0), math.inf)]))
+        else:
+            hi = data.draw(edge)
+        cols = grid.cols(lo, hi)
+        assert cols == range(grid.first(lo), grid.first(hi)), (lo, hi)
+        assert list(cols) == [j for j in range(w) if lo <= grid.x(j) < hi], (lo, hi)
+        if kind == "full":
+            assert len(cols) == w
