@@ -14,6 +14,7 @@ from .geometry import (
     CollinearPoints,
     EmptyObstacleSet,
     InvalidTrapezoid,
+    NonUnitNormal,
     OffsetHalfPlane,
     Point,
     Primitive,
@@ -32,7 +33,6 @@ from .canvas import (
     DiskModel,
     DrawingScript,
     NonConvexInput,
-    NonUnitNormal,
     Shade,
     Stroke,
     Tool,
@@ -51,7 +51,6 @@ from .obstruction import (
     InvalidN,
     InvalidParameters,
     ProofReport,
-    RadiiTooLarge,
     StageFamily,
     StageParams,
     Verdict,

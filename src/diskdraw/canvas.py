@@ -65,10 +65,6 @@ class Shade(Enum):
     BOUNDARY = "boundary"
 
 
-class NonUnitNormal(ValueError):
-    pass
-
-
 class NonConvexInput(ValueError):
     pass
 
@@ -296,10 +292,8 @@ def halfplane_center_set(normal: Point, offset: float) -> CenterSet:
     """Center set whose open unit neighborhood is the open halfspace <x,n> > offset.
 
     The centers are the points of the halfspace at distance >= 1 from its
-    defining line.
+    defining line.  A normal off unit length is OffsetHalfPlane's NonUnitNormal.
     """
-    if abs(normal.norm() - 1.0) > 1e-12:
-        raise NonUnitNormal(f"normal {normal} must have unit length")
     return CenterSet((OffsetHalfPlane(normal, offset),))
 
 

@@ -168,8 +168,8 @@ def _records(pipeline):
 
 
 def _radii_check(radii, tau: float, line: str) -> Check:
-    """The critical radii are below one: the predicate dissection_stages
-    requires of its parameters."""
+    """The critical radii are below 1 - tau: the premise verify checks
+    before it builds any stage."""
     ok = radii.below_one(tau)
     return _check("critical radii", ok, f"{line} {_mark(ok)}", max(radii.all_values()))
 
@@ -235,7 +235,7 @@ def verify_snake(r: float, depth: int, tau: float):
     yield radii_check
     if not radii_check.ok:
         return
-    cert = symmetric_descent_verify(_checked(dissection_stages, params, spec, depth, tau), spec, tau)
+    cert = symmetric_descent_verify(_checked(dissection_stages, params, spec, depth), spec, tau)
     yield from cert
     ok = all(c.ok for c in cert) and result.ok  # the stage colours are those of the proved rectangles
     yield _check("descent", ok, f"descent stages 0..{depth}: {_mark(ok)}", ok)
@@ -249,7 +249,7 @@ def verify_dissection(n: int, L: float, s: float, depth: int, tau: float):
     stage colours from the pattern's rectangles.  Both checks read one
     rotation premise (_rotation_premise), measured once.
 
-    `all radii < 1` is the premise dissection_stages needs.  It does not
+    `all radii < 1` is checked before any stage is built.  It does not
     prove the descent at a finite s (n = 12, L = 3.5887177858128325,
     s = 0.002590482283749564 passes it and is refuted at stage 0); the
     computed descent does."""
@@ -265,7 +265,7 @@ def verify_dissection(n: int, L: float, s: float, depth: int, tau: float):
         return
     spec = _checked(DissectionSpec, apex=Point(0.0, 0.0), n=n, a=L - 4.0 * s, b=L + 4.0 * s,
                     d=4.0 * params.t, phase=0.0, first_orientation="ccw")
-    stages = _checked(dissection_stages, params, spec, depth, tau)
+    stages = _checked(dissection_stages, params, spec, depth)
     rotation = _rotation_premise(stages, spec)  # the premise of both checks, measured once
     cert = symmetric_descent_verify(stages, spec, tau, rotation=rotation)
     yield from cert
@@ -360,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ren = sub.add_parser("render", help="render a scene or construction to PGM")
     ren.add_argument("scene", nargs="?")
-    ren.add_argument("--construction", choices=["chessboard", "rounded", "snake", "sharp-n"])
+    ren.add_argument("--construction", choices=_CONSTRUCTIONS)
     ren.add_argument("--n", type=int, help="ray count for sharp-n")
     ren.add_argument("--bbox", type=float, nargs=4, required=True,
                      metavar=("XMIN", "YMIN", "XMAX", "YMAX"))

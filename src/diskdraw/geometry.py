@@ -38,6 +38,10 @@ class EmptyObstacleSet(GeometryError):
     """Largest-empty-circle query against no obstacles (clearance would be infinite)."""
 
 
+class NonUnitNormal(GeometryError):
+    """A half-plane normal more than 1e-12 from unit length."""
+
+
 def check_tolerance(tau: float) -> float:
     """Validate a comparison margin.  Must sit in (0, 1e-3)."""
     if not (0.0 < tau < 1e-3):
@@ -303,7 +307,7 @@ class OffsetHalfPlane:
 
     def __post_init__(self):
         if abs(self.normal.norm() - 1.0) > 1e-12:
-            raise ValueError("half-plane normal must have unit length (tolerance 1e-12)")
+            raise NonUnitNormal("half-plane normal must have unit length (tolerance 1e-12)")
 
     def dist(self, x: Point) -> float:
         height = x.dot(self.normal) - (self.offset + 1.0)

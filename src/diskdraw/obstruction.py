@@ -34,6 +34,7 @@ from .geometry import (
     circumcircle3,
     constrained_largest_empty_circle,  # noqa: F401  (perfbench traces it under this module)
     piece_rect_distance,
+    trapezoid_circumradius,
     turn_orbits,
     unit,
 )
@@ -51,10 +52,6 @@ class Verdict(Enum):
 
 
 class InvalidParameters(ValueError):
-    pass
-
-
-class RadiiTooLarge(ValueError):
     pass
 
 
@@ -259,11 +256,16 @@ def _stage_check(stage: int, verdict: Verdict, clearance: float) -> Check:
                  f"stage={stage} kind=enc verdict={verdict.value} clearance={clearance!r}", clearance)
 
 
-def descent_verify(
-    coloring: Coloring,
-    stages: Sequence[StageFamily],
-    tau: float = DEFAULT_TAU,
-) -> tuple[Check, ...]:
+def _chain(stages: Sequence[StageFamily], tau: float) -> tuple[StageFamily, ...]:
+    """The descent chain as a tuple, once tau is a valid margin and the
+    chain has a stage: the entry check of every descent verifier."""
+    check_tolerance(tau)
+    if not stages:
+        raise InvalidParameters("descent chain needs at least one stage")
+    return tuple(stages)
+
+
+def descent_verify(coloring: Coloring, stages: Sequence[StageFamily], tau: float = DEFAULT_TAU) -> tuple[Check, ...]:
     """Verify a descent chain against a coloring: one Check per stage pair,
     or one failed `lemma premise`.  The descent is valid when every record
     is ok; a single stage gives no records and is valid.
@@ -278,9 +280,7 @@ def descent_verify(
     outer one), and its verdict that of the encirclements: a NO or BOUNDARY
     makes the descent invalid.
     """
-    check_tolerance(tau)
-    if not stages:
-        raise InvalidParameters("descent chain needs at least one stage")
+    stages = _chain(stages, tau)
     if premise := _classified_premise(coloring, stages):
         return (_premise_check(premise),)
     return tuple(_stage_pair(fam, nxt, tau) for fam, nxt in zip(stages, stages[1:]))
@@ -325,10 +325,7 @@ def scaling_descent_verify(coloring: Coloring, stages: Sequence[StageFamily],
     every stage point has p's colour.  A failed premise is a single `lemma
     premise` record that names it; a failed pair 1 is recorded alone.
     """
-    check_tolerance(tau)
-    if not stages:
-        raise InvalidParameters("descent chain needs at least one stage")
-    stages = tuple(stages)
+    stages = _chain(stages, tau)
     if premise := _scaling_premise(coloring, stages) or _classified_premise(coloring, stages[:1]):
         return (_premise_check(premise),)
     if len(stages) == 1:
@@ -453,9 +450,10 @@ class FiveCircleRadii:
 def five_circle_radii(params: StageParams) -> FiveCircleRadii:
     """Radii of the critical circles pinning one stage of the dissection descent.
 
-    r_a is the circle through one white pair and the nearby ray anchor
-    (a degenerate isosceles trapezoid with one base of length 0, radius
-    u^2 / (2 t) where u = hypot(s, t)).  Its promise: r_a = s^2/(2t) + t/2
+    r_a is the circle through one white pair and the nearby ray anchor, a
+    degenerate isosceles trapezoid with bases 0 and 2 s and height t:
+    geometry.trapezoid_circumradius(0, 2 s, t), radius u^2 / (2 t) where
+    u = hypot(s, t).  Its promise: r_a = s^2/(2t) + t/2
     >= s always (arithmetic-geometric mean, equality only at t = s, which
     StageParams excludes); r_a < 1 whenever s^2 < t < s; and with the default
     t = s^1.5, r_a = (sqrt(s) + s^1.5) / 2 < sqrt(s), so r_a -> 0 at the rate
@@ -468,7 +466,7 @@ def five_circle_radii(params: StageParams) -> FiveCircleRadii:
     phi = math.atan2(t, s)
     u = math.hypot(s, t)
 
-    r_a = u * u / (2.0 * t)
+    r_a = trapezoid_circumradius(0.0, 2.0 * s, t)
     r_d = (
         math.sqrt(
             (L * math.sin(alpha)) * (L * math.sin(alpha) + u * math.sin(alpha + phi)) + u * u
@@ -547,12 +545,7 @@ def default_dissection_L(spec: DissectionSpec) -> float:
     return 0.5 * (spec.a + hi)
 
 
-def dissection_stages(
-    params: StageParams,
-    spec: DissectionSpec,
-    depth: int,
-    tau: float = DEFAULT_TAU,
-) -> list[StageFamily]:
+def dissection_stages(params: StageParams, spec: DissectionSpec, depth: int) -> list[StageFamily]:
     """Point families of the dissection descent around the rays of spec.
 
     Ray j (1-based) leaves spec.apex at spec.ray_angle(j).  Each ray carries
@@ -561,8 +554,10 @@ def dissection_stages(
     shrinks the offsets by 2^-i (s halves; t follows t = s^1.5), so each
     family nests into the encircled neighborhoods of the previous one.
     Rotating a ray's configuration by 2*pi/n gives the next ray's
-    configuration with the colors swapped.  The critical radii must be
-    below one (FiveCircleRadii.below_one at tau), else RadiiTooLarge.
+    configuration with the colors swapped.  Before building a stage it
+    refuses (InvalidParameters) a negative depth, a spec without params.n
+    rays and a last offset t_depth below the smallest normal float; the
+    radii and colours are premises that verify and the verifiers check.
 
     The coordinates are those of spec.apex + u.scaled(foot) +
     p.scaled(+-side * t_i), with u = unit(spec.ray_angle(j)) and p =
@@ -574,9 +569,9 @@ def dissection_stages(
         raise InvalidParameters(f"depth must be >= 0, got {depth}")
     if spec.n != params.n:
         raise InvalidParameters(f"spec has {spec.n} rays, params {params.n}")
-    radii = five_circle_radii(params)
-    if not radii.below_one(tau):
-        raise RadiiTooLarge(f"critical circle radius {max(radii.all_values())} is not below 1")
+    if (t := (params.s * 0.5**depth) ** 1.5) < sys.float_info.min:
+        raise InvalidParameters(f"depth {depth} underflows: stage {depth} has the offset {t!r}, "
+                                f"below the smallest normal float {sys.float_info.min!r}")
     ax, ay = spec.apex.x, spec.apex.y
     rays = spec.frames()
     stages = []
@@ -684,10 +679,7 @@ def symmetric_descent_verify(stages: Sequence[StageFamily], spec: DissectionSpec
     measured it: verify dissection measures delta once and hands it to this
     check and to dissection_wedge_checks.  By default it is measured here.
     """
-    check_tolerance(tau)
-    if not stages:
-        raise InvalidParameters("descent chain needs at least one stage")
-    stages = tuple(stages)
+    stages = _chain(stages, tau)
     delta, slack, premise = rotation or _rotation_premise(stages, spec)
     mirror, reflected = _reflection_premise(stages, spec, slack)
     premise = premise or reflected or _colour_premise(stages, spec, tau, slack)
@@ -807,9 +799,7 @@ def dissection_wedge_checks(
     default it is measured here.  An empty chain is refused, as by the
     descent verifiers; a single stage has no pair and gives ().
     """
-    check_tolerance(tau)
-    if not stages:
-        raise InvalidParameters("descent chain needs at least one stage")
+    stages = _chain(stages, tau)
     delta, slack, premise = rotation or _rotation_premise(stages, spec)
     if premise:
         return (_premise_check(premise),)

@@ -92,6 +92,7 @@ from __future__ import annotations
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 from types import SimpleNamespace
@@ -122,8 +123,7 @@ from diskdraw import (
 from diskdraw.constructions import ConstructionInconsistent, PiecewisePath
 from diskdraw.geometry import (LargestEmptyCircle, dist_to_segment, piece_distance, piece_intersections, turn_mismatch,
                                unit)
-from diskdraw.obstruction import (Coloring, DissectionSpec, InvalidParameters, RadiiTooLarge, StageFamily,
-                                  StageParams, five_circle_radii)
+from diskdraw.obstruction import Coloring, DissectionSpec, InvalidParameters, StageFamily, StageParams
 
 
 def _circumcenter_xy(a, b, c):
@@ -577,17 +577,16 @@ def wedge_checks_enumerated(stages: Sequence[StageFamily], spec: DissectionSpec,
     return out
 
 
-def dissection_stages_by_points(params: StageParams, spec: DissectionSpec, depth: int,
-                                tau: float = DEFAULT_TAU) -> list[StageFamily]:
+def dissection_stages_by_points(params: StageParams, spec: DissectionSpec, depth: int) -> list[StageFamily]:
     """obstruction.dissection_stages, each point apex + u.scaled(foot) +
     p.scaled(+-side * t_i) computed with Points."""
     if depth < 0:
         raise InvalidParameters(f"depth must be >= 0, got {depth}")
     if spec.n != params.n:
         raise InvalidParameters(f"spec has {spec.n} rays, params {params.n}")
-    radii = five_circle_radii(params)
-    if not radii.below_one(tau):
-        raise RadiiTooLarge(f"critical circle radius {max(radii.all_values())} is not below 1")
+    if (t := (params.s * 0.5**depth) ** 1.5) < sys.float_info.min:
+        raise InvalidParameters(f"depth {depth} underflows: stage {depth} has the offset {t!r}, "
+                                f"below the smallest normal float {sys.float_info.min!r}")
     stages = []
     for i in range(depth + 1):
         s_i = params.s * (0.5**i)

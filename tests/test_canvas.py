@@ -553,8 +553,10 @@ class TestHalfplane:
         assert nbhd_contains(Point(0, 0), cs) is Containment.BOUNDARY
 
     def test_non_unit_normal(self):
-        with pytest.raises(NonUnitNormal):
-            halfplane_center_set(Point(0, 2), 0.0)
+        # the primitive checks its normal, for the builder and for scenes alike
+        for build in (halfplane_center_set, OffsetHalfPlane):
+            with pytest.raises(NonUnitNormal, match=r"^half-plane normal must have unit length \(tolerance 1e-12\)$"):
+                build(Point(0, 2), 0.0)
 
 
 def random_convex_polygon(rng, max_vertices=8):

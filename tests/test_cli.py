@@ -587,8 +587,15 @@ def golden_runs():
 
 @pytest.mark.parametrize("argv, stdout, code", golden_runs())
 def test_verify_golden(capsys, argv, stdout, code):
-    """Every printed line and exit code of these `verify` runs is pinned."""
-    assert run(capsys, *argv) == (code, stdout, "")
+    """Every printed line and exit code of these `verify` runs is pinned; a
+    run that exits 2 writes one `usage error:` line to stderr, the others
+    write nothing there."""
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (code, stdout)
+    if code == 2:
+        assert err.startswith("usage error: ") and err.endswith("\n") and err.count("\n") == 1
+    else:
+        assert err == ""
 
 
 RENDER_GOLDEN = Path(__file__).with_name("render_golden.txt")
@@ -630,6 +637,32 @@ def test_radii_within_tau_of_one_is_a_fail_line(capsys):
                          "--s", "1e-3", "--depth", "1")
     assert (code, err) == (1, "")
     assert out.splitlines()[-1] == "all radii < 1: FAIL"
+
+
+def test_radii_above_one_build_no_stage(capsys, monkeypatch):
+    # the largest critical radius is 1.014: the failed premise is the last
+    # line, and no stage is built
+    calls = []
+    build = cli.dissection_stages
+    monkeypatch.setattr(cli, "dissection_stages", lambda *args: calls.append(args) or build(*args))
+    code, out, err = run(capsys, "verify", "dissection", "--n", "12", "--L", "3.75", "--s", "1e-3", "--depth", "1")
+    assert (code, out, err) == (1, "r_a=0.015827 r_c=0.996748 r_d=1.014055 r_e=1.005080\nall radii < 1: FAIL\n", "")
+    assert calls == []
+
+
+@pytest.mark.parametrize("argv", [["snake", "--depth", "2000"],
+                                  ["dissection", "--n", "12", "--L", "3", "--s", "1e-3", "--depth", "2000"]],
+                         ids=["snake", "dissection"])
+def test_underflowing_dissection_depth_is_a_usage_error(capsys, monkeypatch, argv):
+    # at s = 1e-3 the offset of stage 2000 is 0.0: refused before any stage is built
+    def built(*args, **kwargs):
+        raise AssertionError("a stage was built")
+
+    monkeypatch.setattr(obstruction, "StageFamily", built)
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out) == (2, "")
+    assert err == ("usage error: depth 2000 underflows: stage 2000 has the offset 0.0, "
+                   "below the smallest normal float 2.2250738585072014e-308\n")
 
 
 class TestOutOfRangeParameters:

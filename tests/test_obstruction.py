@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diskdraw import (
@@ -20,7 +20,6 @@ from diskdraw import (
     InvalidParameters,
     OffsetHalfPlane,
     Point,
-    RadiiTooLarge,
     Shade,
     StageFamily,
     StageParams,
@@ -616,19 +615,32 @@ class TestDissectionStages:
         with pytest.raises(InvalidParameters):
             dissection_stages(StageParams(n=10, L=3.0, s=1e-3), self.spec, 1)
 
-    def test_radii_too_large_rejected(self):
-        with pytest.raises(RadiiTooLarge):
-            dissection_stages(StageParams(n=12, L=4.0, s=1e-3), self.spec, 1)
+    def test_radii_reaching_one_are_refuted_by_the_descent(self):
+        # the stages are built whatever the critical radii: with the largest
+        # within tau below 1 or beyond it, the descent refutes stage 0
+        for L in (3.698018215596676, 3.72, 3.75, 4.0):
+            assert max(five_circle_radii(StageParams(n=12, L=L, s=1e-3)).all_values()) >= 1.0 - DEFAULT_TAU
+            coloring, spec, stages = pattern_chain(12, L, 1e-3, 1)
+            assert [c.verdict for c in symmetric_descent_verify(stages, spec)] == [Verdict.NO]
+            assert [c.verdict for c in descent_verify(coloring, stages)] == [Verdict.NO]
+            assert [c.verdict for c in dissection_wedge_checks(stages, spec)] == [Verdict.NO]
 
-    def test_radii_within_tau_of_one_rejected(self):
-        # the largest critical radius is within tau below 1: not definitely
-        # smaller than a unit disk, so no stages are built
-        params = StageParams(n=12, L=3.698018215596676, s=1e-3)
-        radii = five_circle_radii(params)
-        assert 1.0 - DEFAULT_TAU <= max(radii.all_values()) < 1.0
-        assert not radii.below_one(DEFAULT_TAU)
-        with pytest.raises(RadiiTooLarge):
-            dissection_stages(params, self.spec, 1)
+    def test_underflowing_depth_is_refused_before_any_stage(self, monkeypatch):
+        # at s = 1e-3 stage 671 has the last normal offset t = (s 2^-671)^1.5
+        stages = dissection_stages(self.params, self.spec, 671)
+        assert len(stages) == 672 and stages[-1].blacks[0] != stages[-1].whites[0]
+        with pytest.raises(InvalidParameters) as err:
+            dissection_stages(self.params, self.spec, 672)
+        assert str(err.value) == ("depth 672 underflows: stage 672 has the offset 1.1528276140002475e-308, "
+                                  "below the smallest normal float 2.2250738585072014e-308")
+
+        def built(*args, **kwargs):
+            raise AssertionError("a stage was built")
+
+        monkeypatch.setattr(obstruction, "StageFamily", built)
+        for depth in (2000, 20000):
+            with pytest.raises(InvalidParameters, match=f"^depth {depth} underflows: stage {depth} has the offset 0.0,"):
+                dissection_stages(self.params, self.spec, depth)
 
     def test_descent_against_pattern_coloring(self):
         stages = dissection_stages(self.params, self.spec, 3)
@@ -712,11 +724,7 @@ class TestSymmetricDescentVerify:
            orientation=st.sampled_from(["ccw", "cw"]))
     def test_dissection_patterns(self, n, frac, s, apex, phase, orientation):
         L = frac * (undrawability_bound(n) - 0.05)
-        try:
-            coloring, spec, stages = pattern_chain(n, L, s, 2, Point(*apex), phase, orientation)
-        except RadiiTooLarge:
-            assume(False)
-        self.assert_matches_oracles(coloring, spec, stages)
+        self.assert_matches_oracles(*pattern_chain(n, L, s, 2, Point(*apex), phase, orientation))
 
     def test_snake(self):
         assert valid(self.assert_matches_oracles(*snake_chain(8)))
@@ -925,17 +933,13 @@ class TestFloatRewrites:
     @given(case=stage_specs())
     def test_stages(self, case):
         params, spec, depth = case
-        got, want = outcome(dissection_stages, params, spec, depth), outcome(dissection_stages_by_points, *case)
-        if isinstance(want, tuple):
-            assert got == want  # RadiiTooLarge, with its message
-        else:
-            assert got == want and bits(got) == bits(want)
+        got, want = dissection_stages(params, spec, depth), dissection_stages_by_points(params, spec, depth)
+        assert got == want and bits(got) == bits(want)
 
     def test_stage_failures(self):
         params = StageParams(n=12, L=3.0, s=1e-3)
         spec = DissectionSpec(apex=Point(0.0, 0.0), n=12, a=2.9, b=3.1, d=1e-4, phase=0.0)
-        for case in ((params, spec, -1), (params, dataclasses.replace(spec, n=10), 2),
-                     (StageParams(n=12, L=3.9, s=1e-3), spec, 2)):
+        for case in ((params, spec, -1), (params, dataclasses.replace(spec, n=10), 2), (params, spec, 2000)):
             got = outcome(dissection_stages, *case)
             assert isinstance(got, tuple) and got == outcome(dissection_stages_by_points, *case)
 
@@ -945,8 +949,7 @@ class TestFloatRewrites:
         """One stage point moved onto an edge of its shrunk rectangle, then
         up to three ulps either way in x."""
         params, spec, depth = case
-        stages = outcome(dissection_stages, params, spec, depth)
-        assume(not isinstance(stages, tuple))
+        stages = dissection_stages(params, spec, depth)
         slack = _rotation_premise(stages, spec)[1]
         index = data.draw(st.integers(0, depth))
         colour, sign = data.draw(st.sampled_from([("blacks", 1), ("whites", -1)]))
@@ -1092,10 +1095,7 @@ class TestPatternColoring:
            tau=st.sampled_from([DEFAULT_TAU, 1e-6, 1e-4]))
     def test_a_pass_gives_every_point_its_pattern_colour(self, n, frac, s, apex, phase, orientation, depth, tau):
         L = frac * (undrawability_bound(n) - 0.05)
-        try:
-            _, spec, stages = pattern_chain(n, L, s, depth, Point(*apex), phase, orientation)
-        except RadiiTooLarge:
-            assume(False)
+        _, spec, stages = pattern_chain(n, L, s, depth, Point(*apex), phase, orientation)
         cert = symmetric_descent_verify(stages, spec, tau)
         if premise := failed_premise(cert):
             assert premise.startswith("stage colours: stage ")
