@@ -218,13 +218,15 @@ class Arc:
             raise ValueError(f"arc radius must be positive, got {self.radius!r}")
         if not (math.isfinite(self.start_angle) and math.isfinite(self.end_angle)):
             raise ValueError(f"arc angles must be finite, got {self.start_angle!r}, {self.end_angle!r}")
-        if self.ccw:
-            s = (self.end_angle - self.start_angle) % TWO_PI
-        else:
-            s = (self.start_angle - self.end_angle) % TWO_PI
-        object.__setattr__(self, "sweep", TWO_PI if s == 0.0 else s)
-        object.__setattr__(self, "start_point", self.point_at(0.0))
-        object.__setattr__(self, "end_point", self.point_at(1.0))
+        a, ccw = self.start_angle, self.ccw
+        s = ((self.end_angle - a) if ccw else (a - self.end_angle)) % TWO_PI
+        s = TWO_PI if s == 0.0 else s
+        # point_at(0.0) and point_at(1.0), float for float: a + 0.0 turns -0.0 into 0.0
+        a0, a1 = (a + 0.0, a + s) if ccw else (a, a - s)
+        cx, cy, r = self.center.x, self.center.y, self.radius
+        object.__setattr__(self, "sweep", s)
+        object.__setattr__(self, "start_point", Point(cx + r * math.cos(a0), cy + r * math.sin(a0)))
+        object.__setattr__(self, "end_point", Point(cx + r * math.cos(a1), cy + r * math.sin(a1)))
 
     @property
     def length(self) -> float:

@@ -14,6 +14,8 @@ Grammar (one directive per line):
 A line's words are what `str.split()` finds before its first `#` (a comment).
 A ParseError's line and column are 1-based: the offending word's column, or just
 past the last word when a line ends early; (1, 1) for the scene as a whole.
+A word after the model or after a boundary scene's `boundary` header is an
+error at that word.
 
 Angles are radians; arcs run counterclockwise from A0 to A1 unless suffixed
 with `cw`, and equal angles mean the full circle.  A stroke with no
@@ -47,7 +49,8 @@ class ParseError(Exception):
 
 
 _TOKEN = re.compile(r"\S+")
-_CHOICES = {"model": {m.value: m for m in DiskModel}, "tool": {t.value: t for t in Tool}}
+_TOOLS = {t.value: t for t in Tool}
+_CHOICES = {"model": {m.value: m for m in DiskModel}, "tool": _TOOLS}
 
 
 class SceneLine:
@@ -98,22 +101,15 @@ def scene_lines(text: str):
             yield SceneLine(lineno, raw, words)
 
 
-# kind: (class, names of its numbers, primitive from numbers, numbers of primitive)
+# kind: (names of its numbers, primitive from numbers)
 _KINDS = {
-    "point": (SinglePoint, ("x", "y"), lambda x, y: SinglePoint(Point(x, y)),
-              lambda p: (p.p.x, p.p.y)),
-    "segment": (Segment, ("x1", "y1", "x2", "y2"),
-                lambda x1, y1, x2, y2: Segment(Point(x1, y1), Point(x2, y2)),
-                lambda s: (s.a.x, s.a.y, s.b.x, s.b.y)),
-    "arc": (Arc, ("cx", "cy", "radius", "start angle", "end angle"),
-            lambda cx, cy, r, a0, a1, ccw=True: Arc(Point(cx, cy), r, a0, a1, ccw=ccw),
-            lambda a: (a.center.x, a.center.y, a.radius, a.start_angle, a.end_angle)),
-    "halfplane": (OffsetHalfPlane, ("nx", "ny", "offset"),
-                  lambda nx, ny, offset: OffsetHalfPlane(Point(nx, ny), offset),
-                  lambda h: (h.normal.x, h.normal.y, h.offset)),
-    "plane": (WholePlane, (), WholePlane, lambda w: ()),
+    "point": (("x", "y"), lambda x, y: SinglePoint(Point(x, y))),
+    "segment": (("x1", "y1", "x2", "y2"), lambda x1, y1, x2, y2: Segment(Point(x1, y1), Point(x2, y2))),
+    "arc": (("cx", "cy", "radius", "start angle", "end angle"),
+            lambda cx, cy, r, a0, a1, ccw=True: Arc(Point(cx, cy), r, a0, a1, ccw=ccw)),
+    "halfplane": (("nx", "ny", "offset"), lambda nx, ny, offset: OffsetHalfPlane(Point(nx, ny), offset)),
+    "plane": ((), WholePlane),
 }
-_KIND_OF = {cls: name for name, (cls, *_) in _KINDS.items()}
 
 
 def _parse_primitive(r: SceneLine):
@@ -122,7 +118,7 @@ def _parse_primitive(r: SceneLine):
     name = r.take("a primitive kind")
     if name not in _KINDS:
         raise r.error(f"unknown primitive kind {name!r}", at)
-    _, names, build, _ = _KINDS[name]
+    names, build = _KINDS[name]
     numbers = [r.number(what) for what in names]
     if name == "arc" and r.words[r.k:r.k + 1] == ["cw"]:
         r.k += 1
@@ -133,11 +129,35 @@ def _parse_primitive(r: SceneLine):
         raise r.error(str(exc), at) from None
 
 
+def _read_primitives(words: list[str], k: int) -> tuple:
+    """The primitives words[k:] spell; a LookupError or ValueError where a word does not fit."""
+    prims, n = [], len(words)
+    while k < n:
+        names, build = _KINDS[words[k]]
+        end = k + 1 + len(names)
+        numbers = [*map(float, words[k + 1:end])]
+        if end > n or not all(map(math.isfinite, numbers)):
+            raise ValueError("a number is missing or not finite")
+        if end < n and words[end] == "cw" and words[k] == "arc":
+            numbers.append(False)
+            end += 1
+        prims.append(build(*numbers))
+        k = end
+    return tuple(prims)
+
+
 def parse_script(text: str) -> DrawingScript:
     """Parse the DSL into a drawing script (alternation normalized)."""
     model: DiskModel | None = None
     strokes: list[Stroke] = []
     for r in scene_lines(text):
+        words = r.words
+        if words[0] == "stroke" and model is not None:
+            try:  # at once; a line that does not read is read word by word below
+                strokes.append(Stroke(_TOOLS[words[1]], CenterSet(_read_primitives(words, 2))))
+                continue
+            except (LookupError, ValueError):
+                pass
         directive = r.take("a directive")
         if directive == "stroke":
             if model is None:
@@ -151,6 +171,8 @@ def parse_script(text: str) -> DrawingScript:
             if model is not None:
                 raise r.error("duplicate model declaration")
             model = r.choice("model")
+            if r.k < len(words):
+                raise r.error(f"unexpected {words[r.k]!r} after the model")
         else:
             raise r.error(f"unknown directive {directive!r}", 0)
     if model is None:
@@ -158,19 +180,31 @@ def parse_script(text: str) -> DrawingScript:
     return DrawingScript.relaxed(model, strokes)
 
 
+# type: its scene words, the inverse of its _KINDS entry
+_FORMATS = {
+    SinglePoint: lambda p: f"point {p.p.x!r} {p.p.y!r}",
+    Segment: lambda s: f"segment {s.a.x!r} {s.a.y!r} {s.b.x!r} {s.b.y!r}",
+    Arc: lambda a: (f"arc {a.center.x!r} {a.center.y!r} {a.radius!r} {a.start_angle!r} "
+                    f"{a.end_angle!r}{'' if a.ccw else ' cw'}"),
+    OffsetHalfPlane: lambda h: f"halfplane {h.normal.x!r} {h.normal.y!r} {h.offset!r}",
+    WholePlane: lambda w: "plane",
+}
+# Keyed by member: Enum.value is a descriptor call.
+_MODEL_LINES = {m: f"model {m.value}" for m in DiskModel}
+_STROKE_HEADS = {t: f"stroke {t.value}" for t in Tool}
+
+
 def _format_primitive(prim) -> str:
-    name = _KIND_OF.get(type(prim))
-    if name is None:
+    fmt = _FORMATS.get(type(prim))
+    if fmt is None:
         raise TypeError(f"cannot serialize {prim!r}")
-    out = " ".join([name, *map(repr, _KINDS[name][3](prim))])
-    return out + " cw" if name == "arc" and not prim.ccw else out
+    return fmt(prim)
 
 
 def serialize_script(script: DrawingScript) -> str:
-    lines = [f"model {script.model.value}"]
+    lines = [_MODEL_LINES[script.model]]
     for stroke in script.strokes:
-        prims = "".join(" " + _format_primitive(p) for p in stroke.centers.primitives)
-        lines.append(f"stroke {stroke.tool.value}{prims}")
+        lines.append(" ".join([_STROKE_HEADS[stroke.tool], *map(_format_primitive, stroke.centers.primitives)]))
     return "\n".join(lines) + "\n"
 
 
@@ -194,6 +228,8 @@ def parse_boundary(text: str):
         raise ParseError(1, 1, "missing boundary header")
     if head.words[0] != "boundary":
         raise head.error(f"boundary scene must start with 'boundary', got {head.words[0]!r}", 0)
+    if len(head.words) > 1:
+        raise head.error(f"unexpected {head.words[1]!r} after the boundary header", 1)
     pieces = []
     for r in lines:
         prim = _parse_primitive(r)

@@ -84,7 +84,13 @@ raise BoundaryPoint, wherever they are; max_boundary=None lifts that cap).
 
 parse_script_tokenized and parse_boundary_tokenized are the scene parsers as
 they were before the word reader: each line becomes a list of (column, token)
-pairs up front, and every error works out its own column from them.
+pairs up front, and every error works out its own column from them.  One
+defect was fixed so that they serve as references: a word after the model
+or after the boundary header was dropped; it is now an error at that word.
+
+serialize_script_joined and serialize_boundary_joined are the serializers as
+they were before the f-string table: each primitive's numbers come from a
+per-kind function and are joined with map(repr) after its kind.
 """
 
 from __future__ import annotations
@@ -1050,6 +1056,8 @@ def parse_script_tokenized(text: str) -> DrawingScript:
                 model = DiskModel.CLOSED
             else:
                 raise ParseError(lineno, col, f"model must be open or closed, got {word!r}")
+            if r.peek() is not None:
+                raise r.error_here(f"unexpected {r.peek()!r} after the model")
         elif directive == "stroke":
             if model is None:
                 raise ParseError(lineno, tokens[0][0], "the model declaration must come before any stroke")
@@ -1083,6 +1091,8 @@ def parse_boundary_tokenized(text: str):
             if word != "boundary":
                 raise ParseError(lineno, tokens[0][0],
                                  f"boundary scene must start with 'boundary', got {word!r}")
+            if r.peek() is not None:
+                raise r.error_here(f"unexpected {r.peek()!r} after the boundary header")
             seen_header = True
             continue
         prim = _parse_primitive(r)
@@ -1098,3 +1108,40 @@ def parse_boundary_tokenized(text: str):
         return PiecewisePath(tuple(pieces))
     except ValueError as exc:
         raise ParseError(1, 1, f"invalid boundary: {exc}") from None
+
+
+# kind: (class, numbers of the primitive)
+_NUMBERS_OF = {
+    "point": (SinglePoint, lambda p: (p.p.x, p.p.y)),
+    "segment": (Segment, lambda s: (s.a.x, s.a.y, s.b.x, s.b.y)),
+    "arc": (Arc, lambda a: (a.center.x, a.center.y, a.radius, a.start_angle, a.end_angle)),
+    "halfplane": (OffsetHalfPlane, lambda h: (h.normal.x, h.normal.y, h.offset)),
+    "plane": (WholePlane, lambda w: ()),
+}
+_KIND_OF = {cls: name for name, (cls, _) in _NUMBERS_OF.items()}
+
+
+def _format_primitive_joined(prim) -> str:
+    name = _KIND_OF.get(type(prim))
+    if name is None:
+        raise TypeError(f"cannot serialize {prim!r}")
+    out = " ".join([name, *map(repr, _NUMBERS_OF[name][1](prim))])
+    return out + " cw" if name == "arc" and not prim.ccw else out
+
+
+def serialize_script_joined(script: DrawingScript) -> str:
+    lines = [f"model {script.model.value}"]
+    for stroke in script.strokes:
+        prims = "".join(" " + _format_primitive_joined(p) for p in stroke.centers.primitives)
+        lines.append(f"stroke {stroke.tool.value}{prims}")
+    return "\n".join(lines) + "\n"
+
+
+def serialize_boundary_joined(pieces) -> str:
+    """Closed piecewise boundary as a scene: one segment/arc per line."""
+    lines = ["boundary"]
+    for piece in pieces:
+        if not isinstance(piece, (Segment, Arc)):
+            raise TypeError(f"boundary pieces must be segments or arcs, got {piece!r}")
+        lines.append(_format_primitive_joined(piece))
+    return "\n".join(lines) + "\n"

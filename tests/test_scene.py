@@ -1,11 +1,12 @@
 import copy
+import math
 import pickle
 import random
 from itertools import cycle
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from diskdraw import (
@@ -32,8 +33,13 @@ from diskdraw import (
     stationary_number,
 )
 
-from helpers import DIFF, random_point, random_script
-from oracles import parse_boundary_tokenized, parse_script_tokenized
+from helpers import DIFF, benchmark_workloads, random_point, random_script
+from oracles import (
+    parse_boundary_tokenized,
+    parse_script_tokenized,
+    serialize_boundary_joined,
+    serialize_script_joined,
+)
 
 
 class TestParse:
@@ -138,6 +144,12 @@ class TestParse:
     def test_duplicate_model(self):
         with pytest.raises(ParseError):
             parse_script("model open\nmodel closed\n")
+
+    def test_word_after_the_model_is_an_error(self):
+        with pytest.raises(ParseError) as err:
+            parse_script("model open closed\nstroke pencil point 0 0\n")
+        assert (err.value.line, err.value.column) == (1, 12)
+        assert err.value.message == "unexpected 'closed' after the model"
 
     def test_error_survives_copy_and_pickle(self):
         err = ParseError(2, 15, "m")
@@ -247,6 +259,112 @@ class TestBoundaryScenes:
             parse_boundary("boundary\npoint 0 0\n")  # not a path piece
         with pytest.raises(ParseError):
             parse_boundary("boundary\nsegment 0 0 1 0\nsegment 5 5 0 0\n")  # gap
+
+    def test_word_after_the_header_is_an_error(self):
+        square = "segment 0 0 1 0\nsegment 1 0 1 1\nsegment 1 1 0 1\nsegment 0 1 0 0\n"
+        assert len(parse_boundary("boundary  # a square\n" + square).pieces) == 4
+        with pytest.raises(ParseError) as err:
+            parse_boundary("boundary junk\n" + square)
+        assert (err.value.line, err.value.column, err.value.message) == (
+            1, 10, "unexpected 'junk' after the boundary header")
+
+
+def _membership_texts(seeds):
+    bench = benchmark_workloads()
+    return [scene.text for seed in seeds for scene in bench.membership_inputs(seed)]
+
+
+class TestJoinedSerializerOracle:
+    """serialize_script and serialize_boundary write the bytes of the
+    serializers that joined each primitive's numbers with map(repr)."""
+
+    def test_benchmark_scripts(self):
+        for text in _membership_texts((1, 2, 3)):
+            script = parse_script(text)
+            assert serialize_script(script) == serialize_script_joined(script), text
+
+    def test_random_scripts(self):
+        rng = random.Random(559)
+        for _ in range(3000):
+            base = random_script(rng, max_strokes=6)
+            tools = [rng.choice(list(Tool)) for _ in base.strokes]
+            script = DrawingScript.relaxed(rng.choice(list(DiskModel)),
+                                           [Stroke(t, s.centers) for t, s in zip(tools, base.strokes)])
+            assert serialize_script(script) == serialize_script_joined(script)
+
+    def test_snake_boundary(self):
+        pieces = build_snake().boundary.pieces
+        assert serialize_boundary(pieces) == serialize_boundary_joined(pieces)
+
+    def test_unknown_primitive(self):
+        script = DrawingScript(DiskModel.OPEN, (Stroke(Tool.PENCIL, CenterSet((Point(0.0, 0.0),))),))
+        for serialize in (serialize_script, serialize_script_joined):
+            with pytest.raises(TypeError, match=r"cannot serialize Point\(x=0.0, y=0.0\)"):
+                serialize(script)
+
+
+def _hex(p: Point):
+    return p.x.hex(), p.y.hex()
+
+
+def _assert_arc_ends(arc: Arc):
+    """The derived fields of arc, bit for bit: its sweep and its two ends as
+    point_at gives them."""
+    s = ((arc.end_angle - arc.start_angle) if arc.ccw else (arc.start_angle - arc.end_angle)) % (2.0 * math.pi)
+    assert arc.sweep.hex() == (2.0 * math.pi if s == 0.0 else s).hex()
+    assert _hex(arc.start_point) == _hex(arc.point_at(0.0))
+    assert _hex(arc.end_point) == _hex(arc.point_at(1.0))
+
+
+class TestStrokeLineRead:
+    """parse_script reads a stroke line at once; what it reads is what the
+    word-by-word parser reads, arc ends included."""
+
+    def test_benchmark_scripts(self):
+        arcs = 0
+        for text in _membership_texts((1,)):
+            for source in (text, serialize_script(parse_script(text))):
+                script = parse_script(source)
+                assert script == parse_script_tokenized(source), source
+                for stroke in script.strokes:
+                    for prim in stroke.centers.primitives:
+                        if isinstance(prim, Arc):
+                            _assert_arc_ends(prim)
+                            arcs += 1
+        assert arcs > 1000
+
+    @pytest.mark.parametrize("prim", ["point 0 0", "segment 0 0 1 0", "arc 0 0 1 0 1 cw",
+                                      "halfplane 0.6 0.8 0.25", "plane"])
+    def test_words_that_do_not_fit(self, prim):
+        # each number's place holding a non-finite word, a non-number or the
+        # line's end, and a cw after the primitive: each is the word-by-word
+        # parser's error, with a primitive before it on the line or after it
+        words = prim.split()
+        n = len(words) - (words[-1] == "cw")
+        bad = [words[:i] for i in range(1, n)] + [words + ["cw"]]
+        bad += [words[:i] + [w] + words[i + 1:] for i in range(1, n) for w in ("inf", "-inf", "nan", "1e400", "zero")]
+        for ws in bad:
+            for text in (f"model open\nstroke pencil point 5 5 {' '.join(ws)}\n",
+                         f"model open\nstroke pencil {' '.join(ws)} plane\n"):
+                got = _outcome(parse_script, text)
+                assert isinstance(got, tuple) and got == _outcome(parse_script_tokenized, text), text
+
+    @DIFF
+    @given(cx=st.sampled_from([0.0, -0.0, 2.5]) | st.floats(-50, 50),
+           cy=st.sampled_from([0.0, -0.0, -1.75]) | st.floats(-50, 50),
+           radius=st.sampled_from([1.0, 0.5]) | st.floats(1e-3, 50),
+           a0=st.sampled_from([0.0, -0.0, math.pi, -math.pi / 2]) | st.floats(-10, 10),
+           a1=st.sampled_from([0.0, -0.0, math.pi]) | st.floats(-10, 10) | st.none(),
+           ccw=st.booleans())
+    @example(cx=0.0, cy=-0.0, radius=1.0, a0=-0.0, a1=None, ccw=True)
+    @example(cx=-0.0, cy=-0.0, radius=1.0, a0=-0.0, a1=-0.0, ccw=False)
+    def test_arc_ends(self, cx, cy, radius, a0, a1, ccw):
+        arc = Arc(Point(cx, cy), radius, a0, a0 if a1 is None else a1, ccw)
+        _assert_arc_ends(arc)
+        text = serialize_script(DrawingScript(DiskModel.OPEN, (Stroke(Tool.PENCIL, CenterSet((arc,))),)))
+        again = parse_script(text).strokes[0].centers.primitives[0]
+        assert again == arc == parse_script_tokenized(text).strokes[0].centers.primitives[0]
+        assert (_hex(again.start_point), _hex(again.end_point)) == (_hex(arc.start_point), _hex(arc.end_point))
 
 
 # Words that mutate a scene text: every directive, choice and kind, numbers
