@@ -13,11 +13,17 @@ m = 1e-7 * max(1, largest coordinate magnitude of that box).  A point
 outside it is farther than 1 + 1e-3 from every primitive, and tau < 1e-3
 (check_tolerance), so one box serves every allowed tau: the stroke is OUT
 there.  m dominates the rounding of the box and of the distances, as
-render._margin argues.  eval_script and stationary_number skip such a
-stroke without computing a distance; both already pass over OUT strokes,
-so no verdict, stationary number or BoundaryPoint changes.  nbhd_contains
-and reference_eval take no shortcut: they evaluate every primitive, and
-stay the oracle of the skip.
+render._margin argues.  eval_script and stationary_number read only the
+script's scan table (DrawingScript.scan_table): one row (k, xmin, ymin,
+xmax, ymax, primitives) per stroke that has a primitive, from the last
+stroke back, k the stroke's 1-based index and the four numbers its reach
+box.  They pass over a row whose box does not hold the point without
+computing a distance, and an empty padding stroke, OUT everywhere, has no
+row; both scans already pass over OUT strokes, so no verdict, stationary
+number or BoundaryPoint changes.  The table is derived on the script's
+first query and is not part of ==, hash or repr.  nbhd_contains and
+reference_eval evaluate every primitive, never read the table, and stay
+its oracle.
 """
 
 from __future__ import annotations
@@ -70,7 +76,18 @@ class NonConvexInput(ValueError):
 
 
 class BoundaryPoint(Exception):
-    """Raised when a query cannot be decided because a stroke verdict is Boundary."""
+    """Raised when a query cannot be decided because a stroke verdict is Boundary.
+
+    point is the query and stroke the 1-based index of a boundary stroke
+    whose verdict decides it; the message is formatted only when printed.
+    """
+
+    def __init__(self, point: Point, stroke: int):
+        super().__init__(point, stroke)
+        self.point, self.stroke = point, stroke
+
+    def __str__(self) -> str:
+        return f"stationary number of {self.point} depends on the boundary verdict of stroke {self.stroke}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,10 +100,6 @@ class CenterSet:
     """
 
     primitives: tuple[Primitive, ...]
-    # The reach box, derived on the first query (reach_box) so that a set
-    # built and never queried does not pay for it; not part of ==, hash or
-    # repr.  Two threads that both fill it store equal tuples.
-    _box: tuple[float, float, float, float] | None = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def of_points(*pts: Point) -> "CenterSet":
@@ -95,18 +108,13 @@ class CenterSet:
     def reach_box(self) -> tuple[float, float, float, float]:
         """(xmin, ymin, xmax, ymax) outside which every point is OUT at
         every allowed tau (see the module docstring)."""
-        box = self._box
-        if box is None:
-            if self.primitives:
-                boxes = [covering_box(p) for p in self.primitives]
-                xmin, ymin = min(b[0] for b in boxes), min(b[1] for b in boxes)
-                xmax, ymax = max(b[2] for b in boxes), max(b[3] for b in boxes)
-                r = 1.0 + 1e-3 + 1e-7 * max(1.0, -xmin, -ymin, xmax, ymax)
-                box = xmin - r, ymin - r, xmax + r, ymax + r
-            else:
-                box = math.inf, math.inf, -math.inf, -math.inf
-            object.__setattr__(self, "_box", box)
-        return box
+        if not self.primitives:
+            return math.inf, math.inf, -math.inf, -math.inf
+        boxes = [covering_box(p) for p in self.primitives]
+        xmin, ymin = min(b[0] for b in boxes), min(b[1] for b in boxes)
+        xmax, ymax = max(b[2] for b in boxes), max(b[3] for b in boxes)
+        r = 1.0 + 1e-3 + 1e-7 * max(1.0, -xmin, -ymin, xmax, ymax)
+        return xmin - r, ymin - r, xmax + r, ymax + r
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,6 +133,10 @@ class DrawingScript:
 
     model: DiskModel
     strokes: tuple[Stroke, ...]
+    # The scan table, derived on the first query (scan_table) so that a
+    # script built and never queried does not pay for it; not part of ==,
+    # hash or repr.  Two threads that both fill it store equal tuples.
+    _table: tuple[tuple, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for k, stroke in enumerate(self.strokes, start=1):
@@ -148,6 +160,17 @@ class DrawingScript:
     def __len__(self) -> int:
         return len(self.strokes)
 
+    def scan_table(self) -> tuple[tuple, ...]:
+        """One row (k, xmin, ymin, xmax, ymax, primitives) per stroke that
+        has a primitive, from the last stroke back: its 1-based index, its
+        centre set's reach box and primitives (see the module docstring)."""
+        table = self._table
+        if table is None:
+            table = tuple((k, *s.centers.reach_box(), s.centers.primitives)
+                          for k, s in reversed(tuple(enumerate(self.strokes, start=1))) if s.centers.primitives)
+            object.__setattr__(self, "_table", table)
+        return table
+
 
 def nbhd_contains(x: Point, centers: CenterSet, tau: float = DEFAULT_TAU) -> Containment:
     """Three-valued test of x against the unit neighborhood of a center set.
@@ -158,23 +181,8 @@ def nbhd_contains(x: Point, centers: CenterSet, tau: float = DEFAULT_TAU) -> Con
     which is precisely the regime reported as BOUNDARY.
     """
     check_tolerance(tau)
-    return _containment(x, centers, 1.0 - tau, 1.0 + tau)
-
-
-def _containment(x: Point, centers: CenterSet, inner: float, outer: float) -> Containment:
-    """nbhd_contains with the collar bounds 1 - tau and 1 + tau precomputed.
-
-    IN as soon as one primitive is closer than inner; otherwise the least
-    distance decides between OUT and BOUNDARY.
-    """
-    best = math.inf
-    for prim in centers.primitives:
-        d = prim.dist(x)
-        if d < inner:
-            return Containment.IN
-        if d < best:
-            best = d
-    return Containment.OUT if best > outer else Containment.BOUNDARY
+    best = min((prim.dist(x) for prim in centers.primitives), default=math.inf)
+    return Containment.IN if best < 1.0 - tau else Containment.OUT if best > 1.0 + tau else Containment.BOUNDARY
 
 
 def eval_script(x: Point, script: DrawingScript, tau: float = DEFAULT_TAU) -> Shade:
@@ -186,23 +194,25 @@ def eval_script(x: Point, script: DrawingScript, tau: float = DEFAULT_TAU) -> Sh
     earlier boundary stroke is overridden and ignored).
 
     The strokes are read from the last one back, and the first one that is
-    not OUT decides: IN gives its parity, BOUNDARY gives Shade.BOUNDARY.
-    Strokes below it are never evaluated, and a stroke whose reach box does
-    not hold x is OUT without computing a distance.
+    not OUT decides: IN (some primitive closer than 1 - tau) gives its
+    parity, BOUNDARY (the least distance at most 1 + tau) gives
+    Shade.BOUNDARY.  Strokes below it are never evaluated, and a stroke
+    whose reach box does not hold x is OUT without computing a distance.
     """
     check_tolerance(tau)
     inner, outer = 1.0 - tau, 1.0 + tau
     px, py = x.x, x.y
-    strokes = script.strokes
-    for k in range(len(strokes), 0, -1):
-        centers = strokes[k - 1].centers
-        xmin, ymin, xmax, ymax = centers._box or centers.reach_box()
+    for k, xmin, ymin, xmax, ymax, prims in script._table or script.scan_table():
         if not (xmin <= px <= xmax and ymin <= py <= ymax):
             continue
-        v = _containment(x, centers, inner, outer)
-        if v is Containment.IN:
-            return Shade.BLACK if k % 2 == 1 else Shade.WHITE
-        if v is Containment.BOUNDARY:
+        best = math.inf
+        for prim in prims:
+            d = prim.dist_xy(px, py)
+            if d < inner:
+                return Shade.BLACK if k % 2 == 1 else Shade.WHITE
+            if d < best:
+                best = d
+        if best <= outer:
             return Shade.BOUNDARY
     return Shade.WHITE
 
@@ -254,32 +264,37 @@ def stationary_number(x: Point, script: DrawingScript, tau: float = DEFAULT_TAU)
       interrupts the run above it.
 
     A stroke whose reach box does not hold x is OUT, and is passed over
-    without computing a distance.
+    without computing a distance; the verdicts are eval_script's.
+    BoundaryPoint names the first offending b met, the highest.
     """
     check_tolerance(tau)
     inner, outer = 1.0 - tau, 1.0 + tau
     px, py = x.x, x.y
-    strokes = script.strokes
     sn = 0
     parity = None  # that of L
     boundary: list[int] = []
-    for k in range(len(strokes), 0, -1):
-        centers = strokes[k - 1].centers
-        xmin, ymin, xmax, ymax = centers._box or centers.reach_box()
+    for k, xmin, ymin, xmax, ymax, prims in script._table or script.scan_table():
         if not (xmin <= px <= xmax and ymin <= py <= ymax):
             continue
-        v = _containment(x, centers, inner, outer)
-        if v is Containment.IN:
-            if parity is None:
-                parity = k % 2
-            elif k % 2 != parity:
-                break  # k is j
-            sn = k
-        elif v is Containment.BOUNDARY:
-            boundary.append(k)
+        best = math.inf
+        for prim in prims:
+            d = prim.dist_xy(px, py)
+            if d < inner:
+                break
+            if d < best:
+                best = d
+        else:  # not IN
+            if best <= outer:
+                boundary.append(k)
+            continue
+        if parity is None:
+            parity = k % 2
+        elif k % 2 != parity:
+            break  # k is j
+        sn = k
     for b in boundary:
         if parity is None or (b < sn if b % 2 == parity else b > sn):
-            raise BoundaryPoint(f"stationary number of {x} depends on a boundary verdict")
+            raise BoundaryPoint(x, b)
     return sn
 
 

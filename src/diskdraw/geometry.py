@@ -117,11 +117,12 @@ class Circle:
 # ---------------------------------------------------------------------------
 
 
-# Every primitive answers dist(x), its exact distance to the point x, and
-# extent(), the largest coordinate magnitude it reaches, a scale for slacks.
-# The pieces SinglePoint, Segment and Arc also answer bbox(), their
-# (xmin, ymin, xmax, ymax); Segment and Arc answer dist_xy(x, y), dist of
-# the point (x, y), which the piece kernels call to build no Point.
+# Every primitive answers dist_xy(x, y), its exact distance to the point
+# (x, y), which the point queries and the piece kernels call to build no
+# Point; dist(x), the same float for the Point x; and extent(), the largest
+# coordinate magnitude it reaches, a scale for slacks.  The pieces
+# SinglePoint, Segment and Arc also answer bbox(), their
+# (xmin, ymin, xmax, ymax).
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,7 +130,10 @@ class SinglePoint:
     p: Point
 
     def dist(self, x: Point) -> float:
-        return x.distance_to(self.p)
+        return self.dist_xy(x.x, x.y)
+
+    def dist_xy(self, x: float, y: float) -> float:
+        return math.hypot(x - self.p.x, y - self.p.y)
 
     def extent(self) -> float:
         return max(abs(self.p.x), abs(self.p.y))
@@ -181,7 +185,7 @@ class Segment:
         return Segment(rotate_about(self.a, center, angle), rotate_about(self.b, center, angle))
 
     def dist(self, x: Point) -> float:
-        return dist_to_segment(x.x, x.y, self.a, self.b)
+        return self.dist_xy(x.x, x.y)
 
     def dist_xy(self, x: float, y: float) -> float:
         return dist_to_segment(x, y, self.a, self.b)
@@ -312,7 +316,10 @@ class OffsetHalfPlane:
             raise NonUnitNormal("half-plane normal must have unit length (tolerance 1e-12)")
 
     def dist(self, x: Point) -> float:
-        height = x.dot(self.normal) - (self.offset + 1.0)
+        return self.dist_xy(x.x, x.y)
+
+    def dist_xy(self, x: float, y: float) -> float:
+        height = x * self.normal.x + y * self.normal.y - (self.offset + 1.0)
         return max(0.0, -height)
 
     def extent(self) -> float:
@@ -322,6 +329,9 @@ class OffsetHalfPlane:
 @dataclass(frozen=True, slots=True)
 class WholePlane:
     def dist(self, x: Point) -> float:
+        return self.dist_xy(x.x, x.y)
+
+    def dist_xy(self, x: float, y: float) -> float:
         return 0.0
 
     def extent(self) -> float:

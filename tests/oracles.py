@@ -946,7 +946,7 @@ def stationary_number_enumerated(x: Point, script: DrawingScript, tau: float = D
     if not boundary_idx:
         return _sn_definite(base)
     if max_boundary is not None and len(boundary_idx) > max_boundary:
-        raise BoundaryPoint(f"{len(boundary_idx)} boundary strokes at {x}")
+        raise BoundaryCap(x, len(boundary_idx))
     values = set()
     for assignment in product((False, True), repeat=len(boundary_idx)):
         trial = list(base)
@@ -954,8 +954,22 @@ def stationary_number_enumerated(x: Point, script: DrawingScript, tau: float = D
             trial[i] = bit
         values.add(_sn_definite(trial))
         if len(values) > 1:
-            raise BoundaryPoint(f"stationary number of {x} depends on a boundary verdict")
+            # every earlier assignment gave the first value, and so does this
+            # one with its last True bit cleared: that stroke decides
+            raise BoundaryPoint(x, max(i for i, bit in zip(boundary_idx, assignment) if bit) + 1)
     return values.pop()
+
+
+class BoundaryCap(BoundaryPoint):
+    """stationary_number_enumerated's refusal above its cap: count boundary
+    strokes at point, none of them named."""
+
+    def __init__(self, point: Point, count: int):
+        Exception.__init__(self, point, count)
+        self.point, self.stroke, self.count = point, None, count
+
+    def __str__(self) -> str:
+        return f"{self.count} boundary strokes at {self.point}"
 
 
 _TOKEN = re.compile(r"\S+")

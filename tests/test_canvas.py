@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 from itertools import product
 
@@ -33,7 +34,6 @@ from diskdraw import (
     stationary_number,
 )
 
-from diskdraw import canvas
 from helpers import DIFF, benchmark_workloads, random_point, random_script
 from oracles import eval_script_forward, stationary_number_enumerated
 
@@ -170,6 +170,27 @@ class TestStationaryNumber:
         with pytest.raises(BoundaryPoint):
             stationary_number(Point(1.0, 0), s)
 
+    def test_boundary_point_names_its_stroke(self):
+        # strokes 2 and 3 are boundary at x; only the eraser 2 lies on the
+        # other side of sn = 1, and both the scan and the enumeration name it
+        x = Point(0, 0)
+        s = script(pencil(Point(0.5, 0)), eraser(Point(1.0, 0)), pencil(Point(0, 1.0)))
+        with pytest.raises(BoundaryPoint) as err:
+            stationary_number(x, s)
+        assert (err.value.point, err.value.stroke) == (x, 2)
+        assert str(err.value) == "stationary number of Point(x=0, y=0) depends on the boundary verdict of stroke 2"
+        again = pickle.loads(pickle.dumps(err.value))
+        assert (type(again), again.point, again.stroke, str(again)) == (BoundaryPoint, x, 2, str(err.value))
+        with pytest.raises(BoundaryPoint) as err:
+            stationary_number_enumerated(x, s)
+        assert err.value.stroke == 2
+        # with no stroke IN, the first boundary stroke met, the highest
+        s = script(pencil(Point(1.0, 0)), eraser(Point(0, 1.0)))
+        for query in (stationary_number, stationary_number_enumerated):
+            with pytest.raises(BoundaryPoint) as err:
+                query(x, s)
+            assert err.value.stroke == 2
+
     def test_boundary_tolerated_when_irrelevant(self):
         # stroke 3 is boundary at x; as a same-parity stroke after the
         # stationary index it cannot change the answer
@@ -212,7 +233,7 @@ class TestStationaryNumber:
         s = script(*ring, eraser(Point(0.5, 0)), pencil(Point(0, 0.5)))
         assert [nbhd_contains(x, st.centers) for st in s.strokes[:11]] == [Containment.BOUNDARY] * 11
         assert stationary_number(x, s) == 13
-        with pytest.raises(BoundaryPoint):
+        with pytest.raises(BoundaryPoint, match=r"^11 boundary strokes at Point\(x=0, y=0\)$"):
             stationary_number_enumerated(x, s)  # the whole-script cap of 10 boundary strokes
         assert stationary_number_enumerated(x, s, max_boundary=None) == 13
 
@@ -434,21 +455,47 @@ class TestReachBox:
         assert CenterSet(()).reach_box() == (math.inf, math.inf, -math.inf, -math.inf)
 
     def test_the_box_is_not_compared_hashed_or_printed(self):
-        queried, fresh = CenterSet.of_points(Point(0, 0)), CenterSet.of_points(Point(0, 0))
-        eval_script(Point(5, 5), script(Stroke(Tool.PENCIL, queried)))
-        assert queried._box is not None and fresh._box is None
+        # the boxes live in the script's scan table, built by a query
+        queried, fresh = script(pencil(Point(0, 0))), script(pencil(Point(0, 0)))
+        eval_script(Point(5, 5), queried)
+        assert queried._table is not None and fresh._table is None
         assert queried == fresh and hash(queried) == hash(fresh) and repr(queried) == repr(fresh)
 
     def test_an_emptied_box_skips_the_stroke(self):
-        # the scans read the stored box; nbhd_contains and reference_eval
+        # the scans read the stored table; nbhd_contains and reference_eval
         # evaluate every primitive and still see the eraser
         s = script(pencil(Point(0, 0)), eraser(Point(0.2, 0)))
         x = Point(0.1, 0)
         assert eval_script(x, s) is Shade.WHITE and stationary_number(x, s) == 2
-        object.__setattr__(s.strokes[1].centers, "_box", (math.inf, math.inf, -math.inf, -math.inf))
+        (k, *_, prims), pencil_row = s._table  # the eraser's row comes first
+        assert k == 2
+        object.__setattr__(s, "_table", ((k, math.inf, math.inf, -math.inf, -math.inf, prims), pencil_row))
         assert eval_script(x, s) is Shade.BLACK and stationary_number(x, s) == 1
         assert nbhd_contains(x, s.strokes[1].centers) is Containment.IN
         assert reference_eval(x, s) is Shade.WHITE
+
+
+class TestScanTable:
+    def test_padding_has_no_row(self):
+        first, second = pencil(Point(0, 0)), pencil(Point(1, 0))
+        s = DrawingScript.relaxed(DiskModel.OPEN, [first, second])
+        assert len(s) == 3 and s._table is None
+        table = s.scan_table()
+        assert tuple(row[0] for row in table) == (3, 1)
+        assert table == tuple((k, *st.centers.reach_box(), st.centers.primitives)
+                              for k, st in ((3, second), (1, first)))
+        assert s.scan_table() is table and s._table is table
+
+    def test_a_shared_center_set_gives_each_row_its_own_index(self):
+        shared = CenterSet.of_points(Point(0, 0))
+        s = script(Stroke(Tool.PENCIL, shared), eraser(Point(5, 5)), Stroke(Tool.PENCIL, shared))
+        t = script(pencil(Point(9, 9)), Stroke(Tool.ERASER, shared))
+        assert tuple(row[0] for row in s.scan_table()) == (3, 2, 1)
+        assert tuple(row[0] for row in t.scan_table()) == (2, 1)
+        assert s.scan_table()[0][5] is s.scan_table()[2][5] is t.scan_table()[0][5] is shared.primitives
+        x = Point(0.1, 0)
+        assert eval_script(x, s) is Shade.BLACK and stationary_number(x, s) == 1
+        assert eval_script(x, t) is Shade.WHITE and stationary_number(x, t) == 2
 
 
 class TestBackwardRule:
@@ -503,17 +550,21 @@ class TestBenchmarkQueries:
         assert count == 8000
 
     def test_distance_work(self, scenes, monkeypatch):
-        # stroke evaluations (_containment calls) of the two backward scans;
-        # before the reach box skipped strokes they were 30173 and 55130
+        # primitive distances (dist_xy calls) of the two backward scans, the
+        # same as their dist calls before the scan table; the strokes they
+        # evaluated were 10237 and 17813, and 30173 and 55130 before the
+        # reach box skipped strokes
         calls = 0
-        containment = canvas._containment
 
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return containment(*args)
+        def counting(dist_xy):
+            def counted(*args):
+                nonlocal calls
+                calls += 1
+                return dist_xy(*args)
+            return counted
 
-        monkeypatch.setattr(canvas, "_containment", counted)
+        for kind in (SinglePoint, Segment, Arc, OffsetHalfPlane, WholePlane):
+            monkeypatch.setattr(kind, "dist_xy", counting(kind.dist_xy))
         evals = stationary = 0
         for scene in scenes:
             s = parse_script(scene.text)
@@ -525,7 +576,7 @@ class TestBenchmarkQueries:
                 calls = 0
                 stationary_outcome(stationary_number, x, s)
                 stationary += calls
-        assert (evals, stationary) == (10237, 17813)
+        assert (evals, stationary) == (18181, 31185)
 
 
 class TestRelaxedNormalization:

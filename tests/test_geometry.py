@@ -95,6 +95,38 @@ class TestDistToPrimitive:
         assert hp.dist(Point(5, 3.0)) == 0.0
         assert hp.dist(Point(0, -0.1)) == pytest.approx(1.1)
 
+    @settings(DIFF, max_examples=500)
+    @given(st.data())
+    def test_one_float_kernel_per_primitive(self, data):
+        # dist(x) is dist_xy(x.x, x.y) bit for bit, and for a point and a
+        # half-plane also the Point form that dist_xy replaced; signed zeros,
+        # unit circles about the primitive and magnitudes from 1e-6 to 1e6
+        coord = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(1e-6, 1e6), st.floats(-1e6, -1e-6))
+        xy = lambda: Point(data.draw(coord), data.draw(coord))
+        kind = data.draw(st.sampled_from(["point", "segment", "arc", "halfplane", "plane"]))
+        if kind == "point":
+            prim = SinglePoint(xy())
+            anchor, old = prim.p, lambda x: x.distance_to(prim.p)
+        elif kind == "segment":
+            a, b = xy(), xy()
+            assume(a != b)
+            prim, anchor, old = Segment(a, b), a, None
+        elif kind == "arc":
+            prim = Arc(xy(), data.draw(st.floats(1e-6, 1e6)), data.draw(ANGLE), data.draw(ANGLE),
+                       data.draw(st.booleans()))
+            anchor, old = prim.start_point, None
+        elif kind == "halfplane":
+            prim = OffsetHalfPlane(unit(data.draw(ANGLE)), data.draw(coord))
+            anchor = prim.normal.scaled(prim.offset + 1.0)
+            old = lambda x: max(0.0, -(x.dot(prim.normal) - (prim.offset + 1.0)))
+        else:
+            prim, anchor, old = WholePlane(), Point(0, 0), lambda x: 0.0
+        x = anchor + unit(data.draw(ANGLE)) if data.draw(st.booleans()) else xy()
+        want = prim.dist(x).hex()
+        assert prim.dist_xy(x.x, x.y).hex() == want
+        if old is not None:
+            assert old(x).hex() == want
+
     def test_lipschitz(self):
         rng = random.Random(42)
         for _ in range(500):
