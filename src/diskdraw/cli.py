@@ -72,7 +72,7 @@ def _checked(build, *args, at: SceneLine | None = None, **kwargs):
 def _load_scene(path: str, tau: float):
     """A scene file holds DSL strokes, a named construction, or a boundary;
     every kind loads as a coloring with margin tau."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
     lines = scene_lines(text)
     first = next(lines, None)

@@ -314,6 +314,8 @@ class OffsetHalfPlane:
     def __post_init__(self):
         if abs(self.normal.norm() - 1.0) > 1e-12:
             raise NonUnitNormal("half-plane normal must have unit length (tolerance 1e-12)")
+        if not math.isfinite(self.offset):
+            raise GeometryError(f"half-plane offset must be finite, got {self.offset!r}")
 
     def dist(self, x: Point) -> float:
         return self.dist_xy(x.x, x.y)

@@ -12,10 +12,11 @@ Grammar (one directive per line):
                | plane
 
 A line's words are what `str.split()` finds before its first `#` (a comment).
-A ParseError's line and column are 1-based: the offending word's column, or just
-past the last word when a line ends early; (1, 1) for the scene as a whole.
-A word after the model or after a boundary scene's `boundary` header is an
-error at that word.
+A line is read once, primitive by primitive, and an error sits at the first
+word that does not fit, in reading order.  A ParseError's line and column are
+1-based: the offending word's column, or just past the last word when a line
+ends early; (1, 1) for the scene as a whole.  A word after the model or after
+a boundary scene's `boundary` header is an error at that word.
 
 Angles are radians; arcs run counterclockwise from A0 to A1 unless suffixed
 with `cw`, and equal angles mean the full circle.  A stroke with no
@@ -55,6 +56,8 @@ _CHOICES = {"model": {m.value: m for m in DiskModel}, "tool": _TOOLS}
 
 class SceneLine:
     """The words of one scene line and a cursor k over them."""
+
+    __slots__ = ("lineno", "raw", "words", "k")
 
     def __init__(self, lineno: int, raw: str, words: list[str]):
         self.lineno, self.raw, self.words, self.k = lineno, raw, words, 0
@@ -112,38 +115,33 @@ _KINDS = {
 }
 
 
-def _parse_primitive(r: SceneLine):
-    """One primitive; its constructor's ValueError is a ParseError at its kind."""
-    at = r.k
-    name = r.take("a primitive kind")
-    if name not in _KINDS:
-        raise r.error(f"unknown primitive kind {name!r}", at)
-    names, build = _KINDS[name]
-    numbers = [r.number(what) for what in names]
-    if name == "arc" and r.words[r.k:r.k + 1] == ["cw"]:
-        r.k += 1
-        numbers.append(False)
-    try:
-        return build(*numbers)
-    except ValueError as exc:
-        raise r.error(str(exc), at) from None
-
-
-def _read_primitives(words: list[str], k: int) -> tuple:
-    """The primitives words[k:] spell; a LookupError or ValueError where a word does not fit."""
-    prims, n = [], len(words)
-    while k < n:
-        names, build = _KINDS[words[k]]
+def _read_primitives(r: SceneLine, k: int, most: int = -1) -> tuple[tuple, int]:
+    """The primitives r's words spell from word k on (at most `most`, unless negative) and the index
+    past them; a ParseError at a word that does not fit, or at the kind for a constructor's ValueError."""
+    words, prims, n = r.words, [], len(r.words)
+    while k < n and most:
+        most -= 1
+        try:
+            names, build = _KINDS[words[k]]
+        except KeyError:
+            raise r.error(f"unknown primitive kind {words[k]!r}", k) from None
         end = k + 1 + len(names)
-        numbers = [*map(float, words[k + 1:end])]
-        if end > n or not all(map(math.isfinite, numbers)):
-            raise ValueError("a number is missing or not finite")
+        try:
+            numbers = [*map(float, words[k + 1:end])]
+            if end > n or not all(map(math.isfinite, numbers)):
+                raise ValueError
+        except ValueError:  # r.number raises at the first number that does not fit
+            r.k = k + 1
+            numbers = [r.number(what) for what in names]
         if end < n and words[end] == "cw" and words[k] == "arc":
             numbers.append(False)
             end += 1
-        prims.append(build(*numbers))
+        try:
+            prims.append(build(*numbers))
+        except ValueError as exc:
+            raise r.error(str(exc), k) from None
         k = end
-    return tuple(prims)
+    return tuple(prims), k
 
 
 def parse_script(text: str) -> DrawingScript:
@@ -152,29 +150,23 @@ def parse_script(text: str) -> DrawingScript:
     strokes: list[Stroke] = []
     for r in scene_lines(text):
         words = r.words
-        if words[0] == "stroke" and model is not None:
-            try:  # at once; a line that does not read is read word by word below
-                strokes.append(Stroke(_TOOLS[words[1]], CenterSet(_read_primitives(words, 2))))
-                continue
-            except (LookupError, ValueError):
-                pass
-        directive = r.take("a directive")
-        if directive == "stroke":
+        r.k = 1  # past the directive
+        if words[0] == "stroke":
             if model is None:
                 raise r.error("the model declaration must come before any stroke", 0)
-            tool = r.choice("tool")
-            prims = []
-            while r.k < len(r.words):
-                prims.append(_parse_primitive(r))
-            strokes.append(Stroke(tool, CenterSet(tuple(prims))))
-        elif directive == "model":
+            try:
+                tool = _TOOLS[words[1]]
+            except LookupError:
+                tool = r.choice("tool")
+            strokes.append(Stroke(tool, CenterSet(_read_primitives(r, 2)[0])))
+        elif words[0] == "model":
             if model is not None:
                 raise r.error("duplicate model declaration")
             model = r.choice("model")
             if r.k < len(words):
                 raise r.error(f"unexpected {words[r.k]!r} after the model")
         else:
-            raise r.error(f"unknown directive {directive!r}", 0)
+            raise r.error(f"unknown directive {words[0]!r}", 0)
     if model is None:
         raise ParseError(1, 1, "missing model declaration")
     return DrawingScript.relaxed(model, strokes)
@@ -232,11 +224,11 @@ def parse_boundary(text: str):
         raise head.error(f"unexpected {head.words[1]!r} after the boundary header", 1)
     pieces = []
     for r in lines:
-        prim = _parse_primitive(r)
+        (prim,), k = _read_primitives(r, 0, 1)
         if not isinstance(prim, (Segment, Arc)):
             raise r.error("boundary pieces must be segments or arcs", 0)
-        if r.k < len(r.words):
-            raise r.error("one primitive per boundary line")
+        if k < len(r.words):
+            raise r.error("one primitive per boundary line", k)
         pieces.append(prim)
     try:
         return PiecewisePath(tuple(pieces))

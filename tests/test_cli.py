@@ -66,6 +66,18 @@ class TestSimulate:
     def test_usage_error(self, capsys):
         assert main(["simulate"]) == 2
 
+    @pytest.mark.parametrize("text, want", [
+        ("model open\nstroke pencil point 0 0\n", (0, "black\n", "")),
+        ("boundary\nsegment 0 0 1 0\nsegment 1 0 1 1\nsegment 1 1 0 1\nsegment 0 1 0 0\n", (0, "black\n", "")),
+        ("model open\nstroke pencil point 0 zero\n", (2, "", "parse error: line 2, column 23: expected y, got 'zero'\n")),
+    ])
+    def test_byte_order_mark(self, tmp_path, capsys, text, want):
+        # a UTF-8 byte-order mark before the first word is not part of it
+        scene = tmp_path / "s.txt"
+        for mark in ("", "\ufeff"):
+            scene.write_text(mark + text, encoding="utf-8")
+            assert run(capsys, "simulate", str(scene), "--query", "0.5", "0.5") == want
+
     def test_segment_too_short_to_measure_is_a_parse_error(self, tmp_path, capsys):
         # the ends differ, but the squared length underflows to 0 or overflows to inf
         scene = tmp_path / "s.txt"

@@ -21,6 +21,7 @@ from diskdraw import (
     build_snake,
     circumcircle3,
     constrained_largest_empty_circle,
+    halfplane_center_set,
     piece_distance,
     trapezoid_circumradius,
 )
@@ -94,6 +95,13 @@ class TestDistToPrimitive:
         assert hp.dist(Point(0, 0.5)) == 0.5
         assert hp.dist(Point(5, 3.0)) == 0.0
         assert hp.dist(Point(0, -0.1)) == pytest.approx(1.1)
+
+    @pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf])
+    def test_halfplane_offset_must_be_finite(self, offset):
+        # no distance to such a half-plane means anything: with a nan offset max(0.0, nan) is 0.0 everywhere
+        for build in (OffsetHalfPlane, halfplane_center_set):
+            with pytest.raises(ValueError, match=r"^half-plane offset must be finite, got -?(nan|inf)$"):
+                build(Point(1, 0), offset)
 
     @settings(DIFF, max_examples=500)
     @given(st.data())

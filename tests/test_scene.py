@@ -317,8 +317,9 @@ def _assert_arc_ends(arc: Arc):
 
 
 class TestStrokeLineRead:
-    """parse_script reads a stroke line at once; what it reads is what the
-    word-by-word parser reads, arc ends included."""
+    """Stroke and boundary lines go through the package's one primitive
+    reader; what parse_script and parse_boundary read, and where they refuse a
+    line, is what the tokenized oracle parsers read, arc ends included."""
 
     def test_benchmark_scripts(self):
         arcs = 0
@@ -337,17 +338,22 @@ class TestStrokeLineRead:
                                       "halfplane 0.6 0.8 0.25", "plane"])
     def test_words_that_do_not_fit(self, prim):
         # each number's place holding a non-finite word, a non-number or the
-        # line's end, and a cw after the primitive: each is the word-by-word
-        # parser's error, with a primitive before it on the line or after it
+        # line's end, and a cw after the primitive: each is the tokenized
+        # parser's error, on a stroke line with a primitive before or after it
+        # and on a boundary line alone, before a primitive or after one
         words = prim.split()
         n = len(words) - (words[-1] == "cw")
         bad = [words[:i] for i in range(1, n)] + [words + ["cw"]]
         bad += [words[:i] + [w] + words[i + 1:] for i in range(1, n) for w in ("inf", "-inf", "nan", "1e400", "zero")]
-        for ws in bad:
-            for text in (f"model open\nstroke pencil point 5 5 {' '.join(ws)}\n",
-                         f"model open\nstroke pencil {' '.join(ws)} plane\n"):
-                got = _outcome(parse_script, text)
-                assert isinstance(got, tuple) and got == _outcome(parse_script_tokenized, text), text
+        for line in map(" ".join, bad):
+            for parse, oracle, text in (
+                    (parse_script, parse_script_tokenized, f"model open\nstroke pencil point 5 5 {line}\n"),
+                    (parse_script, parse_script_tokenized, f"model open\nstroke pencil {line} plane\n"),
+                    (parse_boundary, parse_boundary_tokenized, f"boundary\n{line}\n"),
+                    (parse_boundary, parse_boundary_tokenized, f"boundary\n{line} plane\n"),
+                    (parse_boundary, parse_boundary_tokenized, f"boundary\nsegment 5 5 6 6 {line}\n")):
+                got = _outcome(parse, text)
+                assert isinstance(got, tuple) and got == _outcome(oracle, text), text
 
     @DIFF
     @given(cx=st.sampled_from([0.0, -0.0, 2.5]) | st.floats(-50, 50),
