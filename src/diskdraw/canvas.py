@@ -7,19 +7,23 @@ use a symmetric margin and produce three-valued verdicts; boundary verdicts
 are propagated, never silently rounded.
 
 A stroke covers only points within distance 1 of its centre set, so each
-centre set has a reach box: the box of its primitives' covering boxes
+primitive has a reach box (reach_box): its covering box
 (geometry.covering_box) widened on every side by r = 1 + 1e-3 + m, with
-m = 1e-7 * max(1, largest coordinate magnitude of that box).  A point
-outside it is farther than 1 + 1e-3 from every primitive, and tau < 1e-3
-(check_tolerance), so one box serves every allowed tau: the stroke is OUT
-there.  m dominates the rounding of the box and of the distances, as
-render._margin argues.  eval_script and stationary_number read only the
-script's scan table (DrawingScript.scan_table): one row (k, xmin, ymin,
-xmax, ymax, primitives) per stroke that has a primitive, from the last
-stroke back, k the stroke's 1-based index and the four numbers its reach
-box.  They pass over a row whose box does not hold the point without
-computing a distance, and an empty padding stroke, OUT everywhere, has no
-row; both scans already pass over OUT strokes, so no verdict, stationary
+m = 1e-7 * max(1, largest coordinate magnitude of that box), outside which
+it is farther than 1 + 1e-3 (m dominates the rounding of the box and of
+the distances, as render._margin argues).
+
+Lemma: leaving out primitives farther than 1 + 1e-3 from x changes no
+stroke verdict at x.  The verdict compares the least distance d with
+1 - tau and 1 + tau, and tau < 1e-3 (check_tolerance): if d <= 1 + tau, a
+primitive left in attains it; else what is left stays farther than 1 + tau
+(inf, OUT, when nothing is).  eval_script and stationary_number read only
+the script's scan table (DrawingScript.scan_table): one row (k, entries)
+per stroke that has a primitive, from the last stroke back, k the stroke's
+1-based index and entries one (xmin, ymin, xmax, ymax, primitive) per
+primitive in stroke order, its reach box first.  They compute a distance
+only to a primitive whose box holds the point, and an empty padding
+stroke, OUT everywhere, has no row, so by the lemma no verdict, stationary
 number or BoundaryPoint changes.  The table is derived on the script's
 first query and is not part of ==, hash or repr.  nbhd_contains and
 reference_eval evaluate every primitive, never read the table, and stay
@@ -90,13 +94,19 @@ class BoundaryPoint(Exception):
         return f"stationary number of {self.point} depends on the boundary verdict of stroke {self.stroke}"
 
 
+def reach_box(prim: Primitive) -> tuple[float, float, float, float]:
+    """(xmin, ymin, xmax, ymax) outside which prim is farther than 1 + 1e-3 (module docstring)."""
+    xmin, ymin, xmax, ymax = covering_box(prim)
+    r = 1.0 + 1e-3 + 1e-7 * max(1.0, -xmin, -ymin, xmax, ymax)
+    return xmin - r, ymin - r, xmax + r, ymax + r
+
+
 @dataclass(frozen=True, slots=True)
 class CenterSet:
     """A finite union of primitives serving as the center set of one stroke.
 
     The empty set is allowed: it is infinitely far from every point, so its
-    stroke paints nothing (the padding of DrawingScript.relaxed), and its
-    reach box is empty.
+    stroke paints nothing (the padding of DrawingScript.relaxed).
     """
 
     primitives: tuple[Primitive, ...]
@@ -104,17 +114,6 @@ class CenterSet:
     @staticmethod
     def of_points(*pts: Point) -> "CenterSet":
         return CenterSet(tuple(SinglePoint(p) for p in pts))
-
-    def reach_box(self) -> tuple[float, float, float, float]:
-        """(xmin, ymin, xmax, ymax) outside which every point is OUT at
-        every allowed tau (see the module docstring)."""
-        if not self.primitives:
-            return math.inf, math.inf, -math.inf, -math.inf
-        boxes = [covering_box(p) for p in self.primitives]
-        xmin, ymin = min(b[0] for b in boxes), min(b[1] for b in boxes)
-        xmax, ymax = max(b[2] for b in boxes), max(b[3] for b in boxes)
-        r = 1.0 + 1e-3 + 1e-7 * max(1.0, -xmin, -ymin, xmax, ymax)
-        return xmin - r, ymin - r, xmax + r, ymax + r
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,12 +160,12 @@ class DrawingScript:
         return len(self.strokes)
 
     def scan_table(self) -> tuple[tuple, ...]:
-        """One row (k, xmin, ymin, xmax, ymax, primitives) per stroke that
-        has a primitive, from the last stroke back: its 1-based index, its
-        centre set's reach box and primitives (see the module docstring)."""
+        """One row (k, entries) per stroke that has a primitive, from the
+        last stroke back: its 1-based index and one (xmin, ymin, xmax, ymax,
+        primitive) per primitive, its reach box (see the module docstring)."""
         table = self._table
         if table is None:
-            table = tuple((k, *s.centers.reach_box(), s.centers.primitives)
+            table = tuple((k, tuple((*reach_box(p), p) for p in s.centers.primitives))
                           for k, s in reversed(tuple(enumerate(self.strokes, start=1))) if s.centers.primitives)
             object.__setattr__(self, "_table", table)
         return table
@@ -196,22 +195,21 @@ def eval_script(x: Point, script: DrawingScript, tau: float = DEFAULT_TAU) -> Sh
     The strokes are read from the last one back, and the first one that is
     not OUT decides: IN (some primitive closer than 1 - tau) gives its
     parity, BOUNDARY (the least distance at most 1 + tau) gives
-    Shade.BOUNDARY.  Strokes below it are never evaluated, and a stroke
-    whose reach box does not hold x is OUT without computing a distance.
+    Shade.BOUNDARY.  Strokes below it are never evaluated, and no distance
+    is computed to a primitive whose reach box does not hold x (the lemma).
     """
     check_tolerance(tau)
     inner, outer = 1.0 - tau, 1.0 + tau
     px, py = x.x, x.y
-    for k, xmin, ymin, xmax, ymax, prims in script._table or script.scan_table():
-        if not (xmin <= px <= xmax and ymin <= py <= ymax):
-            continue
+    for k, entries in script._table or script.scan_table():
         best = math.inf
-        for prim in prims:
-            d = prim.dist_xy(px, py)
-            if d < inner:
-                return Shade.BLACK if k % 2 == 1 else Shade.WHITE
-            if d < best:
-                best = d
+        for xmin, ymin, xmax, ymax, prim in entries:
+            if xmin <= px <= xmax and ymin <= py <= ymax:
+                d = prim.dist_xy(px, py)
+                if d < inner:
+                    return Shade.BLACK if k % 2 == 1 else Shade.WHITE
+                if d < best:
+                    best = d
         if best <= outer:
             return Shade.BOUNDARY
     return Shade.WHITE
@@ -263,8 +261,8 @@ def stationary_number(x: Point, script: DrawingScript, tau: float = DEFAULT_TAU)
       when b continues L's run below sn, and to a stroke above sn when b
       interrupts the run above it.
 
-    A stroke whose reach box does not hold x is OUT, and is passed over
-    without computing a distance; the verdicts are eval_script's.
+    A primitive whose reach box does not hold x is passed over without
+    computing its distance, as in eval_script, whose verdicts these are.
     BoundaryPoint names the first offending b met, the highest.
     """
     check_tolerance(tau)
@@ -273,16 +271,15 @@ def stationary_number(x: Point, script: DrawingScript, tau: float = DEFAULT_TAU)
     sn = 0
     parity = None  # that of L
     boundary: list[int] = []
-    for k, xmin, ymin, xmax, ymax, prims in script._table or script.scan_table():
-        if not (xmin <= px <= xmax and ymin <= py <= ymax):
-            continue
+    for k, entries in script._table or script.scan_table():
         best = math.inf
-        for prim in prims:
-            d = prim.dist_xy(px, py)
-            if d < inner:
-                break
-            if d < best:
-                best = d
+        for xmin, ymin, xmax, ymax, prim in entries:
+            if xmin <= px <= xmax and ymin <= py <= ymax:
+                d = prim.dist_xy(px, py)
+                if d < inner:
+                    break
+                if d < best:
+                    best = d
         else:  # not IN
             if best <= outer:
                 boundary.append(k)

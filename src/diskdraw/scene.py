@@ -128,7 +128,7 @@ def _read_primitives(r: SceneLine, k: int, most: int = -1) -> tuple[tuple, int]:
         end = k + 1 + len(names)
         try:
             numbers = [*map(float, words[k + 1:end])]
-            if end > n or not all(map(math.isfinite, numbers)):
+            if end > n:
                 raise ValueError
         except ValueError:  # r.number raises at the first number that does not fit
             r.k = k + 1
@@ -138,7 +138,10 @@ def _read_primitives(r: SceneLine, k: int, most: int = -1) -> tuple[tuple, int]:
             end += 1
         try:
             prims.append(build(*numbers))
-        except ValueError as exc:
+        except ValueError as exc:  # r.number raises at a non-finite number, else the kind's message
+            r.k = k + 1
+            for what in names:
+                r.number(what)
             raise r.error(str(exc), k) from None
         k = end
     return tuple(prims), k

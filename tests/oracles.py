@@ -76,6 +76,11 @@ classifier as descent_verify reads a coloring, by its classify alone.
 render_per_pixel is render as it was for a coloring without a source: it
 classifies every pixel center on its own, at the coordinates render uses.
 
+stroke_reach_box is the reach box the backward scans tested once per stroke
+before each primitive had its own: the box of the centre set's covering
+boxes, widened by r = 1 + 1e-3 + 1e-7 * max(1, largest coordinate
+magnitude of that box), and empty for the empty set.
+
 eval_script_forward and stationary_number_enumerated are the two point
 queries as they were before the backward scan: each computes every stroke's
 verdict front to back, and the stationary number enumerates both
@@ -127,8 +132,8 @@ from diskdraw import (
     nbhd_contains,
 )
 from diskdraw.constructions import ConstructionInconsistent, PiecewisePath
-from diskdraw.geometry import (LargestEmptyCircle, dist_to_segment, piece_distance, piece_intersections, turn_mismatch,
-                               unit)
+from diskdraw.geometry import (LargestEmptyCircle, covering_box, dist_to_segment, piece_distance, piece_intersections,
+                               turn_mismatch, unit)
 from diskdraw.obstruction import Coloring, DissectionSpec, InvalidParameters, StageFamily, StageParams
 
 
@@ -892,6 +897,18 @@ def render_per_pixel(classify, spec: RasterSpec) -> bytes:
     shade_byte = {Shade.BLACK: 0, Shade.WHITE: 255, Shade.BOUNDARY: 128}
     return bytes(shade_byte[classify(Point(spec.xmin + (j + 0.5) * sx, spec.ymax - (i + 0.5) * sy))]
                  for i in range(h) for j in range(w))
+
+
+def stroke_reach_box(centers: CenterSet) -> tuple[float, float, float, float]:
+    """(xmin, ymin, xmax, ymax) outside which the whole centre set is
+    farther than 1 + 1e-3 from every point."""
+    if not centers.primitives:
+        return math.inf, math.inf, -math.inf, -math.inf
+    boxes = [covering_box(p) for p in centers.primitives]
+    xmin, ymin = min(b[0] for b in boxes), min(b[1] for b in boxes)
+    xmax, ymax = max(b[2] for b in boxes), max(b[3] for b in boxes)
+    r = 1.0 + 1e-3 + 1e-7 * max(1.0, -xmin, -ymin, xmax, ymax)
+    return xmin - r, ymin - r, xmax + r, ymax + r
 
 
 def _stroke_verdicts(x: Point, script: DrawingScript, tau: float) -> list[Containment]:

@@ -31,11 +31,13 @@ from diskdraw import (
     nbhd_contains,
     parse_script,
     reference_eval,
+    sharp_ndissected_script,
     stationary_number,
 )
+from diskdraw.canvas import reach_box
 
 from helpers import DIFF, benchmark_workloads, random_point, random_script
-from oracles import eval_script_forward, stationary_number_enumerated
+from oracles import eval_script_forward, stationary_number_enumerated, stroke_reach_box
 
 
 def pencil(*pts):
@@ -267,7 +269,7 @@ def extreme_point(prim, u):
 def point_queries(draw, where=None):
     """A script of 1 to 16 strokes over a pool of all five primitive kinds,
     with empty and repeated strokes, and a query point that is often on one
-    primitive's unit circle or on the edge of a stroke's reach box (where
+    primitive's unit circle or on the edge of a primitive's reach box (where
     picks one of "circle", "free" and "edge")."""
     ox, oy = draw(OFFSETS), draw(OFFSETS)
 
@@ -309,12 +311,12 @@ def point_queries(draw, where=None):
             return Point(ox, oy) + n.scaled(base) + n.rot90().scaled(draw(QUARTERS))
         return pt()
 
-    def on_box_edge(centers):
-        # a point on one side of the stroke's reach box, or a few ulps to
+    def on_box_edge(prim):
+        # a point on one side of the primitive's reach box, or a few ulps to
         # either side of it along the axis normal to that side; often level
         # with the primitive point that makes that side, so 1 + 1e-3 + m
         # from it
-        box = centers.reach_box()
+        box = reach_box(prim)
         if not all(map(math.isfinite, box)):
             return pt()
         side, u = draw(st.sampled_from(list(enumerate(AXES))))  # xmax, ymax, xmin, ymin
@@ -322,7 +324,7 @@ def point_queries(draw, where=None):
         for _ in range(draw(st.integers(0, 3))):
             edge = math.nextafter(edge, draw(st.sampled_from([-math.inf, math.inf])))
         if draw(st.booleans()):
-            level = max((extreme_point(p, u) for p in centers.primitives), key=u.dot)
+            level = extreme_point(prim, u)
         else:
             level = Point(*(lo + draw(st.floats(0.0, 1.0)) * (hi - lo) for lo, hi in zip(box[:2], box[2:])))
         return Point(edge, level.y) if side % 2 == 0 else Point(level.x, edge)
@@ -340,11 +342,11 @@ def point_queries(draw, where=None):
         strokes.append(Stroke(Tool.PENCIL if k % 2 == 1 else Tool.ERASER, centers))
     target = draw(st.sampled_from(pool))
     where = where or draw(st.sampled_from(["circle", "circle", "circle", "free", "edge"]))
-    filled = [stroke.centers for stroke in strokes if stroke.centers.primitives]
+    used = [p for stroke in strokes for p in stroke.centers.primitives]
     if where == "circle":
         x = on_unit_circle(target)
-    elif where == "edge" and filled:
-        x = on_box_edge(draw(st.sampled_from(filled)))
+    elif where == "edge" and used:
+        x = on_box_edge(draw(st.sampled_from(used)))
     else:
         x = pt() + Point(draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5)))
     return DrawingScript(draw(st.sampled_from(DiskModel)), tuple(strokes)), x
@@ -401,27 +403,31 @@ class TestBackwardScanDifferential:
                     stationary_number_enumerated, x, s)
 
 
-def skipped(x, centers):
-    """Whether the backward scans pass over the stroke at x on its reach box."""
-    xmin, ymin, xmax, ymax = centers.reach_box()
+def skipped(x, prim):
+    """Whether the backward scans pass over the primitive at x on its reach box."""
+    xmin, ymin, xmax, ymax = reach_box(prim)
     return not (xmin <= x.x <= xmax and ymin <= x.y <= ymax)
 
 
 class TestReachBox:
-    """The reach box against nbhd_contains, which evaluates every primitive."""
+    """The reach boxes against the distances the scans do not compute."""
 
     @settings(DIFF, max_examples=200)
     @given(point_queries(where="edge"))
-    def test_a_skipped_stroke_is_out(self, case):
+    def test_a_skipped_primitive_is_far(self, case):
         s, x = case
         for stroke in s.strokes:
-            if skipped(x, stroke.centers):
+            prims = stroke.centers.primitives
+            for prim in prims:
+                if skipped(x, prim):
+                    assert prim.dist_xy(x.x, x.y) > 1.0 + 1e-3
+            if all(skipped(x, prim) for prim in prims):
                 for tau in TAUS:
                     assert nbhd_contains(x, stroke.centers, tau) is Containment.OUT
 
     def test_edge_queries_are_generated(self):
         # the first 300 cases put queries just inside and just outside the
-        # box of a stroke that has primitives, at offsets up to 1e6
+        # box of a primitive, at offsets up to 1e6
         inside = outside = 0
         scales = set()
 
@@ -430,29 +436,44 @@ class TestReachBox:
         def collect(case):
             nonlocal inside, outside
             s, x = case
-            for stroke in s.strokes:
-                box = stroke.centers.reach_box()
+            for prim in {p for stroke in s.strokes for p in stroke.centers.primitives}:
+                box = reach_box(prim)
                 gap = min(abs(x.x - box[0]), abs(x.x - box[2]), abs(x.y - box[1]), abs(x.y - box[3]))
-                if stroke.centers.primitives and gap <= 4.0 * math.ulp(max(map(abs, box))):
-                    outside += skipped(x, stroke.centers)
-                    inside += not skipped(x, stroke.centers)
+                if gap <= 4.0 * math.ulp(max(map(abs, box))):
+                    outside += skipped(x, prim)
+                    inside += not skipped(x, prim)
                     scales.add(max(abs(x.x), abs(x.y)) > 1e5)
 
         collect()
         assert inside and outside and scales == {False, True}
 
+    @settings(DIFF, max_examples=200)
+    @given(point_queries())
+    def test_each_box_lies_in_its_strokes_box(self, case):
+        # the per-primitive boxes refine the per-stroke union box the scans
+        # tested before (tests/oracles.py)
+        s, _ = case
+        for stroke in s.strokes:
+            union = stroke_reach_box(stroke.centers)
+            for prim in stroke.centers.primitives:
+                box = reach_box(prim)
+                assert union[0] <= box[0] and union[1] <= box[1] and box[2] <= union[2] and box[3] <= union[3]
+
     def test_boxes(self):
+        r = 1.0 + 1e-3 + 1e-7
+        assert reach_box(SinglePoint(Point(0, 0))) == (-r, -r, r, r)
+        assert reach_box(Segment(Point(0.5, 0), Point(0, 0.25))) == (-r, -r, 0.5 + r, 0.25 + r)
         r = 1.0 + 1e-3 + 1e-7 * 3.0
-        assert CenterSet.of_points(Point(0, 0), Point(3, -1)).reach_box() == (-r, -1.0 - r, 3.0 + r, r)
+        assert reach_box(SinglePoint(Point(3, -1))) == (3.0 - r, -1.0 - r, 3.0 + r, -1.0 + r)
+        # the stroke's union box is as wide as its widest primitive's r
+        assert stroke_reach_box(CenterSet.of_points(Point(0, 0), Point(3, -1))) == (-r, -1.0 - r, 3.0 + r, r)
         # an arc's box is its whole circle's, however short the arc
         r = 1.0 + 1e-3 + 1e-7 * 12.0
-        assert CenterSet((Arc(Point(10, 0), 2.0, 0.0, 0.01),)).reach_box() == (8.0 - r, -2.0 - r, 12.0 + r, 2.0 + r)
-        r = 1.0 + 1e-3 + 1e-7
-        assert CenterSet((Segment(Point(0.5, 0), Point(0, 0.25)),)).reach_box() == (-r, -r, 0.5 + r, 0.25 + r)
+        assert reach_box(Arc(Point(10, 0), 2.0, 0.0, 0.01)) == (8.0 - r, -2.0 - r, 12.0 + r, 2.0 + r)
         unbounded = (-math.inf, -math.inf, math.inf, math.inf)
-        assert CenterSet((SinglePoint(Point(0, 0)), OffsetHalfPlane(Point(0, 1), 0.0))).reach_box() == unbounded
-        assert CenterSet((WholePlane(),)).reach_box() == unbounded
-        assert CenterSet(()).reach_box() == (math.inf, math.inf, -math.inf, -math.inf)
+        assert reach_box(OffsetHalfPlane(Point(0, 1), 0.0)) == unbounded
+        assert reach_box(WholePlane()) == unbounded
+        assert stroke_reach_box(CenterSet(())) == (math.inf, math.inf, -math.inf, -math.inf)
 
     def test_the_box_is_not_compared_hashed_or_printed(self):
         # the boxes live in the script's scan table, built by a query
@@ -464,35 +485,65 @@ class TestReachBox:
     def test_an_emptied_box_skips_the_stroke(self):
         # the scans read the stored table; nbhd_contains and reference_eval
         # evaluate every primitive and still see the eraser
-        s = script(pencil(Point(0, 0)), eraser(Point(0.2, 0)))
+        s = script(pencil(Point(0, 0)), eraser(Point(0.2, 0), Point(5, 0)))
         x = Point(0.1, 0)
         assert eval_script(x, s) is Shade.WHITE and stationary_number(x, s) == 2
-        (k, *_, prims), pencil_row = s._table  # the eraser's row comes first
-        assert k == 2
-        object.__setattr__(s, "_table", ((k, math.inf, math.inf, -math.inf, -math.inf, prims), pencil_row))
+        (k, (near, far)), pencil_row = s._table  # the eraser's row comes first
+        assert k == 2 and near[4] == SinglePoint(Point(0.2, 0)) and skipped(x, far[4])
+        emptied = (math.inf, math.inf, -math.inf, -math.inf, near[4])
+        object.__setattr__(s, "_table", ((k, (emptied, far)), pencil_row))
         assert eval_script(x, s) is Shade.BLACK and stationary_number(x, s) == 1
         assert nbhd_contains(x, s.strokes[1].centers) is Containment.IN
         assert reference_eval(x, s) is Shade.WHITE
 
+    def test_a_query_computes_only_the_distances_it_can_reach(self, monkeypatch):
+        # sharp-12 is one stroke of 12 segments; its union box holds every
+        # point near any of them, so before each segment had its own box the
+        # scans computed all 12 distances at the far end of the last segment
+        s = sharp_ndissected_script(12)
+        segments = s.strokes[0].centers.primitives
+        assert len(s) == 1 and len(segments) == 12
+        calls = 0
+        dist_xy = Segment.dist_xy
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return dist_xy(*args)
+
+        monkeypatch.setattr(Segment, "dist_xy", counted)
+        for seg in segments:
+            x = seg.b + (seg.b - seg.a).normalized().rot90().scaled(0.5)
+            calls = 0
+            assert eval_script(x, s) is Shade.BLACK
+            evals, calls = calls, 0
+            assert stationary_number(x, s) == 1
+            assert (evals, calls) == (1, 1), seg
+            assert reference_eval(x, s) is Shade.BLACK
+            assert not skipped(x, seg) and all(skipped(x, other) for other in segments if other is not seg)
+
 
 class TestScanTable:
     def test_padding_has_no_row(self):
-        first, second = pencil(Point(0, 0)), pencil(Point(1, 0))
+        first, second = pencil(Point(0, 0)), pencil(Point(1, 0), Point(2, 0))
         s = DrawingScript.relaxed(DiskModel.OPEN, [first, second])
         assert len(s) == 3 and s._table is None
         table = s.scan_table()
         assert tuple(row[0] for row in table) == (3, 1)
-        assert table == tuple((k, *st.centers.reach_box(), st.centers.primitives)
+        assert table == tuple((k, tuple((*reach_box(p), p) for p in st.centers.primitives))
                               for k, st in ((3, second), (1, first)))
         assert s.scan_table() is table and s._table is table
 
     def test_a_shared_center_set_gives_each_row_its_own_index(self):
-        shared = CenterSet.of_points(Point(0, 0))
+        shared = CenterSet.of_points(Point(0, 0), Point(0, 3))
         s = script(Stroke(Tool.PENCIL, shared), eraser(Point(5, 5)), Stroke(Tool.PENCIL, shared))
         t = script(pencil(Point(9, 9)), Stroke(Tool.ERASER, shared))
         assert tuple(row[0] for row in s.scan_table()) == (3, 2, 1)
         assert tuple(row[0] for row in t.scan_table()) == (2, 1)
-        assert s.scan_table()[0][5] is s.scan_table()[2][5] is t.scan_table()[0][5] is shared.primitives
+        rows = (s.scan_table()[0][1], s.scan_table()[2][1], t.scan_table()[0][1])
+        assert all(len(entries) == 2 for entries in rows)
+        for i, prim in enumerate(shared.primitives):
+            assert rows[0][i][4] is rows[1][i][4] is rows[2][i][4] is prim
         x = Point(0.1, 0)
         assert eval_script(x, s) is Shade.BLACK and stationary_number(x, s) == 1
         assert eval_script(x, t) is Shade.WHITE and stationary_number(x, t) == 2
@@ -550,10 +601,10 @@ class TestBenchmarkQueries:
         assert count == 8000
 
     def test_distance_work(self, scenes, monkeypatch):
-        # primitive distances (dist_xy calls) of the two backward scans, the
-        # same as their dist calls before the scan table; the strokes they
-        # evaluated were 10237 and 17813, and 30173 and 55130 before the
-        # reach box skipped strokes
+        # primitive distances (dist_xy calls) of the two backward scans: 18181
+        # and 31185 when a reach box skipped whole strokes (the same as their
+        # dist calls before the scan table), in 10237 and 17813 strokes
+        # evaluated, and 30173 and 55130 strokes before any box skipped one
         calls = 0
 
         def counting(dist_xy):
@@ -576,7 +627,7 @@ class TestBenchmarkQueries:
                 calls = 0
                 stationary_outcome(stationary_number, x, s)
                 stationary += calls
-        assert (evals, stationary) == (18181, 31185)
+        assert (evals, stationary) == (10222, 17773)
 
 
 class TestRelaxedNormalization:
